@@ -42,7 +42,6 @@ from .szego import (
 from .topology import (
     LevelTopology,
     enumerate_cells,
-    enumerate_vertices,
     level_topology,
     quadrature,
 )

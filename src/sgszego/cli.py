@@ -26,8 +26,10 @@ DEFAULT_TOLERANCES = {
     "gram": 1e-10,
     "eigen_residual": 1e-9,
     "logdet_rel": 1e-8,
-    "localize_sv": 1e-8,
 }
+
+# generations of birth of each series that the sampling cap can reach
+BIRTHS = {"two": range(1, 2), "five": range(1, szego.MQ_CAP + 1), "six": range(2, szego.MQ_CAP + 1)}
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -49,9 +51,15 @@ def parse_range(value):
     return [int(s)]
 
 
+def _log(x):
+    if x <= 0:
+        raise szego.NotPositiveDefiniteError(f"log of the non-positive value {x!r}")
+    return math.log(x)
+
+
 def parse_functional_spec(spec):
     if spec is None or spec == "log":
-        return "log", math.log
+        return "log", _log
     if spec.startswith("power:"):
         p = float(spec.split(":", 1)[1])
         return spec, lambda x: x ** p
@@ -132,15 +140,21 @@ def effective_config(args):
         if val is None or (key == "tol" and not val):
             continue
         config[key] = val
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(config.get("tolerances", {}))
-    for item in config.pop("tol", []):
-        name, _, value = item.partition("=")
-        tolerances[name] = float(value)
-    config["tolerances"] = tolerances
+    config["tolerances"] = _tolerances(config)
     config.setdefault("out", ".")
     config.setdefault("seed", 0)
     return config
+
+
+def _tolerances(config):
+    """DEFAULT_TOLERANCES updated from the config file, then from --tol flags."""
+    tolerances = dict(DEFAULT_TOLERANCES)
+    flags = [item.partition("=")[::2] for item in config.pop("tol", [])]
+    for name, value in list(config.get("tolerances", {}).items()) + flags:
+        if name not in tolerances:
+            raise ValueError(f"tol: unknown tolerance {name!r}")
+        tolerances[name] = float(value)
+    return tolerances
 
 
 def validate(config):
@@ -165,30 +179,36 @@ def validate(config):
         for key in ("series", "j", "N", "m_q"):
             if config.get(key) is None:
                 v.append(f"{key}: required")
-        if None not in (config.get("j"), config.get("N")) and config["N"] >= config["j"]:
-            v.append("N: N must be < birth j")
-        if config.get("m_q") is not None and config["m_q"] > szego.MQ_CAP:
-            v.append("m_q: desk-scale cap exceeded")
-    if cmd in ("szego", "equidist"):
-        mode = config.get("mode", "single")
-        if mode == "single":
-            js = rng("j")
-            if js is None:
-                v.append("j: required in single mode")
-            elif config.get("N") is not None and min(js) <= config["N"]:
+    if cmd in ("szego", "equidist") and config.get("mode", "single") != "single":
+        ms = rng("m")
+        if ms is None:
+            v.append("m: required in cutoff mode")
+        elif ms and not 1 <= min(ms) <= max(ms) <= szego.MQ_CAP:
+            v.append(f"m: levels must lie in 1..{szego.MQ_CAP}")
+    elif cmd in ("basis", "szego", "equidist"):
+        js = rng("j")
+        series = config.get("series", "six")
+        if js is None and cmd != "basis":
+            v.append("j: required in single mode")
+        elif js:
+            if config.get("N") is not None and min(js) <= config["N"]:
                 v.append("N: N must be < birth j")
-        else:
-            if rng("m") is None:
-                v.append("m: required in cutoff mode")
-        if config.get("m_q") is not None and config["m_q"] > szego.MQ_CAP:
-            v.append("m_q: desk-scale cap exceeded")
+            if not set(js) <= set(BIRTHS.get(series, ())):
+                v.append(f"j: not a generation of birth of series {series!r} up to {szego.MQ_CAP}")
+            if config.get("m_q") is not None and config["m_q"] < max(js):
+                v.append("m_q: sampling level must be >= every birth j")
+    if config.get("N") is not None and config["N"] < 0:
+        v.append("N: must be >= 0")
+    if config.get("m_q") is not None and config["m_q"] > szego.MQ_CAP:
+        v.append("m_q: desk-scale cap exceeded")
+    if cmd in ("szego", "equidist"):
         fspec = config.get("f")
         if fspec is None:
             v.append("f: required")
         else:
             try:
                 f = parse_function_spec(fspec)
-            except ValueError as exc:
+            except (ValueError, SyntaxError) as exc:
                 v.append(f"f: {exc}")
                 f = None
             if f is not None and hasattr(f, "coefficients") and np.min(f.coefficients) <= 0:
@@ -198,7 +218,7 @@ def validate(config):
         if cmd == "equidist" and config.get("functional"):
             try:
                 parse_functional_spec(config["functional"])
-            except ValueError as exc:
+            except (ValueError, SyntaxError) as exc:
                 v.append(f"F: {exc}")
     return v
 
@@ -231,10 +251,8 @@ def run(config):
     if cmd == "topology":
         topo = topology.level_topology(int(config["m"]))
         vp = os.path.join(out, "vertices.csv")
-        weights = topology.quadrature(topo.m).weights if topo.m >= 1 else None
-        _export_with_header(vp, header, lambda path: topology.export_vertex_table(topo, path, weights))
-        cp = os.path.join(out, "cells.csv")
-        _export_with_header(cp, header, lambda path: topology.export_cell_table(topo, path))
+        topology.export_vertex_table(topo, vp, header_lines=header)
+        topology.export_cell_table(topo, os.path.join(out, "cells.csv"), header_lines=header)
         results = {"n_vertices": topo.n_vertices, "n_cells": len(topo.cells)}
 
     elif cmd == "spectrum":
@@ -244,7 +262,7 @@ def run(config):
 
     elif cmd == "basis":
         desc = szego._canonical_descriptor(config["series"], config["j"], config["m_q"])
-        raw = eigenbasis.plain_basis(desc, config["m_q"]).vectors
+        raw = eigenbasis.eigenspace_vectors(desc, config["m_q"])
         basis = eigenbasis.localize_basis(raw, desc, config["m_q"], config["N"])
         eigenbasis.export_basis_csv(basis, os.path.join(out, "basis.csv"), header)
         results = {
@@ -286,7 +304,8 @@ def run(config):
             for j in parse_range(config["j"]):
                 mq = szego.default_sample_level(j)
                 desc = szego._canonical_descriptor(config.get("series", "six"), j, mq)
-                basis = szego._basis_for(desc, mq, scale)
+                basis = eigenbasis.localize_basis(
+                    eigenbasis.eigenspace_vectors(desc, mq), desc, mq, scale)
                 topo = topology.level_topology(mq)
                 op = szego.assemble_compressed(f.sample(topo)[topo.interior_indices], basis)
                 spec, riem, gap = szego.equidistribution_compare(op, f, func)
@@ -333,24 +352,18 @@ def run(config):
     return results
 
 
-def _export_with_header(path, header, writer):
-    tmp = path + ".tmp"
-    writer(tmp)
-    with open(tmp) as src, open(path, "w") as dst:
-        for line in header:
-            dst.write(line + "\n")
-        dst.write(src.read())
-    os.remove(tmp)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return EXIT_INVALID
-    config = effective_config(args)
-    violations = validate(config)
+    try:
+        config = effective_config(args)
+    except (OSError, TypeError, ValueError) as exc:
+        violations = [str(exc)]
+    else:
+        violations = validate(config)
     if violations:
         record = {"error": "invalid config", "violations": violations}
         print(json.dumps(record), file=sys.stderr)

@@ -20,8 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from .laplacian import cached_dense_spectrum, level_graph
-from .topology import interior_count, level_topology, parent_index_map, vertex_key
+from .laplacian import cached_dense_spectrum
+from .topology import cell_embedding, interior_count, level_topology
 
 FORBIDDEN_GAMMAS = (2.0, 5.0, 6.0)
 
@@ -88,19 +88,16 @@ class EigenvalueDescriptor:
             raise ValueError("level precedes generation of birth")
         if k <= self.level:
             return self.gammas[k - self.birth]
-        g = self.gammas[-1]
-        for _ in range(self.level, k):
-            g = gamma_step(g, 1 if g == 6.0 else -1)
-        return g
+        return _continue(self.gammas[-1], k - self.level)
 
 
-def _lambda_tail(gamma, level, k_max):
+def _continue(gamma, steps):
+    """gamma after `steps` decimation steps past the stored sign word."""
     # a gamma of exactly 6 only occurs at a 6-series birth, where the next
     # sign is forced to +1; every other continuation sign is -1
-    g = gamma
-    for _ in range(level, k_max):
-        g = gamma_step(g, 1 if g == 6.0 else -1)
-    return 1.5 * (5.0 ** k_max) * g
+    for _ in range(steps):
+        gamma = gamma_step(gamma, 1 if gamma == 6.0 else -1)
+    return gamma
 
 
 def make_descriptor(series, birth, signs, k_max=40):
@@ -114,7 +111,7 @@ def make_descriptor(series, birth, signs, k_max=40):
     # the forced +1 after a 6-series birth counts toward fixation even when
     # the stored word is empty (birth at the enumeration level)
     effective_signs = signs if (signs or series != SERIES_SIX) else (1,)
-    lam = _lambda_tail(gammas[-1], birth + len(signs), k_max)
+    lam = 1.5 * (5.0 ** k_max) * _continue(gammas[-1], k_max - birth - len(signs))
     return EigenvalueDescriptor(
         series=series,
         birth=birth,
@@ -130,7 +127,7 @@ def renormalized_lambda(desc, k_max=40):
     """(3/2) * 5^k_max * gamma_{k_max} continuing with all signs -1."""
     if k_max < desc.level:
         raise ValueError("k_max precedes the descriptor's enumeration level")
-    return _lambda_tail(desc.gammas[-1], desc.level, k_max)
+    return 1.5 * (5.0 ** k_max) * desc.gamma_at(k_max)
 
 
 @dataclass(frozen=True)
@@ -176,19 +173,10 @@ def _extension_maps(k):
     Returns (parent_corner, child_corner, child_mid): each (3^(k-1), 3); the
     mid column r holds the new vertex opposite corner r+1 of the parent cell.
     """
-    parent = level_topology(k - 1)
-    child = level_topology(k)
-    n_cells = len(parent.cells)
-    parent_corner = parent.cell_vertices
-    child_corner = np.empty((n_cells, 3), dtype=np.int64)
-    child_mid = np.empty((n_cells, 3), dtype=np.int64)
-    for ci, w in enumerate(parent.cells):
-        for c in (1, 2, 3):
-            child_corner[ci, c - 1] = child.index_by_key[vertex_key(w + (c,), c)]
-        # midpoint opposite corner r is shared by subcells p and q
-        for r, (p, q) in zip((1, 2, 3), ((2, 3), (1, 3), (1, 2))):
-            child_mid[ci, r - 1] = child.index_by_key[vertex_key(w + (p,), q)]
-    return parent_corner, child_corner, child_mid
+    # V_1 in topology order is q1, m12, m13, q2, m23, q3 (m_pq the midpoint of
+    # edge pq): columns 0, 3, 5 are the corners, 4, 2, 1 the opposite midpoints
+    embedding = cell_embedding(k, k - 1)
+    return level_topology(k - 1).cell_vertices, embedding[:, [0, 3, 5]], embedding[:, [4, 2, 1]]
 
 
 def extend_eigenfunction(values, k, gamma_k):
@@ -254,12 +242,6 @@ def export_spectrum_csv(table, path, header_lines=()):
             wr.writerow(
                 [d.series, d.birth, signs or "-", d.fixation, repr(d.gammas[-1]), repr(d.lam), d.multiplicity]
             )
-
-
-def dense_gamma_multiset(m, decimals=9):
-    """Dense-oracle eigenvalues of -Delta_m rounded for multiset comparison."""
-    evals, _ = cached_dense_spectrum(m)
-    return np.round(evals, decimals)
 
 
 __all__ = [

@@ -1,27 +1,30 @@
 """Orthonormal eigenspace bases split into scale-N localized vectors (one
 group per N-cell) and a non-localized remainder.
 
-Localization is detected numerically: the localized subspace for a cell is
-the nullspace of the restriction of the eigenspace to the vertices outside
-that cell.  Orthonormality is with respect to the quadrature inner product,
-which is uniform on interior vertices, so plain-coordinate linear algebra can
-be rescaled by the square root of the common weight.
+Localized vectors are built from self-similarity: an eigenfunction of the
+descriptor with the same series and sign word born N generations earlier,
+copied into an N-cell and zero elsewhere, is an eigenfunction whenever its
+normal derivatives vanish at the cell corners.  6-series eigenfunctions all
+qualify; for the 5-series the kept part is the nullspace of the rank-2 map to
+the three boundary normal derivatives.  Copies in distinct cells have disjoint
+supports, and the remainder is their complement inside the eigenspace.
+Orthonormality is in the quadrature inner product, which is uniform on
+interior vertices, so plain-coordinate linear algebra can be rescaled by the
+square root of the common weight.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .decimation import eigenfunctions_at_level
-from .laplacian import cached_dense_spectrum
-from .topology import interior_weight, level_topology, word_str
+from .decimation import SERIES_FIVE, SERIES_SIX, SERIES_TWO, eigenfunctions_at_level, make_descriptor
+from .laplacian import apply_neg_laplacian, cached_dense_spectrum, level_graph
+from .topology import (cell_embedding, cell_rank, enumerate_cells, interior_weight,
+                       level_topology, word_str)
 
 NONLOCALIZED = "nonlocalized"
-
-SV_THRESHOLD = 1e-8  # singular values below this count as vanishing outside
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,6 @@ class EigenspaceBasis:
         return sum(1 for t in self.tags if t == cell)
 
 
-def _weight(m_q):
-    return interior_weight(m_q)
-
-
 def eigenspace_vectors(desc, m_q, method="extension"):
     """Raw (not yet localized) eigenspace sampled on the interior of V_{m_q}.
 
@@ -77,26 +76,51 @@ def eigenspace_vectors(desc, m_q, method="extension"):
 
 def orthonormalize(vectors, m_q):
     """Quadrature-orthonormal basis of the column span."""
-    w = _weight(m_q)
+    w = interior_weight(m_q)
     q, r = np.linalg.qr(np.sqrt(w) * vectors)
     if np.min(np.abs(np.diag(r))) < 1e-12 * np.max(np.abs(np.diag(r))):
         raise ValueError("input columns are numerically dependent")
     return q / np.sqrt(w)
 
 
-@lru_cache(maxsize=None)
-def _interior_cell_rows_cached(m_q, scale):
-    topo = level_topology(m_q)
-    cells = {}
-    for row, idx in enumerate(topo.interior_indices):
-        for cell in topo.cells_of_vertex(idx, scale):
-            cells.setdefault(cell, []).append(row)
-    return {c: np.array(rows) for c, rows in sorted(cells.items())}
+def _cell_eigenspace(desc, m_q, scale):
+    """Quadrature-orthonormal columns on the interior of V_{m_q - scale}, each
+    of which, copied into any scale-cell, is an eigenfunction of `desc` at
+    level m_q.  Requires 1 <= scale < birth and a 5- or 6-series descriptor."""
+    if desc.series == SERIES_SIX and desc.birth - scale < 2:
+        return np.zeros((0, 0))  # no 6-series is born at level 1
+    small = make_descriptor(desc.series, desc.birth - scale, desc.signs)
+    level = m_q - scale
+    vectors = plain_basis(small, level).vectors
+    if desc.series == SERIES_FIVE:
+        topo = level_topology(level)
+        full = np.zeros((topo.n_vertices, vectors.shape[1]))
+        full[topo.interior_indices] = vectors
+        normal = apply_neg_laplacian(level_graph(level), full)[topo.boundary_mask]
+        # the three normal derivatives have rank 2; keep their nullspace
+        vectors = vectors @ np.linalg.svd(normal)[2][2:].T
+    return vectors
 
 
-def _interior_cell_rows(topo, scale):
-    """For each scale-cell, the interior-row positions inside its closure."""
-    return _interior_cell_rows_cached(topo.m, scale)
+def _transplant(basis, small, m_q, scale):
+    """Copies of `small` in every scale-cell, then the complement of their
+    span inside the span of the orthonormal `basis`; returns (vectors, tags)."""
+    interior = level_topology(m_q).interior_indices
+    small_interior = level_topology(m_q - scale).interior_indices
+    rows = np.searchsorted(interior, cell_embedding(m_q, scale)[:, small_interior])
+    cells = enumerate_cells(scale)
+    p = small.shape[1]
+    n_loc = len(cells) * p
+    vectors = np.zeros_like(basis)
+    # the interior weight shrinks by 3^-scale, so 3^(scale/2) keeps unit length
+    copy = 3.0 ** (scale / 2) * small
+    for r in range(len(cells)):
+        vectors[rows[r], r * p:(r + 1) * p] = copy
+    # a complete QR of the copies' coefficients splits the eigenspace exactly
+    coeffs = interior_weight(m_q) * basis.T @ vectors[:, :n_loc]
+    vectors[:, n_loc:] = basis @ np.linalg.qr(coeffs, mode="complete")[0][:, n_loc:]
+    tags = tuple(c for c in cells for _ in range(p)) + (NONLOCALIZED,) * (basis.shape[1] - n_loc)
+    return vectors, tags
 
 
 def localize_basis(raw, desc, m_q, scale):
@@ -104,55 +128,22 @@ def localize_basis(raw, desc, m_q, scale):
 
     Localized columns come first, grouped by cell in address order; every
     localized column vanishes outside its cell, and the whole output spans
-    the same subspace as `raw`.
+    the same subspace as `raw`.  At scale 0 the single 0-cell holds every
+    column.  The 2-series and a scale of None or of at least the generation
+    of birth localize nothing.
     """
-    topo = level_topology(m_q)
-    w = _weight(m_q)
-    basis = np.sqrt(w) * orthonormalize(raw, m_q)  # plain-orthonormal copy
-    d = basis.shape[1]
-
-    warning = ""
-    if scale >= desc.birth:
+    basis = orthonormalize(raw, m_q)
+    vectors, tags, warning = basis, (NONLOCALIZED,) * basis.shape[1], ""
+    if scale is not None and scale >= desc.birth:
         warning = "localization scale is not below the generation of birth"
-
-    n_rows = basis.shape[0]
-    cell_rows = _interior_cell_rows(topo, scale)
-    localized_cols = []
-    tags = []
-    # the nullspace of the outside restriction B_out is the eigenvalue-zero
-    # space of B_out' B_out = I - B_in' B_in; working with the small Gram
-    # matrix B_in' B_in avoids a large SVD per cell.  Zero singular values of
-    # B_out appear as eigenvalues ~ machine epsilon, genuine ones are O(1).
-    eig_threshold = max(SV_THRESHOLD**2, 64 * d * np.finfo(float).eps)
-    for cell, rows in cell_rows.items():
-        gram_in = basis[rows].T @ basis[rows]
-        evals, evecs = np.linalg.eigh(gram_in)
-        null = evecs[:, (1.0 - evals) <= eig_threshold]
-        if null.shape[1]:
-            localized_cols.append(basis @ null)
-            tags.extend([cell] * null.shape[1])
-
-    if localized_cols:
-        loc = np.hstack(localized_cols)
-        # complement of the localized coefficients within the eigenspace
-        coeffs = basis.T @ loc
-        _, sing, vt = np.linalg.svd(coeffs.T, full_matrices=True)
-        comp = vt[len(sing):].T if coeffs.shape[1] < d else vt[(sing <= SV_THRESHOLD)].T
-        nonloc = basis @ comp
-    else:
-        loc = np.zeros((n_rows, 0))
-        nonloc = basis
-
-    vectors = np.hstack([loc, nonloc]) / np.sqrt(w)
-    tags = tuple(tags) + (NONLOCALIZED,) * nonloc.shape[1]
-    return EigenspaceBasis(
-        descriptor=desc,
-        level=m_q,
-        vectors=vectors,
-        tags=tags,
-        scale=scale,
-        warning=warning,
-    )
+    elif scale == 0 and desc.series != SERIES_TWO:
+        tags = ((),) * basis.shape[1]
+    elif scale is not None and desc.series != SERIES_TWO:
+        small = _cell_eigenspace(desc, m_q, scale)
+        if small.shape[1]:
+            vectors, tags = _transplant(basis, small, m_q, scale)
+    return EigenspaceBasis(descriptor=desc, level=m_q, vectors=vectors, tags=tags, scale=scale,
+                           warning=warning)
 
 
 def plain_basis(desc, m_q, method="extension"):
@@ -168,7 +159,7 @@ def plain_basis(desc, m_q, method="extension"):
 
 
 def gram_matrix(basis):
-    w = _weight(basis.level)
+    w = interior_weight(basis.level)
     return w * basis.vectors.T @ basis.vectors
 
 
@@ -180,7 +171,7 @@ def orthonormality_check(basis):
 
 def principal_angle_gap(a, b, m_q):
     """Largest principal-angle sine between the column spans of a and b."""
-    w = _weight(m_q)
+    w = interior_weight(m_q)
     qa = np.linalg.qr(np.sqrt(w) * a)[0]
     qb = np.linalg.qr(np.sqrt(w) * b)[0]
     # sine computed from the projection residual, accurate near zero angle
@@ -195,9 +186,9 @@ def max_outside_value(basis, column):
     if tag == NONLOCALIZED:
         raise ValueError("column is not localized")
     topo = level_topology(basis.level)
-    rows = _interior_cell_rows(topo, basis.scale)[tag]
-    outside = np.setdiff1d(np.arange(basis.vectors.shape[0]), rows)
-    return float(np.max(np.abs(basis.vectors[outside, column])))
+    outside = np.ones(topo.n_vertices, dtype=bool)
+    outside[cell_embedding(basis.level, basis.scale)[cell_rank(tag)]] = False
+    return float(np.max(np.abs(basis.vectors[outside[topo.interior_indices], column]), initial=0.0))
 
 
 def export_basis_csv(basis, path, header_lines=()):

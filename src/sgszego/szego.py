@@ -10,16 +10,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decimation import SERIES_FIVE, SERIES_SIX, enumerate_spectrum, make_descriptor
-from .eigenbasis import NONLOCALIZED, localize_basis, plain_basis
-from .functions import SimpleCellFunction
+from .decimation import SERIES_SIX, enumerate_spectrum, make_descriptor
+from .eigenbasis import NONLOCALIZED, eigenspace_vectors, localize_basis
 from .topology import enumerate_cells, interior_weight, level_topology, quadrature
 
 MQ_CAP = 7  # desk-scale cap on the sampling level (matrix side <= 3279)
 
 
 class NotPositiveDefiniteError(Exception):
-    """Raised when a compressed operator admits no Cholesky factorization."""
+    """Raised when a compressed operator admits no Cholesky factorization, or
+    a logarithm meets a value that is not positive."""
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,8 @@ def riemann_points(d):
 def equidistribution_compare(op, f, func):
     """Gap between the spectral average of F and the Riemann average of
     F(f(s_k)) over the matched point set."""
-    sigma = operator_eigenvalues(op)
-    spectral = float(np.mean([func(s) for s in sigma]))
-    pts = riemann_points(len(sigma))
+    spectral = spectral_functional(op, func)
+    pts = riemann_points(op.dimension)
     riemann = float(np.mean([func(f.at_vertex(w, c)) for w, c in pts]))
     return spectral, riemann, abs(spectral - riemann)
 
@@ -131,13 +130,6 @@ def default_sample_level(j, m=0):
     return min(max(j, m) + 1, MQ_CAP)
 
 
-def _basis_for(desc, m_q, scale):
-    if scale is not None and desc.series in (SERIES_FIVE, SERIES_SIX) and scale < desc.birth:
-        raw = plain_basis(desc, m_q).vectors
-        return localize_basis(raw, desc, m_q, scale)
-    return plain_basis(desc, m_q)
-
-
 def _canonical_descriptor(series, j, m):
     """The all-(-1)-after-birth eigenvalue of the series at level m (the
     forced +1 first for the 6-series)."""
@@ -158,7 +150,7 @@ def szego_single_eigenspace_sweep(f, series, j_range, scale, m_q=None):
         t0 = time.perf_counter()
         mq = m_q if m_q is not None else default_sample_level(j)
         desc = _canonical_descriptor(series, j, mq if mq >= j else j)
-        basis = _basis_for(desc, mq, scale)
+        basis = localize_basis(eigenspace_vectors(desc, mq), desc, mq, scale)
         fvals = f.sample(level_topology(mq))[level_topology(mq).interior_indices]
         op = assemble_compressed(fvals, basis)
         ld = log_det(op)
@@ -201,7 +193,7 @@ def cutoff_operator(f, m, scale, m_q=None):
     tags = []
     start = 0
     for desc in table.entries:
-        basis = _basis_for(desc, mq, scale)
+        basis = localize_basis(eigenspace_vectors(desc, mq), desc, mq, scale)
         op = assemble_compressed(fvals, basis)
         mats.append(op.matrix)
         tags.extend(basis.tags)

@@ -146,13 +146,22 @@ def level_topology(m):
     return LevelTopology(m)
 
 
-def enumerate_vertices(m):
-    """Canonical deduplicated vertex list of V_m."""
-    return list(level_topology(m).vertices)
+@lru_cache(maxsize=None)
+def cell_embedding(m, scale):
+    """Level-m vertex index of F_w(v), one row per scale-cell w in address
+    order and one column per vertex v of V_{m-scale} in topology order.
 
-
-def cell_of_vertex(topo, index, scale):
-    return topo.cells_of_vertex(index, scale)
+    F_w shifts the lattice key of v by 2^(m-scale) times the key of the corner
+    F_w(q_1) at level `scale`, so the table is read off the integer lattice.
+    """
+    index = level_topology(m).index_by_key
+    shift = m - scale
+    keys = [v.key for v in level_topology(shift).vertices]
+    corners = [vertex_key(w, 1) for w in enumerate_cells(scale)]
+    table = np.array([[index[((ca << shift) + a, (cb << shift) + b)] for a, b in keys]
+                      for ca, cb in corners], dtype=np.int64)
+    table.flags.writeable = False  # cached and shared by every caller
+    return table
 
 
 def parent_index_map(m):
@@ -218,11 +227,13 @@ def word_str(word):
     return "".join(str(s) for s in word) if word else "-"
 
 
-def export_vertex_table(topo, path, weights=None):
+def export_vertex_table(topo, path, weights=None, header_lines=()):
     """CSV dump: id, word, corner, x, y, is_boundary, weight."""
     if weights is None:
         weights = quadrature(topo.m).weights if topo.m >= 1 else None
     with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(line + "\n")
         wr = csv.writer(fh)
         wr.writerow(["id", "word", "corner", "x", "y", "is_boundary", "weight"])
         for v in topo.vertices:
@@ -239,8 +250,10 @@ def export_vertex_table(topo, path, weights=None):
             )
 
 
-def export_cell_table(topo, path):
+def export_cell_table(topo, path, header_lines=()):
     with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(line + "\n")
         wr = csv.writer(fh)
         wr.writerow(["rank", "word", "v1", "v2", "v3"])
         for r, word in enumerate(topo.cells):

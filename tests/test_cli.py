@@ -95,6 +95,14 @@ def test_resistance_command(tmp_path):
          "--m-q", "9"],
         ["szego", "--mode", "single", "--N", "1", "--f", "constant:2"],
         ["spectrum"],
+        ["szego", "--mode", "single", "--j", "8", "--f", "constant:2"],
+        ["szego", "--mode", "cutoff", "--m", "8", "--f", "constant:2"],
+        ["szego", "--mode", "single", "--j", "3", "--m-q", "2", "--f", "constant:2"],
+        ["basis", "--series", "two", "--j", "3", "--N", "1", "--m-q", "4"],
+        ["spectrum", "--m", "2", "--tol", "gram=abc"],
+        ["szego", "--mode", "single", "--j", "2..3", "--N", "1", "--f", "expr:x+"],
+        ["spectrum", "--m", "2", "--tol", "nosuch=1"],
+        ["--config", "no-such-config.json", "spectrum", "--m", "2"],
     ],
 )
 def test_invalid_configs_exit_2(argv, tmp_path):
@@ -107,6 +115,17 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     # positive definite and the log-determinant fails
     rc = _run(["szego", "--mode", "single", "--series", "six", "--j", "3",
                "--N", "1", "--f", "expr:x-0.4", "--out", str(out)])
+    assert rc == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "numerical failure"
+
+
+def test_log_functional_of_nonpositive_f_exit_3(tmp_path):
+    out = tmp_path / "bad"
+    # a negative boundary value makes f negative near that corner, so the
+    # log functional meets non-positive operator eigenvalues
+    rc = _run(["equidist", "--mode", "single", "--series", "six", "--j", "2",
+               "--f", "harmonic:-1,1,2", "--F", "log", "--out", str(out)])
     assert rc == 3
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "numerical failure"

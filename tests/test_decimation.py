@@ -173,3 +173,23 @@ def test_spectrum_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("series,birth,signs")
     assert len(lines) == 1 + len(table.entries)
+
+
+def _vertex_key_extension_maps(k):
+    """Reference: the extension maps read off vertex keys word by word."""
+    parent = top.level_topology(k - 1)
+    child = top.level_topology(k)
+    child_corner = np.empty((len(parent.cells), 3), dtype=np.int64)
+    child_mid = np.empty((len(parent.cells), 3), dtype=np.int64)
+    for ci, w in enumerate(parent.cells):
+        for c in (1, 2, 3):
+            child_corner[ci, c - 1] = child.index_by_key[top.vertex_key(w + (c,), c)]
+        for r, (p, q) in zip((1, 2, 3), ((2, 3), (1, 3), (1, 2))):
+            child_mid[ci, r - 1] = child.index_by_key[top.vertex_key(w + (p,), q)]
+    return parent.cell_vertices, child_corner, child_mid
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_extension_maps_match_vertex_keys(k):
+    for mine, ref in zip(dec._extension_maps(k), _vertex_key_extension_maps(k)):
+        assert np.array_equal(mine, ref)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from sgszego import decimation as dec
 from sgszego import eigenbasis as eb
+from sgszego import laplacian as lap
 from sgszego import topology as top
 from sgszego.decimation import make_descriptor
 
@@ -137,3 +139,65 @@ def test_basis_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     n_int = len(top.level_topology(3).interior_indices)
     assert len(lines) == 1 + basis.dimension * n_int
+
+
+# Reference oracle: the numerical search that localize_basis replaced.  The
+# localized subspace of a cell is the nullspace of the eigenspace restricted
+# to the interior vertices outside the cell, found from the small Gram matrix
+# of the rows inside the cell (eigenvalue 1 there means zero outside).
+SV_THRESHOLD = 1e-8
+
+
+def _searched_localization(raw, m_q, scale):
+    """{cell: plain-coordinate columns vanishing outside the closed cell}."""
+    topo = top.level_topology(m_q)
+    w = top.interior_weight(m_q)
+    basis = np.sqrt(w) * eb.orthonormalize(raw, m_q)
+    cell_rows = {}
+    for row, idx in enumerate(topo.interior_indices):
+        for cell in topo.cells_of_vertex(idx, scale):
+            cell_rows.setdefault(cell, []).append(row)
+    threshold = max(SV_THRESHOLD**2, 64 * basis.shape[1] * np.finfo(float).eps)
+    found = {}
+    for cell, rows in sorted(cell_rows.items()):
+        evals, evecs = np.linalg.eigh(basis[rows].T @ basis[rows])
+        null = evecs[:, (1.0 - evals) <= threshold]
+        if null.shape[1]:
+            found[cell] = basis @ null / np.sqrt(w)
+    return found
+
+
+def _oracle_grid():
+    for series, first in (("five", 1), ("six", 2)):
+        for j in range(first, 6):
+            for scale in range(j):
+                yield _canonical(series, j, j + 1), j + 1, scale
+    for desc in dec.enumerate_spectrum(5).entries:
+        if desc.series != "two":
+            for scale in range(desc.birth):
+                yield desc, 6, scale
+
+
+def test_transplants_match_searched_localization():
+    for desc, m_q, scale in _oracle_grid():
+        case = (desc.series, desc.birth, desc.signs, m_q, scale)
+        raw = eb.eigenspace_vectors(desc, m_q)
+        basis = eb.localize_basis(raw, desc, m_q, scale)
+        found = _searched_localization(raw, m_q, scale)
+        built = {}
+        for c, tag in enumerate(basis.tags):
+            if tag != eb.NONLOCALIZED:
+                built.setdefault(tag, []).append(c)
+        assert {cell: len(cols) for cell, cols in built.items()} == {
+            cell: vecs.shape[1] for cell, vecs in found.items()
+        }, case
+        for cell, cols in built.items():
+            gap = eb.principal_angle_gap(basis.vectors[:, cols], found[cell], m_q)
+            assert gap < 1e-10, (case, cell, gap)
+        topo = top.level_topology(m_q)
+        full = np.zeros((topo.n_vertices, basis.localized_count))
+        full[topo.interior_indices] = basis.vectors[:, : basis.localized_count]
+        # eigen_residual column by column, vectorized over the columns
+        r = lap.apply_neg_laplacian(lap.level_graph(m_q), full) - desc.gamma_at(m_q) * full
+        residual = np.max(np.abs(r[topo.interior_indices]), axis=0) / np.max(np.abs(full), axis=0)
+        assert np.all(residual <= 1e-9), (case, float(np.max(residual)))

@@ -44,6 +44,20 @@ def test_nesting(m):
         assert child.vertices[ci].key == (2 * v.key[0], 2 * v.key[1])
 
 
+@pytest.mark.parametrize("m", range(5))
+def test_cell_embedding_matches_vertex_keys(m):
+    big = top.level_topology(m)
+    for scale in range(m + 1):
+        emb = top.cell_embedding(m, scale)
+        small = top.level_topology(m - scale)
+        assert emb.shape == (3**scale, small.n_vertices)
+        for r, w in enumerate(top.enumerate_cells(scale)):
+            for v in small.vertices:
+                assert emb[r, v.index] == big.index_by_key[top.vertex_key(w + v.word, v.corner)]
+    assert np.array_equal(top.cell_embedding(m, m), big.cell_vertices)
+    assert np.array_equal(top.cell_embedding(m, 0), [np.arange(big.n_vertices)])
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_cell_membership_counts(m):
     topo = top.level_topology(m)
