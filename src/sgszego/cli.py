@@ -51,22 +51,36 @@ def parse_range(value):
     return [int(s)]
 
 
-def _log(x):
-    if x <= 0:
-        raise szego.NotPositiveDefiniteError(f"log of the non-positive value {x!r}")
-    return math.log(x)
+class FunctionalValueError(ArithmeticError):
+    """Raised when the functional F fails, or leaves the finite reals, at a
+    value it is applied to."""
+
+
+def _checked(spec, func):
+    """F that raises FunctionalValueError naming the argument on any
+    exception, complex result or non-finite result."""
+    def checked(x):
+        try:
+            y = func(x)
+            finite = not isinstance(y, complex) and math.isfinite(y)
+        except Exception as exc:  # F is user input: any failure of it is numerical
+            raise FunctionalValueError(f"F={spec} fails at x={float(x)!r}: {exc}") from exc
+        if not finite:
+            raise FunctionalValueError(f"F={spec} at x={float(x)!r} gives {y!r}, not a finite real")
+        return float(y)
+    return checked
 
 
 def parse_functional_spec(spec):
     if spec is None or spec == "log":
-        return "log", _log
+        return "log", _checked("log", math.log)
     if spec.startswith("power:"):
         p = float(spec.split(":", 1)[1])
-        return spec, lambda x: x ** p
+        return spec, _checked(spec, lambda x: x ** p)
     if spec.startswith("expr:"):
         expr = spec.split(":", 1)[1]
         code = compile(expr, "<functional>", "eval")
-        return spec, lambda x: float(eval(code, {"__builtins__": {}}, {"x": x, "math": math}))
+        return spec, _checked(spec, lambda x: eval(code, {"__builtins__": {}}, {"x": x, "math": math}))
     raise ValueError(f"unknown functional spec {spec!r}")
 
 
@@ -227,7 +241,9 @@ def _csv_header(config):
     return [f"# config_hash={config_hash(config)}"]
 
 
-def _write_summary(config, results, path):
+def _write_summary(config, results, timings, path):
+    """`timings` holds measured wall times; like the timestamp they vary from
+    run to run, so they stay outside `results`, the config hash and the CSVs."""
     payload = {
         "config": {k: v for k, v in config.items() if k != "tolerances"},
         "tolerances": config["tolerances"],
@@ -235,6 +251,7 @@ def _write_summary(config, results, path):
         "seed": config["seed"],
         "timestamp": time.time(),
         "results": results,
+        "timings": timings,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -246,7 +263,7 @@ def run(config):
     os.makedirs(out, exist_ok=True)
     cmd = config["command"]
     header = _csv_header(config)
-    results = {}
+    results, timings = {}, {}
 
     if cmd == "topology":
         topo = topology.level_topology(int(config["m"]))
@@ -293,6 +310,7 @@ def run(config):
             "beta_alpha_1": szego.beta_exponent(1.0),
             "beta_tilde_alpha_1": szego.beta_tilde_exponent(1.0),
         }
+        timings = {"record_runtime_s": [r.runtime for r in records]}
 
     elif cmd == "equidist":
         f = parse_function_spec(config["f"])
@@ -348,7 +366,7 @@ def run(config):
                 violations += 1
         results = {"triangle_violations": violations, "triples": n_triples}
 
-    _write_summary(config, results, os.path.join(out, "summary.json"))
+    _write_summary(config, results, timings, os.path.join(out, "summary.json"))
     return results
 
 
@@ -370,7 +388,7 @@ def main(argv=None):
         return EXIT_INVALID
     try:
         run(config)
-    except szego.NotPositiveDefiniteError as exc:
+    except (szego.NotPositiveDefiniteError, FunctionalValueError) as exc:
         record = {"error": "numerical failure", "detail": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         out = config.get("out", ".")

@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .laplacian import cached_dense_spectrum
+from .laplacian import apply_neg_laplacian, level_graph
 from .topology import cell_embedding, interior_count, level_topology
 
 FORBIDDEN_GAMMAS = (2.0, 5.0, 6.0)
@@ -189,11 +189,13 @@ def extend_eigenfunction(values, k, gamma_k):
     for bad in FORBIDDEN_GAMMAS:
         if abs(gamma_k - bad) < 1e-12:
             raise ValueError(f"forbidden extension eigenvalue gamma = {bad}")
-    values = np.asarray(values, dtype=float)
-    parent_corner, child_corner, child_mid = _extension_maps(k)
-    child = level_topology(k)
+    return _extend(np.asarray(values, dtype=float), k, gamma_k)
 
-    out = np.zeros((child.n_vertices,) + values.shape[1:])
+
+def _extend(values, k, gamma_k):
+    """extend_eigenfunction without the forbidden-gamma check."""
+    parent_corner, child_corner, child_mid = _extension_maps(k)
+    out = np.zeros((level_topology(k).n_vertices,) + values.shape[1:])
     out[child_corner.ravel()] = values[parent_corner.ravel()]
 
     denom = (2.0 - gamma_k) * (5.0 - gamma_k)
@@ -203,26 +205,80 @@ def extend_eigenfunction(values, k, gamma_k):
     return out
 
 
-def birth_eigenvectors(desc, tol=1e-6):
+# smallest singular value of the 5-series junction matrix, relative to its
+# largest, below which the three junction conditions count as dependent
+JUNCTION_SV_MIN = 1e-8
+
+
+@lru_cache(maxsize=None)
+def _birth_space(series, j):
+    """Eigenvectors of -Delta_j at the birth eigenvalue of the series, as
+    full vectors on V_j with zero boundary values; read-only.
+
+    Level 1: the 2-series is the constant on the three midpoints and the
+    5-series their zero-sum vectors.  A 6-series at birth j is any function
+    on V_{j-1} extended by gamma = 6: the new vertex on edge (p, q) opposite r
+    gets (u_r - u_p - u_q) / 2, and 4 u + 2 u = 6 u holds at the old
+    vertices.  A 5-series at birth j vanishes on V_{j-1}, so it is a copy of
+    E5(j-1) in each 1-cell, kept where the two cells meeting at each point of
+    V_1 outside V_0 have normal derivatives summing to zero.
+    """
+    if j == 1:
+        full = np.zeros((level_topology(1).n_vertices, 2 if series == SERIES_FIVE else 1))
+        midpoints = level_topology(1).interior_indices
+        if series == SERIES_FIVE:
+            full[midpoints] = np.linalg.svd(np.ones((1, 3)))[2][1:].T
+        else:
+            full[midpoints] = 1.0 / math.sqrt(3.0)
+    elif series == SERIES_SIX:
+        parent = level_topology(j - 1)
+        full = _extend(np.eye(parent.n_vertices)[:, parent.interior_indices], j, 6.0)
+    else:
+        full = _five_series_birth(j)
+    full.flags.writeable = False  # cached and shared by every caller
+    return full
+
+
+def _five_series_birth(j):
+    """Orthonormal E5(j) for j >= 2 from copies of E5(j-1) in the 1-cells."""
+    small = _birth_space(SERIES_FIVE, j - 1)
+    small_topo = level_topology(j - 1)
+    d = small.shape[1]
+    embedding = cell_embedding(j, 1)
+    # -Delta at the corners of V_{j-1}, where the values vanish: the negated
+    # sum of the neighbours, i.e. the normal derivatives
+    normal = apply_neg_laplacian(level_graph(j - 1), small)[small_topo.boundary_mask]
+    copies = np.zeros((level_topology(j).n_vertices, 3 * d))
+    junction = np.zeros((3, 3 * d))
+    for cell in range(3):
+        block = slice(cell * d, (cell + 1) * d)
+        copies[embedding[cell], block] = small
+        for corner in range(3):
+            # the midpoint of edge q_a q_b is F_a(q_b) = F_b(q_a): row a + b - 1
+            if corner != cell:
+                junction[cell + corner - 1, block] = normal[corner]
+    _, sv, vh = np.linalg.svd(junction)
+    if sv[-1] < JUNCTION_SV_MIN * sv[0]:
+        raise AssertionError(f"5-series junction conditions at birth {j} are dependent")
+    return copies @ vh[3:].T
+
+
+def birth_eigenvectors(desc):
     """Eigenvectors of -Delta_j at the birth eigenvalue, as full vectors on
-    V_j with zero boundary values; columns orthonormal in plain coordinates."""
-    j = desc.birth
-    topo = level_topology(j)
-    evals, evecs = cached_dense_spectrum(j)
-    sel = np.abs(evals - desc.gammas[0]) < tol
-    if int(sel.sum()) != desc.multiplicity:
+    V_j with zero boundary values; columns linearly independent (orthonormal
+    in plain coordinates for the 2- and 5-series), read-only."""
+    full = _birth_space(desc.series, desc.birth)
+    if full.shape[1] != desc.multiplicity:
         raise AssertionError(
-            f"birth eigenspace of {desc.series} j={j} has dimension {int(sel.sum())}, "
+            f"birth eigenspace of {desc.series} j={desc.birth} has dimension {full.shape[1]}, "
             f"expected {desc.multiplicity}"
         )
-    full = np.zeros((topo.n_vertices, desc.multiplicity))
-    full[topo.interior_indices] = evecs[:, sel]
     return full
 
 
 def eigenfunctions_at_level(desc, m_q):
-    """Eigenspace of the descriptor sampled on V_{m_q}, built by dense solve
-    at the generation of birth followed by decimation extension."""
+    """Eigenspace of the descriptor sampled on V_{m_q}: the birth eigenspace
+    followed by decimation extension."""
     if m_q < desc.birth:
         raise ValueError("sampling level precedes generation of birth")
     vals = birth_eigenvectors(desc)

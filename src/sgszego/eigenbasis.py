@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decimation import SERIES_FIVE, SERIES_SIX, SERIES_TWO, eigenfunctions_at_level, make_descriptor
-from .laplacian import apply_neg_laplacian, cached_dense_spectrum, level_graph
+from .laplacian import apply_neg_laplacian, level_graph
 from .topology import (cell_embedding, cell_rank, enumerate_cells, interior_weight,
                        level_topology, word_str)
 
@@ -52,26 +52,11 @@ class EigenspaceBasis:
         return sum(1 for t in self.tags if t == cell)
 
 
-def eigenspace_vectors(desc, m_q, method="extension"):
-    """Raw (not yet localized) eigenspace sampled on the interior of V_{m_q}.
-
-    The extension path solves densely at the generation of birth and extends
-    downward; the dense path solves at m_q directly and selects the
-    eigenvalue cluster.  Both return plain-coordinate matrices, columns
-    linearly independent.
-    """
-    topo = level_topology(m_q)
-    if method == "extension":
-        full = eigenfunctions_at_level(desc, m_q)
-        return full[topo.interior_indices]
-    if method == "dense":
-        evals, evecs = cached_dense_spectrum(m_q)
-        gamma = desc.gamma_at(m_q)
-        sel = np.abs(evals - gamma) < 1e-6
-        if int(sel.sum()) != desc.multiplicity:
-            raise AssertionError("dense eigenspace dimension mismatch")
-        return evecs[:, sel]
-    raise ValueError(f"unknown method {method!r}")
+def eigenspace_vectors(desc, m_q):
+    """Raw (not yet localized) eigenspace sampled on the interior of V_{m_q}:
+    the birth eigenspace extended downward by decimation, as a
+    plain-coordinate matrix with linearly independent columns."""
+    return eigenfunctions_at_level(desc, m_q)[level_topology(m_q).interior_indices]
 
 
 def orthonormalize(vectors, m_q):
@@ -146,9 +131,9 @@ def localize_basis(raw, desc, m_q, scale):
                            warning=warning)
 
 
-def plain_basis(desc, m_q, method="extension"):
+def plain_basis(desc, m_q):
     """Orthonormal eigenspace basis with no localization split."""
-    vecs = orthonormalize(eigenspace_vectors(desc, m_q, method=method), m_q)
+    vecs = orthonormalize(eigenspace_vectors(desc, m_q), m_q)
     return EigenspaceBasis(
         descriptor=desc,
         level=m_q,

@@ -61,11 +61,10 @@ def assemble_dirichlet_laplacian(g):
     n = len(interior)
     mat = np.zeros((n, n))
     np.fill_diagonal(mat, -4.0)
-    for a, b in g.edges:
-        ia, ib = pos[a], pos[b]
-        if ia >= 0 and ib >= 0:
-            mat[ia, ib] = 1.0
-            mat[ib, ia] = 1.0
+    ia, ib = pos[g.edges[:, 0]], pos[g.edges[:, 1]]
+    both = (ia >= 0) & (ib >= 0)
+    mat[ia[both], ib[both]] = 1.0
+    mat[ib[both], ia[both]] = 1.0
     if n != interior_count(g.level):
         raise AssertionError("interior size mismatch")
     return LaplacianMatrix(level=g.level, matrix=mat, interior=interior)

@@ -18,8 +18,7 @@ MQ_CAP = 7  # desk-scale cap on the sampling level (matrix side <= 3279)
 
 
 class NotPositiveDefiniteError(Exception):
-    """Raised when a compressed operator admits no Cholesky factorization, or
-    a logarithm meets a value that is not positive."""
+    """Raised when a compressed operator admits no Cholesky factorization."""
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,39 @@ def test_log_functional_of_nonpositive_f_exit_3(tmp_path):
     assert record["error"] == "numerical failure"
 
 
+@pytest.mark.parametrize("functional", ["expr:math.log(x)", "power:0.5"])
+def test_functional_outside_its_domain_exit_3(functional, tmp_path):
+    out = tmp_path / "bad"
+    # f takes the value -1 at a corner, where neither functional is real
+    rc = _run(["equidist", "--mode", "single", "--series", "six", "--j", "2",
+               "--f", "harmonic:-1,1,2", "--F", functional, "--out", str(out)])
+    assert rc == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "numerical failure"
+    assert f"F={functional}" in record["detail"]
+    assert "x=-1.0" in record["detail"]
+    assert not (out / "equidist.csv").exists()
+
+
+def test_record_runtimes_in_summary_only(tmp_path):
+    argv = ["szego", "--mode", "single", "--series", "six", "--j", "2..3",
+            "--N", "1", "--f", "simple:1,2,3"]
+    summaries = []
+    for name in ("a", "b"):
+        assert _run(argv + ["--out", str(tmp_path / name)]) == 0
+        summaries.append(json.loads((tmp_path / name / "summary.json").read_text()))
+    for summary in summaries:
+        runtimes = summary["timings"]["record_runtime_s"]
+        assert len(runtimes) == len(summary["results"]["errors"]) == 2
+        assert all(isinstance(t, float) and t > 0.0 for t in runtimes)
+    # measured times vary run to run; the config hash and CSV bodies do not
+    assert summaries[0]["config_hash"] == summaries[1]["config_hash"]
+    for name in ("szego_single.csv", "szego_single_loglog.csv"):
+        a, b = (tmp_path / d / name for d in ("a", "b"))
+        assert a.read_bytes() == b.read_bytes()
+        assert "runtime" not in a.read_text()
+
+
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     argv = ["szego", "--mode", "single", "--series", "six", "--j", "2..4",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from sgszego import decimation as dec
+from sgszego import eigenbasis as eb
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
@@ -145,6 +147,52 @@ def test_extension_of_birth_eigenvector():
     g = lap.level_graph(2)
     for c in range(ext.shape[1]):
         assert lap.eigen_residual(g, ext[:, c], g2) < 1e-9
+
+
+def _birth_residuals(desc, full):
+    """eigen_residual of every column at the birth eigenvalue."""
+    g = lap.level_graph(desc.birth)
+    return [lap.eigen_residual(g, full[:, c], desc.gammas[0]) for c in range(full.shape[1])]
+
+
+def _birth_cases(j_max):
+    yield dec.make_descriptor("two", 1, ())
+    for j in range(1, j_max + 1):
+        yield dec.make_descriptor("five", j, ())
+    for j in range(2, j_max + 1):
+        yield dec.make_descriptor("six", j, ())
+
+
+@pytest.mark.parametrize("desc", _birth_cases(6), ids=lambda d: f"{d.series}-{d.birth}")
+def test_birth_eigenvectors_match_dense(desc):
+    full = dec.birth_eigenvectors(desc)
+    interior = top.level_topology(desc.birth).interior_indices
+    assert np.all(full[top.level_topology(desc.birth).boundary_mask] == 0.0)
+    evals, evecs = lap.cached_dense_spectrum(desc.birth)
+    dense = evecs[:, np.abs(evals - desc.gammas[0]) < 1e-6]
+    assert full.shape[1] == dense.shape[1] == desc.multiplicity
+    assert eb.principal_angle_gap(full[interior], dense, desc.birth) < 1e-10
+    assert max(_birth_residuals(desc, full)) <= 1e-9
+    if desc.series == "five":
+        assert np.max(np.abs(full.T @ full - np.eye(desc.multiplicity))) <= 1e-12
+
+
+@pytest.mark.parametrize("series", ["five", "six"])
+def test_birth_eigenvectors_level_seven_without_dense_solve(series):
+    desc = dec.make_descriptor(series, 7, ())
+    full = dec.birth_eigenvectors(desc)
+    assert full.shape[1] == desc.multiplicity
+    assert max(_birth_residuals(desc, full)) <= 1e-9
+    if series == "five":
+        assert np.max(np.abs(full.T @ full - np.eye(desc.multiplicity))) <= 1e-12
+    assert not full.flags.writeable
+
+
+def test_birth_eigenvectors_dimension_check():
+    # a descriptor claiming the wrong multiplicity is refused
+    desc = dataclasses.replace(dec.make_descriptor("six", 3, ()), multiplicity=11)
+    with pytest.raises(AssertionError):
+        dec.birth_eigenvectors(desc)
 
 
 def test_eigenfunctions_at_level_residuals():

@@ -17,6 +17,15 @@ def _canonical(series, j, m):
     return make_descriptor(series, j, signs)
 
 
+def _dense_eigenspace(desc, m_q):
+    """Reference: the eigenvalue cluster of a dense solve of -Delta_{m_q}."""
+    evals, evecs = lap.cached_dense_spectrum(m_q)
+    sel = np.abs(evals - desc.gamma_at(m_q)) < 1e-6
+    if int(sel.sum()) != desc.multiplicity:
+        raise AssertionError("dense eigenspace dimension mismatch")
+    return evecs[:, sel]
+
+
 def test_eigenspace_column_counts():
     assert eb.eigenspace_vectors(_canonical("five", 1, 3), 3).shape[1] == 2
     assert eb.eigenspace_vectors(_canonical("six", 2, 3), 3).shape[1] == 3
@@ -28,8 +37,8 @@ def test_eigenspace_column_counts():
 )
 def test_extension_matches_dense(series, j, m_q):
     desc = _canonical(series, j, m_q)
-    a = eb.eigenspace_vectors(desc, m_q, method="extension")
-    b = eb.eigenspace_vectors(desc, m_q, method="dense")
+    a = eb.eigenspace_vectors(desc, m_q)
+    b = _dense_eigenspace(desc, m_q)
     assert a.shape == b.shape
     assert eb.principal_angle_gap(a, b, m_q) < 1e-8
 

@@ -44,6 +44,27 @@ def test_level_two_spectrum():
     assert evals == pytest.approx(expected, abs=1e-9)
 
 
+def _loop_dirichlet_matrix(g):
+    """Reference: the Dirichlet Laplacian filled edge by edge."""
+    pos = -np.ones(g.n_vertices, dtype=np.int64)
+    pos[g.topology.interior_indices] = np.arange(len(g.topology.interior_indices))
+    mat = np.zeros((len(g.topology.interior_indices),) * 2)
+    np.fill_diagonal(mat, -4.0)
+    for a, b in g.edges:
+        ia, ib = pos[a], pos[b]
+        if ia >= 0 and ib >= 0:
+            mat[ia, ib] = 1.0
+            mat[ib, ia] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_vectorized_matrix_matches_edge_loop(m):
+    g = lap.level_graph(m)
+    mine = lap.assemble_dirichlet_laplacian(g).matrix
+    assert mine.tobytes() == _loop_dirichlet_matrix(g).tobytes()
+
+
 @pytest.mark.parametrize("m", range(1, 6))
 def test_trace_identity(m):
     evals, _ = lap.cached_dense_spectrum(m)
