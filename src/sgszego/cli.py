@@ -51,36 +51,17 @@ def parse_range(value):
     return [int(s)]
 
 
-class FunctionalValueError(ArithmeticError):
-    """Raised when the functional F fails, or leaves the finite reals, at a
-    value it is applied to."""
-
-
-def _checked(spec, func):
-    """F that raises FunctionalValueError naming the argument on any
-    exception, complex result or non-finite result."""
-    def checked(x):
-        try:
-            y = func(x)
-            finite = not isinstance(y, complex) and math.isfinite(y)
-        except Exception as exc:  # F is user input: any failure of it is numerical
-            raise FunctionalValueError(f"F={spec} fails at x={float(x)!r}: {exc}") from exc
-        if not finite:
-            raise FunctionalValueError(f"F={spec} at x={float(x)!r} gives {y!r}, not a finite real")
-        return float(y)
-    return checked
-
-
 def parse_functional_spec(spec):
     if spec is None or spec == "log":
-        return "log", _checked("log", math.log)
+        return "log", szego.checked("F=log", math.log)
     if spec.startswith("power:"):
         p = float(spec.split(":", 1)[1])
-        return spec, _checked(spec, lambda x: x ** p)
+        return spec, szego.checked(f"F={spec}", lambda x: x ** p)
     if spec.startswith("expr:"):
         expr = spec.split(":", 1)[1]
         code = compile(expr, "<functional>", "eval")
-        return spec, _checked(spec, lambda x: eval(code, {"__builtins__": {}}, {"x": x, "math": math}))
+        return spec, szego.checked(
+            f"F={spec}", lambda x: eval(code, {"__builtins__": {}}, {"x": x, "math": math}))
     raise ValueError(f"unknown functional spec {spec!r}")
 
 
@@ -187,18 +168,24 @@ def validate(config):
 
     if cmd in ("topology", "spectrum", "resistance"):
         m = config.get("m")
-        if m is None or int(m) < (0 if cmd == "topology" else 1):
-            v.append("m: required nonnegative level")
+        lo, hi = (0 if cmd == "topology" else 1), szego.LEVEL_CAPS[cmd]
+        if m is None or not lo <= int(m) <= hi:
+            v.append(f"m: required level in {lo}..{hi} (desk-scale cap of {cmd})")
+    if cmd == "resistance" and config.get("triples") is not None and config["triples"] < 0:
+        v.append("triples: must be >= 0")
     if cmd == "basis":
         for key in ("series", "j", "N", "m_q"):
             if config.get(key) is None:
                 v.append(f"{key}: required")
+    sample_level = None  # the coarsest level the run samples f at
     if cmd in ("szego", "equidist") and config.get("mode", "single") != "single":
         ms = rng("m")
         if ms is None:
             v.append("m: required in cutoff mode")
         elif ms and not 1 <= min(ms) <= max(ms) <= szego.MQ_CAP:
             v.append(f"m: levels must lie in 1..{szego.MQ_CAP}")
+        elif ms:
+            sample_level = szego.default_sample_level(0, min(ms))
     elif cmd in ("basis", "szego", "equidist"):
         js = rng("j")
         series = config.get("series", "six")
@@ -209,8 +196,10 @@ def validate(config):
                 v.append("N: N must be < birth j")
             if not set(js) <= set(BIRTHS.get(series, ())):
                 v.append(f"j: not a generation of birth of series {series!r} up to {szego.MQ_CAP}")
-            if config.get("m_q") is not None and config["m_q"] < max(js):
+            mq = config.get("m_q")
+            if mq is not None and mq < max(js):
                 v.append("m_q: sampling level must be >= every birth j")
+            sample_level = mq if mq is not None else szego.default_sample_level(min(js))
     if config.get("N") is not None and config["N"] < 0:
         v.append("N: must be >= 0")
     if config.get("m_q") is not None and config["m_q"] > szego.MQ_CAP:
@@ -229,6 +218,8 @@ def validate(config):
                 v.append("f: positivity required")
             if f is not None and hasattr(f, "value") and f.value <= 0:
                 v.append("f: positivity required")
+            if f is not None and sample_level is not None and getattr(f, "scale", 0) > sample_level:
+                v.append(f"f: its 3^{f.scale} cells are finer than the sampling level {sample_level}")
         if cmd == "equidist" and config.get("functional"):
             try:
                 parse_functional_spec(config["functional"])
@@ -279,8 +270,7 @@ def run(config):
 
     elif cmd == "basis":
         desc = szego._canonical_descriptor(config["series"], config["j"], config["m_q"])
-        raw = eigenbasis.eigenspace_vectors(desc, config["m_q"])
-        basis = eigenbasis.localize_basis(raw, desc, config["m_q"], config["N"])
+        basis = eigenbasis.localized_eigenspace(desc, config["m_q"], config["N"])
         eigenbasis.export_basis_csv(basis, os.path.join(out, "basis.csv"), header)
         results = {
             "dimension": basis.dimension,
@@ -317,22 +307,14 @@ def run(config):
         fname, func = parse_functional_spec(config.get("functional"))
         mode = config.get("mode", "single")
         scale = config.get("N")
-        rows = []
         if mode == "single":
-            for j in parse_range(config["j"]):
-                mq = szego.default_sample_level(j)
-                desc = szego._canonical_descriptor(config.get("series", "six"), j, mq)
-                basis = eigenbasis.localize_basis(
-                    eigenbasis.eigenspace_vectors(desc, mq), desc, mq, scale)
-                topo = topology.level_topology(mq)
-                op = szego.assemble_compressed(f.sample(topo)[topo.interior_indices], basis)
-                spec, riem, gap = szego.equidistribution_compare(op, f, func)
-                rows.append((j, op.dimension, spec, riem, gap))
+            ops = ((j, szego.single_operator(f, config.get("series", "six"), j, scale,
+                                             m_q=config.get("m_q")))
+                   for j in parse_range(config["j"]))
         else:
-            for m in parse_range(config["m"]):
-                op = szego.cutoff_operator(f, m, scale)
-                spec, riem, gap = szego.equidistribution_compare(op, f, func)
-                rows.append((m, op.dimension, spec, riem, gap))
+            ops = ((m, szego.cutoff_operator(f, m, scale)) for m in parse_range(config["m"]))
+        rows = [(index, op.dimension, *szego.equidistribution_compare(op, f, func))
+                for index, op in ops]
         path = os.path.join(out, "equidist.csv")
         with open(path, "w", newline="") as fh:
             for line in header:
@@ -349,7 +331,7 @@ def run(config):
         topo = rc.graph.topology
         boundary = list(np.nonzero(topo.boundary_mask)[0])
         rng = np.random.default_rng(config["seed"])
-        n_triples = int(config.get("triples") or 200)
+        n_triples = int(config.get("triples", 200))
         path = os.path.join(out, "resistance.csv")
         with open(path, "w", newline="") as fh:
             for line in header:
@@ -388,7 +370,7 @@ def main(argv=None):
         return EXIT_INVALID
     try:
         run(config)
-    except (szego.NotPositiveDefiniteError, FunctionalValueError) as exc:
+    except (szego.NotPositiveDefiniteError, szego.FunctionalValueError) as exc:
         record = {"error": "numerical failure", "detail": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         out = config.get("out", ".")

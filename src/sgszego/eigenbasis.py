@@ -131,6 +131,11 @@ def localize_basis(raw, desc, m_q, scale):
                            warning=warning)
 
 
+def localized_eigenspace(desc, m_q, scale):
+    """The eigenspace of `desc` sampled at level m_q and split at the scale."""
+    return localize_basis(eigenspace_vectors(desc, m_q), desc, m_q, scale)
+
+
 def plain_basis(desc, m_q):
     """Orthonormal eigenspace basis with no localization split."""
     vecs = orthonormalize(eigenspace_vectors(desc, m_q), m_q)

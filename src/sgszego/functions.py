@@ -59,6 +59,9 @@ class SimpleCellFunction:
         return np.array([self._owner_value(topo, i) for i in range(topo.n_vertices)])
 
     def at_vertex(self, word, corner):
+        # F_w(q_c) = F_wc(q_c): a vertex of a level coarser than the scale is
+        # a corner of one of its cells at the scale
+        word = tuple(word) + (corner,) * (self.scale - len(word))
         topo = level_topology(len(word))
         return self._owner_value(topo, topo.index_by_key[vertex_key(word, corner)])
 

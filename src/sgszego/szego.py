@@ -11,33 +11,74 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decimation import SERIES_SIX, enumerate_spectrum, make_descriptor
-from .eigenbasis import NONLOCALIZED, eigenspace_vectors, localize_basis
+from .eigenbasis import NONLOCALIZED, localized_eigenspace
 from .topology import enumerate_cells, interior_weight, level_topology, quadrature
 
 MQ_CAP = 7  # desk-scale cap on the sampling level (matrix side <= 3279)
+# desk-scale caps on --m of the commands that build one level: `resistance`
+# takes a dense pinv (9843 vertices at level 8, 29526 at level 9), and the
+# `topology` tables and `spectrum` descriptors grow about 3x and 2x per level
+LEVEL_CAPS = {"resistance": 8, "topology": 12, "spectrum": 20}
 
 
 class NotPositiveDefiniteError(Exception):
     """Raised when a compressed operator admits no Cholesky factorization."""
 
 
+class FunctionalValueError(ArithmeticError):
+    """Raised when a functional fails, or leaves the finite reals, at a value
+    it is applied to."""
+
+
+def checked(name, func):
+    """`func` that raises FunctionalValueError naming `name` and the argument
+    on any exception, complex result or non-finite result."""
+    def wrapped(x):
+        try:
+            y = func(x)
+            finite = not isinstance(y, complex) and math.isfinite(y)
+        except Exception as exc:  # func may be user input: any failure of it is numerical
+            raise FunctionalValueError(f"{name} fails at x={float(x)!r}: {exc}") from exc
+        if not finite:
+            raise FunctionalValueError(f"{name} at x={float(x)!r} gives {y!r}, not a finite real")
+        return float(y)
+    return wrapped
+
+
 @dataclass(frozen=True)
 class CompressedOperator:
-    """Matrix of the multiplication operator compressed to an eigenbasis.
+    """Multiplication operator compressed to a sum of eigenspaces.
 
-    Entries are quadrature inner products <f u_a, u_b>.  In cutoff mode the
-    matrix is block diagonal across eigenvalues; block boundaries are kept in
-    `blocks` as (descriptor, start, stop) triples.
+    Eigenspaces are orthogonal, so the operator is block diagonal across
+    them; `parts` keeps one (descriptor, matrix) pair per eigenspace, with
+    entries the quadrature inner products <f u_a, u_b>.  `level` is the
+    sampling level the blocks were assembled at.
     """
 
-    mode: str  # "single" | "cutoff"
-    matrix: np.ndarray
+    parts: tuple
     tags: tuple
-    blocks: tuple = ()
+    level: int
 
     @property
     def dimension(self):
-        return self.matrix.shape[0]
+        return sum(mat.shape[0] for _, mat in self.parts)
+
+    @property
+    def blocks(self):
+        """(descriptor, start, stop) of each eigenspace's rows in `matrix`."""
+        out, start = [], 0
+        for desc, mat in self.parts:
+            out.append((desc, start, start + mat.shape[0]))
+            start += mat.shape[0]
+        return tuple(out)
+
+    @property
+    def matrix(self):
+        """The dense block-diagonal matrix, assembled on every access."""
+        full = np.zeros((self.dimension, self.dimension))
+        for (_, a, b), (_, mat) in zip(self.blocks, self.parts):
+            full[a:b, a:b] = mat
+        return full
 
 
 def assemble_compressed(f_values_interior, basis):
@@ -46,19 +87,29 @@ def assemble_compressed(f_values_interior, basis):
     u = basis.vectors
     mat = w * (u.T * f_values_interior) @ u
     mat = 0.5 * (mat + mat.T)
-    return CompressedOperator(
-        mode="single",
-        matrix=mat,
-        tags=basis.tags,
-        blocks=((basis.descriptor, 0, mat.shape[0]),),
-    )
+    return CompressedOperator(parts=((basis.descriptor, mat),), tags=basis.tags, level=basis.level)
+
+
+def compressed_operator(f, descriptors, m_q, scale):
+    """f compressed to the sum of the eigenspaces of `descriptors`, each
+    sampled at level m_q and localized at the given scale."""
+    topo = level_topology(m_q)
+    fvals = f.sample(topo)[topo.interior_indices]
+    parts, tags = [], []
+    for desc in descriptors:
+        basis = localized_eigenspace(desc, m_q, scale)
+        parts.extend(assemble_compressed(fvals, basis).parts)
+        tags.extend(basis.tags)
+    return CompressedOperator(parts=tuple(parts), tags=tuple(tags), level=m_q)
 
 
 def log_det(op_or_matrix):
-    """Sum of log factor diagonal of a symmetric positive-definite matrix."""
-    mat = op_or_matrix.matrix if isinstance(op_or_matrix, CompressedOperator) else op_or_matrix
+    """Log-determinant by Cholesky of a symmetric positive-definite matrix, or
+    of a compressed operator as the sum over its blocks."""
+    if isinstance(op_or_matrix, CompressedOperator):
+        return sum(log_det(mat) for _, mat in op_or_matrix.parts)
     try:
-        chol = np.linalg.cholesky(mat)
+        chol = np.linalg.cholesky(op_or_matrix)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             "compressed operator is not positive definite "
@@ -74,10 +125,8 @@ def spectral_functional(op, func):
 
 
 def operator_eigenvalues(op):
-    if op.mode == "cutoff" and len(op.blocks) > 1:
-        parts = [np.linalg.eigvalsh(op.matrix[a:b, a:b]) for _, a, b in op.blocks]
-        return np.sort(np.concatenate(parts))
-    return np.linalg.eigvalsh(op.matrix)
+    """Eigenvalues of every block, in ascending order."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(mat) for _, mat in op.parts]))
 
 
 def reference_integral(f, func, level):
@@ -140,6 +189,40 @@ def _canonical_descriptor(series, j, m):
     return make_descriptor(series, j, signs)
 
 
+def single_operator(f, series, j, scale, m_q=None):
+    """f compressed to the canonical eigenspace of the series born at j."""
+    mq = m_q if m_q is not None else default_sample_level(j)
+    return compressed_operator(f, [_canonical_descriptor(series, j, mq)], mq, scale)
+
+
+def cutoff_operator(f, m, scale, m_q=None):
+    """f compressed to every eigenspace of the level-m spectrum."""
+    mq = m_q if m_q is not None else default_sample_level(0, m)
+    return compressed_operator(f, enumerate_spectrum(m).entries, mq, scale)
+
+
+def _record(mode, index, f, op, t0, extra=None):
+    """|logdet/d - integral log f d(mu)| for one operator; the integral is
+    taken one level finer than the operator's sampling level."""
+    d = op.dimension
+    ld = log_det(op)
+    log_f = checked(f"log f for f={f.label()}", math.log)
+    integral = reference_integral(f, log_f, min(op.level + 1, MQ_CAP + 1))
+    localized = sum(1 for t in op.tags if t != NONLOCALIZED)
+    return SzegoExperimentRecord(
+        mode=mode,
+        index=index,
+        dimension=d,
+        logdet_over_d=ld / d,
+        integral=integral,
+        error=abs(ld / d - integral),
+        localized_dim=localized,
+        nonlocalized_dim=d - localized,
+        runtime=time.perf_counter() - t0,
+        extra=extra or {},
+    )
+
+
 def szego_single_eigenspace_sweep(f, series, j_range, scale, m_q=None):
     """Per-birth-generation records of |logdet/d - integral log f d(mu)|."""
     records = []
@@ -147,27 +230,7 @@ def szego_single_eigenspace_sweep(f, series, j_range, scale, m_q=None):
         if scale is not None and j <= scale:
             continue  # no localized vectors guaranteed; skip with warning
         t0 = time.perf_counter()
-        mq = m_q if m_q is not None else default_sample_level(j)
-        desc = _canonical_descriptor(series, j, mq if mq >= j else j)
-        basis = localize_basis(eigenspace_vectors(desc, mq), desc, mq, scale)
-        fvals = f.sample(level_topology(mq))[level_topology(mq).interior_indices]
-        op = assemble_compressed(fvals, basis)
-        ld = log_det(op)
-        integral = reference_integral(f, math.log, min(mq + 1, MQ_CAP + 1))
-        err = abs(ld / desc.multiplicity - integral)
-        records.append(
-            SzegoExperimentRecord(
-                mode="single",
-                index=j,
-                dimension=desc.multiplicity,
-                logdet_over_d=ld / desc.multiplicity,
-                integral=integral,
-                error=err,
-                localized_dim=basis.localized_count,
-                nonlocalized_dim=basis.nonlocalized_count,
-                runtime=time.perf_counter() - t0,
-            )
-        )
+        records.append(_record("single", j, f, single_operator(f, series, j, scale, m_q), t0))
     return records
 
 
@@ -181,55 +244,15 @@ def gamma_partition_counts(m, scale):
     return in_gamma, outside_dim
 
 
-def cutoff_operator(f, m, scale, m_q=None):
-    """Block-diagonal compressed operator over the full level-m spectrum."""
-    mq = m_q if m_q is not None else default_sample_level(0, m)
-    topo = level_topology(mq)
-    fvals = f.sample(topo)[topo.interior_indices]
-    table = enumerate_spectrum(m)
-    blocks = []
-    mats = []
-    tags = []
-    start = 0
-    for desc in table.entries:
-        basis = localize_basis(eigenspace_vectors(desc, mq), desc, mq, scale)
-        op = assemble_compressed(fvals, basis)
-        mats.append(op.matrix)
-        tags.extend(basis.tags)
-        blocks.append((desc, start, start + desc.multiplicity))
-        start += desc.multiplicity
-    full = np.zeros((start, start))
-    for (_, a, b), mat in zip(blocks, mats):
-        full[a:b, a:b] = mat
-    return CompressedOperator(mode="cutoff", matrix=full, tags=tuple(tags), blocks=tuple(blocks))
-
-
 def szego_cutoff_sweep(f, m_range, scale):
     """Per-level records for the all-eigenvalues-up-to-cutoff experiment."""
     records = []
     for m in m_range:
         t0 = time.perf_counter()
         op = cutoff_operator(f, m, scale)
-        block_logdets = [log_det(op.matrix[a:b, a:b]) for _, a, b in op.blocks]
-        ld = float(sum(block_logdets))
-        d = op.dimension
-        mq = default_sample_level(0, m)
-        integral = reference_integral(f, math.log, min(mq + 1, MQ_CAP + 1))
         in_gamma, outside_dim = gamma_partition_counts(m, scale) if scale is not None else (0, 0)
-        records.append(
-            SzegoExperimentRecord(
-                mode="cutoff",
-                index=m,
-                dimension=d,
-                logdet_over_d=ld / d,
-                integral=integral,
-                error=abs(ld / d - integral),
-                localized_dim=sum(1 for t in op.tags if t != NONLOCALIZED),
-                nonlocalized_dim=sum(1 for t in op.tags if t == NONLOCALIZED),
-                runtime=time.perf_counter() - t0,
-                extra={"gamma_count": in_gamma, "outside_gamma_dim": outside_dim},
-            )
-        )
+        extra = {"gamma_count": in_gamma, "outside_gamma_dim": outside_dim}
+        records.append(_record("cutoff", m, f, op, t0, extra))
     return records
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -86,6 +87,32 @@ def test_resistance_command(tmp_path):
         assert abs(float(line.split(",")[2]) - 2.0 / 3.0) < 1e-9
 
 
+def test_resistance_zero_triples(tmp_path):
+    out = tmp_path / "res"
+    assert _run(["resistance", "--m", "2", "--triples", "0", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["results"] == {"triangle_violations": 0, "triples": 0}
+
+
+def test_equidist_log_matches_szego_logdet(tmp_path):
+    # both commands compress f through the same builder, so the spectral
+    # mean of log is the log-determinant per dimension
+    common = ["--mode", "single", "--series", "six", "--j", "2..4", "--N", "1",
+              "--f", "simple:1,2,3"]
+    assert _run(["equidist", *common, "--F", "log", "--out", str(tmp_path / "eq")]) == 0
+    assert _run(["szego", *common, "--out", str(tmp_path / "sz")]) == 0
+
+    def column(path, name):
+        rows = list(csv.DictReader(_read_csv(path)[1:]))
+        return [(int(r["index"]), float(r[name])) for r in rows]
+
+    spectral = column(tmp_path / "eq" / "equidist.csv", "spectral")
+    logdet = column(tmp_path / "sz" / "szego_single.csv", "logdet_over_d")
+    assert [j for j, _ in spectral] == [j for j, _ in logdet] == [2, 3, 4]
+    for (_, a), (_, b) in zip(spectral, logdet):
+        assert abs(a - b) < 1e-12
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -103,6 +130,17 @@ def test_resistance_command(tmp_path):
         ["szego", "--mode", "single", "--j", "2..3", "--N", "1", "--f", "expr:x+"],
         ["spectrum", "--m", "2", "--tol", "nosuch=1"],
         ["--config", "no-such-config.json", "spectrum", "--m", "2"],
+        # 81 cells of f are finer than the sampling level 3 of j = 2
+        ["szego", "--mode", "single", "--series", "six", "--j", "2", "--N", "1",
+         "--f", "simple:" + ",".join(["1"] * 81)],
+        ["szego", "--mode", "cutoff", "--m", "1", "--f", "simple:" + ",".join(["1"] * 27)],
+        ["resistance", "--m", "2", "--triples", "-3"],
+        ["resistance", "--m", "9"],
+        ["topology", "--m", "13"],
+        ["spectrum", "--m", "21"],
+        ["resistance", "--m", "30"],
+        ["topology", "--m", "30"],
+        ["spectrum", "--m", "30"],
     ],
 )
 def test_invalid_configs_exit_2(argv, tmp_path):
@@ -118,6 +156,20 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert rc == 3
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "numerical failure"
+
+
+@pytest.mark.parametrize("fspec", ["expr:x", "harmonic:0,1,2"])
+def test_log_integral_of_nonpositive_f_exit_3(fspec, tmp_path):
+    out = tmp_path / "bad"
+    # f vanishes only at the corner q1, which the quadrature of the integral
+    # of log f reaches but the interior Cholesky does not
+    rc = _run(["szego", "--mode", "single", "--series", "six", "--j", "2..3",
+               "--f", fspec, "--out", str(out)])
+    assert rc == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "numerical failure"
+    assert f"f={fspec}" in record["detail"]
+    assert "x=0.0" in record["detail"]
 
 
 def test_log_functional_of_nonpositive_f_exit_3(tmp_path):

@@ -1,0 +1,60 @@
+"""Property test of the command line exit contract: every argv ends with
+exit 0 (success), 2 (invalid config) or 3 (numerical failure), never with an
+exception.  Sizes stay small, so each generated run takes milliseconds."""
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgszego import cli
+
+SIGNED = st.integers(-2, 2)
+
+MULTIPLIERS = st.one_of(
+    st.integers(0, 4).flatmap(
+        lambda k: st.lists(st.integers(1, 3), min_size=3**k, max_size=3**k)
+    ).map(lambda cs: "simple:" + ",".join(map(str, cs))),
+    st.tuples(SIGNED, SIGNED, SIGNED).map(lambda c: "expr:{}*x+{}*y+{}".format(*c)),
+    st.tuples(SIGNED, SIGNED, SIGNED).map(lambda h: "harmonic:{},{},{}".format(*h)),
+)
+
+
+def _level_range(hi):
+    return st.tuples(st.integers(1, hi), st.integers(1, hi)).map(
+        lambda t: f"{min(t)}..{max(t)}")
+
+
+@st.composite
+def argvs(draw):
+    cmd = draw(st.sampled_from(["szego", "equidist", "resistance"]))
+    if cmd == "resistance":
+        return ["resistance", "--m", str(draw(st.integers(0, 3))),
+                "--triples", str(draw(st.integers(-5, 50)))]
+    argv = [cmd]
+    if draw(st.booleans()):
+        argv += ["--mode", "single", "--series", draw(st.sampled_from(["five", "six"])),
+                 "--j", draw(_level_range(4))]
+        if cmd == "szego" and draw(st.booleans()):
+            argv += ["--m-q", str(draw(st.integers(1, 5)))]
+    else:
+        argv += ["--mode", "cutoff", "--m", draw(_level_range(3))]
+    if draw(st.booleans()):
+        argv += ["--N", str(draw(st.integers(0, 3)))]
+    argv += ["--f", draw(MULTIPLIERS)]
+    if cmd == "equidist":
+        argv += ["--F", draw(st.sampled_from(["log", "power:2", "power:0.5"]))]
+    return argv
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse refuses the argv itself with exit 2
+        return exc.code
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(argvs())
+def test_every_argv_exits_0_2_or_3(argv):
+    with tempfile.TemporaryDirectory() as out:
+        assert _exit_code(argv + ["--out", out]) in (0, 2, 3)

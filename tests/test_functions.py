@@ -71,6 +71,18 @@ def test_simple_cell_function_validation():
         SimpleCellFunction([1.0] * 9).sample(top.level_topology(1))
 
 
+def test_simple_cell_function_at_coarser_vertex():
+    # a vertex of a level coarser than the scale takes the value that
+    # sampling at the scale gives it
+    f = SimpleCellFunction(np.arange(1.0, 10.0))
+    topo = top.level_topology(2)
+    vals = f.sample(topo)
+    for word in [(), (1,), (2,), (3,)]:
+        for corner in (1, 2, 3):
+            key = top.vertex_key(word + (corner,) * (2 - len(word)), corner)
+            assert f.at_vertex(word, corner) == vals[topo.index_by_key[key]]
+
+
 def test_expression_function():
     f = ExpressionFunction("1 + 0.5*x + y")
     topo = top.level_topology(2)

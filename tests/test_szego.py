@@ -115,6 +115,8 @@ def test_cutoff_block_logdet_consistency():
     total = sz.log_det(op.matrix)
     blocks = sum(sz.log_det(op.matrix[a:b, a:b]) for _, a, b in op.blocks)
     assert abs(total - blocks) / abs(total) < 1e-8
+    dense = np.linalg.eigvalsh(op.matrix)
+    assert np.max(np.abs(sz.operator_eigenvalues(op) - dense)) < 1e-12
 
 
 def test_gamma_partition_counts():
