@@ -36,19 +36,24 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_range(value):
-    """Accept 4, "4", "2..5" or [2, 3, 4]."""
+    """Accept 4, "4", "2..5" or [2, 3, 4]; raise ValueError on anything else."""
     if value is None:
         return None
-    if isinstance(value, int):
+    if _is_int(value):
         return [value]
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    s = str(value)
-    if ".." in s:
-        lo, hi = s.split("..")
+    if isinstance(value, (list, tuple)) and all(_is_int(v) for v in value):
+        return list(value)
+    if not isinstance(value, str):
+        raise ValueError(f"not a level range: {value!r}")
+    if ".." in value:
+        lo, hi = value.split("..")
         return list(range(int(lo), int(hi) + 1))
-    return [int(s)]
+    return [int(value)]
 
 
 def parse_functional_spec(spec):
@@ -128,7 +133,11 @@ def effective_config(args):
     config = {}
     if args.config:
         with open(args.config) as fh:
-            config.update(json.load(fh))
+            fields = json.load(fh)
+        if not isinstance(fields, dict):
+            raise ValueError("config: a JSON object of fields required")
+        # null stands for an absent field, as an omitted flag does
+        config.update((key, val) for key, val in fields.items() if val is not None)
     for key, val in vars(args).items():
         if key == "config":
             continue
@@ -145,19 +154,47 @@ def _tolerances(config):
     """DEFAULT_TOLERANCES updated from the config file, then from --tol flags."""
     tolerances = dict(DEFAULT_TOLERANCES)
     flags = [item.partition("=")[::2] for item in config.pop("tol", [])]
-    for name, value in list(config.get("tolerances", {}).items()) + flags:
+    given = config.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise ValueError("tolerances: an object of name: value pairs required")
+    for name, value in list(given.items()) + flags:
         if name not in tolerances:
             raise ValueError(f"tol: unknown tolerance {name!r}")
         tolerances[name] = float(value)
     return tolerances
 
 
+def _type_violations(config, cmd):
+    """Fields whose JSON type is not the one the run reads them as; a config
+    file can hold any type, and the later checks compare the values."""
+    v = []
+    ints, ranges = ["N", "m_q", "triples", "seed"], ["j", "m"]
+    if cmd in szego.LEVEL_CAPS or cmd == "basis":  # one level, not a range
+        level = "j" if cmd == "basis" else "m"
+        ints.append(level)
+        ranges.remove(level)
+    for key in ints:
+        if config.get(key) is not None and not _is_int(config[key]):
+            v.append(f"{key}: integer required")
+    for key in ranges:
+        try:
+            parse_range(config.get(key))
+        except ValueError:
+            v.append(f"{key}: level range required, e.g. 4, \"2..5\" or [2, 3]")
+    for key in ("mode", "series", "f", "functional", "out"):
+        if config.get(key) is not None and not isinstance(config[key], str):
+            v.append(f"{key}: string required")
+    return v
+
+
 def validate(config):
     """Empty list iff the config is runnable; violations name field+constraint."""
-    v = []
     cmd = config.get("command")
     if cmd not in {"topology", "spectrum", "basis", "szego", "equidist", "resistance"}:
-        v.append("command: unknown or missing")
+        return ["command: unknown or missing"]
+
+    v = _type_violations(config, cmd)
+    if v:
         return v
 
     def rng(key):
@@ -166,10 +203,10 @@ def validate(config):
             v.append(f"{key}: range must be nonempty")
         return r
 
-    if cmd in ("topology", "spectrum", "resistance"):
+    if cmd in szego.LEVEL_CAPS:
         m = config.get("m")
         lo, hi = (0 if cmd == "topology" else 1), szego.LEVEL_CAPS[cmd]
-        if m is None or not lo <= int(m) <= hi:
+        if m is None or not lo <= m <= hi:
             v.append(f"m: required level in {lo}..{hi} (desk-scale cap of {cmd})")
     if cmd == "resistance" and config.get("triples") is not None and config["triples"] < 0:
         v.append("triples: must be >= 0")
@@ -178,7 +215,12 @@ def validate(config):
             if config.get(key) is None:
                 v.append(f"{key}: required")
     sample_level = None  # the coarsest level the run samples f at
-    if cmd in ("szego", "equidist") and config.get("mode", "single") != "single":
+    mode = config.get("mode", "single")
+    if cmd in ("szego", "equidist") and mode not in ("single", "cutoff"):
+        v.append("mode: must be single or cutoff")
+    elif cmd in ("szego", "equidist") and mode == "cutoff":
+        if config.get("m_q") is not None:
+            v.append("m_q: single mode only; cutoff mode samples each level m at its own default")
         ms = rng("m")
         if ms is None:
             v.append("m: required in cutoff mode")
@@ -202,6 +244,8 @@ def validate(config):
             sample_level = mq if mq is not None else szego.default_sample_level(min(js))
     if config.get("N") is not None and config["N"] < 0:
         v.append("N: must be >= 0")
+    if config["seed"] < 0:
+        v.append("seed: must be >= 0")
     if config.get("m_q") is not None and config["m_q"] > szego.MQ_CAP:
         v.append("m_q: desk-scale cap exceeded")
     if cmd in ("szego", "equidist"):
@@ -220,7 +264,7 @@ def validate(config):
                 v.append("f: positivity required")
             if f is not None and sample_level is not None and getattr(f, "scale", 0) > sample_level:
                 v.append(f"f: its 3^{f.scale} cells are finer than the sampling level {sample_level}")
-        if cmd == "equidist" and config.get("functional"):
+        if cmd == "equidist" and config.get("functional") is not None:
             try:
                 parse_functional_spec(config["functional"])
             except (ValueError, SyntaxError) as exc:
@@ -257,14 +301,14 @@ def run(config):
     results, timings = {}, {}
 
     if cmd == "topology":
-        topo = topology.level_topology(int(config["m"]))
+        topo = topology.level_topology(config["m"])
         vp = os.path.join(out, "vertices.csv")
         topology.export_vertex_table(topo, vp, header_lines=header)
         topology.export_cell_table(topo, os.path.join(out, "cells.csv"), header_lines=header)
         results = {"n_vertices": topo.n_vertices, "n_cells": len(topo.cells)}
 
     elif cmd == "spectrum":
-        table = decimation.enumerate_spectrum(int(config["m"]))
+        table = decimation.enumerate_spectrum(config["m"])
         decimation.export_spectrum_csv(table, os.path.join(out, "spectrum.csv"), header)
         results = {"entries": len(table.entries), "total_multiplicity": table.total_multiplicity}
 
@@ -326,27 +370,30 @@ def run(config):
         results = {"functional": fname, "gaps": [r[4] for r in rows]}
 
     elif cmd == "resistance":
-        m = int(config["m"])
-        rc = laplacian.ResistanceComputer(m)
+        start = time.perf_counter()
+        rc = laplacian.ResistanceComputer(config["m"])
+        timings = {"green_function_s": time.perf_counter() - start}
         topo = rc.graph.topology
         boundary = list(np.nonzero(topo.boundary_mask)[0])
         rng = np.random.default_rng(config["seed"])
-        n_triples = int(config.get("triples", 200))
+        n_triples = config.get("triples", 200)
+        pairs = [(boundary[a], boundary[b]) for a in range(3) for b in range(a + 1, 3)]
+        boundary_r = [rc.resistance(x, y) for x, y in pairs]
         path = os.path.join(out, "resistance.csv")
         with open(path, "w", newline="") as fh:
             for line in header:
                 fh.write(line + "\n")
             wr = csv.writer(fh)
             wr.writerow(["x", "y", "resistance"])
-            pairs = [(boundary[a], boundary[b]) for a in range(3) for b in range(a + 1, 3)]
-            for x, y in pairs:
-                wr.writerow([int(x), int(y), repr(rc.resistance(x, y))])
+            for (x, y), r in zip(pairs, boundary_r):
+                wr.writerow([int(x), int(y), repr(r)])
         violations = 0
         for _ in range(n_triples):
             x, y, z = rng.choice(topo.n_vertices, size=3, replace=False)
             if rc.resistance(x, z) > rc.resistance(x, y) + rc.resistance(y, z) + 1e-12:
                 violations += 1
-        results = {"triangle_violations": violations, "triples": n_triples}
+        results = {"triangle_violations": violations, "triples": n_triples,
+                   "max_boundary_deviation": max(abs(r - 2.0 / 3.0) for r in boundary_r)}
 
     _write_summary(config, results, timings, os.path.join(out, "summary.json"))
     return results

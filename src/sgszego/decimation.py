@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .laplacian import apply_neg_laplacian, level_graph
+from .laplacian import apply_neg_laplacian, extend_values, level_graph
 from .topology import cell_embedding, interior_count, level_topology
 
 FORBIDDEN_GAMMAS = (2.0, 5.0, 6.0)
@@ -166,43 +166,16 @@ def enumerate_spectrum(m):
     return table
 
 
-@lru_cache(maxsize=None)
-def _extension_maps(k):
-    """Index arrays for extending a function from V_{k-1} to V_k.
-
-    Returns (parent_corner, child_corner, child_mid): each (3^(k-1), 3); the
-    mid column r holds the new vertex opposite corner r+1 of the parent cell.
-    """
-    # V_1 in topology order is q1, m12, m13, q2, m23, q3 (m_pq the midpoint of
-    # edge pq): columns 0, 3, 5 are the corners, 4, 2, 1 the opposite midpoints
-    embedding = cell_embedding(k, k - 1)
-    return level_topology(k - 1).cell_vertices, embedding[:, [0, 3, 5]], embedding[:, [4, 2, 1]]
-
-
 def extend_eigenfunction(values, k, gamma_k):
-    """Extend eigenfunction values from V_{k-1} to V_k for eigenvalue gamma_k.
+    """Extend eigenfunction values from V_{k-1} to V_k for eigenvalue gamma_k
+    by `laplacian.extend_values`, refusing the forbidden gammas 2, 5 and 6.
 
     `values` has leading axis over the V_{k-1} vertices (extra axes allowed).
-    New vertex on edge (p, q) of a (k-1)-cell with opposite corner r gets
-    ((4 - g)(u(p) + u(q)) + 2 u(r)) / ((2 - g)(5 - g)).
     """
     for bad in FORBIDDEN_GAMMAS:
         if abs(gamma_k - bad) < 1e-12:
             raise ValueError(f"forbidden extension eigenvalue gamma = {bad}")
-    return _extend(np.asarray(values, dtype=float), k, gamma_k)
-
-
-def _extend(values, k, gamma_k):
-    """extend_eigenfunction without the forbidden-gamma check."""
-    parent_corner, child_corner, child_mid = _extension_maps(k)
-    out = np.zeros((level_topology(k).n_vertices,) + values.shape[1:])
-    out[child_corner.ravel()] = values[parent_corner.ravel()]
-
-    denom = (2.0 - gamma_k) * (5.0 - gamma_k)
-    u = values[parent_corner]  # (cells, 3, ...)
-    for r, (p, q) in zip((0, 1, 2), ((1, 2), (0, 2), (0, 1))):
-        out[child_mid[:, r]] = ((4.0 - gamma_k) * (u[:, p] + u[:, q]) + 2.0 * u[:, r]) / denom
-    return out
+    return extend_values(np.asarray(values, dtype=float), k, gamma_k)
 
 
 # smallest singular value of the 5-series junction matrix, relative to its
@@ -232,7 +205,7 @@ def _birth_space(series, j):
             full[midpoints] = 1.0 / math.sqrt(3.0)
     elif series == SERIES_SIX:
         parent = level_topology(j - 1)
-        full = _extend(np.eye(parent.n_vertices)[:, parent.interior_indices], j, 6.0)
+        full = extend_values(np.eye(parent.n_vertices)[:, parent.interior_indices], j, 6.0)
     else:
         full = _five_series_birth(j)
     full.flags.writeable = False  # cached and shared by every caller

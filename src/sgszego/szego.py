@@ -16,8 +16,9 @@ from .topology import enumerate_cells, interior_weight, level_topology, quadratu
 
 MQ_CAP = 7  # desk-scale cap on the sampling level (matrix side <= 3279)
 # desk-scale caps on --m of the commands that build one level: `resistance`
-# takes a dense pinv (9843 vertices at level 8, 29526 at level 9), and the
-# `topology` tables and `spectrum` descriptors grow about 3x and 2x per level
+# holds the dense n x n Green's matrix (775 MB for the 9843 vertices of level
+# 8, 7 GB for the 29526 of level 9), and the `topology` tables and `spectrum`
+# descriptors grow about 3x and 2x per level
 LEVEL_CAPS = {"resistance": 8, "topology": 12, "spectrum": 20}
 
 

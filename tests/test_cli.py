@@ -82,6 +82,8 @@ def test_resistance_command(tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["triangle_violations"] == 0
+    assert summary["results"]["max_boundary_deviation"] < 1e-9
+    assert summary["timings"]["green_function_s"] > 0.0
     lines = _read_csv(out / "resistance.csv")
     for line in lines[2:]:
         assert abs(float(line.split(",")[2]) - 2.0 / 3.0) < 1e-9
@@ -91,7 +93,8 @@ def test_resistance_zero_triples(tmp_path):
     out = tmp_path / "res"
     assert _run(["resistance", "--m", "2", "--triples", "0", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["results"] == {"triangle_violations": 0, "triples": 0}
+    assert summary["results"] == {"triangle_violations": 0, "triples": 0,
+                                  "max_boundary_deviation": 0.0}
 
 
 def test_equidist_log_matches_szego_logdet(tmp_path):
@@ -141,9 +144,30 @@ def test_equidist_log_matches_szego_logdet(tmp_path):
         ["resistance", "--m", "30"],
         ["topology", "--m", "30"],
         ["spectrum", "--m", "30"],
+        # cutoff mode samples each level at its own default and ignores m_q
+        ["szego", "--mode", "cutoff", "--m", "2", "--f", "harmonic:1,1.5,2", "--m-q", "5"],
+        # a leading dict is written to a --config file: its fields are JSON typed
+        [{"mode": "cutoff", "m": "2", "f": "harmonic:1,1.5,2", "m_q": 5}, "equidist"],
+        [{"m": "abc"}, "spectrum"],
+        [{"N": "2"}, "szego", "--mode", "single", "--j", "3", "--f", "constant:2"],
+        [{"triples": "5"}, "resistance", "--m", "2"],
+        [{"m": "3"}, "resistance"],
+        [{"j": [2, "x"]}, "szego", "--mode", "single", "--f", "constant:2"],
+        [{"j": "3"}, "basis", "--series", "six", "--N", "1", "--m-q", "4"],
+        [{"f": 2}, "szego", "--mode", "single", "--j", "3"],
+        [{"mode": "both"}, "szego", "--m", "2", "--f", "constant:2"],
+        [{"seed": -1}, "resistance", "--m", "2"],
+        [{"tolerances": [1]}, "spectrum", "--m", "2"],
+        ["szego", "--mode", "cutoff", "--m", "abc", "--f", "constant:2"],
+        ["equidist", "--mode", "cutoff", "--m", "2", "--f", "constant:2", "--F", ""],
+        ["resistance", "--m", "2", "--seed", "-1"],
     ],
 )
 def test_invalid_configs_exit_2(argv, tmp_path):
+    if isinstance(argv[0], dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(argv[0]))
+        argv = ["--config", str(path), *argv[1:]]
     assert _run(argv + ["--out", str(tmp_path)]) == 2
 
 

@@ -239,5 +239,5 @@ def _vertex_key_extension_maps(k):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_extension_maps_match_vertex_keys(k):
-    for mine, ref in zip(dec._extension_maps(k), _vertex_key_extension_maps(k)):
+    for mine, ref in zip(lap.extension_maps(k), _vertex_key_extension_maps(k)):
         assert np.array_equal(mine, ref)

@@ -1,6 +1,9 @@
-"""Property test of the command line exit contract: every argv ends with
-exit 0 (success), 2 (invalid config) or 3 (numerical failure), never with an
-exception.  Sizes stay small, so each generated run takes milliseconds."""
+"""Property test of the command line exit contract: every argv, and every
+--config file, ends with exit 0 (success), 2 (invalid config) or 3 (numerical
+failure), never with an exception.  Sizes stay small, so each generated run
+takes milliseconds."""
+import json
+import os
 import tempfile
 
 from hypothesis import given, settings
@@ -58,3 +61,44 @@ def _exit_code(argv):
 def test_every_argv_exits_0_2_or_3(argv):
     with tempfile.TemporaryDirectory() as out:
         assert _exit_code(argv + ["--out", out]) in (0, 2, 3)
+
+
+FIELDS = {"--mode": "mode", "--series": "series", "--j": "j", "--m": "m", "--m-q": "m_q",
+          "--N": "N", "--f": "f", "--F": "functional", "--triples": "triples"}
+
+# JSON values of every type, to stand in for a field of a config file
+MIXED = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 4), st.floats(-1.0, 4.0),
+    st.sampled_from(["", "abc", "2", "1..2", "log"]), st.lists(st.integers(-1, 4), max_size=2),
+)
+
+
+@st.composite
+def config_invocations(draw):
+    """(config file fields, argv): each flag of a drawn argv stays a flag,
+    moves into the config file, or is replaced there by a value of any type;
+    sometimes the file also sets a field the argv does not name."""
+    argv = draw(argvs())
+    config, flags = {}, [argv[0]]
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        where = draw(st.sampled_from(["flag", "file", "mixed"]))
+        if where == "flag":
+            flags += [flag, value]
+        elif where == "file":
+            config[FIELDS[flag]] = int(value) if value.lstrip("-").isdigit() else value
+        else:
+            config[FIELDS[flag]] = draw(MIXED)
+    if draw(st.booleans()):
+        config[draw(st.sampled_from(["m_q", "N", "seed", "triples", "tolerances"]))] = draw(MIXED)
+    return config, flags
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(config_invocations())
+def test_every_config_file_exits_0_2_or_3(invocation):
+    config, argv = invocation
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        assert _exit_code(["--config", path, *argv, "--out", out]) in (0, 2, 3)

@@ -99,6 +99,39 @@ def test_dense_eigenpair_residuals(m):
         assert lap.eigen_residual(g, full, evals[k]) < 1e-9
 
 
+def _dense_resistance(m):
+    """Reference: the resistance matrix from the pseudo-inverse of the
+    Laplacian with edge conductance (5/3)^m, filled edge by edge."""
+    g = lap.level_graph(m)
+    c = (5.0 / 3.0) ** m
+    L = np.zeros((g.n_vertices, g.n_vertices))
+    for a, b in g.edges:
+        L[a, b] -= c
+        L[b, a] -= c
+        L[a, a] += c
+        L[b, b] += c
+    p = np.linalg.pinv(L, hermitian=True)
+    d = np.diag(p)
+    return d[:, None] + d[None, :] - 2.0 * p
+
+
+@pytest.mark.parametrize("m", range(0, 6))
+def test_resistance_matches_dense_pinv(m):
+    R = lap.ResistanceComputer(m).resistance_matrix()
+    assert np.max(np.abs(R - _dense_resistance(m))) < 1e-12
+
+
+def test_resistance_level_seven_without_dense_solve():
+    rc = lap.ResistanceComputer(7)
+    b = np.nonzero(rc.graph.topology.boundary_mask)[0]
+    for x in range(3):
+        for y in range(x + 1, 3):
+            assert abs(rc.resistance(b[x], b[y]) - 2.0 / 3.0) < 1e-15
+    R = rc.resistance_matrix()
+    assert np.max(np.abs(R - R.T)) < 1e-14
+    assert np.all(np.diag(R) == 0.0)
+
+
 def test_resistance_series_parallel():
     rc = lap.ResistanceComputer(0)
     b = np.nonzero(rc.graph.topology.boundary_mask)[0]
@@ -161,6 +194,17 @@ def test_holder_pair_ratio_monotone_in_alpha():
     df = abs(h[x] - h[y])
     ratios = [df / r ** a for a in (0.25, 0.5, 1.0)]
     assert ratios[0] < ratios[1] < ratios[2]
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_matrix_export_matches_loop(m, tmp_path):
+    L = lap.assemble_dirichlet_laplacian(lap.level_graph(m))
+    path = tmp_path / "lap.coo"
+    lap.export_matrix_coo(L, path)
+    n = L.matrix.shape[0]
+    ref = "".join(f"{i} {j} {float(L.matrix[i, j])!r}\n"
+                  for i in range(n) for j in range(n) if L.matrix[i, j] != 0.0)
+    assert path.read_text() == ref
 
 
 def test_matrix_export(tmp_path):
