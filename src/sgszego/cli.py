@@ -289,7 +289,7 @@ def _write_summary(config, results, timings, path):
         "timings": timings,
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 def run(config):
@@ -305,7 +305,7 @@ def run(config):
         vp = os.path.join(out, "vertices.csv")
         topology.export_vertex_table(topo, vp, header_lines=header)
         topology.export_cell_table(topo, os.path.join(out, "cells.csv"), header_lines=header)
-        results = {"n_vertices": topo.n_vertices, "n_cells": len(topo.cells)}
+        results = {"n_vertices": topo.n_vertices, "n_cells": len(topo.cell_vertices)}
 
     elif cmd == "spectrum":
         table = decimation.enumerate_spectrum(config["m"])

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from .topology import cell_rank, level_topology, vertex_key
+from .laplacian import extend_values
+from .topology import level_topology, vertex_key
 
 
 class ConstantFunction:
@@ -49,21 +50,22 @@ class SimpleCellFunction:
     def label(self):
         return "simple:" + ",".join(f"{c:g}" for c in self.coefficients)
 
-    def _owner_value(self, topo, index):
-        owner = topo.cells_of_vertex(index, self.scale)[0]
-        return self.coefficients[cell_rank(owner)]
+    def _owner_values(self, topo, index):
+        # a vertex's canonical (word, corner) lies in its least containing
+        # cell, so the leading digits of that cell's rank address the owner
+        return self.coefficients[topo.rank[index] // 3 ** (topo.m - self.scale)]
 
     def sample(self, topo):
         if topo.m < self.scale:
             raise ValueError("sampling level coarser than the cell scale")
-        return np.array([self._owner_value(topo, i) for i in range(topo.n_vertices)])
+        return self._owner_values(topo, slice(None))
 
     def at_vertex(self, word, corner):
         # F_w(q_c) = F_wc(q_c): a vertex of a level coarser than the scale is
         # a corner of one of its cells at the scale
         word = tuple(word) + (corner,) * (self.scale - len(word))
         topo = level_topology(len(word))
-        return self._owner_value(topo, topo.index_by_key[vertex_key(word, corner)])
+        return self._owner_values(topo, topo.index_of(vertex_key(word, corner)))
 
     def cell_integral(self, func=None):
         """Exact integral of func(f) for the self-similar measure: each cell
@@ -102,18 +104,12 @@ class HarmonicFunction:
         return h[corner - 1]
 
     def sample(self, topo):
-        # one pass over the cell tree; each cell's corner triple is derived
-        # from its parent's, then read off at the vertex's canonical rep
-        values = {(): list(self.boundary_values)}
-        for word in topo.cells:
-            for t in range(1, len(word) + 1):
-                prefix = word[:t]
-                if prefix not in values:
-                    values[prefix] = _subdivide(values[word[: t - 1]], word[t - 1])
-        out = np.empty(topo.n_vertices)
-        for v in topo.vertices:
-            out[v.index] = values[v.word][v.corner - 1]
-        return out
+        # the boundary values sit on V_0 in corner order; each level is one
+        # harmonic extension
+        values = np.array(self.boundary_values)
+        for k in range(1, topo.m + 1):
+            values = extend_values(values, k, 0.0)
+        return values
 
 
 class ExpressionFunction:
@@ -133,6 +129,12 @@ class ExpressionFunction:
     def __init__(self, expression):
         self.expression = expression
         self._code = compile(expression, "<function-expr>", "eval")
+        # an expression that compiles can still fail on arrays (an unknown
+        # name, a call of x) or give non-real values; refuse it up front
+        try:
+            self.sample(level_topology(0))
+        except Exception as exc:
+            raise ValueError(f"expression {expression!r} cannot be evaluated: {exc}") from exc
 
     def label(self):
         return f"expr:{self.expression}"
@@ -144,8 +146,10 @@ class ExpressionFunction:
         return eval(self._code, {"__builtins__": {}}, env)
 
     def sample(self, topo):
-        vals = self._eval(topo.coords[:, 0], topo.coords[:, 1])
-        return np.broadcast_to(np.asarray(vals, dtype=float), (topo.n_vertices,)).copy()
+        vals = np.asarray(self._eval(topo.coords[:, 0], topo.coords[:, 1]))
+        if vals.dtype.kind not in "biuf":
+            raise ValueError(f"values of dtype {vals.dtype} are not real")
+        return np.broadcast_to(vals.astype(float), (topo.n_vertices,)).copy()
 
     def at_vertex(self, word, corner):
         a, b = vertex_key(word, corner)

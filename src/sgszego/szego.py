@@ -259,10 +259,11 @@ def szego_cutoff_sweep(f, m_range, scale):
 
 def fit_rate(records):
     """OLS fit of log error against log dimension; returns (exponent, r2)
-    where error ~ dimension^(-exponent)."""
+    where error ~ dimension^(-exponent), or (None, None) when fewer than two
+    records have a positive error."""
     pts = [(r.dimension, r.error) for r in records if r.error > 0.0]
     if len(pts) < 2:
-        return float("nan"), float("nan")
+        return None, None
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     slope, intercept = np.polyfit(x, y, 1)

@@ -1,14 +1,19 @@
 """Cell and vertex addressing for level-m graph approximations of the Sierpinski gasket.
 
 Cells are words over {1, 2, 3}: an m-cell is the image of the gasket under the
-composition of the corner contractions named by the word.  A vertex is a
+composition of the corner contractions named by the word, and its rank is its
+position among the 3^m words in lexicographic order.  A vertex is a
 (word, corner) pair; pairs that the contractions map to the same point of the
 plane are identified, and the canonical id of a vertex is the
-lexicographically least (word, corner) among its representatives.
+lexicographically least (word, corner) pair that names it.
 
 All coordinates are kept as exact integers at scale 2^-(m+1) (x direction) and
 sqrt(3) * 2^-(m+1) (y direction), so the identification is exact and the
-level-(m-1) vertex set embeds into the level-m one by doubling.
+level-(m-1) vertex set embeds into the level-m one by doubling.  The tables
+are built as arrays: the lattice keys of the 3 * 3^m cell corners, listed at
+position 3 * rank + corner - 1, are identified by `np.unique` on an integer
+code of the key, and each vertex's first occurrence in that list is its
+canonical (word, corner).
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ SQRT3 = math.sqrt(3.0)
 
 # Corner anchors q_1, q_2, q_3 scaled by 2 so that every vertex lands on the
 # integer lattice described in the module docstring.
-_CORNER_INT = {1: (0, 0), 2: (2, 0), 3: (1, 1)}
+_CORNER_KEYS = np.array([(0, 0), (2, 0), (1, 1)], dtype=np.int64)
 
 
 def enumerate_cells(m):
@@ -42,16 +47,20 @@ def interior_count(m):
     return (3 ** (m + 1) - 3) // 2
 
 
+def lattice_keys(ranks, m, corners):
+    """Integer lattice keys of F_w(q_c), shape (..., 2), for the m-cells w of
+    the given ranks and the corners c, broadcast against each other."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    keys = np.zeros(ranks.shape + (2,), dtype=np.int64)
+    for t in range(m):
+        # digit t of the address, most significant first, scaled by 2^(m-1-t)
+        keys += _CORNER_KEYS[ranks // 3 ** (m - 1 - t) % 3] << (m - 1 - t)
+    return keys + _CORNER_KEYS[np.asarray(corners) - 1]
+
+
 def vertex_key(word, corner):
     """Integer lattice coordinates of F_word(q_corner)."""
-    m = len(word)
-    a, b = _CORNER_INT[corner]
-    for t, s in enumerate(word):
-        sa, sb = _CORNER_INT[s]
-        f = 1 << (m - 1 - t)
-        a += sa * f
-        b += sb * f
-    return (a, b)
+    return tuple(lattice_keys(cell_rank(word), len(word), corner).tolist())
 
 
 def cell_rank(word):
@@ -62,83 +71,55 @@ def cell_rank(word):
     return r
 
 
-@dataclass(frozen=True)
-class Vertex:
-    index: int
-    word: tuple
-    corner: int
-    key: tuple
-    x: float
-    y: float
-    is_boundary: bool
-
-
 class LevelTopology:
-    """Immutable vertex and cell tables for the level-m graph approximation."""
+    """Immutable vertex and cell tables for the level-m graph approximation.
+
+    The vertex of index i has lattice key `keys[i]` and canonical name
+    (cell of rank `rank[i]`, corner `corner[i]`); `cell_vertices[r]` holds the
+    vertex indices of the corners 1, 2, 3 of the cell of rank r.
+    """
 
     def __init__(self, m):
         if m < 0:
             raise ValueError("level must be >= 0")
         self.m = m
-        self.cells = enumerate_cells(m)
-
-        reps = {}
-        for word in self.cells:
-            for corner in (1, 2, 3):
-                reps.setdefault(vertex_key(word, corner), []).append((word, corner))
-
-        top = 1 << (m + 1)
-        boundary_keys = {(0, 0), (top, 0), (top // 2, top // 2)}
-
-        order = sorted(reps, key=lambda k: min(reps[k]))
-        self.vertices = []
-        self.index_by_key = {}
-        for i, key in enumerate(order):
-            word, corner = min(reps[key])
-            self.vertices.append(
-                Vertex(
-                    index=i,
-                    word=word,
-                    corner=corner,
-                    key=key,
-                    x=key[0] / top,
-                    y=key[1] * SQRT3 / top,
-                    is_boundary=key in boundary_keys,
-                )
-            )
-            self.index_by_key[key] = i
-        self._reps = [reps[v.key] for v in self.vertices]
-
-        n = len(self.vertices)
+        corner_keys = lattice_keys(np.arange(3**m)[:, None], m, [1, 2, 3]).reshape(-1, 2)
+        # sorted codes order the keys, which cell_embedding and the at_vertex
+        # methods search; a vertex's first occurrence is its least (word, corner)
+        self._codes, first, inverse, counts = np.unique(
+            self._encode(corner_keys), return_index=True, return_inverse=True, return_counts=True)
+        order = np.argsort(first)
+        n = len(order)
         if n != vertex_count(m):
             raise AssertionError(f"vertex count mismatch at level {m}: {n}")
+        self._index = np.empty(n, dtype=np.int64)
+        self._index[order] = np.arange(n)
 
-        self.coords = np.array([(v.x, v.y) for v in self.vertices])
-        self.boundary_mask = np.array([v.is_boundary for v in self.vertices])
+        self.keys = corner_keys[first[order]]
+        self.rank, corner = np.divmod(first[order], 3)
+        self.corner = corner + 1
+        top = 1 << (m + 1)
+        self.coords = np.column_stack([self.keys[:, 0] / top, self.keys[:, 1] * SQRT3 / top])
+        # only the corners q_1, q_2, q_3 of the gasket lie in a single m-cell
+        self.boundary_mask = counts[order] == 1
         self.interior_indices = np.nonzero(~self.boundary_mask)[0]
+        self.cell_vertices = self._index[inverse].reshape(-1, 3)
 
-        # corner vertex indices of every m-cell, in corner order 1, 2, 3
-        self.cell_vertices = np.array(
-            [[self.index_by_key[vertex_key(w, c)] for c in (1, 2, 3)] for w in self.cells],
-            dtype=np.int64,
-        )
+    def _encode(self, keys):
+        # x keys reach 2^(m+1) and y keys 2^m, so the code is injective
+        return (keys[..., 0] << (self.m + 1)) + keys[..., 1]
 
     @property
     def n_vertices(self):
-        return len(self.vertices)
+        return len(self.keys)
 
-    def representatives(self, index):
-        """All (word, corner) pairs identified with the given vertex."""
-        return list(self._reps[index])
-
-    def cells_of_vertex(self, index, scale):
-        """The 1 or 2 scale-cells whose closure contains the vertex."""
-        if scale > self.m:
-            raise ValueError("cell scale exceeds vertex level")
-        return sorted({w[:scale] for (w, _) in self._reps[index]})
-
-    def containing_cell_count(self, index):
-        return len({w for (w, _) in self._reps[index]})
+    def index_of(self, keys):
+        """Indices of the vertices with the lattice keys of shape (..., 2)."""
+        codes = self._encode(np.asarray(keys, dtype=np.int64))
+        pos = np.minimum(np.searchsorted(self._codes, codes), len(self._codes) - 1)
+        if not np.array_equal(self._codes[pos], codes):
+            raise KeyError(f"lattice key that is not a level-{self.m} vertex")
+        return self._index[pos]
 
 
 @lru_cache(maxsize=None)
@@ -154,26 +135,11 @@ def cell_embedding(m, scale):
     F_w shifts the lattice key of v by 2^(m-scale) times the key of the corner
     F_w(q_1) at level `scale`, so the table is read off the integer lattice.
     """
-    index = level_topology(m).index_by_key
     shift = m - scale
-    keys = [v.key for v in level_topology(shift).vertices]
-    corners = [vertex_key(w, 1) for w in enumerate_cells(scale)]
-    table = np.array([[index[((ca << shift) + a, (cb << shift) + b)] for a, b in keys]
-                      for ca, cb in corners], dtype=np.int64)
+    origins = lattice_keys(np.arange(3**scale)[:, None], scale, 1) << shift
+    table = level_topology(m).index_of(origins + level_topology(shift).keys)
     table.flags.writeable = False  # cached and shared by every caller
     return table
-
-
-def parent_index_map(m):
-    """Index of each V_{m-1} vertex inside the level-m topology."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    parent = level_topology(m - 1)
-    child = level_topology(m)
-    return np.array(
-        [child.index_by_key[(2 * a, 2 * b)] for (a, b) in (v.key for v in parent.vertices)],
-        dtype=np.int64,
-    )
 
 
 @dataclass(frozen=True)
@@ -191,12 +157,15 @@ class QuadratureScheme:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
+def _cells_per_vertex(topo):
+    # a corner of the gasket lies in one m-cell, every other vertex in two
+    return np.where(topo.boundary_mask, 1, 2)
+
+
 def quadrature(m_q):
     if m_q < 1:
         raise ValueError("quadrature level must be >= 1")
-    topo = level_topology(m_q)
-    counts = np.array([topo.containing_cell_count(i) for i in range(topo.n_vertices)])
-    weights = counts * (3.0 ** (-m_q)) / 3.0
+    weights = _cells_per_vertex(level_topology(m_q)) * (3.0 ** (-m_q)) / 3.0
     return QuadratureScheme(level=m_q, weights=weights)
 
 
@@ -210,12 +179,10 @@ def cell_indicator(topo, cell):
     scale = len(cell)
     if scale > topo.m:
         raise ValueError("indicator cell finer than the topology level")
-    out = np.zeros(topo.n_vertices)
-    for i in range(topo.n_vertices):
-        words = {w for (w, _) in topo.representatives(i)}
-        inside = sum(1 for w in words if w[:scale] == cell)
-        out[i] = inside / len(words)
-    return out
+    size = 3 ** (topo.m - scale)
+    start = cell_rank(cell) * size
+    inside = np.bincount(topo.cell_vertices[start:start + size].ravel(), minlength=topo.n_vertices)
+    return inside / _cells_per_vertex(topo)
 
 
 def interior_weight(m_q):
@@ -227,27 +194,30 @@ def word_str(word):
     return "".join(str(s) for s in word) if word else "-"
 
 
+def _word_strs(ranks, m):
+    """word_str of the m-cells of the given ranks."""
+    if m == 0:
+        return ["-"] * len(ranks)
+    digits = np.asarray(ranks)[:, None] // 3 ** np.arange(m - 1, -1, -1) % 3
+    chars = (digits + ord("1")).astype(np.uint8)
+    return [w.decode() for w in chars.view(f"S{m}").ravel().tolist()]
+
+
 def export_vertex_table(topo, path, weights=None, header_lines=()):
     """CSV dump: id, word, corner, x, y, is_boundary, weight."""
-    if weights is None:
-        weights = quadrature(topo.m).weights if topo.m >= 1 else None
+    if weights is None and topo.m >= 1:
+        weights = quadrature(topo.m).weights
+    weights = ([""] * topo.n_vertices if weights is None
+               else map(repr, np.asarray(weights, dtype=float).tolist()))
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(line + "\n")
         wr = csv.writer(fh)
         wr.writerow(["id", "word", "corner", "x", "y", "is_boundary", "weight"])
-        for v in topo.vertices:
-            wr.writerow(
-                [
-                    v.index,
-                    word_str(v.word),
-                    v.corner,
-                    repr(v.x),
-                    repr(v.y),
-                    int(v.is_boundary),
-                    repr(float(weights[v.index])) if weights is not None else "",
-                ]
-            )
+        columns = (_word_strs(topo.rank, topo.m), topo.corner.tolist(),
+                   map(repr, topo.coords[:, 0].tolist()), map(repr, topo.coords[:, 1].tolist()),
+                   topo.boundary_mask.astype(int).tolist(), weights)
+        wr.writerows([i, *row] for i, row in enumerate(zip(*columns)))
 
 
 def export_cell_table(topo, path, header_lines=()):
@@ -256,6 +226,6 @@ def export_cell_table(topo, path, header_lines=()):
             fh.write(line + "\n")
         wr = csv.writer(fh)
         wr.writerow(["rank", "word", "v1", "v2", "v3"])
-        for r, word in enumerate(topo.cells):
-            i1, i2, i3 = topo.cell_vertices[r]
-            wr.writerow([r, word_str(word), i1, i2, i3])
+        words = _word_strs(np.arange(len(topo.cell_vertices)), topo.m)
+        rows = zip(words, topo.cell_vertices.tolist())
+        wr.writerows([r, w, *vs] for r, (w, vs) in enumerate(rows))

@@ -161,6 +161,11 @@ def test_equidist_log_matches_szego_logdet(tmp_path):
         ["szego", "--mode", "cutoff", "--m", "abc", "--f", "constant:2"],
         ["equidist", "--mode", "cutoff", "--m", "2", "--f", "constant:2", "--F", ""],
         ["resistance", "--m", "2", "--seed", "-1"],
+        # expressions that compile but cannot be evaluated to real values
+        ["szego", "--mode", "single", "--j", "3", "--f", "expr:z+1"],
+        ["szego", "--mode", "single", "--j", "3", "--f", "expr:x(1)"],
+        ["szego", "--mode", "single", "--j", "3", "--f", 'expr:"a"'],
+        ["equidist", "--mode", "single", "--j", "3", "--f", "expr:z"],
     ],
 )
 def test_invalid_configs_exit_2(argv, tmp_path):
@@ -169,6 +174,20 @@ def test_invalid_configs_exit_2(argv, tmp_path):
         path.write_text(json.dumps(argv[0]))
         argv = ["--config", str(path), *argv[1:]]
     assert _run(argv + ["--out", str(tmp_path)]) == 2
+
+
+def test_single_record_summary_is_strict_json(tmp_path):
+    out = tmp_path / "one"
+    assert _run(["szego", "--mode", "single", "--series", "six", "--j", "3",
+                 "--f", "harmonic:1,1.5,2", "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    # one record leaves no rate to fit
+    assert summary["results"]["fitted_exponent"] is None
+    assert summary["results"]["r_squared"] is None
 
 
 def test_numerical_failure_exit_3(tmp_path, capsys):

@@ -4,8 +4,10 @@ import pytest
 from sgszego import decimation as dec
 from sgszego import eigenbasis as eb
 from sgszego import laplacian as lap
+from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.decimation import make_descriptor
+from sgszego.functions import HarmonicFunction, SimpleCellFunction
 
 
 def _canonical(series, j, m):
@@ -162,10 +164,14 @@ def _searched_localization(raw, m_q, scale):
     topo = top.level_topology(m_q)
     w = top.interior_weight(m_q)
     basis = np.sqrt(w) * eb.orthonormalize(raw, m_q)
+    cells = top.enumerate_cells(scale)
+    row_of = dict(zip(topo.interior_indices.tolist(), range(len(topo.interior_indices))))
     cell_rows = {}
-    for row, idx in enumerate(topo.interior_indices):
-        for cell in topo.cells_of_vertex(idx, scale):
-            cell_rows.setdefault(cell, []).append(row)
+    # every level-m_q cell lies in one scale-cell; interior corners join its rows
+    for rank, corners in enumerate(topo.cell_vertices.tolist()):
+        rows = cell_rows.setdefault(cells[rank // 3 ** (m_q - scale)], set())
+        rows.update(row_of[i] for i in corners if i in row_of)
+    cell_rows = {cell: sorted(rows) for cell, rows in cell_rows.items()}
     threshold = max(SV_THRESHOLD**2, 64 * basis.shape[1] * np.finfo(float).eps)
     found = {}
     for cell, rows in sorted(cell_rows.items()):
@@ -210,3 +216,25 @@ def test_transplants_match_searched_localization():
         r = lap.apply_neg_laplacian(lap.level_graph(m_q), full) - desc.gamma_at(m_q) * full
         residual = np.max(np.abs(r[topo.interior_indices]), axis=0) / np.max(np.abs(full), axis=0)
         assert np.all(residual <= 1e-9), (case, float(np.max(residual)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cutoff_logdet_matches_dense_eigenspaces(m):
+    # an oracle that does not share the operator's block structure: each
+    # eigenspace up to the cutoff from the dense solve, orthonormalized in the
+    # quadrature inner product by a Cholesky factor, with f compressed onto it
+    m_q = sz.default_sample_level(0, m)
+    topo = top.level_topology(m_q)
+    w = top.quadrature(m_q).weights[topo.interior_indices]
+    for f in (HarmonicFunction([1.0, 1.5, 2.0]), SimpleCellFunction([1.0, 2.0, 3.0])):
+        wf = w * f.sample(topo)[topo.interior_indices]
+        total = 0.0
+        for desc in dec.enumerate_spectrum(m).entries:
+            v = _dense_eigenspace(desc, m_q)
+            q = np.linalg.solve(np.linalg.cholesky(v.T @ (w[:, None] * v)), v.T).T
+            sign, logdet = np.linalg.slogdet(q.T @ (wf[:, None] * q))
+            assert sign == 1.0
+            total += logdet
+        op = sz.cutoff_operator(f, m, 1)
+        assert op.level == m_q
+        assert abs(sz.log_det(op) - total) <= 1e-10 * abs(total), (m, f.label())

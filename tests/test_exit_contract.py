@@ -19,6 +19,9 @@ MULTIPLIERS = st.one_of(
     ).map(lambda cs: "simple:" + ",".join(map(str, cs))),
     st.tuples(SIGNED, SIGNED, SIGNED).map(lambda c: "expr:{}*x+{}*y+{}".format(*c)),
     st.tuples(SIGNED, SIGNED, SIGNED).map(lambda h: "harmonic:{},{},{}".format(*h)),
+    # expressions that compile but fail on arrays or give non-real values
+    st.tuples(st.sampled_from(["z", "x(1)", '"a"', "1j", "np.ones(2)"]), SIGNED).map(
+        lambda t: "expr:{}+{}*y".format(*t)),
 )
 
 

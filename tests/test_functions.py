@@ -44,8 +44,10 @@ def test_harmonic_sample_matches_pointwise():
     h = HarmonicFunction([1.0, 1.5, 2.0])
     topo = top.level_topology(4)
     vals = h.sample(topo)
-    for v in topo.vertices[::17]:
-        assert vals[v.index] == pytest.approx(h.at_vertex(v.word, v.corner), abs=1e-14)
+    words = top.enumerate_cells(4)
+    for i in range(0, topo.n_vertices, 17):
+        word, corner = words[topo.rank[i]], int(topo.corner[i])
+        assert vals[i] == pytest.approx(h.at_vertex(word, corner), abs=1e-14)
     assert vals.min() >= 1.0 and vals.max() <= 2.0
 
 
@@ -55,7 +57,7 @@ def test_simple_cell_function():
     topo = top.level_topology(2)
     vals = f.sample(topo)
     # vertex shared by cells 1 and 2 takes the value of cell 1
-    mid = topo.index_by_key[(4, 0)]
+    mid = topo.index_of((4, 0))
     assert vals[mid] == 1.0
     assert f.at_vertex((2, 2), 2) == 2.0
     assert f.cell_integral() == pytest.approx(2.0)
@@ -80,7 +82,7 @@ def test_simple_cell_function_at_coarser_vertex():
     for word in [(), (1,), (2,), (3,)]:
         for corner in (1, 2, 3):
             key = top.vertex_key(word + (corner,) * (2 - len(word)), corner)
-            assert f.at_vertex(word, corner) == vals[topo.index_by_key[key]]
+            assert f.at_vertex(word, corner) == vals[topo.index_of(key)]
 
 
 def test_expression_function():
@@ -88,15 +90,15 @@ def test_expression_function():
     topo = top.level_topology(2)
     vals = f.sample(topo)
     assert vals == pytest.approx(1 + 0.5 * topo.coords[:, 0] + topo.coords[:, 1])
-    v = topo.vertices[5]
-    assert f.at_vertex(v.word, v.corner) == pytest.approx(vals[5])
+    word, corner = top.enumerate_cells(2)[topo.rank[5]], int(topo.corner[5])
+    assert f.at_vertex(word, corner) == pytest.approx(vals[5])
 
 
 def test_function_sum():
     f = FunctionSum(SimpleCellFunction([1, 2, 3]), HarmonicFunction([0.1, 0.2, 0.3]))
     topo = top.level_topology(2)
-    v = topo.vertices[4]
-    assert f.sample(topo)[4] == pytest.approx(f.at_vertex(v.word, v.corner))
+    word, corner = top.enumerate_cells(2)[topo.rank[4]], int(topo.corner[4])
+    assert f.sample(topo)[4] == pytest.approx(f.at_vertex(word, corner))
 
 
 def test_parse_function_spec():

@@ -3,7 +3,43 @@ import math
 import numpy as np
 import pytest
 
+from sgszego import laplacian as lap
 from sgszego import topology as top
+
+# Reference for the lattice-key rule and the canonical vertex order: the
+# word-by-word key loop and the dict of representatives that the array build
+# replaced.
+CORNER_INT = {1: (0, 0), 2: (2, 0), 3: (1, 1)}
+
+
+def _loop_vertex_key(word, corner):
+    m = len(word)
+    a, b = CORNER_INT[corner]
+    for t, s in enumerate(word):
+        sa, sb = CORNER_INT[s]
+        a += sa << (m - 1 - t)
+        b += sb << (m - 1 - t)
+    return (a, b)
+
+
+def _representative_tables(m):
+    """(keys, words, corners, cell_vertices) in canonical order, and the
+    representatives of each vertex, from a dict keyed by lattice key."""
+    reps = {}
+    for word in top.enumerate_cells(m):
+        for corner in (1, 2, 3):
+            reps.setdefault(_loop_vertex_key(word, corner), []).append((word, corner))
+    order = sorted(reps, key=lambda k: min(reps[k]))
+    index = {key: i for i, key in enumerate(order)}
+    cell_vertices = [[index[_loop_vertex_key(w, c)] for c in (1, 2, 3)]
+                     for w in top.enumerate_cells(m)]
+    return order, [min(reps[k]) for k in order], cell_vertices, [reps[k] for k in order]
+
+
+def _cells_of_vertex(topo, index, scale):
+    """The scale-cells whose closure contains the vertex, read off cell_vertices."""
+    rows = np.nonzero((topo.cell_vertices == index).any(axis=1))[0]
+    return sorted({top.enumerate_cells(topo.m)[r][:scale] for r in rows})
 
 
 def test_cell_counts():
@@ -19,13 +55,13 @@ def test_cell_counts():
 def test_vertex_counts(m):
     topo = top.level_topology(m)
     assert topo.n_vertices == (3 ** (m + 1) + 3) // 2
-    assert len(topo.cells) == 3 ** m
+    assert len(topo.cell_vertices) == 3 ** m
     assert int(topo.boundary_mask.sum()) == 3
 
 
 def test_level_zero_and_one():
     t0 = top.level_topology(0)
-    assert all(v.is_boundary for v in t0.vertices)
+    assert t0.boundary_mask.all()
     t1 = top.level_topology(1)
     assert t1.n_vertices == 6
     assert int(t1.boundary_mask.sum()) == 3
@@ -33,15 +69,35 @@ def test_level_zero_and_one():
     assert t3.n_vertices == 42
 
 
+@pytest.mark.parametrize("m", range(7))
+def test_lattice_keys_match_loop(m):
+    for word in top.enumerate_cells(m):
+        for corner in (1, 2, 3):
+            assert top.vertex_key(word, corner) == _loop_vertex_key(word, corner)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_tables_match_representative_dict(m):
+    topo = top.level_topology(m)
+    keys, canonical, cell_vertices, _ = _representative_tables(m)
+    assert topo.keys.tolist() == [list(k) for k in keys]
+    assert [(top.enumerate_cells(m)[r], c) for r, c in zip(topo.rank, topo.corner)] == canonical
+    assert topo.cell_vertices.tolist() == cell_vertices
+    assert topo.index_of(topo.keys).tolist() == list(range(topo.n_vertices))
+    with pytest.raises(KeyError):
+        topo.index_of([1 << (m + 1), 1])
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_nesting(m):
     # V_{m-1} embeds in V_m by doubling the integer coordinates
     child = top.level_topology(m)
-    pmap = top.parent_index_map(m)
     parent = top.level_topology(m - 1)
-    assert len(set(pmap)) == parent.n_vertices
-    for v, ci in zip(parent.vertices, pmap):
-        assert child.vertices[ci].key == (2 * v.key[0], 2 * v.key[1])
+    pmap = child.index_of(2 * parent.keys)
+    assert len(set(pmap.tolist())) == parent.n_vertices
+    # the same pairing as the corner maps of the extension rule
+    parent_corner, child_corner, _ = lap.extension_maps(m)
+    assert np.array_equal(pmap[parent_corner], child_corner)
 
 
 @pytest.mark.parametrize("m", range(5))
@@ -51,9 +107,11 @@ def test_cell_embedding_matches_vertex_keys(m):
         emb = top.cell_embedding(m, scale)
         small = top.level_topology(m - scale)
         assert emb.shape == (3**scale, small.n_vertices)
+        small_words = top.enumerate_cells(m - scale)
         for r, w in enumerate(top.enumerate_cells(scale)):
-            for v in small.vertices:
-                assert emb[r, v.index] == big.index_by_key[top.vertex_key(w + v.word, v.corner)]
+            for i, (rank, corner) in enumerate(zip(small.rank, small.corner)):
+                key = _loop_vertex_key(w + small_words[rank], corner)
+                assert emb[r, i] == big.index_of(key)
     assert np.array_equal(top.cell_embedding(m, m), big.cell_vertices)
     assert np.array_equal(top.cell_embedding(m, 0), [np.arange(big.n_vertices)])
 
@@ -61,37 +119,42 @@ def test_cell_embedding_matches_vertex_keys(m):
 @pytest.mark.parametrize("m", range(1, 7))
 def test_cell_membership_counts(m):
     topo = top.level_topology(m)
+    *_, reps = _representative_tables(m)
     for i in range(topo.n_vertices):
-        n = topo.containing_cell_count(i)
+        n = len({w for w, _ in reps[i]})
         assert n == (1 if topo.boundary_mask[i] else 2)
+        assert n == np.count_nonzero(topo.cell_vertices == i)
 
 
 def test_cell_of_vertex():
     topo = top.level_topology(3)
-    corner = topo.index_by_key[(0, 0)]
-    assert topo.cells_of_vertex(corner, 1) == [(1,)]
+    corner = topo.index_of((0, 0))
+    assert _cells_of_vertex(topo, corner, 1) == [(1,)]
     # midpoint shared by F_1 and F_2 at level 1, key doubled to level 3
-    mid = topo.index_by_key[(8, 0)]
-    assert topo.cells_of_vertex(mid, 1) == [(1,), (2,)]
+    mid = topo.index_of((8, 0))
+    assert _cells_of_vertex(topo, mid, 1) == [(1,), (2,)]
     rng = np.random.default_rng(7)
     interior = topo.interior_indices
     for i in rng.choice(interior, size=10, replace=False):
-        assert len(topo.cells_of_vertex(int(i), 2)) in (1, 2)
-        assert len(topo.cells_of_vertex(int(i), 3)) == 2
+        assert len(_cells_of_vertex(topo, int(i), 2)) in (1, 2)
+        assert len(_cells_of_vertex(topo, int(i), 3)) == 2
 
 
 def test_cell_of_vertex_scale_error():
+    # cells finer than the vertex level are refused
     topo = top.level_topology(2)
     with pytest.raises(ValueError):
-        topo.cells_of_vertex(0, 3)
+        top.cell_embedding(2, 3)
+    with pytest.raises(ValueError):
+        top.cell_indicator(topo, (1, 1, 1))
 
 
 def test_quadrature_weights():
     q1 = top.quadrature(1)
     t1 = top.level_topology(1)
-    for v in t1.vertices:
-        expected = 1.0 / 9.0 if v.is_boundary else 2.0 / 9.0
-        assert q1.weights[v.index] == pytest.approx(expected, abs=1e-16)
+    for i, is_boundary in enumerate(t1.boundary_mask):
+        expected = 1.0 / 9.0 if is_boundary else 2.0 / 9.0
+        assert q1.weights[i] == pytest.approx(expected, abs=1e-16)
     q4 = top.quadrature(4)
     assert abs(q4.weights.sum() - 1.0) < 1e-14
     assert abs(q4.integrate(np.ones(len(q4.weights))) - 1.0) < 1e-14
@@ -101,9 +164,13 @@ def test_quadrature_weights():
 def test_quadrature_exact_on_cell_indicators(m_q, scale):
     topo = top.level_topology(m_q)
     q = top.quadrature(m_q)
+    *_, reps = _representative_tables(m_q)
     for cell in top.enumerate_cells(scale):
         ind = top.cell_indicator(topo, cell)
         assert q.integrate(ind) == pytest.approx(3.0 ** (-scale), abs=1e-15)
+        # the fraction of each vertex's containing cells inside `cell`
+        words = [{w for w, _ in r} for r in reps]
+        assert ind.tolist() == [sum(w[:scale] == cell for w in ws) / len(ws) for ws in words]
 
 
 def test_quadrature_level_error():
@@ -113,7 +180,7 @@ def test_quadrature_level_error():
 
 def test_coordinates():
     t1 = top.level_topology(1)
-    pts = sorted((round(v.x, 10), round(v.y, 10)) for v in t1.vertices)
+    pts = sorted((round(x, 10), round(y, 10)) for x, y in t1.coords.tolist())
     expected = sorted(
         [
             (0.0, 0.0),
