@@ -10,7 +10,7 @@ from .decimation import (
     make_descriptor,
     renormalized_lambda,
 )
-from .eigenbasis import EigenspaceBasis, localize_basis, orthonormality_check, plain_basis
+from .eigenbasis import EigenspaceBasis, localize_basis, orthonormality_check
 from .functions import (
     ConstantFunction,
     ExpressionFunction,

@@ -262,8 +262,9 @@ def validate(config):
                 v.append("f: positivity required")
             if f is not None and hasattr(f, "value") and f.value <= 0:
                 v.append("f: positivity required")
-            if f is not None and sample_level is not None and getattr(f, "scale", 0) > sample_level:
-                v.append(f"f: its 3^{f.scale} cells are finer than the sampling level {sample_level}")
+            scale = getattr(f, "scale", 0)
+            if sample_level is not None and scale > sample_level:
+                v.append(f"f: its 3^{scale} cells are finer than the sampling level {sample_level}")
         if cmd == "equidist" and config.get("functional") is not None:
             try:
                 parse_functional_spec(config["functional"])
@@ -314,7 +315,7 @@ def run(config):
 
     elif cmd == "basis":
         desc = szego._canonical_descriptor(config["series"], config["j"], config["m_q"])
-        basis = eigenbasis.localized_eigenspace(desc, config["m_q"], config["N"])
+        basis = eigenbasis.localize_basis(desc, config["m_q"], config["N"])
         eigenbasis.export_basis_csv(basis, os.path.join(out, "basis.csv"), header)
         results = {
             "dimension": basis.dimension,

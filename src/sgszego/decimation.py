@@ -183,18 +183,33 @@ def extend_eigenfunction(values, k, gamma_k):
 JUNCTION_SV_MIN = 1e-8
 
 
+def corner_normal_derivatives(values, level):
+    """-Delta at the three corners of V_level (in corner order) of functions
+    that vanish there, given by their values on the interior of V_level, one
+    column each: the negated sum of each corner's two neighbours, i.e. the
+    normal derivatives."""
+    topo = level_topology(level)
+    full = np.zeros((topo.n_vertices,) + values.shape[1:])
+    full[topo.interior_indices] = values
+    return apply_neg_laplacian(level_graph(level), full)[topo.boundary_mask]
+
+
 @lru_cache(maxsize=None)
 def _birth_space(series, j):
     """Eigenvectors of -Delta_j at the birth eigenvalue of the series, as
-    full vectors on V_j with zero boundary values; read-only.
+    full vectors on V_j with zero boundary values, orthonormal in plain
+    coordinates; read-only.
 
     Level 1: the 2-series is the constant on the three midpoints and the
     5-series their zero-sum vectors.  A 6-series at birth j is any function
     on V_{j-1} extended by gamma = 6: the new vertex on edge (p, q) opposite r
     gets (u_r - u_p - u_q) / 2, and 4 u + 2 u = 6 u holds at the old
-    vertices.  A 5-series at birth j vanishes on V_{j-1}, so it is a copy of
-    E5(j-1) in each 1-cell, kept where the two cells meeting at each point of
-    V_1 outside V_0 have normal derivatives summing to zero.
+    vertices.  The extensions of the interior unit vectors of V_{j-1} are
+    independent, because their V_{j-1} rows are the identity, and one QR of
+    their interior rows makes them orthonormal.  A 5-series at birth j
+    vanishes on V_{j-1}, so it is a copy of E5(j-1) in each 1-cell, kept where
+    the two cells meeting at each point of V_1 outside V_0 have normal
+    derivatives summing to zero.
     """
     if j == 1:
         full = np.zeros((level_topology(1).n_vertices, 2 if series == SERIES_FIVE else 1))
@@ -204,8 +219,11 @@ def _birth_space(series, j):
         else:
             full[midpoints] = 1.0 / math.sqrt(3.0)
     elif series == SERIES_SIX:
-        parent = level_topology(j - 1)
-        full = extend_values(np.eye(parent.n_vertices)[:, parent.interior_indices], j, 6.0)
+        parent, topo = level_topology(j - 1), level_topology(j)
+        unit = np.eye(parent.n_vertices)[:, parent.interior_indices]
+        q = np.linalg.qr(extend_values(unit, j, 6.0)[topo.interior_indices])[0]
+        full = np.zeros((topo.n_vertices, q.shape[1]))
+        full[topo.interior_indices] = q
     else:
         full = _five_series_birth(j)
     full.flags.writeable = False  # cached and shared by every caller
@@ -215,12 +233,9 @@ def _birth_space(series, j):
 def _five_series_birth(j):
     """Orthonormal E5(j) for j >= 2 from copies of E5(j-1) in the 1-cells."""
     small = _birth_space(SERIES_FIVE, j - 1)
-    small_topo = level_topology(j - 1)
     d = small.shape[1]
     embedding = cell_embedding(j, 1)
-    # -Delta at the corners of V_{j-1}, where the values vanish: the negated
-    # sum of the neighbours, i.e. the normal derivatives
-    normal = apply_neg_laplacian(level_graph(j - 1), small)[small_topo.boundary_mask]
+    normal = corner_normal_derivatives(small[level_topology(j - 1).interior_indices], j - 1)
     copies = np.zeros((level_topology(j).n_vertices, 3 * d))
     junction = np.zeros((3, 3 * d))
     for cell in range(3):
@@ -238,8 +253,8 @@ def _five_series_birth(j):
 
 def birth_eigenvectors(desc):
     """Eigenvectors of -Delta_j at the birth eigenvalue, as full vectors on
-    V_j with zero boundary values; columns linearly independent (orthonormal
-    in plain coordinates for the 2- and 5-series), read-only."""
+    V_j with zero boundary values, orthonormal in plain coordinates for every
+    series; read-only."""
     full = _birth_space(desc.series, desc.birth)
     if full.shape[1] != desc.multiplicity:
         raise AssertionError(

@@ -8,9 +8,13 @@ normal derivatives vanish at the cell corners.  6-series eigenfunctions all
 qualify; for the 5-series the kept part is the nullspace of the rank-2 map to
 the three boundary normal derivatives.  Copies in distinct cells have disjoint
 supports, and the remainder is their complement inside the eigenspace.
-Orthonormality is in the quadrature inner product, which is uniform on
-interior vertices, so plain-coordinate linear algebra can be rescaled by the
-square root of the common weight.
+
+Bases are orthonormal in the quadrature inner product by construction, with
+no factorization at the sampling level: each birth eigenspace is orthonormal
+in plain coordinates (one QR per 6-series birth space, none for the 2- and
+5-series), decimation extension keeps it orthogonal and scales every norm by
+one factor, and the quadrature weight is uniform on interior vertices, so
+dividing each extended column by its norm finishes the job.
 """
 from __future__ import annotations
 
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import SERIES_FIVE, SERIES_SIX, SERIES_TWO, eigenfunctions_at_level, make_descriptor
-from .laplacian import apply_neg_laplacian, level_graph
+from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, corner_normal_derivatives,
+                         eigenfunctions_at_level, make_descriptor)
 from .topology import (cell_embedding, cell_rank, enumerate_cells, interior_weight,
                        level_topology, word_str)
 
@@ -53,19 +57,22 @@ class EigenspaceBasis:
 
 
 def eigenspace_vectors(desc, m_q):
-    """Raw (not yet localized) eigenspace sampled on the interior of V_{m_q}:
-    the birth eigenspace extended downward by decimation, as a
-    plain-coordinate matrix with linearly independent columns."""
-    return eigenfunctions_at_level(desc, m_q)[level_topology(m_q).interior_indices]
+    """Quadrature-orthonormal basis of the eigenspace of `desc` on the
+    interior of V_{m_q}: the birth eigenspace, orthonormal in plain
+    coordinates, extended by decimation, each column divided by its norm.
 
-
-def orthonormalize(vectors, m_q):
-    """Quadrature-orthonormal basis of the column span."""
-    w = interior_weight(m_q)
-    q, r = np.linalg.qr(np.sqrt(w) * vectors)
-    if np.min(np.abs(np.diag(r))) < 1e-12 * np.max(np.abs(np.diag(r))):
-        raise ValueError("input columns are numerically dependent")
-    return q / np.sqrt(w)
+    The division is all the orthonormalization needed, at O(n d) cost.  A new
+    vertex takes a linear combination of its cell's corner values that is
+    symmetric in the corners, so for eigenfunctions u, v the sum of u v over a
+    cell's new vertices is a (sum over its corners of u v) + b (sum over its
+    edges pq of u_p v_q + u_q v_p).  Every interior vertex lies in two cells
+    and every edge in one, and -Delta u = gamma u turns the edge sum into
+    (4 - gamma) times the vertex sum.  So one level of extension multiplies
+    the plain Gram matrix, hence the quadrature one, by a scalar.
+    """
+    vectors = eigenfunctions_at_level(desc, m_q)[level_topology(m_q).interior_indices]
+    vectors /= np.sqrt(interior_weight(m_q) * np.einsum("ij,ij->j", vectors, vectors))
+    return vectors
 
 
 def _cell_eigenspace(desc, m_q, scale):
@@ -75,14 +82,10 @@ def _cell_eigenspace(desc, m_q, scale):
     if desc.series == SERIES_SIX and desc.birth - scale < 2:
         return np.zeros((0, 0))  # no 6-series is born at level 1
     small = make_descriptor(desc.series, desc.birth - scale, desc.signs)
-    level = m_q - scale
-    vectors = plain_basis(small, level).vectors
+    vectors = eigenspace_vectors(small, m_q - scale)
     if desc.series == SERIES_FIVE:
-        topo = level_topology(level)
-        full = np.zeros((topo.n_vertices, vectors.shape[1]))
-        full[topo.interior_indices] = vectors
-        normal = apply_neg_laplacian(level_graph(level), full)[topo.boundary_mask]
         # the three normal derivatives have rank 2; keep their nullspace
+        normal = corner_normal_derivatives(vectors, m_q - scale)
         vectors = vectors @ np.linalg.svd(normal)[2][2:].T
     return vectors
 
@@ -108,16 +111,16 @@ def _transplant(basis, small, m_q, scale):
     return vectors, tags
 
 
-def localize_basis(raw, desc, m_q, scale):
-    """Split an eigenspace into per-cell localized vectors plus a remainder.
+def localize_basis(desc, m_q, scale):
+    """The eigenspace of `desc` sampled at level m_q, split into per-cell
+    localized vectors plus a remainder.
 
     Localized columns come first, grouped by cell in address order; every
-    localized column vanishes outside its cell, and the whole output spans
-    the same subspace as `raw`.  At scale 0 the single 0-cell holds every
-    column.  The 2-series and a scale of None or of at least the generation
-    of birth localize nothing.
+    localized column vanishes outside its cell.  At scale 0 the single 0-cell
+    holds every column.  The 2-series and a scale of None or of at least the
+    generation of birth localize nothing.
     """
-    basis = orthonormalize(raw, m_q)
+    basis = eigenspace_vectors(desc, m_q)
     vectors, tags, warning = basis, (NONLOCALIZED,) * basis.shape[1], ""
     if scale is not None and scale >= desc.birth:
         warning = "localization scale is not below the generation of birth"
@@ -131,23 +134,6 @@ def localize_basis(raw, desc, m_q, scale):
                            warning=warning)
 
 
-def localized_eigenspace(desc, m_q, scale):
-    """The eigenspace of `desc` sampled at level m_q and split at the scale."""
-    return localize_basis(eigenspace_vectors(desc, m_q), desc, m_q, scale)
-
-
-def plain_basis(desc, m_q):
-    """Orthonormal eigenspace basis with no localization split."""
-    vecs = orthonormalize(eigenspace_vectors(desc, m_q), m_q)
-    return EigenspaceBasis(
-        descriptor=desc,
-        level=m_q,
-        vectors=vecs,
-        tags=(NONLOCALIZED,) * vecs.shape[1],
-        scale=None,
-    )
-
-
 def gram_matrix(basis):
     w = interior_weight(basis.level)
     return w * basis.vectors.T @ basis.vectors
@@ -157,17 +143,6 @@ def orthonormality_check(basis):
     """Max deviation of the quadrature Gram matrix from the identity."""
     g = gram_matrix(basis)
     return float(np.max(np.abs(g - np.eye(g.shape[0]))))
-
-
-def principal_angle_gap(a, b, m_q):
-    """Largest principal-angle sine between the column spans of a and b."""
-    w = interior_weight(m_q)
-    qa = np.linalg.qr(np.sqrt(w) * a)[0]
-    qb = np.linalg.qr(np.sqrt(w) * b)[0]
-    # sine computed from the projection residual, accurate near zero angle
-    ra = qb - qa @ (qa.T @ qb)
-    rb = qa - qb @ (qb.T @ qa)
-    return float(max(np.linalg.norm(ra, 2), np.linalg.norm(rb, 2)))
 
 
 def max_outside_value(basis, column):

@@ -130,9 +130,14 @@ class ExpressionFunction:
         self.expression = expression
         self._code = compile(expression, "<function-expr>", "eval")
         # an expression that compiles can still fail on arrays (an unknown
-        # name, a call of x) or give non-real values; refuse it up front
+        # name, a call of x), give non-real values, or not be pointwise (its
+        # shape depends on the length of x); refuse it up front
         try:
-            self.sample(level_topology(0))
+            corners = level_topology(0)
+            self.sample(corners)
+            point = np.asarray(self._eval(*map(np.asarray, corners.coords[0])))
+            if point.shape != () or point.dtype.kind not in "biuf":
+                raise ValueError(f"a single point gives {point!r}, not a real number")
         except Exception as exc:
             raise ValueError(f"expression {expression!r} cannot be evaluated: {exc}") from exc
 

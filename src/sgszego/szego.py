@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decimation import SERIES_SIX, enumerate_spectrum, make_descriptor
-from .eigenbasis import NONLOCALIZED, localized_eigenspace
+from .eigenbasis import NONLOCALIZED, localize_basis
 from .topology import enumerate_cells, interior_weight, level_topology, quadrature
 
 MQ_CAP = 7  # desk-scale cap on the sampling level (matrix side <= 3279)
@@ -93,14 +93,17 @@ def assemble_compressed(f_values_interior, basis):
 
 def compressed_operator(f, descriptors, m_q, scale):
     """f compressed to the sum of the eigenspaces of `descriptors`, each
-    sampled at level m_q and localized at the given scale."""
+    sampled at level m_q and localized at the given scale; raises
+    FunctionalValueError when a block has a non-finite entry."""
     topo = level_topology(m_q)
     fvals = f.sample(topo)[topo.interior_indices]
     parts, tags = [], []
     for desc in descriptors:
-        basis = localized_eigenspace(desc, m_q, scale)
+        basis = localize_basis(desc, m_q, scale)
         parts.extend(assemble_compressed(fvals, basis).parts)
         tags.extend(basis.tags)
+    if not all(np.isfinite(mat).all() for _, mat in parts):
+        raise FunctionalValueError(f"f={f.label()} compressed at level {m_q} has non-finite entries")
     return CompressedOperator(parts=tuple(parts), tags=tuple(tags), level=m_q)
 
 

@@ -77,9 +77,8 @@ def test_criterion_4_six_series_dimensions():
     for j in range(2, 7):
         m_q = min(j + 1, sz.MQ_CAP)
         desc = _canonical("six", j, m_q)
-        raw = eb.eigenspace_vectors(desc, m_q)
         for N in range(1, j):
-            basis = eb.localize_basis(raw, desc, m_q, N)
+            basis = eb.localize_basis(desc, m_q, N)
             d_loc = (3**j - 3 ** (N + 1)) // 2
             per_cell = (3 ** (j - N) - 3) // 2
             assert basis.localized_count == d_loc, (j, N)
@@ -96,9 +95,8 @@ def test_criterion_5_five_series_resolution():
     for j in range(2, 7):
         m_q = min(j + 1, sz.MQ_CAP)
         desc = _canonical("five", j, m_q)
-        raw = eb.eigenspace_vectors(desc, m_q)
         for N in range(1, min(j, 3)):
-            basis = eb.localize_basis(raw, desc, m_q, N)
+            basis = eb.localize_basis(desc, m_q, N)
             alpha = basis.nonlocalized_count
             cand_minus = (3**N - 3) // 2
             cand_plus = (3**N + 3) // 2
@@ -163,7 +161,7 @@ def test_criterion_9_equidistribution():
     for j in (2, 3, 4, 5, 6):
         m_q = min(j + 1, sz.MQ_CAP)
         desc = _canonical("six", j, m_q)
-        basis = eb.plain_basis(desc, m_q)
+        basis = eb.localize_basis(desc, m_q, None)
         topo = top.level_topology(m_q)
         op = sz.assemble_compressed(f.sample(topo)[topo.interior_indices], basis)
         for name, func in funcs.items():
@@ -181,7 +179,7 @@ def test_criterion_9_equidistribution():
 
     c = ConstantFunction(1.7)
     desc = _canonical("six", 3, 4)
-    basis = eb.plain_basis(desc, 4)
+    basis = eb.localize_basis(desc, 4, None)
     topo = top.level_topology(4)
     op = sz.assemble_compressed(c.sample(topo)[topo.interior_indices], basis)
     for name, func in funcs.items():

@@ -166,6 +166,13 @@ def test_equidist_log_matches_szego_logdet(tmp_path):
         ["szego", "--mode", "single", "--j", "3", "--f", "expr:x(1)"],
         ["szego", "--mode", "single", "--j", "3", "--f", 'expr:"a"'],
         ["equidist", "--mode", "single", "--j", "3", "--f", "expr:z"],
+        # expressions whose shape depends on the length of x, not pointwise
+        ["szego", "--mode", "single", "--j", "3", "--f", "expr:np.ones(3)+x"],
+        ["szego", "--mode", "single", "--j", "3", "--f", "expr:x[:6]+1"],
+        ["equidist", "--j", "2", "--f", "expr:x[:3]+1"],
+        # a negative sampling level with an f that has no cell scale
+        [{"m_q": -1}, "equidist", "--mode", "single", "--series", "five", "--j", "1",
+         "--f", "expr:x+1", "--F", "log"],
     ],
 )
 def test_invalid_configs_exit_2(argv, tmp_path):
@@ -199,6 +206,26 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert rc == 3
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "numerical failure"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equidist", "--mode", "single", "--j", "2", "--f", "constant:nan", "--F", "log"],
+        ["equidist", "--mode", "single", "--j", "2", "--f", "constant:1e308", "--F", "power:2"],
+        ["equidist", "--mode", "single", "--j", "2", "--f", "simple:1,nan,2", "--F", "power:2"],
+        ["szego", "--mode", "single", "--j", "2", "--f", "constant:1e308"],
+        ["szego", "--mode", "cutoff", "--m", "2", "--f", "simple:1,1e308,2"],
+    ],
+)
+def test_non_finite_compressed_operator_exit_3(argv, tmp_path):
+    out = tmp_path / "bad"
+    # NaN in f, or products of f with the basis that overflow, leave entries
+    # of the compressed operator that no factorization can take
+    assert _run(argv + ["--out", str(out)]) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "numerical failure"
+    assert "f=" in record["detail"] and "level 3" in record["detail"]
 
 
 @pytest.mark.parametrize("fspec", ["expr:x", "harmonic:0,1,2"])

@@ -9,6 +9,8 @@ from sgszego import topology as top
 from sgszego.decimation import make_descriptor
 from sgszego.functions import HarmonicFunction, SimpleCellFunction
 
+from subspaces import principal_angle_gap
+
 
 def _canonical(series, j, m):
     n = m - j
@@ -42,18 +44,23 @@ def test_extension_matches_dense(series, j, m_q):
     a = eb.eigenspace_vectors(desc, m_q)
     b = _dense_eigenspace(desc, m_q)
     assert a.shape == b.shape
-    assert eb.principal_angle_gap(a, b, m_q) < 1e-8
+    assert principal_angle_gap(a, b, m_q) < 1e-8
 
 
 def test_orthonormalize():
     desc = _canonical("six", 2, 4)
-    basis = eb.plain_basis(desc, 4)
+    basis = eb.localize_basis(desc, 4, None)
     assert eb.orthonormality_check(basis) < 1e-10
     assert basis.localized_count == 0
-    # doubling a column makes the inputs dependent
-    raw = eb.eigenspace_vectors(desc, 4)
-    with pytest.raises(ValueError):
-        eb.orthonormalize(np.hstack([raw, raw[:, :1]]), 4)
+
+
+@pytest.mark.parametrize("scale", [None, 1])
+def test_level_six_spectrum_orthonormal_at_level_seven(scale):
+    # no factorization at the sampling level: orthonormality comes from the
+    # birth basis and the scalar Gram scaling of decimation extension
+    for desc in dec.enumerate_spectrum(6).entries:
+        basis = eb.localize_basis(desc, 7, scale)
+        assert eb.orthonormality_check(basis) <= 1e-12, (desc.series, desc.birth, desc.signs)
 
 
 @pytest.mark.parametrize("scale", [1, 2, 3])
@@ -63,8 +70,7 @@ def test_six_series_localized_dimensions(scale, j):
         pytest.skip("scale must be below the generation of birth")
     m_q = min(j + 1, 6)
     desc = _canonical("six", j, m_q)
-    raw = eb.eigenspace_vectors(desc, m_q)
-    basis = eb.localize_basis(raw, desc, m_q, scale)
+    basis = eb.localize_basis(desc, m_q, scale)
     per_cell = (3 ** (j - scale) - 3) // 2
     assert basis.localized_count == 3**scale * per_cell
     assert basis.nonlocalized_count == (3 ** (scale + 1) - 3) // 2
@@ -78,8 +84,7 @@ def test_six_series_localized_dimensions(scale, j):
 def test_five_series_localized_dimensions(scale, j):
     m_q = min(j + 1, 6)
     desc = _canonical("five", j, m_q)
-    raw = eb.eigenspace_vectors(desc, m_q)
-    basis = eb.localize_basis(raw, desc, m_q, scale)
+    basis = eb.localize_basis(desc, m_q, scale)
     # the non-localized remainder has one vector per interior hole of the
     # scale plus the boundary contribution: (3^scale + 3) / 2 in total
     assert basis.nonlocalized_count == (3**scale + 3) // 2
@@ -89,7 +94,7 @@ def test_five_series_localized_dimensions(scale, j):
 
 def test_localized_vectors_vanish_outside():
     desc = _canonical("six", 3, 4)
-    basis = eb.localize_basis(eb.eigenspace_vectors(desc, 4), desc, 4, 1)
+    basis = eb.localize_basis(desc, 4, 1)
     for c, tag in enumerate(basis.tags):
         if tag != eb.NONLOCALIZED:
             assert eb.max_outside_value(basis, c) < 1e-10
@@ -98,15 +103,15 @@ def test_localized_vectors_vanish_outside():
 def test_localized_basis_orthonormal_and_span_preserving():
     desc = _canonical("six", 3, 4)
     raw = eb.eigenspace_vectors(desc, 4)
-    basis = eb.localize_basis(raw, desc, 4, 1)
+    basis = eb.localize_basis(desc, 4, 1)
     assert basis.dimension == desc.multiplicity
     assert eb.orthonormality_check(basis) < 1e-10
-    assert eb.principal_angle_gap(raw, basis.vectors, 4) < 1e-8
+    assert principal_angle_gap(raw, basis.vectors, 4) < 1e-8
 
 
 def test_distinct_cell_columns_orthogonal():
     desc = _canonical("six", 3, 4)
-    basis = eb.localize_basis(eb.eigenspace_vectors(desc, 4), desc, 4, 1)
+    basis = eb.localize_basis(desc, 4, 1)
     g = eb.gram_matrix(basis)
     for a in range(basis.dimension):
         for b in range(a + 1, basis.dimension):
@@ -117,9 +122,9 @@ def test_distinct_cell_columns_orthogonal():
 
 def test_localization_scale_warning():
     desc = _canonical("six", 2, 4)
-    basis = eb.localize_basis(eb.eigenspace_vectors(desc, 4), desc, 4, 2)
+    basis = eb.localize_basis(desc, 4, 2)
     assert basis.warning != ""
-    basis_ok = eb.localize_basis(eb.eigenspace_vectors(desc, 4), desc, 4, 1)
+    basis_ok = eb.localize_basis(desc, 4, 1)
     assert basis_ok.warning == ""
 
 
@@ -129,22 +134,22 @@ def test_cross_eigenspace_orthogonality():
     w = top.interior_weight(m_q)
     d1 = _canonical("five", 2, m_q)
     d2 = _canonical("six", 2, m_q)
-    b1 = eb.plain_basis(d1, m_q).vectors
-    b2 = eb.plain_basis(d2, m_q).vectors
+    b1 = eb.localize_basis(d1, m_q, None).vectors
+    b2 = eb.localize_basis(d2, m_q, None).vectors
     cross = w * b1.T @ b2
     assert np.max(np.abs(cross)) < 1e-9
 
 
 def test_max_outside_value_rejects_nonlocalized():
     desc = _canonical("five", 1, 3)
-    basis = eb.plain_basis(desc, 3)
+    basis = eb.localize_basis(desc, 3, None)
     with pytest.raises(ValueError):
         eb.max_outside_value(basis, 0)
 
 
 def test_basis_export(tmp_path):
     desc = _canonical("six", 2, 3)
-    basis = eb.localize_basis(eb.eigenspace_vectors(desc, 3), desc, 3, 1)
+    basis = eb.localize_basis(desc, 3, 1)
     path = tmp_path / "basis.csv"
     eb.export_basis_csv(basis, path)
     lines = path.read_text().strip().splitlines()
@@ -163,7 +168,7 @@ def _searched_localization(raw, m_q, scale):
     """{cell: plain-coordinate columns vanishing outside the closed cell}."""
     topo = top.level_topology(m_q)
     w = top.interior_weight(m_q)
-    basis = np.sqrt(w) * eb.orthonormalize(raw, m_q)
+    basis = np.linalg.qr(np.sqrt(w) * raw)[0]
     cells = top.enumerate_cells(scale)
     row_of = dict(zip(topo.interior_indices.tolist(), range(len(topo.interior_indices))))
     cell_rows = {}
@@ -197,7 +202,7 @@ def test_transplants_match_searched_localization():
     for desc, m_q, scale in _oracle_grid():
         case = (desc.series, desc.birth, desc.signs, m_q, scale)
         raw = eb.eigenspace_vectors(desc, m_q)
-        basis = eb.localize_basis(raw, desc, m_q, scale)
+        basis = eb.localize_basis(desc, m_q, scale)
         found = _searched_localization(raw, m_q, scale)
         built = {}
         for c, tag in enumerate(basis.tags):
@@ -207,7 +212,7 @@ def test_transplants_match_searched_localization():
             cell: vecs.shape[1] for cell, vecs in found.items()
         }, case
         for cell, cols in built.items():
-            gap = eb.principal_angle_gap(basis.vectors[:, cols], found[cell], m_q)
+            gap = principal_angle_gap(basis.vectors[:, cols], found[cell], m_q)
             assert gap < 1e-10, (case, cell, gap)
         topo = top.level_topology(m_q)
         full = np.zeros((topo.n_vertices, basis.localized_count))

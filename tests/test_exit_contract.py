@@ -19,9 +19,12 @@ MULTIPLIERS = st.one_of(
     ).map(lambda cs: "simple:" + ",".join(map(str, cs))),
     st.tuples(SIGNED, SIGNED, SIGNED).map(lambda c: "expr:{}*x+{}*y+{}".format(*c)),
     st.tuples(SIGNED, SIGNED, SIGNED).map(lambda h: "harmonic:{},{},{}".format(*h)),
-    # expressions that compile but fail on arrays or give non-real values
-    st.tuples(st.sampled_from(["z", "x(1)", '"a"', "1j", "np.ones(2)"]), SIGNED).map(
-        lambda t: "expr:{}+{}*y".format(*t)),
+    # expressions that compile but fail on arrays, give non-real values or
+    # are not pointwise
+    st.tuples(st.sampled_from(["z", "x(1)", '"a"', "1j", "np.ones(2)", "np.ones(3)", "x[:6]"]),
+              SIGNED).map(lambda t: "expr:{}+{}*y".format(*t)),
+    # values that make the compressed operator non-finite
+    st.sampled_from(["constant:1e308", "constant:nan"]),
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.decimation import make_descriptor
-from sgszego.eigenbasis import NONLOCALIZED, localize_basis, plain_basis
+from sgszego.eigenbasis import NONLOCALIZED, localize_basis
 from sgszego.functions import ConstantFunction, FunctionSum, HarmonicFunction, SimpleCellFunction
 
 
@@ -17,7 +17,7 @@ def _interior_values(f, m_q):
 
 def test_identity_for_constant_one():
     desc = make_descriptor("six", 2, (1,))
-    basis = plain_basis(desc, 3)
+    basis = localize_basis(desc, 3, None)
     op = sz.assemble_compressed(_interior_values(ConstantFunction(1.0), 3), basis)
     assert np.max(np.abs(op.matrix - np.eye(op.dimension))) < 1e-10
 
@@ -25,7 +25,7 @@ def test_identity_for_constant_one():
 def test_scaling_for_constant():
     c = 2.7
     desc = make_descriptor("five", 2, (-1,))
-    basis = plain_basis(desc, 3)
+    basis = localize_basis(desc, 3, None)
     op = sz.assemble_compressed(_interior_values(ConstantFunction(c), 3), basis)
     d = op.dimension
     assert np.max(np.abs(op.matrix - c * np.eye(d))) < 1e-10
@@ -37,8 +37,7 @@ def test_simple_function_localized_diagonal():
     # multiplication by its coefficient a_k
     f = SimpleCellFunction([1.0, 2.0, 3.0])
     desc = make_descriptor("six", 3, (1,))
-    raw = plain_basis(desc, 4).vectors
-    basis = localize_basis(raw, desc, 4, 1)
+    basis = localize_basis(desc, 4, 1)
     op = sz.assemble_compressed(_interior_values(f, 4), basis)
     for i, tag in enumerate(basis.tags):
         if tag != NONLOCALIZED:
@@ -51,7 +50,7 @@ def test_simple_function_localized_diagonal():
 def test_log_det_matches_eigenvalue_sum():
     f = HarmonicFunction([1.0, 1.5, 2.0])
     desc = make_descriptor("six", 2, (1, -1))
-    basis = plain_basis(desc, 4)
+    basis = localize_basis(desc, 4, None)
     op = sz.assemble_compressed(_interior_values(f, 4), basis)
     ld = sz.log_det(op)
     via_eigs = float(np.sum(np.log(sz.operator_eigenvalues(op))))
@@ -95,7 +94,7 @@ def test_single_sweep_simple_function_bound_and_rate():
 def test_operator_eigenvalue_range():
     f = SimpleCellFunction([1.0, 2.0, 3.0])
     desc = make_descriptor("six", 3, (1,))
-    basis = plain_basis(desc, 4)
+    basis = localize_basis(desc, 4, None)
     op = sz.assemble_compressed(_interior_values(f, 4), basis)
     sigma = sz.operator_eigenvalues(op)
     assert sigma.min() >= 1.0 - 1e-10
@@ -135,7 +134,7 @@ def test_gamma_partition_counts():
 def test_spectral_functionals():
     c = 1.3
     desc = make_descriptor("six", 2, (1,))
-    basis = plain_basis(desc, 3)
+    basis = localize_basis(desc, 3, None)
     op = sz.assemble_compressed(_interior_values(ConstantFunction(c), 3), basis)
     d = op.dimension
     assert sz.spectral_functional(op, math.log) == pytest.approx(sz.log_det(op) / d, abs=1e-12)
@@ -153,7 +152,7 @@ def test_spectral_functionals():
 def test_equidistribution_constant():
     c = 2.0
     desc = make_descriptor("six", 3, (1,))
-    basis = plain_basis(desc, 4)
+    basis = localize_basis(desc, 4, None)
     op = sz.assemble_compressed(_interior_values(ConstantFunction(c), 4), basis)
     spectral, riemann, gap = sz.equidistribution_compare(op, ConstantFunction(c), lambda s: s)
     assert spectral == pytest.approx(c, abs=1e-10)
@@ -167,7 +166,7 @@ def test_equidistribution_gap_shrinks():
     for j in (2, 3, 4):
         m_q = j + 1
         desc = sz._canonical_descriptor("six", j, m_q)
-        basis = plain_basis(desc, m_q)
+        basis = localize_basis(desc, m_q, None)
         op = sz.assemble_compressed(_interior_values(f, m_q), basis)
         gaps.append(sz.equidistribution_compare(op, f, lambda s: s)[2])
     assert gaps[-1] < gaps[0]
