@@ -36,6 +36,15 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 
+class ToleranceError(ArithmeticError):
+    """Raised when a measured check exceeds its tolerance; `fields` names the
+    check, its value and the limit for error.json."""
+
+    def __init__(self, check, value, limit):
+        super().__init__(f"{check} check: {value!r} exceeds the tolerance {limit!r}")
+        self.fields = {"check": check, "value": value, "limit": limit}
+
+
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -161,6 +170,8 @@ def _tolerances(config):
         if name not in tolerances:
             raise ValueError(f"tol: unknown tolerance {name!r}")
         tolerances[name] = float(value)
+        if not 0.0 <= tolerances[name] < math.inf:
+            raise ValueError(f"tol: {name} must be a finite non-negative number")
     return tolerances
 
 
@@ -316,12 +327,15 @@ def run(config):
     elif cmd == "basis":
         desc = szego._canonical_descriptor(config["series"], config["j"], config["m_q"])
         basis = eigenbasis.localize_basis(desc, config["m_q"], config["N"])
+        deviation = eigenbasis.orthonormality_check(basis)
+        if deviation > config["tolerances"]["gram"]:
+            raise ToleranceError("gram", deviation, config["tolerances"]["gram"])
         eigenbasis.export_basis_csv(basis, os.path.join(out, "basis.csv"), header)
         results = {
             "dimension": basis.dimension,
             "localized": basis.localized_count,
             "nonlocalized": basis.nonlocalized_count,
-            "max_gram_deviation": eigenbasis.orthonormality_check(basis),
+            "max_gram_deviation": deviation,
         }
 
     elif cmd == "szego":
@@ -418,8 +432,8 @@ def main(argv=None):
         return EXIT_INVALID
     try:
         run(config)
-    except (szego.NotPositiveDefiniteError, szego.FunctionalValueError) as exc:
-        record = {"error": "numerical failure", "detail": str(exc)}
+    except (szego.NotPositiveDefiniteError, szego.FunctionalValueError, ToleranceError) as exc:
+        record = {"error": "numerical failure", "detail": str(exc), **getattr(exc, "fields", {})}
         print(json.dumps(record), file=sys.stderr)
         out = config.get("out", ".")
         os.makedirs(out, exist_ok=True)

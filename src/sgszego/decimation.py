@@ -20,7 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from .laplacian import apply_neg_laplacian, extend_values, level_graph
+from .laplacian import (apply_neg_laplacian, assemble_dirichlet_laplacian, extend_values,
+                        level_graph)
 from .topology import cell_embedding, interior_count, level_topology
 
 FORBIDDEN_GAMMAS = (2.0, 5.0, 6.0)
@@ -205,11 +206,11 @@ def _birth_space(series, j):
     on V_{j-1} extended by gamma = 6: the new vertex on edge (p, q) opposite r
     gets (u_r - u_p - u_q) / 2, and 4 u + 2 u = 6 u holds at the old
     vertices.  The extensions of the interior unit vectors of V_{j-1} are
-    independent, because their V_{j-1} rows are the identity, and one QR of
-    their interior rows makes them orthonormal.  A 5-series at birth j
-    vanishes on V_{j-1}, so it is a copy of E5(j-1) in each 1-cell, kept where
-    the two cells meeting at each point of V_1 outside V_0 have normal
-    derivatives summing to zero.
+    independent, because their V_{j-1} rows are the identity, and their Gram
+    matrix is known, so its Cholesky factor makes them orthonormal
+    (`_six_series_birth`).  A 5-series at birth j vanishes on V_{j-1}, so it
+    is a copy of E5(j-1) in each 1-cell, kept where the two cells meeting at
+    each point of V_1 outside V_0 have normal derivatives summing to zero.
     """
     if j == 1:
         full = np.zeros((level_topology(1).n_vertices, 2 if series == SERIES_FIVE else 1))
@@ -219,15 +220,47 @@ def _birth_space(series, j):
         else:
             full[midpoints] = 1.0 / math.sqrt(3.0)
     elif series == SERIES_SIX:
-        parent, topo = level_topology(j - 1), level_topology(j)
-        unit = np.eye(parent.n_vertices)[:, parent.interior_indices]
-        q = np.linalg.qr(extend_values(unit, j, 6.0)[topo.interior_indices])[0]
-        full = np.zeros((topo.n_vertices, q.shape[1]))
-        full[topo.interior_indices] = q
+        full = _six_series_birth(j)
     else:
         full = _five_series_birth(j)
     full.flags.writeable = False  # cached and shared by every caller
     return full
+
+
+def _six_series_birth(j):
+    """Orthonormal E6(j) for j >= 2: the gamma = 6 extensions of the interior
+    unit vectors of V_{j-1}, times R^-T, where R R^T is their Gram matrix.
+
+    That Gram matrix is (6 I + L) / 4, with L = -Delta_{j-1} the Dirichlet
+    Laplacian on the interior of V_{j-1}.  The three new vertices of a cell
+    take (u_r - u_p - u_q) / 2, so together they contribute
+    (3 sum_corners u_c v_c - sum_edges (u_p v_q + u_q v_p)) / 4, and every
+    interior vertex lies in two cells and every edge in one; the old vertices
+    add the identity.  Its spectrum lies in (1.5, 3), so the Cholesky factor
+    is as accurate as a QR of the n x d extensions, which it replaces: the
+    columns are that QR's Q up to sign, at O(d^3) cost on the small grid.
+    """
+    parent = level_topology(j - 1)
+    gram = (6.0 * np.eye(interior_count(j - 1))
+            - assemble_dirichlet_laplacian(level_graph(j - 1)).matrix) / 4.0
+    coeffs = np.zeros((parent.n_vertices, gram.shape[0]))
+    coeffs[parent.interior_indices] = _lower_inverse(np.linalg.cholesky(gram)).T
+    return extend_values(coeffs, j, 6.0)
+
+
+def _lower_inverse(r):
+    """Inverse of the lower-triangular r by 2 x 2 block recursion, in matrix
+    products: about n^3 / 3 flops against the 2 n^3 of `np.linalg.inv`."""
+    n = r.shape[0]
+    if n <= 64:
+        return np.tril(np.linalg.inv(r))
+    h = n // 2
+    head, tail = _lower_inverse(r[:h, :h]), _lower_inverse(r[h:, h:])
+    out = np.zeros_like(r)
+    out[:h, :h] = head
+    out[h:, h:] = tail
+    out[h:, :h] = -tail @ (r[h:, :h] @ head)
+    return out
 
 
 def _five_series_birth(j):

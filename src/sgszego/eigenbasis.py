@@ -11,10 +11,11 @@ supports, and the remainder is their complement inside the eigenspace.
 
 Bases are orthonormal in the quadrature inner product by construction, with
 no factorization at the sampling level: each birth eigenspace is orthonormal
-in plain coordinates (one QR per 6-series birth space, none for the 2- and
-5-series), decimation extension keeps it orthogonal and scales every norm by
-one factor, and the quadrature weight is uniform on interior vertices, so
-dividing each extended column by its norm finishes the job.
+in plain coordinates (a Cholesky of the known d x d Gram matrix per 6-series
+birth space, no factorization for the 2- and 5-series), decimation extension
+keeps it orthogonal and scales every norm by one factor, and the quadrature
+weight is uniform on interior vertices, so dividing each extended column by
+its norm finishes the job.
 """
 from __future__ import annotations
 
@@ -102,10 +103,13 @@ def _transplant(basis, small, m_q, scale):
     vectors = np.zeros_like(basis)
     # the interior weight shrinks by 3^-scale, so 3^(scale/2) keeps unit length
     copy = 3.0 ** (scale / 2) * small
+    weighted = interior_weight(m_q) * copy
+    # the coefficients of each copy in `basis`, read off its own cell's rows
+    coeffs = np.empty((basis.shape[1], n_loc))
     for r in range(len(cells)):
         vectors[rows[r], r * p:(r + 1) * p] = copy
+        coeffs[:, r * p:(r + 1) * p] = basis[rows[r]].T @ weighted
     # a complete QR of the copies' coefficients splits the eigenspace exactly
-    coeffs = interior_weight(m_q) * basis.T @ vectors[:, :n_loc]
     vectors[:, n_loc:] = basis @ np.linalg.qr(coeffs, mode="complete")[0][:, n_loc:]
     tags = tuple(c for c in cells for _ in range(p)) + (NONLOCALIZED,) * (basis.shape[1] - n_loc)
     return vectors, tags

@@ -14,7 +14,7 @@ from .decimation import SERIES_SIX, enumerate_spectrum, make_descriptor
 from .eigenbasis import NONLOCALIZED, localize_basis
 from .topology import enumerate_cells, interior_weight, level_topology, quadrature
 
-MQ_CAP = 7  # desk-scale cap on the sampling level (matrix side <= 3279)
+MQ_CAP = 7  # desk-scale cap on the sampling level (3279 interior vertices)
 # desk-scale caps on --m of the commands that build one level: `resistance`
 # holds the dense n x n Green's matrix (775 MB for the 9843 vertices of level
 # 8, 7 GB for the 29526 of level 9), and the `topology` tables and `spectrum`

@@ -203,21 +203,29 @@ def _word_strs(ranks, m):
     return [w.decode() for w in chars.view(f"S{m}").ravel().tolist()]
 
 
+# rows formatted at a time by the table exports, which bounds their memory
+EXPORT_CHUNK = 1 << 15
+
+
 def export_vertex_table(topo, path, weights=None, header_lines=()):
     """CSV dump: id, word, corner, x, y, is_boundary, weight."""
     if weights is None and topo.m >= 1:
         weights = quadrature(topo.m).weights
-    weights = ([""] * topo.n_vertices if weights is None
-               else map(repr, np.asarray(weights, dtype=float).tolist()))
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(line + "\n")
         wr = csv.writer(fh)
         wr.writerow(["id", "word", "corner", "x", "y", "is_boundary", "weight"])
-        columns = (_word_strs(topo.rank, topo.m), topo.corner.tolist(),
-                   map(repr, topo.coords[:, 0].tolist()), map(repr, topo.coords[:, 1].tolist()),
-                   topo.boundary_mask.astype(int).tolist(), weights)
-        wr.writerows([i, *row] for i, row in enumerate(zip(*columns)))
+        for lo in range(0, topo.n_vertices, EXPORT_CHUNK):
+            part = slice(lo, lo + EXPORT_CHUNK)
+            words = _word_strs(topo.rank[part], topo.m)
+            columns = (words, topo.corner[part].tolist(),
+                       map(repr, topo.coords[part, 0].tolist()),
+                       map(repr, topo.coords[part, 1].tolist()),
+                       topo.boundary_mask[part].astype(int).tolist(),
+                       [""] * len(words) if weights is None
+                       else map(repr, np.asarray(weights[part], dtype=float).tolist()))
+            wr.writerows([i, *row] for i, row in enumerate(zip(*columns), lo))
 
 
 def export_cell_table(topo, path, header_lines=()):
@@ -226,6 +234,7 @@ def export_cell_table(topo, path, header_lines=()):
             fh.write(line + "\n")
         wr = csv.writer(fh)
         wr.writerow(["rank", "word", "v1", "v2", "v3"])
-        words = _word_strs(np.arange(len(topo.cell_vertices)), topo.m)
-        rows = zip(words, topo.cell_vertices.tolist())
-        wr.writerows([r, w, *vs] for r, (w, vs) in enumerate(rows))
+        for lo in range(0, len(topo.cell_vertices), EXPORT_CHUNK):
+            part = topo.cell_vertices[lo:lo + EXPORT_CHUNK]
+            rows = zip(_word_strs(np.arange(lo, lo + len(part)), topo.m), part.tolist())
+            wr.writerows([r, w, *vs] for r, (w, vs) in enumerate(rows, lo))

@@ -1,7 +1,8 @@
-"""Subspace comparison shared by the tests."""
+"""Subspace comparison and oracle constructions shared by the tests."""
 import numpy as np
 
-from sgszego.topology import interior_weight
+from sgszego.laplacian import extend_values
+from sgszego.topology import interior_weight, level_topology
 
 
 def principal_angle_gap(a, b, m_q):
@@ -13,3 +14,12 @@ def principal_angle_gap(a, b, m_q):
     ra = qb - qa @ (qa.T @ qb)
     rb = qa - qb @ (qb.T @ qa)
     return float(max(np.linalg.norm(ra, 2), np.linalg.norm(rb, 2)))
+
+
+def six_series_birth_by_qr(j):
+    """The 6-series birth space at j by the direct construction: the gamma = 6
+    extensions of the interior unit vectors of V_{j-1}, orthonormalized by a
+    QR of their interior rows; returned on the interior of V_j."""
+    parent, topo = level_topology(j - 1), level_topology(j)
+    unit = np.eye(parent.n_vertices)[:, parent.interior_indices]
+    return np.linalg.qr(extend_values(unit, j, 6.0)[topo.interior_indices])[0]

@@ -173,6 +173,11 @@ def test_equidist_log_matches_szego_logdet(tmp_path):
         # a negative sampling level with an f that has no cell scale
         [{"m_q": -1}, "equidist", "--mode", "single", "--series", "five", "--j", "1",
          "--f", "expr:x+1", "--F", "log"],
+        # tolerances that no measured value can be compared with, or that
+        # summary.json cannot hold
+        ["spectrum", "--m", "2", "--tol", "gram=nan"],
+        ["spectrum", "--m", "2", "--tol", "gram=inf"],
+        [{"tolerances": {"logdet_rel": -1e-8}}, "spectrum", "--m", "2"],
     ],
 )
 def test_invalid_configs_exit_2(argv, tmp_path):

@@ -9,7 +9,7 @@ from sgszego import decimation as dec
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
-from subspaces import principal_angle_gap
+from subspaces import principal_angle_gap, six_series_birth_by_qr
 
 
 def test_gamma_step_values():
@@ -185,9 +185,39 @@ def test_birth_eigenvectors_level_seven_without_dense_solve(series):
     assert full.shape[1] == desc.multiplicity
     assert max(_birth_residuals(desc, full)) <= 1e-9
     assert np.max(np.abs(full.T @ full - np.eye(desc.multiplicity))) <= 1e-12
-    if series == "five":
-        assert np.max(np.abs(full.T @ full - np.eye(desc.multiplicity))) <= 1e-12
     assert not full.flags.writeable
+
+
+@pytest.mark.parametrize("j", range(2, 8))
+def test_six_series_birth_from_known_gram(j):
+    parent, topo = top.level_topology(j - 1), top.level_topology(j)
+    # the Gram matrix of the gamma = 6 extensions of the interior unit vectors
+    # of V_{j-1} is (6 I + L_{j-1}) / 4, with L_{j-1} = -Delta_{j-1}
+    unit = np.eye(parent.n_vertices)[:, parent.interior_indices]
+    ext = lap.extend_values(unit, j, 6.0)[topo.interior_indices]
+    neg_laplacian = -lap.assemble_dirichlet_laplacian(lap.level_graph(j - 1)).matrix
+    d = top.interior_count(j - 1)
+    assert np.max(np.abs(ext.T @ ext - (6.0 * np.eye(d) + neg_laplacian) / 4.0)) <= 1e-14
+    # the Cholesky construction is the QR's orthonormal basis up to column sign
+    full = dec._birth_space("six", j)
+    assert np.all(full[topo.boundary_mask] == 0.0)
+    q = six_series_birth_by_qr(j)
+    basis = full[topo.interior_indices]
+    signs = np.sign(np.sum(q * basis, axis=0))
+    assert np.all(signs != 0.0)
+    assert np.max(np.abs(q * signs - basis)) <= 1e-13
+    assert np.max(np.abs(full.T @ full - np.eye(d))) <= 1e-14
+    assert max(_birth_residuals(dec.make_descriptor("six", j, ()), full)) <= 1e-14
+
+
+def test_lower_inverse():
+    rng = np.random.default_rng(0)
+    # sizes at, just above and well above the size that recursion stops at
+    for n in (1, 5, 64, 65, 300):
+        r = np.tril(rng.uniform(-0.3, 0.3, (n, n))) + 2.0 * np.eye(n)
+        inv = dec._lower_inverse(r)
+        assert np.all(np.triu(inv, 1) == 0.0)
+        assert np.max(np.abs(inv @ r - np.eye(n))) <= 1e-13
 
 
 def test_birth_eigenvectors_dimension_check():

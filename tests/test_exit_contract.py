@@ -108,3 +108,19 @@ def test_every_config_file_exits_0_2_or_3(invocation):
         with open(path, "w") as fh:
             json.dump(config, fh)
         assert _exit_code(["--config", path, *argv, "--out", out]) in (0, 2, 3)
+
+
+def test_gram_tolerance_enforced_exit_3():
+    # the basis command measures the Gram deviation, at most about 1e-15 here,
+    # and a tolerance below it is a numerical failure, not a recorded number
+    argv = ["basis", "--series", "five", "--j", "3", "--N", "1", "--m-q", "3"]
+    with tempfile.TemporaryDirectory() as out:
+        assert _exit_code(argv + ["--tol", "gram=1e-30", "--out", out]) == 3
+        with open(os.path.join(out, "error.json")) as fh:
+            record = json.load(fh)
+        assert record["error"] == "numerical failure"
+        assert record["check"] == "gram" and record["limit"] == 1e-30
+        assert 1e-30 < record["value"] <= 1e-13
+        assert not os.path.exists(os.path.join(out, "basis.csv"))
+    with tempfile.TemporaryDirectory() as out:
+        assert _exit_code(argv + ["--out", out]) == 0

@@ -60,6 +60,16 @@ def test_topology_csv_bodies_pinned(m, tmp_path):
     assert got == TOPOLOGY_DIGESTS[m]
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 40])
+def test_topology_csv_bodies_pinned_across_export_chunks(chunk, tmp_path, monkeypatch):
+    # the exports format a fixed number of rows at a time; the level-5 tables
+    # (366 vertices, 243 cells) then span many chunks and a partial last one
+    monkeypatch.setattr(top, "EXPORT_CHUNK", chunk)
+    assert cli.main(["topology", "--m", "5", "--out", str(tmp_path)]) == 0
+    got = (_body_digest(tmp_path / "vertices.csv"), _body_digest(tmp_path / "cells.csv"))
+    assert got == TOPOLOGY_DIGESTS[5]
+
+
 @pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
 def test_sample_bytes_pinned(name):
     vals = np.ascontiguousarray(SAMPLED[name].sample(top.level_topology(6)), dtype=np.float64)
