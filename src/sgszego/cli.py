@@ -328,14 +328,20 @@ def run(config):
         desc = szego._canonical_descriptor(config["series"], config["j"], config["m_q"])
         basis = eigenbasis.localize_basis(desc, config["m_q"], config["N"])
         deviation = eigenbasis.orthonormality_check(basis)
-        if deviation > config["tolerances"]["gram"]:
-            raise ToleranceError("gram", deviation, config["tolerances"]["gram"])
+        graph = laplacian.level_graph(config["m_q"])
+        full = np.zeros((graph.n_vertices, basis.dimension))
+        full[graph.topology.interior_indices] = basis.vectors
+        residual = laplacian.eigen_residual(graph, full, desc.gamma_at(config["m_q"]))
+        for check, value in (("gram", deviation), ("eigen_residual", residual)):
+            if value > config["tolerances"][check]:
+                raise ToleranceError(check, value, config["tolerances"][check])
         eigenbasis.export_basis_csv(basis, os.path.join(out, "basis.csv"), header)
         results = {
             "dimension": basis.dimension,
             "localized": basis.localized_count,
             "nonlocalized": basis.nonlocalized_count,
             "max_gram_deviation": deviation,
+            "max_eigen_residual": residual,
         }
 
     elif cmd == "szego":

@@ -20,8 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .laplacian import (apply_neg_laplacian, assemble_dirichlet_laplacian, extend_values,
-                        level_graph)
+from .laplacian import assemble_dirichlet_laplacian, extend_values, level_graph
 from .topology import cell_embedding, interior_count, level_topology
 
 FORBIDDEN_GAMMAS = (2.0, 5.0, 6.0)
@@ -188,11 +187,35 @@ def corner_normal_derivatives(values, level):
     """-Delta at the three corners of V_level (in corner order) of functions
     that vanish there, given by their values on the interior of V_level, one
     column each: the negated sum of each corner's two neighbours, i.e. the
-    normal derivatives."""
+    normal derivatives.  Corner c lies in the one level-cell c c ... c, and
+    its neighbours are that cell's other two corners."""
     topo = level_topology(level)
-    full = np.zeros((topo.n_vertices,) + values.shape[1:])
-    full[topo.interior_indices] = values
-    return apply_neg_laplacian(level_graph(level), full)[topo.boundary_mask]
+    cells = topo.cell_vertices[[0, (3**level - 1) // 2, 3**level - 1]]
+    neighbours = cells[np.arange(3)[:, None], [[1, 2], [0, 2], [0, 1]]]
+    pos = np.searchsorted(topo.interior_indices, neighbours)
+    return -(values[pos[:, 0]] + values[pos[:, 1]])
+
+
+def junction_nullspace(normal, scale):
+    """Orthonormal coefficients of copies of q functions in every scale-cell,
+    q per cell in address order, under which the normal derivatives of the
+    two cells meeting at each interior vertex of V_scale sum to zero.
+
+    `normal` holds the functions' normal derivatives at the corners q_1, q_2,
+    q_3, one row per corner.  The junction matrix has one row per interior
+    vertex of V_scale and is read off `cell_vertices`; its nullspace comes
+    from an SVD, which also checks that the rows are independent.
+    """
+    topo = level_topology(scale)
+    q = normal.shape[1]
+    junction = np.zeros((interior_count(scale), 3**scale, q))
+    cell, corner = np.nonzero(~topo.boundary_mask[topo.cell_vertices])
+    row = np.searchsorted(topo.interior_indices, topo.cell_vertices[cell, corner])
+    junction[row, cell] = normal[corner]
+    _, sv, vh = np.linalg.svd(junction.reshape(len(junction), -1))
+    if sv[-1] < JUNCTION_SV_MIN * sv[0]:
+        raise AssertionError(f"5-series junction conditions at scale {scale} are dependent")
+    return vh[len(sv):].T
 
 
 @lru_cache(maxsize=None)
@@ -227,24 +250,68 @@ def _birth_space(series, j):
     return full
 
 
+def _six_series_gram(j):
+    """(6 I + L) / 4 with L = -Delta_{j-1} the Dirichlet Laplacian on the
+    interior of V_{j-1}: the Gram matrix of the gamma = 6 extensions to V_j
+    of the interior unit vectors of V_{j-1}.
+
+    The three new vertices of a cell take (u_r - u_p - u_q) / 2, so together
+    they contribute (3 sum_corners u_c v_c - sum_edges (u_p v_q + u_q v_p)) / 4,
+    and every interior vertex lies in two cells and every edge in one; the
+    old vertices add the identity.  Its spectrum lies in (1.5, 3).
+    """
+    return (6.0 * np.eye(interior_count(j - 1))
+            - assemble_dirichlet_laplacian(level_graph(j - 1)).matrix) / 4.0
+
+
 def _six_series_birth(j):
     """Orthonormal E6(j) for j >= 2: the gamma = 6 extensions of the interior
-    unit vectors of V_{j-1}, times R^-T, where R R^T is their Gram matrix.
-
-    That Gram matrix is (6 I + L) / 4, with L = -Delta_{j-1} the Dirichlet
-    Laplacian on the interior of V_{j-1}.  The three new vertices of a cell
-    take (u_r - u_p - u_q) / 2, so together they contribute
-    (3 sum_corners u_c v_c - sum_edges (u_p v_q + u_q v_p)) / 4, and every
-    interior vertex lies in two cells and every edge in one; the old vertices
-    add the identity.  Its spectrum lies in (1.5, 3), so the Cholesky factor
-    is as accurate as a QR of the n x d extensions, which it replaces: the
-    columns are that QR's Q up to sign, at O(d^3) cost on the small grid.
+    unit vectors of V_{j-1}, times R^-T, where R R^T = `_six_series_gram(j)`.
+    The Gram matrix is well conditioned, so the Cholesky factor is as accurate
+    as a QR of the n x d extensions, which it replaces: the columns are that
+    QR's Q up to sign, at O(d^3) cost on the small grid.
     """
     parent = level_topology(j - 1)
-    gram = (6.0 * np.eye(interior_count(j - 1))
-            - assemble_dirichlet_laplacian(level_graph(j - 1)).matrix) / 4.0
-    coeffs = np.zeros((parent.n_vertices, gram.shape[0]))
-    coeffs[parent.interior_indices] = _lower_inverse(np.linalg.cholesky(gram)).T
+    coeffs = np.zeros((parent.n_vertices, interior_count(j - 1)))
+    coeffs[parent.interior_indices] = _lower_inverse(np.linalg.cholesky(_six_series_gram(j))).T
+    return extend_values(coeffs, j, 6.0)
+
+
+def six_series_remainder(j, scale):
+    """The part of E6(j) orthogonal to the copies of E6(j - scale) in the
+    scale-cells, for 1 <= scale <= j - 2: Ext(G^-1 E) R^-T on V_j, with Ext
+    the gamma = 6 extension from V_{j-1}, G = `_six_series_gram(j)`, E the
+    unit vectors of the interior vertices of V_scale, and R R^T = E^T G^-1 E.
+    Its columns are orthonormal in plain coordinates, one per interior vertex
+    of V_scale.
+
+    The copies are the extensions of the functions on V_{j-1} that vanish on
+    V_scale, so the remainder is the G-orthogonal complement, the extensions
+    of G^-1 E.  G is eliminated cell by cell: V_scale vertices are not
+    adjacent at level j - 1, so G is 5/2 there, and its block on the interior
+    of each scale-cell is the level-(j - 1 - scale) matrix
+    `_six_series_gram(j - scale)`.  With H the map from a cell's corner values
+    to its interior values that solves G v = 0 there, E^T G^-1 E is the
+    inverse of the Schur complement S = 5/2 I - sum over cells of the corner
+    block of G H, and G^-1 E R^-T is R on V_scale and H R inside each cell.
+    """
+    small = level_topology(j - 1 - scale)
+    # the coupling of G between a cell's interior and its corners, corners by rows
+    coupling = corner_normal_derivatives(np.eye(len(small.interior_indices)), small.m) / 4.0
+    harmonic = -np.linalg.solve(_six_series_gram(j - scale), coupling.T)
+    outer = level_topology(scale)
+    corners = outer.cell_vertices
+    schur = np.zeros((outer.n_vertices, outer.n_vertices))
+    np.add.at(schur, (corners[:, :, None], corners[:, None, :]), coupling @ harmonic)
+    inner = outer.interior_indices
+    schur = 2.5 * np.eye(len(inner)) + schur[np.ix_(inner, inner)]
+    values = np.zeros((outer.n_vertices, len(inner)))
+    values[inner] = np.linalg.cholesky(np.linalg.inv(schur))
+    cells = np.zeros((len(corners), small.n_vertices, len(inner)))
+    cells[:, small.boundary_mask] = values[corners]
+    cells[:, small.interior_indices] = harmonic @ values[corners]
+    coeffs = np.zeros((level_topology(j - 1).n_vertices, len(inner)))
+    coeffs[cell_embedding(j - 1, scale)] = cells
     return extend_values(coeffs, j, 6.0)
 
 
@@ -264,24 +331,13 @@ def _lower_inverse(r):
 
 
 def _five_series_birth(j):
-    """Orthonormal E5(j) for j >= 2 from copies of E5(j-1) in the 1-cells."""
+    """Orthonormal E5(j) for j >= 2 from copies of E5(j-1) in the 1-cells,
+    glued at the three junctions (`junction_nullspace` at scale 1)."""
     small = _birth_space(SERIES_FIVE, j - 1)
-    d = small.shape[1]
-    embedding = cell_embedding(j, 1)
     normal = corner_normal_derivatives(small[level_topology(j - 1).interior_indices], j - 1)
-    copies = np.zeros((level_topology(j).n_vertices, 3 * d))
-    junction = np.zeros((3, 3 * d))
-    for cell in range(3):
-        block = slice(cell * d, (cell + 1) * d)
-        copies[embedding[cell], block] = small
-        for corner in range(3):
-            # the midpoint of edge q_a q_b is F_a(q_b) = F_b(q_a): row a + b - 1
-            if corner != cell:
-                junction[cell + corner - 1, block] = normal[corner]
-    _, sv, vh = np.linalg.svd(junction)
-    if sv[-1] < JUNCTION_SV_MIN * sv[0]:
-        raise AssertionError(f"5-series junction conditions at birth {j} are dependent")
-    return copies @ vh[3:].T
+    copies = np.zeros((level_topology(j).n_vertices, 3, small.shape[1]))
+    copies[cell_embedding(j, 1), np.arange(3)[:, None]] = small
+    return copies.reshape(len(copies), -1) @ junction_nullspace(normal, 1)
 
 
 def birth_eigenvectors(desc):
@@ -297,12 +353,14 @@ def birth_eigenvectors(desc):
     return full
 
 
-def eigenfunctions_at_level(desc, m_q):
-    """Eigenspace of the descriptor sampled on V_{m_q}: the birth eigenspace
-    followed by decimation extension."""
+def eigenfunctions_at_level(desc, m_q, vals=None):
+    """Eigenspace of the descriptor sampled on V_{m_q}: the birth eigenspace,
+    or the columns `vals` on V_birth inside it, followed by decimation
+    extension."""
     if m_q < desc.birth:
         raise ValueError("sampling level precedes generation of birth")
-    vals = birth_eigenvectors(desc)
+    if vals is None:
+        vals = birth_eigenvectors(desc)
     for k in range(desc.birth + 1, m_q + 1):
         vals = extend_eigenfunction(vals, k, desc.gamma_at(k))
     return vals

@@ -1,5 +1,5 @@
 """Orthonormal eigenspace bases split into scale-N localized vectors (one
-group per N-cell) and a non-localized remainder.
+group per N-cell) and a non-localized remainder, kept as that split.
 
 Localized vectors are built from self-similarity: an eigenfunction of the
 descriptor with the same series and sign word born N generations earlier,
@@ -7,7 +7,12 @@ copied into an N-cell and zero elsewhere, is an eigenfunction whenever its
 normal derivatives vanish at the cell corners.  6-series eigenfunctions all
 qualify; for the 5-series the kept part is the nullspace of the rank-2 map to
 the three boundary normal derivatives.  Copies in distinct cells have disjoint
-supports, and the remainder is their complement inside the eigenspace.
+supports.  The remainder, their complement inside the eigenspace, is built
+in closed form and needs no factorization of the eigenspace: for the
+6-series it is `decimation.six_series_remainder` extended to the sampling
+level; for the 5-series it is the other two directions of the small space
+copied into every cell and glued where two cells meet, so that their normal
+derivatives cancel (`decimation.junction_nullspace`).
 
 Bases are orthonormal in the quadrature inner product by construction, with
 no factorization at the sampling level: each birth eigenspace is orthonormal
@@ -24,37 +29,83 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, corner_normal_derivatives,
-                         eigenfunctions_at_level, make_descriptor)
-from .topology import (cell_embedding, cell_rank, enumerate_cells, interior_weight,
-                       level_topology, word_str)
+from .decimation import (SERIES_SIX, SERIES_TWO, corner_normal_derivatives,
+                         eigenfunctions_at_level, junction_nullspace, make_descriptor,
+                         six_series_remainder)
+from .topology import (cell_embedding, cell_rank, enumerate_cells, interior_count,
+                       interior_weight, level_topology, word_str)
 
 NONLOCALIZED = "nonlocalized"
 
 
 @dataclass(frozen=True)
 class EigenspaceBasis:
+    """An eigenspace basis kept as its split.  The localized columns are the
+    small eigenspace `small` times 3^(scale/2), copied into the interior rows
+    `rows[c]` of V_level of each scale-cell c and zero elsewhere; the
+    `remainder` columns follow.  An unsplit basis has no cells, and its
+    remainder is the whole basis.  `vectors` assembles the dense columns."""
+
     descriptor: object
     level: int  # sampling level m_q
-    vectors: np.ndarray  # (n_interior, d), orthonormal in the quadrature ip
-    tags: tuple  # per column: an N-cell word, or NONLOCALIZED
     scale: int  # localization scale N (or None)
+    small: np.ndarray  # (interior of V_{level - scale}, p), quadrature-orthonormal there
+    rows: np.ndarray  # (cells, interior of V_{level - scale}), rows into the interior of V_level
+    remainder: np.ndarray  # (interior of V_level, r), quadrature-orthonormal
     warning: str = ""
 
     @property
-    def dimension(self):
-        return self.vectors.shape[1]
+    def cells(self):
+        return tuple(enumerate_cells(self.scale)) if len(self.rows) else ()
+
+    @property
+    def copy_factor(self):
+        return _copy_factor(self.scale)
 
     @property
     def localized_count(self):
-        return sum(1 for t in self.tags if t != NONLOCALIZED)
+        return len(self.rows) * self.small.shape[1]
 
     @property
     def nonlocalized_count(self):
-        return sum(1 for t in self.tags if t == NONLOCALIZED)
+        return self.remainder.shape[1]
+
+    @property
+    def dimension(self):
+        return self.localized_count + self.nonlocalized_count
+
+    @property
+    def tags(self):
+        """Per column: an N-cell word, or NONLOCALIZED."""
+        p = self.small.shape[1]
+        return (tuple(c for c in self.cells for _ in range(p))
+                + (NONLOCALIZED,) * self.nonlocalized_count)
 
     def localized_count_for_cell(self, cell):
-        return sum(1 for t in self.tags if t == cell)
+        return self.small.shape[1] if cell in self.cells else 0
+
+    @property
+    def vectors(self):
+        """The dense (n_interior, d) columns, orthonormal in the quadrature
+        inner product; assembled on every access."""
+        p, n_loc = self.small.shape[1], self.localized_count
+        out = np.zeros((len(self.remainder), self.dimension))
+        for c, rows in enumerate(self.rows):
+            out[rows, c * p:(c + 1) * p] = self.copy_factor * self.small
+        out[:, n_loc:] = self.remainder
+        return out
+
+
+def _copy_factor(scale):
+    # the interior weight shrinks by 3^-scale, so 3^(scale/2) keeps unit length
+    return 3.0 ** (scale / 2)
+
+
+def _normalized_interior(full, m_q):
+    """The interior rows of columns on V_{m_q}, each divided by its norm."""
+    vectors = full[level_topology(m_q).interior_indices]
+    vectors /= np.sqrt(interior_weight(m_q) * np.einsum("ij,ij->j", vectors, vectors))
+    return vectors
 
 
 def eigenspace_vectors(desc, m_q):
@@ -71,48 +122,37 @@ def eigenspace_vectors(desc, m_q):
     (4 - gamma) times the vertex sum.  So one level of extension multiplies
     the plain Gram matrix, hence the quadrature one, by a scalar.
     """
-    vectors = eigenfunctions_at_level(desc, m_q)[level_topology(m_q).interior_indices]
-    vectors /= np.sqrt(interior_weight(m_q) * np.einsum("ij,ij->j", vectors, vectors))
-    return vectors
+    return _normalized_interior(eigenfunctions_at_level(desc, m_q), m_q)
 
 
-def _cell_eigenspace(desc, m_q, scale):
-    """Quadrature-orthonormal columns on the interior of V_{m_q - scale}, each
-    of which, copied into any scale-cell, is an eigenfunction of `desc` at
-    level m_q.  Requires 1 <= scale < birth and a 5- or 6-series descriptor."""
-    if desc.series == SERIES_SIX and desc.birth - scale < 2:
-        return np.zeros((0, 0))  # no 6-series is born at level 1
-    small = make_descriptor(desc.series, desc.birth - scale, desc.signs)
-    vectors = eigenspace_vectors(small, m_q - scale)
-    if desc.series == SERIES_FIVE:
-        # the three normal derivatives have rank 2; keep their nullspace
-        normal = corner_normal_derivatives(vectors, m_q - scale)
-        vectors = vectors @ np.linalg.svd(normal)[2][2:].T
-    return vectors
-
-
-def _transplant(basis, small, m_q, scale):
-    """Copies of `small` in every scale-cell, then the complement of their
-    span inside the span of the orthonormal `basis`; returns (vectors, tags)."""
+def _cell_rows(m_q, scale):
+    """Interior rows of V_{m_q} of the interior vertices of V_{m_q - scale}
+    mapped into each scale-cell, one row per cell in address order."""
     interior = level_topology(m_q).interior_indices
     small_interior = level_topology(m_q - scale).interior_indices
-    rows = np.searchsorted(interior, cell_embedding(m_q, scale)[:, small_interior])
-    cells = enumerate_cells(scale)
-    p = small.shape[1]
-    n_loc = len(cells) * p
-    vectors = np.zeros_like(basis)
-    # the interior weight shrinks by 3^-scale, so 3^(scale/2) keeps unit length
-    copy = 3.0 ** (scale / 2) * small
-    weighted = interior_weight(m_q) * copy
-    # the coefficients of each copy in `basis`, read off its own cell's rows
-    coeffs = np.empty((basis.shape[1], n_loc))
-    for r in range(len(cells)):
-        vectors[rows[r], r * p:(r + 1) * p] = copy
-        coeffs[:, r * p:(r + 1) * p] = basis[rows[r]].T @ weighted
-    # a complete QR of the copies' coefficients splits the eigenspace exactly
-    vectors[:, n_loc:] = basis @ np.linalg.qr(coeffs, mode="complete")[0][:, n_loc:]
-    tags = tuple(c for c in cells for _ in range(p)) + (NONLOCALIZED,) * (basis.shape[1] - n_loc)
-    return vectors, tags
+    return np.searchsorted(interior, cell_embedding(m_q, scale)[:, small_interior])
+
+
+def _split(desc, m_q, scale):
+    """(small, remainder) for 1 <= scale < birth and a 5- or 6-series
+    descriptor, or None when the small space has no columns to copy: no
+    6-series is born at level 1, and the 5-series born at level 1 has no
+    part with vanishing normal derivatives."""
+    if desc.birth - scale < 2:
+        return None
+    small_desc = make_descriptor(desc.series, desc.birth - scale, desc.signs)
+    small = eigenspace_vectors(small_desc, m_q - scale)
+    if desc.series == SERIES_SIX:
+        birth = six_series_remainder(desc.birth, scale)
+        return small, _normalized_interior(eigenfunctions_at_level(desc, m_q, birth), m_q)
+    # the three normal derivatives have rank 2: keep their nullspace, and glue
+    # copies of the other two directions at the interior vertices of V_scale
+    normal = corner_normal_derivatives(small, m_q - scale)
+    vh = np.linalg.svd(normal)[2]
+    glue = junction_nullspace(normal @ vh[:2].T, scale).reshape(3**scale, 2, -1)
+    remainder = np.zeros((interior_count(m_q), glue.shape[2]))
+    remainder[_cell_rows(m_q, scale)] = _copy_factor(scale) * (small @ vh[:2].T) @ glue
+    return small @ vh[2:].T, remainder
 
 
 def localize_basis(desc, m_q, scale):
@@ -124,18 +164,26 @@ def localize_basis(desc, m_q, scale):
     holds every column.  The 2-series and a scale of None or of at least the
     generation of birth localize nothing.
     """
-    basis = eigenspace_vectors(desc, m_q)
-    vectors, tags, warning = basis, (NONLOCALIZED,) * basis.shape[1], ""
+    split, warning = None, ""
     if scale is not None and scale >= desc.birth:
         warning = "localization scale is not below the generation of birth"
     elif scale == 0 and desc.series != SERIES_TWO:
-        tags = ((),) * basis.shape[1]
+        split = eigenspace_vectors(desc, m_q), np.zeros((interior_count(m_q), 0))
     elif scale is not None and desc.series != SERIES_TWO:
-        small = _cell_eigenspace(desc, m_q, scale)
-        if small.shape[1]:
-            vectors, tags = _transplant(basis, small, m_q, scale)
-    return EigenspaceBasis(descriptor=desc, level=m_q, vectors=vectors, tags=tags, scale=scale,
-                           warning=warning)
+        split = _split(desc, m_q, scale)
+    if split is None:  # no cells: the remainder is the whole basis
+        split = np.zeros((0, 0)), eigenspace_vectors(desc, m_q)
+        rows = np.zeros((0, 0), dtype=np.int64)
+    else:
+        rows = _cell_rows(m_q, scale)
+    small, remainder = split
+    basis = EigenspaceBasis(descriptor=desc, level=m_q, scale=scale, small=small, rows=rows,
+                            remainder=remainder, warning=warning)
+    if basis.dimension != desc.multiplicity:
+        raise AssertionError(
+            f"{basis.localized_count} localized and {basis.nonlocalized_count} remainder columns "
+            f"of {desc.series} j={desc.birth} at scale {scale}, expected {desc.multiplicity} in all")
+    return basis
 
 
 def gram_matrix(basis):
@@ -163,13 +211,13 @@ def max_outside_value(basis, column):
 def export_basis_csv(basis, path, header_lines=()):
     topo = level_topology(basis.level)
     interior = topo.interior_indices
+    vectors = basis.vectors
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(line + "\n")
         wr = csv.writer(fh)
         wr.writerow(["vertex_id", "column", "value", "tag"])
-        for c in range(basis.dimension):
-            tag = basis.tags[c]
+        for c, tag in enumerate(basis.tags):
             tag_s = tag if tag == NONLOCALIZED else word_str(tag)
             for row, idx in enumerate(interior):
-                wr.writerow([int(idx), c, repr(float(basis.vectors[row, c])), tag_s])
+                wr.writerow([int(idx), c, repr(float(vectors[row, c])), tag_s])

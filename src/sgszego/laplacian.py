@@ -107,13 +107,13 @@ def apply_neg_laplacian(g, values):
 
 def eigen_residual(g, values, gamma):
     """Max-norm residual of -Delta u = gamma u over the interior, relative to
-    the max of |u|."""
+    the max of |u|; for values with one column per function, the largest of
+    the columns' residuals.  A zero function has residual 0."""
+    values = np.asarray(values, dtype=float)
     interior = g.topology.interior_indices
-    r = apply_neg_laplacian(g, values) - gamma * values
-    scale = np.max(np.abs(values))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(r[interior])) / scale)
+    r = np.max(np.abs(apply_neg_laplacian(g, values) - gamma * values)[interior], axis=0)
+    scale = np.atleast_1d(np.max(np.abs(values), axis=0))
+    return float(np.max(r / np.where(scale > 0.0, scale, 1.0)))
 
 
 @lru_cache(maxsize=None)

@@ -23,3 +23,11 @@ def six_series_birth_by_qr(j):
     parent, topo = level_topology(j - 1), level_topology(j)
     unit = np.eye(parent.n_vertices)[:, parent.interior_indices]
     return np.linalg.qr(extend_values(unit, j, 6.0)[topo.interior_indices])[0]
+
+
+def complement_by_qr(basis, copies, m_q):
+    """The complement of the span of the quadrature-orthonormal `copies`
+    inside the span of the quadrature-orthonormal `basis`: `basis` times the
+    trailing columns of a complete QR of the copies' coefficients in it."""
+    coeffs = interior_weight(m_q) * basis.T @ copies
+    return basis @ np.linalg.qr(coeffs, mode="complete")[0][:, copies.shape[1]:]

@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from sgszego import cli
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _run(argv):
@@ -299,6 +305,22 @@ def test_determinism_byte_identical(tmp_path):
     assert _run(argv + ["--out", str(b)]) == 0
     assert (a / "szego_single.csv").read_bytes() == (b / "szego_single.csv").read_bytes()
     assert (a / "equidist.csv").exists() is False
+
+
+@pytest.mark.parametrize("series,j,N,m_q", [("six", 4, 2, 6), ("five", 4, 2, 5)])
+def test_basis_csv_byte_identical_across_processes(series, j, N, m_q, tmp_path):
+    # the remainder columns are built in closed form, so two cold runs of one
+    # config write the same bytes, the non-localized columns included
+    argv = [sys.executable, "-m", "sgszego.cli", "basis", "--series", series, "--j", str(j),
+            "--N", str(N), "--m-q", str(m_q)]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    bodies = []
+    for name in ("a", "b"):
+        subprocess.run(argv + ["--out", str(tmp_path / name)], check=True, env=env)
+        bodies.append((tmp_path / name / "basis.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+    assert b"nonlocalized" in bodies[0]
 
 
 def test_config_file_with_flag_override(tmp_path):

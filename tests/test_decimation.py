@@ -220,6 +220,28 @@ def test_lower_inverse():
         assert np.max(np.abs(inv @ r - np.eye(n))) <= 1e-13
 
 
+@pytest.mark.parametrize("level", range(1, 7))
+def test_corner_normal_derivatives_match_laplacian(level):
+    topo = top.level_topology(level)
+    values = np.random.default_rng(level).normal(size=(len(topo.interior_indices), 4))
+    full = np.zeros((topo.n_vertices, 4))
+    full[topo.interior_indices] = values
+    expected = lap.apply_neg_laplacian(lap.level_graph(level), full)[topo.boundary_mask]
+    assert np.allclose(dec.corner_normal_derivatives(values, level), expected, rtol=0.0, atol=1e-14)
+
+
+def test_junction_nullspace():
+    # the birth normal derivatives of E5(2) glued at the three junctions of V_1
+    normal = dec.corner_normal_derivatives(
+        dec._birth_space("five", 2)[top.level_topology(2).interior_indices], 2)
+    null = dec.junction_nullspace(normal, 1)
+    assert null.shape == (9, 6)
+    assert np.max(np.abs(null.T @ null - np.eye(6))) <= 1e-14
+    # two corner derivatives that vanish together make two junctions the same row
+    with pytest.raises(AssertionError):
+        dec.junction_nullspace(np.array([[1.0], [1.0], [0.0]]), 1)
+
+
 def test_birth_eigenvectors_dimension_check():
     # a descriptor claiming the wrong multiplicity is refused
     desc = dataclasses.replace(dec.make_descriptor("six", 3, ()), multiplicity=11)

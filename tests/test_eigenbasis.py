@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from sgszego import topology as top
 from sgszego.decimation import make_descriptor
 from sgszego.functions import HarmonicFunction, SimpleCellFunction
 
-from subspaces import principal_angle_gap
+from subspaces import complement_by_qr, principal_angle_gap
 
 
 def _canonical(series, j, m):
@@ -47,7 +50,7 @@ def test_extension_matches_dense(series, j, m_q):
     assert principal_angle_gap(a, b, m_q) < 1e-8
 
 
-def test_orthonormalize():
+def test_unsplit_basis_orthonormal():
     desc = _canonical("six", 2, 4)
     basis = eb.localize_basis(desc, 4, None)
     assert eb.orthonormality_check(basis) < 1e-10
@@ -118,6 +121,14 @@ def test_distinct_cell_columns_orthogonal():
             ta, tb = basis.tags[a], basis.tags[b]
             if eb.NONLOCALIZED not in (ta, tb) and ta != tb:
                 assert abs(g[a, b]) < 1e-12
+
+
+def test_split_column_count_check():
+    # a descriptor claiming the wrong multiplicity is refused by the split,
+    # which never builds the birth space that checks it otherwise
+    desc = dataclasses.replace(_canonical("six", 4, 5), multiplicity=40)
+    with pytest.raises(AssertionError):
+        eb.localize_basis(desc, 5, 2)
 
 
 def test_localization_scale_warning():
@@ -211,12 +222,13 @@ def test_transplants_match_searched_localization():
         assert {cell: len(cols) for cell, cols in built.items()} == {
             cell: vecs.shape[1] for cell, vecs in found.items()
         }, case
+        vectors = basis.vectors
         for cell, cols in built.items():
-            gap = principal_angle_gap(basis.vectors[:, cols], found[cell], m_q)
+            gap = principal_angle_gap(vectors[:, cols], found[cell], m_q)
             assert gap < 1e-10, (case, cell, gap)
         topo = top.level_topology(m_q)
         full = np.zeros((topo.n_vertices, basis.localized_count))
-        full[topo.interior_indices] = basis.vectors[:, : basis.localized_count]
+        full[topo.interior_indices] = vectors[:, : basis.localized_count]
         # eigen_residual column by column, vectorized over the columns
         r = lap.apply_neg_laplacian(lap.level_graph(m_q), full) - desc.gamma_at(m_q) * full
         residual = np.max(np.abs(r[topo.interior_indices]), axis=0) / np.max(np.abs(full), axis=0)
@@ -243,3 +255,80 @@ def test_cutoff_logdet_matches_dense_eigenspaces(m):
         op = sz.cutoff_operator(f, m, 1)
         assert op.level == m_q
         assert abs(sz.log_det(op) - total) <= 1e-10 * abs(total), (m, f.label())
+
+
+# (series, j, N, m_q) for the split oracle: N = 0, N = birth - 1 (for the
+# 6-series the unsplit case birth - N = 1), and the scales in between
+SPLIT_GRID = [
+    ("six", 2, 0, 4), ("six", 2, 1, 4), ("six", 3, 1, 4), ("six", 3, 2, 5), ("six", 4, 1, 6),
+    ("six", 4, 2, 6), ("six", 4, 3, 5), ("six", 5, 2, 6), ("six", 5, 3, 7), ("six", 6, 1, 7),
+    ("six", 6, 4, 7), ("six", 7, 4, 7),
+    ("five", 2, 0, 3), ("five", 2, 1, 3), ("five", 3, 1, 4), ("five", 3, 2, 4), ("five", 4, 1, 5),
+    ("five", 4, 2, 6), ("five", 5, 3, 6), ("five", 6, 2, 7), ("five", 6, 4, 7),
+]
+
+
+@pytest.mark.parametrize("series,j,scale,m_q", SPLIT_GRID)
+def test_split_matches_complete_qr_complement(series, j, scale, m_q):
+    desc = _canonical(series, j, m_q)
+    basis = eb.localize_basis(desc, m_q, scale)
+    vectors = basis.vectors
+    n_loc = basis.localized_count
+    assert basis.dimension == desc.multiplicity
+    if scale:
+        expected = (3 ** (scale + 1) - 3) // 2 if series == "six" else (3**scale + 3) // 2
+        assert basis.nonlocalized_count == expected
+    else:
+        assert basis.nonlocalized_count == 0
+    assert eb.orthonormality_check(basis) <= 1e-12
+    oracle = complement_by_qr(eb.eigenspace_vectors(desc, m_q), vectors[:, :n_loc], m_q)
+    assert oracle.shape == basis.remainder.shape
+    if oracle.shape[1]:
+        assert principal_angle_gap(basis.remainder, oracle, m_q) <= 1e-12
+    # every assembled block against the dense w V^T diag(f) V
+    topo = top.level_topology(m_q)
+    for f in (HarmonicFunction([1.0, 1.5, 2.0]), SimpleCellFunction([1.0, 2.0, 3.0])):
+        fvals = f.sample(topo)[topo.interior_indices]
+        dense = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
+        block = sz.assemble_compressed(fvals, basis).parts[0][1]
+        assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense)), f.label()
+
+
+@pytest.mark.parametrize("j,scale,m_q", [(3, 1, 4), (4, 1, 5), (4, 2, 6), (5, 3, 6), (7, 4, 7)])
+def test_six_series_remainder_is_canonical(j, scale, m_q):
+    # the remainder columns themselves, not only their span, are
+    # Ext(G^-1 E) R^-T, with G = (6 I + L_{j-1}) / 4, E the unit vectors of the
+    # interior vertices of V_scale and R R^T = E^T G^-1 E, extended to m_q and
+    # divided by their quadrature norms
+    desc = _canonical("six", j, m_q)
+    parent, coarse = top.level_topology(j - 1), top.level_topology(scale)
+    gram = (6.0 * np.eye(top.interior_count(j - 1))
+            - lap.assemble_dirichlet_laplacian(lap.level_graph(j - 1)).matrix) / 4.0
+    keys = coarse.keys[coarse.interior_indices] << (j - 1 - scale)
+    select = np.searchsorted(parent.interior_indices, parent.index_of(keys))
+    solved = np.linalg.solve(gram, np.eye(len(gram))[:, select])
+    coeffs = np.zeros((parent.n_vertices, len(select)))
+    coeffs[parent.interior_indices] = solved @ np.linalg.inv(np.linalg.cholesky(solved[select])).T
+    full = dec.eigenfunctions_at_level(desc, m_q, lap.extend_values(coeffs, j, 6.0))
+    expected = full[top.level_topology(m_q).interior_indices]
+    expected /= np.sqrt(top.interior_weight(m_q) * np.sum(expected**2, axis=0))
+    remainder = eb.localize_basis(desc, m_q, scale).remainder
+    assert np.max(np.abs(remainder - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_compressed_operator_holds_no_dense_basis():
+    # the n x d basis of six j=7 at m_q=7 is 28.6 MB; building the operator
+    # may allocate its own d x d block and at most a quarter of that besides
+    f = SimpleCellFunction([2.689, 2.516, 1.841])
+    desc = _canonical("six", 7, 7)
+    n, d = top.interior_count(7), desc.multiplicity
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        op = sz.compressed_operator(f, [desc], 7, 4)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    output = sum(mat.nbytes for _, mat in op.parts)
+    assert output == d * d * 8
+    assert peak - output < n * d * 8 / 4, (peak, output)

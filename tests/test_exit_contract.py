@@ -124,3 +124,22 @@ def test_gram_tolerance_enforced_exit_3():
         assert not os.path.exists(os.path.join(out, "basis.csv"))
     with tempfile.TemporaryDirectory() as out:
         assert _exit_code(argv + ["--out", out]) == 0
+
+
+def test_eigen_residual_tolerance_enforced_exit_3():
+    # the largest relative residual of the basis columns at m_q is about 1e-15
+    # here; a tolerance below it exits 3 and names the check in error.json
+    argv = ["basis", "--series", "six", "--j", "3", "--N", "1", "--m-q", "4"]
+    with tempfile.TemporaryDirectory() as out:
+        assert _exit_code(argv + ["--tol", "eigen_residual=1e-30", "--out", out]) == 3
+        with open(os.path.join(out, "error.json")) as fh:
+            record = json.load(fh)
+        assert record["error"] == "numerical failure"
+        assert record["check"] == "eigen_residual" and record["limit"] == 1e-30
+        assert 1e-30 < record["value"] <= 1e-13
+        assert not os.path.exists(os.path.join(out, "basis.csv"))
+    with tempfile.TemporaryDirectory() as out:
+        assert _exit_code(argv + ["--out", out]) == 0
+        with open(os.path.join(out, "summary.json")) as fh:
+            residual = json.load(fh)["results"]["max_eigen_residual"]
+        assert 0.0 < residual <= 1e-13
