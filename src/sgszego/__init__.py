@@ -18,13 +18,7 @@ from .functions import (
     SimpleCellFunction,
     parse_function_spec,
 )
-from .laplacian import (
-    ResistanceComputer,
-    assemble_dirichlet_laplacian,
-    dense_dirichlet_spectrum,
-    holder_seminorm,
-    level_graph,
-)
+from .laplacian import ResistanceComputer, dirichlet_laplacian, holder_seminorm
 from .szego import (
     CompressedOperator,
     NotPositiveDefiniteError,

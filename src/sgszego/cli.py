@@ -328,10 +328,10 @@ def run(config):
         desc = szego._canonical_descriptor(config["series"], config["j"], config["m_q"])
         basis = eigenbasis.localize_basis(desc, config["m_q"], config["N"])
         deviation = eigenbasis.orthonormality_check(basis)
-        graph = laplacian.level_graph(config["m_q"])
-        full = np.zeros((graph.n_vertices, basis.dimension))
-        full[graph.topology.interior_indices] = basis.vectors
-        residual = laplacian.eigen_residual(graph, full, desc.gamma_at(config["m_q"]))
+        topo = topology.level_topology(config["m_q"])
+        full = np.zeros((topo.n_vertices, basis.dimension))
+        full[topo.interior_indices] = basis.vectors
+        residual = laplacian.eigen_residual(config["m_q"], full, desc.gamma_at(config["m_q"]))
         for check, value in (("gram", deviation), ("eigen_residual", residual)):
             if value > config["tolerances"][check]:
                 raise ToleranceError(check, value, config["tolerances"][check])
@@ -394,7 +394,7 @@ def run(config):
         start = time.perf_counter()
         rc = laplacian.ResistanceComputer(config["m"])
         timings = {"green_function_s": time.perf_counter() - start}
-        topo = rc.graph.topology
+        topo = topology.level_topology(config["m"])
         boundary = list(np.nonzero(topo.boundary_mask)[0])
         rng = np.random.default_rng(config["seed"])
         n_triples = config.get("triples", 200)

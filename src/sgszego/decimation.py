@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .laplacian import assemble_dirichlet_laplacian, extend_values, level_graph
+from .laplacian import dirichlet_laplacian, extend_values
 from .topology import cell_embedding, interior_count, level_topology
 
 FORBIDDEN_GAMMAS = (2.0, 5.0, 6.0)
@@ -260,8 +260,7 @@ def _six_series_gram(j):
     and every interior vertex lies in two cells and every edge in one; the
     old vertices add the identity.  Its spectrum lies in (1.5, 3).
     """
-    return (6.0 * np.eye(interior_count(j - 1))
-            - assemble_dirichlet_laplacian(level_graph(j - 1)).matrix) / 4.0
+    return (6.0 * np.eye(interior_count(j - 1)) + dirichlet_laplacian(j - 1)) / 4.0
 
 
 def _six_series_birth(j):

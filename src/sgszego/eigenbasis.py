@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -187,8 +188,8 @@ def localize_basis(desc, m_q, scale):
 
 
 def gram_matrix(basis):
-    w = interior_weight(basis.level)
-    return w * basis.vectors.T @ basis.vectors
+    vectors = basis.vectors  # assembled on every access
+    return interior_weight(basis.level) * vectors.T @ vectors
 
 
 def orthonormality_check(basis):
@@ -209,8 +210,7 @@ def max_outside_value(basis, column):
 
 
 def export_basis_csv(basis, path, header_lines=()):
-    topo = level_topology(basis.level)
-    interior = topo.interior_indices
+    ids = level_topology(basis.level).interior_indices.tolist()
     vectors = basis.vectors
     with open(path, "w", newline="") as fh:
         for line in header_lines:
@@ -219,5 +219,4 @@ def export_basis_csv(basis, path, header_lines=()):
         wr.writerow(["vertex_id", "column", "value", "tag"])
         for c, tag in enumerate(basis.tags):
             tag_s = tag if tag == NONLOCALIZED else word_str(tag)
-            for row, idx in enumerate(interior):
-                wr.writerow([int(idx), c, repr(float(vectors[row, c])), tag_s])
+            wr.writerows(zip(ids, repeat(c), map(repr, vectors[:, c].tolist()), repeat(tag_s)))

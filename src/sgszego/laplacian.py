@@ -1,6 +1,6 @@
-"""Graph Laplacians with Dirichlet boundary, a dense eigensolver oracle, the
-level-to-level extension rule of spectral decimation, and the effective
-resistance metric of the gasket graphs.
+"""The Dirichlet graph Laplacian L = -Delta_m of the gasket graphs, read off
+the cells of the topology, its dense eigensolver oracle, the level-to-level
+extension rule of spectral decimation, and the effective resistance metric.
 
 The resistance metric comes from the Green's matrix of the graph Laplacian
 grounded at q_1, built level by level with no linear solve: the new vertices
@@ -10,109 +10,84 @@ the inverse of each cell's 3 x 3 midpoint block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .topology import cell_embedding, interior_count, level_topology
-
-
-@dataclass(frozen=True)
-class LevelGraph:
-    """Graph on V_m: two vertices are adjacent iff they share an m-cell."""
-
-    level: int
-    topology: object
-    edges: np.ndarray  # (E, 2) vertex index pairs
-
-    @property
-    def n_vertices(self):
-        return self.topology.n_vertices
+from .topology import cell_embedding, level_topology
 
 
 @lru_cache(maxsize=None)
-def level_graph(m):
-    topo = level_topology(m)
-    cv = topo.cell_vertices
-    edges = np.concatenate([cv[:, [0, 1]], cv[:, [0, 2]], cv[:, [1, 2]]])
-    return LevelGraph(level=m, topology=topo, edges=edges)
+def _interior_neighbours(m):
+    """The four neighbours of each interior vertex of V_m, one row per vertex
+    in topology order.
 
-
-def degrees(g):
-    deg = np.zeros(g.n_vertices, dtype=np.int64)
-    np.add.at(deg, g.edges.ravel(), 1)
-    return deg
-
-
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    """Dirichlet graph Laplacian: rows/columns of V_0 deleted.
-
-    The matrix stores Delta itself (diagonal -4, off-diagonal 1); the spectrum
-    routines work with -Delta.
+    Every interior vertex lies in exactly two m-cells, and its neighbours are
+    the other two corners of each; a stable sort of the cell corners groups
+    the two occurrences of every vertex in ascending vertex order, which is
+    the order of `interior_indices`.
     """
+    topo = level_topology(m)
+    cv = topo.cell_vertices.ravel()
+    order = np.argsort(cv, kind="stable")
+    slots = order[~topo.boundary_mask[cv[order]]].reshape(-1, 2)  # 3 * cell + corner
+    cell, corner = np.divmod(slots, 3)
+    others = topo.cell_vertices[cell[..., None], (corner[..., None] + [1, 2]) % 3]
+    table = others.reshape(-1, 4)
+    table.flags.writeable = False  # cached and shared by every caller
+    return table
 
-    level: int
-    matrix: np.ndarray
-    interior: np.ndarray  # vertex indices of the rows, in topology order
 
-
-def assemble_dirichlet_laplacian(g):
-    if g.level < 1:
+def dirichlet_laplacian(m):
+    """Dense L = -Delta_m on the interior of V_m in topology order: diagonal
+    4, -1 between neighbours (boundary rows and columns deleted)."""
+    if m < 1:
         raise ValueError("need level >= 1 for a Dirichlet Laplacian")
-    topo = g.topology
-    interior = topo.interior_indices
-    pos = -np.ones(topo.n_vertices, dtype=np.int64)
-    pos[interior] = np.arange(len(interior))
-
-    n = len(interior)
-    mat = np.zeros((n, n))
-    np.fill_diagonal(mat, -4.0)
-    ia, ib = pos[g.edges[:, 0]], pos[g.edges[:, 1]]
-    both = (ia >= 0) & (ib >= 0)
-    mat[ia[both], ib[both]] = 1.0
-    mat[ib[both], ia[both]] = 1.0
-    if n != interior_count(g.level):
-        raise AssertionError("interior size mismatch")
-    return LaplacianMatrix(level=g.level, matrix=mat, interior=interior)
-
-
-def dense_dirichlet_spectrum(L):
-    """Full eigendecomposition of -Delta_m, eigenvalues ascending,
-    eigenvectors orthonormal in plain coordinates."""
-    evals, evecs = np.linalg.eigh(-L.matrix)
-    return evals, evecs
+    topo = level_topology(m)
+    neighbours = _interior_neighbours(m)
+    n = len(neighbours)
+    mat = 4.0 * np.eye(n)
+    row, slot = np.nonzero(~topo.boundary_mask[neighbours])
+    mat[row, np.searchsorted(topo.interior_indices, neighbours[row, slot])] = -1.0
+    return mat
 
 
 @lru_cache(maxsize=None)
 def cached_dense_spectrum(m):
-    L = assemble_dirichlet_laplacian(level_graph(m))
-    return dense_dirichlet_spectrum(L)
+    """Full eigendecomposition of L = -Delta_m, eigenvalues ascending,
+    eigenvectors orthonormal in plain coordinates: the dense oracle."""
+    return np.linalg.eigh(dirichlet_laplacian(m))
 
 
-def apply_neg_laplacian(g, values):
-    """(-Delta u)(x) = 4 u(x) - sum of neighbor values, on every vertex.
+def apply_neg_laplacian(m, values):
+    """(-Delta u)(x) = 4 u(x) - the sum of the four neighbour values, on the
+    interior vertices of V_m in topology order.
 
-    `values` is indexed by all vertices of V_m (leading axis); boundary rows
-    of the result are not meaningful for the Dirichlet problem.
+    `values` is indexed by all vertices of V_m (leading axis, extra axes
+    allowed), so boundary values enter the rows of their neighbours.
     """
     values = np.asarray(values, dtype=float)
-    out = 4.0 * values.copy()
-    a, b = g.edges[:, 0], g.edges[:, 1]
-    np.subtract.at(out, a, values[b])
-    np.subtract.at(out, b, values[a])
+    neighbours = _interior_neighbours(m)
+    out = values[level_topology(m).interior_indices]
+    out *= 4.0
+    # one gather per neighbour keeps a single temporary of the output's size
+    for k in range(4):
+        out -= values[neighbours[:, k]]
     return out
 
 
-def eigen_residual(g, values, gamma):
-    """Max-norm residual of -Delta u = gamma u over the interior, relative to
-    the max of |u|; for values with one column per function, the largest of
-    the columns' residuals.  A zero function has residual 0."""
+def eigen_residual(m, values, gamma):
+    """Max-norm residual of -Delta u = gamma u over the interior of V_m,
+    relative to the max of |u|; for values with one column per function, the
+    largest of the columns' residuals.  A zero function has residual 0."""
     values = np.asarray(values, dtype=float)
-    interior = g.topology.interior_indices
-    r = np.max(np.abs(apply_neg_laplacian(g, values) - gamma * values)[interior], axis=0)
-    scale = np.atleast_1d(np.max(np.abs(values), axis=0))
+    # in place, so the peak stays at two arrays of the interior's size
+    r = apply_neg_laplacian(m, values)
+    shifted = values[level_topology(m).interior_indices]
+    shifted *= gamma
+    r -= shifted
+    r = np.max(np.abs(r, out=r), axis=0)
+    scale = np.atleast_1d(np.maximum(np.max(values, axis=0), -np.min(values, axis=0)))
     return float(np.max(r / np.where(scale > 0.0, scale, 1.0)))
 
 
@@ -185,7 +160,6 @@ class ResistanceComputer:
 
     def __init__(self, m):
         self.level = m
-        self.graph = level_graph(m)
         self._green = green_matrix(m)
 
     def resistance(self, x, y):
@@ -209,10 +183,3 @@ def holder_seminorm(values, rc, alpha):
     diff = np.abs(values[:, None] - values[None, :])
     mask = ~np.eye(len(values), dtype=bool)
     return float(np.max(diff[mask] / R[mask] ** alpha))
-
-
-def export_matrix_coo(L, path):
-    """Coordinate text format (row, col, value) of the Dirichlet Laplacian."""
-    rows, cols = np.nonzero(L.matrix)
-    with open(path, "w") as fh:
-        fh.writelines(f"{i} {j} {float(v)!r}\n" for i, j, v in zip(rows, cols, L.matrix[rows, cols]))

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,7 +190,6 @@ class SzegoExperimentRecord:
     localized_dim: int = 0
     nonlocalized_dim: int = 0
     runtime: float = 0.0
-    extra: dict = field(default_factory=dict)
 
 
 def default_sample_level(j, m=0):
@@ -220,7 +219,7 @@ def cutoff_operator(f, m, scale, m_q=None):
     return compressed_operator(f, enumerate_spectrum(m).entries, mq, scale)
 
 
-def _record(mode, index, f, op, t0, extra=None):
+def _record(mode, index, f, op, t0):
     """|logdet/d - integral log f d(mu)| for one operator; the integral is
     taken one level finer than the operator's sampling level."""
     d = op.dimension
@@ -238,7 +237,6 @@ def _record(mode, index, f, op, t0, extra=None):
         localized_dim=localized,
         nonlocalized_dim=d - localized,
         runtime=time.perf_counter() - t0,
-        extra=extra or {},
     )
 
 
@@ -253,25 +251,12 @@ def szego_single_eigenspace_sweep(f, series, j_range, scale, m_q=None):
     return records
 
 
-def gamma_partition_counts(m, scale):
-    """Bookkeeping for the cutoff proof: (#eigenvalues with birth > scale,
-    total dimension of eigenspaces with birth <= scale), computed exactly
-    from the enumeration."""
-    table = enumerate_spectrum(m)
-    in_gamma = sum(1 for d in table.entries if d.birth > scale)
-    outside_dim = sum(d.multiplicity for d in table.entries if d.birth <= scale)
-    return in_gamma, outside_dim
-
-
 def szego_cutoff_sweep(f, m_range, scale):
     """Per-level records for the all-eigenvalues-up-to-cutoff experiment."""
     records = []
     for m in m_range:
         t0 = time.perf_counter()
-        op = cutoff_operator(f, m, scale)
-        in_gamma, outside_dim = gamma_partition_counts(m, scale) if scale is not None else (0, 0)
-        extra = {"gamma_count": in_gamma, "outside_gamma_dim": outside_dim}
-        records.append(_record("cutoff", m, f, op, t0, extra))
+        records.append(_record("cutoff", m, f, cutoff_operator(f, m, scale), t0))
     return records
 
 

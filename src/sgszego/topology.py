@@ -207,10 +207,10 @@ def _word_strs(ranks, m):
 EXPORT_CHUNK = 1 << 15
 
 
-def export_vertex_table(topo, path, weights=None, header_lines=()):
-    """CSV dump: id, word, corner, x, y, is_boundary, weight."""
-    if weights is None and topo.m >= 1:
-        weights = quadrature(topo.m).weights
+def export_vertex_table(topo, path, header_lines=()):
+    """CSV dump: id, word, corner, x, y, is_boundary, weight (the quadrature
+    weight of level m, empty at m = 0, where there is no quadrature)."""
+    weights = quadrature(topo.m).weights if topo.m >= 1 else None
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(line + "\n")
@@ -224,7 +224,7 @@ def export_vertex_table(topo, path, weights=None, header_lines=()):
                        map(repr, topo.coords[part, 1].tolist()),
                        topo.boundary_mask[part].astype(int).tolist(),
                        [""] * len(words) if weights is None
-                       else map(repr, np.asarray(weights[part], dtype=float).tolist()))
+                       else map(repr, weights[part].tolist()))
             wr.writerows([i, *row] for i, row in enumerate(zip(*columns), lo))
 
 

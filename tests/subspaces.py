@@ -16,6 +16,19 @@ def principal_angle_gap(a, b, m_q):
     return float(max(np.linalg.norm(ra, 2), np.linalg.norm(rb, 2)))
 
 
+def reference_laplacian(m):
+    """-Delta_m on all of V_m, filled edge by edge: 4 on the diagonal and -1
+    for each edge, the three sides of every m-cell.  Its interior block is the
+    Dirichlet Laplacian; its boundary rows, applied to functions that vanish
+    on V_0, give their normal derivatives."""
+    topo = level_topology(m)
+    mat = 4.0 * np.eye(topo.n_vertices)
+    for a, b, c in topo.cell_vertices.tolist():
+        for p, q in ((a, b), (a, c), (b, c)):
+            mat[p, q] = mat[q, p] = -1.0
+    return mat
+
+
 def six_series_birth_by_qr(j):
     """The 6-series birth space at j by the direct construction: the gamma = 6
     extensions of the interior unit vectors of V_{j-1}, orthonormalized by a

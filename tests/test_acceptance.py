@@ -66,7 +66,7 @@ def test_criterion_3_random_extensions():
         target = m + int(rng.integers(0, 2))
         vals = dec.eigenfunctions_at_level(desc, target)
         combo = vals @ rng.normal(size=vals.shape[1])
-        r = lap.eigen_residual(lap.level_graph(target), combo, desc.gamma_at(target))
+        r = lap.eigen_residual(target, combo, desc.gamma_at(target))
         worst = max(worst, r)
         assert r <= 1e-9
         checked += 1
@@ -194,14 +194,14 @@ def test_criterion_10_resistance_metric():
     worst = 0.0
     for m in range(6):
         rc = lap.ResistanceComputer(m)
-        b = np.nonzero(rc.graph.topology.boundary_mask)[0]
+        b = np.nonzero(top.level_topology(rc.level).boundary_mask)[0]
         for x in range(3):
             for y in range(x + 1, 3):
                 worst = max(worst, abs(rc.resistance(b[x], b[y]) - 2.0 / 3.0))
     assert worst < 1e-9
     rc = lap.ResistanceComputer(4)
     R = rc.resistance_matrix()
-    n = rc.graph.topology.n_vertices
+    n = top.level_topology(rc.level).n_vertices
     rng = np.random.default_rng(7)
     violations = 0
     for _ in range(1000):

@@ -9,7 +9,7 @@ from sgszego import decimation as dec
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
-from subspaces import principal_angle_gap, six_series_birth_by_qr
+from subspaces import principal_angle_gap, reference_laplacian, six_series_birth_by_qr
 
 
 def test_gamma_step_values():
@@ -145,15 +145,14 @@ def test_extension_of_birth_eigenvector():
     vals = dec.birth_eigenvectors(desc)
     g2 = dec.gamma_step(5.0, -1)
     ext = dec.extend_eigenfunction(vals, 2, g2)
-    g = lap.level_graph(2)
     for c in range(ext.shape[1]):
-        assert lap.eigen_residual(g, ext[:, c], g2) < 1e-9
+        assert lap.eigen_residual(2, ext[:, c], g2) < 1e-9
 
 
 def _birth_residuals(desc, full):
     """eigen_residual of every column at the birth eigenvalue."""
-    g = lap.level_graph(desc.birth)
-    return [lap.eigen_residual(g, full[:, c], desc.gammas[0]) for c in range(full.shape[1])]
+    return [lap.eigen_residual(desc.birth, full[:, c], desc.gammas[0])
+            for c in range(full.shape[1])]
 
 
 def _birth_cases(j_max):
@@ -195,9 +194,9 @@ def test_six_series_birth_from_known_gram(j):
     # of V_{j-1} is (6 I + L_{j-1}) / 4, with L_{j-1} = -Delta_{j-1}
     unit = np.eye(parent.n_vertices)[:, parent.interior_indices]
     ext = lap.extend_values(unit, j, 6.0)[topo.interior_indices]
-    neg_laplacian = -lap.assemble_dirichlet_laplacian(lap.level_graph(j - 1)).matrix
     d = top.interior_count(j - 1)
-    assert np.max(np.abs(ext.T @ ext - (6.0 * np.eye(d) + neg_laplacian) / 4.0)) <= 1e-14
+    gram = (6.0 * np.eye(d) + lap.dirichlet_laplacian(j - 1)) / 4.0
+    assert np.max(np.abs(ext.T @ ext - gram)) <= 1e-14
     # the Cholesky construction is the QR's orthonormal basis up to column sign
     full = dec._birth_space("six", j)
     assert np.all(full[topo.boundary_mask] == 0.0)
@@ -226,7 +225,7 @@ def test_corner_normal_derivatives_match_laplacian(level):
     values = np.random.default_rng(level).normal(size=(len(topo.interior_indices), 4))
     full = np.zeros((topo.n_vertices, 4))
     full[topo.interior_indices] = values
-    expected = lap.apply_neg_laplacian(lap.level_graph(level), full)[topo.boundary_mask]
+    expected = (reference_laplacian(level) @ full)[topo.boundary_mask]
     assert np.allclose(dec.corner_normal_derivatives(values, level), expected, rtol=0.0, atol=1e-14)
 
 
@@ -250,7 +249,6 @@ def test_birth_eigenvectors_dimension_check():
 
 
 def test_eigenfunctions_at_level_residuals():
-    g4 = lap.level_graph(4)
     for series, j in [("two", 1), ("five", 2), ("six", 2), ("six", 3)]:
         desc = [
             e for e in dec.enumerate_spectrum(4).entries
@@ -259,7 +257,7 @@ def test_eigenfunctions_at_level_residuals():
         vals = dec.eigenfunctions_at_level(desc, 4)
         assert vals.shape[1] == desc.multiplicity
         for c in range(vals.shape[1]):
-            assert lap.eigen_residual(g4, vals[:, c], desc.gamma_at(4)) < 1e-9
+            assert lap.eigen_residual(4, vals[:, c], desc.gamma_at(4)) < 1e-9
 
 
 def test_extension_touches_linear_work():

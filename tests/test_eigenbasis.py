@@ -230,8 +230,8 @@ def test_transplants_match_searched_localization():
         full = np.zeros((topo.n_vertices, basis.localized_count))
         full[topo.interior_indices] = vectors[:, : basis.localized_count]
         # eigen_residual column by column, vectorized over the columns
-        r = lap.apply_neg_laplacian(lap.level_graph(m_q), full) - desc.gamma_at(m_q) * full
-        residual = np.max(np.abs(r[topo.interior_indices]), axis=0) / np.max(np.abs(full), axis=0)
+        r = lap.apply_neg_laplacian(m_q, full) - desc.gamma_at(m_q) * full[topo.interior_indices]
+        residual = np.max(np.abs(r), axis=0) / np.max(np.abs(full), axis=0)
         assert np.all(residual <= 1e-9), (case, float(np.max(residual)))
 
 
@@ -302,8 +302,7 @@ def test_six_series_remainder_is_canonical(j, scale, m_q):
     # divided by their quadrature norms
     desc = _canonical("six", j, m_q)
     parent, coarse = top.level_topology(j - 1), top.level_topology(scale)
-    gram = (6.0 * np.eye(top.interior_count(j - 1))
-            - lap.assemble_dirichlet_laplacian(lap.level_graph(j - 1)).matrix) / 4.0
+    gram = (6.0 * np.eye(top.interior_count(j - 1)) + lap.dirichlet_laplacian(j - 1)) / 4.0
     keys = coarse.keys[coarse.interior_indices] << (j - 1 - scale)
     select = np.searchsorted(parent.interior_indices, parent.index_of(keys))
     solved = np.linalg.solve(gram, np.eye(len(gram))[:, select])

@@ -1,26 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sgszego import laplacian as lap
+from sgszego import szego as sz
 from sgszego import topology as top
+from sgszego.eigenbasis import localize_basis
 from sgszego.functions import HarmonicFunction
 
-
-@pytest.mark.parametrize("m", range(1, 8))
-def test_degrees(m):
-    g = lap.level_graph(m)
-    deg = lap.degrees(g)
-    mask = g.topology.boundary_mask
-    assert np.all(deg[mask] == 2)
-    assert np.all(deg[~mask] == 4)
+from subspaces import reference_laplacian
 
 
 def test_level_one_matrix():
-    L = lap.assemble_dirichlet_laplacian(lap.level_graph(1))
-    assert L.matrix.shape == (3, 3)
-    evals, evecs = lap.dense_dirichlet_spectrum(L)
+    assert lap.dirichlet_laplacian(1).shape == (3, 3)
+    evals, evecs = lap.cached_dense_spectrum(1)
     assert evals == pytest.approx([2.0, 5.0, 5.0], abs=1e-12)
     # orthonormal eigenvectors
     assert evecs.T @ evecs == pytest.approx(np.eye(3), abs=1e-12)
@@ -29,10 +24,10 @@ def test_level_one_matrix():
 def test_level_two_spectrum():
     # analytic multiset from one decimation step applied to {2, 5, 5},
     # plus the eigenvalues born at level 2
-    L = lap.assemble_dirichlet_laplacian(lap.level_graph(2))
-    assert L.matrix.shape == (12, 12)
-    assert np.trace(-L.matrix) == pytest.approx(48.0)
-    evals, _ = lap.dense_dirichlet_spectrum(L)
+    L = lap.dirichlet_laplacian(2)
+    assert L.shape == (12, 12)
+    assert np.trace(L) == pytest.approx(48.0)
+    evals, _ = lap.cached_dense_spectrum(2)
     s17, s5 = math.sqrt(17), math.sqrt(5)
     expected = sorted(
         [(5 - s17) / 2, (5 + s17) / 2]
@@ -44,25 +39,22 @@ def test_level_two_spectrum():
     assert evals == pytest.approx(expected, abs=1e-9)
 
 
-def _loop_dirichlet_matrix(g):
-    """Reference: the Dirichlet Laplacian filled edge by edge."""
-    pos = -np.ones(g.n_vertices, dtype=np.int64)
-    pos[g.topology.interior_indices] = np.arange(len(g.topology.interior_indices))
-    mat = np.zeros((len(g.topology.interior_indices),) * 2)
-    np.fill_diagonal(mat, -4.0)
-    for a, b in g.edges:
-        ia, ib = pos[a], pos[b]
-        if ia >= 0 and ib >= 0:
-            mat[ia, ib] = 1.0
-            mat[ib, ia] = 1.0
-    return mat
-
-
 @pytest.mark.parametrize("m", range(1, 6))
 def test_vectorized_matrix_matches_edge_loop(m):
-    g = lap.level_graph(m)
-    mine = lap.assemble_dirichlet_laplacian(g).matrix
-    assert mine.tobytes() == _loop_dirichlet_matrix(g).tobytes()
+    interior = top.level_topology(m).interior_indices
+    ref = reference_laplacian(m)[interior][:, interior]
+    assert lap.dirichlet_laplacian(m).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_apply_neg_laplacian_matches_reference(m):
+    # random columns with nonzero boundary values, which enter the rows of
+    # the boundary's neighbours
+    topo = top.level_topology(m)
+    values = np.random.default_rng(m).normal(size=(topo.n_vertices, 3))
+    assert np.all(values[topo.boundary_mask] != 0.0)
+    expected = (reference_laplacian(m) @ values)[topo.interior_indices]
+    assert np.max(np.abs(lap.apply_neg_laplacian(m, values) - expected)) <= 1e-13
 
 
 @pytest.mark.parametrize("m", range(1, 6))
@@ -74,42 +66,27 @@ def test_trace_identity(m):
 
 
 def test_constant_vector_interior_rows():
-    g = lap.level_graph(3)
-    out = lap.apply_neg_laplacian(g, np.ones(g.n_vertices))
-    boundary = set(np.nonzero(g.topology.boundary_mask)[0])
-    has_boundary_neighbor = set()
-    for a, b in g.edges:
-        if a in boundary:
-            has_boundary_neighbor.add(b)
-        if b in boundary:
-            has_boundary_neighbor.add(a)
-    for i in g.topology.interior_indices:
-        if i not in has_boundary_neighbor:
-            assert out[i] == 0.0
+    # every interior vertex has four neighbours, boundary ones included
+    out = lap.apply_neg_laplacian(3, np.ones(top.vertex_count(3)))
+    assert out.shape == (top.interior_count(3),)
+    assert np.all(out == 0.0)
 
 
 @pytest.mark.parametrize("m", range(2, 5))
 def test_dense_eigenpair_residuals(m):
-    g = lap.level_graph(m)
-    L = lap.assemble_dirichlet_laplacian(g)
-    evals, evecs = lap.dense_dirichlet_spectrum(L)
+    topo = top.level_topology(m)
+    evals, evecs = lap.cached_dense_spectrum(m)
     for k in range(len(evals)):
-        full = np.zeros(g.n_vertices)
-        full[L.interior] = evecs[:, k]
-        assert lap.eigen_residual(g, full, evals[k]) < 1e-9
+        full = np.zeros(topo.n_vertices)
+        full[topo.interior_indices] = evecs[:, k]
+        assert lap.eigen_residual(m, full, evals[k]) < 1e-9
 
 
 def _dense_resistance(m):
     """Reference: the resistance matrix from the pseudo-inverse of the
     Laplacian with edge conductance (5/3)^m, filled edge by edge."""
-    g = lap.level_graph(m)
-    c = (5.0 / 3.0) ** m
-    L = np.zeros((g.n_vertices, g.n_vertices))
-    for a, b in g.edges:
-        L[a, b] -= c
-        L[b, a] -= c
-        L[a, a] += c
-        L[b, b] += c
+    adjacency = (reference_laplacian(m) == -1.0).astype(float)
+    L = (5.0 / 3.0) ** m * (np.diag(adjacency.sum(axis=1)) - adjacency)
     p = np.linalg.pinv(L, hermitian=True)
     d = np.diag(p)
     return d[:, None] + d[None, :] - 2.0 * p
@@ -123,7 +100,7 @@ def test_resistance_matches_dense_pinv(m):
 
 def test_resistance_level_seven_without_dense_solve():
     rc = lap.ResistanceComputer(7)
-    b = np.nonzero(rc.graph.topology.boundary_mask)[0]
+    b = np.nonzero(top.level_topology(rc.level).boundary_mask)[0]
     for x in range(3):
         for y in range(x + 1, 3):
             assert abs(rc.resistance(b[x], b[y]) - 2.0 / 3.0) < 1e-15
@@ -134,7 +111,7 @@ def test_resistance_level_seven_without_dense_solve():
 
 def test_resistance_series_parallel():
     rc = lap.ResistanceComputer(0)
-    b = np.nonzero(rc.graph.topology.boundary_mask)[0]
+    b = np.nonzero(top.level_topology(rc.level).boundary_mask)[0]
     assert rc.resistance(b[0], b[1]) == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rc.resistance(b[0], b[0]) == 0.0
 
@@ -142,7 +119,7 @@ def test_resistance_series_parallel():
 @pytest.mark.parametrize("m", range(1, 6))
 def test_resistance_renormalization(m):
     rc = lap.ResistanceComputer(m)
-    b = np.nonzero(rc.graph.topology.boundary_mask)[0]
+    b = np.nonzero(top.level_topology(rc.level).boundary_mask)[0]
     for x in range(3):
         for y in range(x + 1, 3):
             assert abs(rc.resistance(b[x], b[y]) - 2.0 / 3.0) < 1e-9
@@ -150,7 +127,7 @@ def test_resistance_renormalization(m):
 
 def test_resistance_metric_axioms():
     rc = lap.ResistanceComputer(3)
-    n = rc.graph.topology.n_vertices
+    n = top.level_topology(rc.level).n_vertices
     R = rc.resistance_matrix()
     assert np.allclose(R, R.T, atol=1e-12)
     assert np.all(np.abs(np.diag(R)) < 1e-12)
@@ -164,7 +141,7 @@ def test_resistance_metric_axioms():
 
 def test_resistance_vs_euclidean_ratio():
     rc = lap.ResistanceComputer(4)
-    topo = rc.graph.topology
+    topo = top.level_topology(rc.level)
     R = rc.resistance_matrix()
     d = np.sqrt(((topo.coords[:, None, :] - topo.coords[None, :, :]) ** 2).sum(-1))
     mask = ~np.eye(topo.n_vertices, dtype=bool)
@@ -174,7 +151,7 @@ def test_resistance_vs_euclidean_ratio():
 
 def test_holder_seminorm():
     rc = lap.ResistanceComputer(4)
-    topo = rc.graph.topology
+    topo = top.level_topology(rc.level)
     assert lap.holder_seminorm(np.ones(topo.n_vertices), rc, 1.0) == 0.0
     h = HarmonicFunction([0.0, 1.0, 0.0]).sample(topo)
     s = lap.holder_seminorm(h, rc, 1.0)
@@ -186,7 +163,7 @@ def test_holder_seminorm():
 def test_holder_pair_ratio_monotone_in_alpha():
     # for a fixed pair with R < 1 the ratio |df| / R^alpha grows with alpha
     rc = lap.ResistanceComputer(3)
-    topo = rc.graph.topology
+    topo = top.level_topology(rc.level)
     h = HarmonicFunction([0.0, 1.0, 0.0]).sample(topo)
     x, y = topo.interior_indices[0], topo.interior_indices[1]
     r = rc.resistance(x, y)
@@ -196,20 +173,20 @@ def test_holder_pair_ratio_monotone_in_alpha():
     assert ratios[0] < ratios[1] < ratios[2]
 
 
-@pytest.mark.parametrize("m", range(1, 5))
-def test_matrix_export_matches_loop(m, tmp_path):
-    L = lap.assemble_dirichlet_laplacian(lap.level_graph(m))
-    path = tmp_path / "lap.coo"
-    lap.export_matrix_coo(L, path)
-    n = L.matrix.shape[0]
-    ref = "".join(f"{i} {j} {float(L.matrix[i, j])!r}\n"
-                  for i in range(n) for j in range(n) if L.matrix[i, j] != 0.0)
-    assert path.read_text() == ref
-
-
-def test_matrix_export(tmp_path):
-    L = lap.assemble_dirichlet_laplacian(lap.level_graph(1))
-    path = tmp_path / "lap.coo"
-    lap.export_matrix_coo(L, path)
-    rows = [line.split() for line in path.read_text().strip().splitlines()]
-    assert ["0", "0", "-4.0"] in rows
+def test_eigen_residual_memory():
+    # the six j=7 N=4 basis at m_q=7: four row gathers and in-place updates
+    # hold two arrays of the input's size at a time; a gather of all four
+    # neighbours at once would hold a temporary four times the input
+    desc = sz._canonical_descriptor("six", 7, 7)
+    topo = top.level_topology(7)
+    full = np.zeros((topo.n_vertices, desc.multiplicity))
+    full[topo.interior_indices] = localize_basis(desc, 7, 4).vectors
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        residual = lap.eigen_residual(7, full, desc.gamma_at(7))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-9
+    assert peak < 2.5 * full.nbytes, peak / full.nbytes

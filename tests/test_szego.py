@@ -118,19 +118,6 @@ def test_cutoff_block_logdet_consistency():
     assert np.max(np.abs(sz.operator_eigenvalues(op) - dense)) < 1e-12
 
 
-def test_gamma_partition_counts():
-    in_gamma, outside_dim = sz.gamma_partition_counts(4, 2)
-    m = 4
-    expected_outside = (
-        2 ** (m - 1)  # 2-series, birth 1, multiplicity 1
-        + sum(2 ** (m - j) * (3 ** (j - 1) + 3) // 2 for j in (1, 2))  # 5-series
-        + 2 ** (m - 3) * (3**2 - 3) // 2  # 6-series birth 2
-    )
-    assert outside_dim == expected_outside == 42
-    table_total = (3 ** (m + 1) - 3) // 2
-    assert in_gamma > 0 and outside_dim < table_total
-
-
 def test_spectral_functionals():
     c = 1.3
     desc = make_descriptor("six", 2, (1,))
