@@ -30,8 +30,7 @@ from .szego import (
     fit_rate,
     log_det,
     spectral_functional,
-    szego_cutoff_sweep,
-    szego_single_eigenspace_sweep,
+    szego_sweep,
 )
 from .topology import (
     LevelTopology,

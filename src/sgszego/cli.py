@@ -31,6 +31,9 @@ DEFAULT_TOLERANCES = {
 # generations of birth of each series that the sampling cap can reach
 BIRTHS = {"two": range(1, 2), "five": range(1, szego.MQ_CAP + 1), "six": range(2, szego.MQ_CAP + 1)}
 
+# the config field that holds the index range of each szego / equidist mode
+INDEX_FIELDS = {"single": "j", "cutoff": "m"}
+
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
@@ -304,6 +307,15 @@ def _write_summary(config, results, timings, path):
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _sweep_args(config):
+    """(f, mode, indices, scale, series, m_q) of a szego or equidist config:
+    the index range is --j in single mode and --m in cutoff mode."""
+    mode = config.get("mode", "single")
+    indices = parse_range(config[INDEX_FIELDS[mode]])
+    return (parse_function_spec(config["f"]), mode, indices, config.get("N"),
+            config.get("series", "six"), config.get("m_q"))
+
+
 def run(config):
     """Execute a validated config; returns the summary dict."""
     out = config["out"]
@@ -345,15 +357,8 @@ def run(config):
         }
 
     elif cmd == "szego":
-        f = parse_function_spec(config["f"])
         mode = config.get("mode", "single")
-        scale = config.get("N")
-        if mode == "single":
-            records = szego.szego_single_eigenspace_sweep(
-                f, config.get("series", "six"), parse_range(config["j"]), scale,
-                m_q=config.get("m_q"))
-        else:
-            records = szego.szego_cutoff_sweep(f, parse_range(config["m"]), scale)
+        records = szego.szego_sweep(*_sweep_args(config))
         szego.export_records_csv(records, os.path.join(out, f"szego_{mode}.csv"), header)
         szego.export_loglog_csv(records, os.path.join(out, f"szego_{mode}_loglog.csv"), header)
         beta_hat, r2 = szego.fit_rate(records)
@@ -368,18 +373,10 @@ def run(config):
         timings = {"record_runtime_s": [r.runtime for r in records]}
 
     elif cmd == "equidist":
-        f = parse_function_spec(config["f"])
         fname, func = parse_functional_spec(config.get("functional"))
-        mode = config.get("mode", "single")
-        scale = config.get("N")
-        if mode == "single":
-            ops = ((j, szego.single_operator(f, config.get("series", "six"), j, scale,
-                                             m_q=config.get("m_q")))
-                   for j in parse_range(config["j"]))
-        else:
-            ops = ((m, szego.cutoff_operator(f, m, scale)) for m in parse_range(config["m"]))
+        f, *sweep = _sweep_args(config)
         rows = [(index, op.dimension, *szego.equidistribution_compare(op, f, func))
-                for index, op in ops]
+                for index, op in szego.operators(f, *sweep)]
         path = os.path.join(out, "equidist.csv")
         with open(path, "w", newline="") as fh:
             for line in header:

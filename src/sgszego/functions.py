@@ -1,8 +1,8 @@
 """Test functions sampled on gasket vertices.
 
-Every function type can be sampled on a whole level topology and evaluated at
-a single (word, corner) vertex; the latter is what the Riemann-point
-comparison uses.
+A function is evaluated one way: `sample(topo)` gives its values on every
+vertex of a level topology.  The Riemann-point comparison reads its points
+off one such sample.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .laplacian import extend_values
-from .topology import level_topology, vertex_key
+from .topology import level_topology
 
 
 class ConstantFunction:
@@ -23,9 +23,6 @@ class ConstantFunction:
 
     def sample(self, topo):
         return np.full(topo.n_vertices, self.value)
-
-    def at_vertex(self, word, corner):
-        return self.value
 
     def cell_integral(self, func=None):
         return self.value if func is None else float(func(self.value))
@@ -50,39 +47,18 @@ class SimpleCellFunction:
     def label(self):
         return "simple:" + ",".join(f"{c:g}" for c in self.coefficients)
 
-    def _owner_values(self, topo, index):
-        # a vertex's canonical (word, corner) lies in its least containing
-        # cell, so the leading digits of that cell's rank address the owner
-        return self.coefficients[topo.rank[index] // 3 ** (topo.m - self.scale)]
-
     def sample(self, topo):
         if topo.m < self.scale:
             raise ValueError("sampling level coarser than the cell scale")
-        return self._owner_values(topo, slice(None))
-
-    def at_vertex(self, word, corner):
-        # F_w(q_c) = F_wc(q_c): a vertex of a level coarser than the scale is
-        # a corner of one of its cells at the scale
-        word = tuple(word) + (corner,) * (self.scale - len(word))
-        topo = level_topology(len(word))
-        return self._owner_values(topo, topo.index_of(vertex_key(word, corner)))
+        # a vertex's canonical (word, corner) lies in its least containing
+        # cell, so the leading digits of that cell's rank address the owner
+        return self.coefficients[topo.rank // 3 ** (topo.m - self.scale)]
 
     def cell_integral(self, func=None):
         """Exact integral of func(f) for the self-similar measure: each cell
         carries mass 3^-N."""
         vals = self.coefficients if func is None else [func(c) for c in self.coefficients]
         return float(np.mean(vals))
-
-
-def _subdivide(h, child):
-    """Corner values of child cell `child` under the harmonic extension rule."""
-    i = child - 1
-    j, k = [t for t in range(3) if t != i]
-    out = [0.0, 0.0, 0.0]
-    out[i] = h[i]
-    out[j] = (2.0 * h[i] + 2.0 * h[j] + h[k]) / 5.0
-    out[k] = (2.0 * h[i] + 2.0 * h[k] + h[j]) / 5.0
-    return out
 
 
 class HarmonicFunction:
@@ -96,12 +72,6 @@ class HarmonicFunction:
 
     def label(self):
         return "harmonic:" + ",".join(f"{b:g}" for b in self.boundary_values)
-
-    def at_vertex(self, word, corner):
-        h = list(self.boundary_values)
-        for s in word:
-            h = _subdivide(h, s)
-        return h[corner - 1]
 
     def sample(self, topo):
         # the boundary values sit on V_0 in corner order; each level is one
@@ -156,11 +126,6 @@ class ExpressionFunction:
             raise ValueError(f"values of dtype {vals.dtype} are not real")
         return np.broadcast_to(vals.astype(float), (topo.n_vertices,)).copy()
 
-    def at_vertex(self, word, corner):
-        a, b = vertex_key(word, corner)
-        top = 1 << (len(word) + 1)
-        return float(self._eval(a / top, b * math.sqrt(3.0) / top))
-
 
 class FunctionSum:
     """Pointwise sum of two functions, e.g. a simple function perturbed by a
@@ -175,9 +140,6 @@ class FunctionSum:
 
     def sample(self, topo):
         return self.first.sample(topo) + self.second.sample(topo)
-
-    def at_vertex(self, word, corner):
-        return self.first.at_vertex(word, corner) + self.second.at_vertex(word, corner)
 
 
 def parse_function_spec(spec):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decimation import SERIES_SIX, enumerate_spectrum, make_descriptor
-from .eigenbasis import NONLOCALIZED, localize_basis
-from .topology import enumerate_cells, interior_weight, level_topology, quadrature
+from .eigenbasis import localize_basis
+from .topology import interior_weight, level_topology, quadrature
 
 MQ_CAP = 7  # desk-scale cap on the sampling level (3279 interior vertices)
 # desk-scale caps on --m of the commands that build one level: `resistance`
@@ -52,12 +52,13 @@ class CompressedOperator:
 
     Eigenspaces are orthogonal, so the operator is block diagonal across
     them; `parts` keeps one (descriptor, matrix) pair per eigenspace, with
-    entries the quadrature inner products <f u_a, u_b>.  `level` is the
-    sampling level the blocks were assembled at.
+    entries the quadrature inner products <f u_a, u_b>.  `localized` counts
+    the localized basis vectors, and `level` is the sampling level the blocks
+    were assembled at.
     """
 
     parts: tuple
-    tags: tuple
+    localized: int
     level: int
 
     @property
@@ -65,20 +66,14 @@ class CompressedOperator:
         return sum(mat.shape[0] for _, mat in self.parts)
 
     @property
-    def blocks(self):
-        """(descriptor, start, stop) of each eigenspace's rows in `matrix`."""
-        out, start = [], 0
-        for desc, mat in self.parts:
-            out.append((desc, start, start + mat.shape[0]))
-            start += mat.shape[0]
-        return tuple(out)
-
-    @property
     def matrix(self):
         """The dense block-diagonal matrix, assembled on every access."""
         full = np.zeros((self.dimension, self.dimension))
-        for (_, a, b), (_, mat) in zip(self.blocks, self.parts):
-            full[a:b, a:b] = mat
+        start = 0
+        for _, mat in self.parts:
+            stop = start + mat.shape[0]
+            full[start:stop, start:stop] = mat
+            start = stop
         return full
 
 
@@ -103,7 +98,8 @@ def assemble_compressed(f_values_interior, basis):
         mat[block, block] = 0.5 * (local + local.T)
         mat[block, n_loc:] = (w * basis.copy_factor) * (weighted @ rem[rows])
     mat[n_loc:, :n_loc] = mat[:n_loc, n_loc:].T
-    return CompressedOperator(parts=((basis.descriptor, mat),), tags=basis.tags, level=basis.level)
+    return CompressedOperator(parts=((basis.descriptor, mat),), localized=basis.localized_count,
+                              level=basis.level)
 
 
 def compressed_operator(f, descriptors, m_q, scale):
@@ -112,14 +108,14 @@ def compressed_operator(f, descriptors, m_q, scale):
     FunctionalValueError when a block has a non-finite entry."""
     topo = level_topology(m_q)
     fvals = f.sample(topo)[topo.interior_indices]
-    parts, tags = [], []
+    parts, localized = [], 0
     for desc in descriptors:
         basis = localize_basis(desc, m_q, scale)
         parts.extend(assemble_compressed(fvals, basis).parts)
-        tags.extend(basis.tags)
+        localized += basis.localized_count
     if not all(np.isfinite(mat).all() for _, mat in parts):
         raise FunctionalValueError(f"f={f.label()} compressed at level {m_q} has non-finite entries")
-    return CompressedOperator(parts=tuple(parts), tags=tuple(tags), level=m_q)
+    return CompressedOperator(parts=tuple(parts), localized=localized, level=m_q)
 
 
 def log_det(op_or_matrix):
@@ -153,29 +149,35 @@ def reference_integral(f, func, level):
     the function supports them, quadrature at the given level otherwise."""
     if hasattr(f, "cell_integral"):
         return f.cell_integral(func)
-    scheme = quadrature(level)
     vals = f.sample(level_topology(level))
-    return float(scheme.weights @ np.array([func(v) for v in vals]))
+    return float(quadrature(level) @ np.array([func(v) for v in vals]))
 
 
 def riemann_points(d):
-    """d sample points, one per cell at the scale where the cell count first
-    reaches d; addresses are strided evenly through the lexicographic order
-    so the family stays equidistributed for the self-similar measure."""
+    """(r, ranks) of d sample cells at the scale r where the cell count first
+    reaches d; the ranks are strided evenly through the lexicographic order so
+    the family stays equidistributed for the self-similar measure.  The
+    sample point of a cell is its corner q_1."""
     r = 0
     while 3 ** r < d:
         r += 1
-    cells = enumerate_cells(r)
-    idx = [(i * len(cells)) // d for i in range(d)]
-    return [(cells[i], 1) for i in idx]
+    return r, np.arange(d) * 3 ** r // d
 
 
 def equidistribution_compare(op, f, func):
     """Gap between the spectral average of F and the Riemann average of
-    F(f(s_k)) over the matched point set."""
+    F(f(s_k)) over the matched point set.
+
+    f is sampled once, at L = max(r, op.level).  Corner q_1 of an r-cell w is
+    corner q_1 of the L-cell w1...1, and its value in that sample is exact:
+    extension keeps the value at every existing vertex, and the least L-cell
+    containing a vertex lies in its least cell at any coarser scale."""
     spectral = spectral_functional(op, func)
-    pts = riemann_points(op.dimension)
-    riemann = float(np.mean([func(f.at_vertex(w, c)) for w, c in pts]))
+    r, ranks = riemann_points(op.dimension)
+    level = max(r, op.level)
+    topo = level_topology(level)
+    values = f.sample(topo)[topo.cell_vertices[ranks * 3 ** (level - r), 0]]
+    riemann = float(np.mean([func(v) for v in values.tolist()]))
     return spectral, riemann, abs(spectral - riemann)
 
 
@@ -225,8 +227,7 @@ def _record(mode, index, f, op, t0):
     d = op.dimension
     ld = log_det(op)
     log_f = checked(f"log f for f={f.label()}", math.log)
-    integral = reference_integral(f, log_f, min(op.level + 1, MQ_CAP + 1))
-    localized = sum(1 for t in op.tags if t != NONLOCALIZED)
+    integral = reference_integral(f, log_f, op.level + 1)
     return SzegoExperimentRecord(
         mode=mode,
         index=index,
@@ -234,29 +235,30 @@ def _record(mode, index, f, op, t0):
         logdet_over_d=ld / d,
         integral=integral,
         error=abs(ld / d - integral),
-        localized_dim=localized,
-        nonlocalized_dim=d - localized,
+        localized_dim=op.localized,
+        nonlocalized_dim=d - op.localized,
         runtime=time.perf_counter() - t0,
     )
 
 
-def szego_single_eigenspace_sweep(f, series, j_range, scale, m_q=None):
-    """Per-birth-generation records of |logdet/d - integral log f d(mu)|."""
-    records = []
-    for j in j_range:
-        if scale is not None and j <= scale:
-            continue  # no localized vectors guaranteed; skip with warning
-        t0 = time.perf_counter()
-        records.append(_record("single", j, f, single_operator(f, series, j, scale, m_q), t0))
-    return records
+def operators(f, mode, indices, scale, series=SERIES_SIX, m_q=None):
+    """(index, operator) for each index of the sweep: the canonical eigenspace
+    of the series born at each j in single mode, every eigenspace up to each
+    level m in cutoff mode.  Operators are built as they are drawn."""
+    for index in indices:
+        if mode == "cutoff":
+            yield index, cutoff_operator(f, index, scale, m_q)
+        elif scale is None or index > scale:  # a birth j <= N has no localized vectors
+            yield index, single_operator(f, series, index, scale, m_q)
 
 
-def szego_cutoff_sweep(f, m_range, scale):
-    """Per-level records for the all-eigenvalues-up-to-cutoff experiment."""
-    records = []
-    for m in m_range:
+def szego_sweep(f, mode, indices, scale, series=SERIES_SIX, m_q=None):
+    """Per-index records of |logdet/d - integral log f d(mu)|; a record's
+    runtime spans building its operator and evaluating it."""
+    records, t0 = [], time.perf_counter()
+    for index, op in operators(f, mode, indices, scale, series, m_q):
+        records.append(_record(mode, index, f, op, t0))
         t0 = time.perf_counter()
-        records.append(_record("cutoff", m, f, cutoff_operator(f, m, scale), t0))
     return records
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -58,11 +57,6 @@ def lattice_keys(ranks, m, corners):
     return keys + _CORNER_KEYS[np.asarray(corners) - 1]
 
 
-def vertex_key(word, corner):
-    """Integer lattice coordinates of F_word(q_corner)."""
-    return tuple(lattice_keys(cell_rank(word), len(word), corner).tolist())
-
-
 def cell_rank(word):
     """Lexicographic rank of a cell address among all cells of its length."""
     r = 0
@@ -84,8 +78,8 @@ class LevelTopology:
             raise ValueError("level must be >= 0")
         self.m = m
         corner_keys = lattice_keys(np.arange(3**m)[:, None], m, [1, 2, 3]).reshape(-1, 2)
-        # sorted codes order the keys, which cell_embedding and the at_vertex
-        # methods search; a vertex's first occurrence is its least (word, corner)
+        # sorted codes order the keys, which index_of searches; a vertex's
+        # first occurrence is its least (word, corner)
         self._codes, first, inverse, counts = np.unique(
             self._encode(corner_keys), return_index=True, return_inverse=True, return_counts=True)
         order = np.argsort(first)
@@ -142,31 +136,20 @@ def cell_embedding(m, scale):
     return table
 
 
-@dataclass(frozen=True)
-class QuadratureScheme:
-    """Discretization of the self-similar measure on the level-m_q vertices.
-
-    Each m_q-cell carries mass 3^-m_q split equally over its three corners, so
-    the weight of a vertex is (number of containing cells) * 3^-m_q / 3.
-    """
-
-    level: int
-    weights: np.ndarray
-
-    def integrate(self, values):
-        return float(self.weights @ np.asarray(values, dtype=float))
-
-
 def _cells_per_vertex(topo):
     # a corner of the gasket lies in one m-cell, every other vertex in two
     return np.where(topo.boundary_mask, 1, 2)
 
 
 def quadrature(m_q):
+    """Vertex weights that discretize the self-similar measure on V_{m_q}.
+
+    Each m_q-cell carries mass 3^-m_q split equally over its three corners, so
+    the weight of a vertex is (number of containing cells) * 3^-m_q / 3.
+    """
     if m_q < 1:
         raise ValueError("quadrature level must be >= 1")
-    weights = _cells_per_vertex(level_topology(m_q)) * (3.0 ** (-m_q)) / 3.0
-    return QuadratureScheme(level=m_q, weights=weights)
+    return _cells_per_vertex(level_topology(m_q)) * (3.0 ** (-m_q)) / 3.0
 
 
 def cell_indicator(topo, cell):
@@ -210,7 +193,7 @@ EXPORT_CHUNK = 1 << 15
 def export_vertex_table(topo, path, header_lines=()):
     """CSV dump: id, word, corner, x, y, is_boundary, weight (the quadrature
     weight of level m, empty at m = 0, where there is no quadrature)."""
-    weights = quadrature(topo.m).weights if topo.m >= 1 else None
+    weights = quadrature(topo.m) if topo.m >= 1 else None
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(line + "\n")

@@ -111,7 +111,7 @@ def test_criterion_5_five_series_resolution():
 def test_criterion_6_localization_bound():
     t0 = time.perf_counter()
     f = SimpleCellFunction([1.0, 2.0, 3.0])
-    records = sz.szego_single_eigenspace_sweep(f, "six", range(2, 7), 1)
+    records = sz.szego_sweep(f, "single", range(2, 7), 1)
     assert [r.index for r in records] == [2, 3, 4, 5, 6]
     norm_log = f.cell_integral(lambda v: abs(math.log(v)))
     sup = max(f.coefficients)
@@ -129,7 +129,7 @@ def test_criterion_6_localization_bound():
 
 def test_criterion_7_single_eigenspace_rate():
     f = HarmonicFunction([1.0, 1.5, 2.0])
-    records = sz.szego_single_eigenspace_sweep(f, "six", range(2, 7), 1)
+    records = sz.szego_sweep(f, "single", range(2, 7), 1)
     rate, r2 = sz.fit_rate(records)
     beta = sz.beta_exponent(1.0)
     assert rate >= 0.8 * beta, (rate, beta)
@@ -139,14 +139,20 @@ def test_criterion_7_single_eigenspace_rate():
 
 def test_criterion_8_cutoff_rate_and_block_consistency():
     f = HarmonicFunction([1.0, 1.5, 2.0])
-    records = sz.szego_cutoff_sweep(f, range(2, 6), 1)
+    records = sz.szego_sweep(f, "cutoff", range(2, 6), 1)
     errs = [r.error for r in records]
     assert all(b < a for a, b in zip(errs, errs[1:])), errs
     op = sz.cutoff_operator(f, 4, 1)
-    total = sz.log_det(op.matrix)
-    blocks = sum(sz.log_det(op.matrix[a:b, a:b]) for _, a, b in op.blocks)
+    full = op.matrix
+    total = sz.log_det(full)
+    blocks = sum(sz.log_det(mat) for _, mat in op.parts)
     rel = abs(total - blocks) / abs(total)
     assert rel < 1e-8
+    start = 0
+    for _, mat in op.parts:
+        stop = start + mat.shape[0]
+        assert np.array_equal(full[start:stop, start:stop], mat)
+        start = stop
     rate, r2 = sz.fit_rate(records)
     bt = sz.beta_tilde_exponent(1.0)
     _report(8, f"cutoff errors decrease monotonically m=2..5; block logdet "

@@ -239,6 +239,26 @@ def test_non_finite_compressed_operator_exit_3(argv, tmp_path):
     assert "f=" in record["detail"] and "level 3" in record["detail"]
 
 
+@pytest.mark.parametrize(
+    "argv, functional",
+    [
+        (["--mode", "single", "--series", "six", "--j", "2"], "log"),
+        (["--mode", "cutoff", "--m", "2"], "power:2"),
+    ],
+)
+def test_multiplier_infinite_at_riemann_point_exit_3(argv, functional, tmp_path):
+    out = tmp_path / "bad"
+    # 1/x + 1 is infinite at the corner q1, which is the first Riemann point
+    # but no interior vertex, so the compressed operator stays finite and F
+    # meets the infinite value
+    rc = _run(["equidist", *argv, "--f", "expr:1/x+1", "--F", functional, "--out", str(out)])
+    assert rc == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "numerical failure"
+    assert f"F={functional}" in record["detail"] and "x=inf" in record["detail"]
+    assert not (out / "equidist.csv").exists()
+
+
 @pytest.mark.parametrize("fspec", ["expr:x", "harmonic:0,1,2"])
 def test_log_integral_of_nonpositive_f_exit_3(fspec, tmp_path):
     out = tmp_path / "bad"

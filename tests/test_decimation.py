@@ -283,9 +283,11 @@ def _vertex_key_extension_maps(k):
     child_mid = np.empty((3 ** (k - 1), 3), dtype=np.int64)
     for ci, w in enumerate(top.enumerate_cells(k - 1)):
         for c in (1, 2, 3):
-            child_corner[ci, c - 1] = child.index_of(top.vertex_key(w + (c,), c))
+            child_corner[ci, c - 1] = child.index_of(
+                top.lattice_keys(top.cell_rank(w + (c,)), k, c))
         for r, (p, q) in zip((1, 2, 3), ((2, 3), (1, 3), (1, 2))):
-            child_mid[ci, r - 1] = child.index_of(top.vertex_key(w + (p,), q))
+            child_mid[ci, r - 1] = child.index_of(
+                top.lattice_keys(top.cell_rank(w + (p,)), k, q))
     return parent.cell_vertices, child_corner, child_mid
 
 

@@ -242,7 +242,7 @@ def test_cutoff_logdet_matches_dense_eigenspaces(m):
     # quadrature inner product by a Cholesky factor, with f compressed onto it
     m_q = sz.default_sample_level(0, m)
     topo = top.level_topology(m_q)
-    w = top.quadrature(m_q).weights[topo.interior_indices]
+    w = top.quadrature(m_q)[topo.interior_indices]
     for f in (HarmonicFunction([1.0, 1.5, 2.0]), SimpleCellFunction([1.0, 2.0, 3.0])):
         wf = w * f.sample(topo)[topo.interior_indices]
         total = 0.0

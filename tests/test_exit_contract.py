@@ -25,6 +25,8 @@ MULTIPLIERS = st.one_of(
               SIGNED).map(lambda t: "expr:{}+{}*y".format(*t)),
     # values that make the compressed operator non-finite
     st.sampled_from(["constant:1e308", "constant:nan"]),
+    # infinite at the corner q1, a Riemann point and a quadrature vertex
+    st.just("expr:1/x+1"),
 )
 
 

@@ -15,21 +15,48 @@ from sgszego.functions import (
 )
 
 
+def _key(word, corner):
+    """Lattice key of F_word(q_corner)."""
+    return top.lattice_keys(top.cell_rank(word), len(word), corner)
+
+
+def _subdivide(h, child):
+    """Corner values of child cell `child` under the harmonic extension rule."""
+    i = child - 1
+    j, k = [t for t in range(3) if t != i]
+    out = [0.0, 0.0, 0.0]
+    out[i] = h[i]
+    out[j] = (2.0 * h[i] + 2.0 * h[j] + h[k]) / 5.0
+    out[k] = (2.0 * h[i] + 2.0 * h[k] + h[j]) / 5.0
+    return out
+
+
+def _harmonic_at(boundary_values, word, corner):
+    """Oracle: the harmonic function at F_word(q_corner), by walking the
+    word's 2/5-2/5-1/5 subdivisions from the boundary values."""
+    h = list(boundary_values)
+    for s in word:
+        h = _subdivide(h, s)
+    return h[corner - 1]
+
+
 def test_constant():
     f = ConstantFunction(2.5)
     topo = top.level_topology(2)
     assert np.all(f.sample(topo) == 2.5)
-    assert f.at_vertex((1, 2), 3) == 2.5
     assert f.cell_integral(math.log) == pytest.approx(math.log(2.5))
 
 
 def test_harmonic_midpoint_rule():
     h = HarmonicFunction([1.0, 2.0, 4.0])
     # midpoint of the edge between corners 1 and 2 at level 1
-    assert h.at_vertex((1,), 2) == pytest.approx((2 * 1 + 2 * 2 + 4) / 5)
-    assert h.at_vertex((2,), 1) == pytest.approx((2 * 1 + 2 * 2 + 4) / 5)
+    t1 = top.level_topology(1)
+    vals = h.sample(t1)
+    assert vals[t1.index_of(_key((1,), 2))] == pytest.approx((2 * 1 + 2 * 2 + 4) / 5)
+    assert vals[t1.index_of(_key((2,), 1))] == pytest.approx((2 * 1 + 2 * 2 + 4) / 5)
     # corners are fixed points
-    assert h.at_vertex((1, 1, 1), 1) == 1.0
+    t3 = top.level_topology(3)
+    assert h.sample(t3)[t3.index_of(_key((1, 1, 1), 1))] == 1.0
 
 
 def test_harmonic_is_graph_harmonic():
@@ -39,14 +66,14 @@ def test_harmonic_is_graph_harmonic():
 
 
 def test_harmonic_sample_matches_pointwise():
-    h = HarmonicFunction([1.0, 1.5, 2.0])
-    topo = top.level_topology(4)
-    vals = h.sample(topo)
-    words = top.enumerate_cells(4)
-    for i in range(0, topo.n_vertices, 17):
-        word, corner = words[topo.rank[i]], int(topo.corner[i])
-        assert vals[i] == pytest.approx(h.at_vertex(word, corner), abs=1e-14)
-    assert vals.min() >= 1.0 and vals.max() <= 2.0
+    # the level-by-level extension gives the word walk's bits at every vertex
+    topo = top.level_topology(5)
+    words = top.enumerate_cells(5)
+    for boundary in [(1.0, 1.5, 2.0), (0.3, -1.7, 2.9)]:
+        vals = HarmonicFunction(boundary).sample(topo)
+        walk = [_harmonic_at(boundary, words[r], c) for r, c in zip(topo.rank, topo.corner)]
+        assert vals.tolist() == walk
+        assert vals.min() >= min(boundary) and vals.max() <= max(boundary)
 
 
 def test_simple_cell_function():
@@ -57,7 +84,7 @@ def test_simple_cell_function():
     # vertex shared by cells 1 and 2 takes the value of cell 1
     mid = topo.index_of((4, 0))
     assert vals[mid] == 1.0
-    assert f.at_vertex((2, 2), 2) == 2.0
+    assert vals[topo.index_of(_key((2, 2), 2))] == 2.0
     assert f.cell_integral() == pytest.approx(2.0)
     assert f.cell_integral(math.log) == pytest.approx((math.log(2) + math.log(3)) / 3)
 
@@ -72,15 +99,13 @@ def test_simple_cell_function_validation():
 
 
 def test_simple_cell_function_at_coarser_vertex():
-    # a vertex of a level coarser than the scale takes the value that
-    # sampling at the scale gives it
+    # sampling finer than the scale keeps at every vertex of the scale the
+    # value of its owning cell there; lattice keys double with each level
     f = SimpleCellFunction(np.arange(1.0, 10.0))
-    topo = top.level_topology(2)
-    vals = f.sample(topo)
-    for word in [(), (1,), (2,), (3,)]:
-        for corner in (1, 2, 3):
-            key = top.vertex_key(word + (corner,) * (2 - len(word)), corner)
-            assert f.at_vertex(word, corner) == vals[topo.index_of(key)]
+    t2, t4 = top.level_topology(2), top.level_topology(4)
+    coarse = f.sample(t2)
+    assert coarse.tolist() == f.coefficients[t2.rank].tolist()
+    assert f.sample(t4)[t4.index_of(t2.keys << 2)].tolist() == coarse.tolist()
 
 
 def test_expression_function():
@@ -88,15 +113,17 @@ def test_expression_function():
     topo = top.level_topology(2)
     vals = f.sample(topo)
     assert vals == pytest.approx(1 + 0.5 * topo.coords[:, 0] + topo.coords[:, 1])
-    word, corner = top.enumerate_cells(2)[topo.rank[5]], int(topo.corner[5])
-    assert f.at_vertex(word, corner) == pytest.approx(vals[5])
+    # coordinates are exact under refinement, so a finer sample agrees at
+    # the coarser vertices
+    t4 = top.level_topology(4)
+    assert f.sample(t4)[t4.index_of(topo.keys << 2)].tolist() == vals.tolist()
 
 
 def test_function_sum():
-    f = FunctionSum(SimpleCellFunction([1, 2, 3]), HarmonicFunction([0.1, 0.2, 0.3]))
+    first, second = SimpleCellFunction([1, 2, 3]), HarmonicFunction([0.1, 0.2, 0.3])
+    f = FunctionSum(first, second)
     topo = top.level_topology(2)
-    word, corner = top.enumerate_cells(2)[topo.rank[4]], int(topo.corner[4])
-    assert f.sample(topo)[4] == pytest.approx(f.at_vertex(word, corner))
+    assert f.sample(topo).tolist() == (first.sample(topo) + second.sample(topo)).tolist()
 
 
 def test_parse_function_spec():

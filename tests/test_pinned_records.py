@@ -30,12 +30,12 @@ PINNED = [
 ]
 
 SWEEPS = {
-    "cutoff": lambda: sz.szego_cutoff_sweep(
-        parse_function_spec("harmonic:1.2,1.5,1.9"), range(1, 7), 1),
-    "five": lambda: sz.szego_single_eigenspace_sweep(
-        parse_function_spec("harmonic:1,1.5,2"), "five", range(2, 7), 1),
-    "six": lambda: sz.szego_single_eigenspace_sweep(
-        parse_function_spec("simple:1.5,2.5,1.2"), "six", range(3, 7), 2),
+    "cutoff": lambda: sz.szego_sweep(
+        parse_function_spec("harmonic:1.2,1.5,1.9"), "cutoff", range(1, 7), 1),
+    "five": lambda: sz.szego_sweep(
+        parse_function_spec("harmonic:1,1.5,2"), "single", range(2, 7), 1, "five"),
+    "six": lambda: sz.szego_sweep(
+        parse_function_spec("simple:1.5,2.5,1.2"), "single", range(3, 7), 2, "six"),
 }
 
 

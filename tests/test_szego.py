@@ -65,7 +65,7 @@ def test_log_det_small_matrices():
 
 
 def test_single_sweep_constant_is_exact():
-    records = sz.szego_single_eigenspace_sweep(ConstantFunction(2.0), "six", range(2, 5), 1)
+    records = sz.szego_sweep(ConstantFunction(2.0), "single", range(2, 5), 1)
     assert [r.index for r in records] == [2, 3, 4]
     for r in records:
         assert r.error < 1e-9
@@ -73,13 +73,13 @@ def test_single_sweep_constant_is_exact():
 
 
 def test_single_sweep_skips_small_births():
-    records = sz.szego_single_eigenspace_sweep(ConstantFunction(2.0), "six", range(1, 4), 2)
+    records = sz.szego_sweep(ConstantFunction(2.0), "single", range(1, 4), 2)
     assert [r.index for r in records] == [3]
 
 
 def test_single_sweep_simple_function_bound_and_rate():
     f = SimpleCellFunction([1.0, 2.0, 3.0])
-    records = sz.szego_single_eigenspace_sweep(f, "six", range(2, 6), 1)
+    records = sz.szego_sweep(f, "single", range(2, 6), 1)
     # the eigenvalues of the compressed operator stay inside [min f, max f]
     # and the error obeys the localization bound (alpha/d)(||log f||_1 + ||f||_inf)
     norm_log = f.cell_integral(lambda v: abs(math.log(v)))
@@ -102,7 +102,7 @@ def test_operator_eigenvalue_range():
 
 
 def test_cutoff_constant_exact():
-    records = sz.szego_cutoff_sweep(ConstantFunction(1.7), range(2, 5), 1)
+    records = sz.szego_sweep(ConstantFunction(1.7), "cutoff", range(2, 5), 1)
     for r in records:
         assert r.error < 1e-9
         assert r.dimension == (3 ** (r.index + 1) - 3) // 2
@@ -111,9 +111,16 @@ def test_cutoff_constant_exact():
 def test_cutoff_block_logdet_consistency():
     f = HarmonicFunction([1.0, 1.5, 2.0])
     op = sz.cutoff_operator(f, 3, 1)
-    total = sz.log_det(op.matrix)
-    blocks = sum(sz.log_det(op.matrix[a:b, a:b]) for _, a, b in op.blocks)
+    full = op.matrix
+    total = sz.log_det(full)
+    blocks = sum(sz.log_det(mat) for _, mat in op.parts)
     assert abs(total - blocks) / abs(total) < 1e-8
+    start = 0
+    for _, mat in op.parts:
+        stop = start + mat.shape[0]
+        assert np.array_equal(full[start:stop, start:stop], mat)
+        start = stop
+    assert start == op.dimension
     dense = np.linalg.eigvalsh(op.matrix)
     assert np.max(np.abs(sz.operator_eigenvalues(op) - dense)) < 1e-12
 
@@ -163,17 +170,35 @@ def test_perturbation_trend():
     # a simple function plus a small harmonic ripple still shows the
     # decreasing error trend of the pure simple case
     f = FunctionSum(SimpleCellFunction([1.0, 2.0, 3.0]), HarmonicFunction([0.0, 0.05, 0.0]))
-    records = sz.szego_single_eigenspace_sweep(f, "six", range(2, 5), 1)
+    records = sz.szego_sweep(f, "single", range(2, 5), 1)
     assert records[-1].error < records[0].error
 
 
 def test_riemann_points():
-    pts = sz.riemann_points(9)
-    assert len(pts) == 9
-    assert len({w for w, _ in pts}) == 9
-    assert all(len(w) == 2 for w, _ in pts)
-    pts5 = sz.riemann_points(5)
-    assert len({w for w, _ in pts5}) == 5
+    r, ranks = sz.riemann_points(9)
+    assert r == 2
+    assert len(ranks) == 9 and len(set(ranks.tolist())) == 9
+    r5, ranks5 = sz.riemann_points(5)
+    assert r5 == 2
+    assert len(ranks5) == 5 and len(set(ranks5.tolist())) == 5
+    assert all(0 <= k < 9 for k in ranks5)
+
+
+def test_equidistribution_riemann_points_below_the_cell_scale():
+    # six j=2 has d = 3, so the Riemann points are corner q1 of the three
+    # 1-cells, while f is piecewise constant on the 27 3-cells: each point
+    # takes the coefficient of its least containing 3-cell
+    f = SimpleCellFunction(np.arange(1.0, 28.0) ** 2)
+    op = sz.single_operator(f, "six", 2, None)
+    assert (op.dimension, op.level) == (3, 3)
+    topo = top.level_topology(3)
+    points = topo.index_of(top.lattice_keys(np.arange(3), 1, 1) << 2)
+    # q1, and the midpoints of q1q2 and q1q3, lie least in the cells 111, 122, 133
+    assert topo.rank[points].tolist() == [0, 4, 8]
+    expected = float(np.mean([math.log(c) for c in f.coefficients[topo.rank[points]]]))
+    spectral, riemann, gap = sz.equidistribution_compare(op, f, math.log)
+    assert riemann == expected
+    assert gap == abs(spectral - expected)
 
 
 def test_fit_rate_on_synthetic_power_law():
@@ -194,6 +219,13 @@ def test_rate_exponents():
     )
 
 
+def test_record_integral_one_level_finer_than_sampling():
+    # a record sampled at level 8 takes its reference integral at level 9
+    f = HarmonicFunction([1.0, 1.5, 2.0])
+    (record,) = sz.szego_sweep(f, "single", [4], 1, "six", m_q=8)
+    assert record.integral == sz.reference_integral(f, math.log, 9)
+
+
 def test_reference_integral_uses_exact_cell_sums():
     f = SimpleCellFunction([1.0, 2.0, 3.0])
     exact = (math.log(1.0) + math.log(2.0) + math.log(3.0)) / 3.0
@@ -201,7 +233,7 @@ def test_reference_integral_uses_exact_cell_sums():
 
 
 def test_records_export(tmp_path):
-    records = sz.szego_single_eigenspace_sweep(ConstantFunction(2.0), "six", range(2, 4), 1)
+    records = sz.szego_sweep(ConstantFunction(2.0), "single", range(2, 4), 1)
     p1 = tmp_path / "records.csv"
     p2 = tmp_path / "loglog.csv"
     sz.export_records_csv(records, p1, header_lines=("# test",))
