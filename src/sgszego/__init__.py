@@ -18,7 +18,7 @@ from .functions import (
     SimpleCellFunction,
     parse_function_spec,
 )
-from .laplacian import ResistanceComputer, dirichlet_laplacian, holder_seminorm
+from .laplacian import ResistanceComputer, dirichlet_laplacian
 from .szego import (
     CompressedOperator,
     NotPositiveDefiniteError,

@@ -2,11 +2,16 @@
 the cells of the topology, its dense eigensolver oracle, the level-to-level
 extension rule of spectral decimation, and the effective resistance metric.
 
-The resistance metric comes from the Green's matrix of the graph Laplacian
-grounded at q_1, built level by level with no linear solve: the new vertices
-of each level couple only within their own cell, so the block inverse of the
-level-k Laplacian is harmonic extension of the level-(k-1) Green's matrix plus
-the inverse of each cell's 3 x 3 midpoint block.
+The resistance metric is answered pair by pair, with no n x n matrix.  The
+Green's matrix grounded at q_1 is G_m = sum_k P_k B_k P_k^T: P_k is harmonic
+extension from V_k to V_m, B_0 = G_0 and, for k >= 1, B_k is the inverse
+(3/5)^k (I + J/2) / 5 of each (k-1)-cell's midpoint block, since the new
+vertices of a level couple only within their own cell.  A vertex's harmonic
+coordinates on its k-cell come from walking its cell address from level m
+down, one fixed 3 x 3 map per address digit.  So R(x, y) = G_xx + G_yy - 2 G_xy
+is a sum over levels: the midpoint form of v_x - v_y while x and y share the
+(k-1)-cell, of v_x and v_y separately after they split, and the G_0 form of
+the difference of their V_0 coordinates.
 """
 from __future__ import annotations
 
@@ -124,30 +129,17 @@ def extend_values(values, k, gamma_k):
     return out
 
 
-# inverse of a cell's midpoint block 5I - J of the unit-conductance Laplacian
-# (each midpoint has degree 4 and its two neighbouring midpoints in the cell)
-_MIDPOINT_BLOCK_INVERSE = (np.eye(3) + 0.5) / 5.0
+# corner t != s of child s of a cell is the midpoint of the cell's edge (s, t),
+# which lies opposite corner r = 3 - s - t: _MID[s, r, t] = 1 moves a point's
+# coordinate on that child corner to the cell's midpoint slot r
+_MID = np.array([[[float(t != s and r == 3 - s - t) for t in range(3)]
+                  for r in range(3)] for s in range(3)])
 
 
-def green_matrix(m):
-    """Green's matrix on V_m of the Laplacian with edge conductance (5/3)^m,
-    grounded at q_1 (its row and column are zero).
-
-    G_0 = [[2, 1], [1, 2]] / 3 on (q_2, q_3).  Level k orders V_k as V_{k-1}
-    and the new vertices N; with H_k harmonic extension and D_k the
-    block-diagonal (5/3)^k (5I - J) coupling of each cell's midpoints,
-    G_k = H_k G_{k-1} H_k^T + D_k^{-1} on N, because the Schur complement of
-    D_k is the level-(k-1) Laplacian: the renormalization 3/5 of the gasket.
-    """
-    green = np.zeros((3, 3))
-    green[1:, 1:] = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
-    for k in range(1, m + 1):
-        # G H^T, made contiguous for the row gathers of the second extension
-        half = np.ascontiguousarray(extend_values(green, k, 0.0).T)
-        green = extend_values(half, k, 0.0)
-        mid = extension_maps(k)[2]
-        green[mid[:, :, None], mid[:, None, :]] += (3.0 / 5.0) ** k * _MIDPOINT_BLOCK_INVERSE
-    return green
+def _midpoint_energy(v):
+    """v^T M v over the last axis, M = (I + J/2) / 5 the inverse of a cell's
+    midpoint block 5I - J of the unit-conductance Laplacian."""
+    return (np.einsum("...i,...i->...", v, v) + 0.5 * v.sum(axis=-1) ** 2) / 5.0
 
 
 class ResistanceComputer:
@@ -155,31 +147,37 @@ class ResistanceComputer:
 
     The scale makes boundary-to-boundary resistance level independent, so the
     values approximate the resistance metric of the limiting energy form.
-    R(x, y) = G_xx + G_yy - 2 G_xy for any grounded Green's matrix G.
+    Each query walks the two vertices' cell addresses; see the module
+    docstring.
     """
 
     def __init__(self, m):
         self.level = m
-        self._green = green_matrix(m)
+        self._topo = level_topology(m)
 
     def resistance(self, x, y):
-        if x == y:
-            return 0.0
-        g = self._green
-        return float(g[x, x] + g[y, y] - 2.0 * g[x, y])
-
-    def resistance_matrix(self):
-        d = np.diag(self._green)
-        return d[:, None] + d[None, :] - 2.0 * self._green
-
-
-def holder_seminorm(values, rc, alpha):
-    """Empirical Holder seminorm max |f(x)-f(y)| / R(x,y)^alpha over all
-    sampled vertex pairs."""
-    if alpha <= 0:
-        raise ValueError("exponent must be positive")
-    values = np.asarray(values, dtype=float)
-    R = rc.resistance_matrix()
-    diff = np.abs(values[:, None] - values[None, :])
-    mask = ~np.eye(len(values), dtype=bool)
-    return float(np.max(diff[mask] / R[mask] ** alpha))
+        """R(x, y) for vertex index arrays x and y, broadcast against each
+        other; O(m) work and memory per pair."""
+        x, y = np.broadcast_arrays(x, y)
+        ends = np.stack([x.ravel(), y.ravel()])  # (2, pairs)
+        # each end starts at its canonical (cell, corner) name
+        rank = self._topo.rank[ends]
+        coords = np.eye(3)[self._topo.corner[ends] - 1]
+        total = np.zeros(ends.shape[1])
+        for k in range(self.level, 0, -1):
+            rank, digit = np.divmod(rank, 3)
+            # rank now names the (k-1)-cells; a vertex of V_(k-1) has v = 0
+            # here, so its canonical cell serves even where it lies in two
+            v = np.einsum("...ij,...j->...i", _MID[digit], coords)
+            total += (3.0 / 5.0) ** k * np.where(
+                rank[0] == rank[1], _midpoint_energy(v[0] - v[1]), _midpoint_energy(v).sum(axis=0))
+            # corner s of child s is the cell's corner s, and harmonic
+            # extension gives each midpoint 2/5 of the corners of its edge
+            # and 1/5 of the opposite one: the weights (2J - I) / 5
+            coords = np.where(digit[..., None] == np.arange(3), coords, 0.0)
+            coords += (2.0 * v.sum(axis=-1, keepdims=True) - v) / 5.0
+        # G_0 on V_0 grounded at q_1 is [[2, 1], [1, 2]] / 3 on (q_2, q_3); on a
+        # difference of coordinates, which sums to 0, its form is |d|^2 / 3
+        d = coords[0] - coords[1]
+        total += np.einsum("pi,pi->p", d, d) / 3.0
+        return total.reshape(x.shape)

@@ -15,11 +15,11 @@ from .eigenbasis import localize_basis
 from .topology import interior_weight, level_topology, quadrature
 
 MQ_CAP = 7  # desk-scale cap on the sampling level (3279 interior vertices)
-# desk-scale caps on --m of the commands that build one level: `resistance`
-# holds the dense n x n Green's matrix (775 MB for the 9843 vertices of level
-# 8, 7 GB for the 29526 of level 9), and the `topology` tables and `spectrum`
-# descriptors grow about 3x and 2x per level
-LEVEL_CAPS = {"resistance": 8, "topology": 12, "spectrum": 20}
+# desk-scale caps on --m of the commands that build one level: the
+# `topology` tables of `topology` and `resistance` and the `spectrum`
+# descriptors grow about 3x and 2x per level (`resistance --m 12` runs in
+# about 0.6 s and 170 MB)
+LEVEL_CAPS = {"resistance": 12, "topology": 12, "spectrum": 20}
 
 
 class NotPositiveDefiniteError(Exception):

@@ -89,7 +89,7 @@ def test_resistance_command(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["triangle_violations"] == 0
     assert summary["results"]["max_boundary_deviation"] < 1e-9
-    assert summary["timings"]["green_function_s"] > 0.0
+    assert summary["timings"]["resistance_s"] > 0.0
     lines = _read_csv(out / "resistance.csv")
     for line in lines[2:]:
         assert abs(float(line.split(",")[2]) - 2.0 / 3.0) < 1e-9
@@ -101,6 +101,17 @@ def test_resistance_zero_triples(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"] == {"triangle_violations": 0, "triples": 0,
                                   "max_boundary_deviation": 0.0}
+
+
+def test_resistance_command_level_nine(tmp_path):
+    out = tmp_path / "res"
+    assert _run(["resistance", "--m", "9", "--triples", "100", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["results"]["triangle_violations"] == 0
+    lines = _read_csv(out / "resistance.csv")
+    assert len(lines) == 5
+    for line in lines[2:]:
+        assert abs(float(line.split(",")[2]) - 2.0 / 3.0) < 1e-15
 
 
 def test_equidist_log_matches_szego_logdet(tmp_path):
@@ -144,7 +155,7 @@ def test_equidist_log_matches_szego_logdet(tmp_path):
          "--f", "simple:" + ",".join(["1"] * 81)],
         ["szego", "--mode", "cutoff", "--m", "1", "--f", "simple:" + ",".join(["1"] * 27)],
         ["resistance", "--m", "2", "--triples", "-3"],
-        ["resistance", "--m", "9"],
+        ["resistance", "--m", "13"],
         ["topology", "--m", "13"],
         ["spectrum", "--m", "21"],
         ["resistance", "--m", "30"],
@@ -257,6 +268,24 @@ def test_multiplier_infinite_at_riemann_point_exit_3(argv, functional, tmp_path)
     assert record["error"] == "numerical failure"
     assert f"F={functional}" in record["detail"] and "x=inf" in record["detail"]
     assert not (out / "equidist.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equidist", "--mode", "single", "--series", "six", "--j", "2",
+         "--f", "expr:1/x+1", "--F", "log"],
+        ["equidist", "--mode", "cutoff", "--m", "2", "--f", "expr:1/x+1", "--F", "power:2"],
+        ["szego", "--mode", "single", "--series", "six", "--j", "2", "--f", "constant:1e308"],
+    ],
+)
+def test_error_record_is_all_of_stderr(argv, tmp_path, capfd):
+    # the non-finite values these runs meet divide by zero or overflow in
+    # NumPy first; its warnings must not print ahead of the JSON record
+    assert _run(argv + ["--out", str(tmp_path / "bad")]) == 3
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "numerical failure"
 
 
 @pytest.mark.parametrize("fspec", ["expr:x", "harmonic:0,1,2"])

@@ -92,21 +92,90 @@ def _dense_resistance(m):
     return d[:, None] + d[None, :] - 2.0 * p
 
 
+def _green_matrix(m):
+    """Reference: the Green's matrix on V_m of the Laplacian with edge
+    conductance (5/3)^m, grounded at q_1 (its row and column are zero).
+
+    G_0 = [[2, 1], [1, 2]] / 3 on (q_2, q_3).  Level k orders V_k as V_{k-1}
+    and the new vertices N; with H_k harmonic extension and D_k the
+    block-diagonal (5/3)^k (5I - J) coupling of each cell's midpoints,
+    G_k = H_k G_{k-1} H_k^T + D_k^{-1} on N, because the Schur complement of
+    D_k is the level-(k-1) Laplacian: the renormalization 3/5 of the gasket.
+    """
+    green = np.zeros((3, 3))
+    green[1:, 1:] = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
+    for k in range(1, m + 1):
+        half = np.ascontiguousarray(lap.extend_values(green, k, 0.0).T)
+        green = lap.extend_values(half, k, 0.0)
+        mid = lap.extension_maps(k)[2]
+        green[mid[:, :, None], mid[:, None, :]] += (3.0 / 5.0) ** k * (np.eye(3) + 0.5) / 5.0
+    return green
+
+
+def _resistance_matrix(green):
+    """R(x, y) = G_xx + G_yy - 2 G_xy for any grounded Green's matrix G."""
+    d = np.diag(green)
+    return d[:, None] + d[None, :] - 2.0 * green
+
+
+def _holder_seminorm(values, R, alpha):
+    """Empirical Holder seminorm max |f(x)-f(y)| / R(x,y)^alpha over all
+    sampled vertex pairs of the resistance matrix R."""
+    if alpha <= 0:
+        raise ValueError("exponent must be positive")
+    values = np.asarray(values, dtype=float)
+    diff = np.abs(values[:, None] - values[None, :])
+    mask = ~np.eye(len(values), dtype=bool)
+    return float(np.max(diff[mask] / R[mask] ** alpha))
+
+
+def _pair_matrix(rc):
+    """All-pairs resistance from the pair queries of one computer."""
+    idx = np.arange(top.level_topology(rc.level).n_vertices)
+    return rc.resistance(idx[:, None], idx[None, :])
+
+
 @pytest.mark.parametrize("m", range(0, 6))
 def test_resistance_matches_dense_pinv(m):
-    R = lap.ResistanceComputer(m).resistance_matrix()
+    R = _pair_matrix(lap.ResistanceComputer(m))
     assert np.max(np.abs(R - _dense_resistance(m))) < 1e-12
+
+
+@pytest.mark.parametrize("m", range(0, 7))
+def test_pair_resistance_matches_green_matrix(m):
+    R = _resistance_matrix(_green_matrix(m))
+    rc = lap.ResistanceComputer(m)
+    idx = np.arange(len(R))
+    for lo in range(0, len(R), 128):  # row blocks keep the pair arrays small
+        rows = idx[lo:lo + 128]
+        assert np.max(np.abs(rc.resistance(rows[:, None], idx[None, :]) - R[rows])) < 1e-13
 
 
 def test_resistance_level_seven_without_dense_solve():
     rc = lap.ResistanceComputer(7)
-    b = np.nonzero(top.level_topology(rc.level).boundary_mask)[0]
+    topo = top.level_topology(rc.level)
+    b = np.nonzero(topo.boundary_mask)[0]
     for x in range(3):
         for y in range(x + 1, 3):
             assert abs(rc.resistance(b[x], b[y]) - 2.0 / 3.0) < 1e-15
-    R = rc.resistance_matrix()
-    assert np.max(np.abs(R - R.T)) < 1e-14
-    assert np.all(np.diag(R) == 0.0)
+    x, y = np.random.default_rng(5).integers(topo.n_vertices, size=(2, 20000))
+    assert np.max(np.abs(rc.resistance(x, y) - rc.resistance(y, x))) < 1e-14
+    idx = np.arange(topo.n_vertices)
+    assert np.all(rc.resistance(idx, idx) == 0.0)
+
+
+def test_pair_queries_memory():
+    # a query holds O(m) numbers per pair; the n x n matrix at level 10
+    # would be 63 GB
+    rc = lap.ResistanceComputer(10)
+    x, y = np.random.default_rng(3).integers(top.level_topology(10).n_vertices, size=(2, 3003))
+    tracemalloc.start()
+    try:
+        rc.resistance(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_resistance_series_parallel():
@@ -128,7 +197,7 @@ def test_resistance_renormalization(m):
 def test_resistance_metric_axioms():
     rc = lap.ResistanceComputer(3)
     n = top.level_topology(rc.level).n_vertices
-    R = rc.resistance_matrix()
+    R = _pair_matrix(rc)
     assert np.allclose(R, R.T, atol=1e-12)
     assert np.all(np.abs(np.diag(R)) < 1e-12)
     off = R[~np.eye(n, dtype=bool)]
@@ -142,7 +211,7 @@ def test_resistance_metric_axioms():
 def test_resistance_vs_euclidean_ratio():
     rc = lap.ResistanceComputer(4)
     topo = top.level_topology(rc.level)
-    R = rc.resistance_matrix()
+    R = _pair_matrix(rc)
     d = np.sqrt(((topo.coords[:, None, :] - topo.coords[None, :, :]) ** 2).sum(-1))
     mask = ~np.eye(topo.n_vertices, dtype=bool)
     ratio = R[mask] / d[mask] ** (math.log(5 / 3) / math.log(2))
@@ -152,12 +221,13 @@ def test_resistance_vs_euclidean_ratio():
 def test_holder_seminorm():
     rc = lap.ResistanceComputer(4)
     topo = top.level_topology(rc.level)
-    assert lap.holder_seminorm(np.ones(topo.n_vertices), rc, 1.0) == 0.0
+    R = _pair_matrix(rc)
+    assert _holder_seminorm(np.ones(topo.n_vertices), R, 1.0) == 0.0
     h = HarmonicFunction([0.0, 1.0, 0.0]).sample(topo)
-    s = lap.holder_seminorm(h, rc, 1.0)
+    s = _holder_seminorm(h, R, 1.0)
     assert np.isfinite(s) and s > 0
     with pytest.raises(ValueError):
-        lap.holder_seminorm(h, rc, 0.0)
+        _holder_seminorm(h, R, 0.0)
 
 
 def test_holder_pair_ratio_monotone_in_alpha():
