@@ -1,10 +1,10 @@
 """Configuration-driven command line front end.
 
 A run is described by a JSON config document; command line flags override
-file fields.  Every output CSV embeds the hash of the effective config in a
-leading comment line, so re-running the same config and seed reproduces
-byte-identical CSV bodies.  Exit codes: 0 success, 2 invalid config,
-3 numerical failure.
+file fields.  `export_csv`, the package's one CSV writer, embeds the hash of
+the effective config in a leading comment line, so re-running the same
+config and seed reproduces byte-identical CSV bodies.  Exit codes:
+0 success, 2 invalid config, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from itertools import repeat
 
 import numpy as np
 
@@ -33,6 +34,14 @@ BIRTHS = {"two": range(1, 2), "five": range(1, szego.MQ_CAP + 1), "six": range(2
 
 # the config field that holds the index range of each szego / equidist mode
 INDEX_FIELDS = {"single": "j", "cutoff": "m"}
+
+# desk-scale cap on resistance --triples: a triple holds about 1.2 KB while
+# its queries run, and 10^6 triples at --m 12 take about 20 s and 1.2 GB
+TRIPLES_CAP = 10**6
+
+# vertex and cell rows formatted at a time by the topology tables, which
+# bounds their memory
+EXPORT_CHUNK = 1 << 15
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -222,8 +231,8 @@ def validate(config):
         lo, hi = (0 if cmd == "topology" else 1), szego.LEVEL_CAPS[cmd]
         if m is None or not lo <= m <= hi:
             v.append(f"m: required level in {lo}..{hi} (desk-scale cap of {cmd})")
-    if cmd == "resistance" and config.get("triples") is not None and config["triples"] < 0:
-        v.append("triples: must be >= 0")
+    if cmd == "resistance" and not 0 <= config.get("triples", 0) <= TRIPLES_CAP:
+        v.append(f"triples: must lie in 0..{TRIPLES_CAP} (desk-scale cap)")
     if cmd == "basis":
         for key in ("series", "j", "N", "m_q"):
             if config.get(key) is None:
@@ -287,8 +296,61 @@ def validate(config):
     return v
 
 
-def _csv_header(config):
-    return [f"# config_hash={config_hash(config)}"]
+def export_csv(path, header_lines, fields, rows):
+    """Each header line ended by "\n", then the field row and `rows` in the
+    csv module's dialect; floats print as their shortest repr, so rows hold
+    Python floats, not NumPy scalars.  `rows` may be a generator."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(line + "\n" for line in header_lines)
+        wr = csv.writer(fh)
+        wr.writerow(fields)
+        wr.writerows(rows)
+
+
+def _vertex_rows(topo):
+    """EXPORT_CHUNK rows at a time; the weight is the level-m quadrature
+    weight, empty at m = 0, where there is no quadrature."""
+    weights = topology.quadrature(topo.m) if topo.m >= 1 else None
+    for lo in range(0, topo.n_vertices, EXPORT_CHUNK):
+        part = slice(lo, lo + EXPORT_CHUNK)
+        words = topology.word_strs(topo.rank[part], topo.m)
+        yield from zip(range(lo, lo + len(words)), words, topo.corner[part].tolist(),
+                       topo.coords[part, 0].tolist(), topo.coords[part, 1].tolist(),
+                       topo.boundary_mask[part].astype(int).tolist(),
+                       repeat("") if weights is None else weights[part].tolist())
+
+
+def _cell_rows(topo):
+    for lo in range(0, len(topo.cell_vertices), EXPORT_CHUNK):
+        part = topo.cell_vertices[lo:lo + EXPORT_CHUNK]
+        ranks = range(lo, lo + len(part))
+        yield from zip(ranks, topology.word_strs(np.asarray(ranks), topo.m), *part.T.tolist())
+
+
+def _basis_rows(basis, full):
+    """The interior rows of one column of `full` (the basis on every vertex
+    of V_level) at a time, tagged with its N-cell address or NONLOCALIZED."""
+    interior = topology.level_topology(basis.level).interior_indices
+    ids = interior.tolist()
+    cells = topology.word_strs(np.arange(len(basis.rows)), basis.scale) if len(basis.rows) else []
+    p = basis.small.shape[1]
+    tags = [w for w in cells for _ in range(p)]
+    tags += [eigenbasis.NONLOCALIZED] * basis.nonlocalized_count
+    for c, tag in enumerate(tags):
+        yield from zip(ids, repeat(c), full[interior, c].tolist(), repeat(tag))
+
+
+def _draw_triples(rng, n, count):
+    """`count` ordered triples of distinct vertices in 0..n-1, uniform as
+    rng.choice(n, 3, replace=False) is, drawn at once: y skips x, and z
+    skips the smaller, then the larger, of x and y."""
+    x = rng.integers(n, size=count)
+    y = rng.integers(n - 1, size=count)
+    y += y >= x
+    z = rng.integers(n - 2, size=count)
+    z += z >= np.minimum(x, y)
+    z += z >= np.maximum(x, y)
+    return x, y, z
 
 
 def _write_summary(config, results, timings, path):
@@ -321,19 +383,23 @@ def run(config):
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     cmd = config["command"]
-    header = _csv_header(config)
+    header = [f"# config_hash={config_hash(config)}"]
     results, timings = {}, {}
 
     if cmd == "topology":
         topo = topology.level_topology(config["m"])
-        vp = os.path.join(out, "vertices.csv")
-        topology.export_vertex_table(topo, vp, header_lines=header)
-        topology.export_cell_table(topo, os.path.join(out, "cells.csv"), header_lines=header)
+        export_csv(os.path.join(out, "vertices.csv"), header,
+                   ["id", "word", "corner", "x", "y", "is_boundary", "weight"], _vertex_rows(topo))
+        export_csv(os.path.join(out, "cells.csv"), header,
+                   ["rank", "word", "v1", "v2", "v3"], _cell_rows(topo))
         results = {"n_vertices": topo.n_vertices, "n_cells": len(topo.cell_vertices)}
 
     elif cmd == "spectrum":
         table = decimation.enumerate_spectrum(config["m"])
-        decimation.export_spectrum_csv(table, os.path.join(out, "spectrum.csv"), header)
+        export_csv(os.path.join(out, "spectrum.csv"), header,
+                   ["series", "birth", "signs", "fixation", "gamma_m", "lambda", "multiplicity"],
+                   ([d.series, d.birth, "".join("+" if e == 1 else "-" for e in d.signs) or "-",
+                     d.fixation, d.gammas[-1], d.lam, d.multiplicity] for d in table.entries))
         results = {"entries": len(table.entries), "total_multiplicity": table.total_multiplicity}
 
     elif cmd == "basis":
@@ -341,13 +407,15 @@ def run(config):
         basis = eigenbasis.localize_basis(desc, config["m_q"], config["N"])
         deviation = eigenbasis.orthonormality_check(basis)
         topo = topology.level_topology(config["m_q"])
+        # the columns are assembled once, for the residual and the export
         full = np.zeros((topo.n_vertices, basis.dimension))
         full[topo.interior_indices] = basis.vectors
         residual = laplacian.eigen_residual(config["m_q"], full, desc.gamma_at(config["m_q"]))
         for check, value in (("gram", deviation), ("eigen_residual", residual)):
             if value > config["tolerances"][check]:
                 raise ToleranceError(check, value, config["tolerances"][check])
-        eigenbasis.export_basis_csv(basis, os.path.join(out, "basis.csv"), header)
+        export_csv(os.path.join(out, "basis.csv"), header, ["vertex_id", "column", "value", "tag"],
+                   _basis_rows(basis, full))
         results = {
             "dimension": basis.dimension,
             "localized": basis.localized_count,
@@ -359,8 +427,13 @@ def run(config):
     elif cmd == "szego":
         mode = config.get("mode", "single")
         records = szego.szego_sweep(*_sweep_args(config))
-        szego.export_records_csv(records, os.path.join(out, f"szego_{mode}.csv"), header)
-        szego.export_loglog_csv(records, os.path.join(out, f"szego_{mode}_loglog.csv"), header)
+        export_csv(os.path.join(out, f"szego_{mode}.csv"), header,
+                   ["mode", "index", "d", "logdet_over_d", "integral", "error",
+                    "localized_dim", "nonlocalized_dim"],
+                   ([r.mode, r.index, r.dimension, r.logdet_over_d, r.integral, r.error,
+                     r.localized_dim, r.nonlocalized_dim] for r in records))
+        export_csv(os.path.join(out, f"szego_{mode}_loglog.csv"), header, ["log_d", "log_error"],
+                   ([math.log(r.dimension), math.log(r.error)] for r in records if r.error > 0.0))
         beta_hat, r2 = szego.fit_rate(records)
         results = {
             "records": len(records),
@@ -377,14 +450,8 @@ def run(config):
         f, *sweep = _sweep_args(config)
         rows = [(index, op.dimension, *szego.equidistribution_compare(op, f, func))
                 for index, op in szego.operators(f, *sweep)]
-        path = os.path.join(out, "equidist.csv")
-        with open(path, "w", newline="") as fh:
-            for line in header:
-                fh.write(line + "\n")
-            wr = csv.writer(fh)
-            wr.writerow(["index", "d", "spectral", "riemann", "gap"])
-            for row in rows:
-                wr.writerow([row[0], row[1], repr(row[2]), repr(row[3]), repr(row[4])])
+        export_csv(os.path.join(out, "equidist.csv"), header,
+                   ["index", "d", "spectral", "riemann", "gap"], rows)
         results = {"functional": fname, "gaps": [r[4] for r in rows]}
 
     elif cmd == "resistance":
@@ -393,21 +460,15 @@ def run(config):
         bx, by = boundary[[0, 0, 1]], boundary[[1, 2, 2]]  # the three boundary pairs
         rng = np.random.default_rng(config["seed"])
         n_triples = config.get("triples", 200)
-        x, y, z = np.array([rng.choice(topo.n_vertices, size=3, replace=False)
-                            for _ in range(n_triples)], dtype=np.int64).reshape(-1, 3).T
+        x, y, z = _draw_triples(rng, topo.n_vertices, n_triples)
         start = time.perf_counter()
         rc = laplacian.ResistanceComputer(config["m"])
         boundary_r = rc.resistance(bx, by).tolist()
         r_xz, r_xy, r_yz = rc.resistance(np.concatenate([x, x, y]),
                                          np.concatenate([z, y, z])).reshape(3, -1)
         timings = {"resistance_s": time.perf_counter() - start}
-        path = os.path.join(out, "resistance.csv")
-        with open(path, "w", newline="") as fh:
-            for line in header:
-                fh.write(line + "\n")
-            wr = csv.writer(fh)
-            wr.writerow(["x", "y", "resistance"])
-            wr.writerows(zip(bx.tolist(), by.tolist(), map(repr, boundary_r)))
+        export_csv(os.path.join(out, "resistance.csv"), header, ["x", "y", "resistance"],
+                   zip(bx.tolist(), by.tolist(), boundary_r))
         violations = int(np.count_nonzero(r_xz > r_xy + r_yz + 1e-12))
         results = {"triangle_violations": violations, "triples": n_triples,
                    "max_boundary_deviation": max(abs(r - 2.0 / 3.0) for r in boundary_r)}

@@ -12,7 +12,6 @@ Beyond the enumeration level all signs are -1, which makes
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -365,19 +364,6 @@ def eigenfunctions_at_level(desc, m_q, vals=None):
     return vals
 
 
-def export_spectrum_csv(table, path, header_lines=()):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        wr = csv.writer(fh)
-        wr.writerow(["series", "birth", "signs", "fixation", "gamma_m", "lambda", "multiplicity"])
-        for d in table.entries:
-            signs = "".join("+" if e == 1 else "-" for e in d.signs)
-            wr.writerow(
-                [d.series, d.birth, signs or "-", d.fixation, repr(d.gammas[-1]), repr(d.lam), d.multiplicity]
-            )
-
-
 __all__ = [
     "EigenvalueDescriptor",
     "SpectrumTable",
@@ -388,7 +374,6 @@ __all__ = [
     "extend_eigenfunction",
     "birth_eigenvectors",
     "eigenfunctions_at_level",
-    "export_spectrum_csv",
     "series_multiplicity",
     "SERIES_TWO",
     "SERIES_FIVE",

@@ -24,9 +24,7 @@ its norm finishes the job.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from .decimation import (SERIES_SIX, SERIES_TWO, corner_normal_derivatives,
                          eigenfunctions_at_level, junction_nullspace, make_descriptor,
                          six_series_remainder)
 from .topology import (cell_embedding, cell_rank, enumerate_cells, interior_count,
-                       interior_weight, level_topology, word_str)
+                       interior_weight, level_topology)
 
 NONLOCALIZED = "nonlocalized"
 
@@ -207,16 +205,3 @@ def max_outside_value(basis, column):
     outside = np.ones(topo.n_vertices, dtype=bool)
     outside[cell_embedding(basis.level, basis.scale)[cell_rank(tag)]] = False
     return float(np.max(np.abs(basis.vectors[outside[topo.interior_indices], column]), initial=0.0))
-
-
-def export_basis_csv(basis, path, header_lines=()):
-    ids = level_topology(basis.level).interior_indices.tolist()
-    vectors = basis.vectors
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        wr = csv.writer(fh)
-        wr.writerow(["vertex_id", "column", "value", "tag"])
-        for c, tag in enumerate(basis.tags):
-            tag_s = tag if tag == NONLOCALIZED else word_str(tag)
-            wr.writerows(zip(ids, repeat(c), map(repr, vectors[:, c].tolist()), repeat(tag_s)))

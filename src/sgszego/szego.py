@@ -3,7 +3,6 @@ Laplacian, their log-determinants, spectral functionals, and the convergence
 and equidistribution experiments built on them."""
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -51,26 +50,26 @@ class CompressedOperator:
     """Multiplication operator compressed to a sum of eigenspaces.
 
     Eigenspaces are orthogonal, so the operator is block diagonal across
-    them; `parts` keeps one (descriptor, matrix) pair per eigenspace, with
-    entries the quadrature inner products <f u_a, u_b>.  `localized` counts
+    them; `blocks` keeps one matrix per eigenspace, with entries the
+    quadrature inner products <f u_a, u_b>.  `localized` counts
     the localized basis vectors, and `level` is the sampling level the blocks
     were assembled at.
     """
 
-    parts: tuple
+    blocks: tuple
     localized: int
     level: int
 
     @property
     def dimension(self):
-        return sum(mat.shape[0] for _, mat in self.parts)
+        return sum(mat.shape[0] for mat in self.blocks)
 
     @property
     def matrix(self):
         """The dense block-diagonal matrix, assembled on every access."""
         full = np.zeros((self.dimension, self.dimension))
         start = 0
-        for _, mat in self.parts:
+        for mat in self.blocks:
             stop = start + mat.shape[0]
             full[start:stop, start:stop] = mat
             start = stop
@@ -78,10 +77,11 @@ class CompressedOperator:
 
 
 def assemble_compressed(f_values_interior, basis):
-    """M[a, b] = sum_x w(x) f(x) u_a(x) u_b(x) over interior vertices, formed
-    from the basis's split without its dense columns: per cell the block
-    w_{m_q - N} S^T diag(f on the cell) S of the small eigenspace S, each
-    cell's rows of the coupling to the remainder, and the remainder block.
+    """The block of one eigenspace, M[a, b] = sum_x w(x) f(x) u_a(x) u_b(x)
+    over interior vertices, formed from the basis's split without its dense
+    columns: per cell the block w_{m_q - N} S^T diag(f on the cell) S of the
+    small eigenspace S, each cell's rows of the coupling to the remainder,
+    and the remainder block.
     Copies in distinct cells have disjoint supports, so the blocks between
     them are zero.  That costs n (p^2 + p r + r^2) instead of n d^2."""
     w = interior_weight(basis.level)
@@ -98,8 +98,7 @@ def assemble_compressed(f_values_interior, basis):
         mat[block, block] = 0.5 * (local + local.T)
         mat[block, n_loc:] = (w * basis.copy_factor) * (weighted @ rem[rows])
     mat[n_loc:, :n_loc] = mat[:n_loc, n_loc:].T
-    return CompressedOperator(parts=((basis.descriptor, mat),), localized=basis.localized_count,
-                              level=basis.level)
+    return mat
 
 
 def compressed_operator(f, descriptors, m_q, scale):
@@ -108,21 +107,21 @@ def compressed_operator(f, descriptors, m_q, scale):
     FunctionalValueError when a block has a non-finite entry."""
     topo = level_topology(m_q)
     fvals = f.sample(topo)[topo.interior_indices]
-    parts, localized = [], 0
+    blocks, localized = [], 0
     for desc in descriptors:
         basis = localize_basis(desc, m_q, scale)
-        parts.extend(assemble_compressed(fvals, basis).parts)
+        blocks.append(assemble_compressed(fvals, basis))
         localized += basis.localized_count
-    if not all(np.isfinite(mat).all() for _, mat in parts):
+    if not all(np.isfinite(mat).all() for mat in blocks):
         raise FunctionalValueError(f"f={f.label()} compressed at level {m_q} has non-finite entries")
-    return CompressedOperator(parts=tuple(parts), localized=localized, level=m_q)
+    return CompressedOperator(blocks=tuple(blocks), localized=localized, level=m_q)
 
 
 def log_det(op_or_matrix):
     """Log-determinant by Cholesky of a symmetric positive-definite matrix, or
     of a compressed operator as the sum over its blocks."""
     if isinstance(op_or_matrix, CompressedOperator):
-        return sum(log_det(mat) for _, mat in op_or_matrix.parts)
+        return sum(log_det(mat) for mat in op_or_matrix.blocks)
     try:
         chol = np.linalg.cholesky(op_or_matrix)
     except np.linalg.LinAlgError as exc:
@@ -141,7 +140,7 @@ def spectral_functional(op, func):
 
 def operator_eigenvalues(op):
     """Eigenvalues of every block, in ascending order."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(mat) for _, mat in op.parts]))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(mat) for mat in op.blocks]))
 
 
 def reference_integral(f, func, level):
@@ -286,27 +285,3 @@ def beta_exponent(alpha):
 def beta_tilde_exponent(alpha):
     """Decay exponent for the cutoff experiment."""
     return beta_exponent(alpha) * (1.0 - math.log(2.0) / math.log(3.0))
-
-
-def export_records_csv(records, path, header_lines=()):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        wr = csv.writer(fh)
-        wr.writerow(["mode", "index", "d", "logdet_over_d", "integral", "error",
-                     "localized_dim", "nonlocalized_dim"])
-        for r in records:
-            wr.writerow([r.mode, r.index, r.dimension, repr(r.logdet_over_d),
-                         repr(r.integral), repr(r.error), r.localized_dim, r.nonlocalized_dim])
-
-
-def export_loglog_csv(records, path, header_lines=()):
-    """Plot-ready (log d, log error) pairs."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        wr = csv.writer(fh)
-        wr.writerow(["log_d", "log_error"])
-        for r in records:
-            if r.error > 0.0:
-                wr.writerow([repr(math.log(r.dimension)), repr(math.log(r.error))])

@@ -17,7 +17,6 @@ canonical (word, corner).
 """
 from __future__ import annotations
 
-import csv
 import math
 from functools import lru_cache
 from itertools import product
@@ -173,51 +172,11 @@ def interior_weight(m_q):
     return 2.0 * 3.0 ** (-(m_q + 1))
 
 
-def word_str(word):
-    return "".join(str(s) for s in word) if word else "-"
-
-
-def _word_strs(ranks, m):
-    """word_str of the m-cells of the given ranks."""
+def word_strs(ranks, m):
+    """Addresses of the m-cells of the given ranks as digit strings, "-" for
+    the empty word at m = 0; the one address formatter of the package."""
     if m == 0:
         return ["-"] * len(ranks)
     digits = np.asarray(ranks)[:, None] // 3 ** np.arange(m - 1, -1, -1) % 3
     chars = (digits + ord("1")).astype(np.uint8)
     return [w.decode() for w in chars.view(f"S{m}").ravel().tolist()]
-
-
-# rows formatted at a time by the table exports, which bounds their memory
-EXPORT_CHUNK = 1 << 15
-
-
-def export_vertex_table(topo, path, header_lines=()):
-    """CSV dump: id, word, corner, x, y, is_boundary, weight (the quadrature
-    weight of level m, empty at m = 0, where there is no quadrature)."""
-    weights = quadrature(topo.m) if topo.m >= 1 else None
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        wr = csv.writer(fh)
-        wr.writerow(["id", "word", "corner", "x", "y", "is_boundary", "weight"])
-        for lo in range(0, topo.n_vertices, EXPORT_CHUNK):
-            part = slice(lo, lo + EXPORT_CHUNK)
-            words = _word_strs(topo.rank[part], topo.m)
-            columns = (words, topo.corner[part].tolist(),
-                       map(repr, topo.coords[part, 0].tolist()),
-                       map(repr, topo.coords[part, 1].tolist()),
-                       topo.boundary_mask[part].astype(int).tolist(),
-                       [""] * len(words) if weights is None
-                       else map(repr, weights[part].tolist()))
-            wr.writerows([i, *row] for i, row in enumerate(zip(*columns), lo))
-
-
-def export_cell_table(topo, path, header_lines=()):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        wr = csv.writer(fh)
-        wr.writerow(["rank", "word", "v1", "v2", "v3"])
-        for lo in range(0, len(topo.cell_vertices), EXPORT_CHUNK):
-            part = topo.cell_vertices[lo:lo + EXPORT_CHUNK]
-            rows = zip(_word_strs(np.arange(lo, lo + len(part)), topo.m), part.tolist())
-            wr.writerows([r, w, *vs] for r, (w, vs) in enumerate(rows, lo))

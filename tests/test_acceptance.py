@@ -145,11 +145,11 @@ def test_criterion_8_cutoff_rate_and_block_consistency():
     op = sz.cutoff_operator(f, 4, 1)
     full = op.matrix
     total = sz.log_det(full)
-    blocks = sum(sz.log_det(mat) for _, mat in op.parts)
+    blocks = sum(sz.log_det(mat) for mat in op.blocks)
     rel = abs(total - blocks) / abs(total)
     assert rel < 1e-8
     start = 0
-    for _, mat in op.parts:
+    for mat in op.blocks:
         stop = start + mat.shape[0]
         assert np.array_equal(full[start:stop, start:stop], mat)
         start = stop
@@ -167,9 +167,7 @@ def test_criterion_9_equidistribution():
     for j in (2, 3, 4, 5, 6):
         m_q = min(j + 1, sz.MQ_CAP)
         desc = _canonical("six", j, m_q)
-        basis = eb.localize_basis(desc, m_q, None)
-        topo = top.level_topology(m_q)
-        op = sz.assemble_compressed(f.sample(topo)[topo.interior_indices], basis)
+        op = sz.compressed_operator(f, [desc], m_q, None)
         for name, func in funcs.items():
             gaps[name].append(sz.equidistribution_compare(op, f, func)[2])
     for name in funcs:
@@ -185,9 +183,7 @@ def test_criterion_9_equidistribution():
 
     c = ConstantFunction(1.7)
     desc = _canonical("six", 3, 4)
-    basis = eb.localize_basis(desc, 4, None)
-    topo = top.level_topology(4)
-    op = sz.assemble_compressed(c.sample(topo)[topo.interior_indices], basis)
+    op = sz.compressed_operator(c, [desc], 4, None)
     for name, func in funcs.items():
         assert sz.equidistribution_compare(op, c, func)[2] < 1e-9
     _report(9, f"equidistribution gaps decreasing, largest-j gaps "

@@ -1,12 +1,19 @@
+import ast
 import csv
+import glob
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sgszego import cli
+from sgszego import eigenbasis as eb
+from sgszego import szego
+from sgszego.functions import parse_function_spec
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -155,6 +162,7 @@ def test_equidist_log_matches_szego_logdet(tmp_path):
          "--f", "simple:" + ",".join(["1"] * 81)],
         ["szego", "--mode", "cutoff", "--m", "1", "--f", "simple:" + ",".join(["1"] * 27)],
         ["resistance", "--m", "2", "--triples", "-3"],
+        ["resistance", "--m", "2", "--triples", "1000001"],
         ["resistance", "--m", "13"],
         ["topology", "--m", "13"],
         ["spectrum", "--m", "21"],
@@ -395,3 +403,93 @@ def test_config_hash_ignores_out(tmp_path):
     c2 = {"command": "spectrum", "m": 2, "out": "y"}
     assert cli.config_hash(c1) == cli.config_hash(c2)
     assert cli.config_hash(c1) != cli.config_hash({"command": "spectrum", "m": 3})
+
+
+# the columns of the CSVs that hold floats, each written as its shortest repr
+FLOAT_COLUMNS = {"logdet_over_d", "integral", "error", "log_d", "log_error",
+                 "spectral", "riemann", "gap", "value"}
+
+
+def _float_rows(path):
+    """The rows of a CLI CSV as dicts, with every float cell checked to be the
+    shortest repr of its value."""
+    rows = list(csv.DictReader(_read_csv(path)[1:]))
+    assert rows
+    for row in rows:
+        for key in FLOAT_COLUMNS & row.keys():
+            assert row[key] == repr(float(row[key])), (path.name, key, row[key])
+    return rows
+
+
+@pytest.mark.parametrize("mode,indices", [("single", "2..4"), ("cutoff", "2..3")])
+def test_float_cells_match_library_values(mode, indices, tmp_path):
+    spec = "harmonic:1,1.5,2"
+    common = ["--mode", mode, f"--{cli.INDEX_FIELDS[mode]}", indices, "--N", "1", "--f", spec]
+    assert _run(["szego", *common, "--out", str(tmp_path)]) == 0
+    assert _run(["equidist", *common, "--F", "log", "--out", str(tmp_path)]) == 0
+    f, levels = parse_function_spec(spec), cli.parse_range(indices)
+    records = szego.szego_sweep(f, mode, levels, 1)
+    rows = _float_rows(tmp_path / f"szego_{mode}.csv")
+    assert [[float(r[k]) for k in ("logdet_over_d", "integral", "error")] for r in rows] == \
+        [[r.logdet_over_d, r.integral, r.error] for r in records]
+    rows = _float_rows(tmp_path / f"szego_{mode}_loglog.csv")
+    assert [[float(r["log_d"]), float(r["log_error"])] for r in rows] == \
+        [[math.log(r.dimension), math.log(r.error)] for r in records]
+    func = cli.parse_functional_spec("log")[1]
+    compared = [szego.equidistribution_compare(op, f, func)
+                for _, op in szego.operators(f, mode, levels, 1)]
+    rows = _float_rows(tmp_path / "equidist.csv")
+    assert [[float(r[k]) for k in ("spectral", "riemann", "gap")] for r in rows] == \
+        [list(c) for c in compared]
+
+
+@pytest.mark.parametrize("series,j,N,m_q", [("six", 3, 1, 4), ("five", 4, 2, 5), ("two", 1, 0, 3)])
+def test_basis_cells_match_library_values(series, j, N, m_q, tmp_path):
+    argv = ["basis", "--series", series, "--j", str(j), "--N", str(N), "--m-q", str(m_q)]
+    assert _run(argv + ["--out", str(tmp_path)]) == 0
+    basis = eb.localize_basis(szego._canonical_descriptor(series, j, m_q), m_q, N)
+    rows = _float_rows(tmp_path / "basis.csv")
+    n = len(basis.vectors)
+    assert len(rows) == n * basis.dimension
+    values = np.array([float(r["value"]) for r in rows]).reshape(basis.dimension, n)
+    assert np.array_equal(values, basis.vectors.T)
+    assert [r["tag"] for r in rows[::n]] == [
+        t if t == eb.NONLOCALIZED else "".join(map(str, t)) or "-" for t in basis.tags]
+
+
+def test_triple_draw_uniform_over_ordered_distinct_triples():
+    n, count = 5, 60000
+    x, y, z = cli._draw_triples(np.random.default_rng(0), n, count)
+    assert np.all((x != y) & (y != z) & (x != z))
+    assert min(x.min(), y.min(), z.min()) >= 0 and max(x.max(), y.max(), z.max()) < n
+    hits = np.bincount((x * n + y) * n + z, minlength=n**3)
+    hits = hits[hits > 0]
+    # all 60 ordered triples, each expected 1000 times with standard deviation 31
+    assert len(hits) == n * (n - 1) * (n - 2)
+    assert 850 < hits.min() and hits.max() < 1150, (hits.min(), hits.max())
+
+
+def _writes_file(node):
+    """An open() call whose mode is not a constant read mode."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def test_only_cli_writes_files():
+    # the CSV format and the output files are decided in one module
+    csv_users, writers = set(), set()
+    for path in sorted(glob.glob(os.path.join(SRC, "sgszego", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        name = os.path.basename(path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                csv_users.add(name)
+            if _writes_file(node):
+                writers.add(name)
+    assert csv_users == {"cli.py"}
+    assert writers == {"cli.py"}

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from sgszego import cli
 from sgszego import decimation as dec
 from sgszego import laplacian as lap
 from sgszego import topology as top
@@ -268,11 +269,11 @@ def test_extension_touches_linear_work():
 
 def test_spectrum_export(tmp_path):
     table = dec.enumerate_spectrum(3)
-    path = tmp_path / "spectrum.csv"
-    dec.export_spectrum_csv(table, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("series,birth,signs")
-    assert len(lines) == 1 + len(table.entries)
+    assert cli.main(["spectrum", "--m", "3", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1].startswith("series,birth,signs")
+    assert len(lines) == 2 + len(table.entries)
 
 
 def _vertex_key_extension_maps(k):

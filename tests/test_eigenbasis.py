@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sgszego import cli
 from sgszego import decimation as dec
 from sgszego import eigenbasis as eb
 from sgszego import laplacian as lap
@@ -161,11 +162,13 @@ def test_max_outside_value_rejects_nonlocalized():
 def test_basis_export(tmp_path):
     desc = _canonical("six", 2, 3)
     basis = eb.localize_basis(desc, 3, 1)
-    path = tmp_path / "basis.csv"
-    eb.export_basis_csv(basis, path)
-    lines = path.read_text().strip().splitlines()
+    argv = ["basis", "--series", "six", "--j", "2", "--N", "1", "--m-q", "3"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "basis.csv").read_text().strip().splitlines()
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1] == "vertex_id,column,value,tag"
     n_int = len(top.level_topology(3).interior_indices)
-    assert len(lines) == 1 + basis.dimension * n_int
+    assert len(lines) == 2 + basis.dimension * n_int
 
 
 # Reference oracle: the numerical search that localize_basis replaced.  The
@@ -290,7 +293,7 @@ def test_split_matches_complete_qr_complement(series, j, scale, m_q):
     for f in (HarmonicFunction([1.0, 1.5, 2.0]), SimpleCellFunction([1.0, 2.0, 3.0])):
         fvals = f.sample(topo)[topo.interior_indices]
         dense = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
-        block = sz.assemble_compressed(fvals, basis).parts[0][1]
+        block = sz.assemble_compressed(fvals, basis)
         assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense)), f.label()
 
 
@@ -328,6 +331,6 @@ def test_compressed_operator_holds_no_dense_basis():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    output = sum(mat.nbytes for _, mat in op.parts)
+    output = sum(mat.nbytes for mat in op.blocks)
     assert output == d * d * 8
     assert peak - output < n * d * 8 / 4, (peak, output)

@@ -30,6 +30,16 @@ TOPOLOGY_DIGESTS = {
         "ee76b2436ea831be684a4d80eb2cbba5dfb60c054fa9344c8aaeb09ab989ad23"),
 }
 
+# sha256 of CLI CSV bodies after their "# config_hash=" line, recorded while
+# each library module still wrote its own CSV, before every table went
+# through cli.export_csv; they hold the float formatting to repr bit for bit
+CLI_DIGESTS = {
+    ("spectrum", "--m", "5"):
+        ("spectrum.csv", "7d8408ef92f55529a2997f4a8f33333acbb876798d1d65d54a47634d15868bdf"),
+    ("resistance", "--m", "4", "--triples", "1000"):
+        ("resistance.csv", "99b8f894edb3024642dd1abd2b10e31d066d78285e158d0a64ca00687e29aa2a"),
+}
+
 # sha256 of the float64 bytes of f.sample(level_topology(6))
 SAMPLE_DIGESTS = {
     "harmonic:1,1.5,2": "98f9a033be897a6a8b4b54f7037f44933e6068b955684a801a14c66c474f9b29",
@@ -64,10 +74,17 @@ def test_topology_csv_bodies_pinned(m, tmp_path):
 def test_topology_csv_bodies_pinned_across_export_chunks(chunk, tmp_path, monkeypatch):
     # the exports format a fixed number of rows at a time; the level-5 tables
     # (366 vertices, 243 cells) then span many chunks and a partial last one
-    monkeypatch.setattr(top, "EXPORT_CHUNK", chunk)
+    monkeypatch.setattr(cli, "EXPORT_CHUNK", chunk)
     assert cli.main(["topology", "--m", "5", "--out", str(tmp_path)]) == 0
     got = (_body_digest(tmp_path / "vertices.csv"), _body_digest(tmp_path / "cells.csv"))
     assert got == TOPOLOGY_DIGESTS[5]
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_DIGESTS), ids=lambda argv: argv[0])
+def test_cli_csv_bodies_pinned(argv, tmp_path):
+    name, digest = CLI_DIGESTS[argv]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert _body_digest(tmp_path / name) == digest
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))

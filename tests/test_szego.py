@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sgszego import cli
 from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.decimation import make_descriptor
@@ -10,23 +11,16 @@ from sgszego.eigenbasis import NONLOCALIZED, localize_basis
 from sgszego.functions import ConstantFunction, FunctionSum, HarmonicFunction, SimpleCellFunction
 
 
-def _interior_values(f, m_q):
-    topo = top.level_topology(m_q)
-    return f.sample(topo)[topo.interior_indices]
-
-
 def test_identity_for_constant_one():
     desc = make_descriptor("six", 2, (1,))
-    basis = localize_basis(desc, 3, None)
-    op = sz.assemble_compressed(_interior_values(ConstantFunction(1.0), 3), basis)
+    op = sz.compressed_operator(ConstantFunction(1.0), [desc], 3, None)
     assert np.max(np.abs(op.matrix - np.eye(op.dimension))) < 1e-10
 
 
 def test_scaling_for_constant():
     c = 2.7
     desc = make_descriptor("five", 2, (-1,))
-    basis = localize_basis(desc, 3, None)
-    op = sz.assemble_compressed(_interior_values(ConstantFunction(c), 3), basis)
+    op = sz.compressed_operator(ConstantFunction(c), [desc], 3, None)
     d = op.dimension
     assert np.max(np.abs(op.matrix - c * np.eye(d))) < 1e-10
     assert sz.log_det(op) == pytest.approx(d * math.log(c), abs=1e-10)
@@ -38,7 +32,7 @@ def test_simple_function_localized_diagonal():
     f = SimpleCellFunction([1.0, 2.0, 3.0])
     desc = make_descriptor("six", 3, (1,))
     basis = localize_basis(desc, 4, 1)
-    op = sz.assemble_compressed(_interior_values(f, 4), basis)
+    op = sz.compressed_operator(f, [desc], 4, 1)
     for i, tag in enumerate(basis.tags):
         if tag != NONLOCALIZED:
             assert op.matrix[i, i] == pytest.approx(f.coefficients[tag[0] - 1], abs=1e-10)
@@ -50,8 +44,7 @@ def test_simple_function_localized_diagonal():
 def test_log_det_matches_eigenvalue_sum():
     f = HarmonicFunction([1.0, 1.5, 2.0])
     desc = make_descriptor("six", 2, (1, -1))
-    basis = localize_basis(desc, 4, None)
-    op = sz.assemble_compressed(_interior_values(f, 4), basis)
+    op = sz.compressed_operator(f, [desc], 4, None)
     ld = sz.log_det(op)
     via_eigs = float(np.sum(np.log(sz.operator_eigenvalues(op))))
     assert abs(ld - via_eigs) / abs(via_eigs) < 1e-8
@@ -94,8 +87,7 @@ def test_single_sweep_simple_function_bound_and_rate():
 def test_operator_eigenvalue_range():
     f = SimpleCellFunction([1.0, 2.0, 3.0])
     desc = make_descriptor("six", 3, (1,))
-    basis = localize_basis(desc, 4, None)
-    op = sz.assemble_compressed(_interior_values(f, 4), basis)
+    op = sz.compressed_operator(f, [desc], 4, None)
     sigma = sz.operator_eigenvalues(op)
     assert sigma.min() >= 1.0 - 1e-10
     assert sigma.max() <= 3.0 + 1e-10
@@ -113,10 +105,10 @@ def test_cutoff_block_logdet_consistency():
     op = sz.cutoff_operator(f, 3, 1)
     full = op.matrix
     total = sz.log_det(full)
-    blocks = sum(sz.log_det(mat) for _, mat in op.parts)
+    blocks = sum(sz.log_det(mat) for mat in op.blocks)
     assert abs(total - blocks) / abs(total) < 1e-8
     start = 0
-    for _, mat in op.parts:
+    for mat in op.blocks:
         stop = start + mat.shape[0]
         assert np.array_equal(full[start:stop, start:stop], mat)
         start = stop
@@ -128,13 +120,12 @@ def test_cutoff_block_logdet_consistency():
 def test_spectral_functionals():
     c = 1.3
     desc = make_descriptor("six", 2, (1,))
-    basis = localize_basis(desc, 3, None)
-    op = sz.assemble_compressed(_interior_values(ConstantFunction(c), 3), basis)
+    op = sz.compressed_operator(ConstantFunction(c), [desc], 3, None)
     d = op.dimension
     assert sz.spectral_functional(op, math.log) == pytest.approx(sz.log_det(op) / d, abs=1e-12)
     assert sz.spectral_functional(op, lambda s: s * s) == pytest.approx(c * c, abs=1e-10)
     f = HarmonicFunction([1.0, 1.5, 2.0])
-    op2 = sz.assemble_compressed(_interior_values(f, 3), basis)
+    op2 = sz.compressed_operator(f, [desc], 3, None)
     assert sz.spectral_functional(op2, lambda s: s) * d == pytest.approx(
         float(np.trace(op2.matrix)), abs=1e-12
     )
@@ -146,8 +137,7 @@ def test_spectral_functionals():
 def test_equidistribution_constant():
     c = 2.0
     desc = make_descriptor("six", 3, (1,))
-    basis = localize_basis(desc, 4, None)
-    op = sz.assemble_compressed(_interior_values(ConstantFunction(c), 4), basis)
+    op = sz.compressed_operator(ConstantFunction(c), [desc], 4, None)
     spectral, riemann, gap = sz.equidistribution_compare(op, ConstantFunction(c), lambda s: s)
     assert spectral == pytest.approx(c, abs=1e-10)
     assert riemann == pytest.approx(c, abs=1e-14)
@@ -160,8 +150,7 @@ def test_equidistribution_gap_shrinks():
     for j in (2, 3, 4):
         m_q = j + 1
         desc = sz._canonical_descriptor("six", j, m_q)
-        basis = localize_basis(desc, m_q, None)
-        op = sz.assemble_compressed(_interior_values(f, m_q), basis)
+        op = sz.compressed_operator(f, [desc], m_q, None)
         gaps.append(sz.equidistribution_compare(op, f, lambda s: s)[2])
     assert gaps[-1] < gaps[0]
 
@@ -235,8 +224,14 @@ def test_reference_integral_uses_exact_cell_sums():
 def test_records_export(tmp_path):
     records = sz.szego_sweep(ConstantFunction(2.0), "single", range(2, 4), 1)
     p1 = tmp_path / "records.csv"
-    p2 = tmp_path / "loglog.csv"
-    sz.export_records_csv(records, p1, header_lines=("# test",))
-    sz.export_loglog_csv(records, p2)
-    assert p1.read_text().startswith("# test\nmode,")
-    assert p2.read_text().splitlines()[0] == "log_d,log_error"
+    cli.export_csv(p1, ("# test",), ["mode", "index"], ([r.mode, r.index] for r in records))
+    assert p1.read_text() == "# test\nmode,index\n" + "".join(
+        f"single,{r.index}\n" for r in records)
+    assert p1.read_bytes().count(b"\r\n") == 1 + len(records)
+    argv = ["szego", "--mode", "single", "--j", "2..3", "--N", "1", "--f", "constant:2"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "szego_single.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_hash=") and lines[1].startswith("mode,")
+    assert len(lines) == 2 + len(records)
+    lines = (tmp_path / "szego_single_loglog.csv").read_text().splitlines()
+    assert lines[1] == "log_d,log_error"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sgszego import cli
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
@@ -197,10 +198,16 @@ def test_coordinates():
 
 def test_vertex_table_export(tmp_path):
     topo = top.level_topology(2)
-    path = tmp_path / "vertices.csv"
-    top.export_vertex_table(topo, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "id,word,corner,x,y,is_boundary,weight"
-    assert len(lines) == 1 + topo.n_vertices
-    top.export_cell_table(topo, tmp_path / "cells.csv")
-    assert len((tmp_path / "cells.csv").read_text().strip().splitlines()) == 10
+    assert cli.main(["topology", "--m", "2", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "vertices.csv").read_text().strip().splitlines()
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1] == "id,word,corner,x,y,is_boundary,weight"
+    assert len(lines) == 2 + topo.n_vertices
+    assert len((tmp_path / "cells.csv").read_text().strip().splitlines()) == 11
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_word_strs(m):
+    words = ["".join(map(str, w)) or "-" for w in top.enumerate_cells(m)]
+    assert top.word_strs(np.arange(3**m), m) == words
+    assert top.word_strs(np.arange(3**m)[::-1], m) == words[::-1]
