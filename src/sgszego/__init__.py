@@ -30,6 +30,7 @@ from .szego import (
     fit_rate,
     log_det,
     spectral_functional,
+    sweep_plan,
     szego_sweep,
 )
 from .topology import (

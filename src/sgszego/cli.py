@@ -29,14 +29,15 @@ DEFAULT_TOLERANCES = {
     "logdet_rel": 1e-8,
 }
 
-# generations of birth of each series that the sampling cap can reach
-BIRTHS = {"two": range(1, 2), "five": range(1, szego.MQ_CAP + 1), "six": range(2, szego.MQ_CAP + 1)}
+# desk-scale caps on --m of the commands that build one level: the
+# `topology` tables of `topology` and `resistance` and the `spectrum`
+# descriptors grow about 3x and 2x per level (`resistance --m 12` runs in
+# about 0.6 s and 170 MB)
+LEVEL_CAPS = {"resistance": 12, "topology": 12, "spectrum": 20}
 
-# the config field that holds the index range of each szego / equidist mode
-INDEX_FIELDS = {"single": "j", "cutoff": "m"}
-
-# desk-scale cap on resistance --triples: a triple holds about 1.2 KB while
-# its queries run, and 10^6 triples at --m 12 take about 20 s and 1.2 GB
+# desk-scale cap on resistance --triples: the pairs are answered a chunk at
+# a time, and 10^6 triples at --m 12 take about 15 s and 225 MB, of which
+# the level-12 topology tables are about 170 MB
 TRIPLES_CAP = 10**6
 
 # vertex and cell rows formatted at a time by the topology tables, which
@@ -192,7 +193,7 @@ def _type_violations(config, cmd):
     file can hold any type, and the later checks compare the values."""
     v = []
     ints, ranges = ["N", "m_q", "triples", "seed"], ["j", "m"]
-    if cmd in szego.LEVEL_CAPS or cmd == "basis":  # one level, not a range
+    if cmd in LEVEL_CAPS or cmd == "basis":  # one level, not a range
         level = "j" if cmd == "basis" else "m"
         ints.append(level)
         ranges.remove(level)
@@ -220,15 +221,9 @@ def validate(config):
     if v:
         return v
 
-    def rng(key):
-        r = parse_range(config.get(key))
-        if r is not None and not r:
-            v.append(f"{key}: range must be nonempty")
-        return r
-
-    if cmd in szego.LEVEL_CAPS:
+    if cmd in LEVEL_CAPS:
         m = config.get("m")
-        lo, hi = (0 if cmd == "topology" else 1), szego.LEVEL_CAPS[cmd]
+        lo, hi = (0 if cmd == "topology" else 1), LEVEL_CAPS[cmd]
         if m is None or not lo <= m <= hi:
             v.append(f"m: required level in {lo}..{hi} (desk-scale cap of {cmd})")
     if cmd == "resistance" and not 0 <= config.get("triples", 0) <= TRIPLES_CAP:
@@ -237,40 +232,35 @@ def validate(config):
         for key in ("series", "j", "N", "m_q"):
             if config.get(key) is None:
                 v.append(f"{key}: required")
+    # checked before planning, whose descriptors hold a sign per level up to m_q
+    over_cap = config.get("m_q") is not None and config["m_q"] > szego.MQ_CAP
+    if over_cap:
+        v.append("m_q: desk-scale cap exceeded")
     sample_level = None  # the coarsest level the run samples f at
-    mode = config.get("mode", "single")
-    if cmd in ("szego", "equidist") and mode not in ("single", "cutoff"):
+    mode = "single" if cmd == "basis" else config.get("mode", "single")
+    if cmd in ("szego", "equidist") and mode not in szego.INDEX_FIELDS:
         v.append("mode: must be single or cutoff")
-    elif cmd in ("szego", "equidist") and mode == "cutoff":
-        if config.get("m_q") is not None:
-            v.append("m_q: single mode only; cutoff mode samples each level m at its own default")
-        ms = rng("m")
-        if ms is None:
-            v.append("m: required in cutoff mode")
-        elif ms and not 1 <= min(ms) <= max(ms) <= szego.MQ_CAP:
-            v.append(f"m: levels must lie in 1..{szego.MQ_CAP}")
-        elif ms:
-            sample_level = szego.default_sample_level(0, min(ms))
     elif cmd in ("basis", "szego", "equidist"):
-        js = rng("j")
-        series = config.get("series", "six")
-        if js is None and cmd != "basis":
-            v.append("j: required in single mode")
-        elif js:
-            if config.get("N") is not None and min(js) <= config["N"]:
-                v.append("N: N must be < birth j")
-            if not set(js) <= set(BIRTHS.get(series, ())):
-                v.append(f"j: not a generation of birth of series {series!r} up to {szego.MQ_CAP}")
-            mq = config.get("m_q")
-            if mq is not None and mq < max(js):
-                v.append("m_q: sampling level must be >= every birth j")
-            sample_level = mq if mq is not None else szego.default_sample_level(min(js))
+        field = szego.INDEX_FIELDS[mode]
+        indices = parse_range(config.get(field))
+        if mode == "cutoff" and config.get("m_q") is not None:
+            v.append("m_q: single mode only; cutoff mode samples each level m at its own default")
+        elif indices == []:
+            v.append(f"{field}: range must be nonempty")
+        elif indices is None:
+            if cmd != "basis":  # basis has reported every missing field
+                v.append(f"{field}: required in {mode} mode")
+        elif not over_cap:
+            try:
+                plan = szego.sweep_plan(mode, indices, config.get("N"),
+                                        config.get("series", "six"), config.get("m_q"))
+                sample_level = min(level for _, _, level in plan)
+            except ValueError as exc:
+                v.append(str(exc))
     if config.get("N") is not None and config["N"] < 0:
         v.append("N: must be >= 0")
     if config["seed"] < 0:
         v.append("seed: must be >= 0")
-    if config.get("m_q") is not None and config["m_q"] > szego.MQ_CAP:
-        v.append("m_q: desk-scale cap exceeded")
     if cmd in ("szego", "equidist"):
         fspec = config.get("f")
         if fspec is None:
@@ -373,7 +363,7 @@ def _sweep_args(config):
     """(f, mode, indices, scale, series, m_q) of a szego or equidist config:
     the index range is --j in single mode and --m in cutoff mode."""
     mode = config.get("mode", "single")
-    indices = parse_range(config[INDEX_FIELDS[mode]])
+    indices = parse_range(config[szego.INDEX_FIELDS[mode]])
     return (parse_function_spec(config["f"]), mode, indices, config.get("N"),
             config.get("series", "six"), config.get("m_q"))
 
@@ -403,14 +393,15 @@ def run(config):
         results = {"entries": len(table.entries), "total_multiplicity": table.total_multiplicity}
 
     elif cmd == "basis":
-        desc = szego._canonical_descriptor(config["series"], config["j"], config["m_q"])
-        basis = eigenbasis.localize_basis(desc, config["m_q"], config["N"])
+        ((_, (desc,), m_q),) = szego.sweep_plan("single", [config["j"]], config["N"],
+                                                config["series"], config["m_q"])
+        basis = eigenbasis.localize_basis(desc, m_q, config["N"])
         deviation = eigenbasis.orthonormality_check(basis)
-        topo = topology.level_topology(config["m_q"])
+        topo = topology.level_topology(m_q)
         # the columns are assembled once, for the residual and the export
         full = np.zeros((topo.n_vertices, basis.dimension))
         full[topo.interior_indices] = basis.vectors
-        residual = laplacian.eigen_residual(config["m_q"], full, desc.gamma_at(config["m_q"]))
+        residual = laplacian.eigen_residual(m_q, full, desc.gamma_at(m_q))
         for check, value in (("gram", deviation), ("eigen_residual", residual)):
             if value > config["tolerances"][check]:
                 raise ToleranceError(check, value, config["tolerances"][check])

@@ -51,9 +51,7 @@ def series_multiplicity(series, birth):
         return 1
     if series == SERIES_FIVE:
         return (3 ** (birth - 1) + 3) // 2
-    if series == SERIES_SIX:
-        return (3 ** birth - 3) // 2
-    raise ValueError(f"unknown series {series!r}")
+    return (3 ** birth - 3) // 2  # the 6-series
 
 
 def _fixation(birth, signs):
@@ -100,6 +98,11 @@ def _continue(gamma, steps):
 
 
 def make_descriptor(series, birth, signs, k_max=40):
+    """Refuses a birth the series does not have: the 2-series is born only at
+    generation 1, the 5-series from 1 on and the 6-series from 2 on."""
+    first = {SERIES_TWO: 1, SERIES_FIVE: 1, SERIES_SIX: 2}.get(series)
+    if first is None or birth < first or (series == SERIES_TWO and birth > 1):
+        raise ValueError(f"series {series!r} has no eigenvalue born at generation {birth}")
     gamma = _BIRTH_GAMMA[series]
     gammas = [gamma]
     for e in signs:
@@ -363,19 +366,3 @@ def eigenfunctions_at_level(desc, m_q, vals=None):
         vals = extend_eigenfunction(vals, k, desc.gamma_at(k))
     return vals
 
-
-__all__ = [
-    "EigenvalueDescriptor",
-    "SpectrumTable",
-    "gamma_step",
-    "make_descriptor",
-    "enumerate_spectrum",
-    "renormalized_lambda",
-    "extend_eigenfunction",
-    "birth_eigenvectors",
-    "eigenfunctions_at_level",
-    "series_multiplicity",
-    "SERIES_TWO",
-    "SERIES_FIVE",
-    "SERIES_SIX",
-]

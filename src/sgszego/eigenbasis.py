@@ -51,7 +51,6 @@ class EigenspaceBasis:
     small: np.ndarray  # (interior of V_{level - scale}, p), quadrature-orthonormal there
     rows: np.ndarray  # (cells, interior of V_{level - scale}), rows into the interior of V_level
     remainder: np.ndarray  # (interior of V_level, r), quadrature-orthonormal
-    warning: str = ""
 
     @property
     def cells(self):
@@ -163,13 +162,12 @@ def localize_basis(desc, m_q, scale):
     holds every column.  The 2-series and a scale of None or of at least the
     generation of birth localize nothing.
     """
-    split, warning = None, ""
-    if scale is not None and scale >= desc.birth:
-        warning = "localization scale is not below the generation of birth"
-    elif scale == 0 and desc.series != SERIES_TWO:
-        split = eigenspace_vectors(desc, m_q), np.zeros((interior_count(m_q), 0))
-    elif scale is not None and desc.series != SERIES_TWO:
-        split = _split(desc, m_q, scale)
+    split = None
+    if scale is not None and scale < desc.birth and desc.series != SERIES_TWO:
+        if scale == 0:
+            split = eigenspace_vectors(desc, m_q), np.zeros((interior_count(m_q), 0))
+        else:
+            split = _split(desc, m_q, scale)
     if split is None:  # no cells: the remainder is the whole basis
         split = np.zeros((0, 0)), eigenspace_vectors(desc, m_q)
         rows = np.zeros((0, 0), dtype=np.int64)
@@ -177,7 +175,7 @@ def localize_basis(desc, m_q, scale):
         rows = _cell_rows(m_q, scale)
     small, remainder = split
     basis = EigenspaceBasis(descriptor=desc, level=m_q, scale=scale, small=small, rows=rows,
-                            remainder=remainder, warning=warning)
+                            remainder=remainder)
     if basis.dimension != desc.multiplicity:
         raise AssertionError(
             f"{basis.localized_count} localized and {basis.nonlocalized_count} remainder columns "

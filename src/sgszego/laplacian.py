@@ -129,6 +129,9 @@ def extend_values(values, k, gamma_k):
     return out
 
 
+# pairs a resistance query answers at a time: about 350 B each, 23 MB a chunk
+PAIR_CHUNK = 1 << 16
+
 # corner t != s of child s of a cell is the midpoint of the cell's edge (s, t),
 # which lies opposite corner r = 3 - s - t: _MID[s, r, t] = 1 moves a point's
 # coordinate on that child corner to the cell's midpoint slot r
@@ -157,9 +160,18 @@ class ResistanceComputer:
 
     def resistance(self, x, y):
         """R(x, y) for vertex index arrays x and y, broadcast against each
-        other; O(m) work and memory per pair."""
+        other; O(m) work per pair, answered PAIR_CHUNK pairs at a time, so the
+        work arrays do not grow with the number of pairs."""
         x, y = np.broadcast_arrays(x, y)
-        ends = np.stack([x.ravel(), y.ravel()])  # (2, pairs)
+        xs, ys = x.ravel(), y.ravel()
+        out = np.empty(xs.size)
+        for lo in range(0, xs.size, PAIR_CHUNK):
+            part = slice(lo, lo + PAIR_CHUNK)
+            out[part] = self._pairs(np.stack([xs[part], ys[part]]))
+        return out.reshape(x.shape)
+
+    def _pairs(self, ends):
+        """R for the (2, pairs) vertex indices `ends`."""
         # each end starts at its canonical (cell, corner) name
         rank = self._topo.rank[ends]
         coords = np.eye(3)[self._topo.corner[ends] - 1]
@@ -180,4 +192,4 @@ class ResistanceComputer:
         # difference of coordinates, which sums to 0, its form is |d|^2 / 3
         d = coords[0] - coords[1]
         total += np.einsum("pi,pi->p", d, d) / 3.0
-        return total.reshape(x.shape)
+        return total

@@ -14,11 +14,9 @@ from .eigenbasis import localize_basis
 from .topology import interior_weight, level_topology, quadrature
 
 MQ_CAP = 7  # desk-scale cap on the sampling level (3279 interior vertices)
-# desk-scale caps on --m of the commands that build one level: the
-# `topology` tables of `topology` and `resistance` and the `spectrum`
-# descriptors grow about 3x and 2x per level (`resistance --m 12` runs in
-# about 0.6 s and 170 MB)
-LEVEL_CAPS = {"resistance": 12, "topology": 12, "spectrum": 20}
+
+# the field that holds the index range of each sweep mode
+INDEX_FIELDS = {"single": "j", "cutoff": "m"}
 
 
 class NotPositiveDefiniteError(Exception):
@@ -193,31 +191,44 @@ class SzegoExperimentRecord:
     runtime: float = 0.0
 
 
-def default_sample_level(j, m=0):
-    return min(max(j, m) + 1, MQ_CAP)
-
-
 def _canonical_descriptor(series, j, m):
     """The all-(-1)-after-birth eigenvalue of the series at level m (the
     forced +1 first for the 6-series)."""
-    n = m - j
-    if series == SERIES_SIX:
-        signs = (1,) + (-1,) * max(n - 1, 0) if n > 0 else ()
-    else:
-        signs = (-1,) * n
-    return make_descriptor(series, j, signs)
+    first = 1 if series == SERIES_SIX else -1
+    return make_descriptor(series, j, (first,) + (-1,) * (m - j - 1) if m > j else ())
 
 
-def single_operator(f, series, j, scale, m_q=None):
-    """f compressed to the canonical eigenspace of the series born at j."""
-    mq = m_q if m_q is not None else default_sample_level(j)
-    return compressed_operator(f, [_canonical_descriptor(series, j, mq)], mq, scale)
+def sweep_plan(mode, indices, scale, series=SERIES_SIX, m_q=None):
+    """(index, descriptors, sampling level) per index: the canonical
+    eigenspace of the series born at j in single mode, every eigenspace of
+    the level-m spectrum in cutoff mode, sampled at m_q if given and
+    otherwise at min(index + 1, MQ_CAP).  Refuses, by a ValueError that
+    starts with the field at fault, an index outside 1..its level, a birth
+    the series does not have, and in single mode a birth j <= N, which has
+    no localized vectors."""
+    if mode not in INDEX_FIELDS:
+        raise ValueError("mode: must be single or cutoff")
+    field, plan = INDEX_FIELDS[mode], []
+    for index in indices:
+        level = m_q if m_q is not None else min(index + 1, MQ_CAP)
+        if not 1 <= index <= level:
+            raise ValueError(f"{field}: {index} lies outside 1..{level}, its sampling level")
+        if mode == "cutoff":
+            plan.append((index, enumerate_spectrum(index).entries, level))
+            continue
+        if scale is not None and index <= scale:
+            raise ValueError(f"N: {scale} is not below the birth j={index}: no localized vectors")
+        try:
+            plan.append((index, (_canonical_descriptor(series, index, level),), level))
+        except ValueError as exc:
+            raise ValueError(f"{field}: {exc}") from None
+    return plan
 
 
 def cutoff_operator(f, m, scale, m_q=None):
     """f compressed to every eigenspace of the level-m spectrum."""
-    mq = m_q if m_q is not None else default_sample_level(0, m)
-    return compressed_operator(f, enumerate_spectrum(m).entries, mq, scale)
+    ((_, descriptors, level),) = sweep_plan("cutoff", [m], scale, m_q=m_q)
+    return compressed_operator(f, descriptors, level, scale)
 
 
 def _record(mode, index, f, op, t0):
@@ -241,14 +252,10 @@ def _record(mode, index, f, op, t0):
 
 
 def operators(f, mode, indices, scale, series=SERIES_SIX, m_q=None):
-    """(index, operator) for each index of the sweep: the canonical eigenspace
-    of the series born at each j in single mode, every eigenspace up to each
-    level m in cutoff mode.  Operators are built as they are drawn."""
-    for index in indices:
-        if mode == "cutoff":
-            yield index, cutoff_operator(f, index, scale, m_q)
-        elif scale is None or index > scale:  # a birth j <= N has no localized vectors
-            yield index, single_operator(f, series, index, scale, m_q)
+    """(index, operator) for each entry of `sweep_plan`, which refuses a
+    sweep before its first operator; operators are built as they are drawn."""
+    for index, descriptors, level in sweep_plan(mode, indices, scale, series, m_q):
+        yield index, compressed_operator(f, descriptors, level, scale)
 
 
 def szego_sweep(f, mode, indices, scale, series=SERIES_SIX, m_q=None):

@@ -424,7 +424,7 @@ def _float_rows(path):
 @pytest.mark.parametrize("mode,indices", [("single", "2..4"), ("cutoff", "2..3")])
 def test_float_cells_match_library_values(mode, indices, tmp_path):
     spec = "harmonic:1,1.5,2"
-    common = ["--mode", mode, f"--{cli.INDEX_FIELDS[mode]}", indices, "--N", "1", "--f", spec]
+    common = ["--mode", mode, f"--{szego.INDEX_FIELDS[mode]}", indices, "--N", "1", "--f", spec]
     assert _run(["szego", *common, "--out", str(tmp_path)]) == 0
     assert _run(["equidist", *common, "--F", "log", "--out", str(tmp_path)]) == 0
     f, levels = parse_function_spec(spec), cli.parse_range(indices)
@@ -493,3 +493,22 @@ def test_only_cli_writes_files():
                 writers.add(name)
     assert csv_users == {"cli.py"}
     assert writers == {"cli.py"}
+
+
+def test_sampling_policy_read_in_one_place():
+    # which eigenspaces an index selects, and the level it is sampled at, are
+    # decided by szego.sweep_plan alone; the command line reads the cap only
+    # to refuse an m_q above it
+    reads = []
+    for path in sorted(glob.glob(os.path.join(SRC, "sgszego", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        scope = {}  # node -> the top-level function it lies in
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef):
+                scope.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name == "MQ_CAP" and isinstance(getattr(node, "ctx", None), ast.Load):
+                reads.append((os.path.basename(path), scope.get(node)))
+    assert sorted(reads) == [("cli.py", "validate"), ("szego.py", "sweep_plan")]

@@ -69,6 +69,15 @@ def test_six_series_forced_sign():
         dec.make_descriptor("six", 2, (-1,))
 
 
+@pytest.mark.parametrize("series,birth", [
+    ("two", 2), ("two", 0), ("six", 1), ("six", 0), ("five", 0), ("five", -1), ("seven", 2)])
+def test_make_descriptor_refuses_births_that_do_not_exist(series, birth):
+    # the 2-series is born only at 1, the 5-series from 1 and the 6-series
+    # from 2; none of these has a birth eigenspace to build
+    with pytest.raises(ValueError):
+        dec.make_descriptor(series, birth, ())
+
+
 def test_fixation():
     assert dec.make_descriptor("two", 1, (-1, -1, -1)).fixation == 2
     assert dec.make_descriptor("two", 1, (1, -1, -1)).fixation == 3

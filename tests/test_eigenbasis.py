@@ -132,12 +132,16 @@ def test_split_column_count_check():
         eb.localize_basis(desc, 5, 2)
 
 
-def test_localization_scale_warning():
+def test_localization_scale_not_below_birth_is_unsplit():
+    # a scale N >= birth has no N-cells to copy into: the remainder is the
+    # whole eigenspace, as a cutoff run expects for its births <= N
     desc = _canonical("six", 2, 4)
     basis = eb.localize_basis(desc, 4, 2)
-    assert basis.warning != ""
-    basis_ok = eb.localize_basis(desc, 4, 1)
-    assert basis_ok.warning == ""
+    assert basis.localized_count == 0
+    assert basis.nonlocalized_count == desc.multiplicity
+    # below the birth it localizes: at scale 0 the one 0-cell holds every column
+    basis_ok = eb.localize_basis(desc, 4, 0)
+    assert basis_ok.localized_count == desc.multiplicity
 
 
 def test_cross_eigenspace_orthogonality():
@@ -243,7 +247,7 @@ def test_cutoff_logdet_matches_dense_eigenspaces(m):
     # an oracle that does not share the operator's block structure: each
     # eigenspace up to the cutoff from the dense solve, orthonormalized in the
     # quadrature inner product by a Cholesky factor, with f compressed onto it
-    m_q = sz.default_sample_level(0, m)
+    ((_, _, m_q),) = sz.sweep_plan("cutoff", [m], 1)
     topo = top.level_topology(m_q)
     w = top.quadrature(m_q)[topo.interior_indices]
     for f in (HarmonicFunction([1.0, 1.5, 2.0]), SimpleCellFunction([1.0, 2.0, 3.0])):

@@ -37,10 +37,14 @@ def _level_range(hi):
 
 @st.composite
 def argvs(draw):
-    cmd = draw(st.sampled_from(["szego", "equidist", "resistance"]))
+    cmd = draw(st.sampled_from(["szego", "equidist", "resistance", "basis"]))
     if cmd == "resistance":
         return ["resistance", "--m", str(draw(st.integers(0, 3))),
                 "--triples", str(draw(st.integers(-5, 50)))]
+    if cmd == "basis":
+        return ["basis", "--series", draw(st.sampled_from(["two", "five", "six"])),
+                "--j", str(draw(st.integers(-1, 8))), "--N", str(draw(st.integers(-1, 3))),
+                "--m-q", str(draw(st.integers(0, 5)))]
     argv = [cmd]
     if draw(st.booleans()):
         argv += ["--mode", "single", "--series", draw(st.sampled_from(["five", "six"])),

@@ -164,18 +164,28 @@ def test_resistance_level_seven_without_dense_solve():
     assert np.all(rc.resistance(idx, idx) == 0.0)
 
 
-def test_pair_queries_memory():
-    # a query holds O(m) numbers per pair; the n x n matrix at level 10
-    # would be 63 GB
-    rc = lap.ResistanceComputer(10)
-    x, y = np.random.default_rng(3).integers(top.level_topology(10).n_vertices, size=(2, 3003))
+def _query_peak(rc, pairs):
+    """Traced peak bytes of one resistance call on `pairs` random pairs."""
+    x, y = np.random.default_rng(3).integers(top.level_topology(rc.level).n_vertices,
+                                             size=(2, pairs))
     tracemalloc.start()
     try:
         rc.resistance(x, y)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5e6
+
+
+def test_pair_queries_memory():
+    # a query holds O(m) numbers per pair; the n x n matrix at level 10
+    # would be 63 GB
+    assert _query_peak(lap.ResistanceComputer(10), 3003) < 5e6
+    # pairs are answered a chunk at a time: beyond the 8-byte result per pair,
+    # ten chunks and a partial one hold no more than one chunk does
+    rc = lap.ResistanceComputer(3)
+    one_chunk = _query_peak(rc, lap.PAIR_CHUNK)
+    pairs = 10 * lap.PAIR_CHUNK + 1
+    assert _query_peak(rc, pairs) - 8 * pairs <= one_chunk
 
 
 def test_resistance_series_parallel():

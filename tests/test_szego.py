@@ -6,7 +6,7 @@ import pytest
 from sgszego import cli
 from sgszego import szego as sz
 from sgszego import topology as top
-from sgszego.decimation import make_descriptor
+from sgszego.decimation import enumerate_spectrum, make_descriptor
 from sgszego.eigenbasis import NONLOCALIZED, localize_basis
 from sgszego.functions import ConstantFunction, FunctionSum, HarmonicFunction, SimpleCellFunction
 
@@ -65,9 +65,41 @@ def test_single_sweep_constant_is_exact():
         assert r.integral == pytest.approx(math.log(2.0))
 
 
-def test_single_sweep_skips_small_births():
-    records = sz.szego_sweep(ConstantFunction(2.0), "single", range(1, 4), 2)
-    assert [r.index for r in records] == [3]
+def test_single_sweep_refuses_small_births():
+    # a birth j <= N has no localized vectors: the whole sweep is refused, as
+    # the command line refuses it, instead of dropping those rows
+    with pytest.raises(ValueError, match="N"):
+        sz.szego_sweep(ConstantFunction(2.0), "single", range(1, 4), 2)
+
+
+@pytest.mark.parametrize("field,args,kwargs", [
+    ("j", ("single", [0], None), {}),
+    ("j", ("single", [8], None), {}),  # sampled at MQ_CAP = 7
+    ("j", ("single", [3], None), {"m_q": 2}),
+    ("j", ("single", [1], None), {}),  # no 6-series birth at 1
+    ("j", ("single", [2], None, "two"), {}),
+    ("j", ("single", [2], None, "seven"), {}),
+    ("N", ("single", [2, 3], 2), {}),
+    ("m", ("cutoff", [0], 1), {}),
+    ("m", ("cutoff", [8], 1), {}),
+    ("m", ("cutoff", [3], 1), {"m_q": 2}),
+    ("mode", ("both", [2], 1), {}),
+])
+def test_sweep_plan_refusals_name_the_field(field, args, kwargs):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        sz.sweep_plan(*args, **kwargs)
+
+
+def test_sweep_plan_sampling_levels():
+    ((j, (desc,), level),) = sz.sweep_plan("single", [7], 4)
+    assert (j, desc.birth, desc.level, level) == (7, 7, 7, 7)
+    ((_, (desc,), level),) = sz.sweep_plan("single", [4], 1, "five", m_q=8)
+    assert (desc.series, desc.birth, desc.level, level) == ("five", 4, 8, 8)
+    ((m, descriptors, level),) = sz.sweep_plan("cutoff", [6], 1)
+    assert (m, level) == (6, 7)
+    assert descriptors == enumerate_spectrum(6).entries
+    # N only limits single mode: cutoff keeps its births <= N, unsplit
+    assert [level for _, _, level in sz.sweep_plan("cutoff", [1, 2], 3)] == [2, 3]
 
 
 def test_single_sweep_simple_function_bound_and_rate():
@@ -178,7 +210,7 @@ def test_equidistribution_riemann_points_below_the_cell_scale():
     # 1-cells, while f is piecewise constant on the 27 3-cells: each point
     # takes the coefficient of its least containing 3-cell
     f = SimpleCellFunction(np.arange(1.0, 28.0) ** 2)
-    op = sz.single_operator(f, "six", 2, None)
+    ((_, op),) = sz.operators(f, "single", [2], None)
     assert (op.dimension, op.level) == (3, 3)
     topo = top.level_topology(3)
     points = topo.index_of(top.lattice_keys(np.arange(3), 1, 1) << 2)
