@@ -8,7 +8,6 @@ from .decimation import (
     extend_eigenfunction,
     gamma_step,
     make_descriptor,
-    renormalized_lambda,
 )
 from .eigenbasis import EigenspaceBasis, localize_basis, orthonormality_check
 from .functions import (
@@ -25,7 +24,6 @@ from .szego import (
     assemble_compressed,
     beta_exponent,
     beta_tilde_exponent,
-    cutoff_operator,
     equidistribution_compare,
     fit_rate,
     log_det,
@@ -35,7 +33,6 @@ from .szego import (
 )
 from .topology import (
     LevelTopology,
-    enumerate_cells,
     level_topology,
     quadrature,
 )

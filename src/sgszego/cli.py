@@ -44,6 +44,9 @@ TRIPLES_CAP = 10**6
 # bounds their memory
 EXPORT_CHUNK = 1 << 15
 
+# the basis.csv tag of a remainder column, which lies in no N-cell
+NONLOCALIZED = "nonlocalized"
+
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
@@ -63,7 +66,8 @@ def _is_int(value):
 
 
 def parse_range(value):
-    """Accept 4, "4", "2..5" or [2, 3, 4]; raise ValueError on anything else."""
+    """Accept 4, "4", "2..5" (kept a range, not a list) or [2, 3, 4]; raise
+    ValueError on anything else."""
     if value is None:
         return None
     if _is_int(value):
@@ -74,7 +78,7 @@ def parse_range(value):
         raise ValueError(f"not a level range: {value!r}")
     if ".." in value:
         lo, hi = value.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return [int(value)]
 
 
@@ -245,12 +249,12 @@ def validate(config):
         indices = parse_range(config.get(field))
         if mode == "cutoff" and config.get("m_q") is not None:
             v.append("m_q: single mode only; cutoff mode samples each level m at its own default")
-        elif indices == []:
-            v.append(f"{field}: range must be nonempty")
         elif indices is None:
             if cmd != "basis":  # basis has reported every missing field
                 v.append(f"{field}: required in {mode} mode")
-        elif not over_cap:
+        elif not indices:
+            v.append(f"{field}: range must be nonempty")
+        elif not over_cap and (config.get("N") or 0) >= 0:  # a negative N is reported below
             try:
                 plan = szego.sweep_plan(mode, indices, config.get("N"),
                                         config.get("series", "six"), config.get("m_q"))
@@ -325,7 +329,7 @@ def _basis_rows(basis, full):
     cells = topology.word_strs(np.arange(len(basis.rows)), basis.scale) if len(basis.rows) else []
     p = basis.small.shape[1]
     tags = [w for w in cells for _ in range(p)]
-    tags += [eigenbasis.NONLOCALIZED] * basis.nonlocalized_count
+    tags += [NONLOCALIZED] * basis.nonlocalized_count
     for c, tag in enumerate(tags):
         yield from zip(ids, repeat(c), full[interior, c].tolist(), repeat(tag))
 

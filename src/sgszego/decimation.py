@@ -30,6 +30,10 @@ SERIES_SIX = "six"
 
 _BIRTH_GAMMA = {SERIES_TWO: 2.0, SERIES_FIVE: 5.0, SERIES_SIX: 6.0}
 
+# lam is (3/2) 5^k gamma_k at k = max(2 LAMBDA_TAIL, level + LAMBDA_TAIL): each
+# -1 step past the sign word divides gamma by about 5, so 5^k gamma_k has settled
+LAMBDA_TAIL = 20
+
 
 def gamma_step(gamma_prev, sign):
     """One decimation step; sign is +1 or -1.
@@ -97,7 +101,7 @@ def _continue(gamma, steps):
     return gamma
 
 
-def make_descriptor(series, birth, signs, k_max=40):
+def make_descriptor(series, birth, signs):
     """Refuses a birth the series does not have: the 2-series is born only at
     generation 1, the 5-series from 1 on and the 6-series from 2 on."""
     first = {SERIES_TWO: 1, SERIES_FIVE: 1, SERIES_SIX: 2}.get(series)
@@ -113,7 +117,8 @@ def make_descriptor(series, birth, signs, k_max=40):
     # the forced +1 after a 6-series birth counts toward fixation even when
     # the stored word is empty (birth at the enumeration level)
     effective_signs = signs if (signs or series != SERIES_SIX) else (1,)
-    lam = 1.5 * (5.0 ** k_max) * _continue(gammas[-1], k_max - birth - len(signs))
+    k = LAMBDA_TAIL + max(LAMBDA_TAIL, birth + len(signs))
+    lam = 1.5 * (5.0 ** k) * _continue(gammas[-1], k - birth - len(signs))
     return EigenvalueDescriptor(
         series=series,
         birth=birth,
@@ -123,13 +128,6 @@ def make_descriptor(series, birth, signs, k_max=40):
         lam=lam,
         multiplicity=series_multiplicity(series, birth),
     )
-
-
-def renormalized_lambda(desc, k_max=40):
-    """(3/2) * 5^k_max * gamma_{k_max} continuing with all signs -1."""
-    if k_max < desc.level:
-        raise ValueError("k_max precedes the descriptor's enumeration level")
-    return 1.5 * (5.0 ** k_max) * desc.gamma_at(k_max)
 
 
 @dataclass(frozen=True)

@@ -31,18 +31,16 @@ import numpy as np
 from .decimation import (SERIES_SIX, SERIES_TWO, corner_normal_derivatives,
                          eigenfunctions_at_level, junction_nullspace, make_descriptor,
                          six_series_remainder)
-from .topology import (cell_embedding, cell_rank, enumerate_cells, interior_count,
-                       interior_weight, level_topology)
-
-NONLOCALIZED = "nonlocalized"
+from .topology import cell_embedding, interior_count, interior_weight, level_topology
 
 
 @dataclass(frozen=True)
 class EigenspaceBasis:
     """An eigenspace basis kept as its split.  The localized columns are the
     small eigenspace `small` times 3^(scale/2), copied into the interior rows
-    `rows[c]` of V_level of each scale-cell c and zero elsewhere; the
-    `remainder` columns follow.  An unsplit basis has no cells, and its
+    `rows[c]` of V_level of the scale-cell of rank c and zero elsewhere, so
+    localized column k lies in the cell of rank k // p for p = small.shape[1];
+    the `remainder` columns follow.  An unsplit basis has no cells, and its
     remainder is the whole basis.  `vectors` assembles the dense columns."""
 
     descriptor: object
@@ -51,10 +49,6 @@ class EigenspaceBasis:
     small: np.ndarray  # (interior of V_{level - scale}, p), quadrature-orthonormal there
     rows: np.ndarray  # (cells, interior of V_{level - scale}), rows into the interior of V_level
     remainder: np.ndarray  # (interior of V_level, r), quadrature-orthonormal
-
-    @property
-    def cells(self):
-        return tuple(enumerate_cells(self.scale)) if len(self.rows) else ()
 
     @property
     def copy_factor(self):
@@ -71,16 +65,6 @@ class EigenspaceBasis:
     @property
     def dimension(self):
         return self.localized_count + self.nonlocalized_count
-
-    @property
-    def tags(self):
-        """Per column: an N-cell word, or NONLOCALIZED."""
-        p = self.small.shape[1]
-        return (tuple(c for c in self.cells for _ in range(p))
-                + (NONLOCALIZED,) * self.nonlocalized_count)
-
-    def localized_count_for_cell(self, cell):
-        return self.small.shape[1] if cell in self.cells else 0
 
     @property
     def vectors(self):
@@ -195,11 +179,10 @@ def orthonormality_check(basis):
 
 
 def max_outside_value(basis, column):
-    """Largest |value| of the column at vertices outside its tagged cell."""
-    tag = basis.tags[column]
-    if tag == NONLOCALIZED:
-        raise ValueError("column is not localized")
+    """Largest |value| of a localized column at vertices outside its cell."""
+    if not 0 <= column < basis.localized_count:
+        raise ValueError(f"column {column} is not one of the {basis.localized_count} localized ones")
     topo = level_topology(basis.level)
     outside = np.ones(topo.n_vertices, dtype=bool)
-    outside[cell_embedding(basis.level, basis.scale)[cell_rank(tag)]] = False
+    outside[cell_embedding(basis.level, basis.scale)[column // basis.small.shape[1]]] = False
     return float(np.max(np.abs(basis.vectors[outside[topo.interior_indices], column]), initial=0.0))

@@ -203,11 +203,13 @@ def sweep_plan(mode, indices, scale, series=SERIES_SIX, m_q=None):
     eigenspace of the series born at j in single mode, every eigenspace of
     the level-m spectrum in cutoff mode, sampled at m_q if given and
     otherwise at min(index + 1, MQ_CAP).  Refuses, by a ValueError that
-    starts with the field at fault, an index outside 1..its level, a birth
-    the series does not have, and in single mode a birth j <= N, which has
-    no localized vectors."""
+    starts with the field at fault, a negative scale N, an index outside
+    1..its level, a birth the series does not have, and in single mode a
+    birth j <= N, which has no localized vectors."""
     if mode not in INDEX_FIELDS:
         raise ValueError("mode: must be single or cutoff")
+    if scale is not None and scale < 0:
+        raise ValueError("N: must be >= 0")
     field, plan = INDEX_FIELDS[mode], []
     for index in indices:
         level = m_q if m_q is not None else min(index + 1, MQ_CAP)
@@ -223,12 +225,6 @@ def sweep_plan(mode, indices, scale, series=SERIES_SIX, m_q=None):
         except ValueError as exc:
             raise ValueError(f"{field}: {exc}") from None
     return plan
-
-
-def cutoff_operator(f, m, scale, m_q=None):
-    """f compressed to every eigenspace of the level-m spectrum."""
-    ((_, descriptors, level),) = sweep_plan("cutoff", [m], scale, m_q=m_q)
-    return compressed_operator(f, descriptors, level, scale)
 
 
 def _record(mode, index, f, op, t0):

@@ -1,11 +1,11 @@
 """Cell and vertex addressing for level-m graph approximations of the Sierpinski gasket.
 
-Cells are words over {1, 2, 3}: an m-cell is the image of the gasket under the
-composition of the corner contractions named by the word, and its rank is its
-position among the 3^m words in lexicographic order.  A vertex is a
-(word, corner) pair; pairs that the contractions map to the same point of the
-plane are identified, and the canonical id of a vertex is the
-lexicographically least (word, corner) pair that names it.
+An m-cell is the image of the gasket under F_w, the composition of the corner
+contractions named by a word w of length m over {1, 2, 3}.  Cells are named by
+rank, the position of w in lexicographic order; `word_strs` prints a rank as
+its word.  A vertex is a (word, corner) pair; pairs that the contractions map
+to the same point of the plane are identified, and the canonical id of a
+vertex is the lexicographically least (word, corner) pair that names it.
 
 All coordinates are kept as exact integers at scale 2^-(m+1) (x direction) and
 sqrt(3) * 2^-(m+1) (y direction), so the identification is exact and the
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -28,13 +27,6 @@ SQRT3 = math.sqrt(3.0)
 # Corner anchors q_1, q_2, q_3 scaled by 2 so that every vertex lands on the
 # integer lattice described in the module docstring.
 _CORNER_KEYS = np.array([(0, 0), (2, 0), (1, 1)], dtype=np.int64)
-
-
-def enumerate_cells(m):
-    """All 3^m cell addresses of length m, lexicographically sorted."""
-    if m < 0:
-        raise ValueError("level must be >= 0")
-    return [tuple(w) for w in product((1, 2, 3), repeat=m)]
 
 
 def vertex_count(m):
@@ -54,14 +46,6 @@ def lattice_keys(ranks, m, corners):
         # digit t of the address, most significant first, scaled by 2^(m-1-t)
         keys += _CORNER_KEYS[ranks // 3 ** (m - 1 - t) % 3] << (m - 1 - t)
     return keys + _CORNER_KEYS[np.asarray(corners) - 1]
-
-
-def cell_rank(word):
-    """Lexicographic rank of a cell address among all cells of its length."""
-    r = 0
-    for s in word:
-        r = 3 * r + (s - 1)
-    return r
 
 
 class LevelTopology:
@@ -151,18 +135,17 @@ def quadrature(m_q):
     return _cells_per_vertex(level_topology(m_q)) * (3.0 ** (-m_q)) / 3.0
 
 
-def cell_indicator(topo, cell):
-    """Per-cell discretization of the indicator of a closed cell.
+def cell_indicator(topo, rank, scale):
+    """Per-cell discretization of the indicator of the closed scale-cell of rank `rank`.
 
     The value at a vertex is the fraction of its containing topo-level cells
-    that lie inside `cell` (1 strictly inside, 1/2 on the interface), which
+    that lie inside the cell (1 strictly inside, 1/2 on the interface), which
     is how the cell-averaged quadrature sees the indicator; the quadrature
-    integral is then exactly 3^-len(cell)."""
-    scale = len(cell)
+    integral is then exactly 3^-scale."""
     if scale > topo.m:
         raise ValueError("indicator cell finer than the topology level")
     size = 3 ** (topo.m - scale)
-    start = cell_rank(cell) * size
+    start = rank * size
     inside = np.bincount(topo.cell_vertices[start:start + size].ravel(), minlength=topo.n_vertices)
     return inside / _cells_per_vertex(topo)
 

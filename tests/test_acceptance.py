@@ -82,8 +82,9 @@ def test_criterion_4_six_series_dimensions():
             d_loc = (3**j - 3 ** (N + 1)) // 2
             per_cell = (3 ** (j - N) - 3) // 2
             assert basis.localized_count == d_loc, (j, N)
-            for cell in top.enumerate_cells(N):
-                assert basis.localized_count_for_cell(cell) == per_cell, (j, N, cell)
+            # each of the 3^N cells holds per_cell columns; with none, no cells
+            assert len(basis.rows) == (3**N if per_cell else 0), (j, N)
+            assert basis.small.shape[1] == per_cell, (j, N)
     _report(4, "6-series localized dimensions (3^j - 3^(N+1))/2 with per-cell "
                "(3^(j-N) - 3)/2 exact for all 1 <= N < j <= 6")
 
@@ -142,7 +143,7 @@ def test_criterion_8_cutoff_rate_and_block_consistency():
     records = sz.szego_sweep(f, "cutoff", range(2, 6), 1)
     errs = [r.error for r in records]
     assert all(b < a for a, b in zip(errs, errs[1:])), errs
-    op = sz.cutoff_operator(f, 4, 1)
+    ((_, op),) = sz.operators(f, "cutoff", [4], 1)
     full = op.matrix
     total = sz.log_det(full)
     blocks = sum(sz.log_det(mat) for mat in op.blocks)
@@ -177,7 +178,7 @@ def test_criterion_9_equidistribution():
         assert gaps[name][-1] < 0.02, (name, gaps[name][-1])
 
     m = 5
-    op_c = sz.cutoff_operator(f, m, None)
+    ((_, op_c),) = sz.operators(f, "cutoff", [m], None)
     cutoff_gaps = {n: sz.equidistribution_compare(op_c, f, fn)[2] for n, fn in funcs.items()}
     assert all(g < 0.02 for g in cutoff_gaps.values()), cutoff_gaps
 

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -211,6 +213,22 @@ def test_invalid_configs_exit_2(argv, tmp_path):
         path.write_text(json.dumps(argv[0]))
         argv = ["--config", str(path), *argv[1:]]
     assert _run(argv + ["--out", str(tmp_path)]) == 2
+
+
+def test_level_range_checked_without_expanding():
+    # "a..b" stays a range: an empty one is refused, and a long one by its
+    # first level past the cap, without a list of its levels
+    config = {"command": "szego", "mode": "single", "f": "constant:2", "seed": 0}
+    assert cli.validate({**config, "j": "5..3"}) == ["j: range must be nonempty"]
+    tracemalloc.start()
+    try:
+        violations = cli.validate({**config, "j": "2..2000000"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == ["j: 8 lies outside 1..7, its sampling level"]
+    # a list of the 2*10^6 levels would take about 70 MB
+    assert peak < 2e6, peak
 
 
 def test_single_record_summary_is_strict_json(tmp_path):
@@ -453,8 +471,11 @@ def test_basis_cells_match_library_values(series, j, N, m_q, tmp_path):
     assert len(rows) == n * basis.dimension
     values = np.array([float(r["value"]) for r in rows]).reshape(basis.dimension, n)
     assert np.array_equal(values, basis.vectors.T)
-    assert [r["tag"] for r in rows[::n]] == [
-        t if t == eb.NONLOCALIZED else "".join(map(str, t)) or "-" for t in basis.tags]
+    # the words in lexicographic order, each over its p localized columns
+    words = ["".join(map(str, w)) or "-" for w in product((1, 2, 3), repeat=N)]
+    p = basis.small.shape[1]
+    assert [r["tag"] for r in rows[::n]] == (
+        [w for w in words for _ in range(p)] + ["nonlocalized"] * basis.nonlocalized_count)
 
 
 def test_triple_draw_uniform_over_ordered_distinct_triples():

@@ -87,15 +87,30 @@ def test_fixation():
     assert dec.make_descriptor("six", 3, (1, -1)).fixation == 5
 
 
+def _lambda_at(desc, k):
+    """(3/2) 5^k gamma_k, the sign word continued with all signs -1."""
+    return 1.5 * 5.0**k * desc.gamma_at(k)
+
+
 def test_renormalized_lambda_convergence():
     d = dec.make_descriptor("two", 1, (-1,))
-    lam40 = dec.renormalized_lambda(d, 40)
-    lam41 = dec.renormalized_lambda(d, 41)
-    lam60 = dec.renormalized_lambda(d, 60)
+    lam40 = d.lam
+    lam41 = _lambda_at(d, 41)
+    lam60 = _lambda_at(d, 60)
     assert abs(lam41 - lam40) / lam40 < 1e-12
     assert abs(lam60 - lam40) / lam40 < 1e-12
-    with pytest.raises(ValueError):
-        dec.renormalized_lambda(d, 1)
+
+
+@pytest.mark.parametrize("series,signs", [
+    ("two", (-1,) * 45),
+    # a +1 sign at level 45 leaves gamma near 5, far from the limit regime
+    ("five", (-1,) * 43 + (1,)),
+])
+def test_lambda_of_a_word_past_level_40(series, signs):
+    d = dec.make_descriptor(series, 1, signs)
+    assert d.lam == pytest.approx(_lambda_at(d, 90), rel=1e-12)
+    if series == "two":  # the same eigenvalue as the short word
+        assert d.lam == pytest.approx(dec.make_descriptor("two", 1, (-1,)).lam, rel=1e-12)
 
 
 def test_lambda_iteration_monotone():
@@ -114,9 +129,8 @@ def test_lambda_iteration_monotone():
 def test_lambda_scaling_consistency():
     base = dec.make_descriptor("five", 1, (-1,))
     longer = dec.make_descriptor("five", 1, (-1, -1))
-    assert dec.renormalized_lambda(base, 40) == pytest.approx(
-        dec.renormalized_lambda(longer, 40), rel=1e-12
-    )
+    assert _lambda_at(base, 40) == pytest.approx(_lambda_at(longer, 40), rel=1e-12)
+    assert base.lam == pytest.approx(longer.lam, rel=1e-12)
 
 
 def test_gamma_at():
@@ -291,13 +305,12 @@ def _vertex_key_extension_maps(k):
     child = top.level_topology(k)
     child_corner = np.empty((3 ** (k - 1), 3), dtype=np.int64)
     child_mid = np.empty((3 ** (k - 1), 3), dtype=np.int64)
-    for ci, w in enumerate(top.enumerate_cells(k - 1)):
+    # the word w + (c,) has rank 3 * rank(w) + c - 1 in lexicographic order
+    for ci in range(3 ** (k - 1)):
         for c in (1, 2, 3):
-            child_corner[ci, c - 1] = child.index_of(
-                top.lattice_keys(top.cell_rank(w + (c,)), k, c))
+            child_corner[ci, c - 1] = child.index_of(top.lattice_keys(3 * ci + c - 1, k, c))
         for r, (p, q) in zip((1, 2, 3), ((2, 3), (1, 3), (1, 2))):
-            child_mid[ci, r - 1] = child.index_of(
-                top.lattice_keys(top.cell_rank(w + (p,)), k, q))
+            child_mid[ci, r - 1] = child.index_of(top.lattice_keys(3 * ci + p - 1, k, q))
     return parent.cell_vertices, child_corner, child_mid
 
 

@@ -79,9 +79,10 @@ def test_six_series_localized_dimensions(scale, j):
     assert basis.localized_count == 3**scale * per_cell
     assert basis.nonlocalized_count == (3 ** (scale + 1) - 3) // 2
     assert basis.localized_count + basis.nonlocalized_count == desc.multiplicity
-    # localization is symmetric across the cells of the scale
-    for cell in top.enumerate_cells(scale):
-        assert basis.localized_count_for_cell(cell) == per_cell
+    # localization is symmetric across the cells of the scale; with no
+    # columns per cell the basis keeps no cells
+    assert len(basis.rows) == (3**scale if per_cell else 0)
+    assert basis.small.shape[1] == per_cell
 
 
 @pytest.mark.parametrize("scale,j", [(1, 2), (1, 3), (2, 3), (2, 4)])
@@ -99,9 +100,9 @@ def test_five_series_localized_dimensions(scale, j):
 def test_localized_vectors_vanish_outside():
     desc = _canonical("six", 3, 4)
     basis = eb.localize_basis(desc, 4, 1)
-    for c, tag in enumerate(basis.tags):
-        if tag != eb.NONLOCALIZED:
-            assert eb.max_outside_value(basis, c) < 1e-10
+    assert basis.localized_count > 0
+    for c in range(basis.localized_count):
+        assert eb.max_outside_value(basis, c) < 1e-10
 
 
 def test_localized_basis_orthonormal_and_span_preserving():
@@ -117,10 +118,10 @@ def test_distinct_cell_columns_orthogonal():
     desc = _canonical("six", 3, 4)
     basis = eb.localize_basis(desc, 4, 1)
     g = eb.gram_matrix(basis)
-    for a in range(basis.dimension):
-        for b in range(a + 1, basis.dimension):
-            ta, tb = basis.tags[a], basis.tags[b]
-            if eb.NONLOCALIZED not in (ta, tb) and ta != tb:
+    p = basis.small.shape[1]
+    for a in range(basis.localized_count):
+        for b in range(a + 1, basis.localized_count):
+            if a // p != b // p:  # localized column k lies in the cell of rank k // p
                 assert abs(g[a, b]) < 1e-12
 
 
@@ -161,6 +162,11 @@ def test_max_outside_value_rejects_nonlocalized():
     basis = eb.localize_basis(desc, 3, None)
     with pytest.raises(ValueError):
         eb.max_outside_value(basis, 0)
+    # remainder columns and columns counted from the end are refused too
+    split = eb.localize_basis(_canonical("six", 3, 4), 4, 1)
+    for column in (split.localized_count, split.dimension - 1, -1):
+        with pytest.raises(ValueError):
+            eb.max_outside_value(split, column)
 
 
 def test_basis_export(tmp_path):
@@ -183,16 +189,17 @@ SV_THRESHOLD = 1e-8
 
 
 def _searched_localization(raw, m_q, scale):
-    """{cell: plain-coordinate columns vanishing outside the closed cell}."""
+    """{cell rank: plain-coordinate columns vanishing outside the closed cell}."""
     topo = top.level_topology(m_q)
     w = top.interior_weight(m_q)
     basis = np.linalg.qr(np.sqrt(w) * raw)[0]
-    cells = top.enumerate_cells(scale)
     row_of = dict(zip(topo.interior_indices.tolist(), range(len(topo.interior_indices))))
     cell_rows = {}
-    # every level-m_q cell lies in one scale-cell; interior corners join its rows
+    # every level-m_q cell lies in the scale-cell whose word is a prefix of
+    # its own, whose rank in lexicographic order is rank // 3^(m_q - scale);
+    # interior corners join its rows
     for rank, corners in enumerate(topo.cell_vertices.tolist()):
-        rows = cell_rows.setdefault(cells[rank // 3 ** (m_q - scale)], set())
+        rows = cell_rows.setdefault(rank // 3 ** (m_q - scale), set())
         rows.update(row_of[i] for i in corners if i in row_of)
     cell_rows = {cell: sorted(rows) for cell, rows in cell_rows.items()}
     threshold = max(SV_THRESHOLD**2, 64 * basis.shape[1] * np.finfo(float).eps)
@@ -223,9 +230,8 @@ def test_transplants_match_searched_localization():
         basis = eb.localize_basis(desc, m_q, scale)
         found = _searched_localization(raw, m_q, scale)
         built = {}
-        for c, tag in enumerate(basis.tags):
-            if tag != eb.NONLOCALIZED:
-                built.setdefault(tag, []).append(c)
+        for c in range(basis.localized_count):
+            built.setdefault(c // basis.small.shape[1], []).append(c)
         assert {cell: len(cols) for cell, cols in built.items()} == {
             cell: vecs.shape[1] for cell, vecs in found.items()
         }, case
@@ -259,7 +265,7 @@ def test_cutoff_logdet_matches_dense_eigenspaces(m):
             sign, logdet = np.linalg.slogdet(q.T @ (wf[:, None] * q))
             assert sign == 1.0
             total += logdet
-        op = sz.cutoff_operator(f, m, 1)
+        ((_, op),) = sz.operators(f, "cutoff", [m], 1)
         assert op.level == m_q
         assert abs(sz.log_det(op) - total) <= 1e-10 * abs(total), (m, f.label())
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from sgszego.functions import (
 
 
 def _key(word, corner):
-    """Lattice key of F_word(q_corner)."""
-    return top.lattice_keys(top.cell_rank(word), len(word), corner)
+    """Lattice key of F_word(q_corner); itertools.product yields the words in
+    lexicographic order, so a word's position there is its rank."""
+    rank = list(product((1, 2, 3), repeat=len(word))).index(word)
+    return top.lattice_keys(rank, len(word), corner)
 
 
 def _subdivide(h, child):
@@ -68,7 +71,7 @@ def test_harmonic_is_graph_harmonic():
 def test_harmonic_sample_matches_pointwise():
     # the level-by-level extension gives the word walk's bits at every vertex
     topo = top.level_topology(5)
-    words = top.enumerate_cells(5)
+    words = list(product((1, 2, 3), repeat=5))
     for boundary in [(1.0, 1.5, 2.0), (0.3, -1.7, 2.9)]:
         vals = HarmonicFunction(boundary).sample(topo)
         walk = [_harmonic_at(boundary, words[r], c) for r, c in zip(topo.rank, topo.corner)]

@@ -7,7 +7,7 @@ from sgszego import cli
 from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.decimation import enumerate_spectrum, make_descriptor
-from sgszego.eigenbasis import NONLOCALIZED, localize_basis
+from sgszego.eigenbasis import localize_basis
 from sgszego.functions import ConstantFunction, FunctionSum, HarmonicFunction, SimpleCellFunction
 
 
@@ -33,12 +33,16 @@ def test_simple_function_localized_diagonal():
     desc = make_descriptor("six", 3, (1,))
     basis = localize_basis(desc, 4, 1)
     op = sz.compressed_operator(f, [desc], 4, 1)
-    for i, tag in enumerate(basis.tags):
-        if tag != NONLOCALIZED:
-            assert op.matrix[i, i] == pytest.approx(f.coefficients[tag[0] - 1], abs=1e-10)
-            for jj, other in enumerate(basis.tags):
-                if jj != i and other != tag:
-                    assert abs(op.matrix[i, jj]) < 1e-10
+    # localized column i lies in the 1-cell of rank i // p, the word (i // p + 1,)
+    p = basis.small.shape[1]
+    cell = [i // p for i in range(basis.localized_count)]
+    cell += [None] * basis.nonlocalized_count
+    assert basis.localized_count > 0
+    for i in range(basis.localized_count):
+        assert op.matrix[i, i] == pytest.approx(f.coefficients[cell[i]], abs=1e-10)
+        for jj in range(basis.dimension):
+            if jj != i and cell[jj] != cell[i]:
+                assert abs(op.matrix[i, jj]) < 1e-10
 
 
 def test_log_det_matches_eigenvalue_sum():
@@ -70,6 +74,9 @@ def test_single_sweep_refuses_small_births():
     # the command line refuses it, instead of dropping those rows
     with pytest.raises(ValueError, match="N"):
         sz.szego_sweep(ConstantFunction(2.0), "single", range(1, 4), 2)
+    # a negative scale is refused with the message the command line gives
+    with pytest.raises(ValueError, match="^N: must be >= 0$"):
+        sz.szego_sweep(ConstantFunction(2.0), "single", [3], -1)
 
 
 @pytest.mark.parametrize("field,args,kwargs", [
@@ -84,6 +91,8 @@ def test_single_sweep_refuses_small_births():
     ("m", ("cutoff", [8], 1), {}),
     ("m", ("cutoff", [3], 1), {"m_q": 2}),
     ("mode", ("both", [2], 1), {}),
+    ("N", ("single", [3], -1), {}),
+    ("N", ("cutoff", [3], -1), {}),
 ])
 def test_sweep_plan_refusals_name_the_field(field, args, kwargs):
     with pytest.raises(ValueError, match=f"^{field}: "):
@@ -134,7 +143,7 @@ def test_cutoff_constant_exact():
 
 def test_cutoff_block_logdet_consistency():
     f = HarmonicFunction([1.0, 1.5, 2.0])
-    op = sz.cutoff_operator(f, 3, 1)
+    ((_, op),) = sz.operators(f, "cutoff", [3], 1)
     full = op.matrix
     total = sz.log_det(full)
     blocks = sum(sz.log_det(mat) for mat in op.blocks)

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from sgszego import topology as top
 
 # Reference for the lattice-key rule and the canonical vertex order: the
 # word-by-word key loop and the dict of representatives that the array build
-# replaced.
+# replaced.  Words come from itertools.product, which yields them in
+# lexicographic order, so a word's position there is its rank.
 CORNER_INT = {1: (0, 0), 2: (2, 0), 3: (1, 1)}
 
 
@@ -27,29 +29,21 @@ def _representative_tables(m):
     """(keys, words, corners, cell_vertices) in canonical order, and the
     representatives of each vertex, from a dict keyed by lattice key."""
     reps = {}
-    for word in top.enumerate_cells(m):
+    for word in product((1, 2, 3), repeat=m):
         for corner in (1, 2, 3):
             reps.setdefault(_loop_vertex_key(word, corner), []).append((word, corner))
     order = sorted(reps, key=lambda k: min(reps[k]))
     index = {key: i for i, key in enumerate(order)}
     cell_vertices = [[index[_loop_vertex_key(w, c)] for c in (1, 2, 3)]
-                     for w in top.enumerate_cells(m)]
+                     for w in product((1, 2, 3), repeat=m)]
     return order, [min(reps[k]) for k in order], cell_vertices, [reps[k] for k in order]
 
 
 def _cells_of_vertex(topo, index, scale):
     """The scale-cells whose closure contains the vertex, read off cell_vertices."""
     rows = np.nonzero((topo.cell_vertices == index).any(axis=1))[0]
-    return sorted({top.enumerate_cells(topo.m)[r][:scale] for r in rows})
-
-
-def test_cell_counts():
-    assert top.enumerate_cells(0) == [()]
-    m2 = top.enumerate_cells(2)
-    assert len(m2) == 9
-    assert m2[0] == (1, 1) and m2[-1] == (3, 3)
-    assert m2 == sorted(m2)
-    assert len(top.enumerate_cells(5)) == 243
+    words = list(product((1, 2, 3), repeat=topo.m))
+    return sorted({words[r][:scale] for r in rows})
 
 
 @pytest.mark.parametrize("m", range(8))
@@ -72,9 +66,9 @@ def test_level_zero_and_one():
 
 @pytest.mark.parametrize("m", range(7))
 def test_lattice_keys_match_loop(m):
-    for word in top.enumerate_cells(m):
+    for rank, word in enumerate(product((1, 2, 3), repeat=m)):
         for corner in (1, 2, 3):
-            key = top.lattice_keys(top.cell_rank(word), m, corner)
+            key = top.lattice_keys(rank, m, corner)
             assert tuple(key.tolist()) == _loop_vertex_key(word, corner)
 
 
@@ -83,7 +77,8 @@ def test_tables_match_representative_dict(m):
     topo = top.level_topology(m)
     keys, canonical, cell_vertices, _ = _representative_tables(m)
     assert topo.keys.tolist() == [list(k) for k in keys]
-    assert [(top.enumerate_cells(m)[r], c) for r, c in zip(topo.rank, topo.corner)] == canonical
+    words = list(product((1, 2, 3), repeat=m))
+    assert [(words[r], c) for r, c in zip(topo.rank, topo.corner)] == canonical
     assert topo.cell_vertices.tolist() == cell_vertices
     assert topo.index_of(topo.keys).tolist() == list(range(topo.n_vertices))
     with pytest.raises(KeyError):
@@ -109,8 +104,8 @@ def test_cell_embedding_matches_vertex_keys(m):
         emb = top.cell_embedding(m, scale)
         small = top.level_topology(m - scale)
         assert emb.shape == (3**scale, small.n_vertices)
-        small_words = top.enumerate_cells(m - scale)
-        for r, w in enumerate(top.enumerate_cells(scale)):
+        small_words = list(product((1, 2, 3), repeat=m - scale))
+        for r, w in enumerate(product((1, 2, 3), repeat=scale)):
             for i, (rank, corner) in enumerate(zip(small.rank, small.corner)):
                 key = _loop_vertex_key(w + small_words[rank], corner)
                 assert emb[r, i] == big.index_of(key)
@@ -148,7 +143,7 @@ def test_cell_of_vertex_scale_error():
     with pytest.raises(ValueError):
         top.cell_embedding(2, 3)
     with pytest.raises(ValueError):
-        top.cell_indicator(topo, (1, 1, 1))
+        top.cell_indicator(topo, 0, 3)
 
 
 def test_quadrature_weights():
@@ -167,8 +162,8 @@ def test_quadrature_exact_on_cell_indicators(m_q, scale):
     topo = top.level_topology(m_q)
     q = top.quadrature(m_q)
     *_, reps = _representative_tables(m_q)
-    for cell in top.enumerate_cells(scale):
-        ind = top.cell_indicator(topo, cell)
+    for rank, cell in enumerate(product((1, 2, 3), repeat=scale)):
+        ind = top.cell_indicator(topo, rank, scale)
         assert q @ ind == pytest.approx(3.0 ** (-scale), abs=1e-15)
         # the fraction of each vertex's containing cells inside `cell`
         words = [{w for w, _ in r} for r in reps]
@@ -208,6 +203,6 @@ def test_vertex_table_export(tmp_path):
 
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_word_strs(m):
-    words = ["".join(map(str, w)) or "-" for w in top.enumerate_cells(m)]
+    words = ["".join(map(str, w)) or "-" for w in product((1, 2, 3), repeat=m)]
     assert top.word_strs(np.arange(3**m), m) == words
     assert top.word_strs(np.arange(3**m)[::-1], m) == words[::-1]
