@@ -4,6 +4,7 @@ asymptotics for the Laplacian on the Sierpinski gasket."""
 from .decimation import (
     EigenvalueDescriptor,
     SpectrumTable,
+    birth_groups,
     enumerate_spectrum,
     extend_eigenfunction,
     gamma_step,

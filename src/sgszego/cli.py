@@ -327,7 +327,7 @@ def _basis_rows(basis, full):
     interior = topology.level_topology(basis.level).interior_indices
     ids = interior.tolist()
     cells = topology.word_strs(np.arange(len(basis.rows)), basis.scale) if len(basis.rows) else []
-    p = basis.small.shape[1]
+    p = basis.per_cell
     tags = [w for w in cells for _ in range(p)]
     tags += [NONLOCALIZED] * basis.nonlocalized_count
     for c, tag in enumerate(tags):
@@ -399,12 +399,12 @@ def run(config):
     elif cmd == "basis":
         ((_, (desc,), m_q),) = szego.sweep_plan("single", [config["j"]], config["N"],
                                                 config["series"], config["m_q"])
-        basis = eigenbasis.localize_basis(desc, m_q, config["N"])
+        basis = eigenbasis.localize_basis((desc,), m_q, config["N"])
         deviation = eigenbasis.orthonormality_check(basis)
         topo = topology.level_topology(m_q)
         # the columns are assembled once, for the residual and the export
         full = np.zeros((topo.n_vertices, basis.dimension))
-        full[topo.interior_indices] = basis.vectors
+        full[topo.interior_indices] = basis.vectors[0]
         residual = laplacian.eigen_residual(m_q, full, desc.gamma_at(m_q))
         for check, value in (("gram", deviation), ("eigen_residual", residual)):
             if value > config["tolerances"][check]:

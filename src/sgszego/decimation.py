@@ -170,10 +170,12 @@ def extend_eigenfunction(values, k, gamma_k):
     """Extend eigenfunction values from V_{k-1} to V_k for eigenvalue gamma_k
     by `laplacian.extend_values`, refusing the forbidden gammas 2, 5 and 6.
 
-    `values` has leading axis over the V_{k-1} vertices (extra axes allowed).
+    `values` has leading axis over the V_{k-1} vertices (extra axes allowed);
+    `gamma_k` is a scalar or one gamma per slice of axis 1, and a forbidden
+    gamma in any slice is refused.
     """
     for bad in FORBIDDEN_GAMMAS:
-        if abs(gamma_k - bad) < 1e-12:
+        if np.any(np.abs(np.asarray(gamma_k) - bad) < 1e-12):
             raise ValueError(f"forbidden extension eigenvalue gamma = {bad}")
     return extend_values(np.asarray(values, dtype=float), k, gamma_k)
 
@@ -186,14 +188,15 @@ JUNCTION_SV_MIN = 1e-8
 def corner_normal_derivatives(values, level):
     """-Delta at the three corners of V_level (in corner order) of functions
     that vanish there, given by their values on the interior of V_level, one
-    column each: the negated sum of each corner's two neighbours, i.e. the
-    normal derivatives.  Corner c lies in the one level-cell c c ... c, and
-    its neighbours are that cell's other two corners."""
+    column each, rows on the second-last axis of a stack: the negated sum of
+    each corner's two neighbours, i.e. the normal derivatives.  Corner c lies
+    in the one level-cell c c ... c, and its neighbours are that cell's other
+    two corners."""
     topo = level_topology(level)
     cells = topo.cell_vertices[[0, (3**level - 1) // 2, 3**level - 1]]
     neighbours = cells[np.arange(3)[:, None], [[1, 2], [0, 2], [0, 1]]]
     pos = np.searchsorted(topo.interior_indices, neighbours)
-    return -(values[pos[:, 0]] + values[pos[:, 1]])
+    return -(values[..., pos[:, 0], :] + values[..., pos[:, 1], :])
 
 
 def junction_nullspace(normal, scale):
@@ -202,20 +205,21 @@ def junction_nullspace(normal, scale):
     two cells meeting at each interior vertex of V_scale sum to zero.
 
     `normal` holds the functions' normal derivatives at the corners q_1, q_2,
-    q_3, one row per corner.  The junction matrix has one row per interior
-    vertex of V_scale and is read off `cell_vertices`; its nullspace comes
-    from an SVD, which also checks that the rows are independent.
+    q_3, one row per corner, or a stack of such (..., 3, q) with one answer
+    per slice.  The junction matrix has one row per interior vertex of
+    V_scale and is read off `cell_vertices`; its nullspace comes from an SVD,
+    which also checks that the rows are independent.
     """
     topo = level_topology(scale)
-    q = normal.shape[1]
-    junction = np.zeros((interior_count(scale), 3**scale, q))
+    rows = interior_count(scale)
+    junction = np.zeros(normal.shape[:-2] + (rows, 3**scale, normal.shape[-1]))
     cell, corner = np.nonzero(~topo.boundary_mask[topo.cell_vertices])
     row = np.searchsorted(topo.interior_indices, topo.cell_vertices[cell, corner])
-    junction[row, cell] = normal[corner]
-    _, sv, vh = np.linalg.svd(junction.reshape(len(junction), -1))
-    if sv[-1] < JUNCTION_SV_MIN * sv[0]:
+    junction[..., row, cell, :] = normal[..., corner, :]
+    _, sv, vh = np.linalg.svd(junction.reshape(junction.shape[:-3] + (rows, -1)))
+    if np.any(sv[..., -1] < JUNCTION_SV_MIN * sv[..., 0]):
         raise AssertionError(f"5-series junction conditions at scale {scale} are dependent")
-    return vh[len(sv):].T
+    return np.swapaxes(vh[..., rows:, :], -1, -2)
 
 
 @lru_cache(maxsize=None)
@@ -352,15 +356,29 @@ def birth_eigenvectors(desc):
     return full
 
 
-def eigenfunctions_at_level(desc, m_q, vals=None):
-    """Eigenspace of the descriptor sampled on V_{m_q}: the birth eigenspace,
-    or the columns `vals` on V_birth inside it, followed by decimation
-    extension."""
-    if m_q < desc.birth:
+def birth_groups(descriptors):
+    """The descriptors grouped by (series, birth), each group in the order
+    given and the groups in order of first appearance.  A group's eigenspaces
+    are one birth space extended by different gamma sequences."""
+    groups = {}
+    for desc in descriptors:
+        groups.setdefault((desc.series, desc.birth), []).append(desc)
+    return [tuple(group) for group in groups.values()]
+
+
+def eigenfunctions_at_level(descs, m_q, vals=None, shift=0):
+    """Eigenspaces of a birth group sampled on V_{m_q}, stacked (vertices of
+    V_{m_q}, G, columns) over its G descriptors: the birth eigenspace, or the
+    columns `vals` on V_birth inside it, followed by decimation extension
+    with one gamma per descriptor.  With a shift s it is the eigenspaces of
+    the same sign words born s generations earlier, whose gamma at level k is
+    the group's gamma at k + s."""
+    birth = descs[0].birth - shift
+    if m_q < birth:
         raise ValueError("sampling level precedes generation of birth")
     if vals is None:
-        vals = birth_eigenvectors(desc)
-    for k in range(desc.birth + 1, m_q + 1):
-        vals = extend_eigenfunction(vals, k, desc.gamma_at(k))
+        vals = _birth_space(descs[0].series, birth) if shift else birth_eigenvectors(descs[0])
+    vals = np.broadcast_to(vals[:, None], (len(vals), len(descs)) + vals.shape[1:])
+    for k in range(birth + 1, m_q + 1):
+        vals = extend_eigenfunction(vals, k, [desc.gamma_at(k + shift) for desc in descs])
     return vals
-

@@ -117,11 +117,18 @@ def extend_values(values, k, gamma_k):
     ((4 - g)(u(p) + u(q)) + 2 u(r)) / ((2 - g)(5 - g)); gamma_k = 0 is
     harmonic extension, (2 (u(p) + u(q)) + u(r)) / 5.  The rule divides by
     zero at gamma_k = 2 and 5; callers that take gamma from outside check it.
+
+    `gamma_k` is a scalar, or one gamma per slice of axis 1 of `values`
+    shaped (vertices, G, ...).  The rule is elementwise, so each slice is
+    bit for bit the scalar call with its own gamma.
     """
     parent_corner, child_corner, child_mid = extension_maps(k)
     out = np.zeros((level_topology(k).n_vertices,) + values.shape[1:])
     out[child_corner.ravel()] = values[parent_corner.ravel()]
 
+    gamma_k = np.asarray(gamma_k, dtype=float)
+    if gamma_k.ndim:  # one gamma per slice of axis 1, broadcast over the axes after it
+        gamma_k = gamma_k.reshape(gamma_k.shape + (1,) * (values.ndim - 2))
     denom = (2.0 - gamma_k) * (5.0 - gamma_k)
     u = values[parent_corner]  # (cells, 3, ...)
     for r, (p, q) in zip((0, 1, 2), ((1, 2), (0, 2), (0, 1))):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import SERIES_SIX, enumerate_spectrum, make_descriptor
+from .decimation import SERIES_SIX, birth_groups, enumerate_spectrum, make_descriptor
 from .eigenbasis import localize_basis
 from .topology import interior_weight, level_topology, quadrature
 
@@ -48,10 +48,10 @@ class CompressedOperator:
     """Multiplication operator compressed to a sum of eigenspaces.
 
     Eigenspaces are orthogonal, so the operator is block diagonal across
-    them; `blocks` keeps one matrix per eigenspace, with entries the
-    quadrature inner products <f u_a, u_b>.  `localized` counts
-    the localized basis vectors, and `level` is the sampling level the blocks
-    were assembled at.
+    them; `blocks` keeps one (G, d, d) stack per birth group, the matrices
+    of its G eigenspaces, with entries the quadrature inner products
+    <f u_a, u_b>.  `localized` counts the localized basis vectors, and
+    `level` is the sampling level the blocks were assembled at.
     """
 
     blocks: tuple
@@ -60,66 +60,72 @@ class CompressedOperator:
 
     @property
     def dimension(self):
-        return sum(mat.shape[0] for mat in self.blocks)
+        return sum(stack.shape[0] * stack.shape[1] for stack in self.blocks)
 
     @property
     def matrix(self):
-        """The dense block-diagonal matrix, assembled on every access."""
+        """The dense block-diagonal matrix, one block per eigenspace in
+        group order, assembled on every access."""
         full = np.zeros((self.dimension, self.dimension))
         start = 0
-        for mat in self.blocks:
-            stop = start + mat.shape[0]
-            full[start:stop, start:stop] = mat
-            start = stop
+        for stack in self.blocks:
+            for mat in stack:
+                stop = start + len(mat)
+                full[start:stop, start:stop] = mat
+                start = stop
         return full
 
 
 def assemble_compressed(f_values_interior, basis):
-    """The block of one eigenspace, M[a, b] = sum_x w(x) f(x) u_a(x) u_b(x)
-    over interior vertices, formed from the basis's split without its dense
-    columns: per cell the block w_{m_q - N} S^T diag(f on the cell) S of the
-    small eigenspace S, each cell's rows of the coupling to the remainder,
-    and the remainder block.
+    """The (G, d, d) blocks of a birth group's eigenspaces,
+    M[a, b] = sum_x w(x) f(x) u_a(x) u_b(x) over interior vertices, formed
+    from the basis's split without its dense columns: per cell the block
+    w_{m_q - N} S^T diag(f on the cell) S of the small eigenspace S, each
+    cell's rows of the coupling to the remainder, and the remainder block,
+    each a matrix product stacked over the group.
     Copies in distinct cells have disjoint supports, so the blocks between
-    them are zero.  That costs n (p^2 + p r + r^2) instead of n d^2."""
+    them are zero.  That costs n (p^2 + p r + r^2) instead of n d^2 per
+    eigenspace."""
     w = interior_weight(basis.level)
     f, small, rem = f_values_interior, basis.small, basis.remainder
     n_loc = basis.localized_count
-    tail = w * (rem.T * f) @ rem
-    mat = np.zeros((basis.dimension, basis.dimension))
-    mat[n_loc:, n_loc:] = 0.5 * (tail + tail.T)
-    p = small.shape[1]
+    tail = w * (rem.transpose(0, 2, 1) * f) @ rem
+    mat = np.zeros((len(rem), basis.dimension, basis.dimension))
+    mat[:, n_loc:, n_loc:] = 0.5 * (tail + tail.transpose(0, 2, 1))
+    p, small_t = basis.per_cell, small.transpose(0, 2, 1)
     for c, rows in enumerate(basis.rows):
         block = slice(c * p, (c + 1) * p)
-        weighted = small.T * f[rows]
+        weighted = small_t * f[rows]
         local = interior_weight(basis.level - basis.scale) * weighted @ small
-        mat[block, block] = 0.5 * (local + local.T)
-        mat[block, n_loc:] = (w * basis.copy_factor) * (weighted @ rem[rows])
-    mat[n_loc:, :n_loc] = mat[:n_loc, n_loc:].T
+        mat[:, block, block] = 0.5 * (local + local.transpose(0, 2, 1))
+        mat[:, block, n_loc:] = (w * basis.copy_factor) * (weighted @ rem[:, rows])
+    mat[:, n_loc:, :n_loc] = mat[:, :n_loc, n_loc:].transpose(0, 2, 1)
     return mat
 
 
 def compressed_operator(f, descriptors, m_q, scale):
     """f compressed to the sum of the eigenspaces of `descriptors`, each
-    sampled at level m_q and localized at the given scale; raises
-    FunctionalValueError when a block has a non-finite entry."""
+    sampled at level m_q and localized at the given scale, built one birth
+    group at a time; raises FunctionalValueError when a block has a
+    non-finite entry."""
     topo = level_topology(m_q)
     fvals = f.sample(topo)[topo.interior_indices]
     blocks, localized = [], 0
-    for desc in descriptors:
-        basis = localize_basis(desc, m_q, scale)
+    for group in birth_groups(descriptors):
+        basis = localize_basis(group, m_q, scale)
         blocks.append(assemble_compressed(fvals, basis))
-        localized += basis.localized_count
-    if not all(np.isfinite(mat).all() for mat in blocks):
+        localized += len(group) * basis.localized_count
+    if not all(np.isfinite(stack).all() for stack in blocks):
         raise FunctionalValueError(f"f={f.label()} compressed at level {m_q} has non-finite entries")
     return CompressedOperator(blocks=tuple(blocks), localized=localized, level=m_q)
 
 
 def log_det(op_or_matrix):
-    """Log-determinant by Cholesky of a symmetric positive-definite matrix, or
-    of a compressed operator as the sum over its blocks."""
+    """Log-determinant by Cholesky of a symmetric positive-definite matrix or
+    a stack of them (the sum over the stack), or of a compressed operator as
+    the sum over its blocks."""
     if isinstance(op_or_matrix, CompressedOperator):
-        return sum(log_det(mat) for mat in op_or_matrix.blocks)
+        return sum(log_det(stack) for stack in op_or_matrix.blocks)
     try:
         chol = np.linalg.cholesky(op_or_matrix)
     except np.linalg.LinAlgError as exc:
@@ -127,7 +133,7 @@ def log_det(op_or_matrix):
             "compressed operator is not positive definite "
             "(f non-positive somewhere, or discretization too coarse)"
         ) from exc
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+    return float(2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1))))
 
 
 def spectral_functional(op, func):
@@ -138,7 +144,7 @@ def spectral_functional(op, func):
 
 def operator_eigenvalues(op):
     """Eigenvalues of every block, in ascending order."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(mat) for mat in op.blocks]))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for stack in op.blocks]))
 
 
 def reference_integral(f, func, level):

@@ -141,9 +141,11 @@ def cell_indicator(topo, rank, scale):
     The value at a vertex is the fraction of its containing topo-level cells
     that lie inside the cell (1 strictly inside, 1/2 on the interface), which
     is how the cell-averaged quadrature sees the indicator; the quadrature
-    integral is then exactly 3^-scale."""
+    integral is then exactly 3^-scale.  Refuses a rank outside 0..3^scale - 1."""
     if scale > topo.m:
         raise ValueError("indicator cell finer than the topology level")
+    if not 0 <= rank < 3**scale:
+        raise ValueError(f"rank {rank} names no cell of scale {scale}: 0..{3**scale - 1}")
     size = 3 ** (topo.m - scale)
     start = rank * size
     inside = np.bincount(topo.cell_vertices[start:start + size].ravel(), minlength=topo.n_vertices)

@@ -64,7 +64,7 @@ def test_criterion_3_random_extensions():
         m = int(rng.choice([3, 4, 5]))
         desc = tables[m][int(rng.integers(len(tables[m])))]
         target = m + int(rng.integers(0, 2))
-        vals = dec.eigenfunctions_at_level(desc, target)
+        vals = dec.eigenfunctions_at_level((desc,), target)[:, 0]
         combo = vals @ rng.normal(size=vals.shape[1])
         r = lap.eigen_residual(target, combo, desc.gamma_at(target))
         worst = max(worst, r)
@@ -78,13 +78,13 @@ def test_criterion_4_six_series_dimensions():
         m_q = min(j + 1, sz.MQ_CAP)
         desc = _canonical("six", j, m_q)
         for N in range(1, j):
-            basis = eb.localize_basis(desc, m_q, N)
+            basis = eb.localize_basis((desc,), m_q, N)
             d_loc = (3**j - 3 ** (N + 1)) // 2
             per_cell = (3 ** (j - N) - 3) // 2
             assert basis.localized_count == d_loc, (j, N)
             # each of the 3^N cells holds per_cell columns; with none, no cells
             assert len(basis.rows) == (3**N if per_cell else 0), (j, N)
-            assert basis.small.shape[1] == per_cell, (j, N)
+            assert basis.per_cell == per_cell, (j, N)
     _report(4, "6-series localized dimensions (3^j - 3^(N+1))/2 with per-cell "
                "(3^(j-N) - 3)/2 exact for all 1 <= N < j <= 6")
 
@@ -97,7 +97,7 @@ def test_criterion_5_five_series_resolution():
         m_q = min(j + 1, sz.MQ_CAP)
         desc = _canonical("five", j, m_q)
         for N in range(1, min(j, 3)):
-            basis = eb.localize_basis(desc, m_q, N)
+            basis = eb.localize_basis((desc,), m_q, N)
             alpha = basis.nonlocalized_count
             cand_minus = (3**N - 3) // 2
             cand_plus = (3**N + 3) // 2
@@ -146,11 +146,11 @@ def test_criterion_8_cutoff_rate_and_block_consistency():
     ((_, op),) = sz.operators(f, "cutoff", [4], 1)
     full = op.matrix
     total = sz.log_det(full)
-    blocks = sum(sz.log_det(mat) for mat in op.blocks)
+    blocks = sum(sz.log_det(mat) for stack in op.blocks for mat in stack)
     rel = abs(total - blocks) / abs(total)
     assert rel < 1e-8
     start = 0
-    for mat in op.blocks:
+    for mat in (mat for stack in op.blocks for mat in stack):
         stop = start + mat.shape[0]
         assert np.array_equal(full[start:stop, start:stop], mat)
         start = stop

@@ -465,15 +465,15 @@ def test_float_cells_match_library_values(mode, indices, tmp_path):
 def test_basis_cells_match_library_values(series, j, N, m_q, tmp_path):
     argv = ["basis", "--series", series, "--j", str(j), "--N", str(N), "--m-q", str(m_q)]
     assert _run(argv + ["--out", str(tmp_path)]) == 0
-    basis = eb.localize_basis(szego._canonical_descriptor(series, j, m_q), m_q, N)
+    basis = eb.localize_basis((szego._canonical_descriptor(series, j, m_q),), m_q, N)
     rows = _float_rows(tmp_path / "basis.csv")
-    n = len(basis.vectors)
+    n = basis.remainder.shape[1]
     assert len(rows) == n * basis.dimension
     values = np.array([float(r["value"]) for r in rows]).reshape(basis.dimension, n)
-    assert np.array_equal(values, basis.vectors.T)
+    assert np.array_equal(values, basis.vectors[0].T)
     # the words in lexicographic order, each over its p localized columns
     words = ["".join(map(str, w)) or "-" for w in product((1, 2, 3), repeat=N)]
-    p = basis.small.shape[1]
+    p = basis.per_cell
     assert [r["tag"] for r in rows[::n]] == (
         [w for w in words for _ in range(p)] + ["nonlocalized"] * basis.nonlocalized_count)
 

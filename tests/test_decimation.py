@@ -162,6 +162,15 @@ def test_extension_forbidden_gamma():
             dec.extend_eigenfunction(np.zeros(n), 2, bad)
 
 
+def test_extension_refuses_a_forbidden_gamma_in_any_slice():
+    # one gamma per slice of axis 1: a single forbidden one refuses the stack
+    values = np.zeros((top.level_topology(2).n_vertices, 4, 2))
+    with pytest.raises(ValueError):
+        dec.extend_eigenfunction(values, 3, [1.2, 0.3, 5.0, 3.1])
+    extended = dec.extend_eigenfunction(values, 3, [1.2, 0.3, 4.9, 3.1])
+    assert extended.shape == (top.level_topology(3).n_vertices, 4, 2)
+
+
 def test_extension_of_birth_eigenvector():
     # gamma_1 = 5 eigenvector extended with sign -1 becomes a gamma_2 =
     # (5 - sqrt 5)/2 eigenvector of -Delta_2
@@ -278,7 +287,7 @@ def test_eigenfunctions_at_level_residuals():
             e for e in dec.enumerate_spectrum(4).entries
             if e.series == series and e.birth == j
         ][0]
-        vals = dec.eigenfunctions_at_level(desc, 4)
+        vals = dec.eigenfunctions_at_level((desc,), 4)[:, 0]
         assert vals.shape[1] == desc.multiplicity
         for c in range(vals.shape[1]):
             assert lap.eigen_residual(4, vals[:, c], desc.gamma_at(4)) < 1e-9

@@ -35,9 +35,9 @@ def _dense_eigenspace(desc, m_q):
 
 
 def test_eigenspace_column_counts():
-    assert eb.eigenspace_vectors(_canonical("five", 1, 3), 3).shape[1] == 2
-    assert eb.eigenspace_vectors(_canonical("six", 2, 3), 3).shape[1] == 3
-    assert eb.eigenspace_vectors(_canonical("two", 1, 4), 4).shape[1] == 1
+    assert eb.eigenspace_vectors((_canonical("five", 1, 3),), 3)[0].shape[1] == 2
+    assert eb.eigenspace_vectors((_canonical("six", 2, 3),), 3)[0].shape[1] == 3
+    assert eb.eigenspace_vectors((_canonical("two", 1, 4),), 4)[0].shape[1] == 1
 
 
 @pytest.mark.parametrize(
@@ -45,7 +45,7 @@ def test_eigenspace_column_counts():
 )
 def test_extension_matches_dense(series, j, m_q):
     desc = _canonical(series, j, m_q)
-    a = eb.eigenspace_vectors(desc, m_q)
+    a = eb.eigenspace_vectors((desc,), m_q)[0]
     b = _dense_eigenspace(desc, m_q)
     assert a.shape == b.shape
     assert principal_angle_gap(a, b, m_q) < 1e-8
@@ -53,7 +53,7 @@ def test_extension_matches_dense(series, j, m_q):
 
 def test_unsplit_basis_orthonormal():
     desc = _canonical("six", 2, 4)
-    basis = eb.localize_basis(desc, 4, None)
+    basis = eb.localize_basis((desc,), 4, None)
     assert eb.orthonormality_check(basis) < 1e-10
     assert basis.localized_count == 0
 
@@ -62,9 +62,9 @@ def test_unsplit_basis_orthonormal():
 def test_level_six_spectrum_orthonormal_at_level_seven(scale):
     # no factorization at the sampling level: orthonormality comes from the
     # birth basis and the scalar Gram scaling of decimation extension
-    for desc in dec.enumerate_spectrum(6).entries:
-        basis = eb.localize_basis(desc, 7, scale)
-        assert eb.orthonormality_check(basis) <= 1e-12, (desc.series, desc.birth, desc.signs)
+    for group in dec.birth_groups(dec.enumerate_spectrum(6).entries):
+        basis = eb.localize_basis(group, 7, scale)
+        assert eb.orthonormality_check(basis) <= 1e-12, (group[0].series, group[0].birth)
 
 
 @pytest.mark.parametrize("scale", [1, 2, 3])
@@ -74,7 +74,7 @@ def test_six_series_localized_dimensions(scale, j):
         pytest.skip("scale must be below the generation of birth")
     m_q = min(j + 1, 6)
     desc = _canonical("six", j, m_q)
-    basis = eb.localize_basis(desc, m_q, scale)
+    basis = eb.localize_basis((desc,), m_q, scale)
     per_cell = (3 ** (j - scale) - 3) // 2
     assert basis.localized_count == 3**scale * per_cell
     assert basis.nonlocalized_count == (3 ** (scale + 1) - 3) // 2
@@ -82,14 +82,14 @@ def test_six_series_localized_dimensions(scale, j):
     # localization is symmetric across the cells of the scale; with no
     # columns per cell the basis keeps no cells
     assert len(basis.rows) == (3**scale if per_cell else 0)
-    assert basis.small.shape[1] == per_cell
+    assert basis.per_cell == per_cell
 
 
 @pytest.mark.parametrize("scale,j", [(1, 2), (1, 3), (2, 3), (2, 4)])
 def test_five_series_localized_dimensions(scale, j):
     m_q = min(j + 1, 6)
     desc = _canonical("five", j, m_q)
-    basis = eb.localize_basis(desc, m_q, scale)
+    basis = eb.localize_basis((desc,), m_q, scale)
     # the non-localized remainder has one vector per interior hole of the
     # scale plus the boundary contribution: (3^scale + 3) / 2 in total
     assert basis.nonlocalized_count == (3**scale + 3) // 2
@@ -99,7 +99,7 @@ def test_five_series_localized_dimensions(scale, j):
 
 def test_localized_vectors_vanish_outside():
     desc = _canonical("six", 3, 4)
-    basis = eb.localize_basis(desc, 4, 1)
+    basis = eb.localize_basis((desc,), 4, 1)
     assert basis.localized_count > 0
     for c in range(basis.localized_count):
         assert eb.max_outside_value(basis, c) < 1e-10
@@ -107,18 +107,18 @@ def test_localized_vectors_vanish_outside():
 
 def test_localized_basis_orthonormal_and_span_preserving():
     desc = _canonical("six", 3, 4)
-    raw = eb.eigenspace_vectors(desc, 4)
-    basis = eb.localize_basis(desc, 4, 1)
+    raw = eb.eigenspace_vectors((desc,), 4)[0]
+    basis = eb.localize_basis((desc,), 4, 1)
     assert basis.dimension == desc.multiplicity
     assert eb.orthonormality_check(basis) < 1e-10
-    assert principal_angle_gap(raw, basis.vectors, 4) < 1e-8
+    assert principal_angle_gap(raw, basis.vectors[0], 4) < 1e-8
 
 
 def test_distinct_cell_columns_orthogonal():
     desc = _canonical("six", 3, 4)
-    basis = eb.localize_basis(desc, 4, 1)
-    g = eb.gram_matrix(basis)
-    p = basis.small.shape[1]
+    basis = eb.localize_basis((desc,), 4, 1)
+    g = eb.gram_matrix(basis)[0]
+    p = basis.per_cell
     for a in range(basis.localized_count):
         for b in range(a + 1, basis.localized_count):
             if a // p != b // p:  # localized column k lies in the cell of rank k // p
@@ -130,18 +130,45 @@ def test_split_column_count_check():
     # which never builds the birth space that checks it otherwise
     desc = dataclasses.replace(_canonical("six", 4, 5), multiplicity=40)
     with pytest.raises(AssertionError):
-        eb.localize_basis(desc, 5, 2)
+        eb.localize_basis((desc,), 5, 2)
+
+
+@pytest.mark.parametrize("scale", [None, 0, 1, 2])
+def test_birth_group_slices_are_the_bases_of_groups_of_one(scale):
+    # stacking changes only the order of sums: every slice of a group's
+    # split and block is the one built for its descriptor alone
+    m_q = 6
+    topo = top.level_topology(m_q)
+    fvals = HarmonicFunction([1.2, 1.5, 1.9]).sample(topo)[topo.interior_indices]
+    for group in dec.birth_groups(dec.enumerate_spectrum(5).entries):
+        basis = eb.localize_basis(group, m_q, scale)
+        blocks = sz.assemble_compressed(fvals, basis)
+        assert blocks.shape == (len(group), basis.dimension, basis.dimension)
+        for g, desc in enumerate(group):
+            alone = eb.localize_basis((desc,), m_q, scale)
+            pairs = ((basis.small[g], alone.small[0]), (basis.remainder[g], alone.remainder[0]),
+                     (blocks[g], sz.assemble_compressed(fvals, alone)[0]))
+            for stacked, single in pairs:
+                assert np.max(np.abs(stacked - single), initial=0.0) <= 1e-13, desc
+
+
+def test_birth_group_refuses_mixed_births():
+    # a group is one birth space extended by several gamma sequences
+    with pytest.raises(ValueError):
+        eb.localize_basis((_canonical("six", 3, 5), _canonical("six", 4, 5)), 5, 1)
+    with pytest.raises(ValueError):
+        eb.localize_basis((_canonical("five", 2, 4), _canonical("six", 2, 4)), 4, 1)
 
 
 def test_localization_scale_not_below_birth_is_unsplit():
     # a scale N >= birth has no N-cells to copy into: the remainder is the
     # whole eigenspace, as a cutoff run expects for its births <= N
     desc = _canonical("six", 2, 4)
-    basis = eb.localize_basis(desc, 4, 2)
+    basis = eb.localize_basis((desc,), 4, 2)
     assert basis.localized_count == 0
     assert basis.nonlocalized_count == desc.multiplicity
     # below the birth it localizes: at scale 0 the one 0-cell holds every column
-    basis_ok = eb.localize_basis(desc, 4, 0)
+    basis_ok = eb.localize_basis((desc,), 4, 0)
     assert basis_ok.localized_count == desc.multiplicity
 
 
@@ -151,19 +178,19 @@ def test_cross_eigenspace_orthogonality():
     w = top.interior_weight(m_q)
     d1 = _canonical("five", 2, m_q)
     d2 = _canonical("six", 2, m_q)
-    b1 = eb.localize_basis(d1, m_q, None).vectors
-    b2 = eb.localize_basis(d2, m_q, None).vectors
+    b1 = eb.localize_basis((d1,), m_q, None).vectors[0]
+    b2 = eb.localize_basis((d2,), m_q, None).vectors[0]
     cross = w * b1.T @ b2
     assert np.max(np.abs(cross)) < 1e-9
 
 
 def test_max_outside_value_rejects_nonlocalized():
     desc = _canonical("five", 1, 3)
-    basis = eb.localize_basis(desc, 3, None)
+    basis = eb.localize_basis((desc,), 3, None)
     with pytest.raises(ValueError):
         eb.max_outside_value(basis, 0)
     # remainder columns and columns counted from the end are refused too
-    split = eb.localize_basis(_canonical("six", 3, 4), 4, 1)
+    split = eb.localize_basis((_canonical("six", 3, 4),), 4, 1)
     for column in (split.localized_count, split.dimension - 1, -1):
         with pytest.raises(ValueError):
             eb.max_outside_value(split, column)
@@ -171,7 +198,7 @@ def test_max_outside_value_rejects_nonlocalized():
 
 def test_basis_export(tmp_path):
     desc = _canonical("six", 2, 3)
-    basis = eb.localize_basis(desc, 3, 1)
+    basis = eb.localize_basis((desc,), 3, 1)
     argv = ["basis", "--series", "six", "--j", "2", "--N", "1", "--m-q", "3"]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     lines = (tmp_path / "basis.csv").read_text().strip().splitlines()
@@ -226,16 +253,16 @@ def _oracle_grid():
 def test_transplants_match_searched_localization():
     for desc, m_q, scale in _oracle_grid():
         case = (desc.series, desc.birth, desc.signs, m_q, scale)
-        raw = eb.eigenspace_vectors(desc, m_q)
-        basis = eb.localize_basis(desc, m_q, scale)
+        raw = eb.eigenspace_vectors((desc,), m_q)[0]
+        basis = eb.localize_basis((desc,), m_q, scale)
         found = _searched_localization(raw, m_q, scale)
         built = {}
         for c in range(basis.localized_count):
-            built.setdefault(c // basis.small.shape[1], []).append(c)
+            built.setdefault(c // basis.per_cell, []).append(c)
         assert {cell: len(cols) for cell, cols in built.items()} == {
             cell: vecs.shape[1] for cell, vecs in found.items()
         }, case
-        vectors = basis.vectors
+        vectors = basis.vectors[0]
         for cell, cols in built.items():
             gap = principal_angle_gap(vectors[:, cols], found[cell], m_q)
             assert gap < 1e-10, (case, cell, gap)
@@ -284,8 +311,8 @@ SPLIT_GRID = [
 @pytest.mark.parametrize("series,j,scale,m_q", SPLIT_GRID)
 def test_split_matches_complete_qr_complement(series, j, scale, m_q):
     desc = _canonical(series, j, m_q)
-    basis = eb.localize_basis(desc, m_q, scale)
-    vectors = basis.vectors
+    basis = eb.localize_basis((desc,), m_q, scale)
+    vectors = basis.vectors[0]
     n_loc = basis.localized_count
     assert basis.dimension == desc.multiplicity
     if scale:
@@ -294,10 +321,10 @@ def test_split_matches_complete_qr_complement(series, j, scale, m_q):
     else:
         assert basis.nonlocalized_count == 0
     assert eb.orthonormality_check(basis) <= 1e-12
-    oracle = complement_by_qr(eb.eigenspace_vectors(desc, m_q), vectors[:, :n_loc], m_q)
-    assert oracle.shape == basis.remainder.shape
+    oracle = complement_by_qr(eb.eigenspace_vectors((desc,), m_q)[0], vectors[:, :n_loc], m_q)
+    assert oracle.shape == basis.remainder[0].shape
     if oracle.shape[1]:
-        assert principal_angle_gap(basis.remainder, oracle, m_q) <= 1e-12
+        assert principal_angle_gap(basis.remainder[0], oracle, m_q) <= 1e-12
     # every assembled block against the dense w V^T diag(f) V
     topo = top.level_topology(m_q)
     for f in (HarmonicFunction([1.0, 1.5, 2.0]), SimpleCellFunction([1.0, 2.0, 3.0])):
@@ -321,10 +348,10 @@ def test_six_series_remainder_is_canonical(j, scale, m_q):
     solved = np.linalg.solve(gram, np.eye(len(gram))[:, select])
     coeffs = np.zeros((parent.n_vertices, len(select)))
     coeffs[parent.interior_indices] = solved @ np.linalg.inv(np.linalg.cholesky(solved[select])).T
-    full = dec.eigenfunctions_at_level(desc, m_q, lap.extend_values(coeffs, j, 6.0))
+    full = dec.eigenfunctions_at_level((desc,), m_q, lap.extend_values(coeffs, j, 6.0))[:, 0]
     expected = full[top.level_topology(m_q).interior_indices]
     expected /= np.sqrt(top.interior_weight(m_q) * np.sum(expected**2, axis=0))
-    remainder = eb.localize_basis(desc, m_q, scale).remainder
+    remainder = eb.localize_basis((desc,), m_q, scale).remainder[0]
     assert np.max(np.abs(remainder - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -341,6 +368,7 @@ def test_compressed_operator_holds_no_dense_basis():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    output = sum(mat.nbytes for mat in op.blocks)
+    output = sum(stack.nbytes for stack in op.blocks)
+    assert [stack.shape for stack in op.blocks] == [(1, d, d)]
     assert output == d * d * 8
     assert peak - output < n * d * 8 / 4, (peak, output)

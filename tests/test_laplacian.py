@@ -82,6 +82,19 @@ def test_dense_eigenpair_residuals(m):
         assert lap.eigen_residual(m, full, evals[k]) < 1e-9
 
 
+@pytest.mark.parametrize("G", [1, 3, 8])
+@pytest.mark.parametrize("k", range(2, 7))
+def test_stacked_extension_is_the_scalar_extension_per_slice(k, G):
+    # one gamma per slice of axis 1 gives, bit for bit, the scalar call on
+    # that slice; the gammas cover both branches of the decimation map
+    rng = np.random.default_rng(100 * k + G)
+    values = rng.normal(size=(top.level_topology(k - 1).n_vertices, G, 3))
+    gammas = rng.uniform(0.0, 6.2, size=G)
+    stacked = lap.extend_values(values, k, gammas)
+    assert np.array_equal(stacked, np.stack(
+        [lap.extend_values(values[:, g], k, gammas[g]) for g in range(G)], axis=1))
+
+
 def _dense_resistance(m):
     """Reference: the resistance matrix from the pseudo-inverse of the
     Laplacian with edge conductance (5/3)^m, filled edge by edge."""
@@ -260,7 +273,7 @@ def test_eigen_residual_memory():
     desc = sz._canonical_descriptor("six", 7, 7)
     topo = top.level_topology(7)
     full = np.zeros((topo.n_vertices, desc.multiplicity))
-    full[topo.interior_indices] = localize_basis(desc, 7, 4).vectors
+    full[topo.interior_indices] = localize_basis((desc,), 7, 4).vectors[0]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

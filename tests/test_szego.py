@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sgszego import cli
+from sgszego import decimation as dec
 from sgszego import szego as sz
 from sgszego import topology as top
-from sgszego.decimation import enumerate_spectrum, make_descriptor
+from sgszego.decimation import birth_groups, enumerate_spectrum, make_descriptor
 from sgszego.eigenbasis import localize_basis
 from sgszego.functions import ConstantFunction, FunctionSum, HarmonicFunction, SimpleCellFunction
 
@@ -31,10 +32,10 @@ def test_simple_function_localized_diagonal():
     # multiplication by its coefficient a_k
     f = SimpleCellFunction([1.0, 2.0, 3.0])
     desc = make_descriptor("six", 3, (1,))
-    basis = localize_basis(desc, 4, 1)
+    basis = localize_basis((desc,), 4, 1)
     op = sz.compressed_operator(f, [desc], 4, 1)
     # localized column i lies in the 1-cell of rank i // p, the word (i // p + 1,)
-    p = basis.small.shape[1]
+    p = basis.per_cell
     cell = [i // p for i in range(basis.localized_count)]
     cell += [None] * basis.nonlocalized_count
     assert basis.localized_count > 0
@@ -146,10 +147,10 @@ def test_cutoff_block_logdet_consistency():
     ((_, op),) = sz.operators(f, "cutoff", [3], 1)
     full = op.matrix
     total = sz.log_det(full)
-    blocks = sum(sz.log_det(mat) for mat in op.blocks)
+    blocks = sum(sz.log_det(mat) for stack in op.blocks for mat in stack)
     assert abs(total - blocks) / abs(total) < 1e-8
     start = 0
-    for mat in op.blocks:
+    for mat in (mat for stack in op.blocks for mat in stack):
         stop = start + mat.shape[0]
         assert np.array_equal(full[start:stop, start:stop], mat)
         start = stop
@@ -276,3 +277,54 @@ def test_records_export(tmp_path):
     assert len(lines) == 2 + len(records)
     lines = (tmp_path / "szego_single_loglog.csv").read_text().splitlines()
     assert lines[1] == "log_d,log_error"
+
+
+@pytest.mark.parametrize("N", [None, 1, 2])
+@pytest.mark.parametrize("m", range(3, 7))
+def test_full_compression_at_level_m_is_the_riemann_mean(m, N):
+    # at m_q = m the level-m eigenspaces span the interior of V_m and the
+    # quadrature weight is uniform there, so the full compression onto the
+    # bases of every birth group together has log det / d equal to the mean
+    # of log f over the interior; the cutoff operator is its block diagonal
+    topo = top.level_topology(m)
+    groups = birth_groups(enumerate_spectrum(m).entries)
+    vectors = np.concatenate(
+        [col for group in groups for col in localize_basis(group, m, N).vectors], axis=1)
+    assert vectors.shape == (len(topo.interior_indices),) * 2
+    for f in (HarmonicFunction([1.2, 1.5, 1.9]), SimpleCellFunction([2.689, 2.516, 1.841])):
+        fvals = f.sample(topo)[topo.interior_indices]
+        full = top.interior_weight(m) * (vectors.T * fvals) @ vectors
+        mean = float(np.mean(np.log(fvals)))
+        assert abs(sz.log_det(full) / len(full) - mean) <= 1e-13 * abs(mean), (m, N, f.label())
+        op = sz.compressed_operator(f, enumerate_spectrum(m).entries, m, N)
+        sizes = [stack.shape[1] for stack in op.blocks for _ in stack]
+        eigenspace = np.repeat(np.arange(len(sizes)), sizes)
+        inside = eigenspace[:, None] == eigenspace
+        assert np.max(np.abs(np.where(inside, full, 0.0) - op.matrix)) <= 1e-13 * np.max(fvals)
+
+
+def test_cutoff_builds_one_birth_group_at_a_time(monkeypatch):
+    # one basis and one assembly per (series, birth) group, and extensions
+    # that grow with groups x levels, not with descriptors x levels
+    calls = {"localize_basis": 0, "assemble_compressed": 0, "extend_values": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sz, "localize_basis")
+    counted(sz, "assemble_compressed")
+    counted(dec, "extend_values")
+    f = HarmonicFunction([1.2, 1.5, 1.9])
+    ((_, op),) = sz.operators(f, "cutoff", [6], 1)
+    descriptors = enumerate_spectrum(6).entries
+    groups = len(birth_groups(descriptors))
+    assert (groups, len(descriptors)) == (12, 111)
+    assert calls["localize_basis"] == calls["assemble_compressed"] == groups == len(op.blocks)
+    # a small space and a remainder per group, each extended through at most
+    # m_q levels (60 calls cold here; one group per descriptor made 615)
+    assert calls["extend_values"] <= 2 * groups * op.level, calls

@@ -146,6 +146,14 @@ def test_cell_of_vertex_scale_error():
         top.cell_indicator(topo, 0, 3)
 
 
+@pytest.mark.parametrize("rank", [5, -1, 3])
+def test_cell_indicator_refuses_out_of_range_rank(rank):
+    # scale 1 has the ranks 0, 1, 2 only; an out-of-range rank once gave an
+    # all-zero indicator
+    with pytest.raises(ValueError):
+        top.cell_indicator(top.level_topology(3), rank, 1)
+
+
 def test_quadrature_weights():
     q1 = top.quadrature(1)
     t1 = top.level_topology(1)
