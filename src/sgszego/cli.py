@@ -44,7 +44,7 @@ TRIPLES_CAP = 10**6
 # bounds their memory
 EXPORT_CHUNK = 1 << 15
 
-# the basis.csv tag of a remainder column, which lies in no N-cell
+# the basis.csv tag of a remainder column, whose cell is coarser than the N-cells
 NONLOCALIZED = "nonlocalized"
 
 EXIT_OK = 0
@@ -323,12 +323,14 @@ def _cell_rows(topo):
 
 def _basis_rows(basis, full):
     """The interior rows of one column of `full` (the basis on every vertex
-    of V_level) at a time, tagged with its N-cell address or NONLOCALIZED."""
+    of V_level) at a time, tagged with the word of its own cell if it is
+    localized and NONLOCALIZED otherwise."""
     interior = topology.level_topology(basis.level).interior_indices
     ids = interior.tolist()
-    cells = topology.word_strs(np.arange(len(basis.rows)), basis.scale) if len(basis.rows) else []
-    p = basis.per_cell
-    tags = [w for w in cells for _ in range(p)]
+    depth, rank = basis.column_cells
+    # the columns run deepest level first, so grouping by depth keeps their order
+    localized = np.unique(depth[:basis.localized_count])[::-1]
+    tags = [w for k in localized for w in topology.word_strs(rank[depth == k], k)]
     tags += [NONLOCALIZED] * basis.nonlocalized_count
     for c, tag in enumerate(tags):
         yield from zip(ids, repeat(c), full[interior, c].tolist(), repeat(tag))

@@ -140,8 +140,10 @@ class SpectrumTable:
         return sum(d.multiplicity for d in self.entries)
 
 
+@lru_cache(maxsize=None)
 def enumerate_spectrum(m):
-    """All Dirichlet eigenvalues of -Delta_m with series/birth/sign encoding.
+    """All Dirichlet eigenvalues of -Delta_m with series/birth/sign encoding;
+    cached, as the table is a frozen tuple of frozen descriptors.
 
     Counts per birth: 2-series 2^(m-1); 5-series birth j has 2^(m-j) sign
     words; 6-series birth j has the first sign forced to +1, leaving
@@ -264,7 +266,10 @@ def _six_series_gram(j):
     and every interior vertex lies in two cells and every edge in one; the
     old vertices add the identity.  Its spectrum lies in (1.5, 3).
     """
-    return (6.0 * np.eye(interior_count(j - 1)) + dirichlet_laplacian(j - 1)) / 4.0
+    gram = dirichlet_laplacian(j - 1)
+    gram[np.diag_indices_from(gram)] += 6.0
+    gram /= 4.0
+    return gram
 
 
 def _six_series_birth(j):
@@ -280,29 +285,29 @@ def _six_series_birth(j):
     return extend_values(coeffs, j, 6.0)
 
 
-def six_series_remainder(j, scale):
-    """The part of E6(j) orthogonal to the copies of E6(j - scale) in the
-    scale-cells, for 1 <= scale <= j - 2: Ext(G^-1 E) R^-T on V_j, with Ext
-    the gamma = 6 extension from V_{j-1}, G = `_six_series_gram(j)`, E the
-    unit vectors of the interior vertices of V_scale, and R R^T = E^T G^-1 E.
-    Its columns are orthonormal in plain coordinates, one per interior vertex
-    of V_scale.
+@lru_cache(maxsize=None)
+def six_series_remainder(j):
+    """The part of E6(j) orthogonal to the copies of E6(j - 1) in the three
+    1-cells, for j >= 3: Ext(G^-1 E) R^-T on V_j, with Ext the gamma = 6
+    extension from V_{j-1}, G = `_six_series_gram(j)`, E the unit vectors of
+    the three midpoints of V_1, and R R^T = E^T G^-1 E.  Its three columns
+    are orthonormal in plain coordinates, one per midpoint; read-only.
 
     The copies are the extensions of the functions on V_{j-1} that vanish on
-    V_scale, so the remainder is the G-orthogonal complement, the extensions
-    of G^-1 E.  G is eliminated cell by cell: V_scale vertices are not
+    V_1, so the remainder is the G-orthogonal complement, the extensions of
+    G^-1 E.  G is eliminated cell by cell: the midpoints of V_1 are not
     adjacent at level j - 1, so G is 5/2 there, and its block on the interior
-    of each scale-cell is the level-(j - 1 - scale) matrix
-    `_six_series_gram(j - scale)`.  With H the map from a cell's corner values
-    to its interior values that solves G v = 0 there, E^T G^-1 E is the
-    inverse of the Schur complement S = 5/2 I - sum over cells of the corner
-    block of G H, and G^-1 E R^-T is R on V_scale and H R inside each cell.
+    of each 1-cell is the level-(j - 2) matrix `_six_series_gram(j - 1)`.
+    With H the map from a cell's corner values to its interior values that
+    solves G v = 0 there, E^T G^-1 E is the inverse of the Schur complement
+    S = 5/2 I - sum over cells of the corner block of G H, and G^-1 E R^-T is
+    R on V_1 and H R inside each cell.
     """
-    small = level_topology(j - 1 - scale)
+    small = level_topology(j - 2)
     # the coupling of G between a cell's interior and its corners, corners by rows
     coupling = corner_normal_derivatives(np.eye(len(small.interior_indices)), small.m) / 4.0
-    harmonic = -np.linalg.solve(_six_series_gram(j - scale), coupling.T)
-    outer = level_topology(scale)
+    harmonic = -np.linalg.solve(_six_series_gram(j - 1), coupling.T)
+    outer = level_topology(1)
     corners = outer.cell_vertices
     schur = np.zeros((outer.n_vertices, outer.n_vertices))
     np.add.at(schur, (corners[:, :, None], corners[:, None, :]), coupling @ harmonic)
@@ -314,8 +319,10 @@ def six_series_remainder(j, scale):
     cells[:, small.boundary_mask] = values[corners]
     cells[:, small.interior_indices] = harmonic @ values[corners]
     coeffs = np.zeros((level_topology(j - 1).n_vertices, len(inner)))
-    coeffs[cell_embedding(j - 1, scale)] = cells
-    return extend_values(coeffs, j, 6.0)
+    coeffs[cell_embedding(j - 1, 1)] = cells
+    full = extend_values(coeffs, j, 6.0)
+    full.flags.writeable = False  # cached and shared by every caller
+    return full
 
 
 def _lower_inverse(r):

@@ -1,26 +1,30 @@
-"""Orthonormal eigenspace bases split into scale-N localized vectors (one
-group per N-cell) and a non-localized remainder, kept as that split.
+"""Orthonormal eigenspace bases kept as a cell tree: one array per depth,
+copied into every cell of that depth, with the columns at depths >= N the
+scale-N localized ones and the rest the non-localized remainder.
 
 Localized vectors are built from self-similarity: an eigenfunction of the
-descriptor with the same series and sign word born N generations earlier,
-copied into an N-cell and zero elsewhere, is an eigenfunction whenever its
+descriptor with the same series and sign word born k generations earlier,
+copied into a k-cell and zero elsewhere, is an eigenfunction whenever its
 normal derivatives vanish at the cell corners.  6-series eigenfunctions all
-qualify; for the 5-series the kept part is the nullspace of the rank-2 map to
-the three boundary normal derivatives.  Copies in distinct cells have disjoint
-supports.  The remainder, their complement inside the eigenspace, is built
-in closed form and needs no factorization of the eigenspace: for the
-6-series it is `decimation.six_series_remainder` extended to the sampling
-level; for the 5-series it is the other two directions of the small space
-copied into every cell and glued where two cells meet, so that their normal
-derivatives cancel (`decimation.junction_nullspace`).
+qualify, so a 6-series eigenspace splits at scale 1 again and again: depth k
+holds the part of the eigenspace born at j - k that is orthogonal to its
+copies in the three 1-cells (`decimation.six_series_remainder`, three
+columns), and depth j - 2 the eigenspace born at 2.  For the 5-series the
+kept part is the nullspace of the rank-2 map to the three boundary normal
+derivatives, and the split is one level deep: the kept parts at depth N and
+at the root the other two directions copied into every N-cell and glued where
+two cells meet, so that their normal derivatives cancel
+(`decimation.junction_nullspace`).  Copies in cells that are not nested have
+disjoint supports, so a compressed operator couples a cell only to its
+ancestors and descendants.
 
 Bases are orthonormal in the quadrature inner product by construction, with
-no factorization at the sampling level: each birth eigenspace is orthonormal
-in plain coordinates (a Cholesky of the known d x d Gram matrix per 6-series
-birth space, no factorization for the 2- and 5-series), decimation extension
-keeps it orthogonal and scales every norm by one factor, and the quadrature
-weight is uniform on interior vertices, so dividing each extended column by
-its norm finishes the job.
+no factorization at the sampling level: each birth eigenspace and each
+scale-1 remainder is orthonormal in plain coordinates (a Cholesky factor of a
+known Gram matrix for the 6-series, no factorization for the 2- and
+5-series), decimation extension keeps it orthogonal and scales every norm by
+one factor, and the quadrature weight is uniform on interior vertices, so
+dividing each extended column by its norm finishes the job.
 """
 from __future__ import annotations
 
@@ -28,64 +32,75 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import (SERIES_SIX, SERIES_TWO, corner_normal_derivatives,
+from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, corner_normal_derivatives,
                          eigenfunctions_at_level, junction_nullspace, six_series_remainder)
-from .topology import cell_embedding, interior_count, interior_weight, level_topology
+from .topology import (cell_embedding, interior_cell_rows, interior_count, interior_weight,
+                       level_topology)
 
 
 @dataclass(frozen=True)
 class EigenspaceBasis:
-    """The bases of a birth group's G eigenspaces, kept as their split and
-    stacked over the group.  The localized columns of eigenspace g are its
-    small eigenspace `small[g]` times 3^(scale/2), copied into the interior
-    rows `rows[c]` of V_level of the scale-cell of rank c and zero elsewhere,
-    so localized column k lies in the cell of rank k // `per_cell`; the
-    `remainder[g]` columns follow.  An unsplit basis has no cells, and its
-    remainder is the whole basis.  The counts are per eigenspace; `vectors`
-    assembles the dense columns."""
+    """The bases of a birth group's G eigenspaces, kept as a cell tree and
+    stacked over the group.  Tree level i has the depth `depths[i]` and the
+    array `parts[i]`, (G, interior of V_{level - depth}, c_i), quadrature-
+    orthonormal there; each of the 3^depth cells of that depth holds a copy
+    of it, times 3^(depth/2), on its interior rows of V_level and zero
+    elsewhere.  The levels run deepest first, ending at the root (depth 0),
+    and the columns follow them: level by level, cell by cell in rank order,
+    then column by column of the part.  A column couples to another only if
+    one's cell contains the other's.  The columns at depths >= `scale` are
+    the localized ones, which therefore come first; an unsplit basis has
+    scale None and localizes nothing.  The counts are per eigenspace;
+    `vectors` assembles the dense columns."""
 
     descriptors: tuple  # one birth group: the same series and birth
     level: int  # sampling level m_q
-    scale: int  # localization scale N (or None)
-    small: np.ndarray  # (G, interior of V_{level - scale}, p), quadrature-orthonormal there
-    rows: np.ndarray  # (cells, interior of V_{level - scale}), rows into the interior of V_level
-    remainder: np.ndarray  # (G, interior of V_level, r), quadrature-orthonormal
+    scale: int  # localized depths are those >= scale (None: no localized columns)
+    depths: tuple  # of the tree levels, decreasing to 0
+    parts: tuple  # per level, (G, interior of V_{level - depth}, c_i)
 
     @property
-    def copy_factor(self):
-        return _copy_factor(self.scale)
-
-    @property
-    def per_cell(self):
-        return self.small.shape[2]
+    def column_counts(self):
+        """Columns per tree level: 3^depth cells of c_i columns each."""
+        return [3**k * part.shape[2] for k, part in zip(self.depths, self.parts)]
 
     @property
     def localized_count(self):
-        return len(self.rows) * self.per_cell
-
-    @property
-    def nonlocalized_count(self):
-        return self.remainder.shape[2]
+        if self.scale is None:
+            return 0
+        return sum(n for k, n in zip(self.depths, self.column_counts) if k >= self.scale)
 
     @property
     def dimension(self):
-        return self.localized_count + self.nonlocalized_count
+        return sum(self.column_counts)
+
+    @property
+    def nonlocalized_count(self):
+        return self.dimension - self.localized_count
+
+    @property
+    def column_cells(self):
+        """(depth, rank) of the cell of every column, two arrays in column
+        order."""
+        depth = np.repeat(self.depths, self.column_counts)
+        rank = np.concatenate([np.repeat(np.arange(3**k), part.shape[2])
+                               for k, part in zip(self.depths, self.parts)])
+        return depth, rank
 
     @property
     def vectors(self):
         """The dense (G, n_interior, d) columns, orthonormal in the
         quadrature inner product; assembled on every access."""
-        p, n_loc = self.per_cell, self.localized_count
-        out = np.zeros(self.remainder.shape[:2] + (self.dimension,))
-        for c, rows in enumerate(self.rows):
-            out[:, rows, c * p:(c + 1) * p] = self.copy_factor * self.small
-        out[:, :, n_loc:] = self.remainder
+        g, n = len(self.descriptors), interior_count(self.level)
+        out = np.zeros((g, n, self.dimension))
+        start = 0
+        for k, part, count in zip(self.depths, self.parts, self.column_counts):
+            cells = np.zeros((g, n, 3**k, part.shape[2]))
+            cells[:, interior_cell_rows(self.level, k), np.arange(3**k)[:, None]] = \
+                3.0 ** (k / 2) * part[:, None]
+            out[:, :, start:start + count] = cells.reshape(g, n, count)
+            start += count
         return out
-
-
-def _copy_factor(scale):
-    # the interior weight shrinks by 3^-scale, so 3^(scale/2) keeps unit length
-    return 3.0 ** (scale / 2)
 
 
 def _normalized_interior(full, m_q):
@@ -114,27 +129,27 @@ def eigenspace_vectors(descs, m_q, shift=0):
     return _normalized_interior(eigenfunctions_at_level(descs, m_q, shift=shift), m_q)
 
 
-def _cell_rows(m_q, scale):
-    """Interior rows of V_{m_q} of the interior vertices of V_{m_q - scale}
-    mapped into each scale-cell, one row per cell in address order."""
-    interior = level_topology(m_q).interior_indices
-    small_interior = level_topology(m_q - scale).interior_indices
-    return np.searchsorted(interior, cell_embedding(m_q, scale)[:, small_interior])
+def _six_series_tree(descs, m_q):
+    """(depths, parts) of the multilevel basis of a 6-series birth group
+    born at j: at each depth k < j - 2 the scale-1 remainder
+    `six_series_remainder(j - k)` of the eigenspaces of the same sign words
+    born at j - k, and at depth j - 2 those born at 2.  Splitting E6(j) at
+    scale 1 again and again gives E6(j) = R(j) + 3 copies of R(j - 1) + ...
+    + 3^(j-2) copies of E6(2), three columns in every cell of every depth."""
+    j = descs[0].birth
+    parts = [eigenspace_vectors(descs, m_q - j + 2, shift=j - 2)]
+    for k in range(j - 3, -1, -1):
+        rem = eigenfunctions_at_level(descs, m_q - k, six_series_remainder(j - k), shift=k)
+        parts.append(_normalized_interior(rem, m_q - k))
+    return tuple(range(j - 2, -1, -1)), tuple(parts)
 
 
-def _split(descs, m_q, scale, rows):
-    """Stacked (small, remainder) of a birth group for 1 <= scale < birth
-    and the 5- or 6-series, or None when the small space has no columns to
-    copy: no 6-series is born at level 1, and the 5-series born at level 1
-    has no part with vanishing normal derivatives.  The small space of each
-    eigenspace has its sign word and is born `scale` generations earlier."""
-    series, birth = descs[0].series, descs[0].birth
-    if birth - scale < 2:
-        return None
+def _five_series_split(descs, m_q, scale):
+    """(small, remainder) of a 5-series birth group for 1 <= scale <=
+    birth - 2: the small spaces, born `scale` generations earlier with the
+    same sign words, kept where their normal derivatives vanish, and their
+    complement."""
     small = eigenspace_vectors(descs, m_q - scale, shift=scale)
-    if series == SERIES_SIX:
-        remainder = eigenfunctions_at_level(descs, m_q, six_series_remainder(birth, scale))
-        return small, _normalized_interior(remainder, m_q)
     # the three normal derivatives have rank 2: keep their nullspace, and glue
     # copies of the other two directions at the interior vertices of V_scale
     normal = corner_normal_derivatives(small, m_q - scale)
@@ -142,37 +157,38 @@ def _split(descs, m_q, scale, rows):
     glued = vh[:, :2].transpose(0, 2, 1)
     glue = junction_nullspace(normal @ glued, scale).reshape(len(descs), 3**scale, 2, -1)
     remainder = np.zeros((len(descs), interior_count(m_q), glue.shape[3]))
-    remainder[:, rows] = _copy_factor(scale) * (small @ glued)[:, None] @ glue
+    remainder[:, interior_cell_rows(m_q, scale)] = \
+        3.0 ** (scale / 2) * (small @ glued)[:, None] @ glue
     return small @ vh[:, 2:].transpose(0, 2, 1), remainder
 
 
 def localize_basis(descs, m_q, scale):
     """The eigenspaces of a birth group `descs` (descriptors of one series
-    and birth) sampled at level m_q, each split into per-cell localized
-    vectors plus a remainder, stacked over the group.
+    and birth) sampled at level m_q as a cell tree, stacked over the group,
+    with the columns at depths >= scale localized.
 
-    Localized columns come first, grouped by cell in address order; every
-    localized column vanishes outside its cell.  At scale 0 the single 0-cell
-    holds every column.  The 2-series and a scale of None or of at least the
-    generation of birth localize nothing.
+    A 6-series is split at scale 1 again and again, whatever the scale
+    (`_six_series_tree`).  A 5-series split at 1 <= scale <= birth - 2 is a
+    tree of two levels: the localized small spaces at depth `scale` and the
+    remainder at the root.  Every other basis is the root alone.  A 5-series
+    at scale 0 is all localized, in the one 0-cell; the 2-series, and a
+    5-series at a scale of None, of birth - 1 (whose small space keeps
+    nothing) or of at least the birth, localize nothing.
     """
     descs = tuple(descs)
     series, birth = descs[0].series, descs[0].birth
     if any((desc.series, desc.birth) != (series, birth) for desc in descs):
         raise ValueError("a birth group's descriptors share one series and one birth")
-    split = None
-    if scale is not None and scale < birth and series != SERIES_TWO:
-        rows = _cell_rows(m_q, scale)
-        if scale == 0:
-            split = eigenspace_vectors(descs, m_q), np.zeros((len(descs), interior_count(m_q), 0))
-        else:
-            split = _split(descs, m_q, scale, rows)
-    if split is None:  # no cells: the remainder is the whole basis
-        split = np.zeros((len(descs), 0, 0)), eigenspace_vectors(descs, m_q)
-        rows = np.zeros((0, 0), dtype=np.int64)
-    small, remainder = split
-    basis = EigenspaceBasis(descriptors=descs, level=m_q, scale=scale, small=small, rows=rows,
-                            remainder=remainder)
+    if series == SERIES_SIX:
+        depths, parts = _six_series_tree(descs, m_q)
+    elif series == SERIES_FIVE and scale is not None and 1 <= scale <= birth - 2:
+        depths, parts = (scale, 0), _five_series_split(descs, m_q, scale)
+    else:
+        depths, parts = (0,), (eigenspace_vectors(descs, m_q),)
+        if series == SERIES_TWO or scale != 0:
+            scale = None
+    basis = EigenspaceBasis(descriptors=descs, level=m_q, scale=scale, depths=depths,
+                            parts=parts)
     expected = {desc.multiplicity for desc in descs}
     if expected != {basis.dimension}:
         raise AssertionError(
@@ -200,6 +216,7 @@ def max_outside_value(basis, column):
         raise ValueError(f"column {column} is not one of the {basis.localized_count} localized ones")
     topo = level_topology(basis.level)
     outside = np.ones(topo.n_vertices, dtype=bool)
-    outside[cell_embedding(basis.level, basis.scale)[column // basis.per_cell]] = False
+    depth, rank = basis.column_cells
+    outside[cell_embedding(basis.level, depth[column])[rank[column]]] = False
     return float(np.max(np.abs(basis.vectors[:, outside[topo.interior_indices], column]),
                         initial=0.0))

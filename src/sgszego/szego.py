@@ -11,7 +11,7 @@ import numpy as np
 
 from .decimation import SERIES_SIX, birth_groups, enumerate_spectrum, make_descriptor
 from .eigenbasis import localize_basis
-from .topology import interior_weight, level_topology, quadrature
+from .topology import interior_cell_rows, interior_weight, level_topology, quadrature
 
 MQ_CAP = 7  # desk-scale cap on the sampling level (3279 interior vertices)
 
@@ -43,13 +43,53 @@ def checked(name, func):
     return wrapped
 
 
+def checked_log(name):
+    """np.log over an array that raises FunctionalValueError at the first
+    value that is <= 0 or not finite, with the message that
+    `checked(name, math.log)` gives at that value."""
+    def log(values):
+        values = np.asarray(values, dtype=float)
+        bad = ~(np.isfinite(values) & (values > 0.0))
+        if bad.any():
+            checked(name, math.log)(values.flat[np.argmax(bad)])  # raises
+        return np.log(values)
+    return log
+
+
+@dataclass(frozen=True)
+class TreeBlocks:
+    """The compressed matrices of a birth group's G eigenspaces over the
+    cell tree of its basis, stacked over the group.  Level i has the depth
+    `depths[i]` of the basis's level i (deepest first) and `couplings[i]`,
+    (G, 3^depth, c_i, c_i + c_{i+1} + ...): each cell's own columns against
+    its own columns and then against those of its ancestor at every
+    shallower level, in level order.  Entries between columns whose cells
+    are not nested are zero and not stored."""
+
+    depths: tuple
+    couplings: tuple
+
+    @property
+    def eigenspaces(self):
+        return self.couplings[0].shape[0]
+
+    @property
+    def column_counts(self):
+        """Columns per tree level: 3^depth cells of c_i columns each."""
+        return [3**k * rows.shape[2] for k, rows in zip(self.depths, self.couplings)]
+
+    @property
+    def dimension(self):
+        return sum(self.column_counts)
+
+
 @dataclass(frozen=True)
 class CompressedOperator:
     """Multiplication operator compressed to a sum of eigenspaces.
 
     Eigenspaces are orthogonal, so the operator is block diagonal across
-    them; `blocks` keeps one (G, d, d) stack per birth group, the matrices
-    of its G eigenspaces, with entries the quadrature inner products
+    them; `blocks` keeps one `TreeBlocks` per birth group, the matrices of
+    its G eigenspaces, with entries the quadrature inner products
     <f u_a, u_b>.  `localized` counts the localized basis vectors, and
     `level` is the sampling level the blocks were assembled at.
     """
@@ -60,7 +100,7 @@ class CompressedOperator:
 
     @property
     def dimension(self):
-        return sum(stack.shape[0] * stack.shape[1] for stack in self.blocks)
+        return sum(group.eigenspaces * group.dimension for group in self.blocks)
 
     @property
     def matrix(self):
@@ -68,7 +108,7 @@ class CompressedOperator:
         group order, assembled on every access."""
         full = np.zeros((self.dimension, self.dimension))
         start = 0
-        for stack in self.blocks:
+        for stack in map(dense_blocks, self.blocks):
             for mat in stack:
                 stop = start + len(mat)
                 full[start:stop, start:stop] = mat
@@ -77,30 +117,51 @@ class CompressedOperator:
 
 
 def assemble_compressed(f_values_interior, basis):
-    """The (G, d, d) blocks of a birth group's eigenspaces,
-    M[a, b] = sum_x w(x) f(x) u_a(x) u_b(x) over interior vertices, formed
-    from the basis's split without its dense columns: per cell the block
-    w_{m_q - N} S^T diag(f on the cell) S of the small eigenspace S, each
-    cell's rows of the coupling to the remainder, and the remainder block,
-    each a matrix product stacked over the group.
-    Copies in distinct cells have disjoint supports, so the blocks between
-    them are zero.  That costs n (p^2 + p r + r^2) instead of n d^2 per
-    eigenspace."""
-    w = interior_weight(basis.level)
-    f, small, rem = f_values_interior, basis.small, basis.remainder
-    n_loc = basis.localized_count
-    tail = w * (rem.transpose(0, 2, 1) * f) @ rem
-    mat = np.zeros((len(rem), basis.dimension, basis.dimension))
-    mat[:, n_loc:, n_loc:] = 0.5 * (tail + tail.transpose(0, 2, 1))
-    p, small_t = basis.per_cell, small.transpose(0, 2, 1)
-    for c, rows in enumerate(basis.rows):
-        block = slice(c * p, (c + 1) * p)
-        weighted = small_t * f[rows]
-        local = interior_weight(basis.level - basis.scale) * weighted @ small
-        mat[:, block, block] = 0.5 * (local + local.transpose(0, 2, 1))
-        mat[:, block, n_loc:] = (w * basis.copy_factor) * (weighted @ rem[:, rows])
-    mat[:, n_loc:, :n_loc] = mat[:, :n_loc, n_loc:].transpose(0, 2, 1)
-    return mat
+    """The `TreeBlocks` of a birth group's eigenspaces,
+    M[a, b] = sum_x w(x) f(x) u_a(x) u_b(x) over interior vertices, one pair
+    of tree levels at a time, from the basis's parts without its dense
+    columns.  For a depth-k cell and its ancestor at depth k' <= k, f and the
+    ancestor's part are gathered onto the cell's interior rows
+    (`interior_cell_rows(m_q - k', k - k')`), so each pair of levels costs
+    about c_k c_k' n flops, stacked over the group and the cells."""
+    m_q, f = basis.level, f_values_interior
+    g, couplings = len(basis.descriptors), []
+    for i, (k, part) in enumerate(zip(basis.depths, basis.parts)):
+        c, n_k = part.shape[2], part.shape[1]
+        # (G, cells, c, n_k): the cell's own columns times f on the cell
+        weighted = part.transpose(0, 2, 1)[:, None] * f[interior_cell_rows(m_q, k)][:, None]
+        blocks = []
+        for k_up, up in zip(basis.depths[i:], basis.parts[i:]):
+            span = 3 ** (k - k_up)
+            # (G, span, n_k, c'): the ancestor's part on each of its span cells of depth k
+            gathered = up[:, interior_cell_rows(m_q - k_up, k - k_up)] if span > 1 else up[:, None]
+            block = weighted.reshape(g, -1, span, c, n_k) @ gathered[:, None]
+            blocks.append(interior_weight(m_q) * 3.0 ** ((k + k_up) / 2)
+                          * block.reshape(g, 3**k, c, -1))
+        blocks[0] = 0.5 * (blocks[0] + blocks[0].swapaxes(-1, -2))
+        couplings.append(np.concatenate(blocks, axis=-1))
+    return TreeBlocks(depths=basis.depths, couplings=tuple(couplings))
+
+
+def dense_blocks(group):
+    """The (G, d, d) matrices of a group's eigenspaces in the column order of
+    its basis, filled from its tree blocks: the one dense form, for
+    `operator_eigenvalues` and the `matrix` oracle."""
+    sizes = group.column_counts
+    starts = np.cumsum([0] + sizes)
+    out = np.zeros((group.eigenspaces, starts[-1], starts[-1]))
+    for i, (k, rows) in enumerate(zip(group.depths, group.couplings)):
+        own = starts[i] + np.arange(sizes[i]).reshape(3**k, -1)
+        col = 0
+        for up in range(i, len(sizes)):
+            c_up = group.couplings[up].shape[2]
+            ancestor = np.arange(3**k) // 3 ** (k - group.depths[up])
+            cols = starts[up] + ancestor[:, None] * c_up + np.arange(c_up)
+            block = rows[..., col:col + c_up]
+            out[:, own[:, :, None], cols[:, None, :]] = block
+            out[:, cols[:, :, None], own[:, None, :]] = block.swapaxes(-1, -2)
+            col += c_up
+    return out
 
 
 def compressed_operator(f, descriptors, m_q, scale):
@@ -115,25 +176,52 @@ def compressed_operator(f, descriptors, m_q, scale):
         basis = localize_basis(group, m_q, scale)
         blocks.append(assemble_compressed(fvals, basis))
         localized += len(group) * basis.localized_count
-    if not all(np.isfinite(stack).all() for stack in blocks):
+    if not all(np.isfinite(rows).all() for group in blocks for rows in group.couplings):
         raise FunctionalValueError(f"f={f.label()} compressed at level {m_q} has non-finite entries")
     return CompressedOperator(blocks=tuple(blocks), localized=localized, level=m_q)
 
 
+def _eliminate(group):
+    """Log-determinant of a group's tree blocks, summed over its
+    eigenspaces, by multifrontal Cholesky over the cell tree, deepest level
+    first.  A cell's frontal matrix covers its own columns and then its
+    ancestors'; its pivot block is factored, the Schur complement of the
+    pivot is the update to the ancestors' columns, and the updates of the
+    cells that share an ancestor at the next level up are summed into that
+    ancestor's frontal matrix.  Eliminating a cell fills nothing outside
+    its ancestors, so no matrix of the eigenspace's size is formed."""
+    logdet, update = 0.0, None
+    for i, rows in enumerate(group.couplings):
+        c = rows.shape[2]
+        front = rows if update is None else rows + update[..., :c, :]
+        try:
+            chol = np.linalg.cholesky(front[..., :c])
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(
+                "compressed operator is not positive definite "
+                "(f non-positive somewhere, or discretization too coarse)"
+            ) from exc
+        logdet += 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)))
+        if i + 1 == len(group.depths):
+            return float(logdet)
+        solved = np.linalg.solve(chol, front[..., c:])
+        schur = -(solved.swapaxes(-1, -2) @ solved)
+        if update is not None:
+            schur += update[..., c:, c:]
+        up = schur.shape[-1]
+        parents = 3 ** group.depths[i + 1]
+        update = schur.reshape(len(rows), parents, -1, up, up).sum(axis=2)
+
+
 def log_det(op_or_matrix):
-    """Log-determinant by Cholesky of a symmetric positive-definite matrix or
-    a stack of them (the sum over the stack), or of a compressed operator as
-    the sum over its blocks."""
+    """Log-determinant of a compressed operator, the sum over its groups'
+    tree eliminations, or of a symmetric positive-definite matrix or a
+    stack of them (the sum over the stack), a tree of one level."""
     if isinstance(op_or_matrix, CompressedOperator):
-        return sum(log_det(stack) for stack in op_or_matrix.blocks)
-    try:
-        chol = np.linalg.cholesky(op_or_matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            "compressed operator is not positive definite "
-            "(f non-positive somewhere, or discretization too coarse)"
-        ) from exc
-    return float(2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1))))
+        return sum(_eliminate(group) for group in op_or_matrix.blocks)
+    stack = np.asarray(op_or_matrix, dtype=float)
+    stack = stack.reshape((-1, 1) + stack.shape[-2:])
+    return _eliminate(TreeBlocks(depths=(0,), couplings=(stack,)))
 
 
 def spectral_functional(op, func):
@@ -144,16 +232,17 @@ def spectral_functional(op, func):
 
 def operator_eigenvalues(op):
     """Eigenvalues of every block, in ascending order."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for stack in op.blocks]))
+    return np.sort(np.concatenate(
+        [np.linalg.eigvalsh(dense_blocks(group)).ravel() for group in op.blocks]))
 
 
 def reference_integral(f, func, level):
     """Integral of F(f) for the self-similar measure: exact cell sums where
-    the function supports them, quadrature at the given level otherwise."""
+    the function supports them, quadrature at the given level otherwise.
+    `func` maps an array of values elementwise, as `checked_log` does."""
     if hasattr(f, "cell_integral"):
         return f.cell_integral(func)
-    vals = f.sample(level_topology(level))
-    return float(quadrature(level) @ np.array([func(v) for v in vals]))
+    return float(quadrature(level) @ func(f.sample(level_topology(level))))
 
 
 def riemann_points(d):
@@ -238,8 +327,7 @@ def _record(mode, index, f, op, t0):
     taken one level finer than the operator's sampling level."""
     d = op.dimension
     ld = log_det(op)
-    log_f = checked(f"log f for f={f.label()}", math.log)
-    integral = reference_integral(f, log_f, op.level + 1)
+    integral = reference_integral(f, checked_log(f"log f for f={f.label()}"), op.level + 1)
     return SzegoExperimentRecord(
         mode=mode,
         index=index,

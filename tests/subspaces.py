@@ -16,6 +16,15 @@ def principal_angle_gap(a, b, m_q):
     return float(max(np.linalg.norm(ra, 2), np.linalg.norm(rb, 2)))
 
 
+def scale_cells(basis, scale):
+    """The rank of the scale-cell holding each localized column of `basis`:
+    a column of the depth-k cell of rank c, k >= scale, lies in the
+    scale-cell of rank c // 3^(k - scale)."""
+    depth, rank = basis.column_cells
+    n = basis.localized_count
+    return rank[:n] // 3 ** (depth[:n] - scale)
+
+
 def reference_laplacian(m):
     """-Delta_m on all of V_m, filled edge by edge: 4 on the diagonal and -1
     for each edge, the three sides of every m-cell.  Its interior block is the

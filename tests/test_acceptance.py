@@ -17,6 +17,8 @@ from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.functions import ConstantFunction, HarmonicFunction, SimpleCellFunction
 
+from subspaces import scale_cells
+
 
 def _report(n, text):
     print(f"PASS criterion {n}: {text}")
@@ -82,9 +84,9 @@ def test_criterion_4_six_series_dimensions():
             d_loc = (3**j - 3 ** (N + 1)) // 2
             per_cell = (3 ** (j - N) - 3) // 2
             assert basis.localized_count == d_loc, (j, N)
-            # each of the 3^N cells holds per_cell columns; with none, no cells
-            assert len(basis.rows) == (3**N if per_cell else 0), (j, N)
-            assert basis.per_cell == per_cell, (j, N)
+            # each of the 3^N cells holds per_cell columns
+            counts = np.bincount(scale_cells(basis, N), minlength=3**N)
+            assert counts.tolist() == [per_cell] * 3**N, (j, N)
     _report(4, "6-series localized dimensions (3^j - 3^(N+1))/2 with per-cell "
                "(3^(j-N) - 3)/2 exact for all 1 <= N < j <= 6")
 
@@ -146,11 +148,11 @@ def test_criterion_8_cutoff_rate_and_block_consistency():
     ((_, op),) = sz.operators(f, "cutoff", [4], 1)
     full = op.matrix
     total = sz.log_det(full)
-    blocks = sum(sz.log_det(mat) for stack in op.blocks for mat in stack)
+    blocks = sum(sz.log_det(mat) for stack in map(sz.dense_blocks, op.blocks) for mat in stack)
     rel = abs(total - blocks) / abs(total)
     assert rel < 1e-8
     start = 0
-    for mat in (mat for stack in op.blocks for mat in stack):
+    for mat in (mat for stack in map(sz.dense_blocks, op.blocks) for mat in stack):
         stop = start + mat.shape[0]
         assert np.array_equal(full[start:stop, start:stop], mat)
         start = stop

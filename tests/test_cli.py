@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from sgszego import cli
+from sgszego import decimation as dec
 from sgszego import eigenbasis as eb
 from sgszego import szego
 from sgszego.functions import parse_function_spec
@@ -328,6 +329,38 @@ def test_log_integral_of_nonpositive_f_exit_3(fspec, tmp_path):
     assert "x=0.0" in record["detail"]
 
 
+@pytest.mark.parametrize("fspec,value", [
+    ("expr:x", 0.0), ("expr:x-0.05", -0.05), ("expr:1/x+1", math.inf)])
+def test_vectorized_log_integral_keeps_the_checked_detail(fspec, value, tmp_path):
+    # the integral of log f takes one np.log over the sample; its first value
+    # that is <= 0 or not finite (here the corner q1, vertex 0) is reported
+    # with the detail the scalar checked log gives there
+    out = tmp_path / "bad"
+    rc = _run(["szego", "--mode", "single", "--series", "six", "--j", "2",
+               "--f", fspec, "--out", str(out)])
+    assert rc == 3
+    name = f"log f for f={fspec}"
+    with pytest.raises(szego.FunctionalValueError) as expected:
+        szego.checked(name, math.log)(value)
+    assert json.loads((out / "error.json").read_text())["detail"] == str(expected.value)
+
+
+def test_cutoff_run_enumerates_its_spectrum_once(tmp_path, monkeypatch):
+    # the config check and the run both plan the sweep; the level-m table is
+    # cached, so its descriptors are made once
+    calls = []
+    original = dec.make_descriptor
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(dec, "make_descriptor", counted)
+    dec.enumerate_spectrum.cache_clear()
+    argv = ["szego", "--mode", "cutoff", "--m", "3", "--N", "1", "--f", "constant:2"]
+    assert _run(argv + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == len(dec.enumerate_spectrum(3).entries) == 13
+
+
 def test_log_functional_of_nonpositive_f_exit_3(tmp_path):
     out = tmp_path / "bad"
     # a negative boundary value makes f negative near that corner, so the
@@ -467,15 +500,18 @@ def test_basis_cells_match_library_values(series, j, N, m_q, tmp_path):
     assert _run(argv + ["--out", str(tmp_path)]) == 0
     basis = eb.localize_basis((szego._canonical_descriptor(series, j, m_q),), m_q, N)
     rows = _float_rows(tmp_path / "basis.csv")
-    n = basis.remainder.shape[1]
+    n = basis.vectors.shape[1]
     assert len(rows) == n * basis.dimension
     values = np.array([float(r["value"]) for r in rows]).reshape(basis.dimension, n)
     assert np.array_equal(values, basis.vectors[0].T)
-    # the words in lexicographic order, each over its p localized columns
-    words = ["".join(map(str, w)) or "-" for w in product((1, 2, 3), repeat=N)]
-    p = basis.per_cell
+    # a localized column is tagged with the word of its own cell, the depth-k
+    # words in lexicographic order
+    words = {k: ["".join(map(str, w)) or "-" for w in product((1, 2, 3), repeat=k)]
+             for k in range(m_q)}
+    depth, rank = basis.column_cells
+    tags = [words[k][c] for k, c in zip(depth.tolist(), rank.tolist())]
     assert [r["tag"] for r in rows[::n]] == (
-        [w for w in words for _ in range(p)] + ["nonlocalized"] * basis.nonlocalized_count)
+        tags[:basis.localized_count] + ["nonlocalized"] * basis.nonlocalized_count)
 
 
 def test_triple_draw_uniform_over_ordered_distinct_triples():

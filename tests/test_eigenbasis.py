@@ -13,7 +13,7 @@ from sgszego import topology as top
 from sgszego.decimation import make_descriptor
 from sgszego.functions import HarmonicFunction, SimpleCellFunction
 
-from subspaces import complement_by_qr, principal_angle_gap
+from subspaces import complement_by_qr, principal_angle_gap, scale_cells
 
 
 def _canonical(series, j, m):
@@ -79,10 +79,9 @@ def test_six_series_localized_dimensions(scale, j):
     assert basis.localized_count == 3**scale * per_cell
     assert basis.nonlocalized_count == (3 ** (scale + 1) - 3) // 2
     assert basis.localized_count + basis.nonlocalized_count == desc.multiplicity
-    # localization is symmetric across the cells of the scale; with no
-    # columns per cell the basis keeps no cells
-    assert len(basis.rows) == (3**scale if per_cell else 0)
-    assert basis.per_cell == per_cell
+    # localization is symmetric across the cells of the scale
+    counts = np.bincount(scale_cells(basis, scale), minlength=3**scale)
+    assert counts.tolist() == [per_cell] * 3**scale
 
 
 @pytest.mark.parametrize("scale,j", [(1, 2), (1, 3), (2, 3), (2, 4)])
@@ -118,10 +117,10 @@ def test_distinct_cell_columns_orthogonal():
     desc = _canonical("six", 3, 4)
     basis = eb.localize_basis((desc,), 4, 1)
     g = eb.gram_matrix(basis)[0]
-    p = basis.per_cell
+    cell = scale_cells(basis, 1)  # localized column k lies in the 1-cell of rank cell[k]
     for a in range(basis.localized_count):
         for b in range(a + 1, basis.localized_count):
-            if a // p != b // p:  # localized column k lies in the cell of rank k // p
+            if cell[a] != cell[b]:
                 assert abs(g[a, b]) < 1e-12
 
 
@@ -143,11 +142,13 @@ def test_birth_group_slices_are_the_bases_of_groups_of_one(scale):
     for group in dec.birth_groups(dec.enumerate_spectrum(5).entries):
         basis = eb.localize_basis(group, m_q, scale)
         blocks = sz.assemble_compressed(fvals, basis)
-        assert blocks.shape == (len(group), basis.dimension, basis.dimension)
+        assert (blocks.eigenspaces, blocks.dimension) == (len(group), basis.dimension)
         for g, desc in enumerate(group):
             alone = eb.localize_basis((desc,), m_q, scale)
-            pairs = ((basis.small[g], alone.small[0]), (basis.remainder[g], alone.remainder[0]),
-                     (blocks[g], sz.assemble_compressed(fvals, alone)[0]))
+            assert alone.depths == basis.depths == blocks.depths
+            couplings = sz.assemble_compressed(fvals, alone).couplings
+            pairs = [(part[g], one[0]) for part, one in zip(basis.parts, alone.parts)]
+            pairs += [(rows[g], one[0]) for rows, one in zip(blocks.couplings, couplings)]
             for stacked, single in pairs:
                 assert np.max(np.abs(stacked - single), initial=0.0) <= 1e-13, desc
 
@@ -257,8 +258,8 @@ def test_transplants_match_searched_localization():
         basis = eb.localize_basis((desc,), m_q, scale)
         found = _searched_localization(raw, m_q, scale)
         built = {}
-        for c in range(basis.localized_count):
-            built.setdefault(c // basis.per_cell, []).append(c)
+        for c, cell in enumerate(scale_cells(basis, scale).tolist()):
+            built.setdefault(cell, []).append(c)
         assert {cell: len(cols) for cell, cols in built.items()} == {
             cell: vecs.shape[1] for cell, vecs in found.items()
         }, case
@@ -322,25 +323,25 @@ def test_split_matches_complete_qr_complement(series, j, scale, m_q):
         assert basis.nonlocalized_count == 0
     assert eb.orthonormality_check(basis) <= 1e-12
     oracle = complement_by_qr(eb.eigenspace_vectors((desc,), m_q)[0], vectors[:, :n_loc], m_q)
-    assert oracle.shape == basis.remainder[0].shape
+    remainder = vectors[:, n_loc:]
+    assert oracle.shape == remainder.shape
     if oracle.shape[1]:
-        assert principal_angle_gap(basis.remainder[0], oracle, m_q) <= 1e-12
+        assert principal_angle_gap(remainder, oracle, m_q) <= 1e-12
     # every assembled block against the dense w V^T diag(f) V
     topo = top.level_topology(m_q)
     for f in (HarmonicFunction([1.0, 1.5, 2.0]), SimpleCellFunction([1.0, 2.0, 3.0])):
         fvals = f.sample(topo)[topo.interior_indices]
         dense = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
-        block = sz.assemble_compressed(fvals, basis)
+        block = sz.dense_blocks(sz.assemble_compressed(fvals, basis))
         assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense)), f.label()
 
 
-@pytest.mark.parametrize("j,scale,m_q", [(3, 1, 4), (4, 1, 5), (4, 2, 6), (5, 3, 6), (7, 4, 7)])
-def test_six_series_remainder_is_canonical(j, scale, m_q):
-    # the remainder columns themselves, not only their span, are
-    # Ext(G^-1 E) R^-T, with G = (6 I + L_{j-1}) / 4, E the unit vectors of the
-    # interior vertices of V_scale and R R^T = E^T G^-1 E, extended to m_q and
-    # divided by their quadrature norms
-    desc = _canonical("six", j, m_q)
+def _canonical_remainder(desc, m_q, scale):
+    """Ext(G^-1 E) R^-T, with G = (6 I + L_{j-1}) / 4, E the unit vectors of
+    the interior vertices of V_scale and R R^T = E^T G^-1 E, extended to m_q
+    and divided by their quadrature norms: the complement of the copies of
+    E6(j - scale) in the scale-cells, by a dense solve."""
+    j = desc.birth
     parent, coarse = top.level_topology(j - 1), top.level_topology(scale)
     gram = (6.0 * np.eye(top.interior_count(j - 1)) + lap.dirichlet_laplacian(j - 1)) / 4.0
     keys = coarse.keys[coarse.interior_indices] << (j - 1 - scale)
@@ -350,14 +351,27 @@ def test_six_series_remainder_is_canonical(j, scale, m_q):
     coeffs[parent.interior_indices] = solved @ np.linalg.inv(np.linalg.cholesky(solved[select])).T
     full = dec.eigenfunctions_at_level((desc,), m_q, lap.extend_values(coeffs, j, 6.0))[:, 0]
     expected = full[top.level_topology(m_q).interior_indices]
-    expected /= np.sqrt(top.interior_weight(m_q) * np.sum(expected**2, axis=0))
-    remainder = eb.localize_basis((desc,), m_q, scale).remainder[0]
-    assert np.max(np.abs(remainder - expected)) <= 1e-12 * np.max(np.abs(expected))
+    return expected / np.sqrt(top.interior_weight(m_q) * np.sum(expected**2, axis=0))
+
+
+@pytest.mark.parametrize("j,scale,m_q", [(3, 1, 4), (4, 1, 5), (4, 2, 6), (5, 3, 6), (7, 4, 7)])
+def test_six_series_remainder_is_canonical(j, scale, m_q):
+    # the root columns themselves, not only their span, are the canonical
+    # scale-1 remainder; the columns at depths below the scale span the
+    # canonical scale-N remainder
+    desc = _canonical("six", j, m_q)
+    basis = eb.localize_basis((desc,), m_q, scale)
+    assert basis.depths[-1] == 0
+    root, expected = basis.parts[-1][0], _canonical_remainder(desc, m_q, 1)
+    assert np.max(np.abs(root - expected)) <= 1e-12 * np.max(np.abs(expected))
+    remainder = basis.vectors[0][:, basis.localized_count:]
+    assert principal_angle_gap(remainder, _canonical_remainder(desc, m_q, scale), m_q) <= 1e-12
 
 
 def test_compressed_operator_holds_no_dense_basis():
-    # the n x d basis of six j=7 at m_q=7 is 28.6 MB; building the operator
-    # may allocate its own d x d block and at most a quarter of that besides
+    # the n x d basis of six j=7 at m_q=7 is 28.6 MB; the operator holds its
+    # tree blocks, far less than one d x d block, and building it may
+    # allocate at most a quarter of the basis besides
     f = SimpleCellFunction([2.689, 2.516, 1.841])
     desc = _canonical("six", 7, 7)
     n, d = top.interior_count(7), desc.multiplicity
@@ -368,7 +382,105 @@ def test_compressed_operator_holds_no_dense_basis():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    output = sum(stack.nbytes for stack in op.blocks)
-    assert [stack.shape for stack in op.blocks] == [(1, d, d)]
-    assert output == d * d * 8
+    output = sum(rows.nbytes for group in op.blocks for rows in group.couplings)
+    assert [(group.eigenspaces, group.dimension) for group in op.blocks] == [(1, d)]
+    assert output < d * d * 8 / 16
     assert peak - output < n * d * 8 / 4, (peak, output)
+
+
+def test_szego_path_peak_below_one_dense_block():
+    # with the topology tables built, the six j=7 N=4 operator and its
+    # log-det together peak below one 1092 x 1092 float64 array (9.5 MB)
+    f = SimpleCellFunction([2.689, 2.516, 1.841])
+    desc = _canonical("six", 7, 7)
+    for m in range(8):
+        top.level_topology(m)
+        for scale in range(m + 1):
+            top.cell_embedding(m, scale)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sz.log_det(sz.compressed_operator(f, [desc], 7, 4))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def _nested(basis):
+    """(d, d) mask of the column pairs whose cells are nested."""
+    depth, rank = basis.column_cells
+    deep = np.maximum(depth[:, None], depth)
+    shallow = np.minimum(depth[:, None], depth)
+    rank_deep = np.where(depth[:, None] >= depth, rank[:, None], rank)
+    rank_shallow = np.where(depth[:, None] >= depth, rank, rank[:, None])
+    return rank_deep // 3 ** (deep - shallow) == rank_shallow
+
+
+@pytest.mark.parametrize("series,j,scale,m_q", [
+    ("six", 4, 1, 5), ("six", 6, None, 7), ("six", 7, 2, 7), ("five", 5, 2, 6)])
+def test_compression_vanishes_outside_nested_cells(series, j, scale, m_q):
+    # columns whose cells are not nested have disjoint supports, so the dense
+    # V^T diag(w f) V is exactly zero there, and the tree blocks are all of it
+    desc = _canonical(series, j, m_q)
+    basis = eb.localize_basis((desc,), m_q, scale)
+    vectors = basis.vectors[0]
+    topo = top.level_topology(m_q)
+    fvals = HarmonicFunction([1.2, 1.5, 1.9]).sample(topo)[topo.interior_indices]
+    dense = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
+    nested = _nested(basis)
+    assert np.all(dense[~nested] == 0.0)
+    block = sz.dense_blocks(sz.assemble_compressed(fvals, basis))[0]
+    assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def _tree_cases():
+    for j in range(3, 8):
+        for scale in [None, *range(j)]:
+            yield "single", ("six", j, scale, min(j + 1, sz.MQ_CAP))
+    for j in range(3, 7):
+        for scale in (1, 2):
+            yield "single", ("five", j, scale, j + 1)
+    for m in range(2, 7):
+        for scale in (None, 0, 1, 2):
+            yield "cutoff", (m, scale)
+
+
+@pytest.mark.parametrize("mode,case", list(_tree_cases()), ids=str)
+def test_tree_log_det_matches_dense_cholesky(mode, case):
+    f = HarmonicFunction([1.2, 1.5, 1.9])
+    if mode == "single":
+        series, j, scale, m_q = case
+        op = sz.compressed_operator(f, [_canonical(series, j, m_q)], m_q, scale)
+    else:
+        m, scale = case
+        ((_, op),) = sz.operators(f, "cutoff", [m], scale)
+    dense = 2.0 * np.sum(np.log(np.diagonal(np.linalg.cholesky(op.matrix))))
+    assert abs(sz.log_det(op) - dense) <= 1e-12 * abs(dense)
+
+
+def test_multilevel_span_is_the_copies_in_the_scale_cells():
+    # the columns at depths >= N span the copies of E6(j - N), born N
+    # generations earlier with the same sign word, in the N-cells
+    for j, scale, m_q in [(4, 1, 5), (5, 2, 6), (6, 1, 7), (7, 3, 7)]:
+        desc = _canonical("six", j, m_q)
+        basis = eb.localize_basis((desc,), m_q, scale)
+        small = eb.eigenspace_vectors((desc,), m_q - scale, shift=scale)[0]
+        rows = top.interior_cell_rows(m_q, scale)
+        copies = np.zeros((top.interior_count(m_q), len(rows), small.shape[1]))
+        copies[rows, np.arange(len(rows))[:, None]] = small
+        copies = copies.reshape(len(copies), -1)
+        localized = basis.vectors[0][:, :basis.localized_count]
+        assert localized.shape == copies.shape
+        assert principal_angle_gap(localized, copies, m_q) < 1e-12, (j, scale)
+
+
+@pytest.mark.parametrize("series,j", [("six", 5), ("five", 4)])
+def test_columns_at_every_depth_vanish_outside_their_cells(series, j):
+    # at scale 0 every column is localized, whatever its depth
+    basis = eb.localize_basis((_canonical(series, j, j + 1),), j + 1, 0)
+    assert basis.localized_count == basis.dimension
+    depth, _ = basis.column_cells
+    assert set(depth.tolist()) == set(basis.depths)
+    for column in range(basis.dimension):
+        assert eb.max_outside_value(basis, column) == 0.0
