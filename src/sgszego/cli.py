@@ -402,11 +402,13 @@ def run(config):
         ((_, (desc,), m_q),) = szego.sweep_plan("single", [config["j"]], config["N"],
                                                 config["series"], config["m_q"])
         basis = eigenbasis.localize_basis((desc,), m_q, config["N"])
-        deviation = eigenbasis.orthonormality_check(basis)
+        # the columns are assembled once, for the Gram check, the residual
+        # and the export
+        vectors = basis.vectors[0]
+        deviation = eigenbasis.orthonormality_check(vectors, m_q)
         topo = topology.level_topology(m_q)
-        # the columns are assembled once, for the residual and the export
         full = np.zeros((topo.n_vertices, basis.dimension))
-        full[topo.interior_indices] = basis.vectors[0]
+        full[topo.interior_indices] = vectors
         residual = laplacian.eigen_residual(m_q, full, desc.gamma_at(m_q))
         for check, value in (("gram", deviation), ("eigen_residual", residual)):
             if value > config["tolerances"][check]:

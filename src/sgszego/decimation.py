@@ -197,7 +197,7 @@ def corner_normal_derivatives(values, level):
     topo = level_topology(level)
     cells = topo.cell_vertices[[0, (3**level - 1) // 2, 3**level - 1]]
     neighbours = cells[np.arange(3)[:, None], [[1, 2], [0, 2], [0, 1]]]
-    pos = np.searchsorted(topo.interior_indices, neighbours)
+    pos = topo.interior_row[neighbours]
     return -(values[..., pos[:, 0], :] + values[..., pos[:, 1], :])
 
 
@@ -216,7 +216,7 @@ def junction_nullspace(normal, scale):
     rows = interior_count(scale)
     junction = np.zeros(normal.shape[:-2] + (rows, 3**scale, normal.shape[-1]))
     cell, corner = np.nonzero(~topo.boundary_mask[topo.cell_vertices])
-    row = np.searchsorted(topo.interior_indices, topo.cell_vertices[cell, corner])
+    row = topo.interior_row[topo.cell_vertices[cell, corner]]
     junction[..., row, cell, :] = normal[..., corner, :]
     _, sv, vh = np.linalg.svd(junction.reshape(junction.shape[:-3] + (rows, -1)))
     if np.any(sv[..., -1] < JUNCTION_SV_MIN * sv[..., 0]):
@@ -285,44 +285,44 @@ def _six_series_birth(j):
     return extend_values(coeffs, j, 6.0)
 
 
+# |gamma| beyond which the gamma = -6 family is clamped: (2 - g)(5 - g) would
+# overflow at j = 11, and g itself at j = 12, while the values such a gamma
+# gives its new vertices are below 1e-100 of their cell's corner values
+GAMMA_CLAMP = 1e100
+
+
 @lru_cache(maxsize=None)
 def six_series_remainder(j):
     """The part of E6(j) orthogonal to the copies of E6(j - 1) in the three
-    1-cells, for j >= 3: Ext(G^-1 E) R^-T on V_j, with Ext the gamma = 6
-    extension from V_{j-1}, G = `_six_series_gram(j)`, E the unit vectors of
-    the three midpoints of V_1, and R R^T = E^T G^-1 E.  Its three columns
-    are orthonormal in plain coordinates, one per midpoint; read-only.
+    1-cells, for j >= 3: Y chol(S^-1) on V_j, S = Y^T Y, where Y is the
+    gamma = 6 extension from V_{j-1} of the functions on V_{j-1} that are the
+    unit vectors of the three midpoints of V_1 and, inside each 1-cell,
+    solve (6 I + L_{j-1}) v = 0.  Its three columns are orthonormal in plain
+    coordinates, one per midpoint; read-only.
 
     The copies are the extensions of the functions on V_{j-1} that vanish on
-    V_1, so the remainder is the G-orthogonal complement, the extensions of
-    G^-1 E.  G is eliminated cell by cell: the midpoints of V_1 are not
-    adjacent at level j - 1, so G is 5/2 there, and its block on the interior
-    of each 1-cell is the level-(j - 2) matrix `_six_series_gram(j - 1)`.
-    With H the map from a cell's corner values to its interior values that
-    solves G v = 0 there, E^T G^-1 E is the inverse of the Schur complement
-    S = 5/2 I - sum over cells of the corner block of G H, and G^-1 E R^-T is
-    R on V_1 and H R inside each cell.
+    V_1, and G = (6 I + L_{j-1}) / 4 (`_six_series_gram(j)`) is the Gram
+    matrix of the extensions, so the remainder is the extension of G^-1 E,
+    E the midpoint unit vectors.  Inside each 1-cell G^-1 E solves
+    -Delta_{j-1} v = -6 v, an eigenfunction equation, so it is decimation
+    extension from V_1 with gamma g_{j-k} at level k, where g_1 = -6 and
+    g_{d+1} = g_d (5 - g_d), none of them 2, 5 or 6.  G^-1 E = X S with
+    X the extension of the unit vectors, so Y = Ext(X) has Gram matrix
+    X^T G X = (E^T G^-1 E)^-1 = S, and Y chol(S^-1) is Ext(G^-1 E) R^-T
+    with R R^T = E^T G^-1 E: O(3^j) work and no matrix beyond 3 x 3.
     """
-    small = level_topology(j - 2)
-    # the coupling of G between a cell's interior and its corners, corners by rows
-    coupling = corner_normal_derivatives(np.eye(len(small.interior_indices)), small.m) / 4.0
-    harmonic = -np.linalg.solve(_six_series_gram(j - 1), coupling.T)
     outer = level_topology(1)
-    corners = outer.cell_vertices
-    schur = np.zeros((outer.n_vertices, outer.n_vertices))
-    np.add.at(schur, (corners[:, :, None], corners[:, None, :]), coupling @ harmonic)
-    inner = outer.interior_indices
-    schur = 2.5 * np.eye(len(inner)) + schur[np.ix_(inner, inner)]
-    values = np.zeros((outer.n_vertices, len(inner)))
-    values[inner] = np.linalg.cholesky(np.linalg.inv(schur))
-    cells = np.zeros((len(corners), small.n_vertices, len(inner)))
-    cells[:, small.boundary_mask] = values[corners]
-    cells[:, small.interior_indices] = harmonic @ values[corners]
-    coeffs = np.zeros((level_topology(j - 1).n_vertices, len(inner)))
-    coeffs[cell_embedding(j - 1, 1)] = cells
-    full = extend_values(coeffs, j, 6.0)
-    full.flags.writeable = False  # cached and shared by every caller
-    return full
+    values = np.zeros((outer.n_vertices, 3))
+    values[outer.interior_indices] = np.eye(3)
+    gammas = [-6.0]
+    while len(gammas) < j - 2:
+        gammas.append(max(gammas[-1] * (5.0 - gammas[-1]), -GAMMA_CLAMP))
+    for k, gamma in zip(range(2, j), reversed(gammas)):
+        values = extend_values(values, k, gamma)
+    values = extend_values(values, j, 6.0)
+    values = values @ np.linalg.cholesky(np.linalg.inv(values.T @ values))
+    values.flags.writeable = False  # cached and shared by every caller
+    return values
 
 
 def _lower_inverse(r):

@@ -197,16 +197,11 @@ def localize_basis(descs, m_q, scale):
     return basis
 
 
-def gram_matrix(basis):
-    """The (G, d, d) quadrature Gram matrices of the group's bases."""
-    vectors = basis.vectors  # assembled on every access
-    return interior_weight(basis.level) * vectors.transpose(0, 2, 1) @ vectors
-
-
-def orthonormality_check(basis):
-    """Max deviation of the quadrature Gram matrices from the identity."""
-    g = gram_matrix(basis)
-    return float(np.max(np.abs(g - np.eye(g.shape[-1]))))
+def orthonormality_check(vectors, level):
+    """Max deviation from the identity of the quadrature Gram matrices of the
+    dense columns (..., interior of V_level, d), such as `basis.vectors`."""
+    gram = interior_weight(level) * np.swapaxes(vectors, -1, -2) @ vectors
+    return float(np.max(np.abs(gram - np.eye(gram.shape[-1]))))
 
 
 def max_outside_value(basis, column):

@@ -53,7 +53,7 @@ def dirichlet_laplacian(m):
     n = len(neighbours)
     mat = 4.0 * np.eye(n)
     row, slot = np.nonzero(~topo.boundary_mask[neighbours])
-    mat[row, np.searchsorted(topo.interior_indices, neighbours[row, slot])] = -1.0
+    mat[row, topo.interior_row[neighbours[row, slot]]] = -1.0
     return mat
 
 
@@ -124,15 +124,21 @@ def extend_values(values, k, gamma_k):
     """
     parent_corner, child_corner, child_mid = extension_maps(k)
     out = np.zeros((level_topology(k).n_vertices,) + values.shape[1:])
-    out[child_corner.ravel()] = values[parent_corner.ravel()]
+    u = [values[parent_corner[:, c]] for c in range(3)]  # contiguous (cells, ...) each
+    for c in range(3):
+        out[child_corner[:, c]] = u[c]
 
     gamma_k = np.asarray(gamma_k, dtype=float)
     if gamma_k.ndim:  # one gamma per slice of axis 1, broadcast over the axes after it
         gamma_k = gamma_k.reshape(gamma_k.shape + (1,) * (values.ndim - 2))
     denom = (2.0 - gamma_k) * (5.0 - gamma_k)
-    u = values[parent_corner]  # (cells, 3, ...)
     for r, (p, q) in zip((0, 1, 2), ((1, 2), (0, 2), (0, 1))):
-        out[child_mid[:, r]] = ((4.0 - gamma_k) * (u[:, p] + u[:, q]) + 2.0 * u[:, r]) / denom
+        # in place, in the order ((4 - g)(u_p + u_q) + 2 u_r) / denom
+        mid = u[p] + u[q]
+        mid *= 4.0 - gamma_k
+        mid += 2.0 * u[r]
+        mid /= denom
+        out[child_mid[:, r]] = mid
     return out
 
 

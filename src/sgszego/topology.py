@@ -9,11 +9,13 @@ vertex is the lexicographically least (word, corner) pair that names it.
 
 All coordinates are kept as exact integers at scale 2^-(m+1) (x direction) and
 sqrt(3) * 2^-(m+1) (y direction), so the identification is exact and the
-level-(m-1) vertex set embeds into the level-m one by doubling.  The tables
-are built as arrays: the lattice keys of the 3 * 3^m cell corners, listed at
-position 3 * rank + corner - 1, are identified by `np.unique` on an integer
+level-(m-1) vertex set embeds into the level-m one by doubling.  The vertex
+table is built as arrays: the lattice keys of the 3 * 3^m cell corners, listed
+at position 3 * rank + corner - 1, are identified by `np.unique` on an integer
 code of the key, and each vertex's first occurrence in that list is its
-canonical (word, corner).
+canonical (word, corner).  Lattice keys are used for that alone: every other
+table is read off ranks, since F_w maps the vertex named (u, c) to the one
+named (wu, c).
 """
 from __future__ import annotations
 
@@ -53,7 +55,8 @@ class LevelTopology:
 
     The vertex of index i has lattice key `keys[i]` and canonical name
     (cell of rank `rank[i]`, corner `corner[i]`); `cell_vertices[r]` holds the
-    vertex indices of the corners 1, 2, 3 of the cell of rank r.
+    vertex indices of the corners 1, 2, 3 of the cell of rank r, and an
+    interior vertex i is row `interior_row[i]` of `interior_indices`.
     """
 
     def __init__(self, m):
@@ -61,16 +64,17 @@ class LevelTopology:
             raise ValueError("level must be >= 0")
         self.m = m
         corner_keys = lattice_keys(np.arange(3**m)[:, None], m, [1, 2, 3]).reshape(-1, 2)
-        # sorted codes order the keys, which index_of searches; a vertex's
-        # first occurrence is its least (word, corner)
-        self._codes, first, inverse, counts = np.unique(
-            self._encode(corner_keys), return_index=True, return_inverse=True, return_counts=True)
+        # x keys reach 2^(m+1) and y keys 2^m, so the code is injective; a
+        # vertex's first occurrence is its least (word, corner)
+        _, first, inverse, counts = np.unique(
+            (corner_keys[:, 0] << (m + 1)) + corner_keys[:, 1],
+            return_index=True, return_inverse=True, return_counts=True)
         order = np.argsort(first)
         n = len(order)
         if n != vertex_count(m):
             raise AssertionError(f"vertex count mismatch at level {m}: {n}")
-        self._index = np.empty(n, dtype=np.int64)
-        self._index[order] = np.arange(n)
+        index = np.empty(n, dtype=np.int64)
+        index[order] = np.arange(n)
 
         self.keys = corner_keys[first[order]]
         self.rank, corner = np.divmod(first[order], 3)
@@ -80,23 +84,12 @@ class LevelTopology:
         # only the corners q_1, q_2, q_3 of the gasket lie in a single m-cell
         self.boundary_mask = counts[order] == 1
         self.interior_indices = np.nonzero(~self.boundary_mask)[0]
-        self.cell_vertices = self._index[inverse].reshape(-1, 3)
-
-    def _encode(self, keys):
-        # x keys reach 2^(m+1) and y keys 2^m, so the code is injective
-        return (keys[..., 0] << (self.m + 1)) + keys[..., 1]
+        self.interior_row = np.cumsum(~self.boundary_mask) - 1
+        self.cell_vertices = index[inverse].reshape(-1, 3)
 
     @property
     def n_vertices(self):
         return len(self.keys)
-
-    def index_of(self, keys):
-        """Indices of the vertices with the lattice keys of shape (..., 2)."""
-        codes = self._encode(np.asarray(keys, dtype=np.int64))
-        pos = np.minimum(np.searchsorted(self._codes, codes), len(self._codes) - 1)
-        if not np.array_equal(self._codes[pos], codes):
-            raise KeyError(f"lattice key that is not a level-{self.m} vertex")
-        return self._index[pos]
 
 
 @lru_cache(maxsize=None)
@@ -109,12 +102,12 @@ def cell_embedding(m, scale):
     """Level-m vertex index of F_w(v), one row per scale-cell w in address
     order and one column per vertex v of V_{m-scale} in topology order.
 
-    F_w shifts the lattice key of v by 2^(m-scale) times the key of the corner
-    F_w(q_1) at level `scale`, so the table is read off the integer lattice.
+    F_w maps the vertex named (u, c) to the one named (wu, c), and wu has rank
+    rank(w) 3^(m-scale) + rank(u), so the table is read off `cell_vertices`.
     """
-    shift = m - scale
-    origins = lattice_keys(np.arange(3**scale)[:, None], scale, 1) << shift
-    table = level_topology(m).index_of(origins + level_topology(shift).keys)
+    small = level_topology(m - scale)
+    ranks = np.arange(3**scale)[:, None] * 3 ** (m - scale) + small.rank
+    table = level_topology(m).cell_vertices[ranks, small.corner - 1]
     table.flags.writeable = False  # cached and shared by every caller
     return table
 
@@ -123,9 +116,8 @@ def cell_embedding(m, scale):
 def interior_cell_rows(m, scale):
     """Interior rows of V_m of the interior vertices of V_{m - scale} mapped
     into each scale-cell, one row per cell in rank order."""
-    interior = level_topology(m).interior_indices
     small_interior = level_topology(m - scale).interior_indices
-    table = np.searchsorted(interior, cell_embedding(m, scale)[:, small_interior])
+    table = level_topology(m).interior_row[cell_embedding(m, scale)[:, small_interior]]
     table.flags.writeable = False  # cached and shared by every caller
     return table
 

@@ -1,8 +1,28 @@
-"""Subspace comparison and oracle constructions shared by the tests."""
+"""Subspace comparison, oracle constructions and the lattice-key vertex
+lookup shared by the tests."""
 import numpy as np
 
+from sgszego.decimation import _six_series_gram, corner_normal_derivatives
 from sgszego.laplacian import extend_values
-from sgszego.topology import interior_weight, level_topology
+from sgszego.topology import cell_embedding, interior_weight, level_topology
+
+
+def index_of(topo, keys):
+    """Indices of the vertices of `topo` with the lattice keys of shape
+    (..., 2), by a search of the sorted integer codes of `topo.keys`; a
+    KeyError for a key that is no vertex of the level."""
+
+    def encode(k):
+        # x keys reach 2^(m+1) and y keys 2^m, so the code is injective
+        return (k[..., 0] << (topo.m + 1)) + k[..., 1]
+
+    order = np.argsort(encode(topo.keys))
+    codes = encode(topo.keys)[order]
+    query = encode(np.asarray(keys, dtype=np.int64))
+    pos = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
+    if not np.array_equal(codes[pos], query):
+        raise KeyError(f"lattice key that is not a level-{topo.m} vertex")
+    return order[pos]
 
 
 def principal_angle_gap(a, b, m_q):
@@ -53,3 +73,31 @@ def complement_by_qr(basis, copies, m_q):
     trailing columns of a complete QR of the copies' coefficients in it."""
     coeffs = interior_weight(m_q) * basis.T @ copies
     return basis @ np.linalg.qr(coeffs, mode="complete")[0][:, copies.shape[1]:]
+
+
+def six_series_remainder_by_solve(j):
+    """The scale-1 6-series remainder on V_j by a dense solve: G^-1 E R^-T
+    extended by gamma = 6, G = (6 I + L_{j-1}) / 4, E the unit vectors of the
+    midpoints of V_1 and R R^T = E^T G^-1 E.  G is eliminated cell by cell:
+    with H the map from a 1-cell's corner values to its interior values that
+    solves G v = 0 there (a solve on `_six_series_gram(j - 1)`), E^T G^-1 E is
+    the inverse of the Schur complement S = 5/2 I - sum over the cells of the
+    corner block of G H, and G^-1 E R^-T is R on V_1 and H R inside each cell."""
+    small = level_topology(j - 2)
+    # the coupling of G between a cell's interior and its corners, corners by rows
+    coupling = corner_normal_derivatives(np.eye(len(small.interior_indices)), small.m) / 4.0
+    harmonic = -np.linalg.solve(_six_series_gram(j - 1), coupling.T)
+    outer = level_topology(1)
+    corners = outer.cell_vertices
+    schur = np.zeros((outer.n_vertices, outer.n_vertices))
+    np.add.at(schur, (corners[:, :, None], corners[:, None, :]), coupling @ harmonic)
+    inner = outer.interior_indices
+    schur = 2.5 * np.eye(len(inner)) + schur[np.ix_(inner, inner)]
+    values = np.zeros((outer.n_vertices, len(inner)))
+    values[inner] = np.linalg.cholesky(np.linalg.inv(schur))
+    cells = np.zeros((len(corners), small.n_vertices, len(inner)))
+    cells[:, small.boundary_mask] = values[corners]
+    cells[:, small.interior_indices] = harmonic @ values[corners]
+    coeffs = np.zeros((level_topology(j - 1).n_vertices, len(inner)))
+    coeffs[cell_embedding(j - 1, 1)] = cells
+    return extend_values(coeffs, j, 6.0)

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -10,7 +12,8 @@ from sgszego import decimation as dec
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
-from subspaces import principal_angle_gap, reference_laplacian, six_series_birth_by_qr
+from subspaces import (index_of, principal_angle_gap, reference_laplacian,
+                       six_series_birth_by_qr, six_series_remainder_by_solve)
 
 
 def test_gamma_step_values():
@@ -242,6 +245,62 @@ def test_six_series_birth_from_known_gram(j):
     assert max(_birth_residuals(dec.make_descriptor("six", j, ()), full)) <= 1e-14
 
 
+@pytest.mark.parametrize("j", range(3, 10))
+def test_six_series_remainder_matches_dense_solve(j):
+    # decimation at gamma = -6 gives the dense formula's columns themselves,
+    # not only their span, and they are orthonormal in plain coordinates
+    rem = dec.six_series_remainder(j)
+    assert rem.shape == (top.level_topology(j).n_vertices, 3)
+    assert np.max(np.abs(rem - six_series_remainder_by_solve(j))) <= 1e-15
+    assert np.max(np.abs(rem.T @ rem - np.eye(3))) <= 1e-14
+    assert np.all(rem[top.level_topology(j).boundary_mask] == 0.0)
+    assert not rem.flags.writeable
+
+
+@pytest.mark.parametrize("j", [11, 12])
+def test_six_series_remainder_past_gamma_overflow(j):
+    # unclamped, (2 - g)(5 - g) overflows at j = 11 and g itself at j = 12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rem = dec.six_series_remainder(j)
+    assert np.all(np.isfinite(rem))
+    assert np.max(np.abs(rem.T @ rem - np.eye(3))) <= 1e-14
+
+
+def test_six_series_remainder_solves_nothing_beyond_three(monkeypatch):
+    dec.six_series_remainder(8)  # the topology tables, built once
+    dec.six_series_remainder.cache_clear()
+    shapes = []
+    for name in dir(np.linalg):
+        original = getattr(np.linalg, name)
+        if name.startswith("_") or not callable(original) or isinstance(original, type):
+            continue
+
+        def spy(*args, _original=original, **kwargs):
+            shapes.extend(np.shape(a) for a in list(args) + list(kwargs.values())
+                          if isinstance(a, np.ndarray))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    dec.six_series_remainder(8)
+    assert shapes and max(max(shape) for shape in shapes) <= 3, shapes
+
+
+def test_six_series_remainder_peak_memory():
+    # with the topology tables built, j = 9 peaks far below one dense Gram
+    # matrix on the interior of V_7 (3279^2 float64, 82 MB)
+    dec.six_series_remainder(9)
+    dec.six_series_remainder.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dec.six_series_remainder(9)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
 def test_lower_inverse():
     rng = np.random.default_rng(0)
     # sizes at, just above and well above the size that recursion stops at
@@ -317,9 +376,9 @@ def _vertex_key_extension_maps(k):
     # the word w + (c,) has rank 3 * rank(w) + c - 1 in lexicographic order
     for ci in range(3 ** (k - 1)):
         for c in (1, 2, 3):
-            child_corner[ci, c - 1] = child.index_of(top.lattice_keys(3 * ci + c - 1, k, c))
+            child_corner[ci, c - 1] = index_of(child, top.lattice_keys(3 * ci + c - 1, k, c))
         for r, (p, q) in zip((1, 2, 3), ((2, 3), (1, 3), (1, 2))):
-            child_mid[ci, r - 1] = child.index_of(top.lattice_keys(3 * ci + p - 1, k, q))
+            child_mid[ci, r - 1] = index_of(child, top.lattice_keys(3 * ci + p - 1, k, q))
     return parent.cell_vertices, child_corner, child_mid
 
 

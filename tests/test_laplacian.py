@@ -95,6 +95,51 @@ def test_stacked_extension_is_the_scalar_extension_per_slice(k, G):
         [lap.extend_values(values[:, g], k, gammas[g]) for g in range(G)], axis=1))
 
 
+def _extend_values_by_expression(values, k, gamma_k):
+    """Reference for `extend_values`: every midpoint column as the one
+    expression ((4 - g)(u_p + u_q) + 2 u_r) / ((2 - g)(5 - g)) over strided
+    corner views, the form the in-place kernel must match bit for bit."""
+    parent_corner, child_corner, child_mid = lap.extension_maps(k)
+    out = np.zeros((top.level_topology(k).n_vertices,) + values.shape[1:])
+    out[child_corner.ravel()] = values[parent_corner.ravel()]
+    gamma_k = np.asarray(gamma_k, dtype=float)
+    if gamma_k.ndim:
+        gamma_k = gamma_k.reshape(gamma_k.shape + (1,) * (values.ndim - 2))
+    denom = (2.0 - gamma_k) * (5.0 - gamma_k)
+    u = values[parent_corner]
+    for r, (p, q) in zip((0, 1, 2), ((1, 2), (0, 2), (0, 1))):
+        out[child_mid[:, r]] = ((4.0 - gamma_k) * (u[:, p] + u[:, q]) + 2.0 * u[:, r]) / denom
+    return out
+
+
+def _minus_six_family(count):
+    """g_1 = -6 and g_(d+1) = g_d (5 - g_d): the gammas of the 6-series
+    remainder's extension."""
+    gammas = [-6.0]
+    while len(gammas) < count:
+        gammas.append(gammas[-1] * (5.0 - gammas[-1]))
+    return gammas
+
+
+@pytest.mark.parametrize("G", [1, 3, 8])
+@pytest.mark.parametrize("k", range(2, 8))
+def test_extend_values_is_the_expression_bit_for_bit(k, G):
+    rng = np.random.default_rng(10 * k + G)
+    n = top.level_topology(k - 1).n_vertices
+    # gammas of both branches of the decimation map, the harmonic 0, the
+    # birth 6 and the -6, -66, ... family
+    scalars = [0.0, 6.0] + list(rng.uniform(0.0, 6.2, size=3)) + _minus_six_family(5)
+    values = rng.normal(size=(n, G, 3))
+    for gamma in scalars:
+        assert np.array_equal(lap.extend_values(values[:, 0, 0], k, gamma),
+                              _extend_values_by_expression(values[:, 0, 0], k, gamma))
+        assert np.array_equal(lap.extend_values(values, k, gamma),
+                              _extend_values_by_expression(values, k, gamma))
+    for gammas in (rng.uniform(0.0, 6.2, size=G), (_minus_six_family(8) * G)[:G]):
+        assert np.array_equal(lap.extend_values(values, k, gammas),
+                              _extend_values_by_expression(values, k, gammas))
+
+
 def _dense_resistance(m):
     """Reference: the resistance matrix from the pseudo-inverse of the
     Laplacian with edge conductance (5/3)^m, filled edge by edge."""

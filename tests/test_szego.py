@@ -11,7 +11,7 @@ from sgszego.decimation import birth_groups, enumerate_spectrum, make_descriptor
 from sgszego.eigenbasis import localize_basis
 from sgszego.functions import ConstantFunction, FunctionSum, HarmonicFunction, SimpleCellFunction
 
-from subspaces import scale_cells
+from subspaces import index_of, scale_cells
 
 
 def test_identity_for_constant_one():
@@ -224,7 +224,7 @@ def test_equidistribution_riemann_points_below_the_cell_scale():
     ((_, op),) = sz.operators(f, "single", [2], None)
     assert (op.dimension, op.level) == (3, 3)
     topo = top.level_topology(3)
-    points = topo.index_of(top.lattice_keys(np.arange(3), 1, 1) << 2)
+    points = index_of(topo, top.lattice_keys(np.arange(3), 1, 1) << 2)
     # q1, and the midpoints of q1q2 and q1q3, lie least in the cells 111, 122, 133
     assert topo.rank[points].tolist() == [0, 4, 8]
     expected = float(np.mean([math.log(c) for c in f.coefficients[topo.rank[points]]]))

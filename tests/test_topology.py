@@ -8,6 +8,8 @@ from sgszego import cli
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
+from subspaces import index_of
+
 # Reference for the lattice-key rule and the canonical vertex order: the
 # word-by-word key loop and the dict of representatives that the array build
 # replaced.  Words come from itertools.product, which yields them in
@@ -80,9 +82,9 @@ def test_tables_match_representative_dict(m):
     words = list(product((1, 2, 3), repeat=m))
     assert [(words[r], c) for r, c in zip(topo.rank, topo.corner)] == canonical
     assert topo.cell_vertices.tolist() == cell_vertices
-    assert topo.index_of(topo.keys).tolist() == list(range(topo.n_vertices))
+    assert index_of(topo, topo.keys).tolist() == list(range(topo.n_vertices))
     with pytest.raises(KeyError):
-        topo.index_of([1 << (m + 1), 1])
+        index_of(topo, [1 << (m + 1), 1])
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -90,7 +92,7 @@ def test_nesting(m):
     # V_{m-1} embeds in V_m by doubling the integer coordinates
     child = top.level_topology(m)
     parent = top.level_topology(m - 1)
-    pmap = child.index_of(2 * parent.keys)
+    pmap = index_of(child, 2 * parent.keys)
     assert len(set(pmap.tolist())) == parent.n_vertices
     # the same pairing as the corner maps of the extension rule
     parent_corner, child_corner, _ = lap.extension_maps(m)
@@ -108,9 +110,35 @@ def test_cell_embedding_matches_vertex_keys(m):
         for r, w in enumerate(product((1, 2, 3), repeat=scale)):
             for i, (rank, corner) in enumerate(zip(small.rank, small.corner)):
                 key = _loop_vertex_key(w + small_words[rank], corner)
-                assert emb[r, i] == big.index_of(key)
+                assert emb[r, i] == index_of(big, key)
     assert np.array_equal(top.cell_embedding(m, m), big.cell_vertices)
     assert np.array_equal(top.cell_embedding(m, 0), [np.arange(big.n_vertices)])
+
+
+def _key_search_embedding(m, scale):
+    """Reference for `cell_embedding`: F_w shifts the lattice key of v by
+    2^(m - scale) times the key of the corner F_w(q_1) at level `scale`, and
+    the shifted keys are looked up among the level-m vertices."""
+    shift = m - scale
+    origins = top.lattice_keys(np.arange(3**scale)[:, None], scale, 1) << shift
+    return index_of(top.level_topology(m), origins + top.level_topology(shift).keys)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_cell_tables_match_key_search(m):
+    # the tables read off ranks are those of the lattice-key search
+    interior = top.level_topology(m).interior_indices
+    for scale in range(m + 1):
+        emb = _key_search_embedding(m, scale)
+        assert np.array_equal(top.cell_embedding(m, scale), emb)
+        small_interior = top.level_topology(m - scale).interior_indices
+        assert np.array_equal(top.interior_cell_rows(m, scale),
+                              np.searchsorted(interior, emb[:, small_interior]))
+    if m:
+        emb = _key_search_embedding(m, m - 1)
+        expected = (top.level_topology(m - 1).cell_vertices, emb[:, [0, 3, 5]], emb[:, [4, 2, 1]])
+        for mine, ref in zip(lap.extension_maps(m), expected):
+            assert np.array_equal(mine, ref)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -125,10 +153,10 @@ def test_cell_membership_counts(m):
 
 def test_cell_of_vertex():
     topo = top.level_topology(3)
-    corner = topo.index_of((0, 0))
+    corner = index_of(topo, (0, 0))
     assert _cells_of_vertex(topo, corner, 1) == [(1,)]
     # midpoint shared by F_1 and F_2 at level 1, key doubled to level 3
-    mid = topo.index_of((8, 0))
+    mid = index_of(topo, (8, 0))
     assert _cells_of_vertex(topo, mid, 1) == [(1,), (2,)]
     rng = np.random.default_rng(7)
     interior = topo.interior_indices
