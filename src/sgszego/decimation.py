@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .laplacian import dirichlet_laplacian, extend_values
+from .laplacian import extend_values
 from .topology import cell_embedding, interior_count, level_topology
 
 FORBIDDEN_GAMMAS = (2.0, 5.0, 6.0)
@@ -201,88 +201,80 @@ def corner_normal_derivatives(values, level):
     return -(values[..., pos[:, 0], :] + values[..., pos[:, 1], :])
 
 
-def junction_nullspace(normal, scale):
-    """Orthonormal coefficients of copies of q functions in every scale-cell,
-    q per cell in address order, under which the normal derivatives of the
-    two cells meeting at each interior vertex of V_scale sum to zero.
+def junction_nullspace(normal):
+    """Orthonormal coefficients of copies of q functions in the three
+    1-cells, q per cell in rank order, under which the normal derivatives of
+    the two cells meeting at each midpoint of V_1 sum to zero.
 
     `normal` holds the functions' normal derivatives at the corners q_1, q_2,
-    q_3, one row per corner, or a stack of such (..., 3, q) with one answer
-    per slice.  The junction matrix has one row per interior vertex of
-    V_scale and is read off `cell_vertices`; its nullspace comes from an SVD,
+    q_3, one row per corner.  The 3 x 3q junction matrix has one row per
+    midpoint and is read off `cell_vertices`; its nullspace comes from an SVD,
     which also checks that the rows are independent.
     """
-    topo = level_topology(scale)
-    rows = interior_count(scale)
-    junction = np.zeros(normal.shape[:-2] + (rows, 3**scale, normal.shape[-1]))
+    topo = level_topology(1)
+    junction = np.zeros((3, 3, normal.shape[-1]))
     cell, corner = np.nonzero(~topo.boundary_mask[topo.cell_vertices])
-    row = topo.interior_row[topo.cell_vertices[cell, corner]]
-    junction[..., row, cell, :] = normal[..., corner, :]
-    _, sv, vh = np.linalg.svd(junction.reshape(junction.shape[:-3] + (rows, -1)))
-    if np.any(sv[..., -1] < JUNCTION_SV_MIN * sv[..., 0]):
-        raise AssertionError(f"5-series junction conditions at scale {scale} are dependent")
-    return np.swapaxes(vh[..., rows:, :], -1, -2)
+    junction[topo.interior_row[topo.cell_vertices[cell, corner]], cell] = normal[corner]
+    _, sv, vh = np.linalg.svd(junction.reshape(3, -1))
+    if sv[-1] < JUNCTION_SV_MIN * sv[0]:
+        raise AssertionError("5-series junction conditions are dependent")
+    return vh[3:].T
 
 
 @lru_cache(maxsize=None)
-def _birth_space(series, j):
-    """Eigenvectors of -Delta_j at the birth eigenvalue of the series, as
-    full vectors on V_j with zero boundary values, orthonormal in plain
-    coordinates; read-only.
-
-    Level 1: the 2-series is the constant on the three midpoints and the
-    5-series their zero-sum vectors.  A 6-series at birth j is any function
-    on V_{j-1} extended by gamma = 6: the new vertex on edge (p, q) opposite r
-    gets (u_r - u_p - u_q) / 2, and 4 u + 2 u = 6 u holds at the old
-    vertices.  The extensions of the interior unit vectors of V_{j-1} are
-    independent, because their V_{j-1} rows are the identity, and their Gram
-    matrix is known, so its Cholesky factor makes them orthonormal
-    (`_six_series_birth`).  A 5-series at birth j vanishes on V_{j-1}, so it
-    is a copy of E5(j-1) in each 1-cell, kept where the two cells meeting at
-    each point of V_1 outside V_0 have normal derivatives summing to zero.
-    """
-    if j == 1:
-        full = np.zeros((level_topology(1).n_vertices, 2 if series == SERIES_FIVE else 1))
-        midpoints = level_topology(1).interior_indices
-        if series == SERIES_FIVE:
-            full[midpoints] = np.linalg.svd(np.ones((1, 3)))[2][1:].T
-        else:
-            full[midpoints] = 1.0 / math.sqrt(3.0)
-    elif series == SERIES_SIX:
-        full = _six_series_birth(j)
+def _birth_space(series):
+    """The level-1 birth space of the 2- or the 5-series as full vectors on
+    V_1, orthonormal in plain coordinates: the constant on the three
+    midpoints, or their zero-sum vectors; read-only.  Every later birth space
+    is a cell tree of scale-1 remainders (`cell_tree`)."""
+    full = np.zeros((level_topology(1).n_vertices, 2 if series == SERIES_FIVE else 1))
+    midpoints = level_topology(1).interior_indices
+    if series == SERIES_FIVE:
+        full[midpoints] = np.linalg.svd(np.ones((1, 3)))[2][1:].T
     else:
-        full = _five_series_birth(j)
+        full[midpoints] = 1.0 / math.sqrt(3.0)
     full.flags.writeable = False  # cached and shared by every caller
     return full
 
 
-def _six_series_gram(j):
-    """(6 I + L) / 4 with L = -Delta_{j-1} the Dirichlet Laplacian on the
-    interior of V_{j-1}: the Gram matrix of the gamma = 6 extensions to V_j
-    of the interior unit vectors of V_{j-1}.
+@lru_cache(maxsize=None)
+def five_series_remainder(i):
+    """R5(i), the part of E5(i) orthogonal to the copies of kept(E5(i - 1))
+    in the three 1-cells, as full vectors on V_i, orthonormal in plain
+    coordinates; read-only.  kept(E) is the subspace of E whose normal
+    derivatives vanish at the corners of V_0.  Columns 0 and 1 are N5(i),
+    the complement of kept(E5(i)) in E5(i), and column 2, from i = 2 on, is
+    K5(i), the one kept direction of R5(i).  R5(1) = N5(1) = E5(1).
 
-    The three new vertices of a cell take (u_r - u_p - u_q) / 2, so together
-    they contribute (3 sum_corners u_c v_c - sum_edges (u_p v_q + u_q v_p)) / 4,
-    and every interior vertex lies in two cells and every edge in one; the
-    old vertices add the identity.  Its spectrum lies in (1.5, 3).
+    E5(i) vanishes on V_{i-1}, so it is a copy of E5(i - 1) in each 1-cell,
+    kept where the normal derivatives of the two cells meeting at each
+    midpoint of V_1 cancel.  Copies of kept(E5(i - 1)) meet that condition,
+    so R5(i) is the junction nullspace of the copies of N5(i - 1), a 3 x 6
+    matrix.  The normal derivatives at the corners of V_0 vanish on the
+    copies and map R5(i) onto a plane, which the adjoint images of corners 1
+    and 2 span.  N5(i) is their span, orthonormalized by a Cholesky factor,
+    and K5(i) their cross product, signed so that its first entry of at least
+    half its largest magnitude is positive.  Only the span of the SVD's
+    output enters, so the columns do not depend on rounding.
     """
-    gram = dirichlet_laplacian(j - 1)
-    gram[np.diag_indices_from(gram)] += 6.0
-    gram /= 4.0
-    return gram
-
-
-def _six_series_birth(j):
-    """Orthonormal E6(j) for j >= 2: the gamma = 6 extensions of the interior
-    unit vectors of V_{j-1}, times R^-T, where R R^T = `_six_series_gram(j)`.
-    The Gram matrix is well conditioned, so the Cholesky factor is as accurate
-    as a QR of the n x d extensions, which it replaces: the columns are that
-    QR's Q up to sign, at O(d^3) cost on the small grid.
-    """
-    parent = level_topology(j - 1)
-    coeffs = np.zeros((parent.n_vertices, interior_count(j - 1)))
-    coeffs[parent.interior_indices] = _lower_inverse(np.linalg.cholesky(_six_series_gram(j))).T
-    return extend_values(coeffs, j, 6.0)
+    if i == 1:
+        span = _birth_space(SERIES_FIVE)
+    else:
+        small = five_series_remainder(i - 1)[:, :2]
+        normal = corner_normal_derivatives(small[level_topology(i - 1).interior_indices], i - 1)
+        copies = np.zeros((level_topology(i).n_vertices, 3, 2))
+        copies[cell_embedding(i, 1), np.arange(3)[:, None]] = small
+        span = copies.reshape(len(copies), 6) @ junction_nullspace(normal)
+    images = corner_normal_derivatives(span[level_topology(i).interior_indices], i)[:2].T
+    values = span @ (images @ np.linalg.inv(np.linalg.cholesky(images.T @ images)).T)
+    if i > 1:
+        kept = np.cross(images[:, 0], images[:, 1])
+        kept = span @ (kept / np.linalg.norm(kept))
+        size = np.abs(kept)
+        kept *= np.sign(kept[np.argmax(size >= 0.5 * size.max())])
+        values = np.column_stack([values, kept])
+    values.flags.writeable = False  # cached and shared by every caller
+    return values
 
 
 # |gamma| beyond which the gamma = -6 family is clamped: (2 - g)(5 - g) would
@@ -293,16 +285,16 @@ GAMMA_CLAMP = 1e100
 
 @lru_cache(maxsize=None)
 def six_series_remainder(j):
-    """The part of E6(j) orthogonal to the copies of E6(j - 1) in the three
-    1-cells, for j >= 3: Y chol(S^-1) on V_j, S = Y^T Y, where Y is the
-    gamma = 6 extension from V_{j-1} of the functions on V_{j-1} that are the
-    unit vectors of the three midpoints of V_1 and, inside each 1-cell,
-    solve (6 I + L_{j-1}) v = 0.  Its three columns are orthonormal in plain
+    """R6(j), the part of E6(j) orthogonal to the copies of E6(j - 1) in
+    the three 1-cells, for j >= 2 (R6(2) is all of E6(2)): Y chol(S^-1) on
+    V_j, S = Y^T Y, where Y is the gamma = 6 extension from V_{j-1} of the
+    functions on V_{j-1} that are the unit vectors of the three midpoints of
+    V_1 and, inside each 1-cell, solve (6 I + L_{j-1}) v = 0.  Its three columns are orthonormal in plain
     coordinates, one per midpoint; read-only.
 
     The copies are the extensions of the functions on V_{j-1} that vanish on
-    V_1, and G = (6 I + L_{j-1}) / 4 (`_six_series_gram(j)`) is the Gram
-    matrix of the extensions, so the remainder is the extension of G^-1 E,
+    V_1, and G = (6 I + L_{j-1}) / 4 is the Gram matrix of the gamma = 6
+    extensions of the interior unit vectors of V_{j-1}, so the remainder is the extension of G^-1 E,
     E the midpoint unit vectors.  Inside each 1-cell G^-1 E solves
     -Delta_{j-1} v = -6 v, an eigenfunction equation, so it is decimation
     extension from V_1 with gamma g_{j-k} at level k, where g_1 = -6 and
@@ -325,42 +317,21 @@ def six_series_remainder(j):
     return values
 
 
-def _lower_inverse(r):
-    """Inverse of the lower-triangular r by 2 x 2 block recursion, in matrix
-    products: about n^3 / 3 flops against the 2 n^3 of `np.linalg.inv`."""
-    n = r.shape[0]
-    if n <= 64:
-        return np.tril(np.linalg.inv(r))
-    h = n // 2
-    head, tail = _lower_inverse(r[:h, :h]), _lower_inverse(r[h:, h:])
-    out = np.zeros_like(r)
-    out[:h, :h] = head
-    out[h:, h:] = tail
-    out[h:, :h] = -tail @ (r[h:, :h] @ head)
-    return out
-
-
-def _five_series_birth(j):
-    """Orthonormal E5(j) for j >= 2 from copies of E5(j-1) in the 1-cells,
-    glued at the three junctions (`junction_nullspace` at scale 1)."""
-    small = _birth_space(SERIES_FIVE, j - 1)
-    normal = corner_normal_derivatives(small[level_topology(j - 1).interior_indices], j - 1)
-    copies = np.zeros((level_topology(j).n_vertices, 3, small.shape[1]))
-    copies[cell_embedding(j, 1), np.arange(3)[:, None]] = small
-    return copies.reshape(len(copies), -1) @ junction_nullspace(normal, 1)
-
-
-def birth_eigenvectors(desc):
-    """Eigenvectors of -Delta_j at the birth eigenvalue, as full vectors on
-    V_j with zero boundary values, orthonormal in plain coordinates for every
-    series; read-only."""
-    full = _birth_space(desc.series, desc.birth)
-    if full.shape[1] != desc.multiplicity:
-        raise AssertionError(
-            f"birth eigenspace of {desc.series} j={desc.birth} has dimension {full.shape[1]}, "
-            f"expected {desc.multiplicity}"
-        )
-    return full
+def cell_tree(series, birth):
+    """(depth, columns on V_{birth - depth}) of the cell tree of the birth
+    space of a series, root first: the scale-1 remainder R(birth) at depth 0
+    and the kept part of R(birth - k) at each depth k = 1 .. birth - 2, all
+    three columns of a 6-series remainder and the one column K5 of a
+    5-series one.  Each depth's columns are copied into every cell of that
+    depth; copies in different cells have disjoint supports, so the tree is
+    orthonormal in plain coordinates.  The 2-series is the root alone.
+    """
+    if series == SERIES_TWO:
+        return ((0, _birth_space(SERIES_TWO)),)
+    remainder, kept = ((six_series_remainder, slice(None)) if series == SERIES_SIX
+                       else (five_series_remainder, slice(2, None)))
+    return ((0, remainder(birth)),) + tuple((k, remainder(birth - k)[:, kept])
+                                            for k in range(1, birth - 1))
 
 
 def birth_groups(descriptors):
@@ -373,18 +344,16 @@ def birth_groups(descriptors):
     return [tuple(group) for group in groups.values()]
 
 
-def eigenfunctions_at_level(descs, m_q, vals=None, shift=0):
+def eigenfunctions_at_level(descs, m_q, vals, shift=0):
     """Eigenspaces of a birth group sampled on V_{m_q}, stacked (vertices of
-    V_{m_q}, G, columns) over its G descriptors: the birth eigenspace, or the
-    columns `vals` on V_birth inside it, followed by decimation extension
-    with one gamma per descriptor.  With a shift s it is the eigenspaces of
-    the same sign words born s generations earlier, whose gamma at level k is
-    the group's gamma at k + s."""
+    V_{m_q}, G, columns) over its G descriptors: the columns `vals` on
+    V_birth of the birth eigenspace, such as a depth of its `cell_tree`,
+    followed by decimation extension with one gamma per descriptor.  With a
+    shift s it is the eigenspaces of the same sign words born s generations
+    earlier, whose gamma at level k is the group's gamma at k + s."""
     birth = descs[0].birth - shift
     if m_q < birth:
         raise ValueError("sampling level precedes generation of birth")
-    if vals is None:
-        vals = _birth_space(descs[0].series, birth) if shift else birth_eigenvectors(descs[0])
     vals = np.broadcast_to(vals[:, None], (len(vals), len(descs)) + vals.shape[1:])
     for k in range(birth + 1, m_q + 1):
         vals = extend_eigenfunction(vals, k, [desc.gamma_at(k + shift) for desc in descs])

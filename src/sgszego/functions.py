@@ -127,21 +127,6 @@ class ExpressionFunction:
         return np.broadcast_to(vals.astype(float), (topo.n_vertices,)).copy()
 
 
-class FunctionSum:
-    """Pointwise sum of two functions, e.g. a simple function perturbed by a
-    positive harmonic one."""
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-
-    def label(self):
-        return f"sum({self.first.label()},{self.second.label()})"
-
-    def sample(self, topo):
-        return self.first.sample(topo) + self.second.sample(topo)
-
-
 def parse_function_spec(spec):
     """Parse CLI function specs like constant:1, simple:1,2,3, harmonic:1,1.5,2
     or expr:1+0.5*x."""

@@ -17,15 +17,11 @@ from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.functions import ConstantFunction, HarmonicFunction, SimpleCellFunction
 
-from subspaces import scale_cells
+from subspaces import birth_space, scale_cells
 
 
 def _report(n, text):
     print(f"PASS criterion {n}: {text}")
-
-
-def _canonical(series, j, m):
-    return sz._canonical_descriptor(series, j, m)
 
 
 def test_criterion_1_spectrum_oracle_equivalence():
@@ -66,7 +62,8 @@ def test_criterion_3_random_extensions():
         m = int(rng.choice([3, 4, 5]))
         desc = tables[m][int(rng.integers(len(tables[m])))]
         target = m + int(rng.integers(0, 2))
-        vals = dec.eigenfunctions_at_level((desc,), target)[:, 0]
+        birth = birth_space(desc.series, desc.birth)
+        vals = dec.eigenfunctions_at_level((desc,), target, birth)[:, 0]
         combo = vals @ rng.normal(size=vals.shape[1])
         r = lap.eigen_residual(target, combo, desc.gamma_at(target))
         worst = max(worst, r)
@@ -78,7 +75,7 @@ def test_criterion_3_random_extensions():
 def test_criterion_4_six_series_dimensions():
     for j in range(2, 7):
         m_q = min(j + 1, sz.MQ_CAP)
-        desc = _canonical("six", j, m_q)
+        desc = sz._canonical_descriptor("six", j, m_q)
         for N in range(1, j):
             basis = eb.localize_basis((desc,), m_q, N)
             d_loc = (3**j - 3 ** (N + 1)) // 2
@@ -97,7 +94,7 @@ def test_criterion_5_five_series_resolution():
     cases = []
     for j in range(2, 7):
         m_q = min(j + 1, sz.MQ_CAP)
-        desc = _canonical("five", j, m_q)
+        desc = sz._canonical_descriptor("five", j, m_q)
         for N in range(1, min(j, 3)):
             basis = eb.localize_basis((desc,), m_q, N)
             alpha = basis.nonlocalized_count
@@ -169,7 +166,7 @@ def test_criterion_9_equidistribution():
     gaps = {name: [] for name in funcs}
     for j in (2, 3, 4, 5, 6):
         m_q = min(j + 1, sz.MQ_CAP)
-        desc = _canonical("six", j, m_q)
+        desc = sz._canonical_descriptor("six", j, m_q)
         op = sz.compressed_operator(f, [desc], m_q, None)
         for name, func in funcs.items():
             gaps[name].append(sz.equidistribution_compare(op, f, func)[2])
@@ -185,7 +182,7 @@ def test_criterion_9_equidistribution():
     assert all(g < 0.02 for g in cutoff_gaps.values()), cutoff_gaps
 
     c = ConstantFunction(1.7)
-    desc = _canonical("six", 3, 4)
+    desc = sz._canonical_descriptor("six", 3, 4)
     op = sz.compressed_operator(c, [desc], 4, None)
     for name, func in funcs.items():
         assert sz.equidistribution_compare(op, c, func)[2] < 1e-9

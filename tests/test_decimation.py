@@ -9,6 +9,7 @@ import pytest
 
 from sgszego import cli
 from sgszego import decimation as dec
+from sgszego import eigenbasis as eb
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
@@ -177,12 +178,23 @@ def test_extension_refuses_a_forbidden_gamma_in_any_slice():
 def test_extension_of_birth_eigenvector():
     # gamma_1 = 5 eigenvector extended with sign -1 becomes a gamma_2 =
     # (5 - sqrt 5)/2 eigenvector of -Delta_2
-    desc = dec.make_descriptor("five", 1, (-1,))
-    vals = dec.birth_eigenvectors(desc)
+    vals = dec.five_series_remainder(1)
     g2 = dec.gamma_step(5.0, -1)
     ext = dec.extend_eigenfunction(vals, 2, g2)
     for c in range(ext.shape[1]):
         assert lap.eigen_residual(2, ext[:, c], g2) < 1e-9
+
+
+def _tree_birth_space(series, j):
+    """The cell tree of a birth space assembled on V_j: the columns of each
+    depth k copied into every k-cell, depth by depth from the root."""
+    n = top.level_topology(j).n_vertices
+    columns = []
+    for k, vals in dec.cell_tree(series, j):
+        copies = np.zeros((n, 3**k, vals.shape[1]))
+        copies[top.cell_embedding(j, k), np.arange(3**k)[:, None]] = vals
+        columns.append(copies.reshape(n, -1))
+    return np.hstack(columns)
 
 
 def _birth_residuals(desc, full):
@@ -201,7 +213,7 @@ def _birth_cases(j_max):
 
 @pytest.mark.parametrize("desc", _birth_cases(6), ids=lambda d: f"{d.series}-{d.birth}")
 def test_birth_eigenvectors_match_dense(desc):
-    full = dec.birth_eigenvectors(desc)
+    full = _tree_birth_space(desc.series, desc.birth)
     interior = top.level_topology(desc.birth).interior_indices
     assert np.all(full[top.level_topology(desc.birth).boundary_mask] == 0.0)
     evals, evecs = lap.cached_dense_spectrum(desc.birth)
@@ -216,11 +228,11 @@ def test_birth_eigenvectors_match_dense(desc):
 @pytest.mark.parametrize("series", ["five", "six"])
 def test_birth_eigenvectors_level_seven_without_dense_solve(series):
     desc = dec.make_descriptor(series, 7, ())
-    full = dec.birth_eigenvectors(desc)
+    full = _tree_birth_space(series, 7)
     assert full.shape[1] == desc.multiplicity
     assert max(_birth_residuals(desc, full)) <= 1e-9
     assert np.max(np.abs(full.T @ full - np.eye(desc.multiplicity))) <= 1e-12
-    assert not full.flags.writeable
+    assert not any(vals.flags.writeable for _, vals in dec.cell_tree(series, 7))
 
 
 @pytest.mark.parametrize("j", range(2, 8))
@@ -233,14 +245,11 @@ def test_six_series_birth_from_known_gram(j):
     d = top.interior_count(j - 1)
     gram = (6.0 * np.eye(d) + lap.dirichlet_laplacian(j - 1)) / 4.0
     assert np.max(np.abs(ext.T @ ext - gram)) <= 1e-14
-    # the Cholesky construction is the QR's orthonormal basis up to column sign
-    full = dec._birth_space("six", j)
+    # the cell tree spans the QR's orthonormal basis of the extensions
+    full = _tree_birth_space("six", j)
     assert np.all(full[topo.boundary_mask] == 0.0)
-    q = six_series_birth_by_qr(j)
-    basis = full[topo.interior_indices]
-    signs = np.sign(np.sum(q * basis, axis=0))
-    assert np.all(signs != 0.0)
-    assert np.max(np.abs(q * signs - basis)) <= 1e-13
+    qr = six_series_birth_by_qr(j)
+    assert principal_angle_gap(qr, full[topo.interior_indices], j) <= 1e-13
     assert np.max(np.abs(full.T @ full - np.eye(d))) <= 1e-14
     assert max(_birth_residuals(dec.make_descriptor("six", j, ()), full)) <= 1e-14
 
@@ -301,14 +310,73 @@ def test_six_series_remainder_peak_memory():
     assert peak < 4 * 2**20, peak
 
 
-def test_lower_inverse():
-    rng = np.random.default_rng(0)
-    # sizes at, just above and well above the size that recursion stops at
-    for n in (1, 5, 64, 65, 300):
-        r = np.tril(rng.uniform(-0.3, 0.3, (n, n))) + 2.0 * np.eye(n)
-        inv = dec._lower_inverse(r)
-        assert np.all(np.triu(inv, 1) == 0.0)
-        assert np.max(np.abs(inv @ r - np.eye(n))) <= 1e-13
+@pytest.mark.parametrize("i", range(2, 8))
+def test_five_series_remainder_splits_into_glue_and_kept(i):
+    # R5(i) is orthonormal and zero on V_0; its normal derivatives at the
+    # corners of V_0 vanish on K5(i), its last column, and have rank 2 on
+    # N5(i), its first two
+    rem = dec.five_series_remainder(i)
+    topo = top.level_topology(i)
+    assert rem.shape == (topo.n_vertices, 3)
+    assert np.all(rem[topo.boundary_mask] == 0.0)
+    assert np.max(np.abs(rem.T @ rem - np.eye(3))) <= 1e-14
+    normal = dec.corner_normal_derivatives(rem[topo.interior_indices], i)
+    scale = np.max(np.abs(normal))
+    assert np.max(np.abs(normal[:, 2])) <= 1e-13 * scale
+    assert np.linalg.svd(normal[:, :2], compute_uv=False)[-1] >= 1e-3 * scale
+    assert not rem.flags.writeable
+
+
+def test_five_series_remainder_is_canonical(monkeypatch):
+    # the columns, not only their span, survive relative noise of 1e-16 in
+    # every normal derivative: R5(i), and so N5(i) and K5(i), move by under
+    # 1e-12 of their largest entry
+    clean = {i: dec.five_series_remainder(i).copy() for i in range(2, 10)}
+    rng = np.random.default_rng(7)
+    exact = dec.corner_normal_derivatives
+
+    def noisy(values, level):
+        normal = exact(values, level)
+        return normal * (1.0 + 1e-16 * rng.standard_normal(normal.shape))
+
+    monkeypatch.setattr(dec, "corner_normal_derivatives", noisy)
+    dec.five_series_remainder.cache_clear()
+    try:
+        for i, expected in clean.items():
+            moved = np.max(np.abs(dec.five_series_remainder(i) - expected), axis=0)
+            assert np.all(moved <= 1e-12 * np.max(np.abs(expected))), (i, moved)
+    finally:
+        dec.five_series_remainder.cache_clear()
+
+
+def test_split_bases_factor_nothing_wider_than_six(monkeypatch):
+    # the 5- and 6-series bases of birth 8 call np.linalg on the 3 x 6
+    # junction matrix and on 3 x 3 and 2 x 2 Gram matrices only
+    for series in ("five", "six"):
+        dec.cell_tree(series, 8)  # the topology tables, built once
+    dec.five_series_remainder.cache_clear()
+    dec.six_series_remainder.cache_clear()
+    shapes = []
+    for name in dir(np.linalg):
+        original = getattr(np.linalg, name)
+        if name.startswith("_") or not callable(original) or isinstance(original, type):
+            continue
+
+        def spy(*args, _original=original, **kwargs):
+            shapes.extend(np.shape(a) for a in list(args) + list(kwargs.values())
+                          if isinstance(a, np.ndarray))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    try:
+        for series in ("five", "six"):
+            group = [d for d in dec.enumerate_spectrum(9).entries
+                     if (d.series, d.birth) == (series, 8)]
+            eb.localize_basis(group, 9, 2)
+    finally:
+        dec.five_series_remainder.cache_clear()
+        dec.six_series_remainder.cache_clear()
+    assert shapes and max(max(shape) for shape in shapes) <= 6, shapes
 
 
 @pytest.mark.parametrize("level", range(1, 7))
@@ -322,22 +390,25 @@ def test_corner_normal_derivatives_match_laplacian(level):
 
 
 def test_junction_nullspace():
-    # the birth normal derivatives of E5(2) glued at the three junctions of V_1
+    # the normal derivatives of E5(2) and of N5(2) glued at the three
+    # junctions of V_1: a 3 x 9 and the 3 x 6 matrix of the remainder
     normal = dec.corner_normal_derivatives(
-        dec._birth_space("five", 2)[top.level_topology(2).interior_indices], 2)
-    null = dec.junction_nullspace(normal, 1)
-    assert null.shape == (9, 6)
-    assert np.max(np.abs(null.T @ null - np.eye(6))) <= 1e-14
+        dec.five_series_remainder(2)[top.level_topology(2).interior_indices], 2)
+    for q in (3, 2):
+        null = dec.junction_nullspace(normal[:, :q])
+        assert null.shape == (3 * q, 3 * q - 3)
+        assert np.max(np.abs(null.T @ null - np.eye(3 * q - 3))) <= 1e-14
     # two corner derivatives that vanish together make two junctions the same row
     with pytest.raises(AssertionError):
-        dec.junction_nullspace(np.array([[1.0], [1.0], [0.0]]), 1)
+        dec.junction_nullspace(np.array([[1.0], [1.0], [0.0]]))
 
 
 def test_birth_eigenvectors_dimension_check():
-    # a descriptor claiming the wrong multiplicity is refused
-    desc = dataclasses.replace(dec.make_descriptor("six", 3, ()), multiplicity=11)
-    with pytest.raises(AssertionError):
-        dec.birth_eigenvectors(desc)
+    # a descriptor claiming the wrong multiplicity is refused by the cell tree
+    for series, j, wrong in (("six", 3, 11), ("five", 3, 5)):
+        desc = dataclasses.replace(dec.make_descriptor(series, j, ()), multiplicity=wrong)
+        with pytest.raises(AssertionError):
+            eb.localize_basis((desc,), j, None)
 
 
 def test_eigenfunctions_at_level_residuals():
@@ -346,7 +417,7 @@ def test_eigenfunctions_at_level_residuals():
             e for e in dec.enumerate_spectrum(4).entries
             if e.series == series and e.birth == j
         ][0]
-        vals = dec.eigenfunctions_at_level((desc,), 4)[:, 0]
+        vals = dec.eigenfunctions_at_level((desc,), 4, _tree_birth_space(series, j))[:, 0]
         assert vals.shape[1] == desc.multiplicity
         for c in range(vals.shape[1]):
             assert lap.eigen_residual(4, vals[:, c], desc.gamma_at(4)) < 1e-9

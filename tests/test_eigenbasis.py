@@ -10,19 +10,11 @@ from sgszego import eigenbasis as eb
 from sgszego import laplacian as lap
 from sgszego import szego as sz
 from sgszego import topology as top
-from sgszego.decimation import make_descriptor
 from sgszego.functions import HarmonicFunction, SimpleCellFunction
 
-from subspaces import complement_by_qr, index_of, principal_angle_gap, scale_cells
+from subspaces import (complement_by_qr, eigenspace_vectors, index_of, principal_angle_gap,
+                       scale_cells)
 
-
-def _canonical(series, j, m):
-    n = m - j
-    if series == "six":
-        signs = (1,) + (-1,) * max(n - 1, 0) if n > 0 else ()
-    else:
-        signs = (-1,) * n
-    return make_descriptor(series, j, signs)
 
 
 def _dense_eigenspace(desc, m_q):
@@ -35,24 +27,24 @@ def _dense_eigenspace(desc, m_q):
 
 
 def test_eigenspace_column_counts():
-    assert eb.eigenspace_vectors((_canonical("five", 1, 3),), 3)[0].shape[1] == 2
-    assert eb.eigenspace_vectors((_canonical("six", 2, 3),), 3)[0].shape[1] == 3
-    assert eb.eigenspace_vectors((_canonical("two", 1, 4),), 4)[0].shape[1] == 1
+    for series, j, m_q, d in (("five", 1, 3, 2), ("six", 2, 3, 3), ("two", 1, 4, 1)):
+        basis = eb.localize_basis((sz._canonical_descriptor(series, j, m_q),), m_q, None)
+        assert basis.vectors.shape == (1, top.interior_count(m_q), d)
 
 
 @pytest.mark.parametrize(
     "series,j,m_q", [("five", 2, 4), ("six", 2, 4), ("six", 3, 4), ("two", 1, 3)]
 )
 def test_extension_matches_dense(series, j, m_q):
-    desc = _canonical(series, j, m_q)
-    a = eb.eigenspace_vectors((desc,), m_q)[0]
+    desc = sz._canonical_descriptor(series, j, m_q)
+    a = eb.localize_basis((desc,), m_q, None).vectors[0]
     b = _dense_eigenspace(desc, m_q)
     assert a.shape == b.shape
     assert principal_angle_gap(a, b, m_q) < 1e-8
 
 
 def test_unsplit_basis_orthonormal():
-    desc = _canonical("six", 2, 4)
+    desc = sz._canonical_descriptor("six", 2, 4)
     basis = eb.localize_basis((desc,), 4, None)
     assert eb.orthonormality_check(basis.vectors, basis.level) < 1e-10
     assert basis.localized_count == 0
@@ -74,7 +66,7 @@ def test_six_series_localized_dimensions(scale, j):
     if scale >= j:
         pytest.skip("scale must be below the generation of birth")
     m_q = min(j + 1, 6)
-    desc = _canonical("six", j, m_q)
+    desc = sz._canonical_descriptor("six", j, m_q)
     basis = eb.localize_basis((desc,), m_q, scale)
     per_cell = (3 ** (j - scale) - 3) // 2
     assert basis.localized_count == 3**scale * per_cell
@@ -85,20 +77,32 @@ def test_six_series_localized_dimensions(scale, j):
     assert counts.tolist() == [per_cell] * 3**scale
 
 
-@pytest.mark.parametrize("scale,j", [(1, 2), (1, 3), (2, 3), (2, 4)])
+@pytest.mark.parametrize("scale,j", [(scale, j) for j in range(2, 8) for scale in range(j)])
 def test_five_series_localized_dimensions(scale, j):
-    m_q = min(j + 1, 6)
-    desc = _canonical("five", j, m_q)
+    m_q = min(j + 1, 7)
+    desc = sz._canonical_descriptor("five", j, m_q)
     basis = eb.localize_basis((desc,), m_q, scale)
-    # the non-localized remainder has one vector per interior hole of the
-    # scale plus the boundary contribution: (3^scale + 3) / 2 in total
+    # the tree: R5(j), three columns, at the root and one column K5(j - k) in
+    # each cell of every depth k = 1 .. j - 2
+    assert basis.depths == tuple(range(j - 2, -1, -1))
+    assert [part.shape[2] for part in basis.parts] == [1] * (j - 2) + [3]
+    assert basis.column_counts == [3**k for k in basis.depths[:-1]] + [3]
+    # the columns at depths >= N are localized: all at N = 0, and otherwise
+    # (3^(j-1-N) - 1) / 2 in each N-cell, leaving (3^N + 3) / 2 of them
+    localized = sum(n for k, n in zip(basis.depths, basis.column_counts) if k >= scale)
+    assert basis.localized_count == localized
+    if scale == 0:
+        assert basis.localized_count == desc.multiplicity
+        return
+    per_cell = (3 ** (j - 1 - scale) - 1) // 2
     assert basis.nonlocalized_count == (3**scale + 3) // 2
-    per_cell = (3 ** (j - 1 - scale) * 3 - 3) // 2 if j - scale >= 1 else 0
-    assert basis.localized_count == desc.multiplicity - (3**scale + 3) // 2
+    assert basis.localized_count == 3**scale * per_cell
+    counts = np.bincount(scale_cells(basis, scale), minlength=3**scale)
+    assert counts.tolist() == [per_cell] * 3**scale
 
 
 def test_localized_vectors_vanish_outside():
-    desc = _canonical("six", 3, 4)
+    desc = sz._canonical_descriptor("six", 3, 4)
     basis = eb.localize_basis((desc,), 4, 1)
     assert basis.localized_count > 0
     for c in range(basis.localized_count):
@@ -106,8 +110,8 @@ def test_localized_vectors_vanish_outside():
 
 
 def test_localized_basis_orthonormal_and_span_preserving():
-    desc = _canonical("six", 3, 4)
-    raw = eb.eigenspace_vectors((desc,), 4)[0]
+    desc = sz._canonical_descriptor("six", 3, 4)
+    raw = eigenspace_vectors((desc,), 4)[0]
     basis = eb.localize_basis((desc,), 4, 1)
     assert basis.dimension == desc.multiplicity
     assert eb.orthonormality_check(basis.vectors, basis.level) < 1e-10
@@ -115,7 +119,7 @@ def test_localized_basis_orthonormal_and_span_preserving():
 
 
 def test_distinct_cell_columns_orthogonal():
-    desc = _canonical("six", 3, 4)
+    desc = sz._canonical_descriptor("six", 3, 4)
     basis = eb.localize_basis((desc,), 4, 1)
     vectors = basis.vectors[0]
     g = top.interior_weight(basis.level) * vectors.T @ vectors
@@ -129,7 +133,7 @@ def test_distinct_cell_columns_orthogonal():
 def test_split_column_count_check():
     # a descriptor claiming the wrong multiplicity is refused by the split,
     # which never builds the birth space that checks it otherwise
-    desc = dataclasses.replace(_canonical("six", 4, 5), multiplicity=40)
+    desc = dataclasses.replace(sz._canonical_descriptor("six", 4, 5), multiplicity=40)
     with pytest.raises(AssertionError):
         eb.localize_basis((desc,), 5, 2)
 
@@ -157,16 +161,16 @@ def test_birth_group_slices_are_the_bases_of_groups_of_one(scale):
 
 def test_birth_group_refuses_mixed_births():
     # a group is one birth space extended by several gamma sequences
-    with pytest.raises(ValueError):
-        eb.localize_basis((_canonical("six", 3, 5), _canonical("six", 4, 5)), 5, 1)
-    with pytest.raises(ValueError):
-        eb.localize_basis((_canonical("five", 2, 4), _canonical("six", 2, 4)), 4, 1)
+    for (s1, j1), (s2, j2), m_q in ((("six", 3), ("six", 4), 5), (("five", 2), ("six", 2), 4)):
+        group = (sz._canonical_descriptor(s1, j1, m_q), sz._canonical_descriptor(s2, j2, m_q))
+        with pytest.raises(ValueError):
+            eb.localize_basis(group, m_q, 1)
 
 
 def test_localization_scale_not_below_birth_is_unsplit():
     # a scale N >= birth has no N-cells to copy into: the remainder is the
     # whole eigenspace, as a cutoff run expects for its births <= N
-    desc = _canonical("six", 2, 4)
+    desc = sz._canonical_descriptor("six", 2, 4)
     basis = eb.localize_basis((desc,), 4, 2)
     assert basis.localized_count == 0
     assert basis.nonlocalized_count == desc.multiplicity
@@ -179,8 +183,8 @@ def test_cross_eigenspace_orthogonality():
     m_q = 4
     topo = top.level_topology(m_q)
     w = top.interior_weight(m_q)
-    d1 = _canonical("five", 2, m_q)
-    d2 = _canonical("six", 2, m_q)
+    d1 = sz._canonical_descriptor("five", 2, m_q)
+    d2 = sz._canonical_descriptor("six", 2, m_q)
     b1 = eb.localize_basis((d1,), m_q, None).vectors[0]
     b2 = eb.localize_basis((d2,), m_q, None).vectors[0]
     cross = w * b1.T @ b2
@@ -188,19 +192,19 @@ def test_cross_eigenspace_orthogonality():
 
 
 def test_max_outside_value_rejects_nonlocalized():
-    desc = _canonical("five", 1, 3)
+    desc = sz._canonical_descriptor("five", 1, 3)
     basis = eb.localize_basis((desc,), 3, None)
     with pytest.raises(ValueError):
         eb.max_outside_value(basis, 0)
     # remainder columns and columns counted from the end are refused too
-    split = eb.localize_basis((_canonical("six", 3, 4),), 4, 1)
+    split = eb.localize_basis((sz._canonical_descriptor("six", 3, 4),), 4, 1)
     for column in (split.localized_count, split.dimension - 1, -1):
         with pytest.raises(ValueError):
             eb.max_outside_value(split, column)
 
 
 def test_basis_export(tmp_path):
-    desc = _canonical("six", 2, 3)
+    desc = sz._canonical_descriptor("six", 2, 3)
     basis = eb.localize_basis((desc,), 3, 1)
     argv = ["basis", "--series", "six", "--j", "2", "--N", "1", "--m-q", "3"]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
@@ -246,7 +250,7 @@ def _oracle_grid():
     for series, first in (("five", 1), ("six", 2)):
         for j in range(first, 6):
             for scale in range(j):
-                yield _canonical(series, j, j + 1), j + 1, scale
+                yield sz._canonical_descriptor(series, j, j + 1), j + 1, scale
     for desc in dec.enumerate_spectrum(5).entries:
         if desc.series != "two":
             for scale in range(desc.birth):
@@ -256,7 +260,7 @@ def _oracle_grid():
 def test_transplants_match_searched_localization():
     for desc, m_q, scale in _oracle_grid():
         case = (desc.series, desc.birth, desc.signs, m_q, scale)
-        raw = eb.eigenspace_vectors((desc,), m_q)[0]
+        raw = eigenspace_vectors((desc,), m_q)[0]
         basis = eb.localize_basis((desc,), m_q, scale)
         found = _searched_localization(raw, m_q, scale)
         built = {}
@@ -308,12 +312,13 @@ SPLIT_GRID = [
     ("six", 6, 4, 7), ("six", 7, 4, 7),
     ("five", 2, 0, 3), ("five", 2, 1, 3), ("five", 3, 1, 4), ("five", 3, 2, 4), ("five", 4, 1, 5),
     ("five", 4, 2, 6), ("five", 5, 3, 6), ("five", 6, 2, 7), ("five", 6, 4, 7),
+    *[("five", 7, scale, 7) for scale in range(1, 7)],
 ]
 
 
 @pytest.mark.parametrize("series,j,scale,m_q", SPLIT_GRID)
 def test_split_matches_complete_qr_complement(series, j, scale, m_q):
-    desc = _canonical(series, j, m_q)
+    desc = sz._canonical_descriptor(series, j, m_q)
     basis = eb.localize_basis((desc,), m_q, scale)
     vectors = basis.vectors[0]
     n_loc = basis.localized_count
@@ -324,7 +329,7 @@ def test_split_matches_complete_qr_complement(series, j, scale, m_q):
     else:
         assert basis.nonlocalized_count == 0
     assert eb.orthonormality_check(basis.vectors, basis.level) <= 1e-12
-    oracle = complement_by_qr(eb.eigenspace_vectors((desc,), m_q)[0], vectors[:, :n_loc], m_q)
+    oracle = complement_by_qr(eigenspace_vectors((desc,), m_q)[0], vectors[:, :n_loc], m_q)
     remainder = vectors[:, n_loc:]
     assert oracle.shape == remainder.shape
     if oracle.shape[1]:
@@ -336,6 +341,30 @@ def test_split_matches_complete_qr_complement(series, j, scale, m_q):
         dense = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
         block = sz.dense_blocks(sz.assemble_compressed(fvals, basis))
         assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense)), f.label()
+
+
+def test_stacked_five_series_group_matches_dense_oracle():
+    # the four eigenspaces of the 5-series born at 4 in the level-6
+    # spectrum, built and assembled as one stack: every slice spans the
+    # oracle's eigenspace (the dense birth space, extended), and its block is
+    # w V^T diag(f) V of its columns, with the eigenvalues of f compressed
+    # onto the oracle's basis
+    m_q, scale = 6, 2
+    group = [d for d in dec.enumerate_spectrum(6).entries if (d.series, d.birth) == ("five", 4)]
+    assert len(group) == 4
+    basis = eb.localize_basis(group, m_q, scale)
+    topo = top.level_topology(m_q)
+    fvals = SimpleCellFunction([2.689, 2.516, 1.841]).sample(topo)[topo.interior_indices]
+    blocks = sz.dense_blocks(sz.assemble_compressed(fvals, basis))
+    w = top.interior_weight(m_q)
+    assert eb.orthonormality_check(basis.vectors, m_q) <= 1e-12
+    for g, (vectors, oracle, block) in enumerate(zip(basis.vectors,
+                                                     eigenspace_vectors(group, m_q), blocks)):
+        assert principal_angle_gap(vectors, oracle, m_q) <= 1e-12, g
+        dense = w * (vectors.T * fvals) @ vectors
+        assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense)), g
+        sigma = np.linalg.eigvalsh(w * (oracle.T * fvals) @ oracle)
+        assert np.max(np.abs(np.linalg.eigvalsh(block) - sigma)) <= 1e-12 * np.max(sigma), g
 
 
 def _canonical_remainder(desc, m_q, scale):
@@ -361,7 +390,7 @@ def test_six_series_remainder_is_canonical(j, scale, m_q):
     # the root columns themselves, not only their span, are the canonical
     # scale-1 remainder; the columns at depths below the scale span the
     # canonical scale-N remainder
-    desc = _canonical("six", j, m_q)
+    desc = sz._canonical_descriptor("six", j, m_q)
     basis = eb.localize_basis((desc,), m_q, scale)
     assert basis.depths[-1] == 0
     root, expected = basis.parts[-1][0], _canonical_remainder(desc, m_q, 1)
@@ -375,7 +404,7 @@ def test_compressed_operator_holds_no_dense_basis():
     # tree blocks, far less than one d x d block, and building it may
     # allocate at most a quarter of the basis besides
     f = SimpleCellFunction([2.689, 2.516, 1.841])
-    desc = _canonical("six", 7, 7)
+    desc = sz._canonical_descriptor("six", 7, 7)
     n, d = top.interior_count(7), desc.multiplicity
     tracemalloc.start()
     try:
@@ -394,7 +423,7 @@ def test_szego_path_peak_below_one_dense_block():
     # with the topology tables built, the six j=7 N=4 operator and its
     # log-det together peak below one 1092 x 1092 float64 array (9.5 MB)
     f = SimpleCellFunction([2.689, 2.516, 1.841])
-    desc = _canonical("six", 7, 7)
+    desc = sz._canonical_descriptor("six", 7, 7)
     for m in range(8):
         top.level_topology(m)
         for scale in range(m + 1):
@@ -424,7 +453,7 @@ def _nested(basis):
 def test_compression_vanishes_outside_nested_cells(series, j, scale, m_q):
     # columns whose cells are not nested have disjoint supports, so the dense
     # V^T diag(w f) V is exactly zero there, and the tree blocks are all of it
-    desc = _canonical(series, j, m_q)
+    desc = sz._canonical_descriptor(series, j, m_q)
     basis = eb.localize_basis((desc,), m_q, scale)
     vectors = basis.vectors[0]
     topo = top.level_topology(m_q)
@@ -453,7 +482,7 @@ def test_tree_log_det_matches_dense_cholesky(mode, case):
     f = HarmonicFunction([1.2, 1.5, 1.9])
     if mode == "single":
         series, j, scale, m_q = case
-        op = sz.compressed_operator(f, [_canonical(series, j, m_q)], m_q, scale)
+        op = sz.compressed_operator(f, [sz._canonical_descriptor(series, j, m_q)], m_q, scale)
     else:
         m, scale = case
         ((_, op),) = sz.operators(f, "cutoff", [m], scale)
@@ -463,24 +492,31 @@ def test_tree_log_det_matches_dense_cholesky(mode, case):
 
 def test_multilevel_span_is_the_copies_in_the_scale_cells():
     # the columns at depths >= N span the copies of E6(j - N), born N
-    # generations earlier with the same sign word, in the N-cells
-    for j, scale, m_q in [(4, 1, 5), (5, 2, 6), (6, 1, 7), (7, 3, 7)]:
-        desc = _canonical("six", j, m_q)
+    # generations earlier with the same sign word, in the N-cells, and for
+    # the 5-series the copies of kept(E5(j - N)), the nullspace of the
+    # normal derivatives at the corners of V_0
+    for series, j, scale, m_q in [("six", 4, 1, 5), ("six", 5, 2, 6), ("six", 6, 1, 7),
+                                  ("six", 7, 3, 7), ("five", 4, 1, 5), ("five", 5, 2, 6),
+                                  ("five", 6, 1, 7), ("five", 7, 3, 7)]:
+        desc = sz._canonical_descriptor(series, j, m_q)
         basis = eb.localize_basis((desc,), m_q, scale)
-        small = eb.eigenspace_vectors((desc,), m_q - scale, shift=scale)[0]
+        small = eigenspace_vectors((desc,), m_q - scale, shift=scale)[0]
+        if series == "five":
+            normal = dec.corner_normal_derivatives(small, m_q - scale)
+            small = small @ np.linalg.svd(normal)[2][2:].T
         rows = top.interior_cell_rows(m_q, scale)
         copies = np.zeros((top.interior_count(m_q), len(rows), small.shape[1]))
         copies[rows, np.arange(len(rows))[:, None]] = small
         copies = copies.reshape(len(copies), -1)
         localized = basis.vectors[0][:, :basis.localized_count]
         assert localized.shape == copies.shape
-        assert principal_angle_gap(localized, copies, m_q) < 1e-12, (j, scale)
+        assert principal_angle_gap(localized, copies, m_q) < 1e-12, (series, j, scale)
 
 
 @pytest.mark.parametrize("series,j", [("six", 5), ("five", 4)])
 def test_columns_at_every_depth_vanish_outside_their_cells(series, j):
     # at scale 0 every column is localized, whatever its depth
-    basis = eb.localize_basis((_canonical(series, j, j + 1),), j + 1, 0)
+    basis = eb.localize_basis((sz._canonical_descriptor(series, j, j + 1),), j + 1, 0)
     assert basis.localized_count == basis.dimension
     depth, _ = basis.column_cells
     assert set(depth.tolist()) == set(basis.depths)

@@ -9,13 +9,12 @@ from sgszego import topology as top
 from sgszego.functions import (
     ConstantFunction,
     ExpressionFunction,
-    FunctionSum,
     HarmonicFunction,
     SimpleCellFunction,
     parse_function_spec,
 )
 
-from subspaces import index_of
+from subspaces import FunctionSum, index_of
 
 
 def _key(word, corner):

@@ -15,11 +15,10 @@ from sgszego import cli, decimation, laplacian, topology
 
 PACKAGE = os.path.dirname(os.path.abspath(cli.__file__))
 
-# reached by tests only: the dense eigensolve, the dense block-diagonal
-# matrix, the cell indicator and localization leak measures, and sums of
-# multipliers
-ORACLES = {"cached_dense_spectrum", "CompressedOperator.matrix", "cell_indicator",
-           "max_outside_value", "FunctionSum"}
+# reached by tests only: the dense Laplacian and its eigensolve, the dense
+# block-diagonal matrix, and the cell indicator and localization leak measures
+ORACLES = {"dirichlet_laplacian", "cached_dense_spectrum", "CompressedOperator.matrix",
+           "cell_indicator", "max_outside_value"}
 
 # (exit code, argv)
 RUNS = [

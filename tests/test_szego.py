@@ -9,9 +9,9 @@ from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.decimation import birth_groups, enumerate_spectrum, make_descriptor
 from sgszego.eigenbasis import localize_basis
-from sgszego.functions import ConstantFunction, FunctionSum, HarmonicFunction, SimpleCellFunction
+from sgszego.functions import ConstantFunction, HarmonicFunction, SimpleCellFunction
 
-from subspaces import index_of, scale_cells
+from subspaces import FunctionSum, index_of, scale_cells
 
 
 def test_identity_for_constant_one():
