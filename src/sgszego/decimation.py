@@ -289,16 +289,17 @@ def six_series_remainder(j):
     the three 1-cells, for j >= 2 (R6(2) is all of E6(2)): Y chol(S^-1) on
     V_j, S = Y^T Y, where Y is the gamma = 6 extension from V_{j-1} of the
     functions on V_{j-1} that are the unit vectors of the three midpoints of
-    V_1 and, inside each 1-cell, solve (6 I + L_{j-1}) v = 0.  Its three columns are orthonormal in plain
-    coordinates, one per midpoint; read-only.
+    V_1 and, inside each 1-cell, solve (6 I + L_{j-1}) v = 0.  Its three
+    columns are orthonormal in plain coordinates, one per midpoint;
+    read-only.
 
     The copies are the extensions of the functions on V_{j-1} that vanish on
     V_1, and G = (6 I + L_{j-1}) / 4 is the Gram matrix of the gamma = 6
-    extensions of the interior unit vectors of V_{j-1}, so the remainder is the extension of G^-1 E,
-    E the midpoint unit vectors.  Inside each 1-cell G^-1 E solves
-    -Delta_{j-1} v = -6 v, an eigenfunction equation, so it is decimation
-    extension from V_1 with gamma g_{j-k} at level k, where g_1 = -6 and
-    g_{d+1} = g_d (5 - g_d), none of them 2, 5 or 6.  G^-1 E = X S with
+    extensions of the interior unit vectors of V_{j-1}, so the remainder is
+    the extension of G^-1 E, E the midpoint unit vectors.  Inside each
+    1-cell G^-1 E solves -Delta_{j-1} v = -6 v, an eigenfunction equation,
+    so it is decimation extension from V_1 with gamma g_{j-k} at level k,
+    where g_1 = -6 and g_{d+1} = g_d (5 - g_d), none of them 2, 5 or 6.  G^-1 E = X S with
     X the extension of the unit vectors, so Y = Ext(X) has Gram matrix
     X^T G X = (E^T G^-1 E)^-1 = S, and Y chol(S^-1) is Ext(G^-1 E) R^-T
     with R R^T = E^T G^-1 E: O(3^j) work and no matrix beyond 3 x 3.
