@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from itertools import repeat
@@ -350,8 +351,9 @@ def _draw_triples(rng, n, count):
 
 
 def _write_summary(config, results, timings, path):
-    """`timings` holds measured wall times; like the timestamp they vary from
-    run to run, so they stay outside `results`, the config hash and the CSVs."""
+    """`timings` holds measured wall times and the peak resident memory; like
+    the timestamp they vary from run to run, so they stay outside `results`,
+    the config hash and the CSVs."""
     payload = {
         "config": {k: v for k, v in config.items() if k != "tolerances"},
         "tolerances": config["tolerances"],
@@ -472,6 +474,8 @@ def run(config):
         results = {"triangle_violations": violations, "triples": n_triples,
                    "max_boundary_deviation": max(abs(r - 2.0 / 3.0) for r in boundary_r)}
 
+    # the process's peak resident set so far; Linux reports ru_maxrss in KiB
+    timings["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     _write_summary(config, results, timings, os.path.join(out, "summary.json"))
     return results
 

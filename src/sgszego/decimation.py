@@ -168,9 +168,10 @@ def enumerate_spectrum(m):
     return table
 
 
-def extend_eigenfunction(values, k, gamma_k):
+def extend_eigenfunction(values, k, gamma_k, interior=False):
     """Extend eigenfunction values from V_{k-1} to V_k for eigenvalue gamma_k
-    by `laplacian.extend_values`, refusing the forbidden gammas 2, 5 and 6.
+    by `laplacian.extend_values`, refusing the forbidden gammas 2, 5 and 6;
+    with `interior`, only the interior rows of V_k.
 
     `values` has leading axis over the V_{k-1} vertices (extra axes allowed);
     `gamma_k` is a scalar or one gamma per slice of axis 1, and a forbidden
@@ -179,7 +180,7 @@ def extend_eigenfunction(values, k, gamma_k):
     for bad in FORBIDDEN_GAMMAS:
         if np.any(np.abs(np.asarray(gamma_k) - bad) < 1e-12):
             raise ValueError(f"forbidden extension eigenvalue gamma = {bad}")
-    return extend_values(np.asarray(values, dtype=float), k, gamma_k)
+    return extend_values(np.asarray(values, dtype=float), k, gamma_k, interior)
 
 
 # smallest singular value of the 5-series junction matrix, relative to its
@@ -346,16 +347,21 @@ def birth_groups(descriptors):
 
 
 def eigenfunctions_at_level(descs, m_q, vals, shift=0):
-    """Eigenspaces of a birth group sampled on V_{m_q}, stacked (vertices of
-    V_{m_q}, G, columns) over its G descriptors: the columns `vals` on
-    V_birth of the birth eigenspace, such as a depth of its `cell_tree`,
-    followed by decimation extension with one gamma per descriptor.  With a
-    shift s it is the eigenspaces of the same sign words born s generations
-    earlier, whose gamma at level k is the group's gamma at k + s."""
+    """Eigenspaces of a birth group sampled on the interior of V_{m_q},
+    stacked (interior vertices of V_{m_q}, G, columns) over its G
+    descriptors: the columns `vals` on V_birth of the birth eigenspace, such
+    as a depth of its `cell_tree`, followed by decimation extension with one
+    gamma per descriptor, whose last step writes the interior rows alone.
+    With a shift s it is the eigenspaces of the same sign words born s
+    generations earlier, whose gamma at level k is the group's gamma at
+    k + s."""
     birth = descs[0].birth - shift
     if m_q < birth:
         raise ValueError("sampling level precedes generation of birth")
     vals = np.broadcast_to(vals[:, None], (len(vals), len(descs)) + vals.shape[1:])
+    if m_q == birth:
+        return vals[level_topology(m_q).interior_indices]
     for k in range(birth + 1, m_q + 1):
-        vals = extend_eigenfunction(vals, k, [desc.gamma_at(k + shift) for desc in descs])
+        vals = extend_eigenfunction(vals, k, [desc.gamma_at(k + shift) for desc in descs],
+                                    interior=k == m_q)
     return vals

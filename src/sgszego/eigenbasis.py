@@ -100,9 +100,9 @@ class EigenspaceBasis:
         return out
 
 
-def _normalized_interior(full, m_q):
-    """The interior rows of stacked columns (vertices of V_{m_q}, G, p), each
-    divided by its norm, as (G, interior of V_{m_q}, p).
+def _normalized(vectors, m_q):
+    """Stacked columns on the interior of V_{m_q}, (vertices, G, p), each
+    divided by its norm in place, as (G, interior of V_{m_q}, p).
 
     The division is all the orthonormalization needed, at O(n p) cost.  A new
     vertex takes a linear combination of its cell's corner values that is
@@ -113,7 +113,6 @@ def _normalized_interior(full, m_q):
     (4 - gamma) times the vertex sum.  So one level of extension multiplies
     the plain Gram matrix, hence the quadrature one, by a scalar.
     """
-    vectors = full[level_topology(m_q).interior_indices]
     vectors /= np.sqrt(interior_weight(m_q) * np.einsum("igj,igj->gj", vectors, vectors))
     return vectors.transpose(1, 0, 2)
 
@@ -132,8 +131,8 @@ def localize_basis(descs, m_q, scale):
     if any((desc.series, desc.birth) != (series, birth) for desc in descs):
         raise ValueError("a birth group's descriptors share one series and one birth")
     tree = cell_tree(series, birth)[::-1]
-    parts = tuple(_normalized_interior(eigenfunctions_at_level(descs, m_q - k, vals, shift=k),
-                                       m_q - k) for k, vals in tree)
+    parts = tuple(_normalized(eigenfunctions_at_level(descs, m_q - k, vals, shift=k), m_q - k)
+                  for k, vals in tree)
     basis = EigenspaceBasis(descriptors=descs, level=m_q,
                             scale=None if series == SERIES_TWO else scale,
                             depths=tuple(k for k, _ in tree), parts=parts)

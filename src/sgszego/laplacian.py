@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .topology import cell_embedding, level_topology
+from .topology import cell_embedding, interior_count, level_topology
 
 
 @lru_cache(maxsize=None)
@@ -97,20 +97,40 @@ def eigen_residual(m, values, gamma):
 
 
 @lru_cache(maxsize=None)
-def extension_maps(k):
+def extension_maps(k, interior=False):
     """Index arrays for extending a function from V_{k-1} to V_k.
 
     Returns (parent_corner, child_corner, child_mid): each (3^(k-1), 3); the
     mid column r holds the new vertex opposite corner r+1 of the parent cell.
+    With `interior`, the child columns hold interior rows of V_k instead,
+    and the three corners of V_0 the one row past them.
     """
     # V_1 in topology order is q1, m12, m13, q2, m23, q3 (m_pq the midpoint of
     # edge pq): columns 0, 3, 5 are the corners, 4, 2, 1 the opposite midpoints
     embedding = cell_embedding(k, k - 1)
+    if interior:
+        topo = level_topology(k)
+        embedding = np.where(topo.boundary_mask, interior_count(k), topo.interior_row)[embedding]
     return level_topology(k - 1).cell_vertices, embedding[:, [0, 3, 5]], embedding[:, [4, 2, 1]]
 
 
-def extend_values(values, k, gamma_k):
-    """Extend values from V_{k-1} to V_k by the eigenvalue-gamma_k rule.
+# entries of V_{k-1} values that `extend_values` gathers per corner at a
+# time: the corner gathers and midpoints of a slab of cells stay near 64 KB
+# each, where gathering every cell at once took two thirds of the output's size
+EXTEND_SLAB = 1 << 13
+
+
+def _vertex_rows(values):
+    """A C-contiguous array (vertices, ...) as one opaque item per vertex, so
+    that a gather or scatter of vertices copies whole rows, however few
+    entries a row holds."""
+    return values.reshape(len(values), -1).view(np.dtype((np.void, values[0].nbytes))).ravel()
+
+
+def extend_values(values, k, gamma_k, interior=False):
+    """Extend values from V_{k-1} to V_k by the eigenvalue-gamma_k rule;
+    with `interior`, only the interior rows of V_k, written as they are
+    computed rather than copied out of the whole.
 
     `values` has leading axis over the V_{k-1} vertices (extra axes allowed).
     New vertex on edge (p, q) of a (k-1)-cell with opposite corner r gets
@@ -120,26 +140,35 @@ def extend_values(values, k, gamma_k):
 
     `gamma_k` is a scalar, or one gamma per slice of axis 1 of `values`
     shaped (vertices, G, ...).  The rule is elementwise, so each slice is
-    bit for bit the scalar call with its own gamma.
+    bit for bit the scalar call with its own gamma.  The (k-1)-cells are
+    taken EXTEND_SLAB entries of each corner at a time.
     """
-    parent_corner, child_corner, child_mid = extension_maps(k)
-    out = np.zeros((level_topology(k).n_vertices,) + values.shape[1:])
-    u = [values[parent_corner[:, c]] for c in range(3)]  # contiguous (cells, ...) each
-    for c in range(3):
-        out[child_corner[:, c]] = u[c]
-
+    parent_corner, child_corner, child_mid = extension_maps(k, interior)
+    values = np.ascontiguousarray(values, dtype=float)
+    out = np.zeros((interior_count(k) + 1 if interior else level_topology(k).n_vertices,)
+                   + values.shape[1:])
+    if not out.size:
+        return out[:-1] if interior else out
+    source, target = _vertex_rows(values), _vertex_rows(out)
     gamma_k = np.asarray(gamma_k, dtype=float)
     if gamma_k.ndim:  # one gamma per slice of axis 1, broadcast over the axes after it
         gamma_k = gamma_k.reshape(gamma_k.shape + (1,) * (values.ndim - 2))
     denom = (2.0 - gamma_k) * (5.0 - gamma_k)
-    for r, (p, q) in zip((0, 1, 2), ((1, 2), (0, 2), (0, 1))):
-        # in place, in the order ((4 - g)(u_p + u_q) + 2 u_r) / denom
-        mid = u[p] + u[q]
-        mid *= 4.0 - gamma_k
-        mid += 2.0 * u[r]
-        mid /= denom
-        out[child_mid[:, r]] = mid
-    return out
+    step = max(1, EXTEND_SLAB // values[0].size)
+    for start in range(0, len(parent_corner), step):
+        cells = slice(start, start + step)
+        u = [source[parent_corner[cells, c]] for c in range(3)]  # contiguous (cells, ...) each
+        for c in range(3):
+            target[child_corner[cells, c]] = u[c]
+        u = [items.view(float).reshape((-1,) + values.shape[1:]) for items in u]
+        for r, (p, q) in zip((0, 1, 2), ((1, 2), (0, 2), (0, 1))):
+            # in place, in the order ((4 - g)(u_p + u_q) + 2 u_r) / denom
+            mid = u[p] + u[q]
+            mid *= 4.0 - gamma_k
+            mid += 2.0 * u[r]
+            mid /= denom
+            target[child_mid[cells, r]] = _vertex_rows(mid)
+    return out[:-1] if interior else out
 
 
 # pairs a resistance query answers at a time: about 350 B each, 23 MB a chunk

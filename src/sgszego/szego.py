@@ -9,11 +9,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import SERIES_SIX, birth_groups, enumerate_spectrum, make_descriptor
+from .decimation import SERIES_SIX, birth_groups, cell_tree, enumerate_spectrum, make_descriptor
 from .eigenbasis import localize_basis
-from .topology import interior_cell_rows, interior_weight, level_topology, quadrature
+from .topology import (interior_cell_rows, interior_count, interior_weight, level_topology,
+                       quadrature)
 
-MQ_CAP = 7  # desk-scale cap on the sampling level (3279 interior vertices)
+# the default sampling level is min(index + 1, MQ_CAP).  Memory no longer
+# calls for the cap, since chunks bound it; it keeps cutoff m=7 sampled at
+# level 7, where the benchmark's reference log-dets were recorded, until
+# those are recorded again at level 8
+MQ_CAP = 7
+
+# bytes of basis parts a birth group builds at once (`chunk_words`).  In a
+# sweep of 1 to 4 MiB, 1.5 MiB gave the lowest peak of cutoff m=7 and ran
+# cutoff m = 8 and 9 as fast as the larger budgets; 1 MiB ran 5-10 % slower
+CHUNK_BYTES = 3 << 19
 
 # the field that holds the index range of each sweep mode
 INDEX_FIELDS = {"single": "j", "cutoff": "m"}
@@ -124,23 +134,29 @@ def assemble_compressed(f_values_interior, basis):
     ancestor's part are gathered onto the cell's interior rows
     (`interior_cell_rows(m_q - k', k - k')`), so each pair of levels costs
     about c_k c_k' n flops, stacked over the group and the cells."""
-    m_q, f = basis.level, f_values_interior
-    g, couplings = len(basis.descriptors), []
-    for i, (k, part) in enumerate(zip(basis.depths, basis.parts)):
-        c, n_k = part.shape[2], part.shape[1]
-        # (G, cells, c, n_k): the cell's own columns times f on the cell
-        weighted = part.transpose(0, 2, 1)[:, None] * f[interior_cell_rows(m_q, k)][:, None]
-        blocks = []
-        for k_up, up in zip(basis.depths[i:], basis.parts[i:]):
-            span = 3 ** (k - k_up)
-            # (G, span, n_k, c'): the ancestor's part on each of its span cells of depth k
-            gathered = up[:, interior_cell_rows(m_q - k_up, k - k_up)] if span > 1 else up[:, None]
-            block = weighted.reshape(g, -1, span, c, n_k) @ gathered[:, None]
-            blocks.append(interior_weight(m_q) * 3.0 ** ((k + k_up) / 2)
-                          * block.reshape(g, 3**k, c, -1))
-        blocks[0] = 0.5 * (blocks[0] + blocks[0].swapaxes(-1, -2))
-        couplings.append(np.concatenate(blocks, axis=-1))
-    return TreeBlocks(depths=basis.depths, couplings=tuple(couplings))
+    return TreeBlocks(depths=basis.depths, couplings=tuple(
+        _level_couplings(f_values_interior, basis, i) for i in range(len(basis.depths))))
+
+
+def _level_couplings(f, basis, i):
+    """Level i's couplings of `assemble_compressed`; the level's copies are
+    freed on return, and an ancestor's before the next one is gathered."""
+    m_q, g = basis.level, len(basis.descriptors)
+    k, part = basis.depths[i], basis.parts[i]
+    c, n_k = part.shape[2], part.shape[1]
+    # (G, cells, c, n_k): the cell's own columns times f on the cell
+    weighted = part.transpose(0, 2, 1)[:, None] * f[interior_cell_rows(m_q, k)][:, None]
+    blocks = []
+    for k_up, up in zip(basis.depths[i:], basis.parts[i:]):
+        span = 3 ** (k - k_up)
+        # (G, span, n_k, c'): the ancestor's part on each of its span cells of depth k
+        gathered = up[:, interior_cell_rows(m_q - k_up, k - k_up)] if span > 1 else up[:, None]
+        block = weighted.reshape(g, -1, span, c, n_k) @ gathered[:, None]
+        del gathered
+        blocks.append(interior_weight(m_q) * 3.0 ** ((k + k_up) / 2)
+                      * block.reshape(g, 3**k, c, -1))
+    blocks[0] = 0.5 * (blocks[0] + blocks[0].swapaxes(-1, -2))
+    return np.concatenate(blocks, axis=-1)
 
 
 def dense_blocks(group):
@@ -164,18 +180,57 @@ def dense_blocks(group):
     return out
 
 
+def chunk_words(group, m_q):
+    """Sign words of a birth group to build and compress at once: as many
+    as CHUNK_BYTES holds of the parts `localize_basis` makes for one word,
+    8 c_i bytes per interior vertex of V_{m_q - k_i} over the depths k_i of
+    the group's cell tree.  At least one, and at least two in a group of
+    several: the einsum of `eigenbasis._normalized` sums the squares of one
+    column alone with several accumulators, and those of a stack of columns
+    row after row, so a lone one-column word would not be normalized bit for
+    bit as in its group."""
+    tree = cell_tree(group[0].series, group[0].birth)
+    per_word = 8 * sum(vals.shape[1] * interior_count(m_q - k) for k, vals in tree)
+    return max(min(2, len(group)), CHUNK_BYTES // per_word)
+
+
+def word_chunks(group, m_q):
+    """The group in consecutive chunks of `chunk_words` words, a lone last
+    word joining the chunk before it."""
+    size = chunk_words(group, m_q)
+    starts = list(range(0, len(group), size))
+    if len(starts) > 1 and starts[-1] == len(group) - 1:
+        starts.pop()
+    return [group[a:b] for a, b in zip(starts, starts[1:] + [len(group)])]
+
+
+def _compress_chunk(fvals, chunk, m_q, scale):
+    """(tree blocks, localized columns per eigenspace) of a chunk of a
+    birth group; its basis is freed on return."""
+    basis = localize_basis(chunk, m_q, scale)
+    return assemble_compressed(fvals, basis), basis.localized_count
+
+
 def compressed_operator(f, descriptors, m_q, scale):
     """f compressed to the sum of the eigenspaces of `descriptors`, each
     sampled at level m_q and localized at the given scale, built one birth
-    group at a time; raises FunctionalValueError when a block has a
-    non-finite entry."""
+    group at a time and each group in `word_chunks`, whose blocks are
+    stacked into the group's; raises FunctionalValueError when a block has
+    a non-finite entry.  Every slice of a stacked extension or assembly is
+    the call on that slice alone, so the blocks do not depend on the
+    chunks."""
     topo = level_topology(m_q)
     fvals = f.sample(topo)[topo.interior_indices]
     blocks, localized = [], 0
     for group in birth_groups(descriptors):
-        basis = localize_basis(group, m_q, scale)
-        blocks.append(assemble_compressed(fvals, basis))
-        localized += len(group) * basis.localized_count
+        chunks = []
+        for chunk in word_chunks(group, m_q):
+            tree_blocks, count = _compress_chunk(fvals, chunk, m_q, scale)
+            chunks.append(tree_blocks)
+            localized += len(chunk) * count
+        blocks.append(chunks[0] if len(chunks) == 1 else TreeBlocks(
+            depths=chunks[0].depths,
+            couplings=tuple(map(np.concatenate, zip(*(c.couplings for c in chunks))))))
     if not all(np.isfinite(rows).all() for group in blocks for rows in group.couplings):
         raise FunctionalValueError(f"f={f.label()} compressed at level {m_q} has non-finite entries")
     return CompressedOperator(blocks=tuple(blocks), localized=localized, level=m_q)

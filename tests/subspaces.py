@@ -6,7 +6,7 @@ import numpy as np
 
 from sgszego.decimation import (_birth_space, corner_normal_derivatives, eigenfunctions_at_level,
                                 junction_nullspace)
-from sgszego.eigenbasis import _normalized_interior
+from sgszego.eigenbasis import _normalized
 from sgszego.laplacian import dirichlet_laplacian, extend_values
 from sgszego.topology import cell_embedding, interior_weight, level_topology
 
@@ -42,6 +42,15 @@ def index_of(topo, keys):
     if not np.array_equal(codes[pos], query):
         raise KeyError(f"lattice key that is not a level-{topo.m} vertex")
     return order[pos]
+
+
+def on_vertices(m, interior_values):
+    """Values given on the interior rows of V_m as values on every vertex,
+    zero at the three corners of V_0."""
+    topo = level_topology(m)
+    full = np.zeros((topo.n_vertices,) + interior_values.shape[1:])
+    full[topo.interior_indices] = interior_values
+    return full
 
 
 def principal_angle_gap(a, b, m_q):
@@ -121,7 +130,7 @@ def eigenspace_vectors(descs, m_q, shift=0):
     extended by decimation, each column divided by its norm.  `shift` is that
     of `eigenfunctions_at_level`."""
     vals = birth_space(descs[0].series, descs[0].birth - shift)
-    return _normalized_interior(eigenfunctions_at_level(descs, m_q, vals, shift=shift), m_q)
+    return _normalized(eigenfunctions_at_level(descs, m_q, vals, shift=shift), m_q)
 
 
 def six_series_gram(j):

@@ -17,7 +17,7 @@ from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.functions import ConstantFunction, HarmonicFunction, SimpleCellFunction
 
-from subspaces import birth_space, scale_cells
+from subspaces import birth_space, on_vertices, scale_cells
 
 
 def _report(n, text):
@@ -63,7 +63,7 @@ def test_criterion_3_random_extensions():
         desc = tables[m][int(rng.integers(len(tables[m])))]
         target = m + int(rng.integers(0, 2))
         birth = birth_space(desc.series, desc.birth)
-        vals = dec.eigenfunctions_at_level((desc,), target, birth)[:, 0]
+        vals = on_vertices(target, dec.eigenfunctions_at_level((desc,), target, birth))[:, 0]
         combo = vals @ rng.normal(size=vals.shape[1])
         r = lap.eigen_residual(target, combo, desc.gamma_at(target))
         worst = max(worst, r)

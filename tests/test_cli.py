@@ -100,9 +100,27 @@ def test_resistance_command(tmp_path):
     assert summary["results"]["triangle_violations"] == 0
     assert summary["results"]["max_boundary_deviation"] < 1e-9
     assert summary["timings"]["resistance_s"] > 0.0
+    assert summary["timings"]["peak_rss_mb"] > 0.0
     lines = _read_csv(out / "resistance.csv")
     for line in lines[2:]:
         assert abs(float(line.split(",")[2]) - 2.0 / 3.0) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["topology", "--m", "2"],
+    ["spectrum", "--m", "3"],
+    ["basis", "--series", "six", "--j", "3", "--N", "1", "--m-q", "4"],
+    ["szego", "--mode", "cutoff", "--m", "2..3", "--N", "1", "--f", "harmonic:1,1.5,2"],
+    ["equidist", "--mode", "single", "--j", "2..3", "--f", "harmonic:1,1.5,2"],
+    ["resistance", "--m", "2", "--triples", "10"],
+])
+def test_every_command_reports_its_peak_memory(tmp_path, argv):
+    # the peak resident set is a timing: outside the results and the hash
+    out = tmp_path / "run"
+    assert _run(argv + ["--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["timings"]["peak_rss_mb"] > 0.0
+    assert "peak_rss_mb" not in summary["results"]
 
 
 def test_resistance_zero_triples(tmp_path):

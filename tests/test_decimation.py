@@ -13,7 +13,7 @@ from sgszego import eigenbasis as eb
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
-from subspaces import (index_of, principal_angle_gap, reference_laplacian,
+from subspaces import (index_of, on_vertices, principal_angle_gap, reference_laplacian,
                        six_series_birth_by_qr, six_series_remainder_by_solve)
 
 
@@ -417,7 +417,8 @@ def test_eigenfunctions_at_level_residuals():
             e for e in dec.enumerate_spectrum(4).entries
             if e.series == series and e.birth == j
         ][0]
-        vals = dec.eigenfunctions_at_level((desc,), 4, _tree_birth_space(series, j))[:, 0]
+        vals = dec.eigenfunctions_at_level((desc,), 4, _tree_birth_space(series, j))
+        vals = on_vertices(4, vals)[:, 0]
         assert vals.shape[1] == desc.multiplicity
         for c in range(vals.shape[1]):
             assert lap.eigen_residual(4, vals[:, c], desc.gamma_at(4)) < 1e-9

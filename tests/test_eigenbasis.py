@@ -380,8 +380,7 @@ def _canonical_remainder(desc, m_q, scale):
     solved = np.linalg.solve(gram, np.eye(len(gram))[:, select])
     coeffs = np.zeros((parent.n_vertices, len(select)))
     coeffs[parent.interior_indices] = solved @ np.linalg.inv(np.linalg.cholesky(solved[select])).T
-    full = dec.eigenfunctions_at_level((desc,), m_q, lap.extend_values(coeffs, j, 6.0))[:, 0]
-    expected = full[top.level_topology(m_q).interior_indices]
+    expected = dec.eigenfunctions_at_level((desc,), m_q, lap.extend_values(coeffs, j, 6.0))[:, 0]
     return expected / np.sqrt(top.interior_weight(m_q) * np.sum(expected**2, axis=0))
 
 

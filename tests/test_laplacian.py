@@ -140,6 +140,46 @@ def test_extend_values_is_the_expression_bit_for_bit(k, G):
                               _extend_values_by_expression(values, k, gammas))
 
 
+@pytest.mark.parametrize("slab", [1, 7, 64, 1 << 40])
+def test_extend_values_in_slabs_is_the_expression_bit_for_bit(monkeypatch, slab):
+    # any slab of cells, and inputs that are views: a broadcast over the
+    # stack, as the first extension of a birth group gets, and a transpose;
+    # the interior rows alone are those rows of the whole
+    monkeypatch.setattr(lap, "EXTEND_SLAB", slab)
+    rng = np.random.default_rng(slab % 1000)
+    n = top.level_topology(4).n_vertices
+    gammas = rng.uniform(0.0, 6.2, size=5)
+    for values in (rng.normal(size=(n, 5, 2)),
+                   np.broadcast_to(rng.normal(size=(n, 1, 2)), (n, 5, 2)),
+                   rng.normal(size=(2, 5, n)).T,
+                   rng.normal(size=n)):
+        gamma = gammas if values.ndim > 1 else gammas[0]
+        expected = _extend_values_by_expression(values, 5, gamma)
+        assert np.array_equal(lap.extend_values(values, 5, gamma), expected)
+        interior = lap.extend_values(values, 5, gamma, interior=True)
+        assert interior.flags.c_contiguous
+        assert np.array_equal(interior, expected[top.level_topology(5).interior_indices])
+
+
+def test_extend_values_peak_is_near_its_output():
+    # slabs of cells: beyond its output, an extension holds a few slabs of
+    # corner values, where gathering every cell's corners at once took two
+    # thirds of the output more
+    k, rng = 9, np.random.default_rng(9)
+    values = rng.normal(size=(top.level_topology(k - 1).n_vertices, 4, 3))
+    gammas = rng.uniform(0.0, 6.2, size=4)
+    lap.extend_values(values, k, gammas)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = lap.extend_values(values, k, gammas)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 16 * 8 * lap.EXTEND_SLAB, (peak, out.nbytes)
+    assert peak - out.nbytes < out.nbytes / 4
+
+
 def _dense_resistance(m):
     """Reference: the resistance matrix from the pseudo-inverse of the
     Laplacian with edge conductance (5/3)^m, filled edge by edge."""

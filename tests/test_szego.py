@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,9 +306,34 @@ def test_full_compression_at_level_m_is_the_riemann_mean(m, N):
         assert np.max(np.abs(np.where(inside, full, 0.0) - op.matrix)) <= 1e-13 * np.max(fvals)
 
 
-def test_cutoff_builds_one_birth_group_at_a_time(monkeypatch):
-    # one basis and one assembly per (series, birth) group, and extensions
-    # that grow with groups x levels, not with descriptors x levels
+def _word_bytes(group, m_q):
+    """Bytes of the parts `localize_basis` builds for one sign word."""
+    return sum(part.nbytes for part in localize_basis(group[:1], m_q, 1).parts)
+
+
+def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
+    # one basis and one assembly per chunk of a (series, birth) group, one
+    # stacked block per group, and extensions that grow with chunks x tree
+    # depths x levels, not with descriptors
+    f = HarmonicFunction([1.2, 1.5, 1.9])
+    descriptors = enumerate_spectrum(6).entries
+    groups = birth_groups(descriptors)
+    assert (len(groups), len(descriptors)) == (12, 111)
+    m_q = sz.sweep_plan("cutoff", [6], 1)[0][2]
+    budget = 1 << 18  # splits the early-born groups of m = 6 at m_q = 7
+    monkeypatch.setattr(sz, "CHUNK_BYTES", budget)
+    chunks = extensions = 0
+    for group in groups:
+        # two words at least in a group of several, a lone last word joining
+        # the chunk before it
+        size = max(min(2, len(group)), budget // _word_bytes(group, m_q))
+        count = -(-len(group) // size) - (len(group) > size and len(group) % size == 1)
+        assert [len(chunk) for chunk in sz.word_chunks(group, m_q)][:-1] == [size] * (count - 1)
+        chunks += count
+        # each tree depth is extended from V_{birth - depth} to V_{m_q - depth}
+        extensions += count * len(dec.cell_tree(group[0].series, group[0].birth)) \
+            * (m_q - group[0].birth)
+    assert chunks > len(groups)
     calls = {"localize_basis": 0, "assemble_compressed": 0, "extend_values": 0}
 
     def counted(module, name):
@@ -321,12 +347,86 @@ def test_cutoff_builds_one_birth_group_at_a_time(monkeypatch):
     counted(sz, "localize_basis")
     counted(sz, "assemble_compressed")
     counted(dec, "extend_values")
-    f = HarmonicFunction([1.2, 1.5, 1.9])
     ((_, op),) = sz.operators(f, "cutoff", [6], 1)
-    descriptors = enumerate_spectrum(6).entries
-    groups = len(birth_groups(descriptors))
-    assert (groups, len(descriptors)) == (12, 111)
-    assert calls["localize_basis"] == calls["assemble_compressed"] == groups == len(op.blocks)
-    # a small space and a remainder per group, each extended through at most
-    # m_q levels (60 calls cold here; one group per descriptor made 615)
-    assert calls["extend_values"] <= 2 * groups * op.level, calls
+    assert calls["localize_basis"] == calls["assemble_compressed"] == chunks
+    assert len(op.blocks) == len(groups)
+    assert [block.eigenspaces for block in op.blocks] == [len(group) for group in groups]
+    # the remainders are cached by the counts above, so every extension is
+    # a chunk's (one group per descriptor made 615 calls cold)
+    assert calls["extend_values"] == extensions, (calls, extensions)
+
+
+CHUNK_GROUPS = [("two", 1), ("five", 1), ("five", 2), ("six", 3), ("five", 4)]
+
+
+@pytest.mark.parametrize("m_q", [6, 7])
+@pytest.mark.parametrize("series,birth", CHUNK_GROUPS)
+def test_chunked_group_is_bit_identical(monkeypatch, series, birth, m_q):
+    # budgets of 1 and 3 sign words stack into exactly the blocks, log-det,
+    # eigenvalues and counts of the group built at once; a budget of one
+    # word builds two, and a lone last word joins the chunk before it, since
+    # einsum sums the squares of a lone one-column word in another order
+    f = HarmonicFunction([1.2, 1.5, 1.9])
+    group = next(g for g in birth_groups(enumerate_spectrum(m_q).entries)
+                 if (g[0].series, g[0].birth) == (series, birth))
+    per_word = _word_bytes(group, m_q)
+    built = {}
+    for size in (len(group), 1, 3):
+        monkeypatch.setattr(sz, "CHUNK_BYTES", size * per_word)
+        assert sz.chunk_words(group, m_q) == max(size, 2)
+        sizes = [len(chunk) for chunk in sz.word_chunks(group, m_q)]
+        assert sum(sizes) == len(group) and min(sizes) >= 2 and max(sizes) <= max(size, 2) + 1
+        built[size] = sz.compressed_operator(f, group, m_q, 1)
+    whole = built[len(group)]
+    for size in (1, 3):
+        op = built[size]
+        assert len(op.blocks) == 1 and op.blocks[0].depths == whole.blocks[0].depths
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(op.blocks[0].couplings, whole.blocks[0].couplings))
+        assert sz.log_det(op) == sz.log_det(whole)
+        assert np.array_equal(sz.operator_eigenvalues(op), sz.operator_eigenvalues(whole))
+        assert (op.localized, op.dimension) == (whole.localized, whole.dimension)
+
+
+def test_assembly_holds_one_level_and_one_ancestor_copy():
+    # the 5-series born at 4, eight words at m_q=8: assembling holds one
+    # level's product with f and one ancestor's gathered part at a time,
+    # each at most the root part; with a level's copies alive while the next
+    # level's were made, the transient was 2.1 times the parts
+    f = HarmonicFunction([1.2, 1.5, 1.9])
+    group = next(g for g in birth_groups(enumerate_spectrum(7).entries)
+                 if (g[0].series, g[0].birth) == ("five", 4))
+    topo = top.level_topology(8)
+    fvals = f.sample(topo)[topo.interior_indices]
+    basis = localize_basis(group, 8, 1)
+    sz.assemble_compressed(fvals, basis)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sz.assemble_compressed(fvals, basis)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    parts = sum(part.nbytes for part in basis.parts)
+    assert peak < 1.5 * parts, (peak, parts)
+
+
+def test_cutoff_peak_memory_is_bounded_by_the_chunk_budget():
+    # cutoff m=7 at m_q=8 with the tables and remainders built.  A chunk's
+    # parts take at most CHUNK_BYTES = B; compressing a tree level holds one
+    # array of the level's size and one of an ancestor's, each at most B
+    # (extending and normalizing hold less); the fourth B covers a lone last
+    # word joined to a chunk, the f sample, the blocks built so far and the
+    # log-det.  Building every group at once peaked at 28 MiB; 3.5 MiB at
+    # B = 1.5 MiB
+    f = HarmonicFunction([1.2, 1.5, 1.9])
+    descriptors = enumerate_spectrum(7).entries
+    sz.log_det(sz.compressed_operator(f, descriptors, 8, 1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sz.log_det(sz.compressed_operator(f, descriptors, 8, 1))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * sz.CHUNK_BYTES, peak
