@@ -2,13 +2,11 @@
 asymptotics for the Laplacian on the Sierpinski gasket."""
 
 from .decimation import (
-    EigenvalueDescriptor,
-    SpectrumTable,
-    birth_groups,
+    BirthGroup,
     enumerate_spectrum,
     extend_eigenfunction,
     gamma_step,
-    make_descriptor,
+    make_groups,
 )
 from .eigenbasis import EigenspaceBasis, localize_basis, orthonormality_check
 from .functions import (

@@ -31,9 +31,9 @@ DEFAULT_TOLERANCES = {
 }
 
 # desk-scale caps on --m of the commands that build one level: the
-# `topology` tables of `topology` and `resistance` and the `spectrum`
-# descriptors grow about 3x and 2x per level (`resistance --m 12` runs in
-# about 0.6 s and 170 MB)
+# `topology` tables of `topology` and `resistance` and the `spectrum` birth
+# groups grow about 3x and 2x per level (`resistance --m 12` runs in about
+# 0.6 s and 170 MB, `spectrum --m 20` in 11-13 s and 600 MB)
 LEVEL_CAPS = {"resistance": 12, "topology": 12, "spectrum": 20}
 
 # desk-scale cap on resistance --triples: the pairs are answered a chunk at
@@ -237,7 +237,7 @@ def validate(config):
         for key in ("series", "j", "N", "m_q"):
             if config.get(key) is None:
                 v.append(f"{key}: required")
-    # checked before planning, whose descriptors hold a sign per level up to m_q
+    # checked before planning, whose groups hold a sign per level up to m_q
     over_cap = config.get("m_q") is not None and config["m_q"] > szego.MQ_CAP
     if over_cap:
         v.append("m_q: desk-scale cap exceeded")
@@ -322,6 +322,22 @@ def _cell_rows(topo):
         yield from zip(ranks, topology.word_strs(np.asarray(ranks), topo.m), *part.T.tolist())
 
 
+def _spectrum_rows(groups):
+    """The birth groups' eigenvalues as spectrum.csv rows in ascending order of
+    lambda, ties in group order, EXPORT_CHUNK rows at a time; a sign word is
+    its "+"/"-" bytes viewed as one string, as in `topology.word_strs`."""
+    words = [c.view(f"S{c.shape[1]}")[:, 0] if c.shape[1] else np.full(len(c), b"-") for c in (
+        np.where(g.signs == 1, ord("+"), ord("-")).astype(np.uint8, order="C") for g in groups)]
+    columns = [np.concatenate(parts) for parts in zip(*(
+        (np.full(len(g), i), word, g.fixation, g.gammas[:, -1], g.lam)
+        for i, (g, word) in enumerate(zip(groups, words))))]
+    order = np.argsort(columns[-1], kind="stable")
+    for lo in range(0, len(order), EXPORT_CHUNK):
+        part = [column[order[lo:lo + EXPORT_CHUNK]].tolist() for column in columns]
+        yield from ((groups[i].series, groups[i].birth, word.decode(), *values,
+                     groups[i].multiplicity) for i, word, *values in zip(*part))
+
+
 def _basis_rows(basis, full):
     """The interior rows of one column of `full` (the basis on every vertex
     of V_level) at a time, tagged with the word of its own cell if it is
@@ -393,17 +409,17 @@ def run(config):
         results = {"n_vertices": topo.n_vertices, "n_cells": len(topo.cell_vertices)}
 
     elif cmd == "spectrum":
-        table = decimation.enumerate_spectrum(config["m"])
+        groups = decimation.enumerate_spectrum(config["m"])
         export_csv(os.path.join(out, "spectrum.csv"), header,
                    ["series", "birth", "signs", "fixation", "gamma_m", "lambda", "multiplicity"],
-                   ([d.series, d.birth, "".join("+" if e == 1 else "-" for e in d.signs) or "-",
-                     d.fixation, d.gammas[-1], d.lam, d.multiplicity] for d in table.entries))
-        results = {"entries": len(table.entries), "total_multiplicity": table.total_multiplicity}
+                   _spectrum_rows(groups))
+        results = {"entries": sum(map(len, groups)),
+                   "total_multiplicity": sum(len(group) * group.multiplicity for group in groups)}
 
     elif cmd == "basis":
-        ((_, (desc,), m_q),) = szego.sweep_plan("single", [config["j"]], config["N"],
-                                                config["series"], config["m_q"])
-        basis = eigenbasis.localize_basis((desc,), m_q, config["N"])
+        ((_, (group,), m_q),) = szego.sweep_plan("single", [config["j"]], config["N"],
+                                                 config["series"], config["m_q"])
+        basis = eigenbasis.localize_basis(group, m_q, config["N"])
         # the columns are assembled once, for the Gram check, the residual
         # and the export
         vectors = basis.vectors[0]
@@ -411,7 +427,7 @@ def run(config):
         topo = topology.level_topology(m_q)
         full = np.zeros((topo.n_vertices, basis.dimension))
         full[topo.interior_indices] = vectors
-        residual = laplacian.eigen_residual(m_q, full, desc.gamma_at(m_q))
+        residual = laplacian.eigen_residual(m_q, full, group.gamma(m_q)[0])
         for check, value in (("gram", deviation), ("eigen_residual", residual)):
             if value > config["tolerances"][check]:
                 raise ToleranceError(check, value, config["tolerances"][check])

@@ -13,9 +13,8 @@ Beyond the enumeration level all signs are -1, which makes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -36,18 +35,26 @@ LAMBDA_TAIL = 20
 
 
 def gamma_step(gamma_prev, sign):
-    """One decimation step; sign is +1 or -1.
+    """One decimation step, elementwise over arrays; sign is +1 or -1.
 
     The -1 branch uses the rationalized form 2 g / (5 + sqrt(25 - 4 g)),
     which avoids catastrophic cancellation as gamma tends to zero.
     """
+    gamma_prev = np.asarray(gamma_prev, dtype=float)
     disc = 25.0 - 4.0 * gamma_prev
-    if disc < 0.0:
+    if np.any(disc < 0.0):
         raise ValueError("gamma exceeds 25/4, discriminant negative")
-    root = math.sqrt(disc)
-    if sign == -1:
-        return 2.0 * gamma_prev / (5.0 + root)
-    return 0.5 * (5.0 + root)
+    root = np.sqrt(disc)
+    return np.where(np.equal(sign, -1), 2.0 * gamma_prev / (5.0 + root), 0.5 * (5.0 + root))[()]
+
+
+def _continue(gamma, steps):
+    """gamma after `steps` decimation steps past the stored sign words."""
+    # a gamma of exactly 6 only occurs at a 6-series birth, where the next
+    # sign is forced to +1; every other continuation sign is -1
+    for _ in range(steps):
+        gamma = gamma_step(gamma, np.where(gamma == 6.0, 1, -1))
+    return gamma
 
 
 def series_multiplicity(series, birth):
@@ -58,92 +65,93 @@ def series_multiplicity(series, birth):
     return (3 ** birth - 3) // 2  # the 6-series
 
 
-def _fixation(birth, signs):
-    """Level after the last +1 sign (all signs are -1 from there on, given
-    the all-(-1) continuation beyond the enumeration level)."""
-    last_plus = None
-    for k, e in enumerate(signs):
-        if e == 1:
-            last_plus = birth + 1 + k
-    return birth + 1 if last_plus is None else last_plus + 1
+@dataclass(frozen=True, eq=False)
+class BirthGroup:
+    """The G eigenvalues of -Delta_level of one series born at one
+    generation, one per sign word: one birth space extended by G gamma
+    sequences.  The arrays hold a row per word; those `make_groups` builds
+    are read-only."""
 
-
-@dataclass(frozen=True)
-class EigenvalueDescriptor:
     series: str
     birth: int
-    signs: tuple  # epsilon_{birth+1} .. epsilon_m
-    fixation: int
-    gammas: tuple  # gamma_birth .. gamma_m
-    lam: float  # renormalized limit (3/2) lim 5^k gamma_k
-    multiplicity: int
+    multiplicity: int  # of each eigenvalue of the group
+    signs: np.ndarray  # (G, level - birth): epsilon_{birth+1} .. epsilon_level
+    gammas: np.ndarray  # (G, level - birth + 1): gamma_birth .. gamma_level
+    lam: np.ndarray  # (G,): renormalized limits (3/2) lim 5^k gamma_k
+    fixation: np.ndarray  # (G,): the level after the last +1 sign
 
     @property
     def level(self):
-        return self.birth + len(self.signs)
+        return self.birth + self.signs.shape[1]
 
-    def gamma_at(self, k):
-        """gamma_k for any k >= birth; signs beyond the stored word are -1,
-        except the forced +1 step directly after a 6-series birth."""
+    def __len__(self):
+        return len(self.lam)
+
+    def __getitem__(self, words):
+        """The group of the words that a slice or an index array selects."""
+        return replace(self, signs=self.signs[words], gammas=self.gammas[words],
+                       lam=self.lam[words], fixation=self.fixation[words])
+
+    def gamma(self, k):
+        """gamma_k of every word for any k >= birth; past the stored words all
+        signs are -1 but the forced +1 directly after a 6-series birth."""
         if k < self.birth:
             raise ValueError("level precedes generation of birth")
         if k <= self.level:
-            return self.gammas[k - self.birth]
-        return _continue(self.gammas[-1], k - self.level)
+            return self.gammas[:, k - self.birth]
+        return _continue(self.gammas[:, -1], k - self.level)
 
 
-def _continue(gamma, steps):
-    """gamma after `steps` decimation steps past the stored sign word."""
-    # a gamma of exactly 6 only occurs at a 6-series birth, where the next
-    # sign is forced to +1; every other continuation sign is -1
-    for _ in range(steps):
-        gamma = gamma_step(gamma, 1 if gamma == 6.0 else -1)
-    return gamma
-
-
-def make_descriptor(series, birth, signs):
-    """Refuses a birth the series does not have: the 2-series is born only at
-    generation 1, the 5-series from 1 on and the 6-series from 2 on."""
-    first = {SERIES_TWO: 1, SERIES_FIVE: 1, SERIES_SIX: 2}.get(series)
-    if first is None or birth < first or (series == SERIES_TWO and birth > 1):
-        raise ValueError(f"series {series!r} has no eigenvalue born at generation {birth}")
-    gamma = _BIRTH_GAMMA[series]
-    gammas = [gamma]
-    for e in signs:
-        gamma = gamma_step(gamma, e)
-        gammas.append(gamma)
-    if series == SERIES_SIX and signs and signs[0] != 1:
-        raise ValueError("6-series requires epsilon_{j+1} = +1")
-    # the forced +1 after a 6-series birth counts toward fixation even when
-    # the stored word is empty (birth at the enumeration level)
-    effective_signs = signs if (signs or series != SERIES_SIX) else (1,)
-    k = LAMBDA_TAIL + max(LAMBDA_TAIL, birth + len(signs))
-    lam = 1.5 * (5.0 ** k) * _continue(gammas[-1], k - birth - len(signs))
-    return EigenvalueDescriptor(
-        series=series,
-        birth=birth,
-        signs=tuple(signs),
-        fixation=_fixation(birth, effective_signs),
-        gammas=tuple(gammas),
-        lam=lam,
-        multiplicity=series_multiplicity(series, birth),
-    )
-
-
-@dataclass(frozen=True)
-class SpectrumTable:
-    level: int
-    entries: tuple  # EigenvalueDescriptor, sorted by lam ascending
-
-    @property
-    def total_multiplicity(self):
-        return sum(d.multiplicity for d in self.entries)
+def make_groups(words):
+    """The birth groups of (series, birth, signs) triples of one level in the
+    order given, `signs` a (G, level - birth) array of sign words; a group's
+    words come in lam order, stable over the order given, its arrays
+    read-only.  The gammas take one elementwise step per level over every
+    word, and lam one continuation with all signs -1 past the level.  Refuses
+    a birth the series does not have (the 2-series is born only at 1, the
+    5-series from 1 and the 6-series from 2) and a 6-series word whose first
+    sign is not +1."""
+    words = [(series, birth, np.asarray(signs, dtype=np.int8)) for series, birth, signs in words]
+    for series, birth, signs in words:
+        first = {SERIES_TWO: 1, SERIES_FIVE: 1, SERIES_SIX: 2}.get(series)
+        if first is None or birth < first or (series == SERIES_TWO and birth > 1):
+            raise ValueError(f"series {series!r} has no eigenvalue born at generation {birth}")
+        if series == SERIES_SIX and signs.shape[1] and np.any(signs[:, 0] != 1):
+            raise ValueError("6-series requires epsilon_{j+1} = +1")
+    level = words[0][1] + words[0][2].shape[1]
+    sizes = [len(signs) for _, _, signs in words]
+    births = np.repeat([birth for _, birth, _ in words], sizes)
+    # epsilon_k and gamma_k of every word in row k, a column per word; past
+    # the level, for fixation, the forced +1 after a 6-series birth there
+    steps = np.hstack([np.pad(signs.T, ((birth + 1, 1), (0, 0))) for _, birth, signs in words])
+    steps[-1] = (births == level) & np.repeat([s == SERIES_SIX for s, *_ in words], sizes)
+    table = np.zeros((level + 1, len(births)))
+    table[births, np.arange(len(births))] = np.repeat([_BIRTH_GAMMA[s] for s, *_ in words], sizes)
+    for k in range(2, level + 1):
+        born = births < k
+        table[k, born] = gamma_step(table[k - 1, born], steps[k, born])
+    tail = LAMBDA_TAIL + max(LAMBDA_TAIL, level)
+    lam = 1.5 * (5.0 ** tail) * _continue(table[level], tail - level)
+    order = np.lexsort((lam, np.repeat(np.arange(len(words)), sizes)))
+    for row in (*steps, *table, lam):  # a row at a time: no copy of a whole table
+        row[:] = row[order]
+    plus = steps == 1
+    fixation = np.where(plus.any(axis=0), level + 2 - np.argmax(plus[::-1], axis=0), births + 1)
+    for values in (steps, table, lam, fixation):
+        values.flags.writeable = False  # shared by every slice of a group
+    bounds = np.cumsum(sizes)[:-1]
+    parts = zip(*(np.split(values, bounds, axis=-1) for values in (steps, table, lam, fixation)))
+    return [BirthGroup(series, birth, series_multiplicity(series, birth), signs[birth + 1:-1].T,
+                       gammas[birth:].T, lams, fixations)
+            for (series, birth, _), (signs, gammas, lams, fixations) in zip(words, parts)]
 
 
 @lru_cache(maxsize=None)
 def enumerate_spectrum(m):
-    """All Dirichlet eigenvalues of -Delta_m with series/birth/sign encoding;
-    cached, as the table is a frozen tuple of frozen descriptors.
+    """All Dirichlet eigenvalues of -Delta_m as a tuple of birth groups,
+    cached: the groups in order of their smallest lam, and each group's words
+    in lam order, stable over the order of
+    itertools.product((-1, 1), repeat=m - j).
 
     Counts per birth: 2-series 2^(m-1); 5-series birth j has 2^(m-j) sign
     words; 6-series birth j has the first sign forced to +1, leaving
@@ -151,21 +159,19 @@ def enumerate_spectrum(m):
     """
     if m < 1:
         raise ValueError("level must be >= 1")
-    entries = []
-    for signs in product((-1, 1), repeat=m - 1):
-        entries.append(make_descriptor(SERIES_TWO, 1, signs))
-    for j in range(1, m + 1):
-        for signs in product((-1, 1), repeat=m - j):
-            entries.append(make_descriptor(SERIES_FIVE, j, signs))
-    for j in range(2, m + 1):
-        for tail in product((-1, 1), repeat=max(m - j - 1, 0)):
-            signs = ((1,) + tail) if j < m else ()
-            entries.append(make_descriptor(SERIES_SIX, j, signs))
-    entries.sort(key=lambda d: d.lam)
-    table = SpectrumTable(level=m, entries=tuple(entries))
-    if table.total_multiplicity != interior_count(m):
+    # the sign words of length n in product order are the last n columns of
+    # the first 2^n words of length m - 1; the 6-series keeps the second
+    # half, whose first sign is +1
+    bits = np.arange(2 ** (m - 1))[:, None] >> np.arange(m - 2, -1, -1) & 1
+    signs = (2 * bits - 1).astype(np.int8)
+    words = [(SERIES_TWO, 1, signs)]
+    words += [(SERIES_FIVE, j, signs[:2 ** (m - j), j - 1:]) for j in range(1, m + 1)]
+    words += [(SERIES_SIX, j, signs[2 ** (m - j) // 2:2 ** (m - j), j - 1:])
+              for j in range(2, m + 1)]
+    groups = sorted(make_groups(words), key=lambda group: group.lam[0])
+    if sum(len(group) * group.multiplicity for group in groups) != interior_count(m):
         raise AssertionError("spectrum multiplicity count mismatch")
-    return table
+    return tuple(groups)
 
 
 def extend_eigenfunction(values, k, gamma_k, interior=False):
@@ -336,32 +342,20 @@ def cell_tree(series, birth):
                                             for k in range(1, birth - 1))
 
 
-def birth_groups(descriptors):
-    """The descriptors grouped by (series, birth), each group in the order
-    given and the groups in order of first appearance.  A group's eigenspaces
-    are one birth space extended by different gamma sequences."""
-    groups = {}
-    for desc in descriptors:
-        groups.setdefault((desc.series, desc.birth), []).append(desc)
-    return [tuple(group) for group in groups.values()]
-
-
-def eigenfunctions_at_level(descs, m_q, vals, shift=0):
+def eigenfunctions_at_level(group, m_q, vals, shift=0):
     """Eigenspaces of a birth group sampled on the interior of V_{m_q},
-    stacked (interior vertices of V_{m_q}, G, columns) over its G
-    descriptors: the columns `vals` on V_birth of the birth eigenspace, such
-    as a depth of its `cell_tree`, followed by decimation extension with one
-    gamma per descriptor, whose last step writes the interior rows alone.
-    With a shift s it is the eigenspaces of the same sign words born s
-    generations earlier, whose gamma at level k is the group's gamma at
-    k + s."""
-    birth = descs[0].birth - shift
+    stacked (interior vertices of V_{m_q}, G, columns) over its G words: the
+    columns `vals` on V_birth of the birth eigenspace, such as a depth of its
+    `cell_tree`, followed by decimation extension with one gamma per word,
+    whose last step writes the interior rows alone.  With a shift s it is the
+    eigenspaces of the same sign words born s generations earlier, whose
+    gamma at level k is the group's gamma at k + s."""
+    birth = group.birth - shift
     if m_q < birth:
         raise ValueError("sampling level precedes generation of birth")
-    vals = np.broadcast_to(vals[:, None], (len(vals), len(descs)) + vals.shape[1:])
+    vals = np.broadcast_to(vals[:, None], (len(vals), len(group)) + vals.shape[1:])
     if m_q == birth:
         return vals[level_topology(m_q).interior_indices]
     for k in range(birth + 1, m_q + 1):
-        vals = extend_eigenfunction(vals, k, [desc.gamma_at(k + shift) for desc in descs],
-                                    interior=k == m_q)
+        vals = extend_eigenfunction(vals, k, group.gamma(k + shift), interior=k == m_q)
     return vals

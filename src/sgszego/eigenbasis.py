@@ -3,7 +3,7 @@ copied into every cell of that depth, with the columns at depths >= N the
 scale-N localized ones and the rest the non-localized remainder.
 
 Localized vectors are built from self-similarity: an eigenfunction of the
-descriptor with the same series and sign word born k generations earlier,
+eigenvalue with the same series and sign word born k generations earlier,
 copied into a k-cell and zero elsewhere, is an eigenfunction whenever its
 normal derivatives vanish at the cell corners.  Every split eigenspace
 follows one rule (`decimation.cell_tree`).  E(j) is the scale-1 remainder
@@ -50,7 +50,7 @@ class EigenspaceBasis:
     2-series has, localizes nothing.  The counts are per eigenspace;
     `vectors` assembles the dense columns."""
 
-    descriptors: tuple  # one birth group: the same series and birth
+    group: object  # the birth group (decimation.BirthGroup)
     level: int  # sampling level m_q
     scale: int  # localized depths are those >= scale (None: no localized columns)
     depths: tuple  # of the tree levels, decreasing to 0
@@ -88,7 +88,7 @@ class EigenspaceBasis:
     def vectors(self):
         """The dense (G, n_interior, d) columns, orthonormal in the
         quadrature inner product; assembled on every access."""
-        g, n = len(self.descriptors), interior_count(self.level)
+        g, n = len(self.group), interior_count(self.level)
         out = np.zeros((g, n, self.dimension))
         start = 0
         for k, part, count in zip(self.depths, self.parts, self.column_counts):
@@ -117,30 +117,24 @@ def _normalized(vectors, m_q):
     return vectors.transpose(1, 0, 2)
 
 
-def localize_basis(descs, m_q, scale):
-    """The eigenspaces of a birth group `descs` (descriptors of one series
-    and birth) sampled at level m_q as a cell tree, stacked over the group,
-    with the columns at depths >= scale localized.
+def localize_basis(group, m_q, scale):
+    """The eigenspaces of a birth group sampled at level m_q as a cell tree,
+    stacked over the group, with the columns at depths >= scale localized.
 
     Depth k of `decimation.cell_tree` is extended from V_{birth - k} to
     V_{m_q - k} as the eigenspaces of the same sign words born k generations
     earlier, whatever the scale.  The 2-series localizes nothing.
     """
-    descs = tuple(descs)
-    series, birth = descs[0].series, descs[0].birth
-    if any((desc.series, desc.birth) != (series, birth) for desc in descs):
-        raise ValueError("a birth group's descriptors share one series and one birth")
-    tree = cell_tree(series, birth)[::-1]
-    parts = tuple(_normalized(eigenfunctions_at_level(descs, m_q - k, vals, shift=k), m_q - k)
+    tree = cell_tree(group.series, group.birth)[::-1]
+    parts = tuple(_normalized(eigenfunctions_at_level(group, m_q - k, vals, shift=k), m_q - k)
                   for k, vals in tree)
-    basis = EigenspaceBasis(descriptors=descs, level=m_q,
-                            scale=None if series == SERIES_TWO else scale,
+    basis = EigenspaceBasis(group=group, level=m_q,
+                            scale=None if group.series == SERIES_TWO else scale,
                             depths=tuple(k for k, _ in tree), parts=parts)
-    expected = {desc.multiplicity for desc in descs}
-    if expected != {basis.dimension}:
-        raise AssertionError(
-            f"{basis.localized_count} localized and {basis.nonlocalized_count} remainder columns "
-            f"of {series} j={birth} at scale {scale}, expected {expected} in all")
+    if basis.dimension != group.multiplicity:
+        raise AssertionError(f"{basis.localized_count} localized and {basis.nonlocalized_count} "
+                             f"remainder columns of {group.series} j={group.birth} at scale "
+                             f"{scale}, expected {group.multiplicity} in all")
     return basis
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import SERIES_SIX, birth_groups, cell_tree, enumerate_spectrum, make_descriptor
+from .decimation import SERIES_SIX, cell_tree, enumerate_spectrum, make_groups
 from .eigenbasis import localize_basis
 from .topology import (interior_cell_rows, interior_count, interior_weight, level_topology,
                        quadrature)
@@ -141,7 +141,7 @@ def assemble_compressed(f_values_interior, basis):
 def _level_couplings(f, basis, i):
     """Level i's couplings of `assemble_compressed`; the level's copies are
     freed on return, and an ancestor's before the next one is gathered."""
-    m_q, g = basis.level, len(basis.descriptors)
+    m_q, g = basis.level, len(basis.group)
     k, part = basis.depths[i], basis.parts[i]
     c, n_k = part.shape[2], part.shape[1]
     # (G, cells, c, n_k): the cell's own columns times f on the cell
@@ -189,7 +189,7 @@ def chunk_words(group, m_q):
     column alone with several accumulators, and those of a stack of columns
     row after row, so a lone one-column word would not be normalized bit for
     bit as in its group."""
-    tree = cell_tree(group[0].series, group[0].birth)
+    tree = cell_tree(group.series, group.birth)
     per_word = 8 * sum(vals.shape[1] * interior_count(m_q - k) for k, vals in tree)
     return max(min(2, len(group)), CHUNK_BYTES // per_word)
 
@@ -204,17 +204,10 @@ def word_chunks(group, m_q):
     return [group[a:b] for a, b in zip(starts, starts[1:] + [len(group)])]
 
 
-def _compress_chunk(fvals, chunk, m_q, scale):
-    """(tree blocks, localized columns per eigenspace) of a chunk of a
-    birth group; its basis is freed on return."""
-    basis = localize_basis(chunk, m_q, scale)
-    return assemble_compressed(fvals, basis), basis.localized_count
-
-
-def compressed_operator(f, descriptors, m_q, scale):
-    """f compressed to the sum of the eigenspaces of `descriptors`, each
-    sampled at level m_q and localized at the given scale, built one birth
-    group at a time and each group in `word_chunks`, whose blocks are
+def compressed_operator(f, groups, m_q, scale):
+    """f compressed to the sum of the eigenspaces of the birth groups, each
+    sampled at level m_q and localized at the given scale, built one group
+    at a time and each group in `word_chunks`, whose blocks are
     stacked into the group's; raises FunctionalValueError when a block has
     a non-finite entry.  Every slice of a stacked extension or assembly is
     the call on that slice alone, so the blocks do not depend on the
@@ -222,12 +215,13 @@ def compressed_operator(f, descriptors, m_q, scale):
     topo = level_topology(m_q)
     fvals = f.sample(topo)[topo.interior_indices]
     blocks, localized = [], 0
-    for group in birth_groups(descriptors):
+    for group in groups:
         chunks = []
         for chunk in word_chunks(group, m_q):
-            tree_blocks, count = _compress_chunk(fvals, chunk, m_q, scale)
-            chunks.append(tree_blocks)
-            localized += len(chunk) * count
+            basis = localize_basis(chunk, m_q, scale)
+            chunks.append(assemble_compressed(fvals, basis))
+            localized += len(chunk) * basis.localized_count
+            del basis  # freed before the next chunk's is built
         blocks.append(chunks[0] if len(chunks) == 1 else TreeBlocks(
             depths=chunks[0].depths,
             couplings=tuple(map(np.concatenate, zip(*(c.couplings for c in chunks))))))
@@ -341,16 +335,16 @@ class SzegoExperimentRecord:
     runtime: float = 0.0
 
 
-def _canonical_descriptor(series, j, m):
+def _canonical_group(series, j, m):
     """The all-(-1)-after-birth eigenvalue of the series at level m (the
-    forced +1 first for the 6-series)."""
+    forced +1 first for the 6-series), a group of one word."""
     first = 1 if series == SERIES_SIX else -1
-    return make_descriptor(series, j, (first,) + (-1,) * (m - j - 1) if m > j else ())
+    return make_groups([(series, j, [(first,) + (-1,) * (m - j - 1) if m > j else ()])])[0]
 
 
 def sweep_plan(mode, indices, scale, series=SERIES_SIX, m_q=None):
-    """(index, descriptors, sampling level) per index: the canonical
-    eigenspace of the series born at j in single mode, every eigenspace of
+    """(index, birth groups, sampling level) per index: the canonical
+    eigenspace of the series born at j in single mode, every birth group of
     the level-m spectrum in cutoff mode, sampled at m_q if given and
     otherwise at min(index + 1, MQ_CAP).  Refuses, by a ValueError that
     starts with the field at fault, a negative scale N, an index outside
@@ -366,12 +360,12 @@ def sweep_plan(mode, indices, scale, series=SERIES_SIX, m_q=None):
         if not 1 <= index <= level:
             raise ValueError(f"{field}: {index} lies outside 1..{level}, its sampling level")
         if mode == "cutoff":
-            plan.append((index, enumerate_spectrum(index).entries, level))
+            plan.append((index, enumerate_spectrum(index), level))
             continue
         if scale is not None and index <= scale:
             raise ValueError(f"N: {scale} is not below the birth j={index}: no localized vectors")
         try:
-            plan.append((index, (_canonical_descriptor(series, index, level),), level))
+            plan.append((index, (_canonical_group(series, index, level),), level))
         except ValueError as exc:
             raise ValueError(f"{field}: {exc}") from None
     return plan
@@ -399,8 +393,8 @@ def _record(mode, index, f, op, t0):
 def operators(f, mode, indices, scale, series=SERIES_SIX, m_q=None):
     """(index, operator) for each entry of `sweep_plan`, which refuses a
     sweep before its first operator; operators are built as they are drawn."""
-    for index, descriptors, level in sweep_plan(mode, indices, scale, series, m_q):
-        yield index, compressed_operator(f, descriptors, level, scale)
+    for index, groups, level in sweep_plan(mode, indices, scale, series, m_q):
+        yield index, compressed_operator(f, groups, level, scale)
 
 
 def szego_sweep(f, mode, indices, scale, series=SERIES_SIX, m_q=None):

@@ -1,11 +1,15 @@
 """Subspace comparison, oracle constructions, a sum of multipliers and the
 lattice-key vertex lookup shared by the tests."""
+import math
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
-from sgszego.decimation import (_birth_space, corner_normal_derivatives, eigenfunctions_at_level,
-                                junction_nullspace)
+from sgszego.decimation import (_BIRTH_GAMMA, LAMBDA_TAIL, SERIES_FIVE, SERIES_SIX, SERIES_TWO,
+                                _birth_space, corner_normal_derivatives, eigenfunctions_at_level,
+                                junction_nullspace, make_groups, series_multiplicity)
 from sgszego.eigenbasis import _normalized
 from sgszego.laplacian import dirichlet_laplacian, extend_values
 from sgszego.topology import cell_embedding, interior_weight, level_topology
@@ -124,13 +128,13 @@ def birth_space(series, j):
     return full
 
 
-def eigenspace_vectors(descs, m_q, shift=0):
+def eigenspace_vectors(group, m_q, shift=0):
     """Quadrature-orthonormal bases of the eigenspaces of a birth group on
     the interior of V_{m_q}, stacked (G, n, d): the dense `birth_space`
     extended by decimation, each column divided by its norm.  `shift` is that
     of `eigenfunctions_at_level`."""
-    vals = birth_space(descs[0].series, descs[0].birth - shift)
-    return _normalized(eigenfunctions_at_level(descs, m_q, vals, shift=shift), m_q)
+    vals = birth_space(group.series, group.birth - shift)
+    return _normalized(eigenfunctions_at_level(group, m_q, vals, shift=shift), m_q)
 
 
 def six_series_gram(j):
@@ -183,3 +187,121 @@ def six_series_remainder_by_solve(j):
     coeffs = np.zeros((level_topology(j - 1).n_vertices, len(inner)))
     coeffs[cell_embedding(j - 1, 1)] = cells
     return extend_values(coeffs, j, 6.0)
+
+
+def one_word(series, birth, signs):
+    """The birth group of one sign word."""
+    (group,) = make_groups([(series, birth, [signs])])
+    return group
+
+
+# The scalar enumeration that `decimation.make_groups` replaced, kept as the
+# oracle of the birth groups: one frozen descriptor per eigenvalue, each
+# walking its own gamma sequence in Python, sorted by lam and then grouped by
+# (series, birth) in order of first appearance.
+
+def gamma_step(gamma_prev, sign):
+    """One decimation step; sign is +1 or -1.
+
+    The -1 branch uses the rationalized form 2 g / (5 + sqrt(25 - 4 g)),
+    which avoids catastrophic cancellation as gamma tends to zero.
+    """
+    disc = 25.0 - 4.0 * gamma_prev
+    if disc < 0.0:
+        raise ValueError("gamma exceeds 25/4, discriminant negative")
+    root = math.sqrt(disc)
+    if sign == -1:
+        return 2.0 * gamma_prev / (5.0 + root)
+    return 0.5 * (5.0 + root)
+
+
+def _fixation(birth, signs):
+    """Level after the last +1 sign (all signs are -1 from there on, given
+    the all-(-1) continuation beyond the enumeration level)."""
+    last_plus = None
+    for k, e in enumerate(signs):
+        if e == 1:
+            last_plus = birth + 1 + k
+    return birth + 1 if last_plus is None else last_plus + 1
+
+
+@dataclass(frozen=True)
+class EigenvalueDescriptor:
+    series: str
+    birth: int
+    signs: tuple  # epsilon_{birth+1} .. epsilon_m
+    fixation: int
+    gammas: tuple  # gamma_birth .. gamma_m
+    lam: float  # renormalized limit (3/2) lim 5^k gamma_k
+    multiplicity: int
+
+    @property
+    def level(self):
+        return self.birth + len(self.signs)
+
+    def gamma_at(self, k):
+        """gamma_k for any k >= birth; signs beyond the stored word are -1,
+        except the forced +1 step directly after a 6-series birth."""
+        if k < self.birth:
+            raise ValueError("level precedes generation of birth")
+        if k <= self.level:
+            return self.gammas[k - self.birth]
+        return _continue(self.gammas[-1], k - self.level)
+
+
+def _continue(gamma, steps):
+    """gamma after `steps` decimation steps past the stored sign word."""
+    # a gamma of exactly 6 only occurs at a 6-series birth, where the next
+    # sign is forced to +1; every other continuation sign is -1
+    for _ in range(steps):
+        gamma = gamma_step(gamma, 1 if gamma == 6.0 else -1)
+    return gamma
+
+
+def make_descriptor(series, birth, signs):
+    """Refuses a birth the series does not have: the 2-series is born only at
+    generation 1, the 5-series from 1 on and the 6-series from 2 on."""
+    first = {SERIES_TWO: 1, SERIES_FIVE: 1, SERIES_SIX: 2}.get(series)
+    if first is None or birth < first or (series == SERIES_TWO and birth > 1):
+        raise ValueError(f"series {series!r} has no eigenvalue born at generation {birth}")
+    gamma = _BIRTH_GAMMA[series]
+    gammas = [gamma]
+    for e in signs:
+        gamma = gamma_step(gamma, e)
+        gammas.append(gamma)
+    if series == SERIES_SIX and signs and signs[0] != 1:
+        raise ValueError("6-series requires epsilon_{j+1} = +1")
+    # the forced +1 after a 6-series birth counts toward fixation even when
+    # the stored word is empty (birth at the enumeration level)
+    effective_signs = signs if (signs or series != SERIES_SIX) else (1,)
+    k = LAMBDA_TAIL + max(LAMBDA_TAIL, birth + len(signs))
+    lam = 1.5 * (5.0 ** k) * _continue(gammas[-1], k - birth - len(signs))
+    return EigenvalueDescriptor(
+        series=series,
+        birth=birth,
+        signs=tuple(signs),
+        fixation=_fixation(birth, effective_signs),
+        gammas=tuple(gammas),
+        lam=lam,
+        multiplicity=series_multiplicity(series, birth),
+    )
+
+
+def scalar_spectrum(m):
+    """The level-m descriptors sorted by lam, grouped by (series, birth), each
+    group in the order given and the groups in order of first appearance."""
+    entries = []
+    for signs in product((-1, 1), repeat=m - 1):
+        entries.append(make_descriptor(SERIES_TWO, 1, signs))
+    for j in range(1, m + 1):
+        for signs in product((-1, 1), repeat=m - j):
+            entries.append(make_descriptor(SERIES_FIVE, j, signs))
+    for j in range(2, m + 1):
+        for tail in product((-1, 1), repeat=max(m - j - 1, 0)):
+            signs = ((1,) + tail) if j < m else ()
+            entries.append(make_descriptor(SERIES_SIX, j, signs))
+    entries.sort(key=lambda d: d.lam)
+    groups = {}
+    for desc in entries:
+        groups.setdefault((desc.series, desc.birth), []).append(desc)
+    return [tuple(group) for group in groups.values()]

@@ -28,11 +28,9 @@ def test_criterion_1_spectrum_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
     for m in range(1, 6):
-        table = dec.enumerate_spectrum(m)
-        assert table.total_multiplicity == (3 ** (m + 1) - 3) // 2
-        mine = np.sort(
-            np.concatenate([[d.gammas[-1]] * d.multiplicity for d in table.entries])
-        )
+        groups = dec.enumerate_spectrum(m)
+        assert sum(len(g) * g.multiplicity for g in groups) == (3 ** (m + 1) - 3) // 2
+        mine = np.sort(np.concatenate([np.repeat(g.gammas[:, -1], g.multiplicity) for g in groups]))
         dense, _ = lap.cached_dense_spectrum(m)
         worst = max(worst, float(np.max(np.abs(np.sort(dense) - mine))))
     assert worst < 1e-9
@@ -57,15 +55,18 @@ def test_criterion_3_random_extensions():
     rng = np.random.default_rng(2024)
     worst = 0.0
     checked = 0
-    tables = {m: dec.enumerate_spectrum(m).entries for m in (3, 4, 5)}
+    # every eigenvalue of the level as a group of one word, in lambda order
+    tables = {m: sorted((group[g:g + 1] for group in dec.enumerate_spectrum(m)
+                         for g in range(len(group))), key=lambda word: word.lam[0])
+              for m in (3, 4, 5)}
     while checked < 200:
         m = int(rng.choice([3, 4, 5]))
-        desc = tables[m][int(rng.integers(len(tables[m])))]
+        word = tables[m][int(rng.integers(len(tables[m])))]
         target = m + int(rng.integers(0, 2))
-        birth = birth_space(desc.series, desc.birth)
-        vals = on_vertices(target, dec.eigenfunctions_at_level((desc,), target, birth))[:, 0]
+        birth = birth_space(word.series, word.birth)
+        vals = on_vertices(target, dec.eigenfunctions_at_level(word, target, birth))[:, 0]
         combo = vals @ rng.normal(size=vals.shape[1])
-        r = lap.eigen_residual(target, combo, desc.gamma_at(target))
+        r = lap.eigen_residual(target, combo, word.gamma(target)[0])
         worst = max(worst, r)
         assert r <= 1e-9
         checked += 1
@@ -75,9 +76,9 @@ def test_criterion_3_random_extensions():
 def test_criterion_4_six_series_dimensions():
     for j in range(2, 7):
         m_q = min(j + 1, sz.MQ_CAP)
-        desc = sz._canonical_descriptor("six", j, m_q)
+        group = sz._canonical_group("six", j, m_q)
         for N in range(1, j):
-            basis = eb.localize_basis((desc,), m_q, N)
+            basis = eb.localize_basis(group, m_q, N)
             d_loc = (3**j - 3 ** (N + 1)) // 2
             per_cell = (3 ** (j - N) - 3) // 2
             assert basis.localized_count == d_loc, (j, N)
@@ -94,9 +95,9 @@ def test_criterion_5_five_series_resolution():
     cases = []
     for j in range(2, 7):
         m_q = min(j + 1, sz.MQ_CAP)
-        desc = sz._canonical_descriptor("five", j, m_q)
+        group = sz._canonical_group("five", j, m_q)
         for N in range(1, min(j, 3)):
-            basis = eb.localize_basis((desc,), m_q, N)
+            basis = eb.localize_basis(group, m_q, N)
             alpha = basis.nonlocalized_count
             cand_minus = (3**N - 3) // 2
             cand_plus = (3**N + 3) // 2
@@ -166,8 +167,8 @@ def test_criterion_9_equidistribution():
     gaps = {name: [] for name in funcs}
     for j in (2, 3, 4, 5, 6):
         m_q = min(j + 1, sz.MQ_CAP)
-        desc = sz._canonical_descriptor("six", j, m_q)
-        op = sz.compressed_operator(f, [desc], m_q, None)
+        group = sz._canonical_group("six", j, m_q)
+        op = sz.compressed_operator(f, [group], m_q, None)
         for name, func in funcs.items():
             gaps[name].append(sz.equidistribution_compare(op, f, func)[2])
     for name in funcs:
@@ -182,8 +183,8 @@ def test_criterion_9_equidistribution():
     assert all(g < 0.02 for g in cutoff_gaps.values()), cutoff_gaps
 
     c = ConstantFunction(1.7)
-    desc = sz._canonical_descriptor("six", 3, 4)
-    op = sz.compressed_operator(c, [desc], 4, None)
+    group = sz._canonical_group("six", 3, 4)
+    op = sz.compressed_operator(c, [group], 4, None)
     for name, func in funcs.items():
         assert sz.equidistribution_compare(op, c, func)[2] < 1e-9
     _report(9, f"equidistribution gaps decreasing, largest-j gaps "

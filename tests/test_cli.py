@@ -365,18 +365,21 @@ def test_vectorized_log_integral_keeps_the_checked_detail(fspec, value, tmp_path
 
 def test_cutoff_run_enumerates_its_spectrum_once(tmp_path, monkeypatch):
     # the config check and the run both plan the sweep; the level-m table is
-    # cached, so its descriptors are made once
-    calls = []
-    original = dec.make_descriptor
+    # cached, so its groups are made once: 6 groups of 13 words in all
+    built = []
+    original = dec.make_groups
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-    monkeypatch.setattr(dec, "make_descriptor", counted)
+    def counted(words):
+        built.append(original(words))
+        return built[-1]
+    monkeypatch.setattr(dec, "make_groups", counted)
     dec.enumerate_spectrum.cache_clear()
     argv = ["szego", "--mode", "cutoff", "--m", "3", "--N", "1", "--f", "constant:2"]
     assert _run(argv + ["--out", str(tmp_path)]) == 0
-    assert len(calls) == len(dec.enumerate_spectrum(3).entries) == 13
+    assert len(built) == 1
+    assert [group.level for group in built[0]] == [3] * 6
+    assert sum(map(len, built[0])) == 13
+    assert sum(map(len, dec.enumerate_spectrum(3))) == 13
 
 
 def test_log_functional_of_nonpositive_f_exit_3(tmp_path):
@@ -516,7 +519,7 @@ def test_float_cells_match_library_values(mode, indices, tmp_path):
 def test_basis_cells_match_library_values(series, j, N, m_q, tmp_path):
     argv = ["basis", "--series", series, "--j", str(j), "--N", str(N), "--m-q", str(m_q)]
     assert _run(argv + ["--out", str(tmp_path)]) == 0
-    basis = eb.localize_basis((szego._canonical_descriptor(series, j, m_q),), m_q, N)
+    basis = eb.localize_basis(szego._canonical_group(series, j, m_q), m_q, N)
     rows = _float_rows(tmp_path / "basis.csv")
     n = basis.vectors.shape[1]
     assert len(rows) == n * basis.dimension

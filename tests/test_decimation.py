@@ -13,8 +13,8 @@ from sgszego import eigenbasis as eb
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
-from subspaces import (index_of, on_vertices, principal_angle_gap, reference_laplacian,
-                       six_series_birth_by_qr, six_series_remainder_by_solve)
+from subspaces import (index_of, on_vertices, one_word, principal_angle_gap, reference_laplacian,
+                       scalar_spectrum, six_series_birth_by_qr, six_series_remainder_by_solve)
 
 
 def test_gamma_step_values():
@@ -35,14 +35,13 @@ def test_gamma_step_matches_dense_level_two():
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_multiplicity_count_identity(m):
-    table = dec.enumerate_spectrum(m)
-    assert table.total_multiplicity == (3 ** (m + 1) - 3) // 2
+    groups = dec.enumerate_spectrum(m)
+    assert sum(len(g) * g.multiplicity for g in groups) == (3 ** (m + 1) - 3) // 2
 
 
 def test_per_birth_entry_counts():
     m = 5
-    table = dec.enumerate_spectrum(m)
-    counts = Counter((d.series, d.birth) for d in table.entries)
+    counts = {(g.series, g.birth): len(g) for g in dec.enumerate_spectrum(m)}
     assert counts[("two", 1)] == 2 ** (m - 1)
     for j in range(1, m + 1):
         assert counts[("five", j)] == 2 ** (m - j)
@@ -52,53 +51,53 @@ def test_per_birth_entry_counts():
 
 
 def test_level_one_spectrum():
-    table = dec.enumerate_spectrum(1)
-    kinds = {(d.series, d.gammas[-1], d.multiplicity) for d in table.entries}
+    groups = dec.enumerate_spectrum(1)
+    kinds = {(g.series, gamma, g.multiplicity) for g in groups for gamma in g.gammas[:, -1]}
     assert kinds == {("two", 2.0, 1), ("five", 5.0, 2)}
-    assert table.total_multiplicity == 3
+    assert sum(len(g) * g.multiplicity for g in groups) == 3
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_oracle_equivalence(m):
-    table = dec.enumerate_spectrum(m)
-    mine = np.sort(
-        np.concatenate([[d.gammas[-1]] * d.multiplicity for d in table.entries])
-    )
+    mine = np.sort(np.concatenate(
+        [np.repeat(g.gammas[:, -1], g.multiplicity) for g in dec.enumerate_spectrum(m)]))
     dense, _ = lap.cached_dense_spectrum(m)
     assert np.max(np.abs(np.sort(dense) - mine)) < 1e-9
 
 
 def test_six_series_forced_sign():
     with pytest.raises(ValueError):
-        dec.make_descriptor("six", 2, (-1,))
+        dec.make_groups([("six", 2, [(-1,)])])
 
 
 @pytest.mark.parametrize("series,birth", [
     ("two", 2), ("two", 0), ("six", 1), ("six", 0), ("five", 0), ("five", -1), ("seven", 2)])
 def test_make_descriptor_refuses_births_that_do_not_exist(series, birth):
     # the 2-series is born only at 1, the 5-series from 1 and the 6-series
-    # from 2; none of these has a birth eigenspace to build
+    # from 2; none of these has a birth eigenspace to build, and the group
+    # constructor refuses them as make_descriptor did
     with pytest.raises(ValueError):
-        dec.make_descriptor(series, birth, ())
+        dec.make_groups([(series, birth, [()])])
 
 
 def test_fixation():
-    assert dec.make_descriptor("two", 1, (-1, -1, -1)).fixation == 2
-    assert dec.make_descriptor("two", 1, (1, -1, -1)).fixation == 3
-    assert dec.make_descriptor("five", 2, (-1, 1, -1)).fixation == 5
+    assert one_word("two", 1, (-1, -1, -1)).fixation[0] == 2
+    assert one_word("two", 1, (1, -1, -1)).fixation[0] == 3
+    assert one_word("five", 2, (-1, 1, -1)).fixation[0] == 5
     # the forced +1 after a 6-series birth counts even with an empty word
-    assert dec.make_descriptor("six", 3, ()).fixation == 5
-    assert dec.make_descriptor("six", 3, (1, -1)).fixation == 5
+    assert one_word("six", 3, ()).fixation[0] == 5
+    assert one_word("six", 3, (1, -1)).fixation[0] == 5
 
 
-def _lambda_at(desc, k):
-    """(3/2) 5^k gamma_k, the sign word continued with all signs -1."""
-    return 1.5 * 5.0**k * desc.gamma_at(k)
+def _lambda_at(group, k):
+    """(3/2) 5^k gamma_k of a group's first word, continued with all signs
+    -1."""
+    return 1.5 * 5.0**k * group.gamma(k)[0]
 
 
 def test_renormalized_lambda_convergence():
-    d = dec.make_descriptor("two", 1, (-1,))
-    lam40 = d.lam
+    d = one_word("two", 1, (-1,))
+    lam40 = d.lam[0]
     lam41 = _lambda_at(d, 41)
     lam60 = _lambda_at(d, 60)
     assert abs(lam41 - lam40) / lam40 < 1e-12
@@ -111,10 +110,10 @@ def test_renormalized_lambda_convergence():
     ("five", (-1,) * 43 + (1,)),
 ])
 def test_lambda_of_a_word_past_level_40(series, signs):
-    d = dec.make_descriptor(series, 1, signs)
-    assert d.lam == pytest.approx(_lambda_at(d, 90), rel=1e-12)
+    d = one_word(series, 1, signs)
+    assert d.lam[0] == pytest.approx(_lambda_at(d, 90), rel=1e-12)
     if series == "two":  # the same eigenvalue as the short word
-        assert d.lam == pytest.approx(dec.make_descriptor("two", 1, (-1,)).lam, rel=1e-12)
+        assert d.lam[0] == pytest.approx(one_word("two", 1, (-1,)).lam[0], rel=1e-12)
 
 
 def test_lambda_iteration_monotone():
@@ -131,19 +130,37 @@ def test_lambda_iteration_monotone():
 
 
 def test_lambda_scaling_consistency():
-    base = dec.make_descriptor("five", 1, (-1,))
-    longer = dec.make_descriptor("five", 1, (-1, -1))
+    base = one_word("five", 1, (-1,))
+    longer = one_word("five", 1, (-1, -1))
     assert _lambda_at(base, 40) == pytest.approx(_lambda_at(longer, 40), rel=1e-12)
-    assert base.lam == pytest.approx(longer.lam, rel=1e-12)
+    assert base.lam[0] == pytest.approx(longer.lam[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_birth_groups_equal_the_scalar_enumeration(m):
+    # every column of every group, the group order (smallest lambda first)
+    # and the word order (lambda, stable over sign-word order) are those of
+    # one descriptor per eigenvalue sorted by lambda and grouped
+    groups, oracle = dec.enumerate_spectrum(m), scalar_spectrum(m)
+    assert [(g.series, g.birth) for g in groups] == [(o[0].series, o[0].birth) for o in oracle]
+    for group, descs in zip(groups, oracle):
+        assert len(group) == len(descs)
+        assert {group.multiplicity} == {d.multiplicity for d in descs}
+        assert np.array_equal(group.signs, np.array([d.signs for d in descs]).reshape(len(descs), -1))
+        assert np.array_equal(group.gammas, [d.gammas for d in descs])
+        assert np.array_equal(group.lam, [d.lam for d in descs])
+        assert np.array_equal(group.fixation, [d.fixation for d in descs])
+        for k in (m + 1, m + 5):  # continued past the stored words
+            assert np.array_equal(group.gamma(k), [d.gamma_at(k) for d in descs])
 
 
 def test_gamma_at():
-    d = dec.make_descriptor("five", 2, (1,))
-    assert d.gamma_at(2) == 5.0
-    assert d.gamma_at(3) == pytest.approx((5 + math.sqrt(5)) / 2)
-    assert d.gamma_at(4) == pytest.approx(dec.gamma_step(d.gamma_at(3), -1))
+    d = one_word("five", 2, (1,))
+    assert d.gamma(2)[0] == 5.0
+    assert d.gamma(3)[0] == pytest.approx((5 + math.sqrt(5)) / 2)
+    assert d.gamma(4)[0] == pytest.approx(dec.gamma_step(d.gamma(3)[0], -1))
     with pytest.raises(ValueError):
-        d.gamma_at(1)
+        d.gamma(1)
 
 
 def test_extension_zero_and_linearity():
@@ -197,18 +214,18 @@ def _tree_birth_space(series, j):
     return np.hstack(columns)
 
 
-def _birth_residuals(desc, full):
+def _birth_residuals(group, full):
     """eigen_residual of every column at the birth eigenvalue."""
-    return [lap.eigen_residual(desc.birth, full[:, c], desc.gammas[0])
+    return [lap.eigen_residual(group.birth, full[:, c], group.gammas[0, 0])
             for c in range(full.shape[1])]
 
 
 def _birth_cases(j_max):
-    yield dec.make_descriptor("two", 1, ())
+    yield one_word("two", 1, ())
     for j in range(1, j_max + 1):
-        yield dec.make_descriptor("five", j, ())
+        yield one_word("five", j, ())
     for j in range(2, j_max + 1):
-        yield dec.make_descriptor("six", j, ())
+        yield one_word("six", j, ())
 
 
 @pytest.mark.parametrize("desc", _birth_cases(6), ids=lambda d: f"{d.series}-{d.birth}")
@@ -217,7 +234,7 @@ def test_birth_eigenvectors_match_dense(desc):
     interior = top.level_topology(desc.birth).interior_indices
     assert np.all(full[top.level_topology(desc.birth).boundary_mask] == 0.0)
     evals, evecs = lap.cached_dense_spectrum(desc.birth)
-    dense = evecs[:, np.abs(evals - desc.gammas[0]) < 1e-6]
+    dense = evecs[:, np.abs(evals - desc.gammas[0, 0]) < 1e-6]
     assert full.shape[1] == dense.shape[1] == desc.multiplicity
     assert principal_angle_gap(full[interior], dense, desc.birth) < 1e-10
     assert max(_birth_residuals(desc, full)) <= 1e-9
@@ -227,7 +244,7 @@ def test_birth_eigenvectors_match_dense(desc):
 
 @pytest.mark.parametrize("series", ["five", "six"])
 def test_birth_eigenvectors_level_seven_without_dense_solve(series):
-    desc = dec.make_descriptor(series, 7, ())
+    desc = one_word(series, 7, ())
     full = _tree_birth_space(series, 7)
     assert full.shape[1] == desc.multiplicity
     assert max(_birth_residuals(desc, full)) <= 1e-9
@@ -251,7 +268,7 @@ def test_six_series_birth_from_known_gram(j):
     qr = six_series_birth_by_qr(j)
     assert principal_angle_gap(qr, full[topo.interior_indices], j) <= 1e-13
     assert np.max(np.abs(full.T @ full - np.eye(d))) <= 1e-14
-    assert max(_birth_residuals(dec.make_descriptor("six", j, ()), full)) <= 1e-14
+    assert max(_birth_residuals(one_word("six", j, ()), full)) <= 1e-14
 
 
 @pytest.mark.parametrize("j", range(3, 10))
@@ -370,8 +387,7 @@ def test_split_bases_factor_nothing_wider_than_six(monkeypatch):
         monkeypatch.setattr(np.linalg, name, spy)
     try:
         for series in ("five", "six"):
-            group = [d for d in dec.enumerate_spectrum(9).entries
-                     if (d.series, d.birth) == (series, 8)]
+            group = next(g for g in dec.enumerate_spectrum(9) if (g.series, g.birth) == (series, 8))
             eb.localize_basis(group, 9, 2)
     finally:
         dec.five_series_remainder.cache_clear()
@@ -404,24 +420,22 @@ def test_junction_nullspace():
 
 
 def test_birth_eigenvectors_dimension_check():
-    # a descriptor claiming the wrong multiplicity is refused by the cell tree
+    # a group claiming the wrong multiplicity is refused by the cell tree
     for series, j, wrong in (("six", 3, 11), ("five", 3, 5)):
-        desc = dataclasses.replace(dec.make_descriptor(series, j, ()), multiplicity=wrong)
+        group = dataclasses.replace(one_word(series, j, ()), multiplicity=wrong)
         with pytest.raises(AssertionError):
-            eb.localize_basis((desc,), j, None)
+            eb.localize_basis(group, j, None)
 
 
 def test_eigenfunctions_at_level_residuals():
     for series, j in [("two", 1), ("five", 2), ("six", 2), ("six", 3)]:
-        desc = [
-            e for e in dec.enumerate_spectrum(4).entries
-            if e.series == series and e.birth == j
-        ][0]
-        vals = dec.eigenfunctions_at_level((desc,), 4, _tree_birth_space(series, j))
+        group = next(g for g in dec.enumerate_spectrum(4) if (g.series, g.birth) == (series, j))
+        group = group[:1]  # its word of the smallest lambda
+        vals = dec.eigenfunctions_at_level(group, 4, _tree_birth_space(series, j))
         vals = on_vertices(4, vals)[:, 0]
-        assert vals.shape[1] == desc.multiplicity
+        assert vals.shape[1] == group.multiplicity
         for c in range(vals.shape[1]):
-            assert lap.eigen_residual(4, vals[:, c], desc.gamma_at(4)) < 1e-9
+            assert lap.eigen_residual(4, vals[:, c], group.gamma(4)[0]) < 1e-9
 
 
 def test_extension_touches_linear_work():
@@ -431,12 +445,12 @@ def test_extension_touches_linear_work():
 
 
 def test_spectrum_export(tmp_path):
-    table = dec.enumerate_spectrum(3)
+    groups = dec.enumerate_spectrum(3)
     assert cli.main(["spectrum", "--m", "3", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
     assert lines[0].startswith("# config_hash=")
     assert lines[1].startswith("series,birth,signs")
-    assert len(lines) == 2 + len(table.entries)
+    assert len(lines) == 2 + sum(map(len, groups))
 
 
 def _vertex_key_extension_maps(k):

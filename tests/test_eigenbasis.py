@@ -17,18 +17,18 @@ from subspaces import (complement_by_qr, eigenspace_vectors, index_of, principal
 
 
 
-def _dense_eigenspace(desc, m_q):
+def _dense_eigenspace(group, m_q):
     """Reference: the eigenvalue cluster of a dense solve of -Delta_{m_q}."""
     evals, evecs = lap.cached_dense_spectrum(m_q)
-    sel = np.abs(evals - desc.gamma_at(m_q)) < 1e-6
-    if int(sel.sum()) != desc.multiplicity:
+    sel = np.abs(evals - group.gamma(m_q)[0]) < 1e-6
+    if int(sel.sum()) != group.multiplicity:
         raise AssertionError("dense eigenspace dimension mismatch")
     return evecs[:, sel]
 
 
 def test_eigenspace_column_counts():
     for series, j, m_q, d in (("five", 1, 3, 2), ("six", 2, 3, 3), ("two", 1, 4, 1)):
-        basis = eb.localize_basis((sz._canonical_descriptor(series, j, m_q),), m_q, None)
+        basis = eb.localize_basis(sz._canonical_group(series, j, m_q), m_q, None)
         assert basis.vectors.shape == (1, top.interior_count(m_q), d)
 
 
@@ -36,16 +36,16 @@ def test_eigenspace_column_counts():
     "series,j,m_q", [("five", 2, 4), ("six", 2, 4), ("six", 3, 4), ("two", 1, 3)]
 )
 def test_extension_matches_dense(series, j, m_q):
-    desc = sz._canonical_descriptor(series, j, m_q)
-    a = eb.localize_basis((desc,), m_q, None).vectors[0]
-    b = _dense_eigenspace(desc, m_q)
+    group = sz._canonical_group(series, j, m_q)
+    a = eb.localize_basis(group, m_q, None).vectors[0]
+    b = _dense_eigenspace(group, m_q)
     assert a.shape == b.shape
     assert principal_angle_gap(a, b, m_q) < 1e-8
 
 
 def test_unsplit_basis_orthonormal():
-    desc = sz._canonical_descriptor("six", 2, 4)
-    basis = eb.localize_basis((desc,), 4, None)
+    group = sz._canonical_group("six", 2, 4)
+    basis = eb.localize_basis(group, 4, None)
     assert eb.orthonormality_check(basis.vectors, basis.level) < 1e-10
     assert basis.localized_count == 0
 
@@ -54,10 +54,10 @@ def test_unsplit_basis_orthonormal():
 def test_level_six_spectrum_orthonormal_at_level_seven(scale):
     # no factorization at the sampling level: orthonormality comes from the
     # birth basis and the scalar Gram scaling of decimation extension
-    for group in dec.birth_groups(dec.enumerate_spectrum(6).entries):
+    for group in dec.enumerate_spectrum(6):
         basis = eb.localize_basis(group, 7, scale)
         assert eb.orthonormality_check(basis.vectors, basis.level) <= 1e-12, \
-            (group[0].series, group[0].birth)
+            (group.series, group.birth)
 
 
 @pytest.mark.parametrize("scale", [1, 2, 3])
@@ -66,12 +66,12 @@ def test_six_series_localized_dimensions(scale, j):
     if scale >= j:
         pytest.skip("scale must be below the generation of birth")
     m_q = min(j + 1, 6)
-    desc = sz._canonical_descriptor("six", j, m_q)
-    basis = eb.localize_basis((desc,), m_q, scale)
+    group = sz._canonical_group("six", j, m_q)
+    basis = eb.localize_basis(group, m_q, scale)
     per_cell = (3 ** (j - scale) - 3) // 2
     assert basis.localized_count == 3**scale * per_cell
     assert basis.nonlocalized_count == (3 ** (scale + 1) - 3) // 2
-    assert basis.localized_count + basis.nonlocalized_count == desc.multiplicity
+    assert basis.localized_count + basis.nonlocalized_count == group.multiplicity
     # localization is symmetric across the cells of the scale
     counts = np.bincount(scale_cells(basis, scale), minlength=3**scale)
     assert counts.tolist() == [per_cell] * 3**scale
@@ -80,8 +80,8 @@ def test_six_series_localized_dimensions(scale, j):
 @pytest.mark.parametrize("scale,j", [(scale, j) for j in range(2, 8) for scale in range(j)])
 def test_five_series_localized_dimensions(scale, j):
     m_q = min(j + 1, 7)
-    desc = sz._canonical_descriptor("five", j, m_q)
-    basis = eb.localize_basis((desc,), m_q, scale)
+    group = sz._canonical_group("five", j, m_q)
+    basis = eb.localize_basis(group, m_q, scale)
     # the tree: R5(j), three columns, at the root and one column K5(j - k) in
     # each cell of every depth k = 1 .. j - 2
     assert basis.depths == tuple(range(j - 2, -1, -1))
@@ -92,7 +92,7 @@ def test_five_series_localized_dimensions(scale, j):
     localized = sum(n for k, n in zip(basis.depths, basis.column_counts) if k >= scale)
     assert basis.localized_count == localized
     if scale == 0:
-        assert basis.localized_count == desc.multiplicity
+        assert basis.localized_count == group.multiplicity
         return
     per_cell = (3 ** (j - 1 - scale) - 1) // 2
     assert basis.nonlocalized_count == (3**scale + 3) // 2
@@ -102,25 +102,25 @@ def test_five_series_localized_dimensions(scale, j):
 
 
 def test_localized_vectors_vanish_outside():
-    desc = sz._canonical_descriptor("six", 3, 4)
-    basis = eb.localize_basis((desc,), 4, 1)
+    group = sz._canonical_group("six", 3, 4)
+    basis = eb.localize_basis(group, 4, 1)
     assert basis.localized_count > 0
     for c in range(basis.localized_count):
         assert eb.max_outside_value(basis, c) < 1e-10
 
 
 def test_localized_basis_orthonormal_and_span_preserving():
-    desc = sz._canonical_descriptor("six", 3, 4)
-    raw = eigenspace_vectors((desc,), 4)[0]
-    basis = eb.localize_basis((desc,), 4, 1)
-    assert basis.dimension == desc.multiplicity
+    group = sz._canonical_group("six", 3, 4)
+    raw = eigenspace_vectors(group, 4)[0]
+    basis = eb.localize_basis(group, 4, 1)
+    assert basis.dimension == group.multiplicity
     assert eb.orthonormality_check(basis.vectors, basis.level) < 1e-10
     assert principal_angle_gap(raw, basis.vectors[0], 4) < 1e-8
 
 
 def test_distinct_cell_columns_orthogonal():
-    desc = sz._canonical_descriptor("six", 3, 4)
-    basis = eb.localize_basis((desc,), 4, 1)
+    group = sz._canonical_group("six", 3, 4)
+    basis = eb.localize_basis(group, 4, 1)
     vectors = basis.vectors[0]
     g = top.interior_weight(basis.level) * vectors.T @ vectors
     cell = scale_cells(basis, 1)  # localized column k lies in the 1-cell of rank cell[k]
@@ -131,81 +131,74 @@ def test_distinct_cell_columns_orthogonal():
 
 
 def test_split_column_count_check():
-    # a descriptor claiming the wrong multiplicity is refused by the split,
+    # a group claiming the wrong multiplicity is refused by the split,
     # which never builds the birth space that checks it otherwise
-    desc = dataclasses.replace(sz._canonical_descriptor("six", 4, 5), multiplicity=40)
+    group = dataclasses.replace(sz._canonical_group("six", 4, 5), multiplicity=40)
     with pytest.raises(AssertionError):
-        eb.localize_basis((desc,), 5, 2)
+        eb.localize_basis(group, 5, 2)
 
 
 @pytest.mark.parametrize("scale", [None, 0, 1, 2])
 def test_birth_group_slices_are_the_bases_of_groups_of_one(scale):
     # stacking changes only the order of sums: every slice of a group's
-    # split and block is the one built for its descriptor alone
+    # split and block is the one built for its word alone
     m_q = 6
     topo = top.level_topology(m_q)
     fvals = HarmonicFunction([1.2, 1.5, 1.9]).sample(topo)[topo.interior_indices]
-    for group in dec.birth_groups(dec.enumerate_spectrum(5).entries):
+    for group in dec.enumerate_spectrum(5):
         basis = eb.localize_basis(group, m_q, scale)
         blocks = sz.assemble_compressed(fvals, basis)
         assert (blocks.eigenspaces, blocks.dimension) == (len(group), basis.dimension)
-        for g, desc in enumerate(group):
-            alone = eb.localize_basis((desc,), m_q, scale)
+        for g in range(len(group)):
+            alone = eb.localize_basis(group[g:g + 1], m_q, scale)
             assert alone.depths == basis.depths == blocks.depths
             couplings = sz.assemble_compressed(fvals, alone).couplings
             pairs = [(part[g], one[0]) for part, one in zip(basis.parts, alone.parts)]
             pairs += [(rows[g], one[0]) for rows, one in zip(blocks.couplings, couplings)]
             for stacked, single in pairs:
-                assert np.max(np.abs(stacked - single), initial=0.0) <= 1e-13, desc
-
-
-def test_birth_group_refuses_mixed_births():
-    # a group is one birth space extended by several gamma sequences
-    for (s1, j1), (s2, j2), m_q in ((("six", 3), ("six", 4), 5), (("five", 2), ("six", 2), 4)):
-        group = (sz._canonical_descriptor(s1, j1, m_q), sz._canonical_descriptor(s2, j2, m_q))
-        with pytest.raises(ValueError):
-            eb.localize_basis(group, m_q, 1)
+                assert np.max(np.abs(stacked - single), initial=0.0) <= 1e-13, \
+                    (group.series, group.birth, g)
 
 
 def test_localization_scale_not_below_birth_is_unsplit():
     # a scale N >= birth has no N-cells to copy into: the remainder is the
     # whole eigenspace, as a cutoff run expects for its births <= N
-    desc = sz._canonical_descriptor("six", 2, 4)
-    basis = eb.localize_basis((desc,), 4, 2)
+    group = sz._canonical_group("six", 2, 4)
+    basis = eb.localize_basis(group, 4, 2)
     assert basis.localized_count == 0
-    assert basis.nonlocalized_count == desc.multiplicity
+    assert basis.nonlocalized_count == group.multiplicity
     # below the birth it localizes: at scale 0 the one 0-cell holds every column
-    basis_ok = eb.localize_basis((desc,), 4, 0)
-    assert basis_ok.localized_count == desc.multiplicity
+    basis_ok = eb.localize_basis(group, 4, 0)
+    assert basis_ok.localized_count == group.multiplicity
 
 
 def test_cross_eigenspace_orthogonality():
     m_q = 4
     topo = top.level_topology(m_q)
     w = top.interior_weight(m_q)
-    d1 = sz._canonical_descriptor("five", 2, m_q)
-    d2 = sz._canonical_descriptor("six", 2, m_q)
-    b1 = eb.localize_basis((d1,), m_q, None).vectors[0]
-    b2 = eb.localize_basis((d2,), m_q, None).vectors[0]
+    d1 = sz._canonical_group("five", 2, m_q)
+    d2 = sz._canonical_group("six", 2, m_q)
+    b1 = eb.localize_basis(d1, m_q, None).vectors[0]
+    b2 = eb.localize_basis(d2, m_q, None).vectors[0]
     cross = w * b1.T @ b2
     assert np.max(np.abs(cross)) < 1e-9
 
 
 def test_max_outside_value_rejects_nonlocalized():
-    desc = sz._canonical_descriptor("five", 1, 3)
-    basis = eb.localize_basis((desc,), 3, None)
+    group = sz._canonical_group("five", 1, 3)
+    basis = eb.localize_basis(group, 3, None)
     with pytest.raises(ValueError):
         eb.max_outside_value(basis, 0)
     # remainder columns and columns counted from the end are refused too
-    split = eb.localize_basis((sz._canonical_descriptor("six", 3, 4),), 4, 1)
+    split = eb.localize_basis(sz._canonical_group("six", 3, 4), 4, 1)
     for column in (split.localized_count, split.dimension - 1, -1):
         with pytest.raises(ValueError):
             eb.max_outside_value(split, column)
 
 
 def test_basis_export(tmp_path):
-    desc = sz._canonical_descriptor("six", 2, 3)
-    basis = eb.localize_basis((desc,), 3, 1)
+    group = sz._canonical_group("six", 2, 3)
+    basis = eb.localize_basis(group, 3, 1)
     argv = ["basis", "--series", "six", "--j", "2", "--N", "1", "--m-q", "3"]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     lines = (tmp_path / "basis.csv").read_text().strip().splitlines()
@@ -250,18 +243,19 @@ def _oracle_grid():
     for series, first in (("five", 1), ("six", 2)):
         for j in range(first, 6):
             for scale in range(j):
-                yield sz._canonical_descriptor(series, j, j + 1), j + 1, scale
-    for desc in dec.enumerate_spectrum(5).entries:
-        if desc.series != "two":
-            for scale in range(desc.birth):
-                yield desc, 6, scale
+                yield sz._canonical_group(series, j, j + 1), j + 1, scale
+    for group in dec.enumerate_spectrum(5):
+        if group.series != "two":
+            for g in range(len(group)):
+                for scale in range(group.birth):
+                    yield group[g:g + 1], 6, scale
 
 
 def test_transplants_match_searched_localization():
-    for desc, m_q, scale in _oracle_grid():
-        case = (desc.series, desc.birth, desc.signs, m_q, scale)
-        raw = eigenspace_vectors((desc,), m_q)[0]
-        basis = eb.localize_basis((desc,), m_q, scale)
+    for group, m_q, scale in _oracle_grid():
+        case = (group.series, group.birth, group.signs.tolist(), m_q, scale)
+        raw = eigenspace_vectors(group, m_q)[0]
+        basis = eb.localize_basis(group, m_q, scale)
         found = _searched_localization(raw, m_q, scale)
         built = {}
         for c, cell in enumerate(scale_cells(basis, scale).tolist()):
@@ -277,7 +271,7 @@ def test_transplants_match_searched_localization():
         full = np.zeros((topo.n_vertices, basis.localized_count))
         full[topo.interior_indices] = vectors[:, : basis.localized_count]
         # eigen_residual column by column, vectorized over the columns
-        r = lap.apply_neg_laplacian(m_q, full) - desc.gamma_at(m_q) * full[topo.interior_indices]
+        r = lap.apply_neg_laplacian(m_q, full) - group.gamma(m_q)[0] * full[topo.interior_indices]
         residual = np.max(np.abs(r), axis=0) / np.max(np.abs(full), axis=0)
         assert np.all(residual <= 1e-9), (case, float(np.max(residual)))
 
@@ -293,12 +287,13 @@ def test_cutoff_logdet_matches_dense_eigenspaces(m):
     for f in (HarmonicFunction([1.0, 1.5, 2.0]), SimpleCellFunction([1.0, 2.0, 3.0])):
         wf = w * f.sample(topo)[topo.interior_indices]
         total = 0.0
-        for desc in dec.enumerate_spectrum(m).entries:
-            v = _dense_eigenspace(desc, m_q)
-            q = np.linalg.solve(np.linalg.cholesky(v.T @ (w[:, None] * v)), v.T).T
-            sign, logdet = np.linalg.slogdet(q.T @ (wf[:, None] * q))
-            assert sign == 1.0
-            total += logdet
+        for group in dec.enumerate_spectrum(m):
+            for g in range(len(group)):
+                v = _dense_eigenspace(group[g:g + 1], m_q)
+                q = np.linalg.solve(np.linalg.cholesky(v.T @ (w[:, None] * v)), v.T).T
+                sign, logdet = np.linalg.slogdet(q.T @ (wf[:, None] * q))
+                assert sign == 1.0
+                total += logdet
         ((_, op),) = sz.operators(f, "cutoff", [m], 1)
         assert op.level == m_q
         assert abs(sz.log_det(op) - total) <= 1e-10 * abs(total), (m, f.label())
@@ -318,18 +313,18 @@ SPLIT_GRID = [
 
 @pytest.mark.parametrize("series,j,scale,m_q", SPLIT_GRID)
 def test_split_matches_complete_qr_complement(series, j, scale, m_q):
-    desc = sz._canonical_descriptor(series, j, m_q)
-    basis = eb.localize_basis((desc,), m_q, scale)
+    group = sz._canonical_group(series, j, m_q)
+    basis = eb.localize_basis(group, m_q, scale)
     vectors = basis.vectors[0]
     n_loc = basis.localized_count
-    assert basis.dimension == desc.multiplicity
+    assert basis.dimension == group.multiplicity
     if scale:
         expected = (3 ** (scale + 1) - 3) // 2 if series == "six" else (3**scale + 3) // 2
         assert basis.nonlocalized_count == expected
     else:
         assert basis.nonlocalized_count == 0
     assert eb.orthonormality_check(basis.vectors, basis.level) <= 1e-12
-    oracle = complement_by_qr(eigenspace_vectors((desc,), m_q)[0], vectors[:, :n_loc], m_q)
+    oracle = complement_by_qr(eigenspace_vectors(group, m_q)[0], vectors[:, :n_loc], m_q)
     remainder = vectors[:, n_loc:]
     assert oracle.shape == remainder.shape
     if oracle.shape[1]:
@@ -350,7 +345,7 @@ def test_stacked_five_series_group_matches_dense_oracle():
     # w V^T diag(f) V of its columns, with the eigenvalues of f compressed
     # onto the oracle's basis
     m_q, scale = 6, 2
-    group = [d for d in dec.enumerate_spectrum(6).entries if (d.series, d.birth) == ("five", 4)]
+    group = next(g for g in dec.enumerate_spectrum(6) if (g.series, g.birth) == ("five", 4))
     assert len(group) == 4
     basis = eb.localize_basis(group, m_q, scale)
     topo = top.level_topology(m_q)
@@ -367,12 +362,12 @@ def test_stacked_five_series_group_matches_dense_oracle():
         assert np.max(np.abs(np.linalg.eigvalsh(block) - sigma)) <= 1e-12 * np.max(sigma), g
 
 
-def _canonical_remainder(desc, m_q, scale):
+def _canonical_remainder(group, m_q, scale):
     """Ext(G^-1 E) R^-T, with G = (6 I + L_{j-1}) / 4, E the unit vectors of
     the interior vertices of V_scale and R R^T = E^T G^-1 E, extended to m_q
     and divided by their quadrature norms: the complement of the copies of
     E6(j - scale) in the scale-cells, by a dense solve."""
-    j = desc.birth
+    j = group.birth
     parent, coarse = top.level_topology(j - 1), top.level_topology(scale)
     gram = (6.0 * np.eye(top.interior_count(j - 1)) + lap.dirichlet_laplacian(j - 1)) / 4.0
     keys = coarse.keys[coarse.interior_indices] << (j - 1 - scale)
@@ -380,7 +375,7 @@ def _canonical_remainder(desc, m_q, scale):
     solved = np.linalg.solve(gram, np.eye(len(gram))[:, select])
     coeffs = np.zeros((parent.n_vertices, len(select)))
     coeffs[parent.interior_indices] = solved @ np.linalg.inv(np.linalg.cholesky(solved[select])).T
-    expected = dec.eigenfunctions_at_level((desc,), m_q, lap.extend_values(coeffs, j, 6.0))[:, 0]
+    expected = dec.eigenfunctions_at_level(group, m_q, lap.extend_values(coeffs, j, 6.0))[:, 0]
     return expected / np.sqrt(top.interior_weight(m_q) * np.sum(expected**2, axis=0))
 
 
@@ -389,13 +384,13 @@ def test_six_series_remainder_is_canonical(j, scale, m_q):
     # the root columns themselves, not only their span, are the canonical
     # scale-1 remainder; the columns at depths below the scale span the
     # canonical scale-N remainder
-    desc = sz._canonical_descriptor("six", j, m_q)
-    basis = eb.localize_basis((desc,), m_q, scale)
+    group = sz._canonical_group("six", j, m_q)
+    basis = eb.localize_basis(group, m_q, scale)
     assert basis.depths[-1] == 0
-    root, expected = basis.parts[-1][0], _canonical_remainder(desc, m_q, 1)
+    root, expected = basis.parts[-1][0], _canonical_remainder(group, m_q, 1)
     assert np.max(np.abs(root - expected)) <= 1e-12 * np.max(np.abs(expected))
     remainder = basis.vectors[0][:, basis.localized_count:]
-    assert principal_angle_gap(remainder, _canonical_remainder(desc, m_q, scale), m_q) <= 1e-12
+    assert principal_angle_gap(remainder, _canonical_remainder(group, m_q, scale), m_q) <= 1e-12
 
 
 def test_compressed_operator_holds_no_dense_basis():
@@ -403,12 +398,12 @@ def test_compressed_operator_holds_no_dense_basis():
     # tree blocks, far less than one d x d block, and building it may
     # allocate at most a quarter of the basis besides
     f = SimpleCellFunction([2.689, 2.516, 1.841])
-    desc = sz._canonical_descriptor("six", 7, 7)
-    n, d = top.interior_count(7), desc.multiplicity
+    group = sz._canonical_group("six", 7, 7)
+    n, d = top.interior_count(7), group.multiplicity
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        op = sz.compressed_operator(f, [desc], 7, 4)
+        op = sz.compressed_operator(f, [group], 7, 4)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -422,7 +417,7 @@ def test_szego_path_peak_below_one_dense_block():
     # with the topology tables built, the six j=7 N=4 operator and its
     # log-det together peak below one 1092 x 1092 float64 array (9.5 MB)
     f = SimpleCellFunction([2.689, 2.516, 1.841])
-    desc = sz._canonical_descriptor("six", 7, 7)
+    group = sz._canonical_group("six", 7, 7)
     for m in range(8):
         top.level_topology(m)
         for scale in range(m + 1):
@@ -430,7 +425,7 @@ def test_szego_path_peak_below_one_dense_block():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sz.log_det(sz.compressed_operator(f, [desc], 7, 4))
+        sz.log_det(sz.compressed_operator(f, [group], 7, 4))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -452,8 +447,8 @@ def _nested(basis):
 def test_compression_vanishes_outside_nested_cells(series, j, scale, m_q):
     # columns whose cells are not nested have disjoint supports, so the dense
     # V^T diag(w f) V is exactly zero there, and the tree blocks are all of it
-    desc = sz._canonical_descriptor(series, j, m_q)
-    basis = eb.localize_basis((desc,), m_q, scale)
+    group = sz._canonical_group(series, j, m_q)
+    basis = eb.localize_basis(group, m_q, scale)
     vectors = basis.vectors[0]
     topo = top.level_topology(m_q)
     fvals = HarmonicFunction([1.2, 1.5, 1.9]).sample(topo)[topo.interior_indices]
@@ -481,7 +476,7 @@ def test_tree_log_det_matches_dense_cholesky(mode, case):
     f = HarmonicFunction([1.2, 1.5, 1.9])
     if mode == "single":
         series, j, scale, m_q = case
-        op = sz.compressed_operator(f, [sz._canonical_descriptor(series, j, m_q)], m_q, scale)
+        op = sz.compressed_operator(f, [sz._canonical_group(series, j, m_q)], m_q, scale)
     else:
         m, scale = case
         ((_, op),) = sz.operators(f, "cutoff", [m], scale)
@@ -497,9 +492,9 @@ def test_multilevel_span_is_the_copies_in_the_scale_cells():
     for series, j, scale, m_q in [("six", 4, 1, 5), ("six", 5, 2, 6), ("six", 6, 1, 7),
                                   ("six", 7, 3, 7), ("five", 4, 1, 5), ("five", 5, 2, 6),
                                   ("five", 6, 1, 7), ("five", 7, 3, 7)]:
-        desc = sz._canonical_descriptor(series, j, m_q)
-        basis = eb.localize_basis((desc,), m_q, scale)
-        small = eigenspace_vectors((desc,), m_q - scale, shift=scale)[0]
+        group = sz._canonical_group(series, j, m_q)
+        basis = eb.localize_basis(group, m_q, scale)
+        small = eigenspace_vectors(group, m_q - scale, shift=scale)[0]
         if series == "five":
             normal = dec.corner_normal_derivatives(small, m_q - scale)
             small = small @ np.linalg.svd(normal)[2][2:].T
@@ -515,7 +510,7 @@ def test_multilevel_span_is_the_copies_in_the_scale_cells():
 @pytest.mark.parametrize("series,j", [("six", 5), ("five", 4)])
 def test_columns_at_every_depth_vanish_outside_their_cells(series, j):
     # at scale 0 every column is localized, whatever its depth
-    basis = eb.localize_basis((sz._canonical_descriptor(series, j, j + 1),), j + 1, 0)
+    basis = eb.localize_basis(sz._canonical_group(series, j, j + 1), j + 1, 0)
     assert basis.localized_count == basis.dimension
     depth, _ = basis.column_cells
     assert set(depth.tolist()) == set(basis.depths)

@@ -355,14 +355,14 @@ def test_eigen_residual_memory():
     # the six j=7 N=4 basis at m_q=7: four row gathers and in-place updates
     # hold two arrays of the input's size at a time; a gather of all four
     # neighbours at once would hold a temporary four times the input
-    desc = sz._canonical_descriptor("six", 7, 7)
+    group = sz._canonical_group("six", 7, 7)
     topo = top.level_topology(7)
-    full = np.zeros((topo.n_vertices, desc.multiplicity))
-    full[topo.interior_indices] = localize_basis((desc,), 7, 4).vectors[0]
+    full = np.zeros((topo.n_vertices, group.multiplicity))
+    full[topo.interior_indices] = localize_basis(group, 7, 4).vectors[0]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        residual = lap.eigen_residual(7, full, desc.gamma_at(7))
+        residual = lap.eigen_residual(7, full, group.gamma(7)[0])
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

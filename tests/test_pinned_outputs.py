@@ -32,10 +32,17 @@ TOPOLOGY_DIGESTS = {
 
 # sha256 of CLI CSV bodies after their "# config_hash=" line, recorded while
 # each library module still wrote its own CSV, before every table went
-# through cli.export_csv; they hold the float formatting to repr bit for bit
+# through cli.export_csv; they hold the float formatting to repr bit for bit.
+# The spectrum --m 9 and 12 digests were recorded from the enumeration of one
+# descriptor per eigenvalue, each walking its gamma sequence in Python,
+# before the birth-group tables replaced it
 CLI_DIGESTS = {
     ("spectrum", "--m", "5"):
         ("spectrum.csv", "7d8408ef92f55529a2997f4a8f33333acbb876798d1d65d54a47634d15868bdf"),
+    ("spectrum", "--m", "9"):
+        ("spectrum.csv", "a1d0ba85c05f8deb2972a322fbf83366dcc8ec0bc2f28f563020517f08c71d16"),
+    ("spectrum", "--m", "12"):
+        ("spectrum.csv", "040a0f0b08f7c673786bfbcf8f90a629605d184e01427d6d940a72bc7b627aeb"),
     ("resistance", "--m", "4", "--triples", "1000"):
         ("resistance.csv", "99b8f894edb3024642dd1abd2b10e31d066d78285e158d0a64ca00687e29aa2a"),
 }
@@ -80,11 +87,22 @@ def test_topology_csv_bodies_pinned_across_export_chunks(chunk, tmp_path, monkey
     assert got == TOPOLOGY_DIGESTS[5]
 
 
-@pytest.mark.parametrize("argv", sorted(CLI_DIGESTS), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", sorted(CLI_DIGESTS), ids=lambda argv: f"{argv[0]}-m{argv[2]}")
 def test_cli_csv_bodies_pinned(argv, tmp_path):
     name, digest = CLI_DIGESTS[argv]
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
     assert _body_digest(tmp_path / name) == digest
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40])
+def test_spectrum_csv_body_pinned_across_export_chunks(chunk, tmp_path, monkeypatch):
+    # the spectrum rows are sorted by lambda across birth groups and
+    # formatted a fixed number at a time; the 895 rows of level 9 then span
+    # many chunks and a partial last one
+    monkeypatch.setattr(cli, "EXPORT_CHUNK", chunk)
+    argv = ("spectrum", "--m", "9")
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert _body_digest(tmp_path / "spectrum.csv") == CLI_DIGESTS[argv][1]
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))

@@ -8,23 +8,23 @@ from sgszego import cli
 from sgszego import decimation as dec
 from sgszego import szego as sz
 from sgszego import topology as top
-from sgszego.decimation import birth_groups, enumerate_spectrum, make_descriptor
+from sgszego.decimation import enumerate_spectrum
 from sgszego.eigenbasis import localize_basis
 from sgszego.functions import ConstantFunction, HarmonicFunction, SimpleCellFunction
 
-from subspaces import FunctionSum, index_of, scale_cells
+from subspaces import FunctionSum, index_of, one_word, scale_cells
 
 
 def test_identity_for_constant_one():
-    desc = make_descriptor("six", 2, (1,))
-    op = sz.compressed_operator(ConstantFunction(1.0), [desc], 3, None)
+    group = one_word("six", 2, (1,))
+    op = sz.compressed_operator(ConstantFunction(1.0), [group], 3, None)
     assert np.max(np.abs(op.matrix - np.eye(op.dimension))) < 1e-10
 
 
 def test_scaling_for_constant():
     c = 2.7
-    desc = make_descriptor("five", 2, (-1,))
-    op = sz.compressed_operator(ConstantFunction(c), [desc], 3, None)
+    group = one_word("five", 2, (-1,))
+    op = sz.compressed_operator(ConstantFunction(c), [group], 3, None)
     d = op.dimension
     assert np.max(np.abs(op.matrix - c * np.eye(d))) < 1e-10
     assert sz.log_det(op) == pytest.approx(d * math.log(c), abs=1e-10)
@@ -34,9 +34,9 @@ def test_simple_function_localized_diagonal():
     # a localized vector supported in cell (k,) sees a scale-1 simple f as
     # multiplication by its coefficient a_k
     f = SimpleCellFunction([1.0, 2.0, 3.0])
-    desc = make_descriptor("six", 3, (1,))
-    basis = localize_basis((desc,), 4, 1)
-    op = sz.compressed_operator(f, [desc], 4, 1)
+    group = one_word("six", 3, (1,))
+    basis = localize_basis(group, 4, 1)
+    op = sz.compressed_operator(f, [group], 4, 1)
     # localized column i lies in the 1-cell of rank cell[i], the word (cell[i] + 1,)
     cell = scale_cells(basis, 1).tolist()
     cell += [None] * basis.nonlocalized_count
@@ -50,8 +50,8 @@ def test_simple_function_localized_diagonal():
 
 def test_log_det_matches_eigenvalue_sum():
     f = HarmonicFunction([1.0, 1.5, 2.0])
-    desc = make_descriptor("six", 2, (1, -1))
-    op = sz.compressed_operator(f, [desc], 4, None)
+    group = one_word("six", 2, (1, -1))
+    op = sz.compressed_operator(f, [group], 4, None)
     ld = sz.log_det(op)
     via_eigs = float(np.sum(np.log(sz.operator_eigenvalues(op))))
     assert abs(ld - via_eigs) / abs(via_eigs) < 1e-8
@@ -103,13 +103,13 @@ def test_sweep_plan_refusals_name_the_field(field, args, kwargs):
 
 
 def test_sweep_plan_sampling_levels():
-    ((j, (desc,), level),) = sz.sweep_plan("single", [7], 4)
-    assert (j, desc.birth, desc.level, level) == (7, 7, 7, 7)
-    ((_, (desc,), level),) = sz.sweep_plan("single", [4], 1, "five", m_q=8)
-    assert (desc.series, desc.birth, desc.level, level) == ("five", 4, 8, 8)
-    ((m, descriptors, level),) = sz.sweep_plan("cutoff", [6], 1)
+    ((j, (group,), level),) = sz.sweep_plan("single", [7], 4)
+    assert (j, group.birth, group.level, level) == (7, 7, 7, 7)
+    ((_, (group,), level),) = sz.sweep_plan("single", [4], 1, "five", m_q=8)
+    assert (group.series, group.birth, group.level, level) == ("five", 4, 8, 8)
+    ((m, groups, level),) = sz.sweep_plan("cutoff", [6], 1)
     assert (m, level) == (6, 7)
-    assert descriptors == enumerate_spectrum(6).entries
+    assert groups is enumerate_spectrum(6)
     # N only limits single mode: cutoff keeps its births <= N, unsplit
     assert [level for _, _, level in sz.sweep_plan("cutoff", [1, 2], 3)] == [2, 3]
 
@@ -130,8 +130,8 @@ def test_single_sweep_simple_function_bound_and_rate():
 
 def test_operator_eigenvalue_range():
     f = SimpleCellFunction([1.0, 2.0, 3.0])
-    desc = make_descriptor("six", 3, (1,))
-    op = sz.compressed_operator(f, [desc], 4, None)
+    group = one_word("six", 3, (1,))
+    op = sz.compressed_operator(f, [group], 4, None)
     sigma = sz.operator_eigenvalues(op)
     assert sigma.min() >= 1.0 - 1e-10
     assert sigma.max() <= 3.0 + 1e-10
@@ -163,13 +163,13 @@ def test_cutoff_block_logdet_consistency():
 
 def test_spectral_functionals():
     c = 1.3
-    desc = make_descriptor("six", 2, (1,))
-    op = sz.compressed_operator(ConstantFunction(c), [desc], 3, None)
+    group = one_word("six", 2, (1,))
+    op = sz.compressed_operator(ConstantFunction(c), [group], 3, None)
     d = op.dimension
     assert sz.spectral_functional(op, math.log) == pytest.approx(sz.log_det(op) / d, abs=1e-12)
     assert sz.spectral_functional(op, lambda s: s * s) == pytest.approx(c * c, abs=1e-10)
     f = HarmonicFunction([1.0, 1.5, 2.0])
-    op2 = sz.compressed_operator(f, [desc], 3, None)
+    op2 = sz.compressed_operator(f, [group], 3, None)
     assert sz.spectral_functional(op2, lambda s: s) * d == pytest.approx(
         float(np.trace(op2.matrix)), abs=1e-12
     )
@@ -180,8 +180,8 @@ def test_spectral_functionals():
 
 def test_equidistribution_constant():
     c = 2.0
-    desc = make_descriptor("six", 3, (1,))
-    op = sz.compressed_operator(ConstantFunction(c), [desc], 4, None)
+    group = one_word("six", 3, (1,))
+    op = sz.compressed_operator(ConstantFunction(c), [group], 4, None)
     spectral, riemann, gap = sz.equidistribution_compare(op, ConstantFunction(c), lambda s: s)
     assert spectral == pytest.approx(c, abs=1e-10)
     assert riemann == pytest.approx(c, abs=1e-14)
@@ -193,8 +193,8 @@ def test_equidistribution_gap_shrinks():
     gaps = []
     for j in (2, 3, 4):
         m_q = j + 1
-        desc = sz._canonical_descriptor("six", j, m_q)
-        op = sz.compressed_operator(f, [desc], m_q, None)
+        group = sz._canonical_group("six", j, m_q)
+        op = sz.compressed_operator(f, [group], m_q, None)
         gaps.append(sz.equidistribution_compare(op, f, lambda s: s)[2])
     assert gaps[-1] < gaps[0]
 
@@ -290,7 +290,7 @@ def test_full_compression_at_level_m_is_the_riemann_mean(m, N):
     # bases of every birth group together has log det / d equal to the mean
     # of log f over the interior; the cutoff operator is its block diagonal
     topo = top.level_topology(m)
-    groups = birth_groups(enumerate_spectrum(m).entries)
+    groups = enumerate_spectrum(m)
     vectors = np.concatenate(
         [col for group in groups for col in localize_basis(group, m, N).vectors], axis=1)
     assert vectors.shape == (len(topo.interior_indices),) * 2
@@ -299,7 +299,7 @@ def test_full_compression_at_level_m_is_the_riemann_mean(m, N):
         full = top.interior_weight(m) * (vectors.T * fvals) @ vectors
         mean = float(np.mean(np.log(fvals)))
         assert abs(sz.log_det(full) / len(full) - mean) <= 1e-13 * abs(mean), (m, N, f.label())
-        op = sz.compressed_operator(f, enumerate_spectrum(m).entries, m, N)
+        op = sz.compressed_operator(f, groups, m, N)
         sizes = [group.dimension for group in op.blocks for _ in range(group.eigenspaces)]
         eigenspace = np.repeat(np.arange(len(sizes)), sizes)
         inside = eigenspace[:, None] == eigenspace
@@ -314,11 +314,10 @@ def _word_bytes(group, m_q):
 def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
     # one basis and one assembly per chunk of a (series, birth) group, one
     # stacked block per group, and extensions that grow with chunks x tree
-    # depths x levels, not with descriptors
+    # depths x levels, not with words
     f = HarmonicFunction([1.2, 1.5, 1.9])
-    descriptors = enumerate_spectrum(6).entries
-    groups = birth_groups(descriptors)
-    assert (len(groups), len(descriptors)) == (12, 111)
+    groups = enumerate_spectrum(6)
+    assert (len(groups), sum(map(len, groups))) == (12, 111)
     m_q = sz.sweep_plan("cutoff", [6], 1)[0][2]
     budget = 1 << 18  # splits the early-born groups of m = 6 at m_q = 7
     monkeypatch.setattr(sz, "CHUNK_BYTES", budget)
@@ -331,8 +330,7 @@ def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
         assert [len(chunk) for chunk in sz.word_chunks(group, m_q)][:-1] == [size] * (count - 1)
         chunks += count
         # each tree depth is extended from V_{birth - depth} to V_{m_q - depth}
-        extensions += count * len(dec.cell_tree(group[0].series, group[0].birth)) \
-            * (m_q - group[0].birth)
+        extensions += count * len(dec.cell_tree(group.series, group.birth)) * (m_q - group.birth)
     assert chunks > len(groups)
     calls = {"localize_basis": 0, "assemble_compressed": 0, "extend_values": 0}
 
@@ -352,7 +350,7 @@ def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
     assert len(op.blocks) == len(groups)
     assert [block.eigenspaces for block in op.blocks] == [len(group) for group in groups]
     # the remainders are cached by the counts above, so every extension is
-    # a chunk's (one group per descriptor made 615 calls cold)
+    # a chunk's (one group per eigenvalue made 615 calls cold)
     assert calls["extend_values"] == extensions, (calls, extensions)
 
 
@@ -367,8 +365,7 @@ def test_chunked_group_is_bit_identical(monkeypatch, series, birth, m_q):
     # word builds two, and a lone last word joins the chunk before it, since
     # einsum sums the squares of a lone one-column word in another order
     f = HarmonicFunction([1.2, 1.5, 1.9])
-    group = next(g for g in birth_groups(enumerate_spectrum(m_q).entries)
-                 if (g[0].series, g[0].birth) == (series, birth))
+    group = next(g for g in enumerate_spectrum(m_q) if (g.series, g.birth) == (series, birth))
     per_word = _word_bytes(group, m_q)
     built = {}
     for size in (len(group), 1, 3):
@@ -376,7 +373,7 @@ def test_chunked_group_is_bit_identical(monkeypatch, series, birth, m_q):
         assert sz.chunk_words(group, m_q) == max(size, 2)
         sizes = [len(chunk) for chunk in sz.word_chunks(group, m_q)]
         assert sum(sizes) == len(group) and min(sizes) >= 2 and max(sizes) <= max(size, 2) + 1
-        built[size] = sz.compressed_operator(f, group, m_q, 1)
+        built[size] = sz.compressed_operator(f, [group], m_q, 1)
     whole = built[len(group)]
     for size in (1, 3):
         op = built[size]
@@ -394,8 +391,7 @@ def test_assembly_holds_one_level_and_one_ancestor_copy():
     # each at most the root part; with a level's copies alive while the next
     # level's were made, the transient was 2.1 times the parts
     f = HarmonicFunction([1.2, 1.5, 1.9])
-    group = next(g for g in birth_groups(enumerate_spectrum(7).entries)
-                 if (g[0].series, g[0].birth) == ("five", 4))
+    group = next(g for g in enumerate_spectrum(7) if (g.series, g.birth) == ("five", 4))
     topo = top.level_topology(8)
     fvals = f.sample(topo)[topo.interior_indices]
     basis = localize_basis(group, 8, 1)
@@ -420,12 +416,12 @@ def test_cutoff_peak_memory_is_bounded_by_the_chunk_budget():
     # log-det.  Building every group at once peaked at 28 MiB; 3.5 MiB at
     # B = 1.5 MiB
     f = HarmonicFunction([1.2, 1.5, 1.9])
-    descriptors = enumerate_spectrum(7).entries
-    sz.log_det(sz.compressed_operator(f, descriptors, 8, 1))
+    groups = enumerate_spectrum(7)
+    sz.log_det(sz.compressed_operator(f, groups, 8, 1))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sz.log_det(sz.compressed_operator(f, descriptors, 8, 1))
+        sz.log_det(sz.compressed_operator(f, groups, 8, 1))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
