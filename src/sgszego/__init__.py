@@ -20,7 +20,6 @@ from .laplacian import ResistanceComputer, dirichlet_laplacian
 from .szego import (
     CompressedOperator,
     NotPositiveDefiniteError,
-    assemble_compressed,
     beta_exponent,
     beta_tilde_exponent,
     equidistribution_compare,

@@ -1,6 +1,8 @@
 """Orthonormal eigenspace bases kept as a cell tree: one array per depth,
 copied into every cell of that depth, with the columns at depths >= N the
-scale-N localized ones and the rest the non-localized remainder.
+scale-N localized ones and the rest the non-localized remainder.  The
+`basis` command and the tests build these bases; compressed operators read
+the same cell tree on the birth level instead (`szego.tree_couplings`).
 
 Localized vectors are built from self-similarity: an eigenfunction of the
 eigenvalue with the same series and sign word born k generations earlier,
@@ -63,9 +65,7 @@ class EigenspaceBasis:
 
     @property
     def localized_count(self):
-        if self.scale is None:
-            return 0
-        return sum(n for k, n in zip(self.depths, self.column_counts) if k >= self.scale)
+        return localized_columns(self.group, self.depths, self.column_counts, self.scale)
 
     @property
     def dimension(self):
@@ -131,11 +131,22 @@ def localize_basis(group, m_q, scale):
     basis = EigenspaceBasis(group=group, level=m_q,
                             scale=None if group.series == SERIES_TWO else scale,
                             depths=tuple(k for k, _ in tree), parts=parts)
-    if basis.dimension != group.multiplicity:
-        raise AssertionError(f"{basis.localized_count} localized and {basis.nonlocalized_count} "
-                             f"remainder columns of {group.series} j={group.birth} at scale "
-                             f"{scale}, expected {group.multiplicity} in all")
+    localized_columns(group, basis.depths, basis.column_counts, scale)
     return basis
+
+
+def localized_columns(group, depths, counts, scale):
+    """The localized columns of each eigenspace of a birth group whose cell
+    tree has counts[i] columns at depths[i]: those at depths >= scale, none
+    for the 2-series or a scale of None.  Refuses counts that do not add up
+    to the group's multiplicity."""
+    localized = 0 if scale is None or group.series == SERIES_TWO else sum(
+        n for k, n in zip(depths, counts) if k >= scale)
+    if sum(counts) != group.multiplicity:
+        raise AssertionError(f"{localized} localized and {sum(counts) - localized} remainder "
+                             f"columns of {group.series} j={group.birth} at scale {scale}, "
+                             f"expected {group.multiplicity} in all")
+    return localized
 
 
 def orthonormality_check(vectors, level):

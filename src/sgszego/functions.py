@@ -1,8 +1,10 @@
 """Test functions sampled on gasket vertices.
 
-A function is evaluated one way: `sample(topo)` gives its values on every
-vertex of a level topology.  The Riemann-point comparison reads its points
-off one such sample.
+A function is evaluated on the vertices of a level topology: `sample(topo)`
+gives its values on every vertex, and a function without exact cell
+integrals also gives `midpoints(topo)`, its values on the vertices one level
+finer that are new, the midpoints of the cells' edges.  The Riemann-point
+comparison reads its points off one sample.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import math
 import numpy as np
 
 from .laplacian import extend_values
-from .topology import level_topology
+from .topology import SQRT3, level_topology
 
 
 class ConstantFunction:
@@ -81,6 +83,17 @@ class HarmonicFunction:
             values = extend_values(values, k, 0.0)
         return values
 
+    def midpoints(self, topo):
+        """Values at the midpoints of the edges of every topo-level cell,
+        (cells, 3), column r opposite corner r: (2 (f_p + f_q) + f_r) / 5, bit
+        for bit the harmonic extension one level finer."""
+        corners = self.sample(topo)[topo.cell_vertices]
+        mid = corners[:, [1, 0, 0]] + corners[:, [2, 2, 1]]
+        mid *= 2.0
+        mid += corners
+        mid /= 5.0
+        return mid
+
 
 class ExpressionFunction:
     """Arbitrary expression in the Euclidean coordinates x and y."""
@@ -120,11 +133,24 @@ class ExpressionFunction:
         env["y"] = y
         return eval(self._code, {"__builtins__": {}}, env)
 
-    def sample(self, topo):
-        vals = np.asarray(self._eval(topo.coords[:, 0], topo.coords[:, 1]))
+    def _values(self, x, y):
+        vals = np.asarray(self._eval(x, y))
         if vals.dtype.kind not in "biuf":
             raise ValueError(f"values of dtype {vals.dtype} are not real")
-        return np.broadcast_to(vals.astype(float), (topo.n_vertices,)).copy()
+        return np.broadcast_to(vals.astype(float), x.shape).copy()
+
+    def sample(self, topo):
+        return self._values(topo.coords[:, 0], topo.coords[:, 1])
+
+    def midpoints(self, topo):
+        """Values at the midpoints of the edges of every topo-level cell,
+        (cells, 3), column r opposite corner r.  A midpoint's lattice key one
+        level finer is the sum of its edge's keys, so its coordinates are
+        those of `level_topology(topo.m + 1)` bit for bit."""
+        keys = topo.keys[topo.cell_vertices]
+        keys = (keys[:, [1, 0, 0]] + keys[:, [2, 2, 1]]).reshape(-1, 2)
+        top = 1 << (topo.m + 2)
+        return self._values(keys[:, 0] / top, keys[:, 1] * SQRT3 / top).reshape(-1, 3)
 
 
 def parse_function_spec(spec):

@@ -6,13 +6,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .decimation import SERIES_SIX, cell_tree, enumerate_spectrum, make_groups
-from .eigenbasis import localize_basis
-from .topology import (interior_cell_rows, interior_count, interior_weight, level_topology,
-                       quadrature)
+from .decimation import (SERIES_SIX, cell_tree, enumerate_spectrum, extend_eigenfunction,
+                         make_groups)
+from .eigenbasis import localized_columns
+from .topology import cell_embedding, interior_weight, level_topology, vertex_count
 
 # the default sampling level is min(index + 1, MQ_CAP).  Memory no longer
 # calls for the cap, since chunks bound it; it keeps cutoff m=7 sampled at
@@ -20,9 +21,10 @@ from .topology import (interior_cell_rows, interior_count, interior_weight, leve
 # those are recorded again at level 8
 MQ_CAP = 7
 
-# bytes of basis parts a birth group builds at once (`chunk_words`).  In a
-# sweep of 1 to 4 MiB, 1.5 MiB gave the lowest peak of cutoff m=7 and ran
-# cutoff m = 8 and 9 as fast as the larger budgets; 1 MiB ran 5-10 % slower
+# bytes of cell kernels and products a birth group builds at once
+# (`chunk_words`).  In one sweep of 0.5, 1.5, 4 and 8 MiB (one BLAS thread,
+# one run each), cutoff m=7 peaked at 33.9, 34.2, 34.8 and 34.9 MB in
+# process and cutoff m=9 at m_q=10 took 1.94, 1.63, 1.60 and 1.53 s
 CHUNK_BYTES = 3 << 19
 
 # the field that holds the index range of each sweep mode
@@ -126,39 +128,6 @@ class CompressedOperator:
         return full
 
 
-def assemble_compressed(f_values_interior, basis):
-    """The `TreeBlocks` of a birth group's eigenspaces,
-    M[a, b] = sum_x w(x) f(x) u_a(x) u_b(x) over interior vertices, one pair
-    of tree levels at a time, from the basis's parts without its dense
-    columns.  For a depth-k cell and its ancestor at depth k' <= k, f and the
-    ancestor's part are gathered onto the cell's interior rows
-    (`interior_cell_rows(m_q - k', k - k')`), so each pair of levels costs
-    about c_k c_k' n flops, stacked over the group and the cells."""
-    return TreeBlocks(depths=basis.depths, couplings=tuple(
-        _level_couplings(f_values_interior, basis, i) for i in range(len(basis.depths))))
-
-
-def _level_couplings(f, basis, i):
-    """Level i's couplings of `assemble_compressed`; the level's copies are
-    freed on return, and an ancestor's before the next one is gathered."""
-    m_q, g = basis.level, len(basis.group)
-    k, part = basis.depths[i], basis.parts[i]
-    c, n_k = part.shape[2], part.shape[1]
-    # (G, cells, c, n_k): the cell's own columns times f on the cell
-    weighted = part.transpose(0, 2, 1)[:, None] * f[interior_cell_rows(m_q, k)][:, None]
-    blocks = []
-    for k_up, up in zip(basis.depths[i:], basis.parts[i:]):
-        span = 3 ** (k - k_up)
-        # (G, span, n_k, c'): the ancestor's part on each of its span cells of depth k
-        gathered = up[:, interior_cell_rows(m_q - k_up, k - k_up)] if span > 1 else up[:, None]
-        block = weighted.reshape(g, -1, span, c, n_k) @ gathered[:, None]
-        del gathered
-        blocks.append(interior_weight(m_q) * 3.0 ** ((k + k_up) / 2)
-                      * block.reshape(g, 3**k, c, -1))
-    blocks[0] = 0.5 * (blocks[0] + blocks[0].swapaxes(-1, -2))
-    return np.concatenate(blocks, axis=-1)
-
-
 def dense_blocks(group):
     """The (G, d, d) matrices of a group's eigenspaces in the column order of
     its basis, filled from its tree blocks: the one dense form, for
@@ -180,48 +149,136 @@ def dense_blocks(group):
     return out
 
 
+# the six entries of a symmetric 3 x 3 cell kernel, the upper triangle by
+# rows, and the entry of the kernel at each (row, column)
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
 def chunk_words(group, m_q):
-    """Sign words of a birth group to build and compress at once: as many
-    as CHUNK_BYTES holds of the parts `localize_basis` makes for one word,
-    8 c_i bytes per interior vertex of V_{m_q - k_i} over the depths k_i of
-    the group's cell tree.  At least one, and at least two in a group of
-    several: the einsum of `eigenbasis._normalized` sums the squares of one
-    column alone with several accumulators, and those of a stack of columns
-    row after row, so a lone one-column word would not be normalized bit for
-    bit as in its group."""
-    tree = cell_tree(group.series, group.birth)
-    per_word = 8 * sum(vals.shape[1] * interior_count(m_q - k) for k, vals in tree)
-    return max(min(2, len(group)), CHUNK_BYTES // per_word)
+    """Sign words of a birth group to compress at once: as many as
+    CHUNK_BYTES holds of what `cell_kernels` and `tree_couplings` make for
+    one word, 8 bytes for each of 4 entries per vertex of V_{m_q - birth} (T
+    and one product of two of its columns) and 24 per birth-cell (the
+    kernels, their symmetric 3 x 3 form and one ancestor's product with
+    them).  At least one: every word is built by its own matrix products,
+    so the blocks do not depend on the chunks."""
+    j = group.birth
+    return max(1, CHUNK_BYTES // (8 * (4 * vertex_count(m_q - j) + 24 * (3**j + 1))))
 
 
 def word_chunks(group, m_q):
-    """The group in consecutive chunks of `chunk_words` words, a lone last
-    word joining the chunk before it."""
+    """The group in consecutive chunks of `chunk_words` words."""
     size = chunk_words(group, m_q)
-    starts = list(range(0, len(group), size))
-    if len(starts) > 1 and starts[-1] == len(group) - 1:
-        starts.pop()
-    return [group[a:b] for a, b in zip(starts, starts[1:] + [len(group)])]
+    return [group[a:a + size] for a in range(0, len(group), size)]
+
+
+def cell_weights(f_values, birth, m_q):
+    """(3^birth + 1, vertices of V_{m_q - birth}): row C holds f on the
+    birth-cell of rank C, read off the values on V_{m_q} through
+    `cell_embedding`, times the share c_x of the vertex, 1/2 at the cell's
+    corners and 1 elsewhere; the last row holds the shares alone, f = 1.
+    A vertex of V_{m_q} off V_birth lies in one birth-cell and an interior
+    vertex of V_birth in two, so the rows sum each vertex once."""
+    share = np.where(level_topology(m_q - birth).boundary_mask, 0.5, 1.0)
+    out = np.empty((3**birth + 1, len(share)))
+    np.multiply(f_values[cell_embedding(m_q, birth)], share, out=out[:-1])
+    out[-1] = share
+    return out
+
+
+def cell_kernels(weights, group, m_q):
+    """(G, 3^birth + 1, 6): per sign word and row C of `cell_weights`, the
+    entries `_PAIRS` of K_C = sum_x weights[C, x] T[x]^T T[x].  T, one per
+    word, is the decimation extension of the unit vectors of the three
+    corners of V_0 to V_{m_q - birth} with the word's gammas at birth + 1 ..
+    m_q.  Extension writes each new vertex of a cell from that cell's three
+    corners alone, so inside a birth-cell every eigenfunction of the word on
+    V_{m_q} is T times its values at the cell's corners.  Each word's
+    products are their own matrix products, so its kernels do not depend
+    on the other words."""
+    j, g = group.birth, len(group)
+    t = np.broadcast_to(np.eye(3)[:, None], (3, g, 3))
+    for level in range(1, m_q - j + 1):
+        t = extend_eigenfunction(t, level, group.gamma(j + level))
+    kernels = np.empty((g, len(weights), len(_PAIRS)))
+    product = np.empty((g, len(t)))  # one word a row
+    for p, (a, b) in enumerate(_PAIRS):
+        np.multiply(t[:, :, a].T, t[:, :, b].T, out=product)
+        kernels[..., p] = np.matmul(weights, product[..., None])[..., 0]
+    return kernels
+
+
+@lru_cache(maxsize=None)
+def tree_corners(series, birth):
+    """(depth, corner values, pair sums) of each level of the cell tree of a
+    birth space, deepest first; cached and read-only.  The corner values are
+    the depth's columns on V_{birth - depth} at the three corners of each of
+    its cells, (3^(birth - depth), 3, c): a column copied into a depth-k cell
+    takes them at the corners of the birth-cells inside it, in rank order.
+    The pair sums, (6, c), are sum_C u(C)_r u(C)_s over those cells for each
+    pair (r, s) of `_PAIRS`, doubled off the diagonal, so that a column's
+    squared norm is a sum of six terms against the f = 1 kernel."""
+    rows, cols = np.array(_PAIRS).T
+    levels = []
+    for k, vals in cell_tree(series, birth)[::-1]:
+        corners = vals[level_topology(birth - k).cell_vertices]
+        pairs = np.sum(corners[:, rows] * corners[:, cols], axis=0)
+        pairs[rows != cols] *= 2.0
+        for table in (corners, pairs):
+            table.flags.writeable = False  # cached and shared by every caller
+        levels.append((k, corners, pairs))
+    return tuple(levels)
+
+
+def tree_couplings(kernels, corners, m_q):
+    """The `TreeBlocks` of a chunk of a birth group from its `cell_kernels`
+    and its `tree_corners`.  A column u_a is its part on V_birth, copied
+    into its cell, extended to V_{m_q} and divided by its quadrature norm,
+    so <f u_a, u_b> = w(m_q) sum_C u_a(C)^T K_C u_b(C) / (|u_a| |u_b|) over
+    the birth-cells C, u(C) the part's values at C's corners, and the norms
+    are the same sum with the kernel of f = 1.  Every product is one word's
+    own, so the blocks of a word do not depend on the chunk."""
+    g, w = len(kernels), interior_weight(m_q)
+    cells = kernels[:, :-1, _SYMMETRIC]  # (G, birth-cells, 3, 3)
+    # six terms in a fixed order: fewer than numpy's unrolled sums take in
+    # blocks of eight, so a word's norms do not depend on the chunk's layout
+    scales = [1.0 / np.sqrt(w * np.sum(kernels[:, -1, :, None] * pairs, axis=1))
+              for _, _, pairs in corners]
+    rows = [[] for _ in corners]
+    for up, (k_up, u_up, _) in enumerate(corners):
+        # (G, 3^k_up, birth-cells in each, 3, c_up): K_C times the ancestor's corner values
+        product = np.matmul(cells.reshape((g, 3**k_up, -1, 3, 3)), u_up)
+        for i, (k, u, _) in enumerate(corners[:up + 1]):
+            flat = u.reshape(-1, u.shape[-1])
+            block = np.matmul(flat.T, product.reshape(g, 3**k, len(flat), -1))
+            block *= w * scales[i][:, None, :, None] * scales[up][:, None, None, :]
+            rows[i].append(block)
+        del product
+    for level in rows:
+        level[0] = 0.5 * (level[0] + level[0].swapaxes(-1, -2))
+    return TreeBlocks(depths=tuple(k for k, *_ in corners),
+                      couplings=tuple(np.concatenate(level, axis=-1) for level in rows))
 
 
 def compressed_operator(f, groups, m_q, scale):
     """f compressed to the sum of the eigenspaces of the birth groups, each
     sampled at level m_q and localized at the given scale, built one group
-    at a time and each group in `word_chunks`, whose blocks are
-    stacked into the group's; raises FunctionalValueError when a block has
-    a non-finite entry.  Every slice of a stacked extension or assembly is
-    the call on that slice alone, so the blocks do not depend on the
-    chunks."""
+    at a time and each group in `word_chunks`, whose blocks are stacked into
+    the group's; raises FunctionalValueError when a block has a non-finite
+    entry.  A group's basis is never extended past its birth level: each
+    word's eigenfunctions enter through its `cell_kernels`."""
     topo = level_topology(m_q)
-    fvals = f.sample(topo)[topo.interior_indices]
+    # the eigenfunctions vanish at the corners of V_0, where f may be infinite
+    fvals = np.where(topo.boundary_mask, 0.0, f.sample(topo))
     blocks, localized = [], 0
     for group in groups:
-        chunks = []
-        for chunk in word_chunks(group, m_q):
-            basis = localize_basis(chunk, m_q, scale)
-            chunks.append(assemble_compressed(fvals, basis))
-            localized += len(chunk) * basis.localized_count
-            del basis  # freed before the next chunk's is built
+        corners = tree_corners(group.series, group.birth)
+        counts = [3**k * u.shape[-1] for k, u, _ in corners]
+        localized += len(group) * localized_columns(group, [k for k, *_ in corners], counts, scale)
+        weights = cell_weights(fvals, group.birth, m_q)
+        chunks = [tree_couplings(cell_kernels(weights, chunk, m_q), corners, m_q)
+                  for chunk in word_chunks(group, m_q)]
         blocks.append(chunks[0] if len(chunks) == 1 else TreeBlocks(
             depths=chunks[0].depths,
             couplings=tuple(map(np.concatenate, zip(*(c.couplings for c in chunks))))))
@@ -288,10 +345,18 @@ def operator_eigenvalues(op):
 def reference_integral(f, func, level):
     """Integral of F(f) for the self-similar measure: exact cell sums where
     the function supports them, quadrature at the given level otherwise.
-    `func` maps an array of values elementwise, as `checked_log` does."""
+    `func` maps an array of values elementwise, as `checked_log` does.
+
+    The quadrature reads V_level off the cells one level coarser, no table of
+    V_level built: the vertices of V_{level - 1} and the midpoints of their
+    cells' edges.  Each level-cell carries mass 3^-level split over its three
+    corners, and every vertex but the three corners of V_0 lies in two."""
     if hasattr(f, "cell_integral"):
         return f.cell_integral(func)
-    return float(quadrature(level) @ func(f.sample(level_topology(level))))
+    topo = level_topology(level - 1)
+    total = np.where(topo.boundary_mask, 1.0, 2.0) @ func(f.sample(topo))
+    total += 2.0 * np.sum(func(f.midpoints(topo)))
+    return float(total * 3.0 ** (-level) / 3.0)
 
 
 def riemann_points(d):
@@ -335,9 +400,12 @@ class SzegoExperimentRecord:
     runtime: float = 0.0
 
 
+@lru_cache(maxsize=None)
 def _canonical_group(series, j, m):
     """The all-(-1)-after-birth eigenvalue of the series at level m (the
-    forced +1 first for the 6-series), a group of one word."""
+    forced +1 first for the 6-series), a group of one word; cached, so the
+    config check and the run of a single-mode sweep share it (a group is
+    frozen and its arrays read-only)."""
     first = 1 if series == SERIES_SIX else -1
     return make_groups([(series, j, [(first,) + (-1,) * (m - j - 1) if m > j else ()])])[0]
 

@@ -12,7 +12,8 @@ from sgszego.decimation import (_BIRTH_GAMMA, LAMBDA_TAIL, SERIES_FIVE, SERIES_S
                                 junction_nullspace, make_groups, series_multiplicity)
 from sgszego.eigenbasis import _normalized
 from sgszego.laplacian import dirichlet_laplacian, extend_values
-from sgszego.topology import cell_embedding, interior_weight, level_topology
+from sgszego.szego import TreeBlocks
+from sgszego.topology import cell_embedding, interior_cell_rows, interior_weight, level_topology
 
 
 class FunctionSum:
@@ -28,6 +29,13 @@ class FunctionSum:
 
     def sample(self, topo):
         return self.first.sample(topo) + self.second.sample(topo)
+
+    def midpoints(self, topo):
+        """The sum's values at the midpoints of the topo-level cells' edges,
+        read off a sample one level finer (`functions.HarmonicFunction`)."""
+        fine = level_topology(topo.m + 1)
+        # V_1 in topology order is q1, m12, m13, q2, m23, q3
+        return self.sample(fine)[cell_embedding(topo.m + 1, topo.m)[:, [4, 2, 1]]]
 
 
 def index_of(topo, keys):
@@ -305,3 +313,40 @@ def scalar_spectrum(m):
     for desc in entries:
         groups.setdefault((desc.series, desc.birth), []).append(desc)
     return [tuple(group) for group in groups.values()]
+
+
+# The assembly that `szego.compressed_operator` replaced by cell kernels,
+# kept as the oracle of its blocks: it gathers f and every part extended to
+# the sampling level onto the cells of each pair of tree levels.
+
+def assemble_compressed(f_values_interior, basis):
+    """The `TreeBlocks` of a birth group's eigenspaces,
+    M[a, b] = sum_x w(x) f(x) u_a(x) u_b(x) over interior vertices, one pair
+    of tree levels at a time, from the basis's parts without its dense
+    columns.  For a depth-k cell and its ancestor at depth k' <= k, f and the
+    ancestor's part are gathered onto the cell's interior rows
+    (`interior_cell_rows(m_q - k', k - k')`), so each pair of levels costs
+    about c_k c_k' n flops, stacked over the group and the cells."""
+    return TreeBlocks(depths=basis.depths, couplings=tuple(
+        _level_couplings(f_values_interior, basis, i) for i in range(len(basis.depths))))
+
+
+def _level_couplings(f, basis, i):
+    """Level i's couplings of `assemble_compressed`; the level's copies are
+    freed on return, and an ancestor's before the next one is gathered."""
+    m_q, g = basis.level, len(basis.group)
+    k, part = basis.depths[i], basis.parts[i]
+    c, n_k = part.shape[2], part.shape[1]
+    # (G, cells, c, n_k): the cell's own columns times f on the cell
+    weighted = part.transpose(0, 2, 1)[:, None] * f[interior_cell_rows(m_q, k)][:, None]
+    blocks = []
+    for k_up, up in zip(basis.depths[i:], basis.parts[i:]):
+        span = 3 ** (k - k_up)
+        # (G, span, n_k, c'): the ancestor's part on each of its span cells of depth k
+        gathered = up[:, interior_cell_rows(m_q - k_up, k - k_up)] if span > 1 else up[:, None]
+        block = weighted.reshape(g, -1, span, c, n_k) @ gathered[:, None]
+        del gathered
+        blocks.append(interior_weight(m_q) * 3.0 ** ((k + k_up) / 2)
+                      * block.reshape(g, 3**k, c, -1))
+    blocks[0] = 0.5 * (blocks[0] + blocks[0].swapaxes(-1, -2))
+    return np.concatenate(blocks, axis=-1)

@@ -16,6 +16,7 @@ from sgszego import cli
 from sgszego import decimation as dec
 from sgszego import eigenbasis as eb
 from sgszego import szego
+from sgszego import topology as top
 from sgszego.functions import parse_function_spec
 
 
@@ -380,6 +381,44 @@ def test_cutoff_run_enumerates_its_spectrum_once(tmp_path, monkeypatch):
     assert [group.level for group in built[0]] == [3] * 6
     assert sum(map(len, built[0])) == 13
     assert sum(map(len, dec.enumerate_spectrum(3))) == 13
+
+
+def test_single_run_makes_its_group_once(tmp_path, monkeypatch):
+    # the config check and the run both plan the sweep; the canonical group
+    # is cached, so its one word is made once
+    built = []
+    original = szego.make_groups
+
+    def counted(words):
+        built.append(original(words))
+        return built[-1]
+    monkeypatch.setattr(szego, "make_groups", counted)
+    szego._canonical_group.cache_clear()
+    argv = ["szego", "--mode", "single", "--j", "3", "--N", "1", "--f", "constant:2"]
+    assert _run(argv + ["--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+    assert [(g.series, g.birth, g.level, len(g)) for g in built[0]] == [("six", 3, 4, 1)]
+    group = szego._canonical_group("six", 3, 4)
+    assert group is built[0][0] and not group.gammas.flags.writeable
+
+
+def test_cutoff_run_builds_no_topology_past_its_sampling_level(tmp_path, monkeypatch):
+    # cutoff m=7 is sampled at level 7 and integrates log f at level 8 off
+    # the level-7 cells, so no level-8 table is built
+    built = []
+
+    class Counted(top.LevelTopology):
+        def __init__(self, m):
+            built.append(m)
+            super().__init__(m)
+    monkeypatch.setattr(top, "LevelTopology", Counted)
+    for module in (dec, szego, top):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    argv = ["szego", "--mode", "cutoff", "--m", "7", "--N", "1", "--f", "harmonic:1.2,1.5,1.9"]
+    assert _run(argv + ["--out", str(tmp_path)]) == 0
+    assert max(built) == 7, sorted(built)
 
 
 def test_log_functional_of_nonpositive_f_exit_3(tmp_path):

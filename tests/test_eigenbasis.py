@@ -12,8 +12,8 @@ from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.functions import HarmonicFunction, SimpleCellFunction
 
-from subspaces import (complement_by_qr, eigenspace_vectors, index_of, principal_angle_gap,
-                       scale_cells)
+from subspaces import (assemble_compressed, complement_by_qr, eigenspace_vectors, index_of,
+                       principal_angle_gap, scale_cells)
 
 
 
@@ -147,12 +147,12 @@ def test_birth_group_slices_are_the_bases_of_groups_of_one(scale):
     fvals = HarmonicFunction([1.2, 1.5, 1.9]).sample(topo)[topo.interior_indices]
     for group in dec.enumerate_spectrum(5):
         basis = eb.localize_basis(group, m_q, scale)
-        blocks = sz.assemble_compressed(fvals, basis)
+        blocks = assemble_compressed(fvals, basis)
         assert (blocks.eigenspaces, blocks.dimension) == (len(group), basis.dimension)
         for g in range(len(group)):
             alone = eb.localize_basis(group[g:g + 1], m_q, scale)
             assert alone.depths == basis.depths == blocks.depths
-            couplings = sz.assemble_compressed(fvals, alone).couplings
+            couplings = assemble_compressed(fvals, alone).couplings
             pairs = [(part[g], one[0]) for part, one in zip(basis.parts, alone.parts)]
             pairs += [(rows[g], one[0]) for rows, one in zip(blocks.couplings, couplings)]
             for stacked, single in pairs:
@@ -334,7 +334,7 @@ def test_split_matches_complete_qr_complement(series, j, scale, m_q):
     for f in (HarmonicFunction([1.0, 1.5, 2.0]), SimpleCellFunction([1.0, 2.0, 3.0])):
         fvals = f.sample(topo)[topo.interior_indices]
         dense = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
-        block = sz.dense_blocks(sz.assemble_compressed(fvals, basis))
+        block = sz.dense_blocks(assemble_compressed(fvals, basis))
         assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense)), f.label()
 
 
@@ -350,7 +350,7 @@ def test_stacked_five_series_group_matches_dense_oracle():
     basis = eb.localize_basis(group, m_q, scale)
     topo = top.level_topology(m_q)
     fvals = SimpleCellFunction([2.689, 2.516, 1.841]).sample(topo)[topo.interior_indices]
-    blocks = sz.dense_blocks(sz.assemble_compressed(fvals, basis))
+    blocks = sz.dense_blocks(assemble_compressed(fvals, basis))
     w = top.interior_weight(m_q)
     assert eb.orthonormality_check(basis.vectors, m_q) <= 1e-12
     for g, (vectors, oracle, block) in enumerate(zip(basis.vectors,
@@ -455,7 +455,7 @@ def test_compression_vanishes_outside_nested_cells(series, j, scale, m_q):
     dense = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
     nested = _nested(basis)
     assert np.all(dense[~nested] == 0.0)
-    block = sz.dense_blocks(sz.assemble_compressed(fvals, basis))[0]
+    block = sz.dense_blocks(assemble_compressed(fvals, basis))[0]
     assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 

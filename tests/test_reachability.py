@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from sgszego import cli, decimation, laplacian, topology
+from sgszego import cli, decimation, laplacian, szego, topology
 
 PACKAGE = os.path.dirname(os.path.abspath(cli.__file__))
 
@@ -30,6 +30,7 @@ RUNS = [
     (0, ["basis", "--series", "two", "--j", "1", "--N", "0", "--m-q", "3"]),
     (0, ["szego", "--mode", "single", "--j", "2..3", "--N", "1", "--f", "harmonic:1,1.5,2"]),
     (0, ["szego", "--mode", "cutoff", "--m", "1..2", "--N", "1", "--f", "simple:1,2,3"]),
+    (0, ["szego", "--mode", "single", "--j", "2", "--f", "expr:x+1"]),
     (0, ["equidist", "--mode", "single", "--j", "2", "--f", "expr:x+1", "--F", "power:2"]),
     (0, ["equidist", "--mode", "cutoff", "--m", "2", "--f", "constant:2",
          "--F", "expr:math.log(x)"]),
@@ -77,7 +78,7 @@ def _reached(argvs, out):
             seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     # a cached result would hide its function from a run
-    for module in (decimation, laplacian, topology):
+    for module in (decimation, laplacian, szego, topology):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()

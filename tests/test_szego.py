@@ -1,4 +1,7 @@
+import collections
+import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,13 +9,15 @@ import pytest
 
 from sgszego import cli
 from sgszego import decimation as dec
+from sgszego import eigenbasis as eb
 from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.decimation import enumerate_spectrum
 from sgszego.eigenbasis import localize_basis
-from sgszego.functions import ConstantFunction, HarmonicFunction, SimpleCellFunction
+from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFunction,
+                               SimpleCellFunction)
 
-from subspaces import FunctionSum, index_of, one_word, scale_cells
+from subspaces import FunctionSum, assemble_compressed, index_of, one_word, scale_cells
 
 
 def test_identity_for_constant_one():
@@ -307,50 +312,57 @@ def test_full_compression_at_level_m_is_the_riemann_mean(m, N):
 
 
 def _word_bytes(group, m_q):
-    """Bytes of the parts `localize_basis` builds for one sign word."""
-    return sum(part.nbytes for part in localize_basis(group[:1], m_q, 1).parts)
+    """Bytes of what compressing one sign word holds: T and one product of
+    two of its columns, 4 entries per vertex of V_{m_q - birth}, and 24 per
+    birth-cell for the kernels, their 3 x 3 form and one ancestor product."""
+    return 8 * (4 * top.vertex_count(m_q - group.birth) + 24 * (3**group.birth + 1))
 
 
 def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
-    # one basis and one assembly per chunk of a (series, birth) group, one
-    # stacked block per group, and extensions that grow with chunks x tree
-    # depths x levels, not with words
+    # one kernel build and one compression per chunk of a (series, birth)
+    # group, one stacked block per group, and extensions that grow with
+    # chunks x levels past the birth, not with words or tree depths; no basis
+    # part is extended past its birth level
     f = HarmonicFunction([1.2, 1.5, 1.9])
     groups = enumerate_spectrum(6)
     assert (len(groups), sum(map(len, groups))) == (12, 111)
     m_q = sz.sweep_plan("cutoff", [6], 1)[0][2]
-    budget = 1 << 18  # splits the early-born groups of m = 6 at m_q = 7
+    budget = 1 << 16  # splits the early-born groups of m = 6 at m_q = 7
     monkeypatch.setattr(sz, "CHUNK_BYTES", budget)
     chunks = extensions = 0
     for group in groups:
-        # two words at least in a group of several, a lone last word joining
-        # the chunk before it
-        size = max(min(2, len(group)), budget // _word_bytes(group, m_q))
-        count = -(-len(group) // size) - (len(group) > size and len(group) % size == 1)
-        assert [len(chunk) for chunk in sz.word_chunks(group, m_q)][:-1] == [size] * (count - 1)
+        size = max(1, budget // _word_bytes(group, m_q))
+        count = -(-len(group) // size)
+        assert [len(chunk) for chunk in sz.word_chunks(group, m_q)] == \
+            [size] * (count - 1) + [len(group) - size * (count - 1)]
         chunks += count
-        # each tree depth is extended from V_{birth - depth} to V_{m_q - depth}
-        extensions += count * len(dec.cell_tree(group.series, group.birth)) * (m_q - group.birth)
+        # T of each chunk is extended from V_0 to V_{m_q - birth}
+        extensions += count * (m_q - group.birth)
+        dec.cell_tree(group.series, group.birth)  # the remainders, cached
     assert chunks > len(groups)
-    calls = {"localize_basis": 0, "assemble_compressed": 0, "extend_values": 0}
+    calls = {"extend_values": 0}
+    original = dec.extend_values
 
-    def counted(module, name):
-        original = getattr(module, name)
+    def counted(*args, **kwargs):
+        calls["extend_values"] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(dec, "extend_values", counted)
+    entered = collections.Counter()
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(sz, "localize_basis")
-    counted(sz, "assemble_compressed")
-    counted(dec, "extend_values")
-    ((_, op),) = sz.operators(f, "cutoff", [6], 1)
-    assert calls["localize_basis"] == calls["assemble_compressed"] == chunks
+    def profile(frame, event, arg):
+        if event == "call":
+            entered[frame.f_code] += 1
+    sys.setprofile(profile)
+    try:
+        ((_, op),) = sz.operators(f, "cutoff", [6], 1)
+    finally:
+        sys.setprofile(None)
+    assert entered[sz.cell_kernels.__code__] == entered[sz.tree_couplings.__code__] == chunks
+    for name in ("localize_basis", "_normalized"):
+        assert entered[getattr(eb, name).__code__] == 0, name
+    assert entered[dec.eigenfunctions_at_level.__code__] == 0
     assert len(op.blocks) == len(groups)
     assert [block.eigenspaces for block in op.blocks] == [len(group) for group in groups]
-    # the remainders are cached by the counts above, so every extension is
-    # a chunk's (one group per eigenvalue made 615 calls cold)
     assert calls["extend_values"] == extensions, (calls, extensions)
 
 
@@ -360,22 +372,22 @@ CHUNK_GROUPS = [("two", 1), ("five", 1), ("five", 2), ("six", 3), ("five", 4)]
 @pytest.mark.parametrize("m_q", [6, 7])
 @pytest.mark.parametrize("series,birth", CHUNK_GROUPS)
 def test_chunked_group_is_bit_identical(monkeypatch, series, birth, m_q):
-    # budgets of 1 and 3 sign words stack into exactly the blocks, log-det,
-    # eigenvalues and counts of the group built at once; a budget of one
-    # word builds two, and a lone last word joins the chunk before it, since
-    # einsum sums the squares of a lone one-column word in another order
+    # budgets of 1, 2 and 3 sign words stack into exactly the blocks,
+    # log-det, eigenvalues and counts of the group built at once, lone last
+    # words included: every word's kernels and blocks are its own matrix
+    # products
     f = HarmonicFunction([1.2, 1.5, 1.9])
     group = next(g for g in enumerate_spectrum(m_q) if (g.series, g.birth) == (series, birth))
     per_word = _word_bytes(group, m_q)
     built = {}
-    for size in (len(group), 1, 3):
+    for size in (len(group), 1, 2, 3):
         monkeypatch.setattr(sz, "CHUNK_BYTES", size * per_word)
-        assert sz.chunk_words(group, m_q) == max(size, 2)
+        assert sz.chunk_words(group, m_q) == size
         sizes = [len(chunk) for chunk in sz.word_chunks(group, m_q)]
-        assert sum(sizes) == len(group) and min(sizes) >= 2 and max(sizes) <= max(size, 2) + 1
+        assert sum(sizes) == len(group) and max(sizes) == min(size, len(group))
         built[size] = sz.compressed_operator(f, [group], m_q, 1)
     whole = built[len(group)]
-    for size in (1, 3):
+    for size in (1, 2, 3):
         op = built[size]
         assert len(op.blocks) == 1 and op.blocks[0].depths == whole.blocks[0].depths
         assert all(np.array_equal(a, b)
@@ -386,25 +398,84 @@ def test_chunked_group_is_bit_identical(monkeypatch, series, birth, m_q):
 
 
 def test_assembly_holds_one_level_and_one_ancestor_copy():
-    # the 5-series born at 4, eight words at m_q=8: assembling holds one
-    # level's product with f and one ancestor's gathered part at a time,
-    # each at most the root part; with a level's copies alive while the next
-    # level's were made, the transient was 2.1 times the parts
-    f = HarmonicFunction([1.2, 1.5, 1.9])
+    # the 5-series born at 4, eight words at m_q=8: compressing from the
+    # kernels holds their 3 x 3 form and one ancestor's product with them at
+    # a time, each at most 1.5 times the kernels, and the blocks (3.3 times
+    # in all here); with every ancestor's product alive at once it would
+    # hold 4.4 times, growing with the tree's depth
     group = next(g for g in enumerate_spectrum(7) if (g.series, g.birth) == ("five", 4))
     topo = top.level_topology(8)
-    fvals = f.sample(topo)[topo.interior_indices]
-    basis = localize_basis(group, 8, 1)
-    sz.assemble_compressed(fvals, basis)
+    fvals = HarmonicFunction([1.2, 1.5, 1.9]).sample(topo)
+    kernels = sz.cell_kernels(sz.cell_weights(fvals, 4, 8), group, 8)
+    corners = sz.tree_corners("five", 4)
+    assert len(corners) == 3
+    sz.tree_couplings(kernels, corners, 8)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sz.assemble_compressed(fvals, basis)
+        sz.tree_couplings(kernels, corners, 8)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    parts = sum(part.nbytes for part in basis.parts)
-    assert peak < 1.5 * parts, (peak, parts)
+    assert peak < 3.5 * kernels.nbytes, (peak, kernels.nbytes)
+
+
+def _kernel_cases():
+    for m in range(2, 8):
+        for m_q in (m, m + 1):
+            yield "cutoff", m, m_q
+    for j in range(2, 9):
+        for m_q in (j, j + 1):
+            yield "five", j, m_q
+    for j in range(3, 9):
+        for m_q in (j, j + 1):
+            yield "six", j, m_q
+
+
+@pytest.mark.parametrize("series,index,m_q", list(_kernel_cases()))
+def test_cell_kernel_blocks_match_the_extended_assembly(series, index, m_q):
+    # every group's blocks, built from one cell kernel per sign word at the
+    # birth level, against the assembly of its basis extended to V_{m_q},
+    # within 1e-13 of the largest entry; N decides the localized count alone
+    groups = (enumerate_spectrum(index) if series == "cutoff"
+              else (sz._canonical_group(series, index, m_q),))
+    topo = top.level_topology(m_q)
+    bases = {scale: [localize_basis(group, m_q, scale) for group in groups]
+             for scale in (None, 1, 2)}
+    for f in (HarmonicFunction([1.2, 1.5, 1.9]), SimpleCellFunction([2.689, 2.516, 1.841])):
+        fvals = f.sample(topo)[topo.interior_indices]
+        oracle = [assemble_compressed(fvals, basis) for basis in bases[None]]
+        for scale, scaled in bases.items():
+            op = sz.compressed_operator(f, groups, m_q, scale)
+            assert op.localized == sum(len(b.group) * b.localized_count for b in scaled)
+            for new, old in zip(op.blocks, oracle, strict=True):
+                assert new.depths == old.depths
+                largest = max(np.max(np.abs(rows)) for rows in old.couplings)
+                for a, b in zip(new.couplings, old.couplings, strict=True):
+                    assert a.shape == b.shape
+                    assert np.max(np.abs(a - b)) <= 1e-13 * largest, (f.label(), scale)
+
+
+def test_compression_refuses_a_wrong_multiplicity():
+    # the cell tree's columns are counted against the group's multiplicity
+    # before anything is built, as `localize_basis` counts its parts
+    group = dataclasses.replace(sz._canonical_group("six", 4, 5), multiplicity=40)
+    with pytest.raises(AssertionError, match="expected 40"):
+        sz.compressed_operator(ConstantFunction(1.0), [group], 5, 2)
+
+
+@pytest.mark.parametrize("m_q", range(1, 10))
+def test_reference_integral_reads_the_finer_level_off_the_cells(m_q):
+    # the midpoints of the level-m_q cells are the new vertices of level
+    # m_q + 1, bit for bit, and the integral is its quadrature
+    topo, fine = top.level_topology(m_q), top.level_topology(m_q + 1)
+    midpoints = top.cell_embedding(m_q + 1, m_q)[:, [4, 2, 1]]
+    for f in (HarmonicFunction([1.2, 1.5, 1.9]),
+              ExpressionFunction("1.5 + x * y + 0.3 * sin(7 * x)")):
+        values = f.sample(fine)
+        assert np.array_equal(f.midpoints(topo), values[midpoints])
+        expected = float(top.quadrature(m_q + 1) @ np.log(values))
+        assert abs(sz.reference_integral(f, np.log, m_q + 1) - expected) <= 1e-14 * abs(expected)
 
 
 def test_cutoff_peak_memory_is_bounded_by_the_chunk_budget():
