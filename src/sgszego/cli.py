@@ -33,12 +33,13 @@ DEFAULT_TOLERANCES = {
 # desk-scale caps on --m of the commands that build one level: the
 # `topology` tables of `topology` and `resistance` and the `spectrum` birth
 # groups grow about 3x and 2x per level (`resistance --m 12` runs in about
-# 0.6 s and 170 MB, `spectrum --m 20` in 11-13 s and 600 MB)
+# 0.15 s and 140 MB, `spectrum --m 20` in 11-13 s and 600 MB)
 LEVEL_CAPS = {"resistance": 12, "topology": 12, "spectrum": 20}
 
 # desk-scale cap on resistance --triples: the pairs are answered a chunk at
-# a time, and 10^6 triples at --m 12 take about 15 s and 225 MB, of which
-# the level-12 topology tables are about 170 MB
+# a time, and 10^6 triples at --m 12 take about 13 s and 250 MB, of which
+# the topology tables of level 12 and of the levels below it, from which
+# they are built, hold about 92 MB
 TRIPLES_CAP = 10**6
 
 # vertex and cell rows formatted at a time by the topology tables, which

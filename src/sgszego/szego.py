@@ -10,10 +10,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decimation import (SERIES_SIX, cell_tree, enumerate_spectrum, extend_eigenfunction,
-                         make_groups)
+from .decimation import (SERIES_FIVE, SERIES_SIX, cell_tree, enumerate_spectrum,
+                         extend_eigenfunction, make_groups)
 from .eigenbasis import localized_columns
-from .topology import cell_embedding, interior_weight, level_topology, vertex_count
+from .topology import cell_embedding, interior_weight, level_topology, rotation, vertex_count
 
 # the default sampling level is min(index + 1, MQ_CAP).  Memory no longer
 # calls for the cap, since chunks bound it; it keeps cutoff m=7 sampled at
@@ -23,8 +23,9 @@ MQ_CAP = 7
 
 # bytes of cell kernels and products a birth group builds at once
 # (`chunk_words`).  In one sweep of 0.5, 1.5, 4 and 8 MiB (one BLAS thread,
-# one run each), cutoff m=7 peaked at 33.9, 34.2, 34.8 and 34.9 MB in
-# process and cutoff m=9 at m_q=10 took 1.94, 1.63, 1.60 and 1.53 s
+# one run each), cutoff m=7 peaked at 33.8 to 33.9 MB in process and took
+# 0.046, 0.044, 0.041 and 0.040 s, and cutoff m=9 at m_q=10 took 1.36,
+# 1.19, 1.05 and 1.02 s and peaked at 78.6, 76.0, 75.8 and 75.6 MB
 CHUNK_BYTES = 3 << 19
 
 # the field that holds the index range of each sweep mode
@@ -158,13 +159,13 @@ _SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 def chunk_words(group, m_q):
     """Sign words of a birth group to compress at once: as many as
     CHUNK_BYTES holds of what `cell_kernels` and `tree_couplings` make for
-    one word, 8 bytes for each of 4 entries per vertex of V_{m_q - birth} (T
-    and one product of two of its columns) and 24 per birth-cell (the
-    kernels, their symmetric 3 x 3 form and one ancestor's product with
-    them).  At least one: every word is built by its own matrix products,
-    so the blocks do not depend on the chunks."""
+    one word, 8 bytes for each of 3 entries per vertex of V_{m_q - birth}
+    (the extended column t, t rotated and one product of the two) and 24
+    per birth-cell (the kernels, their symmetric 3 x 3 form and one
+    ancestor's product with them).  At least one: every word is built by
+    its own matrix products, so the blocks do not depend on the chunks."""
     j = group.birth
-    return max(1, CHUNK_BYTES // (8 * (4 * vertex_count(m_q - j) + 24 * (3**j + 1))))
+    return max(1, CHUNK_BYTES // (8 * (3 * vertex_count(m_q - j) + 24 * (3**j + 1))))
 
 
 def word_chunks(group, m_q):
@@ -174,59 +175,86 @@ def word_chunks(group, m_q):
 
 
 def cell_weights(f_values, birth, m_q):
-    """(3^birth + 1, vertices of V_{m_q - birth}): row C holds f on the
-    birth-cell of rank C, read off the values on V_{m_q} through
-    `cell_embedding`, times the share c_x of the vertex, 1/2 at the cell's
-    corners and 1 elsewhere; the last row holds the shares alone, f = 1.
-    A vertex of V_{m_q} off V_birth lies in one birth-cell and an interior
-    vertex of V_birth in two, so the rows sum each vertex once."""
-    share = np.where(level_topology(m_q - birth).boundary_mask, 0.5, 1.0)
+    """[w, w rotated by 1, w rotated by 2], three (3^birth + 1, vertices of
+    V_{m_q - birth}) arrays: row C of w holds f on the birth-cell of rank C,
+    read off the values on V_{m_q} through `cell_embedding`, times the share
+    c_x of the vertex, 1/2 at the cell's corners and 1 elsewhere, and the
+    last row holds the shares alone, f = 1.  A vertex of V_{m_q} off V_birth
+    lies in one birth-cell and an interior vertex of V_birth in two, so the
+    rows sum each vertex once.  Rotated by s, w is read through
+    `rotation(m_q - birth)[s]`; built once per group, for `cell_kernels`."""
+    n = m_q - birth
+    share = np.where(level_topology(n).boundary_mask, 0.5, 1.0)
     out = np.empty((3**birth + 1, len(share)))
-    np.multiply(f_values[cell_embedding(m_q, birth)], share, out=out[:-1])
+    np.take(f_values, cell_embedding(m_q, birth), out=out[:-1])
+    out[:-1] *= share
     out[-1] = share
-    return out
+    return [out] + [np.take(out, rotation(n)[s], axis=1) for s in (1, 2)]
 
 
 def cell_kernels(weights, group, m_q):
-    """(G, 3^birth + 1, 6): per sign word and row C of `cell_weights`, the
-    entries `_PAIRS` of K_C = sum_x weights[C, x] T[x]^T T[x].  T, one per
-    word, is the decimation extension of the unit vectors of the three
-    corners of V_0 to V_{m_q - birth} with the word's gammas at birth + 1 ..
-    m_q.  Extension writes each new vertex of a cell from that cell's three
-    corners alone, so inside a birth-cell every eigenfunction of the word on
-    V_{m_q} is T times its values at the cell's corners.  Each word's
-    products are their own matrix products, so its kernels do not depend
-    on the other words."""
+    """(G, 3^birth + 1, 6): per sign word and row C of the weights w of
+    `cell_weights`, the entries `_PAIRS` of K_C = sum_x w[C, x] T[x]^T T[x].
+    T, one per word, is the decimation extension of the unit vectors of the
+    three corners of V_0 to V_{m_q - birth} with the word's gammas at
+    birth + 1 .. m_q.  Extension writes each new vertex of a cell from that
+    cell's three corners alone, so inside a birth-cell every eigenfunction
+    of the word on V_{m_q} is T times its values at the cell's corners.
+
+    The rule is symmetric in a cell's corners, and IEEE addition commutes,
+    so column b of T is its column t, that of q_1, read through the rotation
+    by -b steps, bit for bit: only t is extended.  Substituting y = rot_a x,
+    K_C[a, a] is t^2 and K_C[a, a + 1] is t t[rot_2] against w rotated by a.
+    Each word's products are their own matrix products, so its kernels do
+    not depend on the other words."""
     j, g = group.birth, len(group)
-    t = np.broadcast_to(np.eye(3)[:, None], (3, g, 3))
+    t = np.broadcast_to(np.eye(3)[:, :1], (3, g))
     for level in range(1, m_q - j + 1):
         t = extend_eigenfunction(t, level, group.gamma(j + level))
-    kernels = np.empty((g, len(weights), len(_PAIRS)))
+    kernels = np.empty((g, len(weights[0]), len(_PAIRS)))
     product = np.empty((g, len(t)))  # one word a row
-    for p, (a, b) in enumerate(_PAIRS):
-        np.multiply(t[:, :, a].T, t[:, :, b].T, out=product)
-        kernels[..., p] = np.matmul(weights, product[..., None])[..., 0]
+    # the entries of `_PAIRS` at (a, a), and then at (a, a + 1 mod 3), for a = 0, 1, 2
+    for pairs, other in (((0, 3, 5), t), ((1, 4, 2), t[rotation(m_q - j)[2]])):
+        np.multiply(t.T, other.T, out=product)
+        for p, slab in zip(pairs, weights):
+            kernels[..., p] = np.matmul(slab, product[..., None])[..., 0]
     return kernels
+
+
+@lru_cache(maxsize=None)
+def remainder_corners(series, i):
+    """(corner values, pair sums) of the scale-1 remainder R(i) of a series,
+    the root of its cell tree at birth i, on V_i; cached and read-only, so
+    every birth whose tree holds R(i) shares them.  The corner values,
+    (3^i, 3, c), are the columns at the three corners of each i-cell, in
+    rank order.  The pair sums, (6, c), are sum_C u(C)_r u(C)_s over those
+    cells for each pair (r, s) of `_PAIRS`, doubled off the diagonal, so
+    that a column's squared norm is a sum of six terms against the f = 1
+    kernel."""
+    values = cell_tree(series, i)[0][1]
+    corners = values[level_topology(i).cell_vertices]
+    rows, cols = np.array(_PAIRS).T
+    pairs = np.einsum("Cri,Csi->rsi", corners, corners)[rows, cols]
+    pairs[rows != cols] *= 2.0
+    for table in (corners, pairs):
+        table.flags.writeable = False  # cached and shared by every caller
+    return corners, pairs
 
 
 @lru_cache(maxsize=None)
 def tree_corners(series, birth):
     """(depth, corner values, pair sums) of each level of the cell tree of a
-    birth space, deepest first; cached and read-only.  The corner values are
-    the depth's columns on V_{birth - depth} at the three corners of each of
-    its cells, (3^(birth - depth), 3, c): a column copied into a depth-k cell
-    takes them at the corners of the birth-cells inside it, in rank order.
-    The pair sums, (6, c), are sum_C u(C)_r u(C)_s over those cells for each
-    pair (r, s) of `_PAIRS`, doubled off the diagonal, so that a column's
-    squared norm is a sum of six terms against the f = 1 kernel."""
-    rows, cols = np.array(_PAIRS).T
+    birth space, deepest first; cached.  Depth k holds the kept columns of
+    R(birth - k), which a column copied into a depth-k cell takes at the
+    corners of the birth-cells inside it, in rank order: the
+    `remainder_corners` of R(birth - k), all of its columns at the root and
+    below it all three of a 6-series remainder and a view of column 2, K5,
+    of a 5-series one."""
     levels = []
-    for k, vals in cell_tree(series, birth)[::-1]:
-        corners = vals[level_topology(birth - k).cell_vertices]
-        pairs = np.sum(corners[:, rows] * corners[:, cols], axis=0)
-        pairs[rows != cols] *= 2.0
-        for table in (corners, pairs):
-            table.flags.writeable = False  # cached and shared by every caller
+    for k in reversed(range(len(cell_tree(series, birth)))):
+        corners, pairs = remainder_corners(series, birth - k)
+        if k and series == SERIES_FIVE:
+            corners, pairs = corners[..., 2:], pairs[:, 2:]
         levels.append((k, corners, pairs))
     return tuple(levels)
 
@@ -279,9 +307,11 @@ def compressed_operator(f, groups, m_q, scale):
         weights = cell_weights(fvals, group.birth, m_q)
         chunks = [tree_couplings(cell_kernels(weights, chunk, m_q), corners, m_q)
                   for chunk in word_chunks(group, m_q)]
+        del weights  # before the next group's are built
         blocks.append(chunks[0] if len(chunks) == 1 else TreeBlocks(
             depths=chunks[0].depths,
             couplings=tuple(map(np.concatenate, zip(*(c.couplings for c in chunks))))))
+        del chunks  # stacked into the group's blocks
     if not all(np.isfinite(rows).all() for group in blocks for rows in group.couplings):
         raise FunctionalValueError(f"f={f.label()} compressed at level {m_q} has non-finite entries")
     return CompressedOperator(blocks=tuple(blocks), localized=localized, level=m_q)

@@ -8,14 +8,16 @@ to the same point of the plane are identified, and the canonical id of a
 vertex is the lexicographically least (word, corner) pair that names it.
 
 All coordinates are kept as exact integers at scale 2^-(m+1) (x direction) and
-sqrt(3) * 2^-(m+1) (y direction), so the identification is exact and the
-level-(m-1) vertex set embeds into the level-m one by doubling.  The vertex
-table is built as arrays: the lattice keys of the 3 * 3^m cell corners, listed
-at position 3 * rank + corner - 1, are identified by `np.unique` on an integer
-code of the key, and each vertex's first occurrence in that list is its
-canonical (word, corner).  Lattice keys are used for that alone: every other
-table is read off ranks, since F_w maps the vertex named (u, c) to the one
-named (wu, c).
+sqrt(3) * 2^-(m+1) (y direction), so the level-(m-1) vertex set embeds into
+the level-m one by doubling.  The tables of level m are built from those of
+level m - 1 by self-similarity: V_m is the union of the three copies
+F_i(V_{m-1}), glued at the junctions F_i(q_k) = F_k(q_i).  The cell i u gets
+the vertices F_i of those of u, the copy F_1 keeps its ids, and F_2 and F_3
+number their vertices after it in the order of V_{m-1}, skipping the
+junctions, which keep the ids they have in the earlier copy.  A vertex off
+the junctions has all its names in one copy, so that order is the canonical
+one.  The gasket is also invariant under the rotation that maps q_1 to q_2,
+q_2 to q_3 and q_3 to q_1; `rotation` tabulates it on V_m.
 """
 from __future__ import annotations
 
@@ -39,53 +41,56 @@ def interior_count(m):
     return (3 ** (m + 1) - 3) // 2
 
 
-def lattice_keys(ranks, m, corners):
-    """Integer lattice keys of F_w(q_c), shape (..., 2), for the m-cells w of
-    the given ranks and the corners c, broadcast against each other."""
-    ranks = np.asarray(ranks, dtype=np.int64)
-    keys = np.zeros(ranks.shape + (2,), dtype=np.int64)
-    for t in range(m):
-        # digit t of the address, most significant first, scaled by 2^(m-1-t)
-        keys += _CORNER_KEYS[ranks // 3 ** (m - 1 - t) % 3] << (m - 1 - t)
-    return keys + _CORNER_KEYS[np.asarray(corners) - 1]
-
-
 class LevelTopology:
     """Immutable vertex and cell tables for the level-m graph approximation.
 
     The vertex of index i has lattice key `keys[i]` and canonical name
     (cell of rank `rank[i]`, corner `corner[i]`); `cell_vertices[r]` holds the
     vertex indices of the corners 1, 2, 3 of the cell of rank r, and an
-    interior vertex i is row `interior_row[i]` of `interior_indices`.
+    interior vertex i is row `interior_row[i]` of `interior_indices`.  Built
+    from `level_topology(m - 1)`, as the module docstring describes.
     """
 
     def __init__(self, m):
         if m < 0:
             raise ValueError("level must be >= 0")
         self.m = m
-        corner_keys = lattice_keys(np.arange(3**m)[:, None], m, [1, 2, 3]).reshape(-1, 2)
-        # x keys reach 2^(m+1) and y keys 2^m, so the code is injective; a
-        # vertex's first occurrence is its least (word, corner)
-        _, first, inverse, counts = np.unique(
-            (corner_keys[:, 0] << (m + 1)) + corner_keys[:, 1],
-            return_index=True, return_inverse=True, return_counts=True)
-        order = np.argsort(first)
-        n = len(order)
-        if n != vertex_count(m):
-            raise AssertionError(f"vertex count mismatch at level {m}: {n}")
-        index = np.empty(n, dtype=np.int64)
-        index[order] = np.arange(n)
-
-        self.keys = corner_keys[first[order]]
-        self.rank, corner = np.divmod(first[order], 3)
-        self.corner = corner + 1
+        if m == 0:
+            self.keys = _CORNER_KEYS.copy()
+            self.rank = np.zeros(3, dtype=np.int64)
+            self.corner = np.arange(1, 4, dtype=np.int64)
+            self.cell_vertices = np.arange(3, dtype=np.int64).reshape(1, 3)
+            boundary = np.arange(3)
+        else:
+            prev = level_topology(m - 1)
+            n = prev.n_vertices
+            # the ids of q_1, q_2, q_3 in V_{m-1}, and row i of `ids` the ids
+            # in V_m of the copy F_{i+1}(V_{m-1}), junctions taken from the
+            # earlier copy
+            base = np.nonzero(prev.boundary_mask)[0]
+            ids = np.empty((3, n), dtype=np.int64)
+            fresh = np.ones((3, n), dtype=bool)
+            start = 0
+            for i in range(3):
+                fresh[i, base[:i]] = False
+                ids[i, fresh[i]] = start + np.arange(n - i)
+                ids[i, base[:i]] = ids[:i, base[i]]  # F_{i+1}(q_{k+1}) = F_{k+1}(q_{i+1})
+                start += n - i
+            shift = _CORNER_KEYS << (m - 1)
+            self.keys = np.concatenate([prev.keys[fresh[i]] + shift[i] for i in range(3)])
+            self.rank = np.concatenate([prev.rank[fresh[i]] + i * 3 ** (m - 1) for i in range(3)])
+            self.corner = np.concatenate([prev.corner[fresh[i]] for i in range(3)])
+            self.cell_vertices = np.concatenate([row[prev.cell_vertices] for row in ids])
+            boundary = ids[[0, 1, 2], base]  # F_c(q_c) = q_c
+        if len(self.keys) != vertex_count(m):
+            raise AssertionError(f"vertex count mismatch at level {m}: {len(self.keys)}")
         top = 1 << (m + 1)
         self.coords = np.column_stack([self.keys[:, 0] / top, self.keys[:, 1] * SQRT3 / top])
         # only the corners q_1, q_2, q_3 of the gasket lie in a single m-cell
-        self.boundary_mask = counts[order] == 1
+        self.boundary_mask = np.zeros(len(self.keys), dtype=bool)
+        self.boundary_mask[boundary] = True
         self.interior_indices = np.nonzero(~self.boundary_mask)[0]
         self.interior_row = np.cumsum(~self.boundary_mask) - 1
-        self.cell_vertices = index[inverse].reshape(-1, 3)
 
     @property
     def n_vertices(self):
@@ -95,6 +100,27 @@ class LevelTopology:
 @lru_cache(maxsize=None)
 def level_topology(m):
     return LevelTopology(m)
+
+
+@lru_cache(maxsize=None)
+def rotation(m):
+    """(3, vertices of V_m): row s maps the vertex named (w, c) to the one
+    named (w + s, c + s), every address digit and the corner shifted by s
+    mod 3, the rotation of the gasket by s steps q_1 -> q_2 -> q_3; a
+    permutation of order 3 that maps m-cells to m-cells, read off
+    `cell_vertices`; cached and read-only."""
+    topo = level_topology(m)
+    table = np.empty((3, topo.n_vertices), dtype=np.int64)
+    for s in range(3):
+        # the rank of the cell i u + s is (i + s mod 3) 3^k + the rank of u + s
+        ranks = np.zeros(1, dtype=np.int64)
+        for k in range(m):
+            ranks = ((np.arange(3) + s) % 3 * 3**k)[:, None] + ranks
+            ranks = ranks.ravel()
+        for c in range(3):
+            table[s, topo.cell_vertices[:, c]] = topo.cell_vertices[ranks, (c + s) % 3]
+    table.flags.writeable = False  # cached and shared by every caller
+    return table
 
 
 @lru_cache(maxsize=None)

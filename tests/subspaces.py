@@ -1,5 +1,5 @@
-"""Subspace comparison, oracle constructions, a sum of multipliers and the
-lattice-key vertex lookup shared by the tests."""
+"""Subspace comparison, oracle constructions, a sum of multipliers, and the
+lattice-key vertex tables and lookup shared by the tests."""
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -13,7 +13,8 @@ from sgszego.decimation import (_BIRTH_GAMMA, LAMBDA_TAIL, SERIES_FIVE, SERIES_S
 from sgszego.eigenbasis import _normalized
 from sgszego.laplacian import dirichlet_laplacian, extend_values
 from sgszego.szego import TreeBlocks
-from sgszego.topology import cell_embedding, interior_cell_rows, interior_weight, level_topology
+from sgszego.topology import (_CORNER_KEYS, SQRT3, cell_embedding, interior_cell_rows,
+                              interior_weight, level_topology, vertex_count)
 
 
 class FunctionSum:
@@ -36,6 +37,48 @@ class FunctionSum:
         fine = level_topology(topo.m + 1)
         # V_1 in topology order is q1, m12, m13, q2, m23, q3
         return self.sample(fine)[cell_embedding(topo.m + 1, topo.m)[:, [4, 2, 1]]]
+
+
+# The vertex identification that `topology.LevelTopology` replaced by its
+# recursion over the level below, kept as the oracle of its tables: the
+# lattice keys of the corners of all 3^m cells from their address digits,
+# identified by `np.unique` on an integer code of the key.
+
+def lattice_keys(ranks, m, corners):
+    """Integer lattice keys of F_w(q_c), shape (..., 2), for the m-cells w of
+    the given ranks and the corners c, broadcast against each other."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    keys = np.zeros(ranks.shape + (2,), dtype=np.int64)
+    for t in range(m):
+        # digit t of the address, most significant first, scaled by 2^(m-1-t)
+        keys += _CORNER_KEYS[ranks // 3 ** (m - 1 - t) % 3] << (m - 1 - t)
+    return keys + _CORNER_KEYS[np.asarray(corners) - 1]
+
+
+def unique_key_tables(m):
+    """{name: table} of the level-m topology by `np.unique` over the lattice
+    keys of the 3 * 3^m cell corners, listed at position 3 * rank + corner - 1:
+    a vertex's first occurrence in that list is its canonical (word, corner)."""
+    corner_keys = lattice_keys(np.arange(3**m)[:, None], m, [1, 2, 3]).reshape(-1, 2)
+    # x keys reach 2^(m+1) and y keys 2^m, so the code is injective
+    _, first, inverse, counts = np.unique(
+        (corner_keys[:, 0] << (m + 1)) + corner_keys[:, 1],
+        return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    n = len(order)
+    assert n == vertex_count(m)
+    index = np.empty(n, dtype=np.int64)
+    index[order] = np.arange(n)
+    keys = corner_keys[first[order]]
+    rank, corner = np.divmod(first[order], 3)
+    top = 1 << (m + 1)
+    boundary_mask = counts[order] == 1
+    return {"keys": keys, "rank": rank, "corner": corner + 1,
+            "coords": np.column_stack([keys[:, 0] / top, keys[:, 1] * SQRT3 / top]),
+            "boundary_mask": boundary_mask,
+            "interior_indices": np.nonzero(~boundary_mask)[0],
+            "interior_row": np.cumsum(~boundary_mask) - 1,
+            "cell_vertices": index[inverse].reshape(-1, 3)}
 
 
 def index_of(topo, keys):

@@ -13,8 +13,9 @@ from sgszego import eigenbasis as eb
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
-from subspaces import (index_of, on_vertices, one_word, principal_angle_gap, reference_laplacian,
-                       scalar_spectrum, six_series_birth_by_qr, six_series_remainder_by_solve)
+from subspaces import (index_of, lattice_keys, on_vertices, one_word, principal_angle_gap,
+                       reference_laplacian, scalar_spectrum, six_series_birth_by_qr,
+                       six_series_remainder_by_solve)
 
 
 def test_gamma_step_values():
@@ -462,9 +463,9 @@ def _vertex_key_extension_maps(k):
     # the word w + (c,) has rank 3 * rank(w) + c - 1 in lexicographic order
     for ci in range(3 ** (k - 1)):
         for c in (1, 2, 3):
-            child_corner[ci, c - 1] = index_of(child, top.lattice_keys(3 * ci + c - 1, k, c))
+            child_corner[ci, c - 1] = index_of(child, lattice_keys(3 * ci + c - 1, k, c))
         for r, (p, q) in zip((1, 2, 3), ((2, 3), (1, 3), (1, 2))):
-            child_mid[ci, r - 1] = index_of(child, top.lattice_keys(3 * ci + p - 1, k, q))
+            child_mid[ci, r - 1] = index_of(child, lattice_keys(3 * ci + p - 1, k, q))
     return parent.cell_vertices, child_corner, child_mid
 
 

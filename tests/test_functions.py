@@ -14,14 +14,14 @@ from sgszego.functions import (
     parse_function_spec,
 )
 
-from subspaces import FunctionSum, index_of
+from subspaces import FunctionSum, index_of, lattice_keys
 
 
 def _key(word, corner):
     """Lattice key of F_word(q_corner); itertools.product yields the words in
     lexicographic order, so a word's position there is its rank."""
     rank = list(product((1, 2, 3), repeat=len(word))).index(word)
-    return top.lattice_keys(rank, len(word), corner)
+    return lattice_keys(rank, len(word), corner)
 
 
 def _subdivide(h, child):

@@ -23,7 +23,7 @@ ORACLES = {"dirichlet_laplacian", "cached_dense_spectrum", "CompressedOperator.m
 # (exit code, argv)
 RUNS = [
     (2, []),  # no command: the help text
-    (0, ["topology", "--m", "2"]),
+    (0, ["topology", "--m", "2"]),  # levels 0, 1, 2, each built from the one below
     (0, ["spectrum", "--m", "3"]),
     (0, ["basis", "--series", "six", "--j", "3", "--N", "1", "--m-q", "4"]),
     (0, ["basis", "--series", "five", "--j", "3", "--N", "1", "--m-q", "4"]),

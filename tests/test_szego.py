@@ -17,7 +17,8 @@ from sgszego.eigenbasis import localize_basis
 from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFunction,
                                SimpleCellFunction)
 
-from subspaces import FunctionSum, assemble_compressed, index_of, one_word, scale_cells
+from subspaces import (FunctionSum, assemble_compressed, index_of, lattice_keys, one_word,
+                       scale_cells)
 
 
 def test_identity_for_constant_one():
@@ -230,7 +231,7 @@ def test_equidistribution_riemann_points_below_the_cell_scale():
     ((_, op),) = sz.operators(f, "single", [2], None)
     assert (op.dimension, op.level) == (3, 3)
     topo = top.level_topology(3)
-    points = index_of(topo, top.lattice_keys(np.arange(3), 1, 1) << 2)
+    points = index_of(topo, lattice_keys(np.arange(3), 1, 1) << 2)
     # q1, and the midpoints of q1q2 and q1q3, lie least in the cells 111, 122, 133
     assert topo.rank[points].tolist() == [0, 4, 8]
     expected = float(np.mean([math.log(c) for c in f.coefficients[topo.rank[points]]]))
@@ -312,10 +313,11 @@ def test_full_compression_at_level_m_is_the_riemann_mean(m, N):
 
 
 def _word_bytes(group, m_q):
-    """Bytes of what compressing one sign word holds: T and one product of
-    two of its columns, 4 entries per vertex of V_{m_q - birth}, and 24 per
-    birth-cell for the kernels, their 3 x 3 form and one ancestor product."""
-    return 8 * (4 * top.vertex_count(m_q - group.birth) + 24 * (3**group.birth + 1))
+    """Bytes of what compressing one sign word holds: the extended corner
+    column t, t rotated and one product of the two, 3 entries per vertex of
+    V_{m_q - birth}, and 24 per birth-cell for the kernels, their 3 x 3 form
+    and one ancestor product."""
+    return 8 * (3 * top.vertex_count(m_q - group.birth) + 24 * (3**group.birth + 1))
 
 
 def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
@@ -341,10 +343,12 @@ def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
         dec.cell_tree(group.series, group.birth)  # the remainders, cached
     assert chunks > len(groups)
     calls = {"extend_values": 0}
+    columns = []
     original = dec.extend_values
 
     def counted(*args, **kwargs):
         calls["extend_values"] += 1
+        columns.append(np.shape(args[0])[1:])
         return original(*args, **kwargs)
     monkeypatch.setattr(dec, "extend_values", counted)
     entered = collections.Counter()
@@ -364,6 +368,8 @@ def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
     assert len(op.blocks) == len(groups)
     assert [block.eigenspaces for block in op.blocks] == [len(group) for group in groups]
     assert calls["extend_values"] == extensions, (calls, extensions)
+    # one corner column per word: the values extended are (vertices, words)
+    assert all(len(shape) == 1 for shape in columns), set(columns)
 
 
 CHUNK_GROUPS = [("two", 1), ("five", 1), ("five", 2), ("six", 3), ("five", 4)]
@@ -418,6 +424,64 @@ def test_assembly_holds_one_level_and_one_ancestor_copy():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * kernels.nbytes, (peak, kernels.nbytes)
+
+
+def _three_corner_columns(group, m_q):
+    """(vertices of V_{m_q - birth}, G, 3): the unit vectors of the three
+    corners of V_0 extended together with every word's gammas, the T that
+    `cell_kernels` built before it read two columns through the rotation."""
+    t = np.broadcast_to(np.eye(3)[:, None], (3, len(group), 3))
+    for level in range(1, m_q - group.birth + 1):
+        t = dec.extend_eigenfunction(t, level, group.gamma(group.birth + level))
+    return t
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_rotated_corner_columns_are_the_extended_ones(m):
+    # the extension rule is symmetric in a cell's corners, so the columns of
+    # q_2 and q_3 are that of q_1 read through the rotation by -1 and -2
+    # steps, bit for bit; and the kernels from one column and the rotated
+    # weights are those of the three columns within 1e-14 of their largest
+    f = HarmonicFunction([1.2, 1.5, 1.9])
+    for m_q in (m, m + 1):
+        fvals = f.sample(top.level_topology(m_q))
+        for group in enumerate_spectrum(m):
+            t = _three_corner_columns(group, m_q)
+            rot = top.rotation(m_q - group.birth)
+            assert np.array_equal(t[:, :, 1], t[rot[2], :, 0])
+            assert np.array_equal(t[:, :, 2], t[rot[1], :, 0])
+            weights = sz.cell_weights(fvals, group.birth, m_q)
+            old = np.stack([weights[0] @ (t[:, :, a] * t[:, :, b]) for a, b in sz._PAIRS], axis=-1)
+            new = sz.cell_kernels(weights, group, m_q)
+            assert np.max(np.abs(new - old.swapaxes(0, 1))) <= 1e-14 * np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("series,birth", [("two", 1), ("five", 1)]
+                         + [(s, j) for s in ("five", "six") for j in range(2, 9)])
+def test_tree_corners_share_one_table_per_remainder(series, birth):
+    # depth k of the tree of a birth at j is the table of R(j - k), the root
+    # of the tree born at j - k: all of it for the 6-series and a view of
+    # its column 2, K5, for the 5-series.  The pair sums are those of the
+    # product summed over the cells of all of R(j - k)'s columns, the
+    # formula the trees used before they shared the tables
+    tree = sz.tree_corners(series, birth)
+    assert [k for k, *_ in tree] == list(range(len(dec.cell_tree(series, birth))))[::-1]
+    rows, cols = np.array(sz._PAIRS).T
+    for (k, corners, pairs), (_, vals) in zip(tree[::-1], dec.cell_tree(series, birth)):
+        root = sz.tree_corners(series, birth - k)[-1]
+        assert root[0] == 0
+        if series == "six" or k == 0:
+            assert corners is root[1] and pairs is root[2]
+        else:
+            assert corners.base is root[1] and pairs.base is root[2]
+            assert corners.shape[-1] == pairs.shape[-1] == 1
+        assert not corners.flags.writeable and not pairs.flags.writeable
+        assert np.array_equal(corners, vals[top.level_topology(birth - k).cell_vertices])
+        full = dec.cell_tree(series, birth - k)[0][1][top.level_topology(birth - k).cell_vertices]
+        old = np.sum(full[:, rows] * full[:, cols], axis=0)
+        old[rows != cols] *= 2.0
+        old = old[:, -pairs.shape[-1]:]
+        assert np.all(np.abs(pairs - old) <= 1e-15 * np.abs(old)), (k, pairs - old)
 
 
 def _kernel_cases():

@@ -8,7 +8,7 @@ from sgszego import cli
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
-from subspaces import index_of
+from subspaces import index_of, lattice_keys, unique_key_tables
 
 # Reference for the lattice-key rule and the canonical vertex order: the
 # word-by-word key loop and the dict of representatives that the array build
@@ -70,7 +70,7 @@ def test_level_zero_and_one():
 def test_lattice_keys_match_loop(m):
     for rank, word in enumerate(product((1, 2, 3), repeat=m)):
         for corner in (1, 2, 3):
-            key = top.lattice_keys(rank, m, corner)
+            key = lattice_keys(rank, m, corner)
             assert tuple(key.tolist()) == _loop_vertex_key(word, corner)
 
 
@@ -85,6 +85,41 @@ def test_tables_match_representative_dict(m):
     assert index_of(topo, topo.keys).tolist() == list(range(topo.n_vertices))
     with pytest.raises(KeyError):
         index_of(topo, [1 << (m + 1), 1])
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_recursion_matches_the_unique_key_oracle(m):
+    # every table built from the level below equals the one `np.unique` over
+    # the lattice keys of all cell corners gives, dtype included, and is
+    # C-contiguous
+    topo = top.level_topology(m)
+    for name, expected in unique_key_tables(m).items():
+        table = getattr(topo, name)
+        assert table.dtype == expected.dtype, name
+        assert table.flags.c_contiguous, name
+        assert np.array_equal(table, expected), name
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_rotation_is_a_cell_permutation_of_order_three(m):
+    topo = top.level_topology(m)
+    rot = top.rotation(m)
+    assert rot.shape == (3, topo.n_vertices) and not rot.flags.writeable
+    assert np.array_equal(rot[0], np.arange(topo.n_vertices))
+    digits = np.array(list(product(range(3), repeat=m)), dtype=np.int64).reshape(3**m, m)
+    for s in range(3):
+        assert np.array_equal(np.sort(rot[s]), np.arange(topo.n_vertices))
+        assert np.array_equal(rot[1][rot[s]], rot[(s + 1) % 3])
+        # the corners of each cell go to the corners of a cell, corner c to c + s
+        ranks = (digits + s) % 3 @ (3 ** np.arange(m - 1, -1, -1)).astype(np.int64)
+        assert np.array_equal(rot[s][topo.cell_vertices],
+                              topo.cell_vertices[ranks][:, (np.arange(3) + s) % 3])
+    # it is the rotation of the plane by 120 degrees about the centre that
+    # takes q_1 to q_2
+    centre = np.array([0.5, math.sqrt(3) / 6])
+    turn = np.array([[-0.5, -math.sqrt(3) / 2], [math.sqrt(3) / 2, -0.5]])
+    assert np.allclose(topo.coords[rot[1]], (topo.coords - centre) @ turn.T + centre,
+                       rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -120,7 +155,7 @@ def _key_search_embedding(m, scale):
     2^(m - scale) times the key of the corner F_w(q_1) at level `scale`, and
     the shifted keys are looked up among the level-m vertices."""
     shift = m - scale
-    origins = top.lattice_keys(np.arange(3**scale)[:, None], scale, 1) << shift
+    origins = lattice_keys(np.arange(3**scale)[:, None], scale, 1) << shift
     return index_of(top.level_topology(m), origins + top.level_topology(shift).keys)
 
 
