@@ -41,11 +41,18 @@ def gamma_step(gamma_prev, sign):
     which avoids catastrophic cancellation as gamma tends to zero.
     """
     gamma_prev = np.asarray(gamma_prev, dtype=float)
-    disc = 25.0 - 4.0 * gamma_prev
-    if np.any(disc < 0.0):
+    total = np.asarray(-4.0 * gamma_prev)
+    total += 25.0  # the discriminant
+    if np.any(total < 0.0):
         raise ValueError("gamma exceeds 25/4, discriminant negative")
-    root = np.sqrt(disc)
-    return np.where(np.equal(sign, -1), 2.0 * gamma_prev / (5.0 + root), 0.5 * (5.0 + root))[()]
+    np.sqrt(total, out=total)
+    total += 5.0
+    minus = np.equal(sign, -1)
+    # in place, and each entry computes the branch it takes alone
+    out = np.empty(np.broadcast_shapes(total.shape, minus.shape))
+    np.multiply(total, 0.5, out=out, where=~minus)
+    np.divide(2.0 * gamma_prev, total, out=out, where=minus)
+    return out[()]
 
 
 def _continue(gamma, steps):
@@ -93,13 +100,19 @@ class BirthGroup:
                        lam=self.lam[words], fixation=self.fixation[words])
 
     def gamma(self, k):
-        """gamma_k of every word for any k >= birth; past the stored words all
-        signs are -1 but the forced +1 directly after a 6-series birth."""
+        """gamma_k of every word for any k >= birth (`gammas_through`)."""
+        return self.gammas_through(k)[:, -1]
+
+    def gammas_through(self, k):
+        """(G, k - birth + 1): gamma_birth .. gamma_k of every word, in one
+        pass; past the stored words all signs are -1 but the forced +1
+        directly after a 6-series birth."""
         if k < self.birth:
             raise ValueError("level precedes generation of birth")
-        if k <= self.level:
-            return self.gammas[:, k - self.birth]
-        return _continue(self.gammas[:, -1], k - self.level)
+        columns = [self.gammas[:, :k - self.birth + 1]]
+        for _ in range(k - self.level):
+            columns.append(_continue(columns[-1][:, -1:], 1))
+        return np.hstack(columns) if len(columns) > 1 else columns[0]
 
 
 def make_groups(words):
@@ -128,8 +141,8 @@ def make_groups(words):
     table = np.zeros((level + 1, len(births)))
     table[births, np.arange(len(births))] = np.repeat([_BIRTH_GAMMA[s] for s, *_ in words], sizes)
     for k in range(2, level + 1):
-        born = births < k
-        table[k, born] = gamma_step(table[k - 1, born], steps[k, born])
+        # a word not yet born steps from 0 to a value that is not kept
+        np.copyto(table[k], gamma_step(table[k - 1], steps[k]), where=births < k)
     tail = LAMBDA_TAIL + max(LAMBDA_TAIL, level)
     lam = 1.5 * (5.0 ** tail) * _continue(table[level], tail - level)
     order = np.lexsort((lam, np.repeat(np.arange(len(words)), sizes)))
@@ -183,10 +196,16 @@ def extend_eigenfunction(values, k, gamma_k, interior=False):
     `gamma_k` is a scalar or one gamma per slice of axis 1, and a forbidden
     gamma in any slice is refused.
     """
-    for bad in FORBIDDEN_GAMMAS:
-        if np.any(np.abs(np.asarray(gamma_k) - bad) < 1e-12):
-            raise ValueError(f"forbidden extension eigenvalue gamma = {bad}")
+    refuse_forbidden(gamma_k)
     return extend_values(np.asarray(values, dtype=float), k, gamma_k, interior)
+
+
+def refuse_forbidden(gammas):
+    """Raises the ValueError of `extend_eigenfunction` if any of the gammas
+    lies within 1e-12 of 2, 5 or 6."""
+    for bad in FORBIDDEN_GAMMAS:
+        if np.any(np.abs(np.asarray(gammas) - bad) < 1e-12):
+            raise ValueError(f"forbidden extension eigenvalue gamma = {bad}")
 
 
 # smallest singular value of the 5-series junction matrix, relative to its

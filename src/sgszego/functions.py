@@ -2,9 +2,18 @@
 
 A function is evaluated on the vertices of a level topology: `sample(topo)`
 gives its values on every vertex, and a function without exact cell
-integrals also gives `midpoints(topo)`, its values on the vertices one level
-finer that are new, the midpoints of the cells' edges.  The Riemann-point
-comparison reads its points off one sample.
+integrals also gives `midpoints(topo, values)`, from its sample `values` on
+topo its values on the vertices one level finer that are new, the midpoints
+of the cells' edges.  The Riemann-point comparison reads its points off one
+sample.
+
+A function that is harmonic inside every cell of some level, its `scale`,
+also gives `cell_corners(level)` for every level from that one on: the
+values at each level-cell's corners of its harmonic restriction to the
+cell's interior, and its sampled values there, which differ only where the
+sample takes a vertex shared by two cells from one of them.  The Szegő
+kernels read such a function at that level instead of on the sampling level
+(`szego.recursive_kernels`).
 """
 from __future__ import annotations
 
@@ -12,11 +21,13 @@ import math
 
 import numpy as np
 
-from .laplacian import extend_values
+from .laplacian import child_maps, extend_values
 from .topology import SQRT3, level_topology
 
 
 class ConstantFunction:
+    scale = 0
+
     def __init__(self, value):
         self.value = float(value)
 
@@ -25,6 +36,10 @@ class ConstantFunction:
 
     def sample(self, topo):
         return np.full(topo.n_vertices, self.value)
+
+    def cell_corners(self, level):
+        values = np.full((3**level, 3), self.value)
+        return values, values
 
     def cell_integral(self, func=None):
         return self.value if func is None else float(func(self.value))
@@ -56,6 +71,13 @@ class SimpleCellFunction:
         # cell, so the leading digits of that cell's rank address the owner
         return self.coefficients[topo.rank // 3 ** (topo.m - self.scale)]
 
+    def cell_corners(self, level):
+        """Inside a level-cell f is its scale-cell's coefficient; at a corner
+        the cell shares, the sample may take the other cell's."""
+        topo = level_topology(level)
+        inside = self.coefficients[np.arange(3**level) // 3 ** (level - self.scale)]
+        return np.repeat(inside[:, None], 3, axis=1), self.sample(topo)[topo.cell_vertices]
+
     def cell_integral(self, func=None):
         """Exact integral of func(f) for the self-similar measure: each cell
         carries mass 3^-N."""
@@ -66,6 +88,8 @@ class SimpleCellFunction:
 class HarmonicFunction:
     """Harmonic extension of prescribed boundary values, evaluated exactly on
     vertices via the 2/5-2/5-1/5 subdivision rule."""
+
+    scale = 0
 
     def __init__(self, boundary_values):
         if len(boundary_values) != 3:
@@ -83,11 +107,22 @@ class HarmonicFunction:
             values = extend_values(values, k, 0.0)
         return values
 
-    def midpoints(self, topo):
+    def cell_corners(self, level):
+        """The values at every level-cell's corners, by the 3 x 3 harmonic
+        child maps from the boundary values, no table of V_level built."""
+        corners = np.array([self.boundary_values])
+        maps = child_maps(0.0).reshape(9, 3)
+        for _ in range(level):
+            # child i of the cell of rank r has rank 3 r + i
+            corners = (corners @ maps.T).reshape(-1, 3)
+        return corners, corners
+
+    def midpoints(self, topo, values):
         """Values at the midpoints of the edges of every topo-level cell,
-        (cells, 3), column r opposite corner r: (2 (f_p + f_q) + f_r) / 5, bit
-        for bit the harmonic extension one level finer."""
-        corners = self.sample(topo)[topo.cell_vertices]
+        (cells, 3), column r opposite corner r, from the sample `values` on
+        topo: (2 (f_p + f_q) + f_r) / 5, bit for bit the harmonic extension
+        one level finer."""
+        corners = values[topo.cell_vertices]
         mid = corners[:, [1, 0, 0]] + corners[:, [2, 2, 1]]
         mid *= 2.0
         mid += corners
@@ -142,11 +177,12 @@ class ExpressionFunction:
     def sample(self, topo):
         return self._values(topo.coords[:, 0], topo.coords[:, 1])
 
-    def midpoints(self, topo):
+    def midpoints(self, topo, values):
         """Values at the midpoints of the edges of every topo-level cell,
-        (cells, 3), column r opposite corner r.  A midpoint's lattice key one
-        level finer is the sum of its edge's keys, so its coordinates are
-        those of `level_topology(topo.m + 1)` bit for bit."""
+        (cells, 3), column r opposite corner r; the expression is evaluated
+        there, and its sample `values` on topo is not read.  A midpoint's
+        lattice key one level finer is the sum of its edge's keys, so its
+        coordinates are those of `level_topology(topo.m + 1)` bit for bit."""
         keys = topo.keys[topo.cell_vertices]
         keys = (keys[:, [1, 0, 0]] + keys[:, [2, 2, 1]]).reshape(-1, 2)
         top = 1 << (topo.m + 2)

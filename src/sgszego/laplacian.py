@@ -171,6 +171,35 @@ def extend_values(values, k, gamma_k, interior=False):
     return out[:-1] if interior else out
 
 
+def child_maps(gamma):
+    """(..., 3, 3, 3) for gamma of shape (...): [..., i, :, :] is A_i(gamma),
+    the map from a cell's corner values to those of its child i by the rule
+    of `extend_values`.  Corner i of child i is the cell's corner i, and
+    corner t != i the midpoint of the edge (i, t), which takes (4 - g) /
+    ((2 - g)(5 - g)) of corners i and t and 2 / ((2 - g)(5 - g)) of the
+    opposite corner 3 - i - t.  A_i(0) restricts a harmonic function to
+    child i.  The rule divides by zero at gamma = 2 and 5, as that of
+    `extend_values` does."""
+    gamma = np.asarray(gamma, dtype=float)
+    denom = (2.0 - gamma) * (5.0 - gamma)
+    return corner_maps(np.ones_like(gamma), (4.0 - gamma) / denom, 2.0 / denom)
+
+
+def corner_maps(own, near, far):
+    """(..., 3, 3, 3), the entries of `child_maps` from their three values:
+    `own` where a child's corner is its cell's, `near` from the two ends of
+    a midpoint's edge, `far` from the corner opposite it; broadcast
+    against each other."""
+    own, near, far = np.broadcast_arrays(own, near, far)
+    maps = np.zeros(own.shape + (3, 3, 3))
+    for i in range(3):
+        maps[..., i, i, i] = own
+        for t in {0, 1, 2} - {i}:
+            maps[..., i, t, i] = maps[..., i, t, t] = near
+            maps[..., i, t, 3 - i - t] = far
+    return maps
+
+
 # pairs a resistance query answers at a time: about 350 B each, 23 MB a chunk
 PAIR_CHUNK = 1 << 16
 

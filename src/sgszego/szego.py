@@ -11,8 +11,9 @@ from functools import lru_cache
 import numpy as np
 
 from .decimation import (SERIES_FIVE, SERIES_SIX, cell_tree, enumerate_spectrum,
-                         extend_eigenfunction, make_groups)
+                         extend_eigenfunction, make_groups, refuse_forbidden)
 from .eigenbasis import localized_columns
+from .laplacian import child_maps, corner_maps
 from .topology import cell_embedding, interior_weight, level_topology, rotation, vertex_count
 
 # the default sampling level is min(index + 1, MQ_CAP).  Memory no longer
@@ -21,11 +22,12 @@ from .topology import cell_embedding, interior_weight, level_topology, rotation,
 # those are recorded again at level 8
 MQ_CAP = 7
 
-# bytes of cell kernels and products a birth group builds at once
-# (`chunk_words`).  In one sweep of 0.5, 1.5, 4 and 8 MiB (one BLAS thread,
-# one run each), cutoff m=7 peaked at 33.8 to 33.9 MB in process and took
-# 0.046, 0.044, 0.041 and 0.040 s, and cutoff m=9 at m_q=10 took 1.36,
-# 1.19, 1.05 and 1.02 s and peaked at 78.6, 76.0, 75.8 and 75.6 MB
+# bytes of cell kernels and products a birth group of a sampled f builds
+# at once (`chunk_words`).  In one sweep of 0.5, 1.5, 4 and 8 MiB (one BLAS
+# thread, one run each, when harmonic f were sampled too), cutoff m=7 peaked
+# at 33.8 to 33.9 MB in process and took 0.046, 0.044, 0.041 and 0.040 s,
+# and cutoff m=9 at m_q=10 took 1.36, 1.19, 1.05 and 1.02 s and peaked at
+# 78.6, 76.0, 75.8 and 75.6 MB
 CHUNK_BYTES = 3 << 19
 
 # the field that holds the index range of each sweep mode
@@ -222,6 +224,119 @@ def cell_kernels(weights, group, m_q):
 
 
 @lru_cache(maxsize=None)
+def _recursion_tables():
+    """(start, step, back) of `corner_tensors`, in the coordinates
+    (mean, u_1 - mean, u_2 - mean) of the values u_1, u_2, u_3 at a cell's
+    corners q_1, q_2, q_3, which the columns of
+    F = [[1, 1, 0], [1, 0, 1], [1, -1, -1]] take back to corner values, with
+    3 F^-1 = [[1, 1, 1], [2, -1, -1], [-1, 2, -1]].
+
+    In them A_i(gamma) = A_i(0) + s S_i + r D_i, where S_i gives each
+    midpoint of child i the sum of the cell's corners and D_i gives it
+    u_i + u_t - 2 u_r, so S_i reads the mean alone and D_i the deviations
+    alone, and s = gamma / (3 (2 - gamma)) and r = gamma / (15 (5 - gamma))
+    vanish at gamma = 0.  `step`, (27, 6 * 27), holds one 27 x 27 block per
+    monomial 1, s, r, s^2, s r, r^2: sum_i A_i[a', a] A_i[b', b] H_i[c', c]
+    over the terms of A_i (x) A_i of that monomial, at row 9 a' + 3 b' + c'
+    and column 9 a + 3 b + c, with H_i = A_i(0) on the corner values of c.
+    `start` is M = 1/2 delta_abc at m_q in the coordinates, and `back`, 9
+    times the map of M back to corner values, holds integers, so M = 1/2
+    delta_abc comes back exactly."""
+    to_corners = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, -1.0, -1.0]])
+    from_corners = np.array([[1.0, 1.0, 1.0], [2.0, -1.0, -1.0], [-1.0, 2.0, -1.0]])
+
+    def conjugate(maps, scale):
+        # integer maps times scale, so that the division is the only rounding
+        return np.einsum("ij,njk,kl->nil", from_corners, maps, to_corners) / (3.0 * scale)
+
+    terms = np.stack([conjugate(corner_maps(5.0, 2.0, 1.0), 5.0),
+                      conjugate(corner_maps(0.0, 1.0, 1.0), 1.0),
+                      conjugate(corner_maps(0.0, 1.0, -2.0), 1.0)])
+    # the terms u (x) v (x) H summed over the children, for each pair (u, v)
+    pairs = np.einsum("uixa,viyb,izc->uvxyzabc", terms, terms, child_maps(0.0)).reshape(3, 3, 27, 27)
+    step = np.hstack([pairs[a, b] + pairs[b, a] if a != b else pairs[a, a]
+                      for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))])
+    start = 0.5 * np.einsum("cx,cy->xyc", to_corners, to_corners).ravel()
+    back = np.einsum("xa,yb,cz->xyzabc", from_corners, from_corners, np.eye(3)).reshape(27, 27)
+    return start, step, back
+
+
+def corner_tensors(gammas):
+    """(W, 6, 3) for the rows gamma_{L+1} .. gamma_{m_q} of `gammas`, (W, n),
+    one sign word a row: the tensor M[a, b, c] of an L-cell, over the pairs
+    (a, b) of `_PAIRS`, less its corner terms 1/2 delta_abc.
+
+    T, one per word, extends the cell's three corner unit vectors to its
+    vertices of V_{m_q} with the word's gammas, and phi_c is the harmonic
+    function of corner c, so M[a, b, c] = sum_x c_x phi_c(x) T[x, a] T[x, b],
+    with the shares c_x of `cell_weights`.  A cell at m_q has its corners
+    alone, so M = 1/2 delta_abc there.  Child i of a level-(l - 1) cell
+    takes its corner values by `child_maps`, A_i(gamma_l), and phi_c
+    restricts to it by A_i(0), so M at l - 1 is
+    sum_i (A_i(gamma_l) (x) A_i(gamma_l) (x) A_i(0))^T M at l, a vertex
+    shared by two children taking half its share from each.
+
+    The recursion runs in the coordinates of `_recursion_tables`, where no
+    sum cancels: in corner values a word whose gamma comes within 1.4e-4 of
+    5 after five small ones (a 2-series word of cutoff m=7 at m_q=10) lost
+    9e-13 of its kernels' largest entry to rounding, and in these 1.3e-15."""
+    if not gammas.shape[1]:
+        return np.zeros((len(gammas), len(_PAIRS), 3))  # an m_q-cell has its corners alone
+    start, step, back = _recursion_tables()
+    s, r = gammas / (3.0 * (2.0 - gammas)), gammas / (15.0 * (5.0 - gammas))
+    monomials = np.stack([np.ones_like(s), s, r, s * s, s * r, r * r], axis=-1)  # (W, n, 6)
+    tensor = np.tile(start, (len(gammas), 1))
+    for level in reversed(range(gammas.shape[1])):
+        parts = (tensor @ step).reshape(len(gammas), 6, 27)
+        tensor = np.matmul(monomials[:, level, None], parts)[:, 0]
+    tensor = (tensor @ back) / 9.0
+    tensor[:, ::13] -= 0.5  # the entries (a, a, a)
+    rows, cols = np.array(_PAIRS).T
+    return tensor.reshape(-1, 3, 3, 3)[:, rows, cols]
+
+
+def recursive_kernels(group, f, level, m_q):
+    """The `cell_kernels` of a birth group's words at sampling level m_q for
+    an f harmonic inside every cell of the given level, L >= birth, by the
+    self-similar recursion, with no table of V_{m_q}: (G, 3^birth + 1, 6), the
+    last row the kernels of f = 1.  Refuses a forbidden gamma as
+    `extend_eigenfunction` does.
+
+    Inside an L-cell D, f is the harmonic function of its corner values h
+    from `f.cell_corners` but at D's corners, where the sample takes s, so
+    K_D = sum_c h_c M[:, :, c] + 1/2 sum_c (s_c - h_c) e_c e_c^T with the
+    word's `corner_tensors` M; that is sum_c h_c (M - 1/2 delta)[:, :, c] +
+    1/2 diag(s), which is 1/2 diag(s) bit for bit at L = m_q.  A birth-cell C
+    sums T_D^T K_D T_D over its L-cells D, T_D the `child_maps` products of
+    the word's gamma_{birth+1} .. gamma_L along D's address in C, the
+    values at D's corners of C's extended corner columns.  Unlike
+    `cell_weights`, f is not set to 0 at the corners of V_0: that changes
+    only K_C[a, a] of a corner a where every column vanishes."""
+    birth, g = group.birth, len(group)
+    if not birth <= level <= m_q:
+        raise ValueError(f"kernel level {level} lies outside {birth}..{m_q}, "
+                         "the birth and sampling levels")
+    gammas = group.gammas_through(m_q)[:, 1:]  # gamma_{birth+1} .. gamma_{m_q}
+    refuse_forbidden(gammas)
+    tensors = corner_tensors(gammas[:, level - birth:])
+    harmonic, sampled = f.cell_corners(level)
+    # the L-cells of the f = 1 kernels, one birth-cell's worth after the others
+    ones = np.ones((3 ** (level - birth), 3))
+    kernels = np.matmul(np.vstack([harmonic, ones]), tensors.swapaxes(1, 2))
+    kernels[..., [0, 3, 5]] += 0.5 * np.vstack([sampled, ones])
+    if level == birth:
+        return kernels
+    corners = np.broadcast_to(np.eye(3), (g, 1, 3, 3))
+    for step in range(level - birth):
+        maps = child_maps(gammas[:, step])[:, None]  # (G, 1, 3, 3, 3)
+        corners = np.matmul(maps, corners[:, :, None]).reshape(g, -1, 3, 3)
+    full = kernels[..., _SYMMETRIC].reshape((g, -1) + corners.shape[1:])
+    full = np.matmul(corners.swapaxes(-1, -2)[:, None], full @ corners[:, None]).sum(axis=2)
+    rows, cols = np.array(_PAIRS).T
+    return full[..., rows, cols]
+
+
+@lru_cache(maxsize=None)
 def remainder_corners(series, i):
     """(corner values, pair sums) of the scale-1 remainder R(i) of a series,
     the root of its cell tree at birth i, on V_i; cached and read-only, so
@@ -233,9 +348,13 @@ def remainder_corners(series, i):
     kernel."""
     values = cell_tree(series, i)[0][1]
     corners = values[level_topology(i).cell_vertices]
-    rows, cols = np.array(_PAIRS).T
-    pairs = np.einsum("Cri,Csi->rsi", corners, corners)[rows, cols]
-    pairs[rows != cols] *= 2.0
+    pairs = np.empty((len(_PAIRS), corners.shape[-1]))
+    product = np.empty(pairs.shape[1:] + corners.shape[:1])  # a row per column
+    for p, (r, s) in enumerate(_PAIRS):
+        # each row sums pairwise, as numpy sums a contiguous axis: a sum in
+        # the order of the cells lost 3e-14 relative over the 6561 of R5(8)
+        np.multiply(corners[:, r].T, corners[:, s].T, out=product)
+        pairs[p] = product.sum(axis=-1) * (1.0 if r == s else 2.0)
     for table in (corners, pairs):
         table.flags.writeable = False  # cached and shared by every caller
     return corners, pairs
@@ -292,29 +411,44 @@ def tree_couplings(kernels, corners, m_q):
 def compressed_operator(f, groups, m_q, scale):
     """f compressed to the sum of the eigenspaces of the birth groups, each
     sampled at level m_q and localized at the given scale, built one group
-    at a time and each group in `word_chunks`, whose blocks are stacked into
-    the group's; raises FunctionalValueError when a block has a non-finite
+    at a time; raises FunctionalValueError when a block has a non-finite
     entry.  A group's basis is never extended past its birth level: each
-    word's eigenfunctions enter through its `cell_kernels`."""
-    topo = level_topology(m_q)
-    # the eigenfunctions vanish at the corners of V_0, where f may be infinite
-    fvals = np.where(topo.boundary_mask, 0.0, f.sample(topo))
+    word's eigenfunctions enter through its cell kernels.  An f with
+    `cell_corners` is read at level max(birth, f.scale) by
+    `recursive_kernels`, with no table of V_{m_q}; any other f is sampled on
+    V_{m_q} (`sampled_blocks`)."""
+    recursive = hasattr(f, "cell_corners")
+    if not recursive:
+        topo = level_topology(m_q)
+        # the eigenfunctions vanish at the corners of V_0, where f may be infinite
+        fvals = np.where(topo.boundary_mask, 0.0, f.sample(topo))
     blocks, localized = [], 0
     for group in groups:
         corners = tree_corners(group.series, group.birth)
         counts = [3**k * u.shape[-1] for k, u, _ in corners]
         localized += len(group) * localized_columns(group, [k for k, *_ in corners], counts, scale)
-        weights = cell_weights(fvals, group.birth, m_q)
-        chunks = [tree_couplings(cell_kernels(weights, chunk, m_q), corners, m_q)
-                  for chunk in word_chunks(group, m_q)]
-        del weights  # before the next group's are built
-        blocks.append(chunks[0] if len(chunks) == 1 else TreeBlocks(
-            depths=chunks[0].depths,
-            couplings=tuple(map(np.concatenate, zip(*(c.couplings for c in chunks))))))
-        del chunks  # stacked into the group's blocks
+        if recursive:
+            kernels = recursive_kernels(group, f, max(group.birth, f.scale), m_q)
+            blocks.append(tree_couplings(kernels, corners, m_q))
+        else:
+            blocks.append(sampled_blocks(fvals, group, corners, m_q))
     if not all(np.isfinite(rows).all() for group in blocks for rows in group.couplings):
         raise FunctionalValueError(f"f={f.label()} compressed at level {m_q} has non-finite entries")
     return CompressedOperator(blocks=tuple(blocks), localized=localized, level=m_q)
+
+
+def sampled_blocks(f_values, group, corners, m_q):
+    """The `TreeBlocks` of a birth group for f given by its values on
+    V_{m_q}: `cell_kernels` and `tree_couplings` of each of its
+    `word_chunks`, stacked into the group's blocks."""
+    weights = cell_weights(f_values, group.birth, m_q)
+    chunks = [tree_couplings(cell_kernels(weights, chunk, m_q), corners, m_q)
+              for chunk in word_chunks(group, m_q)]
+    del weights  # before the chunks are stacked
+    if len(chunks) == 1:
+        return chunks[0]
+    return TreeBlocks(depths=chunks[0].depths,
+                      couplings=tuple(map(np.concatenate, zip(*(c.couplings for c in chunks)))))
 
 
 def _eliminate(group):
@@ -384,8 +518,9 @@ def reference_integral(f, func, level):
     if hasattr(f, "cell_integral"):
         return f.cell_integral(func)
     topo = level_topology(level - 1)
-    total = np.where(topo.boundary_mask, 1.0, 2.0) @ func(f.sample(topo))
-    total += 2.0 * np.sum(func(f.midpoints(topo)))
+    values = f.sample(topo)
+    total = np.where(topo.boundary_mask, 1.0, 2.0) @ func(values)
+    total += 2.0 * np.sum(func(f.midpoints(topo, values)))
     return float(total * 3.0 ** (-level) / 3.0)
 
 

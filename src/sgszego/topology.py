@@ -16,12 +16,15 @@ the vertices F_i of those of u, the copy F_1 keeps its ids, and F_2 and F_3
 number their vertices after it in the order of V_{m-1}, skipping the
 junctions, which keep the ids they have in the earlier copy.  A vertex off
 the junctions has all its names in one copy, so that order is the canonical
-one.  The gasket is also invariant under the rotation that maps q_1 to q_2,
-q_2 to q_3 and q_3 to q_1; `rotation` tabulates it on V_m.
+one.  A level built only on the way to a higher one is dropped once that is
+built; `level_topology` keeps the levels that callers ask for.  The gasket is
+also invariant under the rotation that maps q_1 to q_2, q_2 to q_3 and q_3 to
+q_1; `rotation` tabulates it on V_m.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +34,10 @@ SQRT3 = math.sqrt(3.0)
 # Corner anchors q_1, q_2, q_3 scaled by 2 so that every vertex lands on the
 # integer lattice described in the module docstring.
 _CORNER_KEYS = np.array([(0, 0), (2, 0), (1, 1)], dtype=np.int64)
+
+# every level table still referenced, by level: a level is built from the
+# one below if that is alive, and otherwise from a table of its own
+_ALIVE = weakref.WeakValueDictionary()
 
 
 def vertex_count(m):
@@ -48,7 +55,8 @@ class LevelTopology:
     (cell of rank `rank[i]`, corner `corner[i]`); `cell_vertices[r]` holds the
     vertex indices of the corners 1, 2, 3 of the cell of rank r, and an
     interior vertex i is row `interior_row[i]` of `interior_indices`.  Built
-    from `level_topology(m - 1)`, as the module docstring describes.
+    from level m - 1, as the module docstring describes: the table some
+    caller still holds, or one built for this level alone and dropped after.
     """
 
     def __init__(self, m):
@@ -62,7 +70,7 @@ class LevelTopology:
             self.cell_vertices = np.arange(3, dtype=np.int64).reshape(1, 3)
             boundary = np.arange(3)
         else:
-            prev = level_topology(m - 1)
+            prev = _ALIVE.get(m - 1) or LevelTopology(m - 1)
             n = prev.n_vertices
             # the ids of q_1, q_2, q_3 in V_{m-1}, and row i of `ids` the ids
             # in V_m of the copy F_{i+1}(V_{m-1}), junctions taken from the
@@ -91,6 +99,7 @@ class LevelTopology:
         self.boundary_mask[boundary] = True
         self.interior_indices = np.nonzero(~self.boundary_mask)[0]
         self.interior_row = np.cumsum(~self.boundary_mask) - 1
+        _ALIVE[m] = self
 
     @property
     def n_vertices(self):

@@ -8,10 +8,11 @@ from itertools import product
 import numpy as np
 
 from sgszego.decimation import (_BIRTH_GAMMA, LAMBDA_TAIL, SERIES_FIVE, SERIES_SIX, SERIES_TWO,
-                                _birth_space, corner_normal_derivatives, eigenfunctions_at_level,
-                                junction_nullspace, make_groups, series_multiplicity)
-from sgszego.eigenbasis import _normalized
-from sgszego.laplacian import dirichlet_laplacian, extend_values
+                                _birth_space, cell_tree, corner_normal_derivatives,
+                                eigenfunctions_at_level, junction_nullspace, make_groups,
+                                series_multiplicity)
+from sgszego.eigenbasis import EigenspaceBasis, _normalized
+from sgszego.laplacian import dirichlet_laplacian, extend_values, extension_maps
 from sgszego.szego import TreeBlocks
 from sgszego.topology import (_CORNER_KEYS, SQRT3, cell_embedding, interior_cell_rows,
                               interior_weight, level_topology, vertex_count)
@@ -31,7 +32,7 @@ class FunctionSum:
     def sample(self, topo):
         return self.first.sample(topo) + self.second.sample(topo)
 
-    def midpoints(self, topo):
+    def midpoints(self, topo, values):
         """The sum's values at the midpoints of the topo-level cells' edges,
         read off a sample one level finer (`functions.HarmonicFunction`)."""
         fine = level_topology(topo.m + 1)
@@ -393,3 +394,39 @@ def _level_couplings(f, basis, i):
                       * block.reshape(g, 3**k, c, -1))
     blocks[0] = 0.5 * (blocks[0] + blocks[0].swapaxes(-1, -2))
     return np.concatenate(blocks, axis=-1)
+
+
+
+def _extend_long(values, k, gammas):
+    """`laplacian.extend_values` in long double for (vertices, G, ...)
+    values, one gamma per slice of axis 1."""
+    parent, corner, mid = extension_maps(k)
+    out = np.empty((level_topology(k).n_vertices,) + values.shape[1:], dtype=np.longdouble)
+    gamma = np.asarray(gammas, dtype=np.longdouble).reshape((-1,) + (1,) * (values.ndim - 2))
+    u = [values[parent[:, c]] for c in range(3)]
+    for c in range(3):
+        out[corner[:, c]] = u[c]
+    for r, (p, q) in zip((0, 1, 2), ((1, 2), (0, 2), (0, 1))):
+        out[mid[:, r]] = ((4 - gamma) * (u[p] + u[q]) + 2 * u[r]) / ((2 - gamma) * (5 - gamma))
+    return out
+
+
+def long_double_basis(group, m_q):
+    """The unlocalized `localize_basis` of a birth group, its cell tree
+    extended and normalized in long double, for `assemble_compressed` to
+    sum in long double.  At m_q = index + 3 the float64 extension leaves
+    values 6e-14 off and compressed entries 2e-13 off (cutoff m=7 at
+    m_q=10, six j=5), and rounding this basis to float64 before the sums
+    still leaves 1.6e-13; in long double it is within 2e-15 of the
+    recursive kernels."""
+    tree = cell_tree(group.series, group.birth)[::-1]
+    parts = []
+    for k, vals in tree:
+        values = np.repeat(vals.astype(np.longdouble)[:, None], len(group), axis=1)
+        for level in range(group.birth - k + 1, m_q - k + 1):
+            values = _extend_long(values, level, group.gamma(level + k))
+        values = values[level_topology(m_q - k).interior_indices]
+        values /= np.sqrt(interior_weight(m_q - k) * np.sum(values * values, axis=0))
+        parts.append(values.transpose(1, 0, 2))
+    return EigenspaceBasis(group=group, level=m_q, scale=None,
+                           depths=tuple(k for k, _ in tree), parts=tuple(parts))

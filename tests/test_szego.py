@@ -10,6 +10,8 @@ import pytest
 from sgszego import cli
 from sgszego import decimation as dec
 from sgszego import eigenbasis as eb
+from sgszego import functions
+from sgszego import laplacian as lap
 from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.decimation import enumerate_spectrum
@@ -17,8 +19,8 @@ from sgszego.eigenbasis import localize_basis
 from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFunction,
                                SimpleCellFunction)
 
-from subspaces import (FunctionSum, assemble_compressed, index_of, lattice_keys, one_word,
-                       scale_cells)
+from subspaces import (FunctionSum, assemble_compressed, index_of, lattice_keys,
+                       long_double_basis, one_word, scale_cells)
 
 
 def test_identity_for_constant_one():
@@ -320,12 +322,17 @@ def _word_bytes(group, m_q):
     return 8 * (3 * top.vertex_count(m_q - group.birth) + 24 * (3**group.birth + 1))
 
 
+# an f that no cell level makes harmonic: its kernels are sampled on
+# V_{m_q} and built in chunks
+SAMPLED = ExpressionFunction("1.5 + x * y + 0.3 * sin(7 * x)")
+
+
 def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
     # one kernel build and one compression per chunk of a (series, birth)
     # group, one stacked block per group, and extensions that grow with
     # chunks x levels past the birth, not with words or tree depths; no basis
     # part is extended past its birth level
-    f = HarmonicFunction([1.2, 1.5, 1.9])
+    f = SAMPLED
     groups = enumerate_spectrum(6)
     assert (len(groups), sum(map(len, groups))) == (12, 111)
     m_q = sz.sweep_plan("cutoff", [6], 1)[0][2]
@@ -382,7 +389,7 @@ def test_chunked_group_is_bit_identical(monkeypatch, series, birth, m_q):
     # log-det, eigenvalues and counts of the group built at once, lone last
     # words included: every word's kernels and blocks are its own matrix
     # products
-    f = HarmonicFunction([1.2, 1.5, 1.9])
+    f = SAMPLED
     group = next(g for g in enumerate_spectrum(m_q) if (g.series, g.birth) == (series, birth))
     per_word = _word_bytes(group, m_q)
     built = {}
@@ -411,7 +418,7 @@ def test_assembly_holds_one_level_and_one_ancestor_copy():
     # hold 4.4 times, growing with the tree's depth
     group = next(g for g in enumerate_spectrum(7) if (g.series, g.birth) == ("five", 4))
     topo = top.level_topology(8)
-    fvals = HarmonicFunction([1.2, 1.5, 1.9]).sample(topo)
+    fvals = SAMPLED.sample(topo)
     kernels = sz.cell_kernels(sz.cell_weights(fvals, 4, 8), group, 8)
     corners = sz.tree_corners("five", 4)
     assert len(corners) == 3
@@ -442,7 +449,7 @@ def test_rotated_corner_columns_are_the_extended_ones(m):
     # q_2 and q_3 are that of q_1 read through the rotation by -1 and -2
     # steps, bit for bit; and the kernels from one column and the rotated
     # weights are those of the three columns within 1e-14 of their largest
-    f = HarmonicFunction([1.2, 1.5, 1.9])
+    f = SAMPLED
     for m_q in (m, m + 1):
         fvals = f.sample(top.level_topology(m_q))
         for group in enumerate_spectrum(m):
@@ -463,7 +470,8 @@ def test_tree_corners_share_one_table_per_remainder(series, birth):
     # of the tree born at j - k: all of it for the 6-series and a view of
     # its column 2, K5, for the 5-series.  The pair sums are those of the
     # product summed over the cells of all of R(j - k)'s columns, the
-    # formula the trees used before they shared the tables
+    # formula the trees used before they shared the tables, here in extended
+    # precision: a sum in the order of the cells is 3e-14 off at R5(8)
     tree = sz.tree_corners(series, birth)
     assert [k for k, *_ in tree] == list(range(len(dec.cell_tree(series, birth))))[::-1]
     rows, cols = np.array(sz._PAIRS).T
@@ -478,6 +486,7 @@ def test_tree_corners_share_one_table_per_remainder(series, birth):
         assert not corners.flags.writeable and not pairs.flags.writeable
         assert np.array_equal(corners, vals[top.level_topology(birth - k).cell_vertices])
         full = dec.cell_tree(series, birth - k)[0][1][top.level_topology(birth - k).cell_vertices]
+        full = full.astype(np.longdouble)
         old = np.sum(full[:, rows] * full[:, cols], axis=0)
         old[rows != cols] *= 2.0
         old = old[:, -pairs.shape[-1]:]
@@ -486,29 +495,39 @@ def test_tree_corners_share_one_table_per_remainder(series, birth):
 
 def _kernel_cases():
     for m in range(2, 8):
-        for m_q in (m, m + 1):
+        for m_q in range(m, m + 4):
             yield "cutoff", m, m_q
     for j in range(2, 9):
-        for m_q in (j, j + 1):
+        for m_q in range(j, j + 4):
             yield "five", j, m_q
     for j in range(3, 9):
-        for m_q in (j, j + 1):
+        for m_q in range(j, j + 4):
             yield "six", j, m_q
+
+
+# a multiplier of each kind: the recursion reads the first four at their
+# own level, the cells of the birth level or of the scale, and samples the
+# expression on V_{m_q}
+MULTIPLIERS = (ConstantFunction(1.7), HarmonicFunction([1.2, 1.5, 1.9]),
+               SimpleCellFunction([2.689, 2.516, 1.841]),
+               SimpleCellFunction([2.1, 1.3, 2.9, 1.7, 2.4, 1.1, 2.6, 1.9, 1.5]), SAMPLED)
 
 
 @pytest.mark.parametrize("series,index,m_q", list(_kernel_cases()))
 def test_cell_kernel_blocks_match_the_extended_assembly(series, index, m_q):
     # every group's blocks, built from one cell kernel per sign word at the
-    # birth level, against the assembly of its basis extended to V_{m_q},
+    # birth level, against the assembly of its basis extended to V_{m_q}
+    # (in long double: the float64 one is 2e-13 off at cutoff m=7, m_q=10),
     # within 1e-13 of the largest entry; N decides the localized count alone
     groups = (enumerate_spectrum(index) if series == "cutoff"
               else (sz._canonical_group(series, index, m_q),))
     topo = top.level_topology(m_q)
     bases = {scale: [localize_basis(group, m_q, scale) for group in groups]
              for scale in (None, 1, 2)}
-    for f in (HarmonicFunction([1.2, 1.5, 1.9]), SimpleCellFunction([2.689, 2.516, 1.841])):
+    exact = [long_double_basis(group, m_q) for group in groups]
+    for f in MULTIPLIERS:
         fvals = f.sample(topo)[topo.interior_indices]
-        oracle = [assemble_compressed(fvals, basis) for basis in bases[None]]
+        oracle = [assemble_compressed(fvals, basis) for basis in exact]
         for scale, scaled in bases.items():
             op = sz.compressed_operator(f, groups, m_q, scale)
             assert op.localized == sum(len(b.group) * b.localized_count for b in scaled)
@@ -518,6 +537,91 @@ def test_cell_kernel_blocks_match_the_extended_assembly(series, index, m_q):
                 for a, b in zip(new.couplings, old.couplings, strict=True):
                     assert a.shape == b.shape
                     assert np.max(np.abs(a - b)) <= 1e-13 * largest, (f.label(), scale)
+
+
+def _recursion_cases():
+    for m_q in (4, 6):
+        for group in enumerate_spectrum(3):
+            yield group, m_q
+    for series, j in (("five", 4), ("six", 4)):
+        yield sz._canonical_group(series, j, j + 3), j + 3
+
+
+@pytest.mark.parametrize("f", MULTIPLIERS[1:4], ids=lambda f: f.label())
+def test_recursion_below_the_sampling_level_matches_the_sampled_kernels(f):
+    # at every level L from max(birth, scale) to m_q the recursive kernels
+    # are the sampled ones at the same m_q, f read on V_{m_q} with nothing
+    # set to 0, within 1e-13 of their largest entry: inside an L-cell a
+    # harmonic f is its harmonic interpolant, a simple one its cell's value
+    # but at the cell's corners
+    for group, m_q in _recursion_cases():
+        weights = sz.cell_weights(f.sample(top.level_topology(m_q)), group.birth, m_q)
+        sampled = sz.cell_kernels(weights, group, m_q)
+        for level in range(max(group.birth, f.scale), m_q + 1):
+            kernels = sz.recursive_kernels(group, f, level, m_q)
+            assert kernels.shape == sampled.shape
+            error = np.max(np.abs(kernels - sampled))
+            assert error <= 1e-13 * np.max(np.abs(sampled)), (group.series, group.birth, m_q, level)
+
+
+@pytest.mark.parametrize("bad", dec.FORBIDDEN_GAMMAS)
+def test_recursion_refuses_a_forbidden_gamma(bad):
+    # a forbidden gamma below L, where the corner maps of the L-cells take
+    # it, and above L, where the tensors do, is refused with the message of
+    # `extend_eigenfunction`
+    with pytest.raises(ValueError) as expected:
+        dec.extend_eigenfunction(np.eye(3), 1, bad)
+    group = sz._canonical_group("six", 3, 6)
+    f = SimpleCellFunction(np.arange(1.0, 28.0))  # scale 3, so L = 3 or more
+    for k in (4, 6):
+        gammas = group.gammas.copy()
+        gammas[:, k - group.birth] = bad
+        with pytest.raises(ValueError) as refused:
+            sz.recursive_kernels(dataclasses.replace(group, gammas=gammas), f, 5, 6)
+        assert str(refused.value) == str(expected.value)
+
+
+def test_recursion_refuses_a_level_outside_birth_and_sampling():
+    # a simple f whose cells are finer than the sampling level has no kernel
+    # level; the command line refuses it before any operator is built
+    group = sz._canonical_group("six", 3, 4)
+    f = SimpleCellFunction(np.arange(1.0, 244.0))  # scale 5
+    for level in (2, 5):
+        with pytest.raises(ValueError, match=f"^kernel level {level} lies outside 3..4"):
+            sz.recursive_kernels(group, f, level, 4)
+    with pytest.raises(ValueError, match="^kernel level 5 lies outside 3..4"):
+        sz.compressed_operator(f, [group], 4, 1)
+
+
+@pytest.mark.parametrize("f", MULTIPLIERS[:4], ids=lambda f: f.label())
+def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
+    # constant, harmonic and simple f are read on the levels of their
+    # kernels: no weights or chunks of V_{m_q}, no extension (the remainders
+    # cached), and no table of a level past the deepest birth or scale
+    groups = enumerate_spectrum(4)
+    m_q = 7
+    for group in groups:
+        sz.tree_corners(group.series, group.birth)
+    asked = []
+    for module in (sz, functions):
+        original = module.level_topology
+        monkeypatch.setattr(module, "level_topology",
+                            lambda m, original=original: asked.append(m) or original(m))
+    entered = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered[frame.f_code] += 1
+    sys.setprofile(profile)
+    try:
+        op = sz.compressed_operator(f, groups, m_q, 1)
+    finally:
+        sys.setprofile(None)
+    for name in ("cell_weights", "word_chunks", "cell_kernels"):
+        assert entered[getattr(sz, name).__code__] == 0, name
+    assert entered[lap.extend_values.__code__] == 0
+    assert entered[sz.recursive_kernels.__code__] == len(op.blocks) == len(groups)
+    assert max(asked, default=0) <= max(4, getattr(f, "scale", 0)) < m_q, asked
 
 
 def test_compression_refuses_a_wrong_multiplicity():
@@ -537,27 +641,29 @@ def test_reference_integral_reads_the_finer_level_off_the_cells(m_q):
     for f in (HarmonicFunction([1.2, 1.5, 1.9]),
               ExpressionFunction("1.5 + x * y + 0.3 * sin(7 * x)")):
         values = f.sample(fine)
-        assert np.array_equal(f.midpoints(topo), values[midpoints])
+        assert np.array_equal(f.midpoints(topo, f.sample(topo)), values[midpoints])
         expected = float(top.quadrature(m_q + 1) @ np.log(values))
         assert abs(sz.reference_integral(f, np.log, m_q + 1) - expected) <= 1e-14 * abs(expected)
 
 
 def test_cutoff_peak_memory_is_bounded_by_the_chunk_budget():
-    # cutoff m=7 at m_q=8 with the tables and remainders built.  A chunk's
-    # parts take at most CHUNK_BYTES = B; compressing a tree level holds one
-    # array of the level's size and one of an ancestor's, each at most B
-    # (extending and normalizing hold less); the fourth B covers a lone last
-    # word joined to a chunk, the f sample, the blocks built so far and the
-    # log-det.  Building every group at once peaked at 28 MiB; 3.5 MiB at
-    # B = 1.5 MiB
-    f = HarmonicFunction([1.2, 1.5, 1.9])
+    # cutoff m=7 at m_q=8 with the tables and remainders built.  For a
+    # sampled f a chunk's parts take at most CHUNK_BYTES = B; compressing a
+    # tree level holds one array of the level's size and one of an
+    # ancestor's, each at most B (extending and normalizing hold less); the
+    # fourth B covers a lone last word joined to a chunk, the f sample, the
+    # blocks built so far and the log-det.  Building every group at once
+    # peaked at 28 MiB, chunks at B = 1.5 MiB at 3.5 MiB (now 1.8 MiB).  The
+    # recursive kernels of a harmonic f hold 3^birth kernels per word and no
+    # table of V_{m_q}: 1.1 MiB
     groups = enumerate_spectrum(7)
-    sz.log_det(sz.compressed_operator(f, groups, 8, 1))
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+    for f in (HarmonicFunction([1.2, 1.5, 1.9]), SAMPLED):
         sz.log_det(sz.compressed_operator(f, groups, 8, 1))
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * sz.CHUNK_BYTES, peak
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sz.log_det(sz.compressed_operator(f, groups, 8, 1))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * sz.CHUNK_BYTES, (f.label(), peak)
