@@ -8,7 +8,6 @@ from .decimation import (
     gamma_step,
     make_groups,
 )
-from .eigenbasis import EigenspaceBasis, localize_basis, orthonormality_check
 from .functions import (
     ConstantFunction,
     ExpressionFunction,
@@ -20,11 +19,13 @@ from .laplacian import ResistanceComputer, dirichlet_laplacian
 from .szego import (
     CompressedOperator,
     NotPositiveDefiniteError,
+    basis_columns,
     beta_exponent,
     beta_tilde_exponent,
     equidistribution_compare,
     fit_rate,
     log_det,
+    orthonormality_check,
     spectral_functional,
     sweep_plan,
     szego_sweep,

@@ -21,7 +21,7 @@ from itertools import repeat
 
 import numpy as np
 
-from . import decimation, eigenbasis, laplacian, szego, topology
+from . import decimation, laplacian, szego, topology
 from .functions import parse_function_spec
 
 DEFAULT_TOLERANCES = {
@@ -48,6 +48,11 @@ EXPORT_CHUNK = 1 << 15
 
 # the basis.csv tag of a remainder column, whose cell is coarser than the N-cells
 NONLOCALIZED = "nonlocalized"
+
+# the --series choices of each command that reads a series; `validate`
+# holds a config file's series to the same ones
+SERIES_CHOICES = {"basis": ("two", "five", "six"), "szego": ("five", "six"),
+                  "equidist": ("five", "six")}
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -123,8 +128,9 @@ def build_parser():
     sp.add_argument("--m", type=int, default=None)
     common(sp)
 
-    sp = sub.add_parser("basis", help="localized eigenspace basis for one eigenvalue")
-    sp.add_argument("--series", choices=["two", "five", "six"], default=None)
+    sp = sub.add_parser("basis", help="the dense eigenspace columns of one eigenvalue, "
+                                      "tagged by their cells")
+    sp.add_argument("--series", choices=SERIES_CHOICES["basis"], default=None)
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--m-q", dest="m_q", type=int, default=None)
@@ -132,7 +138,7 @@ def build_parser():
 
     sp = sub.add_parser("szego", help="log-determinant convergence sweeps")
     sp.add_argument("--mode", choices=["single", "cutoff"], default=None)
-    sp.add_argument("--series", choices=["five", "six"], default=None)
+    sp.add_argument("--series", choices=SERIES_CHOICES["szego"], default=None)
     sp.add_argument("--j", default=None, help="single mode birth range, e.g. 2..5")
     sp.add_argument("--m", default=None, help="cutoff mode level range, e.g. 2..5")
     sp.add_argument("--N", type=int, default=None)
@@ -142,7 +148,7 @@ def build_parser():
 
     sp = sub.add_parser("equidist", help="spectral vs Riemann equidistribution gap")
     sp.add_argument("--mode", choices=["single", "cutoff"], default=None)
-    sp.add_argument("--series", choices=["five", "six"], default=None)
+    sp.add_argument("--series", choices=SERIES_CHOICES["equidist"], default=None)
     sp.add_argument("--j", default=None)
     sp.add_argument("--m", default=None)
     sp.add_argument("--N", type=int, default=None)
@@ -238,6 +244,9 @@ def validate(config):
         for key in ("series", "j", "N", "m_q"):
             if config.get(key) is None:
                 v.append(f"{key}: required")
+    bad_series = cmd in SERIES_CHOICES and config.get("series", "six") not in SERIES_CHOICES[cmd]
+    if bad_series:
+        v.append(f"series: must be one of {', '.join(SERIES_CHOICES[cmd])} for {cmd}")
     # checked before planning, whose groups hold a sign per level up to m_q
     over_cap = config.get("m_q") is not None and config["m_q"] > szego.MQ_CAP
     if over_cap:
@@ -256,7 +265,8 @@ def validate(config):
                 v.append(f"{field}: required in {mode} mode")
         elif not indices:
             v.append(f"{field}: range must be nonempty")
-        elif not over_cap and (config.get("N") or 0) >= 0:  # a negative N is reported below
+        elif not over_cap and not bad_series and (config.get("N") or 0) >= 0:
+            # a negative N is reported below
             try:
                 plan = szego.sweep_plan(mode, indices, config.get("N"),
                                         config.get("series", "six"), config.get("m_q"))
@@ -339,17 +349,18 @@ def _spectrum_rows(groups):
                      groups[i].multiplicity) for i, word, *values in zip(*part))
 
 
-def _basis_rows(basis, full):
-    """The interior rows of one column of `full` (the basis on every vertex
-    of V_level) at a time, tagged with the word of its own cell if it is
-    localized and NONLOCALIZED otherwise."""
-    interior = topology.level_topology(basis.level).interior_indices
+def _basis_rows(full, level, group, localized):
+    """The interior rows of one column of `full` (the basis of a group of
+    one word on every vertex of V_level) at a time, tagged with the word of
+    its own cell if it is one of the `localized` first columns and
+    NONLOCALIZED otherwise."""
+    interior = topology.level_topology(level).interior_indices
     ids = interior.tolist()
-    depth, rank = basis.column_cells
+    depth, rank = szego.column_cells(group)
     # the columns run deepest level first, so grouping by depth keeps their order
-    localized = np.unique(depth[:basis.localized_count])[::-1]
-    tags = [w for k in localized for w in topology.word_strs(rank[depth == k], k)]
-    tags += [NONLOCALIZED] * basis.nonlocalized_count
+    tags = [w for k in np.unique(depth[:localized])[::-1]
+            for w in topology.word_strs(rank[depth == k], k)]
+    tags += [NONLOCALIZED] * (len(depth) - localized)
     for c, tag in enumerate(tags):
         yield from zip(ids, repeat(c), full[interior, c].tolist(), repeat(tag))
 
@@ -420,24 +431,24 @@ def run(config):
     elif cmd == "basis":
         ((_, (group,), m_q),) = szego.sweep_plan("single", [config["j"]], config["N"],
                                                  config["series"], config["m_q"])
-        basis = eigenbasis.localize_basis(group, m_q, config["N"])
-        # the columns are assembled once, for the Gram check, the residual
-        # and the export
-        vectors = basis.vectors[0]
-        deviation = eigenbasis.orthonormality_check(vectors, m_q)
+        localized = szego.localized_columns(group, config["N"])
+        # the columns are built once, for the Gram check, the residual and
+        # the export
+        vectors = szego.basis_columns(group, m_q)[0]
+        deviation = szego.orthonormality_check(vectors, m_q)
         topo = topology.level_topology(m_q)
-        full = np.zeros((topo.n_vertices, basis.dimension))
+        full = np.zeros((topo.n_vertices, vectors.shape[1]))
         full[topo.interior_indices] = vectors
         residual = laplacian.eigen_residual(m_q, full, group.gamma(m_q)[0])
         for check, value in (("gram", deviation), ("eigen_residual", residual)):
             if value > config["tolerances"][check]:
                 raise ToleranceError(check, value, config["tolerances"][check])
         export_csv(os.path.join(out, "basis.csv"), header, ["vertex_id", "column", "value", "tag"],
-                   _basis_rows(basis, full))
+                   _basis_rows(full, m_q, group, localized))
         results = {
-            "dimension": basis.dimension,
-            "localized": basis.localized_count,
-            "nonlocalized": basis.nonlocalized_count,
+            "dimension": full.shape[1],
+            "localized": localized,
+            "nonlocalized": full.shape[1] - localized,
             "max_gram_deviation": deviation,
             "max_eigen_residual": residual,
         }

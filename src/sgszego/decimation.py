@@ -187,17 +187,16 @@ def enumerate_spectrum(m):
     return tuple(groups)
 
 
-def extend_eigenfunction(values, k, gamma_k, interior=False):
+def extend_eigenfunction(values, k, gamma_k):
     """Extend eigenfunction values from V_{k-1} to V_k for eigenvalue gamma_k
-    by `laplacian.extend_values`, refusing the forbidden gammas 2, 5 and 6;
-    with `interior`, only the interior rows of V_k.
+    by `laplacian.extend_values`, refusing the forbidden gammas 2, 5 and 6.
 
     `values` has leading axis over the V_{k-1} vertices (extra axes allowed);
     `gamma_k` is a scalar or one gamma per slice of axis 1, and a forbidden
     gamma in any slice is refused.
     """
     refuse_forbidden(gamma_k)
-    return extend_values(np.asarray(values, dtype=float), k, gamma_k, interior)
+    return extend_values(np.asarray(values, dtype=float), k, gamma_k)
 
 
 def refuse_forbidden(gammas):
@@ -359,22 +358,3 @@ def cell_tree(series, birth):
                        else (five_series_remainder, slice(2, None)))
     return ((0, remainder(birth)),) + tuple((k, remainder(birth - k)[:, kept])
                                             for k in range(1, birth - 1))
-
-
-def eigenfunctions_at_level(group, m_q, vals, shift=0):
-    """Eigenspaces of a birth group sampled on the interior of V_{m_q},
-    stacked (interior vertices of V_{m_q}, G, columns) over its G words: the
-    columns `vals` on V_birth of the birth eigenspace, such as a depth of its
-    `cell_tree`, followed by decimation extension with one gamma per word,
-    whose last step writes the interior rows alone.  With a shift s it is the
-    eigenspaces of the same sign words born s generations earlier, whose
-    gamma at level k is the group's gamma at k + s."""
-    birth = group.birth - shift
-    if m_q < birth:
-        raise ValueError("sampling level precedes generation of birth")
-    vals = np.broadcast_to(vals[:, None], (len(vals), len(group)) + vals.shape[1:])
-    if m_q == birth:
-        return vals[level_topology(m_q).interior_indices]
-    for k in range(birth + 1, m_q + 1):
-        vals = extend_eigenfunction(vals, k, group.gamma(k + shift), interior=k == m_q)
-    return vals

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .topology import cell_embedding, interior_count, level_topology
+from .topology import cell_embedding, level_topology
 
 
 @lru_cache(maxsize=None)
@@ -97,20 +97,15 @@ def eigen_residual(m, values, gamma):
 
 
 @lru_cache(maxsize=None)
-def extension_maps(k, interior=False):
+def extension_maps(k):
     """Index arrays for extending a function from V_{k-1} to V_k.
 
     Returns (parent_corner, child_corner, child_mid): each (3^(k-1), 3); the
     mid column r holds the new vertex opposite corner r+1 of the parent cell.
-    With `interior`, the child columns hold interior rows of V_k instead,
-    and the three corners of V_0 the one row past them.
     """
     # V_1 in topology order is q1, m12, m13, q2, m23, q3 (m_pq the midpoint of
     # edge pq): columns 0, 3, 5 are the corners, 4, 2, 1 the opposite midpoints
     embedding = cell_embedding(k, k - 1)
-    if interior:
-        topo = level_topology(k)
-        embedding = np.where(topo.boundary_mask, interior_count(k), topo.interior_row)[embedding]
     return level_topology(k - 1).cell_vertices, embedding[:, [0, 3, 5]], embedding[:, [4, 2, 1]]
 
 
@@ -127,10 +122,8 @@ def _vertex_rows(values):
     return values.reshape(len(values), -1).view(np.dtype((np.void, values[0].nbytes))).ravel()
 
 
-def extend_values(values, k, gamma_k, interior=False):
-    """Extend values from V_{k-1} to V_k by the eigenvalue-gamma_k rule;
-    with `interior`, only the interior rows of V_k, written as they are
-    computed rather than copied out of the whole.
+def extend_values(values, k, gamma_k):
+    """Extend values from V_{k-1} to V_k by the eigenvalue-gamma_k rule.
 
     `values` has leading axis over the V_{k-1} vertices (extra axes allowed).
     New vertex on edge (p, q) of a (k-1)-cell with opposite corner r gets
@@ -143,12 +136,11 @@ def extend_values(values, k, gamma_k, interior=False):
     bit for bit the scalar call with its own gamma.  The (k-1)-cells are
     taken EXTEND_SLAB entries of each corner at a time.
     """
-    parent_corner, child_corner, child_mid = extension_maps(k, interior)
+    parent_corner, child_corner, child_mid = extension_maps(k)
     values = np.ascontiguousarray(values, dtype=float)
-    out = np.zeros((interior_count(k) + 1 if interior else level_topology(k).n_vertices,)
-                   + values.shape[1:])
+    out = np.zeros((level_topology(k).n_vertices,) + values.shape[1:])
     if not out.size:
-        return out[:-1] if interior else out
+        return out
     source, target = _vertex_rows(values), _vertex_rows(out)
     gamma_k = np.asarray(gamma_k, dtype=float)
     if gamma_k.ndim:  # one gamma per slice of axis 1, broadcast over the axes after it
@@ -168,7 +160,7 @@ def extend_values(values, k, gamma_k, interior=False):
             mid += 2.0 * u[r]
             mid /= denom
             target[child_mid[cells, r]] = _vertex_rows(mid)
-    return out[:-1] if interior else out
+    return out
 
 
 def child_maps(gamma):

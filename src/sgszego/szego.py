@@ -1,6 +1,10 @@
-"""Compressed multiplication operators on eigenspaces of the gasket
-Laplacian, their log-determinants, spectral functionals, and the convergence
-and equidistribution experiments built on them."""
+"""Eigenspace bases of the gasket Laplacian kept as cell trees, the
+multiplication operators compressed onto them, their log-determinants,
+spectral functionals, and the convergence and equidistribution experiments
+built on them.  The dense columns of a basis (`basis_columns`) and its
+compressed blocks (`tree_couplings`) are read off the same pieces: each
+word's extended corner column, the tree's corner values and the column
+norms from the kernel of f = 1."""
 from __future__ import annotations
 
 import math
@@ -10,9 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decimation import (SERIES_FIVE, SERIES_SIX, cell_tree, enumerate_spectrum,
+from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, cell_tree, enumerate_spectrum,
                          extend_eigenfunction, make_groups, refuse_forbidden)
-from .eigenbasis import localized_columns
 from .laplacian import child_maps, corner_maps
 from .topology import cell_embedding, interior_weight, level_topology, rotation, vertex_count
 
@@ -194,29 +197,36 @@ def cell_weights(f_values, birth, m_q):
     return [out] + [np.take(out, rotation(n)[s], axis=1) for s in (1, 2)]
 
 
-def cell_kernels(weights, group, m_q):
-    """(G, 3^birth + 1, 6): per sign word and row C of the weights w of
-    `cell_weights`, the entries `_PAIRS` of K_C = sum_x w[C, x] T[x]^T T[x].
-    T, one per word, is the decimation extension of the unit vectors of the
-    three corners of V_0 to V_{m_q - birth} with the word's gammas at
-    birth + 1 .. m_q.  Extension writes each new vertex of a cell from that
-    cell's three corners alone, so inside a birth-cell every eigenfunction
-    of the word on V_{m_q} is T times its values at the cell's corners.
-
+def corner_column(group, m_q):
+    """t, (vertices of V_{m_q - birth}, G): the decimation extension of the
+    unit vector of the corner q_1 of V_0 with each word's gammas at
+    birth + 1 .. m_q, one word a column.  Extension writes each new vertex
+    of a cell from that cell's three corners alone, so inside a birth-cell
+    every eigenfunction of a word on V_{m_q} is its T, the extensions of
+    the three corner unit vectors, times its values at the cell's corners.
     The rule is symmetric in a cell's corners, and IEEE addition commutes,
-    so column b of T is its column t, that of q_1, read through the rotation
-    by -b steps, bit for bit: only t is extended.  Substituting y = rot_a x,
-    K_C[a, a] is t^2 and K_C[a, a + 1] is t t[rot_2] against w rotated by a.
-    Each word's products are their own matrix products, so its kernels do
-    not depend on the other words."""
-    j, g = group.birth, len(group)
-    t = np.broadcast_to(np.eye(3)[:, :1], (3, g))
+    so column b of T is t read through the rotation by -b steps,
+    `rotation(m_q - birth)[-b]`, bit for bit: only t is extended."""
+    j = group.birth
+    t = np.broadcast_to(np.eye(3)[:, :1], (3, len(group)))
     for level in range(1, m_q - j + 1):
         t = extend_eigenfunction(t, level, group.gamma(j + level))
+    return t
+
+
+def cell_kernels(weights, t, n):
+    """(G, rows of w, 6): per sign word and row C of the weights w of
+    `cell_weights` on V_n, n = m_q - birth, the entries `_PAIRS` of
+    K_C = sum_x w[C, x] T[x]^T T[x], with T the word's extended corner
+    columns, t their `corner_column`.  Substituting y = rot_a x, K_C[a, a]
+    is t^2 and K_C[a, a + 1] is t t[rot_2] against w rotated by a.  Each
+    word's products are their own matrix products, so its kernels do not
+    depend on the other words."""
+    g = t.shape[1]
     kernels = np.empty((g, len(weights[0]), len(_PAIRS)))
     product = np.empty((g, len(t)))  # one word a row
     # the entries of `_PAIRS` at (a, a), and then at (a, a + 1 mod 3), for a = 0, 1, 2
-    for pairs, other in (((0, 3, 5), t), ((1, 4, 2), t[rotation(m_q - j)[2]])):
+    for pairs, other in (((0, 3, 5), t), ((1, 4, 2), t[rotation(n)[2]])):
         np.multiply(t.T, other.T, out=product)
         for p, slab in zip(pairs, weights):
             kernels[..., p] = np.matmul(slab, product[..., None])[..., 0]
@@ -388,10 +398,7 @@ def tree_couplings(kernels, corners, m_q):
     own, so the blocks of a word do not depend on the chunk."""
     g, w = len(kernels), interior_weight(m_q)
     cells = kernels[:, :-1, _SYMMETRIC]  # (G, birth-cells, 3, 3)
-    # six terms in a fixed order: fewer than numpy's unrolled sums take in
-    # blocks of eight, so a word's norms do not depend on the chunk's layout
-    scales = [1.0 / np.sqrt(w * np.sum(kernels[:, -1, :, None] * pairs, axis=1))
-              for _, _, pairs in corners]
+    scales = column_scales(kernels[:, -1], corners, m_q)
     rows = [[] for _ in corners]
     for up, (k_up, u_up, _) in enumerate(corners):
         # (G, 3^k_up, birth-cells in each, 3, c_up): K_C times the ancestor's corner values
@@ -406,6 +413,86 @@ def tree_couplings(kernels, corners, m_q):
         level[0] = 0.5 * (level[0] + level[0].swapaxes(-1, -2))
     return TreeBlocks(depths=tuple(k for k, *_ in corners),
                       couplings=tuple(np.concatenate(level, axis=-1) for level in rows))
+
+
+def column_scales(ones, corners, m_q):
+    """1 / |u| of every column u of each level of a `tree_corners` tree,
+    (G, c_i) per level, from the kernels `ones`, (G, 6), of f = 1:
+    |u|^2 = w(m_q) sum_C u(C)^T K u(C), the pair sums of the level against
+    the entries of K."""
+    w = interior_weight(m_q)
+    # six terms in a fixed order: fewer than numpy's unrolled sums take in
+    # blocks of eight, so a word's norms do not depend on the chunk's layout
+    return [1.0 / np.sqrt(w * np.sum(ones[:, :, None] * pairs, axis=1)) for _, _, pairs in corners]
+
+
+def column_cells(group):
+    """(depth, rank) of the cell of every column of a birth group's
+    eigenspaces, two arrays in column order: tree level by level, deepest
+    first, cell by cell in rank order, then column by column of the level's
+    part.  A column couples to another only if one's cell contains the
+    other's."""
+    corners = tree_corners(group.series, group.birth)
+    depth = np.concatenate([np.full(3**k * u.shape[-1], k) for k, u, _ in corners])
+    rank = np.concatenate([np.repeat(np.arange(3**k), u.shape[-1]) for k, u, _ in corners])
+    return depth, rank
+
+
+def localized_columns(group, scale):
+    """The localized columns of each eigenspace of a birth group: those at
+    depths >= scale, which come first, and none for the 2-series or a scale
+    of None.  Refuses a cell tree whose columns do not add up to the group's
+    multiplicity."""
+    depth, _ = column_cells(group)
+    localized = 0 if scale is None or group.series == SERIES_TWO else int(np.sum(depth >= scale))
+    if len(depth) != group.multiplicity:
+        raise AssertionError(f"{localized} localized and {len(depth) - localized} remainder "
+                             f"columns of {group.series} j={group.birth} at scale {scale}, "
+                             f"expected {group.multiplicity} in all")
+    return localized
+
+
+def basis_columns(group, m_q):
+    """(G, interior of V_{m_q}, d): the dense quadrature-orthonormal columns
+    of a birth group's eigenspaces, in the order of `column_cells`, whose
+    compressions `tree_couplings` forms.  Inside a birth-cell C a column is
+    T u(C) / |u|, with T the word's extended corner columns
+    (`corner_column`), u(C) its values at C's corners (`tree_corners`) and
+    |u| from the kernel of f = 1 (`column_scales`); the columns of a depth-k
+    cell take the same values in each of its birth-cells, and vanish off
+    its cell."""
+    j, g, n = group.birth, len(group), m_q - group.birth
+    t = corner_column(group, m_q)
+    rot = rotation(n)
+    extended = np.stack([t, t[rot[2]], t[rot[1]]], axis=-1)  # (vertices of V_n, G, 3)
+    # the row of f = 1 of `cell_weights`, the same in every rotation
+    share = np.where(level_topology(n).boundary_mask, 0.5, 1.0)[None]
+    ones = cell_kernels([share] * 3, t, n)[:, 0]
+    corners = tree_corners(group.series, j)
+    topo = level_topology(m_q)
+    inside = len(topo.interior_indices)
+    # each birth-cell's vertices as interior rows of V_{m_q}, the corners of
+    # V_0, where every column vanishes, on a row past them
+    target = np.where(topo.boundary_mask, inside, topo.interior_row)[cell_embedding(m_q, j)]
+    out = np.zeros((g, inside + 1, sum(3**k * u.shape[-1] for k, u, _ in corners)))
+    start = 0
+    for (k, u, _), scale in zip(corners, column_scales(ones, corners, m_q)):
+        c = u.shape[-1]
+        # (vertices of V_n, G, birth-cells of a depth-k cell, c)
+        values = (extended.reshape(-1, 3) @ u.transpose(1, 0, 2).reshape(3, -1)).reshape(
+            -1, g, len(u), c) * scale[:, None, :]
+        columns = start + np.arange(3**k)[:, None] * c + np.arange(c)
+        out[:, target.reshape(3**k, len(u), -1)[..., None], columns[:, None, None]] = \
+            values.transpose(1, 2, 0, 3)[:, None]
+        start += 3**k * c
+    return out[:, :-1]
+
+
+def orthonormality_check(vectors, level):
+    """Max deviation from the identity of the quadrature Gram matrices of the
+    dense columns (..., interior of V_level, d), such as `basis_columns`."""
+    gram = interior_weight(level) * np.swapaxes(vectors, -1, -2) @ vectors
+    return float(np.max(np.abs(gram - np.eye(gram.shape[-1]))))
 
 
 def compressed_operator(f, groups, m_q, scale):
@@ -424,9 +511,8 @@ def compressed_operator(f, groups, m_q, scale):
         fvals = np.where(topo.boundary_mask, 0.0, f.sample(topo))
     blocks, localized = [], 0
     for group in groups:
+        localized += len(group) * localized_columns(group, scale)
         corners = tree_corners(group.series, group.birth)
-        counts = [3**k * u.shape[-1] for k, u, _ in corners]
-        localized += len(group) * localized_columns(group, [k for k, *_ in corners], counts, scale)
         if recursive:
             kernels = recursive_kernels(group, f, max(group.birth, f.scale), m_q)
             blocks.append(tree_couplings(kernels, corners, m_q))
@@ -442,7 +528,8 @@ def sampled_blocks(f_values, group, corners, m_q):
     V_{m_q}: `cell_kernels` and `tree_couplings` of each of its
     `word_chunks`, stacked into the group's blocks."""
     weights = cell_weights(f_values, group.birth, m_q)
-    chunks = [tree_couplings(cell_kernels(weights, chunk, m_q), corners, m_q)
+    n = m_q - group.birth
+    chunks = [tree_couplings(cell_kernels(weights, corner_column(chunk, m_q), n), corners, m_q)
               for chunk in word_chunks(group, m_q)]
     del weights  # before the chunks are stacked
     if len(chunks) == 1:

@@ -147,16 +147,6 @@ def cell_embedding(m, scale):
     return table
 
 
-@lru_cache(maxsize=None)
-def interior_cell_rows(m, scale):
-    """Interior rows of V_m of the interior vertices of V_{m - scale} mapped
-    into each scale-cell, one row per cell in rank order."""
-    small_interior = level_topology(m - scale).interior_indices
-    table = level_topology(m).interior_row[cell_embedding(m, scale)[:, small_interior]]
-    table.flags.writeable = False  # cached and shared by every caller
-    return table
-
-
 def _cells_per_vertex(topo):
     # a corner of the gasket lies in one m-cell, every other vertex in two
     return np.where(topo.boundary_mask, 1, 2)

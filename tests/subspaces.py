@@ -9,12 +9,11 @@ import numpy as np
 
 from sgszego.decimation import (_BIRTH_GAMMA, LAMBDA_TAIL, SERIES_FIVE, SERIES_SIX, SERIES_TWO,
                                 _birth_space, cell_tree, corner_normal_derivatives,
-                                eigenfunctions_at_level, junction_nullspace, make_groups,
+                                extend_eigenfunction, junction_nullspace, make_groups,
                                 series_multiplicity)
-from sgszego.eigenbasis import EigenspaceBasis, _normalized
 from sgszego.laplacian import dirichlet_laplacian, extend_values, extension_maps
-from sgszego.szego import TreeBlocks
-from sgszego.topology import (_CORNER_KEYS, SQRT3, cell_embedding, interior_cell_rows,
+from sgszego.szego import TreeBlocks, column_cells, localized_columns
+from sgszego.topology import (_CORNER_KEYS, SQRT3, cell_embedding, interior_count,
                               interior_weight, level_topology, vertex_count)
 
 
@@ -120,12 +119,12 @@ def principal_angle_gap(a, b, m_q):
     return float(max(np.linalg.norm(ra, 2), np.linalg.norm(rb, 2)))
 
 
-def scale_cells(basis, scale):
-    """The rank of the scale-cell holding each localized column of `basis`:
-    a column of the depth-k cell of rank c, k >= scale, lies in the
-    scale-cell of rank c // 3^(k - scale)."""
-    depth, rank = basis.column_cells
-    n = basis.localized_count
+def scale_cells(group, scale):
+    """The rank of the scale-cell holding each localized column of a birth
+    group's basis: a column of the depth-k cell of rank c, k >= scale, lies
+    in the scale-cell of rank c // 3^(k - scale)."""
+    depth, rank = column_cells(group)
+    n = localized_columns(group, scale)
     return rank[:n] // 3 ** (depth[:n] - scale)
 
 
@@ -186,7 +185,7 @@ def eigenspace_vectors(group, m_q, shift=0):
     extended by decimation, each column divided by its norm.  `shift` is that
     of `eigenfunctions_at_level`."""
     vals = birth_space(group.series, group.birth - shift)
-    return _normalized(eigenfunctions_at_level(group, m_q, vals, shift=shift), m_q)
+    return normalized(eigenfunctions_at_level(group, m_q, vals, shift=shift), m_q)
 
 
 def six_series_gram(j):
@@ -359,6 +358,75 @@ def scalar_spectrum(m):
     return [tuple(group) for group in groups.values()]
 
 
+# The construction that `szego.basis_columns` replaced, kept as the oracle of
+# its columns (`long_double_basis`, below) and of the dense eigenspaces: every
+# level of the cell tree extended vertex by vertex from V_{birth - depth} to
+# V_{m_q - depth}, divided by its norm there, and copied into every cell of
+# its depth.
+
+@lru_cache(maxsize=None)
+def interior_cell_rows(m, scale):
+    """Interior rows of V_m of the interior vertices of V_{m - scale} mapped
+    into each scale-cell, one row per cell in rank order."""
+    small_interior = level_topology(m - scale).interior_indices
+    table = level_topology(m).interior_row[cell_embedding(m, scale)[:, small_interior]]
+    table.flags.writeable = False  # cached and shared by every caller
+    return table
+
+
+def eigenfunctions_at_level(group, m_q, vals, shift=0):
+    """Eigenspaces of a birth group sampled on the interior of V_{m_q},
+    stacked (interior vertices of V_{m_q}, G, columns) over its G words: the
+    columns `vals` on V_birth of the birth eigenspace, such as a depth of its
+    `cell_tree`, followed by decimation extension with one gamma per word.
+    With a shift s it is the eigenspaces of the same sign words born s
+    generations earlier, whose gamma at level k is the group's gamma at
+    k + s."""
+    birth = group.birth - shift
+    if m_q < birth:
+        raise ValueError("sampling level precedes generation of birth")
+    vals = np.broadcast_to(vals[:, None], (len(vals), len(group)) + vals.shape[1:])
+    for k in range(birth + 1, m_q + 1):
+        vals = extend_eigenfunction(vals, k, group.gamma(k + shift))
+    return vals[level_topology(m_q).interior_indices]
+
+
+def normalized(vectors, m_q):
+    """Stacked columns on the interior of V_{m_q}, (vertices, G, p), each
+    divided by its quadrature norm, as (G, interior of V_{m_q}, p).
+    Decimation extension multiplies the Gram matrix of a set of
+    eigenfunctions by a scalar, so an extended orthonormal set needs no
+    more."""
+    vectors = vectors / np.sqrt(interior_weight(m_q) * np.einsum("igj,igj->gj", vectors, vectors))
+    return vectors.transpose(1, 0, 2)
+
+
+@dataclass(frozen=True)
+class EigenspaceBasis:
+    """The bases of a birth group's eigenspaces as a cell tree: tree level i
+    has the depth `depths[i]` and the part `parts[i]`, (G, interior of
+    V_{level - depth}, c_i), quadrature-orthonormal there, and each of the
+    3^depth cells of that depth holds a copy of it times 3^(depth/2) on its
+    interior rows of V_level, in the column order of `szego.column_cells`."""
+
+    group: object
+    level: int
+    depths: tuple
+    parts: tuple
+
+    @property
+    def vectors(self):
+        """The dense (G, interior of V_level, d) columns."""
+        g, n = len(self.group), interior_count(self.level)
+        levels = []
+        for k, part in zip(self.depths, self.parts):
+            cells = np.zeros((g, n, 3**k, part.shape[2]))
+            cells[:, interior_cell_rows(self.level, k), np.arange(3**k)[:, None]] = \
+                3.0 ** (k / 2) * part[:, None]
+            levels.append(cells.reshape(g, n, -1))
+        return np.concatenate(levels, axis=-1)
+
+
 # The assembly that `szego.compressed_operator` replaced by cell kernels,
 # kept as the oracle of its blocks: it gathers f and every part extended to
 # the sampling level onto the cells of each pair of tree levels.
@@ -412,8 +480,8 @@ def _extend_long(values, k, gammas):
 
 
 def long_double_basis(group, m_q):
-    """The unlocalized `localize_basis` of a birth group, its cell tree
-    extended and normalized in long double, for `assemble_compressed` to
+    """The `EigenspaceBasis` of a birth group, its cell tree extended and
+    normalized in long double, for `assemble_compressed` to
     sum in long double.  At m_q = index + 3 the float64 extension leaves
     values 6e-14 off and compressed entries 2e-13 off (cutoff m=7 at
     m_q=10, six j=5), and rounding this basis to float64 before the sums
@@ -428,5 +496,5 @@ def long_double_basis(group, m_q):
         values = values[level_topology(m_q - k).interior_indices]
         values /= np.sqrt(interior_weight(m_q - k) * np.sum(values * values, axis=0))
         parts.append(values.transpose(1, 0, 2))
-    return EigenspaceBasis(group=group, level=m_q, scale=None,
-                           depths=tuple(k for k, _ in tree), parts=tuple(parts))
+    return EigenspaceBasis(group=group, level=m_q, depths=tuple(k for k, _ in tree),
+                           parts=tuple(parts))

@@ -11,13 +11,12 @@ import numpy as np
 
 from sgszego import cli
 from sgszego import decimation as dec
-from sgszego import eigenbasis as eb
 from sgszego import laplacian as lap
 from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.functions import ConstantFunction, HarmonicFunction, SimpleCellFunction
 
-from subspaces import birth_space, on_vertices, scale_cells
+from subspaces import birth_space, eigenfunctions_at_level, on_vertices, scale_cells
 
 
 def _report(n, text):
@@ -64,7 +63,7 @@ def test_criterion_3_random_extensions():
         word = tables[m][int(rng.integers(len(tables[m])))]
         target = m + int(rng.integers(0, 2))
         birth = birth_space(word.series, word.birth)
-        vals = on_vertices(target, dec.eigenfunctions_at_level(word, target, birth))[:, 0]
+        vals = on_vertices(target, eigenfunctions_at_level(word, target, birth))[:, 0]
         combo = vals @ rng.normal(size=vals.shape[1])
         r = lap.eigen_residual(target, combo, word.gamma(target)[0])
         worst = max(worst, r)
@@ -78,12 +77,11 @@ def test_criterion_4_six_series_dimensions():
         m_q = min(j + 1, sz.MQ_CAP)
         group = sz._canonical_group("six", j, m_q)
         for N in range(1, j):
-            basis = eb.localize_basis(group, m_q, N)
             d_loc = (3**j - 3 ** (N + 1)) // 2
             per_cell = (3 ** (j - N) - 3) // 2
-            assert basis.localized_count == d_loc, (j, N)
+            assert sz.localized_columns(group, N) == d_loc, (j, N)
             # each of the 3^N cells holds per_cell columns
-            counts = np.bincount(scale_cells(basis, N), minlength=3**N)
+            counts = np.bincount(scale_cells(group, N), minlength=3**N)
             assert counts.tolist() == [per_cell] * 3**N, (j, N)
     _report(4, "6-series localized dimensions (3^j - 3^(N+1))/2 with per-cell "
                "(3^(j-N) - 3)/2 exact for all 1 <= N < j <= 6")
@@ -97,8 +95,7 @@ def test_criterion_5_five_series_resolution():
         m_q = min(j + 1, sz.MQ_CAP)
         group = sz._canonical_group("five", j, m_q)
         for N in range(1, min(j, 3)):
-            basis = eb.localize_basis(group, m_q, N)
-            alpha = basis.nonlocalized_count
+            alpha = group.multiplicity - sz.localized_columns(group, N)
             cand_minus = (3**N - 3) // 2
             cand_plus = (3**N + 3) // 2
             hits_minus += alpha == cand_minus

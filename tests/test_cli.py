@@ -14,7 +14,6 @@ import pytest
 
 from sgszego import cli
 from sgszego import decimation as dec
-from sgszego import eigenbasis as eb
 from sgszego import szego
 from sgszego import topology as top
 from sgszego.functions import parse_function_spec
@@ -233,6 +232,22 @@ def test_invalid_configs_exit_2(argv, tmp_path):
         path.write_text(json.dumps(argv[0]))
         argv = ["--config", str(path), *argv[1:]]
     assert _run(argv + ["--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("fields,argv", [
+    ({"series": "seven"}, ["szego", "--mode", "single", "--j", "3", "--f", "constant:2"]),
+    ({"series": "seven"}, ["szego", "--mode", "cutoff", "--m", "2", "--f", "constant:2"]),
+    ({"series": "two"}, ["szego", "--mode", "single", "--j", "1", "--f", "constant:2"]),
+], ids=["seven-single", "seven-cutoff", "two-single"])
+def test_config_series_is_held_to_the_flag_choices(fields, argv, tmp_path, capsys):
+    # a config file's series is refused as a series outside the choices of
+    # the command's --series flag, in either mode
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
+    assert _run(["--config", str(path), *argv, "--out", str(tmp_path)]) == 2
+    violations = json.loads(capsys.readouterr().err)["violations"]
+    assert violations == [f"series: must be one of {', '.join(cli.SERIES_CHOICES['szego'])} "
+                          "for szego"]
 
 
 def test_level_range_checked_without_expanding():
@@ -558,20 +573,21 @@ def test_float_cells_match_library_values(mode, indices, tmp_path):
 def test_basis_cells_match_library_values(series, j, N, m_q, tmp_path):
     argv = ["basis", "--series", series, "--j", str(j), "--N", str(N), "--m-q", str(m_q)]
     assert _run(argv + ["--out", str(tmp_path)]) == 0
-    basis = eb.localize_basis(szego._canonical_group(series, j, m_q), m_q, N)
+    group = szego._canonical_group(series, j, m_q)
+    (vectors,) = szego.basis_columns(group, m_q)
     rows = _float_rows(tmp_path / "basis.csv")
-    n = basis.vectors.shape[1]
-    assert len(rows) == n * basis.dimension
-    values = np.array([float(r["value"]) for r in rows]).reshape(basis.dimension, n)
-    assert np.array_equal(values, basis.vectors[0].T)
+    n, d = vectors.shape
+    assert len(rows) == n * d
+    values = np.array([float(r["value"]) for r in rows]).reshape(d, n)
+    assert np.array_equal(values, vectors.T)
     # a localized column is tagged with the word of its own cell, the depth-k
     # words in lexicographic order
     words = {k: ["".join(map(str, w)) or "-" for w in product((1, 2, 3), repeat=k)]
              for k in range(m_q)}
-    depth, rank = basis.column_cells
+    depth, rank = szego.column_cells(group)
     tags = [words[k][c] for k, c in zip(depth.tolist(), rank.tolist())]
-    assert [r["tag"] for r in rows[::n]] == (
-        tags[:basis.localized_count] + ["nonlocalized"] * basis.nonlocalized_count)
+    localized = szego.localized_columns(group, N)
+    assert [r["tag"] for r in rows[::n]] == tags[:localized] + ["nonlocalized"] * (d - localized)
 
 
 def test_triple_draw_uniform_over_ordered_distinct_triples():

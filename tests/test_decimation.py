@@ -9,13 +9,13 @@ import pytest
 
 from sgszego import cli
 from sgszego import decimation as dec
-from sgszego import eigenbasis as eb
 from sgszego import laplacian as lap
+from sgszego import szego as sz
 from sgszego import topology as top
 
-from subspaces import (index_of, lattice_keys, on_vertices, one_word, principal_angle_gap,
-                       reference_laplacian, scalar_spectrum, six_series_birth_by_qr,
-                       six_series_remainder_by_solve)
+from subspaces import (eigenfunctions_at_level, index_of, lattice_keys, on_vertices, one_word,
+                       principal_angle_gap, reference_laplacian, scalar_spectrum,
+                       six_series_birth_by_qr, six_series_remainder_by_solve)
 
 
 def test_gamma_step_values():
@@ -388,8 +388,7 @@ def test_split_bases_factor_nothing_wider_than_six(monkeypatch):
         monkeypatch.setattr(np.linalg, name, spy)
     try:
         for series in ("five", "six"):
-            group = next(g for g in dec.enumerate_spectrum(9) if (g.series, g.birth) == (series, 8))
-            eb.localize_basis(group, 9, 2)
+            dec.cell_tree(series, 8)
     finally:
         dec.five_series_remainder.cache_clear()
         dec.six_series_remainder.cache_clear()
@@ -425,14 +424,14 @@ def test_birth_eigenvectors_dimension_check():
     for series, j, wrong in (("six", 3, 11), ("five", 3, 5)):
         group = dataclasses.replace(one_word(series, j, ()), multiplicity=wrong)
         with pytest.raises(AssertionError):
-            eb.localize_basis(group, j, None)
+            sz.localized_columns(group, None)
 
 
 def test_eigenfunctions_at_level_residuals():
     for series, j in [("two", 1), ("five", 2), ("six", 2), ("six", 3)]:
         group = next(g for g in dec.enumerate_spectrum(4) if (g.series, g.birth) == (series, j))
         group = group[:1]  # its word of the smallest lambda
-        vals = dec.eigenfunctions_at_level(group, 4, _tree_birth_space(series, j))
+        vals = eigenfunctions_at_level(group, 4, _tree_birth_space(series, j))
         vals = on_vertices(4, vals)[:, 0]
         assert vals.shape[1] == group.multiplicity
         for c in range(vals.shape[1]):

@@ -6,15 +6,13 @@ import pytest
 
 from sgszego import cli
 from sgszego import decimation as dec
-from sgszego import eigenbasis as eb
 from sgszego import laplacian as lap
 from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.functions import HarmonicFunction, SimpleCellFunction
 
-from subspaces import (assemble_compressed, complement_by_qr, eigenspace_vectors, index_of,
-                       principal_angle_gap, scale_cells)
-
+from subspaces import (complement_by_qr, eigenfunctions_at_level, eigenspace_vectors, index_of,
+                       interior_cell_rows, principal_angle_gap, scale_cells)
 
 
 def _dense_eigenspace(group, m_q):
@@ -26,10 +24,21 @@ def _dense_eigenspace(group, m_q):
     return evecs[:, sel]
 
 
+def _outside_values(vectors, group, m_q):
+    """Largest |value| of each column of `basis_columns`, over the group's
+    eigenspaces, at the interior vertices of V_{m_q} outside its own cell."""
+    inside = np.zeros(vectors.shape[1:], dtype=bool)
+    topo = top.level_topology(m_q)
+    for column, (k, rank) in enumerate(zip(*sz.column_cells(group))):
+        cell = top.cell_embedding(m_q, k)[rank]
+        inside[topo.interior_row[cell[~topo.boundary_mask[cell]]], column] = True
+    return np.max(np.abs(np.where(inside, 0.0, vectors)), axis=(0, 1))
+
+
 def test_eigenspace_column_counts():
     for series, j, m_q, d in (("five", 1, 3, 2), ("six", 2, 3, 3), ("two", 1, 4, 1)):
-        basis = eb.localize_basis(sz._canonical_group(series, j, m_q), m_q, None)
-        assert basis.vectors.shape == (1, top.interior_count(m_q), d)
+        vectors = sz.basis_columns(sz._canonical_group(series, j, m_q), m_q)
+        assert vectors.shape == (1, top.interior_count(m_q), d)
 
 
 @pytest.mark.parametrize(
@@ -37,7 +46,7 @@ def test_eigenspace_column_counts():
 )
 def test_extension_matches_dense(series, j, m_q):
     group = sz._canonical_group(series, j, m_q)
-    a = eb.localize_basis(group, m_q, None).vectors[0]
+    a = sz.basis_columns(group, m_q)[0]
     b = _dense_eigenspace(group, m_q)
     assert a.shape == b.shape
     assert principal_angle_gap(a, b, m_q) < 1e-8
@@ -45,18 +54,18 @@ def test_extension_matches_dense(series, j, m_q):
 
 def test_unsplit_basis_orthonormal():
     group = sz._canonical_group("six", 2, 4)
-    basis = eb.localize_basis(group, 4, None)
-    assert eb.orthonormality_check(basis.vectors, basis.level) < 1e-10
-    assert basis.localized_count == 0
+    assert sz.orthonormality_check(sz.basis_columns(group, 4), 4) < 1e-10
+    assert sz.localized_columns(group, None) == 0
 
 
 @pytest.mark.parametrize("scale", [None, 1])
 def test_level_six_spectrum_orthonormal_at_level_seven(scale):
     # no factorization at the sampling level: orthonormality comes from the
-    # birth basis and the scalar Gram scaling of decimation extension
+    # birth basis and the norms of the cell kernels of f = 1; the scale
+    # decides the localized count alone
     for group in dec.enumerate_spectrum(6):
-        basis = eb.localize_basis(group, 7, scale)
-        assert eb.orthonormality_check(basis.vectors, basis.level) <= 1e-12, \
+        assert sz.localized_columns(group, scale) <= group.multiplicity
+        assert sz.orthonormality_check(sz.basis_columns(group, 7), 7) <= 1e-12, \
             (group.series, group.birth)
 
 
@@ -67,13 +76,13 @@ def test_six_series_localized_dimensions(scale, j):
         pytest.skip("scale must be below the generation of birth")
     m_q = min(j + 1, 6)
     group = sz._canonical_group("six", j, m_q)
-    basis = eb.localize_basis(group, m_q, scale)
+    localized = sz.localized_columns(group, scale)
     per_cell = (3 ** (j - scale) - 3) // 2
-    assert basis.localized_count == 3**scale * per_cell
-    assert basis.nonlocalized_count == (3 ** (scale + 1) - 3) // 2
-    assert basis.localized_count + basis.nonlocalized_count == group.multiplicity
+    assert localized == 3**scale * per_cell
+    assert group.multiplicity - localized == (3 ** (scale + 1) - 3) // 2
+    assert sz.basis_columns(group, m_q).shape[2] == group.multiplicity
     # localization is symmetric across the cells of the scale
-    counts = np.bincount(scale_cells(basis, scale), minlength=3**scale)
+    counts = np.bincount(scale_cells(group, scale), minlength=3**scale)
     assert counts.tolist() == [per_cell] * 3**scale
 
 
@@ -81,79 +90,78 @@ def test_six_series_localized_dimensions(scale, j):
 def test_five_series_localized_dimensions(scale, j):
     m_q = min(j + 1, 7)
     group = sz._canonical_group("five", j, m_q)
-    basis = eb.localize_basis(group, m_q, scale)
     # the tree: R5(j), three columns, at the root and one column K5(j - k) in
-    # each cell of every depth k = 1 .. j - 2
-    assert basis.depths == tuple(range(j - 2, -1, -1))
-    assert [part.shape[2] for part in basis.parts] == [1] * (j - 2) + [3]
-    assert basis.column_counts == [3**k for k in basis.depths[:-1]] + [3]
+    # each cell of every depth k = 1 .. j - 2, deepest first
+    depth, rank = sz.column_cells(group)
+    assert np.all(np.diff(depth) <= 0) and depth[-1] == 0
+    assert np.bincount(depth).tolist() == [3] + [3**k for k in range(1, j - 1)]
+    assert rank.tolist() == [r for k in range(j - 2, 0, -1) for r in range(3**k)] + [0, 0, 0]
     # the columns at depths >= N are localized: all at N = 0, and otherwise
     # (3^(j-1-N) - 1) / 2 in each N-cell, leaving (3^N + 3) / 2 of them
-    localized = sum(n for k, n in zip(basis.depths, basis.column_counts) if k >= scale)
-    assert basis.localized_count == localized
+    localized = sz.localized_columns(group, scale)
+    assert localized == np.sum(depth >= scale)
     if scale == 0:
-        assert basis.localized_count == group.multiplicity
+        assert localized == group.multiplicity
         return
     per_cell = (3 ** (j - 1 - scale) - 1) // 2
-    assert basis.nonlocalized_count == (3**scale + 3) // 2
-    assert basis.localized_count == 3**scale * per_cell
-    counts = np.bincount(scale_cells(basis, scale), minlength=3**scale)
+    assert group.multiplicity - localized == (3**scale + 3) // 2
+    assert localized == 3**scale * per_cell
+    counts = np.bincount(scale_cells(group, scale), minlength=3**scale)
     assert counts.tolist() == [per_cell] * 3**scale
 
 
 def test_localized_vectors_vanish_outside():
     group = sz._canonical_group("six", 3, 4)
-    basis = eb.localize_basis(group, 4, 1)
-    assert basis.localized_count > 0
-    for c in range(basis.localized_count):
-        assert eb.max_outside_value(basis, c) < 1e-10
+    localized = sz.localized_columns(group, 1)
+    assert localized > 0
+    outside = _outside_values(sz.basis_columns(group, 4), group, 4)
+    assert np.all(outside[:localized] < 1e-10)
 
 
 def test_localized_basis_orthonormal_and_span_preserving():
     group = sz._canonical_group("six", 3, 4)
     raw = eigenspace_vectors(group, 4)[0]
-    basis = eb.localize_basis(group, 4, 1)
-    assert basis.dimension == group.multiplicity
-    assert eb.orthonormality_check(basis.vectors, basis.level) < 1e-10
-    assert principal_angle_gap(raw, basis.vectors[0], 4) < 1e-8
+    vectors = sz.basis_columns(group, 4)
+    assert vectors.shape[2] == group.multiplicity
+    assert sz.orthonormality_check(vectors, 4) < 1e-10
+    assert principal_angle_gap(raw, vectors[0], 4) < 1e-8
 
 
 def test_distinct_cell_columns_orthogonal():
     group = sz._canonical_group("six", 3, 4)
-    basis = eb.localize_basis(group, 4, 1)
-    vectors = basis.vectors[0]
-    g = top.interior_weight(basis.level) * vectors.T @ vectors
-    cell = scale_cells(basis, 1)  # localized column k lies in the 1-cell of rank cell[k]
-    for a in range(basis.localized_count):
-        for b in range(a + 1, basis.localized_count):
+    vectors = sz.basis_columns(group, 4)[0]
+    g = top.interior_weight(4) * vectors.T @ vectors
+    cell = scale_cells(group, 1)  # localized column k lies in the 1-cell of rank cell[k]
+    for a in range(len(cell)):
+        for b in range(a + 1, len(cell)):
             if cell[a] != cell[b]:
                 assert abs(g[a, b]) < 1e-12
 
 
 def test_split_column_count_check():
-    # a group claiming the wrong multiplicity is refused by the split,
-    # which never builds the birth space that checks it otherwise
+    # a group claiming the wrong multiplicity is refused by the count of its
+    # cell tree's columns
     group = dataclasses.replace(sz._canonical_group("six", 4, 5), multiplicity=40)
     with pytest.raises(AssertionError):
-        eb.localize_basis(group, 5, 2)
+        sz.localized_columns(group, 2)
 
 
 @pytest.mark.parametrize("scale", [None, 0, 1, 2])
 def test_birth_group_slices_are_the_bases_of_groups_of_one(scale):
     # stacking changes only the order of sums: every slice of a group's
-    # split and block is the one built for its word alone
+    # columns and block is the one built for its word alone
     m_q = 6
-    topo = top.level_topology(m_q)
-    fvals = HarmonicFunction([1.2, 1.5, 1.9]).sample(topo)[topo.interior_indices]
+    f = HarmonicFunction([1.2, 1.5, 1.9])
     for group in dec.enumerate_spectrum(5):
-        basis = eb.localize_basis(group, m_q, scale)
-        blocks = assemble_compressed(fvals, basis)
-        assert (blocks.eigenspaces, blocks.dimension) == (len(group), basis.dimension)
+        vectors = sz.basis_columns(group, m_q)
+        op = sz.compressed_operator(f, [group], m_q, scale)
+        (blocks,) = op.blocks
+        assert (blocks.eigenspaces, blocks.dimension) == (len(group), vectors.shape[2])
+        assert op.localized == len(group) * sz.localized_columns(group, scale)
         for g in range(len(group)):
-            alone = eb.localize_basis(group[g:g + 1], m_q, scale)
-            assert alone.depths == basis.depths == blocks.depths
-            couplings = assemble_compressed(fvals, alone).couplings
-            pairs = [(part[g], one[0]) for part, one in zip(basis.parts, alone.parts)]
+            alone = sz.basis_columns(group[g:g + 1], m_q)
+            couplings = sz.compressed_operator(f, [group[g:g + 1]], m_q, scale).blocks[0].couplings
+            pairs = [(vectors[g], alone[0])]
             pairs += [(rows[g], one[0]) for rows, one in zip(blocks.couplings, couplings)]
             for stacked, single in pairs:
                 assert np.max(np.abs(stacked - single), initial=0.0) <= 1e-13, \
@@ -164,12 +172,9 @@ def test_localization_scale_not_below_birth_is_unsplit():
     # a scale N >= birth has no N-cells to copy into: the remainder is the
     # whole eigenspace, as a cutoff run expects for its births <= N
     group = sz._canonical_group("six", 2, 4)
-    basis = eb.localize_basis(group, 4, 2)
-    assert basis.localized_count == 0
-    assert basis.nonlocalized_count == group.multiplicity
+    assert sz.localized_columns(group, 2) == 0
     # below the birth it localizes: at scale 0 the one 0-cell holds every column
-    basis_ok = eb.localize_basis(group, 4, 0)
-    assert basis_ok.localized_count == group.multiplicity
+    assert sz.localized_columns(group, 0) == group.multiplicity
 
 
 def test_cross_eigenspace_orthogonality():
@@ -178,37 +183,24 @@ def test_cross_eigenspace_orthogonality():
     w = top.interior_weight(m_q)
     d1 = sz._canonical_group("five", 2, m_q)
     d2 = sz._canonical_group("six", 2, m_q)
-    b1 = eb.localize_basis(d1, m_q, None).vectors[0]
-    b2 = eb.localize_basis(d2, m_q, None).vectors[0]
+    b1 = sz.basis_columns(d1, m_q)[0]
+    b2 = sz.basis_columns(d2, m_q)[0]
     cross = w * b1.T @ b2
     assert np.max(np.abs(cross)) < 1e-9
 
 
-def test_max_outside_value_rejects_nonlocalized():
-    group = sz._canonical_group("five", 1, 3)
-    basis = eb.localize_basis(group, 3, None)
-    with pytest.raises(ValueError):
-        eb.max_outside_value(basis, 0)
-    # remainder columns and columns counted from the end are refused too
-    split = eb.localize_basis(sz._canonical_group("six", 3, 4), 4, 1)
-    for column in (split.localized_count, split.dimension - 1, -1):
-        with pytest.raises(ValueError):
-            eb.max_outside_value(split, column)
-
-
 def test_basis_export(tmp_path):
     group = sz._canonical_group("six", 2, 3)
-    basis = eb.localize_basis(group, 3, 1)
     argv = ["basis", "--series", "six", "--j", "2", "--N", "1", "--m-q", "3"]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     lines = (tmp_path / "basis.csv").read_text().strip().splitlines()
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "vertex_id,column,value,tag"
     n_int = len(top.level_topology(3).interior_indices)
-    assert len(lines) == 2 + basis.dimension * n_int
+    assert len(lines) == 2 + group.multiplicity * n_int
 
 
-# Reference oracle: the numerical search that localize_basis replaced.  The
+# Reference oracle: the numerical search that the cell tree replaced.  The
 # localized subspace of a cell is the nullspace of the eigenspace restricted
 # to the interior vertices outside the cell, found from the small Gram matrix
 # of the rows inside the cell (eigenvalue 1 there means zero outside).
@@ -255,21 +247,21 @@ def test_transplants_match_searched_localization():
     for group, m_q, scale in _oracle_grid():
         case = (group.series, group.birth, group.signs.tolist(), m_q, scale)
         raw = eigenspace_vectors(group, m_q)[0]
-        basis = eb.localize_basis(group, m_q, scale)
+        vectors = sz.basis_columns(group, m_q)[0]
+        localized = sz.localized_columns(group, scale)
         found = _searched_localization(raw, m_q, scale)
         built = {}
-        for c, cell in enumerate(scale_cells(basis, scale).tolist()):
+        for c, cell in enumerate(scale_cells(group, scale).tolist()):
             built.setdefault(cell, []).append(c)
         assert {cell: len(cols) for cell, cols in built.items()} == {
             cell: vecs.shape[1] for cell, vecs in found.items()
         }, case
-        vectors = basis.vectors[0]
         for cell, cols in built.items():
             gap = principal_angle_gap(vectors[:, cols], found[cell], m_q)
             assert gap < 1e-10, (case, cell, gap)
         topo = top.level_topology(m_q)
-        full = np.zeros((topo.n_vertices, basis.localized_count))
-        full[topo.interior_indices] = vectors[:, : basis.localized_count]
+        full = np.zeros((topo.n_vertices, localized))
+        full[topo.interior_indices] = vectors[:, :localized]
         # eigen_residual column by column, vectorized over the columns
         r = lap.apply_neg_laplacian(m_q, full) - group.gamma(m_q)[0] * full[topo.interior_indices]
         residual = np.max(np.abs(r), axis=0) / np.max(np.abs(full), axis=0)
@@ -314,27 +306,26 @@ SPLIT_GRID = [
 @pytest.mark.parametrize("series,j,scale,m_q", SPLIT_GRID)
 def test_split_matches_complete_qr_complement(series, j, scale, m_q):
     group = sz._canonical_group(series, j, m_q)
-    basis = eb.localize_basis(group, m_q, scale)
-    vectors = basis.vectors[0]
-    n_loc = basis.localized_count
-    assert basis.dimension == group.multiplicity
+    vectors = sz.basis_columns(group, m_q)[0]
+    n_loc = sz.localized_columns(group, scale)
+    assert vectors.shape[1] == group.multiplicity
     if scale:
         expected = (3 ** (scale + 1) - 3) // 2 if series == "six" else (3**scale + 3) // 2
-        assert basis.nonlocalized_count == expected
+        assert group.multiplicity - n_loc == expected
     else:
-        assert basis.nonlocalized_count == 0
-    assert eb.orthonormality_check(basis.vectors, basis.level) <= 1e-12
+        assert n_loc == group.multiplicity
+    assert sz.orthonormality_check(vectors, m_q) <= 1e-12
     oracle = complement_by_qr(eigenspace_vectors(group, m_q)[0], vectors[:, :n_loc], m_q)
     remainder = vectors[:, n_loc:]
     assert oracle.shape == remainder.shape
     if oracle.shape[1]:
         assert principal_angle_gap(remainder, oracle, m_q) <= 1e-12
-    # every assembled block against the dense w V^T diag(f) V
+    # every compressed block against the dense w V^T diag(f) V
     topo = top.level_topology(m_q)
     for f in (HarmonicFunction([1.0, 1.5, 2.0]), SimpleCellFunction([1.0, 2.0, 3.0])):
         fvals = f.sample(topo)[topo.interior_indices]
         dense = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
-        block = sz.dense_blocks(assemble_compressed(fvals, basis))
+        block = sz.dense_blocks(sz.compressed_operator(f, [group], m_q, scale).blocks[0])
         assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense)), f.label()
 
 
@@ -347,14 +338,15 @@ def test_stacked_five_series_group_matches_dense_oracle():
     m_q, scale = 6, 2
     group = next(g for g in dec.enumerate_spectrum(6) if (g.series, g.birth) == ("five", 4))
     assert len(group) == 4
-    basis = eb.localize_basis(group, m_q, scale)
+    basis = sz.basis_columns(group, m_q)
     topo = top.level_topology(m_q)
-    fvals = SimpleCellFunction([2.689, 2.516, 1.841]).sample(topo)[topo.interior_indices]
-    blocks = sz.dense_blocks(assemble_compressed(fvals, basis))
+    f = SimpleCellFunction([2.689, 2.516, 1.841])
+    fvals = f.sample(topo)[topo.interior_indices]
+    blocks = sz.dense_blocks(sz.compressed_operator(f, [group], m_q, scale).blocks[0])
     w = top.interior_weight(m_q)
-    assert eb.orthonormality_check(basis.vectors, m_q) <= 1e-12
-    for g, (vectors, oracle, block) in enumerate(zip(basis.vectors,
-                                                     eigenspace_vectors(group, m_q), blocks)):
+    assert sz.orthonormality_check(basis, m_q) <= 1e-12
+    for g, (vectors, oracle, block) in enumerate(zip(basis, eigenspace_vectors(group, m_q),
+                                                     blocks)):
         assert principal_angle_gap(vectors, oracle, m_q) <= 1e-12, g
         dense = w * (vectors.T * fvals) @ vectors
         assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense)), g
@@ -375,7 +367,7 @@ def _canonical_remainder(group, m_q, scale):
     solved = np.linalg.solve(gram, np.eye(len(gram))[:, select])
     coeffs = np.zeros((parent.n_vertices, len(select)))
     coeffs[parent.interior_indices] = solved @ np.linalg.inv(np.linalg.cholesky(solved[select])).T
-    expected = dec.eigenfunctions_at_level(group, m_q, lap.extend_values(coeffs, j, 6.0))[:, 0]
+    expected = eigenfunctions_at_level(group, m_q, lap.extend_values(coeffs, j, 6.0))[:, 0]
     return expected / np.sqrt(top.interior_weight(m_q) * np.sum(expected**2, axis=0))
 
 
@@ -385,11 +377,12 @@ def test_six_series_remainder_is_canonical(j, scale, m_q):
     # scale-1 remainder; the columns at depths below the scale span the
     # canonical scale-N remainder
     group = sz._canonical_group("six", j, m_q)
-    basis = eb.localize_basis(group, m_q, scale)
-    assert basis.depths[-1] == 0
-    root, expected = basis.parts[-1][0], _canonical_remainder(group, m_q, 1)
+    vectors = sz.basis_columns(group, m_q)[0]
+    depth, _ = sz.column_cells(group)
+    assert np.array_equal(np.nonzero(depth == 0)[0], len(depth) - 3 + np.arange(3))
+    root, expected = vectors[:, -3:], _canonical_remainder(group, m_q, 1)
     assert np.max(np.abs(root - expected)) <= 1e-12 * np.max(np.abs(expected))
-    remainder = basis.vectors[0][:, basis.localized_count:]
+    remainder = vectors[:, sz.localized_columns(group, scale):]
     assert principal_angle_gap(remainder, _canonical_remainder(group, m_q, scale), m_q) <= 1e-12
 
 
@@ -432,9 +425,9 @@ def test_szego_path_peak_below_one_dense_block():
     assert peak < 4 * 2**20, peak
 
 
-def _nested(basis):
+def _nested(group):
     """(d, d) mask of the column pairs whose cells are nested."""
-    depth, rank = basis.column_cells
+    depth, rank = sz.column_cells(group)
     deep = np.maximum(depth[:, None], depth)
     shallow = np.minimum(depth[:, None], depth)
     rank_deep = np.where(depth[:, None] >= depth, rank[:, None], rank)
@@ -448,14 +441,14 @@ def test_compression_vanishes_outside_nested_cells(series, j, scale, m_q):
     # columns whose cells are not nested have disjoint supports, so the dense
     # V^T diag(w f) V is exactly zero there, and the tree blocks are all of it
     group = sz._canonical_group(series, j, m_q)
-    basis = eb.localize_basis(group, m_q, scale)
-    vectors = basis.vectors[0]
+    vectors = sz.basis_columns(group, m_q)[0]
     topo = top.level_topology(m_q)
-    fvals = HarmonicFunction([1.2, 1.5, 1.9]).sample(topo)[topo.interior_indices]
+    f = HarmonicFunction([1.2, 1.5, 1.9])
+    fvals = f.sample(topo)[topo.interior_indices]
     dense = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
-    nested = _nested(basis)
+    nested = _nested(group)
     assert np.all(dense[~nested] == 0.0)
-    block = sz.dense_blocks(assemble_compressed(fvals, basis))[0]
+    block = sz.dense_blocks(sz.compressed_operator(f, [group], m_q, scale).blocks[0])[0]
     assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -493,16 +486,15 @@ def test_multilevel_span_is_the_copies_in_the_scale_cells():
                                   ("six", 7, 3, 7), ("five", 4, 1, 5), ("five", 5, 2, 6),
                                   ("five", 6, 1, 7), ("five", 7, 3, 7)]:
         group = sz._canonical_group(series, j, m_q)
-        basis = eb.localize_basis(group, m_q, scale)
         small = eigenspace_vectors(group, m_q - scale, shift=scale)[0]
         if series == "five":
             normal = dec.corner_normal_derivatives(small, m_q - scale)
             small = small @ np.linalg.svd(normal)[2][2:].T
-        rows = top.interior_cell_rows(m_q, scale)
+        rows = interior_cell_rows(m_q, scale)
         copies = np.zeros((top.interior_count(m_q), len(rows), small.shape[1]))
         copies[rows, np.arange(len(rows))[:, None]] = small
         copies = copies.reshape(len(copies), -1)
-        localized = basis.vectors[0][:, :basis.localized_count]
+        localized = sz.basis_columns(group, m_q)[0][:, :sz.localized_columns(group, scale)]
         assert localized.shape == copies.shape
         assert principal_angle_gap(localized, copies, m_q) < 1e-12, (series, j, scale)
 
@@ -510,9 +502,8 @@ def test_multilevel_span_is_the_copies_in_the_scale_cells():
 @pytest.mark.parametrize("series,j", [("six", 5), ("five", 4)])
 def test_columns_at_every_depth_vanish_outside_their_cells(series, j):
     # at scale 0 every column is localized, whatever its depth
-    basis = eb.localize_basis(sz._canonical_group(series, j, j + 1), j + 1, 0)
-    assert basis.localized_count == basis.dimension
-    depth, _ = basis.column_cells
-    assert set(depth.tolist()) == set(basis.depths)
-    for column in range(basis.dimension):
-        assert eb.max_outside_value(basis, column) == 0.0
+    group = sz._canonical_group(series, j, j + 1)
+    assert sz.localized_columns(group, 0) == group.multiplicity
+    depth, _ = sz.column_cells(group)
+    assert set(depth.tolist()) == set(range(j - 1))
+    assert np.all(_outside_values(sz.basis_columns(group, j + 1), group, j + 1) == 0.0)

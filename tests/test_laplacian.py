@@ -7,7 +7,6 @@ import pytest
 from sgszego import laplacian as lap
 from sgszego import szego as sz
 from sgszego import topology as top
-from sgszego.eigenbasis import localize_basis
 from sgszego.functions import HarmonicFunction
 
 from subspaces import reference_laplacian
@@ -143,8 +142,7 @@ def test_extend_values_is_the_expression_bit_for_bit(k, G):
 @pytest.mark.parametrize("slab", [1, 7, 64, 1 << 40])
 def test_extend_values_in_slabs_is_the_expression_bit_for_bit(monkeypatch, slab):
     # any slab of cells, and inputs that are views: a broadcast over the
-    # stack, as the first extension of a birth group gets, and a transpose;
-    # the interior rows alone are those rows of the whole
+    # stack, as the first extension of a birth group gets, and a transpose
     monkeypatch.setattr(lap, "EXTEND_SLAB", slab)
     rng = np.random.default_rng(slab % 1000)
     n = top.level_topology(4).n_vertices
@@ -156,9 +154,6 @@ def test_extend_values_in_slabs_is_the_expression_bit_for_bit(monkeypatch, slab)
         gamma = gammas if values.ndim > 1 else gammas[0]
         expected = _extend_values_by_expression(values, 5, gamma)
         assert np.array_equal(lap.extend_values(values, 5, gamma), expected)
-        interior = lap.extend_values(values, 5, gamma, interior=True)
-        assert interior.flags.c_contiguous
-        assert np.array_equal(interior, expected[top.level_topology(5).interior_indices])
 
 
 def test_extend_values_peak_is_near_its_output():
@@ -358,7 +353,7 @@ def test_eigen_residual_memory():
     group = sz._canonical_group("six", 7, 7)
     topo = top.level_topology(7)
     full = np.zeros((topo.n_vertices, group.multiplicity))
-    full[topo.interior_indices] = localize_basis(group, 7, 4).vectors[0]
+    full[topo.interior_indices] = sz.basis_columns(group, 7)[0]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

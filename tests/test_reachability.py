@@ -16,9 +16,9 @@ from sgszego import cli, decimation, laplacian, szego, topology
 PACKAGE = os.path.dirname(os.path.abspath(cli.__file__))
 
 # reached by tests only: the dense Laplacian and its eigensolve, the dense
-# block-diagonal matrix, and the cell indicator and localization leak measures
+# block-diagonal matrix, and the cell indicator
 ORACLES = {"dirichlet_laplacian", "cached_dense_spectrum", "CompressedOperator.matrix",
-           "cell_indicator", "max_outside_value"}
+           "cell_indicator"}
 
 # (exit code, argv)
 RUNS = [

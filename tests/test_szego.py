@@ -9,18 +9,16 @@ import pytest
 
 from sgszego import cli
 from sgszego import decimation as dec
-from sgszego import eigenbasis as eb
 from sgszego import functions
 from sgszego import laplacian as lap
 from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.decimation import enumerate_spectrum
-from sgszego.eigenbasis import localize_basis
 from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFunction,
                                SimpleCellFunction)
 
-from subspaces import (FunctionSum, assemble_compressed, index_of, lattice_keys,
-                       long_double_basis, one_word, scale_cells)
+from subspaces import (FunctionSum, assemble_compressed, index_of, interior_cell_rows,
+                       lattice_keys, long_double_basis, one_word, scale_cells)
 
 
 def test_identity_for_constant_one():
@@ -43,15 +41,15 @@ def test_simple_function_localized_diagonal():
     # multiplication by its coefficient a_k
     f = SimpleCellFunction([1.0, 2.0, 3.0])
     group = one_word("six", 3, (1,))
-    basis = localize_basis(group, 4, 1)
     op = sz.compressed_operator(f, [group], 4, 1)
     # localized column i lies in the 1-cell of rank cell[i], the word (cell[i] + 1,)
-    cell = scale_cells(basis, 1).tolist()
-    cell += [None] * basis.nonlocalized_count
-    assert basis.localized_count > 0
-    for i in range(basis.localized_count):
+    cell = scale_cells(group, 1).tolist()
+    localized = len(cell)
+    cell += [None] * (group.multiplicity - localized)
+    assert localized > 0
+    for i in range(localized):
         assert op.matrix[i, i] == pytest.approx(f.coefficients[cell[i]], abs=1e-10)
-        for jj in range(basis.dimension):
+        for jj in range(group.multiplicity):
             if jj != i and cell[jj] != cell[i]:
                 assert abs(op.matrix[i, jj]) < 1e-10
 
@@ -291,27 +289,57 @@ def test_records_export(tmp_path):
 
 
 @pytest.mark.parametrize("N", [None, 1, 2])
-@pytest.mark.parametrize("m", range(3, 7))
-def test_full_compression_at_level_m_is_the_riemann_mean(m, N):
+@pytest.mark.parametrize("m,m_q", [(m, m) for m in range(3, 7)] + [(6, 7)],
+                         ids=["3", "4", "5", "6", "6-at-7"])
+def test_full_compression_at_level_m_is_the_riemann_mean(m, m_q, N):
     # at m_q = m the level-m eigenspaces span the interior of V_m and the
     # quadrature weight is uniform there, so the full compression onto the
     # bases of every birth group together has log det / d equal to the mean
-    # of log f over the interior; the cutoff operator is its block diagonal
-    topo = top.level_topology(m)
+    # of log f over the interior.  The cutoff operator is its block
+    # diagonal, also one level finer, where the columns `basis` exports no
+    # longer span the interior
+    topo = top.level_topology(m_q)
     groups = enumerate_spectrum(m)
-    vectors = np.concatenate(
-        [col for group in groups for col in localize_basis(group, m, N).vectors], axis=1)
-    assert vectors.shape == (len(topo.interior_indices),) * 2
+    vectors = np.concatenate([col for group in groups for col in sz.basis_columns(group, m_q)],
+                             axis=1)
+    assert vectors.shape == (top.interior_count(m_q), top.interior_count(m))
     for f in (HarmonicFunction([1.2, 1.5, 1.9]), SimpleCellFunction([2.689, 2.516, 1.841])):
         fvals = f.sample(topo)[topo.interior_indices]
-        full = top.interior_weight(m) * (vectors.T * fvals) @ vectors
-        mean = float(np.mean(np.log(fvals)))
-        assert abs(sz.log_det(full) / len(full) - mean) <= 1e-13 * abs(mean), (m, N, f.label())
-        op = sz.compressed_operator(f, groups, m, N)
-        sizes = [group.dimension for group in op.blocks for _ in range(group.eigenspaces)]
-        eigenspace = np.repeat(np.arange(len(sizes)), sizes)
-        inside = eigenspace[:, None] == eigenspace
-        assert np.max(np.abs(np.where(inside, full, 0.0) - op.matrix)) <= 1e-13 * np.max(fvals)
+        full = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
+        if m_q == m:
+            mean = float(np.mean(np.log(fvals)))
+            assert abs(sz.log_det(full) / len(full) - mean) <= 1e-13 * abs(mean), (m, N, f.label())
+        start = 0
+        for block in (b for group in sz.compressed_operator(f, groups, m_q, N).blocks
+                      for b in sz.dense_blocks(group)):
+            stop = start + len(block)
+            assert np.max(np.abs(full[start:stop, start:stop] - block)) <= \
+                1e-13 * np.max(np.abs(block)), (m, m_q, N, f.label())
+            start = stop
+        assert start == len(full)
+
+
+def test_basis_columns_match_the_long_double_extension():
+    # every birth group of cutoff m=6 at m_q=9 against its cell tree extended
+    # vertex by vertex and normalized in long double, within 1e-14 of each
+    # column's largest entry (the float64 extension was 2.9e-14 off here);
+    # each level is compared on its cells' rows, and is zero elsewhere
+    m_q = 9
+    for group in enumerate_spectrum(6):
+        vectors = sz.basis_columns(group, m_q)
+        exact = long_double_basis(group, m_q)
+        start = 0
+        for k, part in zip(exact.depths, exact.parts, strict=True):
+            c = part.shape[2]
+            rows = interior_cell_rows(m_q, k)[:, :, None]
+            cols = start + np.arange(3**k)[:, None, None] * c + np.arange(c)
+            expected = 3.0 ** (k / 2) * part[:, None]  # (G, cells, rows of a cell, c)
+            error = np.max(np.abs(vectors[:, rows, cols] - expected), axis=2)
+            assert np.all(error <= 1e-14 * np.max(np.abs(expected), axis=2)), \
+                (group.series, group.birth, k)
+            vectors[:, rows, cols] = 0.0
+            start += 3**k * c
+        assert start == vectors.shape[2] and not vectors.any(), (group.series, group.birth)
 
 
 def _word_bytes(group, m_q):
@@ -369,9 +397,7 @@ def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
     finally:
         sys.setprofile(None)
     assert entered[sz.cell_kernels.__code__] == entered[sz.tree_couplings.__code__] == chunks
-    for name in ("localize_basis", "_normalized"):
-        assert entered[getattr(eb, name).__code__] == 0, name
-    assert entered[dec.eigenfunctions_at_level.__code__] == 0
+    assert entered[sz.basis_columns.__code__] == 0
     assert len(op.blocks) == len(groups)
     assert [block.eigenspaces for block in op.blocks] == [len(group) for group in groups]
     assert calls["extend_values"] == extensions, (calls, extensions)
@@ -419,7 +445,7 @@ def test_assembly_holds_one_level_and_one_ancestor_copy():
     group = next(g for g in enumerate_spectrum(7) if (g.series, g.birth) == ("five", 4))
     topo = top.level_topology(8)
     fvals = SAMPLED.sample(topo)
-    kernels = sz.cell_kernels(sz.cell_weights(fvals, 4, 8), group, 8)
+    kernels = sz.cell_kernels(sz.cell_weights(fvals, 4, 8), sz.corner_column(group, 8), 4)
     corners = sz.tree_corners("five", 4)
     assert len(corners) == 3
     sz.tree_couplings(kernels, corners, 8)
@@ -459,7 +485,7 @@ def test_rotated_corner_columns_are_the_extended_ones(m):
             assert np.array_equal(t[:, :, 2], t[rot[1], :, 0])
             weights = sz.cell_weights(fvals, group.birth, m_q)
             old = np.stack([weights[0] @ (t[:, :, a] * t[:, :, b]) for a, b in sz._PAIRS], axis=-1)
-            new = sz.cell_kernels(weights, group, m_q)
+            new = sz.cell_kernels(weights, sz.corner_column(group, m_q), m_q - group.birth)
             assert np.max(np.abs(new - old.swapaxes(0, 1))) <= 1e-14 * np.max(np.abs(old))
 
 
@@ -522,15 +548,13 @@ def test_cell_kernel_blocks_match_the_extended_assembly(series, index, m_q):
     groups = (enumerate_spectrum(index) if series == "cutoff"
               else (sz._canonical_group(series, index, m_q),))
     topo = top.level_topology(m_q)
-    bases = {scale: [localize_basis(group, m_q, scale) for group in groups]
-             for scale in (None, 1, 2)}
     exact = [long_double_basis(group, m_q) for group in groups]
     for f in MULTIPLIERS:
         fvals = f.sample(topo)[topo.interior_indices]
         oracle = [assemble_compressed(fvals, basis) for basis in exact]
-        for scale, scaled in bases.items():
+        for scale in (None, 1, 2):
             op = sz.compressed_operator(f, groups, m_q, scale)
-            assert op.localized == sum(len(b.group) * b.localized_count for b in scaled)
+            assert op.localized == sum(len(g) * sz.localized_columns(g, scale) for g in groups)
             for new, old in zip(op.blocks, oracle, strict=True):
                 assert new.depths == old.depths
                 largest = max(np.max(np.abs(rows)) for rows in old.couplings)
@@ -556,7 +580,7 @@ def test_recursion_below_the_sampling_level_matches_the_sampled_kernels(f):
     # but at the cell's corners
     for group, m_q in _recursion_cases():
         weights = sz.cell_weights(f.sample(top.level_topology(m_q)), group.birth, m_q)
-        sampled = sz.cell_kernels(weights, group, m_q)
+        sampled = sz.cell_kernels(weights, sz.corner_column(group, m_q), m_q - group.birth)
         for level in range(max(group.birth, f.scale), m_q + 1):
             kernels = sz.recursive_kernels(group, f, level, m_q)
             assert kernels.shape == sampled.shape
@@ -617,7 +641,7 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
         op = sz.compressed_operator(f, groups, m_q, 1)
     finally:
         sys.setprofile(None)
-    for name in ("cell_weights", "word_chunks", "cell_kernels"):
+    for name in ("cell_weights", "word_chunks", "corner_column", "cell_kernels"):
         assert entered[getattr(sz, name).__code__] == 0, name
     assert entered[lap.extend_values.__code__] == 0
     assert entered[sz.recursive_kernels.__code__] == len(op.blocks) == len(groups)
@@ -626,7 +650,7 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
 
 def test_compression_refuses_a_wrong_multiplicity():
     # the cell tree's columns are counted against the group's multiplicity
-    # before anything is built, as `localize_basis` counts its parts
+    # before anything is built (`localized_columns`)
     group = dataclasses.replace(sz._canonical_group("six", 4, 5), multiplicity=40)
     with pytest.raises(AssertionError, match="expected 40"):
         sz.compressed_operator(ConstantFunction(1.0), [group], 5, 2)

@@ -8,7 +8,7 @@ from sgszego import cli
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
-from subspaces import index_of, lattice_keys, unique_key_tables
+from subspaces import index_of, interior_cell_rows, lattice_keys, unique_key_tables
 
 # Reference for the lattice-key rule and the canonical vertex order: the
 # word-by-word key loop and the dict of representatives that the array build
@@ -167,7 +167,7 @@ def test_cell_tables_match_key_search(m):
         emb = _key_search_embedding(m, scale)
         assert np.array_equal(top.cell_embedding(m, scale), emb)
         small_interior = top.level_topology(m - scale).interior_indices
-        assert np.array_equal(top.interior_cell_rows(m, scale),
+        assert np.array_equal(interior_cell_rows(m, scale),
                               np.searchsorted(interior, emb[:, small_interior]))
     if m:
         emb = _key_search_embedding(m, m - 1)
