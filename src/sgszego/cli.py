@@ -115,7 +115,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command")
 
     def common(sp):
-        sp.add_argument("--out", default=".")
+        sp.add_argument("--out")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--tol", action="append", default=[],
                         help="tolerance override name=value, repeatable")
@@ -289,8 +289,6 @@ def validate(config):
                 f = None
             if f is not None and hasattr(f, "coefficients") and np.min(f.coefficients) <= 0:
                 v.append("f: positivity required")
-            if f is not None and hasattr(f, "value") and f.value <= 0:
-                v.append("f: positivity required")
             scale = getattr(f, "scale", 0)
             if sample_level is not None and scale > sample_level:
                 v.append(f"f: its 3^{scale} cells are finer than the sampling level {sample_level}")
@@ -405,9 +403,9 @@ def _sweep_args(config):
 
 
 def run(config):
-    """Execute a validated config; returns the summary dict."""
+    """Execute a validated config whose `out` directory exists; returns the
+    summary dict."""
     out = config["out"]
-    os.makedirs(out, exist_ok=True)
     cmd = config["command"]
     header = [f"# config_hash={config_hash(config)}"]
     results, timings = {}, {}
@@ -524,6 +522,11 @@ def main(argv=None):
         violations = [str(exc)]
     else:
         violations = validate(config)
+    if not violations:
+        try:
+            os.makedirs(config["out"], exist_ok=True)
+        except OSError as exc:
+            violations = [f"out: {exc}"]
     if violations:
         record = {"error": "invalid config", "violations": violations}
         print(json.dumps(record), file=sys.stderr)
@@ -533,9 +536,7 @@ def main(argv=None):
     except (szego.NotPositiveDefiniteError, szego.FunctionalValueError, ToleranceError) as exc:
         record = {"error": "numerical failure", "detail": str(exc), **getattr(exc, "fields", {})}
         print(json.dumps(record), file=sys.stderr)
-        out = config.get("out", ".")
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "error.json"), "w") as fh:
+        with open(os.path.join(config["out"], "error.json"), "w") as fh:
             json.dump(record, fh)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -8,7 +8,9 @@ level-k value is produced by
     gamma_k = (5 + epsilon_k * sqrt(25 - 4 gamma_{k-1})) / 2.
 
 Beyond the enumeration level all signs are -1, which makes
-(3/2) * 5^k * gamma_k converge to the renormalized eigenvalue.
+(3/2) * 5^k * gamma_k converge to the renormalized eigenvalue.  A birth
+eigenspace is a cell tree of the scale-1 remainders R(i) (`remainder`), laid
+out by `szego.tree_corners`.
 """
 from __future__ import annotations
 
@@ -251,7 +253,7 @@ def _birth_space(series):
     """The level-1 birth space of the 2- or the 5-series as full vectors on
     V_1, orthonormal in plain coordinates: the constant on the three
     midpoints, or their zero-sum vectors; read-only.  Every later birth space
-    is a cell tree of scale-1 remainders (`cell_tree`)."""
+    is a cell tree of scale-1 remainders (`remainder`)."""
     full = np.zeros((level_topology(1).n_vertices, 2 if series == SERIES_FIVE else 1))
     midpoints = level_topology(1).interior_indices
     if series == SERIES_FIVE:
@@ -343,18 +345,10 @@ def six_series_remainder(j):
     return values
 
 
-def cell_tree(series, birth):
-    """(depth, columns on V_{birth - depth}) of the cell tree of the birth
-    space of a series, root first: the scale-1 remainder R(birth) at depth 0
-    and the kept part of R(birth - k) at each depth k = 1 .. birth - 2, all
-    three columns of a 6-series remainder and the one column K5 of a
-    5-series one.  Each depth's columns are copied into every cell of that
-    depth; copies in different cells have disjoint supports, so the tree is
-    orthonormal in plain coordinates.  The 2-series is the root alone.
-    """
+def remainder(series, i):
+    """R(i), the scale-1 remainder of a series at generation i, as full
+    vectors on V_i, orthonormal in plain coordinates; read-only.  The
+    2-series has R(1) alone, its birth space."""
     if series == SERIES_TWO:
-        return ((0, _birth_space(SERIES_TWO)),)
-    remainder, kept = ((six_series_remainder, slice(None)) if series == SERIES_SIX
-                       else (five_series_remainder, slice(2, None)))
-    return ((0, remainder(birth)),) + tuple((k, remainder(birth - k)[:, kept])
-                                            for k in range(1, birth - 1))
+        return _birth_space(SERIES_TWO)
+    return (six_series_remainder if series == SERIES_SIX else five_series_remainder)(i)

@@ -14,6 +14,9 @@ cell's interior, and its sampled values there, which differ only where the
 sample takes a vertex shared by two cells from one of them.  The Szegő
 kernels read such a function at that level instead of on the sampling level
 (`szego.recursive_kernels`).
+
+`ConstantFunction` is the `SimpleCellFunction` of one cell, and only these
+give exact cell integrals (`cell_integral`).
 """
 from __future__ import annotations
 
@@ -23,26 +26,6 @@ import numpy as np
 
 from .laplacian import child_maps, extend_values
 from .topology import SQRT3, level_topology
-
-
-class ConstantFunction:
-    scale = 0
-
-    def __init__(self, value):
-        self.value = float(value)
-
-    def label(self):
-        return f"constant:{self.value:g}"
-
-    def sample(self, topo):
-        return np.full(topo.n_vertices, self.value)
-
-    def cell_corners(self, level):
-        values = np.full((3**level, 3), self.value)
-        return values, values
-
-    def cell_integral(self, func=None):
-        return self.value if func is None else float(func(self.value))
 
 
 class SimpleCellFunction:
@@ -83,6 +66,16 @@ class SimpleCellFunction:
         carries mass 3^-N."""
         vals = self.coefficients if func is None else [func(c) for c in self.coefficients]
         return float(np.mean(vals))
+
+
+class ConstantFunction(SimpleCellFunction):
+    """The simple function of one cell, scale 0: constant:c is simple:c."""
+
+    def __init__(self, value):
+        super().__init__([value])
+
+    def label(self):
+        return f"constant:{self.coefficients[0]:g}"
 
 
 class HarmonicFunction:

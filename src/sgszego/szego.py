@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, cell_tree, enumerate_spectrum,
-                         extend_eigenfunction, make_groups, refuse_forbidden)
+from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, enumerate_spectrum,
+                         extend_eigenfunction, make_groups, refuse_forbidden, remainder)
 from .laplacian import child_maps, corner_maps
 from .topology import cell_embedding, interior_weight, level_topology, rotation, vertex_count
 
@@ -356,7 +356,7 @@ def remainder_corners(series, i):
     cells for each pair (r, s) of `_PAIRS`, doubled off the diagonal, so
     that a column's squared norm is a sum of six terms against the f = 1
     kernel."""
-    values = cell_tree(series, i)[0][1]
+    values = remainder(series, i)
     corners = values[level_topology(i).cell_vertices]
     pairs = np.empty((len(_PAIRS), corners.shape[-1]))
     product = np.empty(pairs.shape[1:] + corners.shape[:1])  # a row per column
@@ -373,14 +373,17 @@ def remainder_corners(series, i):
 @lru_cache(maxsize=None)
 def tree_corners(series, birth):
     """(depth, corner values, pair sums) of each level of the cell tree of a
-    birth space, deepest first; cached.  Depth k holds the kept columns of
-    R(birth - k), which a column copied into a depth-k cell takes at the
-    corners of the birth-cells inside it, in rank order: the
-    `remainder_corners` of R(birth - k), all of its columns at the root and
-    below it all three of a 6-series remainder and a view of column 2, K5,
-    of a 5-series one."""
+    birth space, deepest first; cached.  Depth 0 holds the scale-1 remainder
+    R(birth), and each depth k = 1 .. birth - 2 the kept columns of
+    R(birth - k): all three of a 6-series remainder and the one column K5 of
+    a 5-series one.  The 2-series, born at 1 alone, is the root alone.  Each
+    depth's columns are copied into every cell of that depth; copies in
+    different cells have disjoint supports, so the tree is orthonormal in
+    plain coordinates.  A column copied into a depth-k cell takes at the
+    corners of the birth-cells inside it, in rank order, the
+    `remainder_corners` of R(birth - k), of K5 a view of its column 2."""
     levels = []
-    for k in reversed(range(len(cell_tree(series, birth)))):
+    for k in range(max(birth - 2, 0), -1, -1):
         corners, pairs = remainder_corners(series, birth - k)
         if k and series == SERIES_FIVE:
             corners, pairs = corners[..., 2:], pairs[:, 2:]

@@ -8,9 +8,8 @@ from itertools import product
 import numpy as np
 
 from sgszego.decimation import (_BIRTH_GAMMA, LAMBDA_TAIL, SERIES_FIVE, SERIES_SIX, SERIES_TWO,
-                                _birth_space, cell_tree, corner_normal_derivatives,
-                                extend_eigenfunction, junction_nullspace, make_groups,
-                                series_multiplicity)
+                                _birth_space, corner_normal_derivatives, extend_eigenfunction,
+                                junction_nullspace, make_groups, remainder, series_multiplicity)
 from sgszego.laplacian import dirichlet_laplacian, extend_values, extension_maps
 from sgszego.szego import TreeBlocks, column_cells, localized_columns
 from sgszego.topology import (_CORNER_KEYS, SQRT3, cell_embedding, interior_count,
@@ -372,6 +371,21 @@ def interior_cell_rows(m, scale):
     table = level_topology(m).interior_row[cell_embedding(m, scale)[:, small_interior]]
     table.flags.writeable = False  # cached and shared by every caller
     return table
+
+
+def cell_tree(series, birth):
+    """(depth, columns on V_{birth - depth}) of the cell tree of the birth
+    space of a series as full vectors, root first: the scale-1 remainder
+    R(birth) at depth 0 and the kept part of R(birth - k) at each depth
+    k = 1 .. birth - 2, all three columns of a 6-series remainder and the one
+    column K5 of a 5-series one.  Each depth's columns are copied into every
+    cell of that depth; copies in different cells have disjoint supports, so
+    the tree is orthonormal in plain coordinates.  The 2-series is the root
+    alone.  The oracle of `szego.tree_corners`, which lays out the same tree
+    as corner tables."""
+    kept = slice(2, None) if series == SERIES_FIVE else slice(None)
+    return ((0, remainder(series, birth)),) + tuple((k, remainder(series, birth - k)[:, kept])
+                                                    for k in range(1, birth - 1))
 
 
 def eigenfunctions_at_level(group, m_q, vals, shift=0):

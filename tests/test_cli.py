@@ -224,14 +224,26 @@ def test_equidist_log_matches_szego_logdet(tmp_path):
         ["spectrum", "--m", "2", "--tol", "gram=nan"],
         ["spectrum", "--m", "2", "--tol", "gram=inf"],
         [{"tolerances": {"logdet_rel": -1e-8}}, "spectrum", "--m", "2"],
+        # an --out that names a file, is empty, or lies under a file ({tmp}
+        # stands for a directory that holds a file named "file"), and a
+        # config file's out that is not a string
+        ["spectrum", "--m", "2", "--out", "{tmp}/file"],
+        ["spectrum", "--m", "2", "--out", ""],
+        ["spectrum", "--m", "2", "--out", "{tmp}/file/run"],
+        [{"out": 5}, "spectrum", "--m", "2"],
     ],
 )
-def test_invalid_configs_exit_2(argv, tmp_path):
+def test_invalid_configs_exit_2(argv, tmp_path, capsys):
+    given = "--out" in argv or isinstance(argv[0], dict) and "out" in argv[0]
     if isinstance(argv[0], dict):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(argv[0]))
         argv = ["--config", str(path), *argv[1:]]
-    assert _run(argv + ["--out", str(tmp_path)]) == 2
+    (tmp_path / "file").write_text("")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert _run(argv if given else argv + ["--out", str(tmp_path)]) == 2
+    # one JSON record and no traceback
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid config"
 
 
 @pytest.mark.parametrize("fields,argv", [
@@ -514,6 +526,20 @@ def test_config_file_with_flag_override(tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["total_multiplicity"] == 12  # flag wins over file
+
+
+def test_config_file_out_unless_the_flag_overrides(tmp_path, monkeypatch):
+    # an omitted --out leaves the file's out in force, and the working
+    # directory untouched
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "from-file")}))
+    assert _run(["--config", str(cfg), "spectrum", "--m", "2"]) == 0
+    assert (tmp_path / "from-file" / "spectrum.csv").exists()
+    assert not (tmp_path / "spectrum.csv").exists()
+    assert _run(["--config", str(cfg), "spectrum", "--m", "2", "--out", "flag"]) == 0
+    assert (tmp_path / "flag" / "spectrum.csv").read_text() == \
+        (tmp_path / "from-file" / "spectrum.csv").read_text()
 
 
 def test_tolerance_override_recorded(tmp_path):

@@ -13,8 +13,8 @@ from sgszego import laplacian as lap
 from sgszego import szego as sz
 from sgszego import topology as top
 
-from subspaces import (eigenfunctions_at_level, index_of, lattice_keys, on_vertices, one_word,
-                       principal_angle_gap, reference_laplacian, scalar_spectrum,
+from subspaces import (cell_tree, eigenfunctions_at_level, index_of, lattice_keys, on_vertices,
+                       one_word, principal_angle_gap, reference_laplacian, scalar_spectrum,
                        six_series_birth_by_qr, six_series_remainder_by_solve)
 
 
@@ -208,7 +208,7 @@ def _tree_birth_space(series, j):
     depth k copied into every k-cell, depth by depth from the root."""
     n = top.level_topology(j).n_vertices
     columns = []
-    for k, vals in dec.cell_tree(series, j):
+    for k, vals in cell_tree(series, j):
         copies = np.zeros((n, 3**k, vals.shape[1]))
         copies[top.cell_embedding(j, k), np.arange(3**k)[:, None]] = vals
         columns.append(copies.reshape(n, -1))
@@ -250,7 +250,7 @@ def test_birth_eigenvectors_level_seven_without_dense_solve(series):
     assert full.shape[1] == desc.multiplicity
     assert max(_birth_residuals(desc, full)) <= 1e-9
     assert np.max(np.abs(full.T @ full - np.eye(desc.multiplicity))) <= 1e-12
-    assert not any(vals.flags.writeable for _, vals in dec.cell_tree(series, 7))
+    assert not any(vals.flags.writeable for _, vals in cell_tree(series, 7))
 
 
 @pytest.mark.parametrize("j", range(2, 8))
@@ -371,7 +371,7 @@ def test_split_bases_factor_nothing_wider_than_six(monkeypatch):
     # the 5- and 6-series bases of birth 8 call np.linalg on the 3 x 6
     # junction matrix and on 3 x 3 and 2 x 2 Gram matrices only
     for series in ("five", "six"):
-        dec.cell_tree(series, 8)  # the topology tables, built once
+        cell_tree(series, 8)  # the topology tables, built once
     dec.five_series_remainder.cache_clear()
     dec.six_series_remainder.cache_clear()
     shapes = []
@@ -388,7 +388,7 @@ def test_split_bases_factor_nothing_wider_than_six(monkeypatch):
         monkeypatch.setattr(np.linalg, name, spy)
     try:
         for series in ("five", "six"):
-            dec.cell_tree(series, 8)
+            cell_tree(series, 8)
     finally:
         dec.five_series_remainder.cache_clear()
         dec.six_series_remainder.cache_clear()

@@ -69,11 +69,9 @@ def test_level_six_spectrum_orthonormal_at_level_seven(scale):
             (group.series, group.birth)
 
 
-@pytest.mark.parametrize("scale", [1, 2, 3])
-@pytest.mark.parametrize("j", [2, 3, 4, 5])
-def test_six_series_localized_dimensions(scale, j):
-    if scale >= j:
-        pytest.skip("scale must be below the generation of birth")
+@pytest.mark.parametrize("j,scale", [(j, scale) for j in range(2, 6) for scale in range(1, 4)
+                                     if scale < j])
+def test_six_series_localized_dimensions(j, scale):
     m_q = min(j + 1, 6)
     group = sz._canonical_group("six", j, m_q)
     localized = sz.localized_columns(group, scale)

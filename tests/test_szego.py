@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 import math
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ from sgszego.decimation import enumerate_spectrum
 from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFunction,
                                SimpleCellFunction)
 
-from subspaces import (FunctionSum, assemble_compressed, index_of, interior_cell_rows,
+from subspaces import (FunctionSum, assemble_compressed, cell_tree, index_of, interior_cell_rows,
                        lattice_keys, long_double_basis, one_word, scale_cells)
 
 
@@ -272,6 +273,37 @@ def test_reference_integral_uses_exact_cell_sums():
     assert sz.reference_integral(f, math.log, 3) == pytest.approx(exact, abs=1e-15)
 
 
+@pytest.mark.parametrize("mode", ["single", "cutoff"])
+def test_constant_is_the_one_cell_simple_function(mode, tmp_path):
+    # constant:c is simple:c, the simple function of scale 0, so the two
+    # sample, compress and integrate alike, bit for bit; only the label
+    # and the config hash differ
+    specs = ("constant:2.5", "simple:2.5")
+    constant, simple = map(functions.parse_function_spec, specs)
+    assert isinstance(constant, SimpleCellFunction) and constant.scale == simple.scale == 0
+    assert constant.label() == "constant:2.5"
+    for level in range(4):
+        topo = top.level_topology(level)
+        assert np.array_equal(constant.sample(topo), simple.sample(topo))
+    for group in enumerate_spectrum(3):
+        assert np.array_equal(sz.recursive_kernels(group, constant, group.birth, 4),
+                              sz.recursive_kernels(group, simple, group.birth, 4))
+    # every field of a record but its wall time
+    records = [[dataclasses.astuple(r)[:-1] for r in sz.szego_sweep(f, mode, range(2, 5), 1)]
+               for f in (constant, simple)]
+    assert records[0] == records[1]
+    field = sz.INDEX_FIELDS[mode]
+    outputs = []
+    for spec in specs:
+        out = tmp_path / spec.partition(":")[0]
+        argv = ["szego", "--mode", mode, f"--{field}", "2..4", "--N", "1", "--f", spec]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        outputs.append([(out / name).read_text().splitlines()[1:]
+                        for name in (f"szego_{mode}.csv", f"szego_{mode}_loglog.csv")]
+                       + [json.loads((out / "summary.json").read_text())["results"]])
+    assert outputs[0] == outputs[1]
+
+
 def test_records_export(tmp_path):
     records = sz.szego_sweep(ConstantFunction(2.0), "single", range(2, 4), 1)
     p1 = tmp_path / "records.csv"
@@ -375,7 +407,7 @@ def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
         chunks += count
         # T of each chunk is extended from V_0 to V_{m_q - birth}
         extensions += count * (m_q - group.birth)
-        dec.cell_tree(group.series, group.birth)  # the remainders, cached
+        cell_tree(group.series, group.birth)  # the remainders, cached
     assert chunks > len(groups)
     calls = {"extend_values": 0}
     columns = []
@@ -499,9 +531,9 @@ def test_tree_corners_share_one_table_per_remainder(series, birth):
     # formula the trees used before they shared the tables, here in extended
     # precision: a sum in the order of the cells is 3e-14 off at R5(8)
     tree = sz.tree_corners(series, birth)
-    assert [k for k, *_ in tree] == list(range(len(dec.cell_tree(series, birth))))[::-1]
+    assert [k for k, *_ in tree] == list(range(len(cell_tree(series, birth))))[::-1]
     rows, cols = np.array(sz._PAIRS).T
-    for (k, corners, pairs), (_, vals) in zip(tree[::-1], dec.cell_tree(series, birth)):
+    for (k, corners, pairs), (_, vals) in zip(tree[::-1], cell_tree(series, birth)):
         root = sz.tree_corners(series, birth - k)[-1]
         assert root[0] == 0
         if series == "six" or k == 0:
@@ -511,7 +543,7 @@ def test_tree_corners_share_one_table_per_remainder(series, birth):
             assert corners.shape[-1] == pairs.shape[-1] == 1
         assert not corners.flags.writeable and not pairs.flags.writeable
         assert np.array_equal(corners, vals[top.level_topology(birth - k).cell_vertices])
-        full = dec.cell_tree(series, birth - k)[0][1][top.level_topology(birth - k).cell_vertices]
+        full = cell_tree(series, birth - k)[0][1][top.level_topology(birth - k).cell_vertices]
         full = full.astype(np.longdouble)
         old = np.sum(full[:, rows] * full[:, cols], axis=0)
         old[rows != cols] *= 2.0
