@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import resource
 import sys
 import time
@@ -32,14 +33,15 @@ DEFAULT_TOLERANCES = {
 
 # desk-scale caps on --m of the commands that build one level: the
 # `topology` tables of `topology` and `resistance` and the `spectrum` birth
-# groups grow about 3x and 2x per level (`resistance --m 12` runs in about
-# 0.15 s and 140 MB, `spectrum --m 20` in 11-13 s and 600 MB)
+# groups grow about 3x and 2x per level (in a fresh process `resistance
+# --m 12` runs in about 0.14 s and 131 MB, `topology --m 12` in 3 s and
+# 131 MB, `spectrum --m 20` in 6 s and 600 MB)
 LEVEL_CAPS = {"resistance": 12, "topology": 12, "spectrum": 20}
 
 # desk-scale cap on resistance --triples: the pairs are answered a chunk at
-# a time, and 10^6 triples at --m 12 take about 13 s and 250 MB, of which
-# the topology tables of level 12 and of the levels below it, from which
-# they are built, hold about 92 MB
+# a time, and 10^6 triples at --m 12 take about 3.5 s and 206 MB in a fresh
+# process, where building the topology tables of level 12 alone peaks at
+# 131 MB
 TRIPLES_CAP = 10**6
 
 # vertex and cell rows formatted at a time by the topology tables, which
@@ -363,14 +365,27 @@ def _basis_rows(full, level, group, localized):
         yield from zip(ids, repeat(c), full[interior, c].tolist(), repeat(tag))
 
 
+def _draw_below(rng, bound, count):
+    """`count` integers uniform on 0..bound-1, 1 <= bound <= 2^32, from the
+    32-bit words of the random.Random `rng`: a word is kept if it lies below
+    the largest multiple of `bound` in 2^32 and taken mod `bound`, and the
+    rejected ones are drawn again."""
+    last = 0xFFFFFFFF - (1 << 32) % bound  # the largest word kept
+    kept = np.empty(0, dtype=np.uint32)
+    while len(kept) < count:
+        words = np.frombuffer(rng.randbytes(4 * (count - len(kept))), dtype="<u4")
+        kept = np.concatenate([kept, words[words <= last]])
+    return (kept % bound).astype(np.int64)
+
+
 def _draw_triples(rng, n, count):
-    """`count` ordered triples of distinct vertices in 0..n-1, uniform as
-    rng.choice(n, 3, replace=False) is, drawn at once: y skips x, and z
-    skips the smaller, then the larger, of x and y."""
-    x = rng.integers(n, size=count)
-    y = rng.integers(n - 1, size=count)
+    """`count` ordered triples of distinct vertices in 0..n-1, uniform over
+    all such triples, drawn at once from the random.Random `rng`: y skips x,
+    and z skips the smaller, then the larger, of x and y."""
+    x = _draw_below(rng, n, count)
+    y = _draw_below(rng, n - 1, count)
     y += y >= x
-    z = rng.integers(n - 2, size=count)
+    z = _draw_below(rng, n - 2, count)
     z += z >= np.minimum(x, y)
     z += z >= np.maximum(x, y)
     return x, y, z
@@ -485,14 +500,14 @@ def run(config):
         topo = topology.level_topology(config["m"])
         boundary = np.nonzero(topo.boundary_mask)[0]
         bx, by = boundary[[0, 0, 1]], boundary[[1, 2, 2]]  # the three boundary pairs
-        rng = np.random.default_rng(config["seed"])
         n_triples = config.get("triples", 200)
-        x, y, z = _draw_triples(rng, topo.n_vertices, n_triples)
+        x, y, z = _draw_triples(random.Random(config["seed"]), topo.n_vertices, n_triples)
         start = time.perf_counter()
         rc = laplacian.ResistanceComputer(config["m"])
-        boundary_r = rc.resistance(bx, by).tolist()
-        r_xz, r_xy, r_yz = rc.resistance(np.concatenate([x, x, y]),
-                                         np.concatenate([z, y, z])).reshape(3, -1)
+        # one query: the boundary pairs, then the pairs (x, z), (x, y), (y, z)
+        values = rc.resistance(np.concatenate([bx, x, x, y]), np.concatenate([by, z, y, z]))
+        boundary_r = values[:3].tolist()
+        r_xz, r_xy, r_yz = values[3:].reshape(3, -1)
         timings = {"resistance_s": time.perf_counter() - start}
         export_csv(os.path.join(out, "resistance.csv"), header, ["x", "y", "resistance"],
                    zip(bx.tolist(), by.tolist(), boundary_r))
@@ -525,21 +540,24 @@ def main(argv=None):
     if not violations:
         try:
             os.makedirs(config["out"], exist_ok=True)
-        except OSError as exc:
+            run(config)
+        except (szego.NotPositiveDefiniteError, szego.FunctionalValueError, ToleranceError) as exc:
+            record = {"error": "numerical failure", "detail": str(exc),
+                      **getattr(exc, "fields", {})}
+            print(json.dumps(record), file=sys.stderr)
+            try:
+                with open(os.path.join(config["out"], "error.json"), "w") as fh:
+                    json.dump(record, fh)
+            except OSError:
+                pass  # the record is on stderr
+            return EXIT_NUMERICAL
+        except OSError as exc:  # the directory or an output name taken, say by a directory
             violations = [f"out: {exc}"]
-    if violations:
-        record = {"error": "invalid config", "violations": violations}
-        print(json.dumps(record), file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        run(config)
-    except (szego.NotPositiveDefiniteError, szego.FunctionalValueError, ToleranceError) as exc:
-        record = {"error": "numerical failure", "detail": str(exc), **getattr(exc, "fields", {})}
-        print(json.dumps(record), file=sys.stderr)
-        with open(os.path.join(config["out"], "error.json"), "w") as fh:
-            json.dump(record, fh)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        else:
+            return EXIT_OK
+    record = {"error": "invalid config", "violations": violations}
+    print(json.dumps(record), file=sys.stderr)
+    return EXIT_INVALID
 
 
 if __name__ == "__main__":

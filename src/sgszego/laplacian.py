@@ -192,20 +192,16 @@ def corner_maps(own, near, far):
     return maps
 
 
-# pairs a resistance query answers at a time: about 350 B each, 23 MB a chunk
+# pairs a resistance query answers at a time: a traced peak of about 270 B
+# each, 18 MB a chunk
 PAIR_CHUNK = 1 << 16
 
-# corner t != s of child s of a cell is the midpoint of the cell's edge (s, t),
-# which lies opposite corner r = 3 - s - t: _MID[s, r, t] = 1 moves a point's
-# coordinate on that child corner to the cell's midpoint slot r
-_MID = np.array([[[float(t != s and r == 3 - s - t) for t in range(3)]
-                  for r in range(3)] for s in range(3)])
 
-
-def _midpoint_energy(v):
-    """v^T M v over the last axis, M = (I + J/2) / 5 the inverse of a cell's
-    midpoint block 5I - J of the unit-conductance Laplacian."""
-    return (np.einsum("...i,...i->...", v, v) + 0.5 * v.sum(axis=-1) ** 2) / 5.0
+def _midpoint_energy(v0, v1, v2):
+    """v^T M v for v = (v0, v1, v2), M = (I + J/2) / 5 the inverse of a
+    cell's midpoint block 5I - J of the unit-conductance Laplacian."""
+    total = v0 + v1 + v2
+    return (v0 * v0 + v1 * v1 + v2 * v2 + 0.5 * total * total) / 5.0
 
 
 class ResistanceComputer:
@@ -235,24 +231,35 @@ class ResistanceComputer:
 
     def _pairs(self, ends):
         """R for the (2, pairs) vertex indices `ends`."""
-        # each end starts at its canonical (cell, corner) name
+        # each end starts at its canonical (cell, corner) name; c0, c1, c2
+        # are its harmonic coordinates on that cell's corners, (2, pairs) each
         rank = self._topo.rank[ends]
-        coords = np.eye(3)[self._topo.corner[ends] - 1]
+        corner = self._topo.corner[ends]
+        c0, c1, c2 = ((corner == t).astype(float) for t in (1, 2, 3))
         total = np.zeros(ends.shape[1])
         for k in range(self.level, 0, -1):
             rank, digit = np.divmod(rank, 3)
             # rank now names the (k-1)-cells; a vertex of V_(k-1) has v = 0
-            # here, so its canonical cell serves even where it lies in two
-            v = np.einsum("...ij,...j->...i", _MID[digit], coords)
-            total += (3.0 / 5.0) ** k * np.where(
-                rank[0] == rank[1], _midpoint_energy(v[0] - v[1]), _midpoint_energy(v).sum(axis=0))
+            # here, so its canonical cell serves even where it lies in two.
+            # Corner t != s of child s is the midpoint of the cell's edge
+            # (s, t), opposite corner 3 - s - t: midpoint slot r of child s
+            # reads coordinate 3 - s - r, and slot s reads 0
+            s0, s1, s2 = digit == 0, digit == 1, digit == 2
+            v0 = np.where(s1, c2, np.where(s2, c1, 0.0))
+            v1 = np.where(s0, c2, np.where(s2, c0, 0.0))
+            v2 = np.where(s0, c1, np.where(s1, c0, 0.0))
+            own = _midpoint_energy(v0, v1, v2)
+            shared = _midpoint_energy(v0[0] - v0[1], v1[0] - v1[1], v2[0] - v2[1])
+            total += (3.0 / 5.0) ** k * np.where(rank[0] == rank[1], shared, own[0] + own[1])
             # corner s of child s is the cell's corner s, and harmonic
             # extension gives each midpoint 2/5 of the corners of its edge
             # and 1/5 of the opposite one: the weights (2J - I) / 5
-            coords = np.where(digit[..., None] == np.arange(3), coords, 0.0)
-            coords += (2.0 * v.sum(axis=-1, keepdims=True) - v) / 5.0
+            twice = 2.0 * (v0 + v1 + v2)
+            c0 = np.where(s0, c0, 0.0) + (twice - v0) / 5.0
+            c1 = np.where(s1, c1, 0.0) + (twice - v1) / 5.0
+            c2 = np.where(s2, c2, 0.0) + (twice - v2) / 5.0
         # G_0 on V_0 grounded at q_1 is [[2, 1], [1, 2]] / 3 on (q_2, q_3); on a
         # difference of coordinates, which sums to 0, its form is |d|^2 / 3
-        d = coords[0] - coords[1]
-        total += np.einsum("pi,pi->p", d, d) / 3.0
+        d0, d1, d2 = c0[0] - c0[1], c1[0] - c1[1], c2[0] - c2[1]
+        total += (d0 * d0 + d1 * d1 + d2 * d2) / 3.0
         return total

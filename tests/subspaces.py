@@ -1,5 +1,6 @@
-"""Subspace comparison, oracle constructions, a sum of multipliers, and the
-lattice-key vertex tables and lookup shared by the tests."""
+"""Subspace comparison, oracle constructions, a sum of multipliers, the
+lattice-key vertex tables and lookup, and the matrix form of the resistance
+walk, shared by the tests."""
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -512,3 +513,41 @@ def long_double_basis(group, m_q):
         parts.append(values.transpose(1, 0, 2))
     return EigenspaceBasis(group=group, level=m_q, depths=tuple(k for k, _ in tree),
                            parts=tuple(parts))
+
+
+# The resistance walk that `laplacian.ResistanceComputer._pairs` replaced by
+# one that carries each harmonic coordinate as its own flat array, kept as
+# its oracle: the midpoint slots are a gather of fixed 3 x 3 maps applied
+# by einsum, and the energies are sums over a last axis of length 3.
+
+# corner t != s of child s of a cell is the midpoint of the cell's edge (s, t),
+# which lies opposite corner r = 3 - s - t: _MID[s, r, t] = 1 moves a point's
+# coordinate on that child corner to the cell's midpoint slot r
+_MID = np.array([[[float(t != s and r == 3 - s - t) for t in range(3)]
+                  for r in range(3)] for s in range(3)])
+
+
+def _midpoint_energy(v):
+    """v^T M v over the last axis, M = (I + J/2) / 5 the inverse of a cell's
+    midpoint block 5I - J of the unit-conductance Laplacian."""
+    return (np.einsum("...i,...i->...", v, v) + 0.5 * v.sum(axis=-1) ** 2) / 5.0
+
+
+def matrix_walk_resistance(m, x, y):
+    """R(x, y) on Gamma_m for equal-length vertex index arrays, by the
+    matrix form of the address walk, all pairs at once."""
+    topo = level_topology(m)
+    ends = np.stack([np.asarray(x), np.asarray(y)])
+    rank = topo.rank[ends]
+    coords = np.eye(3)[topo.corner[ends] - 1]
+    total = np.zeros(ends.shape[1])
+    for k in range(m, 0, -1):
+        rank, digit = np.divmod(rank, 3)
+        v = np.einsum("...ij,...j->...i", _MID[digit], coords)
+        total += (3.0 / 5.0) ** k * np.where(
+            rank[0] == rank[1], _midpoint_energy(v[0] - v[1]), _midpoint_energy(v).sum(axis=0))
+        coords = np.where(digit[..., None] == np.arange(3), coords, 0.0)
+        coords += (2.0 * v.sum(axis=-1, keepdims=True) - v) / 5.0
+    d = coords[0] - coords[1]
+    total += np.einsum("pi,pi->p", d, d) / 3.0
+    return total

@@ -4,6 +4,7 @@ import glob
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -618,7 +619,7 @@ def test_basis_cells_match_library_values(series, j, N, m_q, tmp_path):
 
 def test_triple_draw_uniform_over_ordered_distinct_triples():
     n, count = 5, 60000
-    x, y, z = cli._draw_triples(np.random.default_rng(0), n, count)
+    x, y, z = cli._draw_triples(random.Random(0), n, count)
     assert np.all((x != y) & (y != z) & (x != z))
     assert min(x.min(), y.min(), z.min()) >= 0 and max(x.max(), y.max(), z.max()) < n
     hits = np.bincount((x * n + y) * n + z, minlength=n**3)
@@ -626,6 +627,34 @@ def test_triple_draw_uniform_over_ordered_distinct_triples():
     # all 60 ordered triples, each expected 1000 times with standard deviation 31
     assert len(hits) == n * (n - 1) * (n - 2)
     assert 850 < hits.min() and hits.max() < 1150, (hits.min(), hits.max())
+
+
+def test_draw_below_rejects_about_half_the_words():
+    # 2^32 mod (2^31 + 1) = 2^31 - 1, so the words kept are 0..2^31, about
+    # half of them, and each is its own value: the draw is the stream of
+    # 32-bit words with the others left out, in order
+    bound, count = 2**31 + 1, 100000
+    values = cli._draw_below(random.Random(1), bound, count)
+    words = np.frombuffer(random.Random(1).randbytes(4 * 3 * count), dtype="<u4")
+    kept = words[words <= 2**31]
+    assert len(kept) >= count
+    assert np.array_equal(values, kept[:count])
+    assert 0 <= values.min() and values.max() < bound
+    # eight equal bins, each expected 12500 times with standard deviation 105
+    hits = np.bincount(values * 8 // bound, minlength=8)
+    assert len(hits) == 8 and 12000 < hits.min() and hits.max() < 13000, hits
+
+
+def test_resistance_does_not_import_numpy_random(tmp_path):
+    # the triples come from the standard library's generator, which NumPy's
+    # own import has already loaded
+    code = ("import sys; from sgszego import cli; "
+            f"assert cli.main(['resistance', '--m', '3', '--out', {str(tmp_path)!r}]) == 0; "
+            "print('numpy.random' in sys.modules)")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout.strip() == "False"
 
 
 def _writes_file(node):

@@ -6,6 +6,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,3 +150,22 @@ def test_eigen_residual_tolerance_enforced_exit_3():
         with open(os.path.join(out, "summary.json")) as fh:
             residual = json.load(fh)["results"]["max_eigen_residual"]
         assert 0.0 < residual <= 1e-13
+
+
+@pytest.mark.parametrize("argv,name,code", [
+    (["spectrum", "--m", "2"], "spectrum.csv", 2),
+    (["resistance", "--m", "3", "--triples", "5"], "summary.json", 2),
+    # a numerical failure still exits 3 when error.json cannot be written,
+    # with its record on stderr
+    (["szego", "--mode", "single", "--j", "3", "--N", "1", "--f", "expr:x-0.4"], "error.json", 3),
+])
+def test_output_name_taken_by_a_directory(argv, name, code, capsys):
+    with tempfile.TemporaryDirectory() as out:
+        os.mkdir(os.path.join(out, name))
+        assert _exit_code(argv + ["--out", out]) == code
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    if code == 2:
+        assert record["error"] == "invalid config"
+        assert record["violations"][0].startswith("out: ") and name in record["violations"][0]
+    else:
+        assert record["error"] == "numerical failure"

@@ -9,7 +9,7 @@ from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.functions import HarmonicFunction
 
-from subspaces import reference_laplacian
+from subspaces import matrix_walk_resistance, reference_laplacian
 
 
 def test_level_one_matrix():
@@ -255,6 +255,32 @@ def test_resistance_level_seven_without_dense_solve():
     assert np.max(np.abs(rc.resistance(x, y) - rc.resistance(y, x))) < 1e-14
     idx = np.arange(topo.n_vertices)
     assert np.all(rc.resistance(idx, idx) == 0.0)
+
+
+@pytest.mark.parametrize("m", range(0, 6))
+def test_walk_matches_matrix_walk_on_all_pairs(m):
+    # the per-coordinate walk against the matrix form it replaced: the
+    # energies are summed in another order, so they agree to rounding
+    idx = np.arange(top.level_topology(m).n_vertices)
+    x, y = (a.ravel() for a in np.meshgrid(idx, idx))
+    assert np.max(np.abs(lap.ResistanceComputer(m).resistance(x, y)
+                         - matrix_walk_resistance(m, x, y))) < 1e-15
+
+
+@pytest.mark.parametrize("m", [7, 10])
+def test_walk_matches_matrix_walk_on_random_pairs(m):
+    x, y = np.random.default_rng(m).integers(top.level_topology(m).n_vertices, size=(2, 20000))
+    assert np.max(np.abs(lap.ResistanceComputer(m).resistance(x, y)
+                         - matrix_walk_resistance(m, x, y))) < 1e-15
+
+
+def test_walk_boundary_pairs_bit_identical_to_matrix_walk():
+    # the boundary pairs are what resistance.csv records
+    for m in range(13):
+        b = np.nonzero(top.level_topology(m).boundary_mask)[0]
+        x, y = b[[0, 0, 1]], b[[1, 2, 2]]
+        assert np.array_equal(lap.ResistanceComputer(m).resistance(x, y),
+                              matrix_walk_resistance(m, x, y))
 
 
 def _query_peak(rc, pairs):
