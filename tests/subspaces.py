@@ -8,9 +8,9 @@ from itertools import product
 
 import numpy as np
 
-from sgszego.decimation import (_BIRTH_GAMMA, LAMBDA_TAIL, SERIES_FIVE, SERIES_SIX, SERIES_TWO,
-                                _birth_space, corner_normal_derivatives, extend_eigenfunction,
-                                junction_nullspace, make_groups, remainder, series_multiplicity)
+from sgszego.decimation import (_BIRTH_GAMMA, JUNCTION_SV_MIN, LAMBDA_TAIL, SERIES_FIVE,
+                                SERIES_SIX, SERIES_TWO, extend_eigenfunction, make_groups,
+                                remainder, series_multiplicity)
 from sgszego.laplacian import dirichlet_laplacian, extend_values, extension_maps
 from sgszego.szego import TreeBlocks, column_cells, localized_columns
 from sgszego.topology import (_CORNER_KEYS, SQRT3, cell_embedding, interior_count,
@@ -150,10 +150,96 @@ def six_series_birth_by_qr(j):
     return np.linalg.qr(extend_values(unit, j, 6.0)[topo.interior_indices])[0]
 
 
+# The full-vector construction of the 5-series remainders that
+# `decimation.five_series_corners` replaced by one on corner tables, kept as
+# the oracle of its columns, not only of their span: every level's
+# remainder on all of V_i, copied into the 1-cells through `cell_embedding`,
+# its normal derivatives and junctions read off `level_topology`.
+
+@lru_cache(maxsize=None)
+def _birth_space(series):
+    """The level-1 birth space of the 2- or the 5-series as full vectors on
+    V_1, orthonormal in plain coordinates: the constant on the three
+    midpoints, or their zero-sum vectors; read-only."""
+    full = np.zeros((level_topology(1).n_vertices, 2 if series == SERIES_FIVE else 1))
+    midpoints = level_topology(1).interior_indices
+    if series == SERIES_FIVE:
+        full[midpoints] = np.linalg.svd(np.ones((1, 3)))[2][1:].T
+    else:
+        full[midpoints] = 1.0 / math.sqrt(3.0)
+    full.flags.writeable = False  # cached and shared by every caller
+    return full
+
+
+def corner_normal_derivatives(values, level):
+    """-Delta at the three corners of V_level (in corner order) of functions
+    that vanish there, given by their values on the interior of V_level, one
+    column each, rows on the second-last axis of a stack: the negated sum of
+    each corner's two neighbours, i.e. the normal derivatives.  Corner c lies
+    in the one level-cell c c ... c, and its neighbours are that cell's other
+    two corners."""
+    topo = level_topology(level)
+    cells = topo.cell_vertices[[0, (3**level - 1) // 2, 3**level - 1]]
+    neighbours = cells[np.arange(3)[:, None], [[1, 2], [0, 2], [0, 1]]]
+    pos = topo.interior_row[neighbours]
+    return -(values[..., pos[:, 0], :] + values[..., pos[:, 1], :])
+
+
+def topology_junction_nullspace(normal):
+    """`decimation.junction_nullspace` with the 3 x 3q junction matrix read
+    off the `cell_vertices` of V_1: the midpoint row of each corner of a
+    1-cell that is not a corner of V_0."""
+    topo = level_topology(1)
+    junction = np.zeros((3, 3, normal.shape[-1]))
+    cell, corner = np.nonzero(~topo.boundary_mask[topo.cell_vertices])
+    junction[topo.interior_row[topo.cell_vertices[cell, corner]], cell] = normal[corner]
+    _, sv, vh = np.linalg.svd(junction.reshape(3, -1))
+    if sv[-1] < JUNCTION_SV_MIN * sv[0]:
+        raise AssertionError("5-series junction conditions are dependent")
+    return vh[3:].T
+
+
+@lru_cache(maxsize=None)
+def five_series_remainder(i):
+    """R5(i) of `decimation.five_series_corners` as full vectors on V_i, by
+    the same recursion on full vectors: the copies of N5(i - 1) in the
+    three 1-cells, glued by `topology_junction_nullspace`, split into N5(i)
+    and K5(i) by the normal derivatives at the corners of V_0, K5(i) signed
+    by its first entry in vertex order of at least half its largest
+    magnitude; read-only."""
+    if i == 1:
+        span = _birth_space(SERIES_FIVE)
+    else:
+        small = five_series_remainder(i - 1)[:, :2]
+        normal = corner_normal_derivatives(small[level_topology(i - 1).interior_indices], i - 1)
+        copies = np.zeros((level_topology(i).n_vertices, 3, 2))
+        copies[cell_embedding(i, 1), np.arange(3)[:, None]] = small
+        span = copies.reshape(len(copies), 6) @ topology_junction_nullspace(normal)
+    images = corner_normal_derivatives(span[level_topology(i).interior_indices], i)[:2].T
+    values = span @ (images @ np.linalg.inv(np.linalg.cholesky(images.T @ images)).T)
+    if i > 1:
+        kept = np.cross(images[:, 0], images[:, 1])
+        kept = span @ (kept / np.linalg.norm(kept))
+        size = np.abs(kept)
+        kept *= np.sign(kept[np.argmax(size >= 0.5 * size.max())])
+        values = np.column_stack([values, kept])
+    values.flags.writeable = False  # cached and shared by every caller
+    return values
+
+
+def on_level(table, level):
+    """The functions of a corner table (3^level, 3, c) as full vectors on
+    V_level, each vertex given the value of the last cell that holds it."""
+    topo = level_topology(level)
+    full = np.zeros((topo.n_vertices, table.shape[-1]))
+    full[topo.cell_vertices] = table
+    return full
+
+
 def five_series_birth(j):
     """E5(j) as full vectors on V_j by the one-level construction: copies of
     E5(j - 1) in the 1-cells, glued at the three junctions by the 3 x 3q
-    `junction_nullspace`, q = dim E5(j - 1); orthonormal in plain
+    `topology_junction_nullspace`, q = dim E5(j - 1); orthonormal in plain
     coordinates."""
     if j == 1:
         return _birth_space("five")
@@ -161,7 +247,7 @@ def five_series_birth(j):
     normal = corner_normal_derivatives(small[level_topology(j - 1).interior_indices], j - 1)
     copies = np.zeros((level_topology(j).n_vertices, 3, small.shape[1]))
     copies[cell_embedding(j, 1), np.arange(3)[:, None]] = small
-    return copies.reshape(len(copies), -1) @ junction_nullspace(normal)
+    return copies.reshape(len(copies), -1) @ topology_junction_nullspace(normal)
 
 
 @lru_cache(maxsize=None)
@@ -382,11 +468,14 @@ def cell_tree(series, birth):
     column K5 of a 5-series one.  Each depth's columns are copied into every
     cell of that depth; copies in different cells have disjoint supports, so
     the tree is orthonormal in plain coordinates.  The 2-series is the root
-    alone.  The oracle of `szego.tree_corners`, which lays out the same tree
-    as corner tables."""
+    alone.  Each remainder is its `decimation.remainder` table placed on
+    V_i (`on_level`), so the tree in the layout of `szego.tree_corners` is
+    this one read back at the cells' corners only if the two cells at every
+    shared vertex agree."""
     kept = slice(2, None) if series == SERIES_FIVE else slice(None)
-    return ((0, remainder(series, birth)),) + tuple((k, remainder(series, birth - k)[:, kept])
-                                                    for k in range(1, birth - 1))
+    levels = [(k, on_level(remainder(series, birth - k), birth - k))
+              for k in range(max(birth - 1, 1))]
+    return tuple((k, vals[:, kept] if k else vals) for k, vals in levels)
 
 
 def eigenfunctions_at_level(group, m_q, vals, shift=0):

@@ -13,9 +13,11 @@ from sgszego import laplacian as lap
 from sgszego import szego as sz
 from sgszego import topology as top
 
-from subspaces import (cell_tree, eigenfunctions_at_level, index_of, lattice_keys, on_vertices,
+from subspaces import (cell_tree, corner_normal_derivatives, eigenfunctions_at_level,
+                       five_series_remainder, index_of, lattice_keys, on_level, on_vertices,
                        one_word, principal_angle_gap, reference_laplacian, scalar_spectrum,
-                       six_series_birth_by_qr, six_series_remainder_by_solve)
+                       six_series_birth_by_qr, six_series_remainder_by_solve,
+                       topology_junction_nullspace)
 
 
 def test_gamma_step_values():
@@ -196,7 +198,7 @@ def test_extension_refuses_a_forbidden_gamma_in_any_slice():
 def test_extension_of_birth_eigenvector():
     # gamma_1 = 5 eigenvector extended with sign -1 becomes a gamma_2 =
     # (5 - sqrt 5)/2 eigenvector of -Delta_2
-    vals = dec.five_series_remainder(1)
+    vals = on_level(dec.remainder("five", 1), 1)
     g2 = dec.gamma_step(5.0, -1)
     ext = dec.extend_eigenfunction(vals, 2, g2)
     for c in range(ext.shape[1]):
@@ -250,7 +252,7 @@ def test_birth_eigenvectors_level_seven_without_dense_solve(series):
     assert full.shape[1] == desc.multiplicity
     assert max(_birth_residuals(desc, full)) <= 1e-9
     assert np.max(np.abs(full.T @ full - np.eye(desc.multiplicity))) <= 1e-12
-    assert not any(vals.flags.writeable for _, vals in cell_tree(series, 7))
+    assert not any(dec.remainder(series, i).flags.writeable for i in range(2, 8))
 
 
 @pytest.mark.parametrize("j", range(2, 8))
@@ -272,31 +274,9 @@ def test_six_series_birth_from_known_gram(j):
     assert max(_birth_residuals(one_word("six", j, ()), full)) <= 1e-14
 
 
-@pytest.mark.parametrize("j", range(3, 10))
-def test_six_series_remainder_matches_dense_solve(j):
-    # decimation at gamma = -6 gives the dense formula's columns themselves,
-    # not only their span, and they are orthonormal in plain coordinates
-    rem = dec.six_series_remainder(j)
-    assert rem.shape == (top.level_topology(j).n_vertices, 3)
-    assert np.max(np.abs(rem - six_series_remainder_by_solve(j))) <= 1e-15
-    assert np.max(np.abs(rem.T @ rem - np.eye(3))) <= 1e-14
-    assert np.all(rem[top.level_topology(j).boundary_mask] == 0.0)
-    assert not rem.flags.writeable
-
-
-@pytest.mark.parametrize("j", [11, 12])
-def test_six_series_remainder_past_gamma_overflow(j):
-    # unclamped, (2 - g)(5 - g) overflows at j = 11 and g itself at j = 12
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        rem = dec.six_series_remainder(j)
-    assert np.all(np.isfinite(rem))
-    assert np.max(np.abs(rem.T @ rem - np.eye(3))) <= 1e-14
-
-
-def test_six_series_remainder_solves_nothing_beyond_three(monkeypatch):
-    dec.six_series_remainder(8)  # the topology tables, built once
-    dec.six_series_remainder.cache_clear()
+def _spy_linalg(monkeypatch):
+    """The shapes of the arrays passed to any public function of np.linalg
+    from here on."""
     shapes = []
     for name in dir(np.linalg):
         original = getattr(np.linalg, name)
@@ -309,36 +289,81 @@ def test_six_series_remainder_solves_nothing_beyond_three(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
-    dec.six_series_remainder(8)
+    return shapes
+
+
+@pytest.mark.parametrize("j", range(3, 10))
+def test_six_series_remainder_matches_dense_solve(j):
+    # decimation at gamma = -6 gives the dense formula's columns themselves,
+    # not only their span, and they are orthonormal in plain coordinates;
+    # the two cells at each shared vertex of the table agree
+    rem = dec.six_series_corners(j)
+    topo = top.level_topology(j)
+    assert rem.shape == (3**j, 3, 3)
+    full = on_level(rem, j)
+    assert np.array_equal(full[topo.cell_vertices], rem)
+    assert np.max(np.abs(full - six_series_remainder_by_solve(j))) <= 1e-15
+    assert np.max(np.abs(full.T @ full - np.eye(3))) <= 1e-14
+    assert np.all(full[topo.boundary_mask] == 0.0)
+    assert not rem.flags.writeable
+
+
+@pytest.mark.parametrize("j", [11, 12])
+def test_six_series_remainder_past_gamma_overflow(j):
+    # unclamped, (2 - g)(5 - g) overflows at j = 11 and g itself at j = 12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rem = dec.six_series_corners(j)
+    assert np.all(np.isfinite(rem))
+    full = on_level(rem, j)
+    assert np.max(np.abs(full.T @ full - np.eye(3))) <= 1e-14
+
+
+def test_six_series_remainder_solves_nothing_beyond_three(monkeypatch):
+    shapes = _spy_linalg(monkeypatch)
+    dec.six_series_corners(8)
     assert shapes and max(max(shape) for shape in shapes) <= 3, shapes
 
 
 def test_six_series_remainder_peak_memory():
-    # with the topology tables built, j = 9 peaks far below one dense Gram
-    # matrix on the interior of V_7 (3279^2 float64, 82 MB)
-    dec.six_series_remainder(9)
-    dec.six_series_remainder.cache_clear()
+    # j = 9 peaks far below one dense Gram matrix on the interior of V_7
+    # (3279^2 float64, 82 MB), with no table of V_9 built
+    dec.six_series_corners(9)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        dec.six_series_remainder(9)
+        dec.six_series_corners(9)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
 
 
+@pytest.mark.parametrize("i", range(1, 13))
+def test_five_series_corners_match_the_full_vector_oracle(i):
+    # the columns, not only their span, of the recursion on full vectors of
+    # V_i, read at the cells' corners, within 1e-15 of each column's largest
+    table = dec.five_series_corners(i)
+    oracle = five_series_remainder(i)[top.level_topology(i).cell_vertices]
+    assert table.shape == oracle.shape == (3**i, 3, 2 if i == 1 else 3)
+    moved = np.max(np.abs(table - oracle), axis=(0, 1))
+    assert np.all(moved <= 1e-15 * np.max(np.abs(oracle), axis=(0, 1))), moved
+
+
 @pytest.mark.parametrize("i", range(2, 8))
 def test_five_series_remainder_splits_into_glue_and_kept(i):
     # R5(i) is orthonormal and zero on V_0; its normal derivatives at the
     # corners of V_0 vanish on K5(i), its last column, and have rank 2 on
-    # N5(i), its first two
-    rem = dec.five_series_remainder(i)
+    # N5(i), its first two; the two cells at each shared vertex agree
+    rem = dec.five_series_corners(i)
     topo = top.level_topology(i)
-    assert rem.shape == (topo.n_vertices, 3)
-    assert np.all(rem[topo.boundary_mask] == 0.0)
-    assert np.max(np.abs(rem.T @ rem - np.eye(3))) <= 1e-14
-    normal = dec.corner_normal_derivatives(rem[topo.interior_indices], i)
+    assert rem.shape == (3**i, 3, 3)
+    full = on_level(rem, i)
+    assert np.array_equal(full[topo.cell_vertices], rem)
+    assert np.all(full[topo.boundary_mask] == 0.0)
+    assert np.max(np.abs(full.T @ full - np.eye(3))) <= 1e-14
+    normal = dec.normal_derivatives(rem)
+    assert np.array_equal(normal, corner_normal_derivatives(full[topo.interior_indices], i))
     scale = np.max(np.abs(normal))
     assert np.max(np.abs(normal[:, 2])) <= 1e-13 * scale
     assert np.linalg.svd(normal[:, :2], compute_uv=False)[-1] >= 1e-3 * scale
@@ -349,71 +374,62 @@ def test_five_series_remainder_is_canonical(monkeypatch):
     # the columns, not only their span, survive relative noise of 1e-16 in
     # every normal derivative: R5(i), and so N5(i) and K5(i), move by under
     # 1e-12 of their largest entry
-    clean = {i: dec.five_series_remainder(i).copy() for i in range(2, 10)}
+    clean = {i: dec.five_series_corners(i).copy() for i in range(2, 10)}
     rng = np.random.default_rng(7)
-    exact = dec.corner_normal_derivatives
+    exact = dec.normal_derivatives
 
-    def noisy(values, level):
-        normal = exact(values, level)
+    def noisy(table):
+        normal = exact(table)
         return normal * (1.0 + 1e-16 * rng.standard_normal(normal.shape))
 
-    monkeypatch.setattr(dec, "corner_normal_derivatives", noisy)
-    dec.five_series_remainder.cache_clear()
+    monkeypatch.setattr(dec, "normal_derivatives", noisy)
+    dec.five_series_corners.cache_clear()
     try:
         for i, expected in clean.items():
-            moved = np.max(np.abs(dec.five_series_remainder(i) - expected), axis=0)
+            moved = np.max(np.abs(dec.five_series_corners(i) - expected), axis=(0, 1))
             assert np.all(moved <= 1e-12 * np.max(np.abs(expected))), (i, moved)
     finally:
-        dec.five_series_remainder.cache_clear()
+        dec.five_series_corners.cache_clear()
 
 
 def test_split_bases_factor_nothing_wider_than_six(monkeypatch):
     # the 5- and 6-series bases of birth 8 call np.linalg on the 3 x 6
     # junction matrix and on 3 x 3 and 2 x 2 Gram matrices only
-    for series in ("five", "six"):
-        cell_tree(series, 8)  # the topology tables, built once
-    dec.five_series_remainder.cache_clear()
-    dec.six_series_remainder.cache_clear()
-    shapes = []
-    for name in dir(np.linalg):
-        original = getattr(np.linalg, name)
-        if name.startswith("_") or not callable(original) or isinstance(original, type):
-            continue
-
-        def spy(*args, _original=original, **kwargs):
-            shapes.extend(np.shape(a) for a in list(args) + list(kwargs.values())
-                          if isinstance(a, np.ndarray))
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, spy)
+    dec.five_series_corners.cache_clear()
+    sz.tree_corners.cache_clear()
+    sz.remainder_corners.cache_clear()
+    shapes = _spy_linalg(monkeypatch)
     try:
         for series in ("five", "six"):
-            cell_tree(series, 8)
+            sz.tree_corners(series, 8)
     finally:
-        dec.five_series_remainder.cache_clear()
-        dec.six_series_remainder.cache_clear()
+        dec.five_series_corners.cache_clear()
+        sz.tree_corners.cache_clear()
+        sz.remainder_corners.cache_clear()
     assert shapes and max(max(shape) for shape in shapes) <= 6, shapes
 
 
 @pytest.mark.parametrize("level", range(1, 7))
 def test_corner_normal_derivatives_match_laplacian(level):
     topo = top.level_topology(level)
-    values = np.random.default_rng(level).normal(size=(len(topo.interior_indices), 4))
     full = np.zeros((topo.n_vertices, 4))
-    full[topo.interior_indices] = values
+    full[topo.interior_indices] = np.random.default_rng(level).normal(
+        size=(len(topo.interior_indices), 4))
     expected = (reference_laplacian(level) @ full)[topo.boundary_mask]
-    assert np.allclose(dec.corner_normal_derivatives(values, level), expected, rtol=0.0, atol=1e-14)
+    normal = dec.normal_derivatives(full[topo.cell_vertices])
+    assert np.allclose(normal, expected, rtol=0.0, atol=1e-14)
 
 
 def test_junction_nullspace():
     # the normal derivatives of E5(2) and of N5(2) glued at the three
-    # junctions of V_1: a 3 x 9 and the 3 x 6 matrix of the remainder
-    normal = dec.corner_normal_derivatives(
-        dec.five_series_remainder(2)[top.level_topology(2).interior_indices], 2)
+    # junctions of V_1: a 3 x 9 and the 3 x 6 matrix of the remainder.  The
+    # fixed pattern of the midpoints gives the matrix read off V_1's cells
+    normal = dec.normal_derivatives(dec.five_series_corners(2))
     for q in (3, 2):
         null = dec.junction_nullspace(normal[:, :q])
         assert null.shape == (3 * q, 3 * q - 3)
         assert np.max(np.abs(null.T @ null - np.eye(3 * q - 3))) <= 1e-14
+        assert np.array_equal(null, topology_junction_nullspace(normal[:, :q]))
     # two corner derivatives that vanish together make two junctions the same row
     with pytest.raises(AssertionError):
         dec.junction_nullspace(np.array([[1.0], [1.0], [0.0]]))

@@ -11,8 +11,9 @@ from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.functions import HarmonicFunction, SimpleCellFunction
 
-from subspaces import (complement_by_qr, eigenfunctions_at_level, eigenspace_vectors, index_of,
-                       interior_cell_rows, principal_angle_gap, scale_cells)
+from subspaces import (complement_by_qr, corner_normal_derivatives, eigenfunctions_at_level,
+                       eigenspace_vectors, index_of, interior_cell_rows, principal_angle_gap,
+                       scale_cells)
 
 
 def _dense_eigenspace(group, m_q):
@@ -486,7 +487,7 @@ def test_multilevel_span_is_the_copies_in_the_scale_cells():
         group = sz._canonical_group(series, j, m_q)
         small = eigenspace_vectors(group, m_q - scale, shift=scale)[0]
         if series == "five":
-            normal = dec.corner_normal_derivatives(small, m_q - scale)
+            normal = corner_normal_derivatives(small, m_q - scale)
             small = small @ np.linalg.svd(normal)[2][2:].T
         rows = interior_cell_rows(m_q, scale)
         copies = np.zeros((top.interior_count(m_q), len(rows), small.shape[1]))

@@ -32,6 +32,8 @@ RUNS = [
     (0, ["szego", "--mode", "cutoff", "--m", "1..2", "--N", "1", "--f", "simple:1,2,3"]),
     (0, ["szego", "--mode", "single", "--j", "2", "--f", "expr:x+1"]),
     (0, ["equidist", "--mode", "single", "--j", "2", "--f", "expr:x+1", "--F", "power:2"]),
+    # the Riemann points are the one sample of a harmonic f
+    (0, ["equidist", "--mode", "single", "--j", "2", "--f", "harmonic:1,1.5,2", "--F", "log"]),
     (0, ["equidist", "--mode", "cutoff", "--m", "2", "--f", "constant:2",
          "--F", "expr:math.log(x)"]),
     (0, ["resistance", "--m", "3", "--triples", "10"]),

@@ -652,17 +652,24 @@ def test_recursion_refuses_a_level_outside_birth_and_sampling():
 @pytest.mark.parametrize("f", MULTIPLIERS[:4], ids=lambda f: f.label())
 def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
     # constant, harmonic and simple f are read on the levels of their
-    # kernels: no weights or chunks of V_{m_q}, no extension (the remainders
-    # cached), and no table of a level past the deepest birth or scale
+    # kernels.  A cutoff sweep from cold caches, its cell tree and its
+    # integral included, makes no weights or chunks of V_{m_q} and no
+    # extension.  A harmonic f asks for no level table at all; a constant
+    # or simple one only for the table of each group's kernel level
+    # max(birth, scale), where `SimpleCellFunction.cell_corners` samples the
+    # owner rule at the cells' corners
     groups = enumerate_spectrum(4)
     m_q = 7
-    for group in groups:
-        sz.tree_corners(group.series, group.birth)
+    for module in (dec, sz, top):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
     asked = []
-    for module in (sz, functions):
-        original = module.level_topology
-        monkeypatch.setattr(module, "level_topology",
-                            lambda m, original=original: asked.append(m) or original(m))
+    for module in (top, lap, dec, sz, functions):
+        if hasattr(module, "level_topology"):
+            original = module.level_topology
+            monkeypatch.setattr(module, "level_topology",
+                                lambda m, original=original: asked.append(m) or original(m))
     entered = collections.Counter()
 
     def profile(frame, event, arg):
@@ -670,14 +677,20 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
             entered[frame.f_code] += 1
     sys.setprofile(profile)
     try:
-        op = sz.compressed_operator(f, groups, m_q, 1)
+        (record,) = sz.szego_sweep(f, "cutoff", [4], 1, m_q=m_q)
     finally:
         sys.setprofile(None)
     for name in ("cell_weights", "word_chunks", "corner_column", "cell_kernels"):
         assert entered[getattr(sz, name).__code__] == 0, name
     assert entered[lap.extend_values.__code__] == 0
-    assert entered[sz.recursive_kernels.__code__] == len(op.blocks) == len(groups)
-    assert max(asked, default=0) <= max(4, getattr(f, "scale", 0)) < m_q, asked
+    assert entered[sz.recursive_kernels.__code__] == len(groups)
+    assert entered[sz.remainder_corners.__wrapped__.__code__] > 0
+    assert entered[sz.reference_integral.__code__] == 1
+    if isinstance(f, HarmonicFunction):
+        assert asked == []
+    else:
+        assert sorted(asked) == sorted(max(g.birth, f.scale) for g in groups), asked
+    assert record.dimension == top.interior_count(4)
 
 
 def test_compression_refuses_a_wrong_multiplicity():
@@ -690,14 +703,19 @@ def test_compression_refuses_a_wrong_multiplicity():
 
 @pytest.mark.parametrize("m_q", range(1, 10))
 def test_reference_integral_reads_the_finer_level_off_the_cells(m_q):
-    # the midpoints of the level-m_q cells are the new vertices of level
-    # m_q + 1, bit for bit, and the integral is its quadrature
+    # the integral is the quadrature of level m_q + 1, read off the level-m_q
+    # cells: an expression's midpoints of them are the new vertices of level
+    # m_q + 1, bit for bit, and a harmonic f gives their corners
+    # (`cell_corners`) and its midpoints by the harmonic rule, with no
+    # `midpoints` of its own
     topo, fine = top.level_topology(m_q), top.level_topology(m_q + 1)
     midpoints = top.cell_embedding(m_q + 1, m_q)[:, [4, 2, 1]]
-    for f in (HarmonicFunction([1.2, 1.5, 1.9]),
-              ExpressionFunction("1.5 + x * y + 0.3 * sin(7 * x)")):
+    expression = ExpressionFunction("1.5 + x * y + 0.3 * sin(7 * x)")
+    assert np.array_equal(expression.midpoints(topo, expression.sample(topo)),
+                          expression.sample(fine)[midpoints])
+    assert not hasattr(HarmonicFunction, "midpoints")
+    for f in (HarmonicFunction([1.2, 1.5, 1.9]), expression):
         values = f.sample(fine)
-        assert np.array_equal(f.midpoints(topo, f.sample(topo)), values[midpoints])
         expected = float(top.quadrature(m_q + 1) @ np.log(values))
         assert abs(sz.reference_integral(f, np.log, m_q + 1) - expected) <= 1e-14 * abs(expected)
 
