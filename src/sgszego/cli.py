@@ -1,14 +1,16 @@
 """Configuration-driven command line front end.
 
-A run is described by a JSON config document; command line flags override
-file fields.  `export_csv`, the package's one CSV writer, embeds the hash of
-the effective config in a leading comment line, so re-running the same
-config and seed reproduces byte-identical CSV bodies.  Exit codes:
-0 success, 2 invalid config, 3 numerical failure.
+    sgszego [--config FILE] COMMAND [--flag value | --flag=value ...]
+
+A run is described by a JSON config document; the flags of COMMANDS override
+its fields, and `validate` holds both to the same checks.  `export_csv`, the
+package's one CSV writer, embeds the hash of the effective config in a
+leading comment line, so re-running the same config and seed reproduces
+byte-identical CSV bodies.  Exit codes: 0 success, 2 invalid config (one
+JSON record on stderr), 3 numerical failure.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import hashlib
 import json
@@ -51,10 +53,17 @@ EXPORT_CHUNK = 1 << 15
 # the basis.csv tag of a remainder column, whose cell is coarser than the N-cells
 NONLOCALIZED = "nonlocalized"
 
-# the --series choices of each command that reads a series; `validate`
-# holds a config file's series to the same ones
+# the series choices of each command that reads a series, for flags and
+# config files alike
 SERIES_CHOICES = {"basis": ("two", "five", "six"), "szego": ("five", "six"),
                   "equidist": ("five", "six")}
+
+# the fields each command takes on the command line, each as --<field> but
+# m_q as --m-q and functional as --F; every command also takes out, seed and tol
+COMMANDS = {"topology": ("m",), "spectrum": ("m",), "basis": ("series", "j", "N", "m_q"),
+            "szego": ("mode", "series", "j", "m", "N", "m_q", "f"),
+            "equidist": ("mode", "series", "j", "m", "N", "f", "functional"),
+            "resistance": ("m", "triples")}
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -111,75 +120,64 @@ def config_hash(config):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def build_parser():
-    p = argparse.ArgumentParser(prog="sgszego")
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    sub = p.add_subparsers(dest="command")
-
-    def common(sp):
-        sp.add_argument("--out")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", action="append", default=[],
-                        help="tolerance override name=value, repeatable")
-
-    sp = sub.add_parser("topology", help="vertex/cell tables of a level graph")
-    sp.add_argument("--m", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("spectrum", help="decimation-enumerated Dirichlet spectrum")
-    sp.add_argument("--m", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("basis", help="the dense eigenspace columns of one eigenvalue, "
-                                      "tagged by their cells")
-    sp.add_argument("--series", choices=SERIES_CHOICES["basis"], default=None)
-    sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--m-q", dest="m_q", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("szego", help="log-determinant convergence sweeps")
-    sp.add_argument("--mode", choices=["single", "cutoff"], default=None)
-    sp.add_argument("--series", choices=SERIES_CHOICES["szego"], default=None)
-    sp.add_argument("--j", default=None, help="single mode birth range, e.g. 2..5")
-    sp.add_argument("--m", default=None, help="cutoff mode level range, e.g. 2..5")
-    sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--m-q", dest="m_q", type=int, default=None)
-    sp.add_argument("--f", default=None)
-    common(sp)
-
-    sp = sub.add_parser("equidist", help="spectral vs Riemann equidistribution gap")
-    sp.add_argument("--mode", choices=["single", "cutoff"], default=None)
-    sp.add_argument("--series", choices=SERIES_CHOICES["equidist"], default=None)
-    sp.add_argument("--j", default=None)
-    sp.add_argument("--m", default=None)
-    sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--f", default=None)
-    sp.add_argument("--F", dest="functional", default=None, help="log, power:p or expr:...")
-    common(sp)
-
-    sp = sub.add_parser("resistance", help="effective resistance checks")
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--triples", type=int, default=None)
-    common(sp)
-    return p
+def _flag(field):
+    return "--" + {"m_q": "m-q", "functional": "F"}.get(field, field)
 
 
-def effective_config(args):
+def usage():
+    """The help text, each command's flags read off COMMANDS."""
+    return "\n".join(
+        ["usage: sgszego [-h] [--config FILE] COMMAND [--flag value | --flag=value ...]",
+         "every command also takes --out DIR, --seed INT and --tol NAME=VALUE (repeatable)"]
+        + [f"  {cmd:<11}" + " ".join(map(_flag, fields)) for cmd, fields in COMMANDS.items()])
+
+
+def parse_argv(argv):
+    """(config file or None, fields) of `[--config FILE] COMMAND [--flag value
+    | --flag=value ...]`, or (None, None) for -h/--help; the fields always hold
+    the command, None if it is missing.  Values are taken verbatim, an
+    `int_fields` one as an int if int() reads it; --tol values gather in a list."""
+    fields, flags, ints = {"command": None}, {"--config": "config"}, ()
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None, None
+        if fields["command"] is None and arg in COMMANDS:
+            fields["command"] = arg
+            flags = {_flag(field): field for field in COMMANDS[arg] + ("out", "seed", "tol")}
+            ints = int_fields(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        field = flags.get(flag)
+        if field is None:
+            raise ValueError(f"{flag.lstrip('-')}: {flag} is not a flag of {fields['command']}"
+                             if fields["command"] else "command: unknown or missing")
+        value = value if eq else next(args, None)
+        if value is None:
+            raise ValueError(f"{field}: {flag} needs a value")
+        if field in ints:
+            try:
+                value = int(value)
+            except ValueError:
+                pass  # `validate` reports it
+        fields[field] = fields.get("tol", []) + [value] if field == "tol" else value
+    return fields.pop("config", None), fields
+
+
+def effective_config(argv):
+    """The config of argv's flags over its config file's fields, or None for help."""
+    path, flags = parse_argv(argv) if argv else (None, None)
+    if flags is None:
+        return None
     config = {}
-    if args.config:
-        with open(args.config) as fh:
+    if path is not None and flags["command"]:  # no command is refused before a file is read
+        with open(path) as fh:
             fields = json.load(fh)
         if not isinstance(fields, dict):
             raise ValueError("config: a JSON object of fields required")
         # null stands for an absent field, as an omitted flag does
         config.update((key, val) for key, val in fields.items() if val is not None)
-    for key, val in vars(args).items():
-        if key == "config":
-            continue
-        if val is None or (key == "tol" and not val):
-            continue
-        config[key] = val
+    config.update(flags)
     config["tolerances"] = _tolerances(config)
     config.setdefault("out", ".")
     config.setdefault("seed", 0)
@@ -189,11 +187,13 @@ def effective_config(args):
 def _tolerances(config):
     """DEFAULT_TOLERANCES updated from the config file, then from --tol flags."""
     tolerances = dict(DEFAULT_TOLERANCES)
-    flags = [item.partition("=")[::2] for item in config.pop("tol", [])]
+    flags = [item.partition("=") for item in config.pop("tol", [])]
+    if not all(eq for _, eq, _ in flags):
+        raise ValueError("tol: name=value required, e.g. gram=1e-10")
     given = config.get("tolerances", {})
     if not isinstance(given, dict):
         raise ValueError("tolerances: an object of name: value pairs required")
-    for name, value in list(given.items()) + flags:
+    for name, value in list(given.items()) + [flag[::2] for flag in flags]:
         if name not in tolerances:
             raise ValueError(f"tol: unknown tolerance {name!r}")
         tolerances[name] = float(value)
@@ -202,19 +202,21 @@ def _tolerances(config):
     return tolerances
 
 
+def int_fields(cmd):
+    """The fields that `cmd` reads as integers: the one level of `topology`,
+    `spectrum`, `resistance` and `basis` is one, a sweep's j and m are ranges."""
+    level = {"basis": "j", **dict.fromkeys(LEVEL_CAPS, "m")}.get(cmd)
+    return ("N", "m_q", "triples", "seed") + ((level,) if level else ())
+
+
 def _type_violations(config, cmd):
     """Fields whose JSON type is not the one the run reads them as; a config
     file can hold any type, and the later checks compare the values."""
-    v = []
-    ints, ranges = ["N", "m_q", "triples", "seed"], ["j", "m"]
-    if cmd in LEVEL_CAPS or cmd == "basis":  # one level, not a range
-        level = "j" if cmd == "basis" else "m"
-        ints.append(level)
-        ranges.remove(level)
+    v, ints = [], int_fields(cmd)
     for key in ints:
         if config.get(key) is not None and not _is_int(config[key]):
             v.append(f"{key}: integer required")
-    for key in ranges:
+    for key in [key for key in ("j", "m") if key not in ints]:
         try:
             parse_range(config.get(key))
         except ValueError:
@@ -228,7 +230,7 @@ def _type_violations(config, cmd):
 def validate(config):
     """Empty list iff the config is runnable; violations name field+constraint."""
     cmd = config.get("command")
-    if cmd not in {"topology", "spectrum", "basis", "szego", "equidist", "resistance"}:
+    if cmd not in COMMANDS:
         return ["command: unknown or missing"]
 
     v = _type_violations(config, cmd)
@@ -243,9 +245,7 @@ def validate(config):
     if cmd == "resistance" and not 0 <= config.get("triples", 0) <= TRIPLES_CAP:
         v.append(f"triples: must lie in 0..{TRIPLES_CAP} (desk-scale cap)")
     if cmd == "basis":
-        for key in ("series", "j", "N", "m_q"):
-            if config.get(key) is None:
-                v.append(f"{key}: required")
+        v += [f"{key}: required" for key in COMMANDS[cmd] if config.get(key) is None]
     bad_series = cmd in SERIES_CHOICES and config.get("series", "six") not in SERIES_CHOICES[cmd]
     if bad_series:
         v.append(f"series: must be one of {', '.join(SERIES_CHOICES[cmd])} for {cmd}")
@@ -526,16 +526,15 @@ def run(config):
 # only print ahead of the one-line JSON error record
 @np.errstate(all="ignore")
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return EXIT_INVALID
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        config = effective_config(args)
+        config = effective_config(argv)
     except (OSError, TypeError, ValueError) as exc:
         violations = [str(exc)]
     else:
+        if config is None:
+            print(usage())
+            return EXIT_OK if argv else EXIT_INVALID
         violations = validate(config)
     if not violations:
         try:

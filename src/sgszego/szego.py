@@ -685,8 +685,9 @@ def sweep_plan(mode, indices, scale, series=SERIES_SIX, m_q=None):
     field, plan = INDEX_FIELDS[mode], []
     for index in indices:
         level = m_q if m_q is not None else min(index + 1, MQ_CAP)
-        if not 1 <= index <= level:
-            raise ValueError(f"{field}: {index} lies outside 1..{level}, its sampling level")
+        if not 1 <= index <= level:  # below 1, the default level is no bound to name
+            raise ValueError(f"{field}: {index} lies below 1" if index < 1 else
+                             f"{field}: {index} lies outside 1..{level}, its sampling level")
         if mode == "cutoff":
             plan.append((index, enumerate_spectrum(index), level))
             continue

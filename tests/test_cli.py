@@ -232,6 +232,22 @@ def test_equidist_log_matches_szego_logdet(tmp_path):
         ["spectrum", "--m", "2", "--out", ""],
         ["spectrum", "--m", "2", "--out", "{tmp}/file/run"],
         [{"out": 5}, "spectrum", "--m", "2"],
+        # a --tol without =value, and one without a name
+        ["spectrum", "--m", "2", "--tol", "gram"],
+        ["spectrum", "--m", "2", "--tol", "=1"],
+        # a negative index, a series outside the command's choices, unknown,
+        # abbreviated and other commands' flags, a trailing flag with no
+        # value and a non-integer level
+        ["szego", "--mode", "single", "--j", "-1..3", "--f", "harmonic:1,2,3"],
+        ["szego", "--mode", "single", "--series", "two", "--j", "3", "--f", "constant:2"],
+        ["spectrum", "--m", "2", "--nosuch", "1"],
+        ["szego", "--mode", "single", "--ser", "six", "--j", "3", "--f", "constant:2"],
+        ["resistance", "--out", "{tmp}", "--m", "2", "--triples"],
+        ["resistance", "--m", "abc"],
+        ["resistance", "--m", "2", "--f", "x"],
+        # a missing or unknown command, which a config file cannot supply
+        [{"command": "spectrum", "m": 2}],
+        ["nosuch", "--m", "2"],
     ],
 )
 def test_invalid_configs_exit_2(argv, tmp_path, capsys):
@@ -243,8 +259,66 @@ def test_invalid_configs_exit_2(argv, tmp_path, capsys):
     (tmp_path / "file").write_text("")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert _run(argv if given else argv + ["--out", str(tmp_path)]) == 2
-    # one JSON record and no traceback
-    assert json.loads(capsys.readouterr().err)["error"] == "invalid config"
+    # one JSON record, no usage text and no traceback
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "invalid config"
+
+
+@pytest.mark.parametrize("argv,violation", [
+    (["spectrum", "--m", "2", "--tol", "gram"], "tol: name=value required, e.g. gram=1e-10"),
+    (["spectrum", "--m", "2", "--tol", "=1"], "tol: unknown tolerance ''"),
+    (["szego", "--mode", "single", "--j", "-1..3", "--f", "harmonic:1,2,3"], "j: -1 lies below 1"),
+    (["szego", "--mode", "cutoff", "--m", "0", "--f", "constant:2"], "m: 0 lies below 1"),
+    (["szego", "--ser", "six"], "ser: --ser is not a flag of szego"),
+    (["resistance", "--f=x"], "f: --f is not a flag of resistance"),
+    (["resistance", "--m", "2", "--triples"], "triples: --triples needs a value"),
+    (["resistance", "--m", "abc"], "m: integer required"),
+    (["basis", "--series", "six", "--j", "3", "--N", "one", "--m-q", "4"], "N: integer required"),
+    (["--m", "2", "spectrum"], "command: unknown or missing"),
+    (["--config", "c.json"], "command: unknown or missing"),
+])
+def test_argv_refusals_name_their_field(argv, violation, capsys):
+    assert _run(argv) == 2
+    assert json.loads(capsys.readouterr().err)["violations"] == [violation]
+
+
+@pytest.mark.parametrize("argv,code", [([], 2), (["-h"], 0), (["--help"], 0),
+                                       (["szego", "--mode", "single", "-h"], 0)])
+def test_help_lists_every_command_and_flag(argv, code, capsys):
+    # an empty argv is refused, but with the help text rather than a record
+    assert _run(argv) == code
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: sgszego") and err == ""
+    for cmd, fields in cli.COMMANDS.items():
+        assert any(line.split() == [cmd, *map(cli._flag, fields)] for line in out.splitlines())
+
+
+def _readme_commands():
+    """The argvs of the README's example commands, without their --out."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        lines = [line.split()[1:] for line in fh if line.startswith("sgszego ")]
+    assert lines
+    return [argv[:argv.index("--out")] for argv in lines]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_flags_and_config_files_give_the_same_config(argv, tmp_path):
+    # each flag's field, written to a file as a JSON integer if it reads as
+    # one and as a string otherwise, gives the config of the flags, and so
+    # their config_hash; --flag=value reads as --flag value
+    names = {"--m-q": "m_q", "--F": "functional"}
+    pairs = list(zip(argv[1::2], argv[2::2]))
+    fields = {names.get(flag, flag[2:]): int(value) if value.isdigit() else value
+              for flag, value in pairs}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
+    from_flags = cli.effective_config(argv)
+    from_file = cli.effective_config(["--config", str(path), argv[0]])
+    assert cli.validate(from_flags) == []
+    assert from_file == from_flags and cli.config_hash(from_file) == cli.config_hash(from_flags)
+    assert cli.effective_config([argv[0], *(f"{flag}={value}" for flag, value in pairs)]) == \
+        from_flags
 
 
 @pytest.mark.parametrize("fields,argv", [
@@ -656,6 +730,16 @@ def test_resistance_does_not_import_numpy_random(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path))
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_argparse():
+    # the argv is read off cli.COMMANDS, so neither argparse nor the gettext
+    # it loads for its messages is imported
+    code = "import sys; import sgszego.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout.strip() == "[]"
 
 
 def _writes_file(node):

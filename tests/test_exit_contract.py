@@ -63,10 +63,7 @@ def argvs(draw):
 
 
 def _exit_code(argv):
-    try:
-        return cli.main(argv)
-    except SystemExit as exc:  # argparse refuses the argv itself with exit 2
-        return exc.code
+    return cli.main(argv)
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
