@@ -15,7 +15,7 @@ from .functions import (
     SimpleCellFunction,
     parse_function_spec,
 )
-from .laplacian import ResistanceComputer, dirichlet_laplacian
+from .laplacian import ResistanceComputer
 from .szego import (
     CompressedOperator,
     NotPositiveDefiniteError,

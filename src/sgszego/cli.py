@@ -175,6 +175,10 @@ def effective_config(argv):
             fields = json.load(fh)
         if not isinstance(fields, dict):
             raise ValueError("config: a JSON object of fields required")
+        known = {"command", "out", "seed", "tolerances"}.union(*COMMANDS.values())
+        unknown = sorted(set(fields) - known)
+        if unknown:
+            raise ValueError(f"{unknown[0]}: not a field of any command")
         # null stands for an absent field, as an omitted flag does
         config.update((key, val) for key, val in fields.items() if val is not None)
     config.update(flags)
@@ -196,7 +200,10 @@ def _tolerances(config):
     for name, value in list(given.items()) + [flag[::2] for flag in flags]:
         if name not in tolerances:
             raise ValueError(f"tol: unknown tolerance {name!r}")
-        tolerances[name] = float(value)
+        try:  # a bool is no number here, as it is no integer in `_is_int`
+            tolerances[name] = math.nan if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError):
+            tolerances[name] = math.nan
         if not 0.0 <= tolerances[name] < math.inf:
             raise ValueError(f"tol: {name} must be a finite non-negative number")
     return tolerances

@@ -1,6 +1,6 @@
 """The Dirichlet graph Laplacian L = -Delta_m of the gasket graphs, read off
-the cells of the topology, its dense eigensolver oracle, the level-to-level
-extension rule of spectral decimation, and the effective resistance metric.
+the cells of the topology, the level-to-level extension rule of spectral
+decimation, and the effective resistance metric.
 
 The resistance metric is answered pair by pair, with no n x n matrix.  The
 Green's matrix grounded at q_1 is G_m = sum_k P_k B_k P_k^T: P_k is harmonic
@@ -41,27 +41,6 @@ def _interior_neighbours(m):
     table = others.reshape(-1, 4)
     table.flags.writeable = False  # cached and shared by every caller
     return table
-
-
-def dirichlet_laplacian(m):
-    """Dense L = -Delta_m on the interior of V_m in topology order: diagonal
-    4, -1 between neighbours (boundary rows and columns deleted)."""
-    if m < 1:
-        raise ValueError("need level >= 1 for a Dirichlet Laplacian")
-    topo = level_topology(m)
-    neighbours = _interior_neighbours(m)
-    n = len(neighbours)
-    mat = 4.0 * np.eye(n)
-    row, slot = np.nonzero(~topo.boundary_mask[neighbours])
-    mat[row, topo.interior_row[neighbours[row, slot]]] = -1.0
-    return mat
-
-
-@lru_cache(maxsize=None)
-def cached_dense_spectrum(m):
-    """Full eigendecomposition of L = -Delta_m, eigenvalues ascending,
-    eigenvectors orthonormal in plain coordinates: the dense oracle."""
-    return np.linalg.eigh(dirichlet_laplacian(m))
 
 
 def apply_neg_laplacian(m, values):

@@ -121,24 +121,11 @@ class CompressedOperator:
     def dimension(self):
         return sum(group.eigenspaces * group.dimension for group in self.blocks)
 
-    @property
-    def matrix(self):
-        """The dense block-diagonal matrix, one block per eigenspace in
-        group order, assembled on every access."""
-        full = np.zeros((self.dimension, self.dimension))
-        start = 0
-        for stack in map(dense_blocks, self.blocks):
-            for mat in stack:
-                stop = start + len(mat)
-                full[start:stop, start:stop] = mat
-                start = stop
-        return full
-
 
 def dense_blocks(group):
     """The (G, d, d) matrices of a group's eigenspaces in the column order of
     its basis, filled from its tree blocks: the one dense form, for
-    `operator_eigenvalues` and the `matrix` oracle."""
+    `operator_eigenvalues`."""
     sizes = group.column_counts
     starts = np.cumsum([0] + sizes)
     out = np.zeros((group.eigenspaces, starts[-1], starts[-1]))
@@ -572,15 +559,10 @@ def _eliminate(group):
         update = schur.reshape(len(rows), parents, -1, up, up).sum(axis=2)
 
 
-def log_det(op_or_matrix):
+def log_det(op):
     """Log-determinant of a compressed operator, the sum over its groups'
-    tree eliminations, or of a symmetric positive-definite matrix or a
-    stack of them (the sum over the stack), a tree of one level."""
-    if isinstance(op_or_matrix, CompressedOperator):
-        return sum(_eliminate(group) for group in op_or_matrix.blocks)
-    stack = np.asarray(op_or_matrix, dtype=float)
-    stack = stack.reshape((-1, 1) + stack.shape[-2:])
-    return _eliminate(TreeBlocks(depths=(0,), couplings=(stack,)))
+    tree eliminations."""
+    return sum(_eliminate(group) for group in op.blocks)
 
 
 def spectral_functional(op, func):

@@ -147,11 +147,6 @@ def cell_embedding(m, scale):
     return table
 
 
-def _cells_per_vertex(topo):
-    # a corner of the gasket lies in one m-cell, every other vertex in two
-    return np.where(topo.boundary_mask, 1, 2)
-
-
 def quadrature(m_q):
     """Vertex weights that discretize the self-similar measure on V_{m_q}.
 
@@ -160,24 +155,8 @@ def quadrature(m_q):
     """
     if m_q < 1:
         raise ValueError("quadrature level must be >= 1")
-    return _cells_per_vertex(level_topology(m_q)) * (3.0 ** (-m_q)) / 3.0
-
-
-def cell_indicator(topo, rank, scale):
-    """Per-cell discretization of the indicator of the closed scale-cell of rank `rank`.
-
-    The value at a vertex is the fraction of its containing topo-level cells
-    that lie inside the cell (1 strictly inside, 1/2 on the interface), which
-    is how the cell-averaged quadrature sees the indicator; the quadrature
-    integral is then exactly 3^-scale.  Refuses a rank outside 0..3^scale - 1."""
-    if scale > topo.m:
-        raise ValueError("indicator cell finer than the topology level")
-    if not 0 <= rank < 3**scale:
-        raise ValueError(f"rank {rank} names no cell of scale {scale}: 0..{3**scale - 1}")
-    size = 3 ** (topo.m - scale)
-    start = rank * size
-    inside = np.bincount(topo.cell_vertices[start:start + size].ravel(), minlength=topo.n_vertices)
-    return inside / _cells_per_vertex(topo)
+    # a corner of the gasket lies in one m_q-cell, every other vertex in two
+    return np.where(level_topology(m_q).boundary_mask, 1, 2) * (3.0 ** (-m_q)) / 3.0
 
 
 def interior_weight(m_q):

@@ -1,6 +1,7 @@
-"""Subspace comparison, oracle constructions, a sum of multipliers, the
-lattice-key vertex tables and lookup, and the matrix form of the resistance
-walk, shared by the tests."""
+"""Subspace comparison, oracle constructions, the dense Laplacian and
+compressed-operator forms, a sum of multipliers, the lattice-key vertex
+tables and lookup, and the matrix form of the resistance walk, shared by the
+tests."""
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -11,8 +12,9 @@ import numpy as np
 from sgszego.decimation import (_BIRTH_GAMMA, JUNCTION_SV_MIN, LAMBDA_TAIL, SERIES_FIVE,
                                 SERIES_SIX, SERIES_TWO, extend_eigenfunction, make_groups,
                                 remainder, series_multiplicity)
-from sgszego.laplacian import dirichlet_laplacian, extend_values, extension_maps
-from sgszego.szego import TreeBlocks, column_cells, localized_columns
+from sgszego.laplacian import _interior_neighbours, extend_values, extension_maps
+from sgszego.szego import (CompressedOperator, TreeBlocks, column_cells, dense_blocks,
+                           localized_columns)
 from sgszego.topology import (_CORNER_KEYS, SQRT3, cell_embedding, interior_count,
                               interior_weight, level_topology, vertex_count)
 
@@ -139,6 +141,68 @@ def reference_laplacian(m):
         for p, q in ((a, b), (a, c), (b, c)):
             mat[p, q] = mat[q, p] = -1.0
     return mat
+
+
+# The dense forms that no command builds, kept as oracles: the Dirichlet
+# Laplacian and its full eigensolve, the indicator of a cell, the
+# block-diagonal matrix of a compressed operator, and a matrix taken as one.
+
+def dirichlet_laplacian(m):
+    """Dense L = -Delta_m on the interior of V_m in topology order: diagonal
+    4, -1 between neighbours (boundary rows and columns deleted)."""
+    if m < 1:
+        raise ValueError("need level >= 1 for a Dirichlet Laplacian")
+    topo = level_topology(m)
+    neighbours = _interior_neighbours(m)
+    n = len(neighbours)
+    mat = 4.0 * np.eye(n)
+    row, slot = np.nonzero(~topo.boundary_mask[neighbours])
+    mat[row, topo.interior_row[neighbours[row, slot]]] = -1.0
+    return mat
+
+
+@lru_cache(maxsize=None)
+def cached_dense_spectrum(m):
+    """Full eigendecomposition of L = -Delta_m, eigenvalues ascending,
+    eigenvectors orthonormal in plain coordinates."""
+    return np.linalg.eigh(dirichlet_laplacian(m))
+
+
+def cell_indicator(topo, rank, scale):
+    """Per-cell discretization of the indicator of the closed scale-cell of rank `rank`.
+
+    The value at a vertex is the fraction of its containing topo-level cells
+    that lie inside the cell (1 strictly inside, 1/2 on the interface), which
+    is how the cell-averaged quadrature sees the indicator; the quadrature
+    integral is then exactly 3^-scale.  Refuses a rank outside 0..3^scale - 1."""
+    if scale > topo.m:
+        raise ValueError("indicator cell finer than the topology level")
+    if not 0 <= rank < 3**scale:
+        raise ValueError(f"rank {rank} names no cell of scale {scale}: 0..{3**scale - 1}")
+    size = 3 ** (topo.m - scale)
+    start = rank * size
+    inside = np.bincount(topo.cell_vertices[start:start + size].ravel(), minlength=topo.n_vertices)
+    # a corner of the gasket lies in one topo-level cell, every other vertex in two
+    return inside / np.where(topo.boundary_mask, 1, 2)
+
+
+def dense_matrix(op):
+    """The dense block-diagonal matrix of a compressed operator, one block
+    per eigenspace in group order."""
+    full = np.zeros((op.dimension, op.dimension))
+    start = 0
+    for mat in (mat for group in op.blocks for mat in dense_blocks(group)):
+        full[start:start + len(mat), start:start + len(mat)] = mat
+        start += len(mat)
+    return full
+
+
+def one_level(matrix):
+    """A symmetric matrix as a compressed operator of one eigenspace whose
+    cell tree has one level of one cell, the form `szego.log_det` takes."""
+    couplings = np.asarray(matrix, dtype=float)[None, None]
+    return CompressedOperator(blocks=(TreeBlocks(depths=(0,), couplings=(couplings,)),),
+                              localized=0, level=0)
 
 
 def six_series_birth_by_qr(j):

@@ -162,6 +162,15 @@ def test_equidist_log_matches_szego_logdet(tmp_path):
         assert abs(a - b) < 1e-12
 
 
+def _with_config(argv, tmp_path):
+    """argv with a leading dict written to a --config file."""
+    if not isinstance(argv[0], dict):
+        return argv
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(argv[0]))
+    return ["--config", str(path), *argv[1:]]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -248,14 +257,16 @@ def test_equidist_log_matches_szego_logdet(tmp_path):
         # a missing or unknown command, which a config file cannot supply
         [{"command": "spectrum", "m": 2}],
         ["nosuch", "--m", "2"],
+        # file keys that no command reads: a misspelt field, and tol, which
+        # only a flag gives (a file holds tolerances), as a list or a string
+        [{"seires": "five", "mode": "single", "j": "3", "f": "constant:2"}, "szego"],
+        [{"tol": ["gram=1e-6"]}, "spectrum", "--m", "2"],
+        [{"tol": "gram=1e-6"}, "spectrum", "--m", "2"],
     ],
 )
 def test_invalid_configs_exit_2(argv, tmp_path, capsys):
     given = "--out" in argv or isinstance(argv[0], dict) and "out" in argv[0]
-    if isinstance(argv[0], dict):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(argv[0]))
-        argv = ["--config", str(path), *argv[1:]]
+    argv = _with_config(argv, tmp_path)
     (tmp_path / "file").write_text("")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert _run(argv if given else argv + ["--out", str(tmp_path)]) == 2
@@ -277,9 +288,22 @@ def test_invalid_configs_exit_2(argv, tmp_path, capsys):
     (["basis", "--series", "six", "--j", "3", "--N", "one", "--m-q", "4"], "N: integer required"),
     (["--m", "2", "spectrum"], "command: unknown or missing"),
     (["--config", "c.json"], "command: unknown or missing"),
+    # a tolerance that is not a number, from a flag or a file (a leading
+    # dict is written to a --config file), and file keys no command reads
+    (["spectrum", "--m", "2", "--tol", "gram=abc"], "tol: gram must be a finite non-negative number"),
+    ([{"tolerances": {"gram": "abc"}}, "spectrum", "--m", "2"],
+     "tol: gram must be a finite non-negative number"),
+    ([{"tolerances": {"gram": None}}, "spectrum", "--m", "2"],
+     "tol: gram must be a finite non-negative number"),
+    ([{"tolerances": {"gram": True}}, "spectrum", "--m", "2"],
+     "tol: gram must be a finite non-negative number"),
+    ([{"seires": "five", "mode": "single", "j": "3", "f": "constant:2"}, "szego"],
+     "seires: not a field of any command"),
+    ([{"tol": ["gram=1e-6"]}, "spectrum", "--m", "2"], "tol: not a field of any command"),
+    ([{"tol": "gram=1e-6"}, "spectrum", "--m", "2"], "tol: not a field of any command"),
 ])
-def test_argv_refusals_name_their_field(argv, violation, capsys):
-    assert _run(argv) == 2
+def test_argv_refusals_name_their_field(argv, violation, tmp_path, capsys):
+    assert _run(_with_config(argv, tmp_path)) == 2
     assert json.loads(capsys.readouterr().err)["violations"] == [violation]
 
 

@@ -13,9 +13,10 @@ from sgszego import laplacian as lap
 from sgszego import szego as sz
 from sgszego import topology as top
 
-from subspaces import (cell_tree, corner_normal_derivatives, eigenfunctions_at_level,
-                       five_series_remainder, index_of, lattice_keys, on_level, on_vertices,
-                       one_word, principal_angle_gap, reference_laplacian, scalar_spectrum,
+from subspaces import (cached_dense_spectrum, cell_tree, corner_normal_derivatives,
+                       dirichlet_laplacian, eigenfunctions_at_level, five_series_remainder,
+                       index_of, lattice_keys, on_level, on_vertices, one_word,
+                       principal_angle_gap, reference_laplacian, scalar_spectrum,
                        six_series_birth_by_qr, six_series_remainder_by_solve,
                        topology_junction_nullspace)
 
@@ -29,7 +30,7 @@ def test_gamma_step_values():
 
 
 def test_gamma_step_matches_dense_level_two():
-    evals, _ = lap.cached_dense_spectrum(2)
+    evals, _ = cached_dense_spectrum(2)
     rounded = np.round(evals, 9)
     assert round(dec.gamma_step(2.0, -1), 9) in rounded
     low5 = round(dec.gamma_step(5.0, -1), 9)
@@ -64,7 +65,7 @@ def test_level_one_spectrum():
 def test_oracle_equivalence(m):
     mine = np.sort(np.concatenate(
         [np.repeat(g.gammas[:, -1], g.multiplicity) for g in dec.enumerate_spectrum(m)]))
-    dense, _ = lap.cached_dense_spectrum(m)
+    dense, _ = cached_dense_spectrum(m)
     assert np.max(np.abs(np.sort(dense) - mine)) < 1e-9
 
 
@@ -236,7 +237,7 @@ def test_birth_eigenvectors_match_dense(desc):
     full = _tree_birth_space(desc.series, desc.birth)
     interior = top.level_topology(desc.birth).interior_indices
     assert np.all(full[top.level_topology(desc.birth).boundary_mask] == 0.0)
-    evals, evecs = lap.cached_dense_spectrum(desc.birth)
+    evals, evecs = cached_dense_spectrum(desc.birth)
     dense = evecs[:, np.abs(evals - desc.gammas[0, 0]) < 1e-6]
     assert full.shape[1] == dense.shape[1] == desc.multiplicity
     assert principal_angle_gap(full[interior], dense, desc.birth) < 1e-10
@@ -263,7 +264,7 @@ def test_six_series_birth_from_known_gram(j):
     unit = np.eye(parent.n_vertices)[:, parent.interior_indices]
     ext = lap.extend_values(unit, j, 6.0)[topo.interior_indices]
     d = top.interior_count(j - 1)
-    gram = (6.0 * np.eye(d) + lap.dirichlet_laplacian(j - 1)) / 4.0
+    gram = (6.0 * np.eye(d) + dirichlet_laplacian(j - 1)) / 4.0
     assert np.max(np.abs(ext.T @ ext - gram)) <= 1e-14
     # the cell tree spans the QR's orthonormal basis of the extensions
     full = _tree_birth_space("six", j)

@@ -9,12 +9,13 @@ from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.functions import HarmonicFunction
 
-from subspaces import matrix_walk_resistance, reference_laplacian
+from subspaces import (cached_dense_spectrum, dirichlet_laplacian, matrix_walk_resistance,
+                       reference_laplacian)
 
 
 def test_level_one_matrix():
-    assert lap.dirichlet_laplacian(1).shape == (3, 3)
-    evals, evecs = lap.cached_dense_spectrum(1)
+    assert dirichlet_laplacian(1).shape == (3, 3)
+    evals, evecs = cached_dense_spectrum(1)
     assert evals == pytest.approx([2.0, 5.0, 5.0], abs=1e-12)
     # orthonormal eigenvectors
     assert evecs.T @ evecs == pytest.approx(np.eye(3), abs=1e-12)
@@ -23,10 +24,10 @@ def test_level_one_matrix():
 def test_level_two_spectrum():
     # analytic multiset from one decimation step applied to {2, 5, 5},
     # plus the eigenvalues born at level 2
-    L = lap.dirichlet_laplacian(2)
+    L = dirichlet_laplacian(2)
     assert L.shape == (12, 12)
     assert np.trace(L) == pytest.approx(48.0)
-    evals, _ = lap.cached_dense_spectrum(2)
+    evals, _ = cached_dense_spectrum(2)
     s17, s5 = math.sqrt(17), math.sqrt(5)
     expected = sorted(
         [(5 - s17) / 2, (5 + s17) / 2]
@@ -42,7 +43,7 @@ def test_level_two_spectrum():
 def test_vectorized_matrix_matches_edge_loop(m):
     interior = top.level_topology(m).interior_indices
     ref = reference_laplacian(m)[interior][:, interior]
-    assert lap.dirichlet_laplacian(m).tobytes() == ref.tobytes()
+    assert dirichlet_laplacian(m).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -58,7 +59,7 @@ def test_apply_neg_laplacian_matches_reference(m):
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_trace_identity(m):
-    evals, _ = lap.cached_dense_spectrum(m)
+    evals, _ = cached_dense_spectrum(m)
     n = (3 ** (m + 1) - 3) // 2
     assert len(evals) == n
     assert abs(evals.sum() - 4.0 * n) / (4.0 * n) < 1e-12
@@ -74,7 +75,7 @@ def test_constant_vector_interior_rows():
 @pytest.mark.parametrize("m", range(2, 5))
 def test_dense_eigenpair_residuals(m):
     topo = top.level_topology(m)
-    evals, evecs = lap.cached_dense_spectrum(m)
+    evals, evecs = cached_dense_spectrum(m)
     for k in range(len(evals)):
         full = np.zeros(topo.n_vertices)
         full[topo.interior_indices] = evecs[:, k]

@@ -1,5 +1,5 @@
-"""Every function of the package is reached by a command line run, or is one
-of the test oracles named here: a def that no command reaches is dead code.
+"""Every function of the package is reached by a command line run: a def that
+no command reaches is dead code, or an oracle that belongs in the tests.
 
 A few small argvs, one per command and one per exit-2 and exit-3 path, run in
 process under sys.setprofile.  Each def is keyed by its file and its first
@@ -14,11 +14,6 @@ import sys
 from sgszego import cli, decimation, laplacian, szego, topology
 
 PACKAGE = os.path.dirname(os.path.abspath(cli.__file__))
-
-# reached by tests only: the dense Laplacian and its eigensolve, the dense
-# block-diagonal matrix, and the cell indicator
-ORACLES = {"dirichlet_laplacian", "cached_dense_spectrum", "CompressedOperator.matrix",
-           "cell_indicator"}
 
 # (exit code, argv)
 RUNS = [
@@ -92,13 +87,11 @@ def _reached(argvs, out):
     return codes, seen
 
 
-def test_every_def_is_reached_or_an_oracle(tmp_path, capsys):
+def test_every_def_is_reached(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"mode": "single", "j": "2", "f": "constant:2"}))
     codes, seen = _reached([argv for _, argv in RUNS] + [["--config", str(config), "szego"]],
                            tmp_path)
     assert codes == [code for code, _ in RUNS] + [0]
-    # an oracle class covers its methods
-    unreached = {name for key, name in _defs().items()
-                 if key not in seen and not {name, name.split(".")[0]} & ORACLES}
+    unreached = {name for key, name in _defs().items() if key not in seen}
     assert not unreached, sorted(unreached)

@@ -18,14 +18,15 @@ from sgszego.decimation import enumerate_spectrum
 from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFunction,
                                SimpleCellFunction)
 
-from subspaces import (FunctionSum, assemble_compressed, cell_tree, index_of, interior_cell_rows,
-                       lattice_keys, long_double_basis, one_word, scale_cells)
+from subspaces import (FunctionSum, assemble_compressed, cell_tree, dense_matrix, index_of,
+                       interior_cell_rows, lattice_keys, long_double_basis, one_level, one_word,
+                       scale_cells)
 
 
 def test_identity_for_constant_one():
     group = one_word("six", 2, (1,))
     op = sz.compressed_operator(ConstantFunction(1.0), [group], 3, None)
-    assert np.max(np.abs(op.matrix - np.eye(op.dimension))) < 1e-10
+    assert np.max(np.abs(dense_matrix(op) - np.eye(op.dimension))) < 1e-10
 
 
 def test_scaling_for_constant():
@@ -33,7 +34,7 @@ def test_scaling_for_constant():
     group = one_word("five", 2, (-1,))
     op = sz.compressed_operator(ConstantFunction(c), [group], 3, None)
     d = op.dimension
-    assert np.max(np.abs(op.matrix - c * np.eye(d))) < 1e-10
+    assert np.max(np.abs(dense_matrix(op) - c * np.eye(d))) < 1e-10
     assert sz.log_det(op) == pytest.approx(d * math.log(c), abs=1e-10)
 
 
@@ -48,11 +49,12 @@ def test_simple_function_localized_diagonal():
     localized = len(cell)
     cell += [None] * (group.multiplicity - localized)
     assert localized > 0
+    matrix = dense_matrix(op)
     for i in range(localized):
-        assert op.matrix[i, i] == pytest.approx(f.coefficients[cell[i]], abs=1e-10)
+        assert matrix[i, i] == pytest.approx(f.coefficients[cell[i]], abs=1e-10)
         for jj in range(group.multiplicity):
             if jj != i and cell[jj] != cell[i]:
-                assert abs(op.matrix[i, jj]) < 1e-10
+                assert abs(matrix[i, jj]) < 1e-10
 
 
 def test_log_det_matches_eigenvalue_sum():
@@ -65,10 +67,10 @@ def test_log_det_matches_eigenvalue_sum():
 
 
 def test_log_det_small_matrices():
-    assert sz.log_det(np.eye(4)) == 0.0
-    assert sz.log_det(np.diag([1.0, 2.0, 3.0])) == pytest.approx(math.log(6.0))
+    assert sz.log_det(one_level(np.eye(4))) == 0.0
+    assert sz.log_det(one_level(np.diag([1.0, 2.0, 3.0]))) == pytest.approx(math.log(6.0))
     with pytest.raises(sz.NotPositiveDefiniteError):
-        sz.log_det(np.diag([1.0, -1.0]))
+        sz.log_det(one_level(np.diag([1.0, -1.0])))
 
 
 def test_single_sweep_constant_is_exact():
@@ -154,9 +156,10 @@ def test_cutoff_constant_exact():
 def test_cutoff_block_logdet_consistency():
     f = HarmonicFunction([1.0, 1.5, 2.0])
     ((_, op),) = sz.operators(f, "cutoff", [3], 1)
-    full = op.matrix
-    total = sz.log_det(full)
-    blocks = sum(sz.log_det(mat) for stack in map(sz.dense_blocks, op.blocks) for mat in stack)
+    full = dense_matrix(op)
+    total = sz.log_det(one_level(full))
+    blocks = sum(sz.log_det(one_level(mat))
+                 for stack in map(sz.dense_blocks, op.blocks) for mat in stack)
     assert abs(total - blocks) / abs(total) < 1e-8
     start = 0
     for mat in (mat for stack in map(sz.dense_blocks, op.blocks) for mat in stack):
@@ -164,7 +167,7 @@ def test_cutoff_block_logdet_consistency():
         assert np.array_equal(full[start:stop, start:stop], mat)
         start = stop
     assert start == op.dimension
-    dense = np.linalg.eigvalsh(op.matrix)
+    dense = np.linalg.eigvalsh(dense_matrix(op))
     assert np.max(np.abs(sz.operator_eigenvalues(op) - dense)) < 1e-12
 
 
@@ -178,7 +181,7 @@ def test_spectral_functionals():
     f = HarmonicFunction([1.0, 1.5, 2.0])
     op2 = sz.compressed_operator(f, [group], 3, None)
     assert sz.spectral_functional(op2, lambda s: s) * d == pytest.approx(
-        float(np.trace(op2.matrix)), abs=1e-12
+        float(np.trace(dense_matrix(op2))), abs=1e-12
     )
     # the average eigenvalue stays in the range of f
     mean = sz.spectral_functional(op2, lambda s: s)
@@ -340,7 +343,8 @@ def test_full_compression_at_level_m_is_the_riemann_mean(m, m_q, N):
         full = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
         if m_q == m:
             mean = float(np.mean(np.log(fvals)))
-            assert abs(sz.log_det(full) / len(full) - mean) <= 1e-13 * abs(mean), (m, N, f.label())
+            assert abs(sz.log_det(one_level(full)) / len(full) - mean) <= 1e-13 * abs(mean), \
+                (m, N, f.label())
         start = 0
         for block in (b for group in sz.compressed_operator(f, groups, m_q, N).blocks
                       for b in sz.dense_blocks(group)):

@@ -8,7 +8,7 @@ from sgszego import cli
 from sgszego import laplacian as lap
 from sgszego import topology as top
 
-from subspaces import index_of, interior_cell_rows, lattice_keys, unique_key_tables
+from subspaces import cell_indicator, index_of, interior_cell_rows, lattice_keys, unique_key_tables
 
 # Reference for the lattice-key rule and the canonical vertex order: the
 # word-by-word key loop and the dict of representatives that the array build
@@ -206,7 +206,7 @@ def test_cell_of_vertex_scale_error():
     with pytest.raises(ValueError):
         top.cell_embedding(2, 3)
     with pytest.raises(ValueError):
-        top.cell_indicator(topo, 0, 3)
+        cell_indicator(topo, 0, 3)
 
 
 @pytest.mark.parametrize("rank", [5, -1, 3])
@@ -214,7 +214,7 @@ def test_cell_indicator_refuses_out_of_range_rank(rank):
     # scale 1 has the ranks 0, 1, 2 only; an out-of-range rank once gave an
     # all-zero indicator
     with pytest.raises(ValueError):
-        top.cell_indicator(top.level_topology(3), rank, 1)
+        cell_indicator(top.level_topology(3), rank, 1)
 
 
 def test_quadrature_weights():
@@ -234,7 +234,7 @@ def test_quadrature_exact_on_cell_indicators(m_q, scale):
     q = top.quadrature(m_q)
     *_, reps = _representative_tables(m_q)
     for rank, cell in enumerate(product((1, 2, 3), repeat=scale)):
-        ind = top.cell_indicator(topo, rank, scale)
+        ind = cell_indicator(topo, rank, scale)
         assert q @ ind == pytest.approx(3.0 ** (-scale), abs=1e-15)
         # the fraction of each vertex's containing cells inside `cell`
         words = [{w for w, _ in r} for r in reps]
