@@ -4,7 +4,6 @@ asymptotics for the Laplacian on the Sierpinski gasket."""
 from .decimation import (
     BirthGroup,
     enumerate_spectrum,
-    extend_eigenfunction,
     gamma_step,
     make_groups,
 )

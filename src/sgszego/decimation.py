@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .laplacian import child_corners, child_maps, extend_values
+from .laplacian import child_corners, child_maps
 from .topology import interior_count
 
 FORBIDDEN_GAMMAS = (2.0, 5.0, 6.0)
@@ -190,21 +190,10 @@ def enumerate_spectrum(m):
     return tuple(groups)
 
 
-def extend_eigenfunction(values, k, gamma_k):
-    """Extend eigenfunction values from V_{k-1} to V_k for eigenvalue gamma_k
-    by `laplacian.extend_values`, refusing the forbidden gammas 2, 5 and 6.
-
-    `values` has leading axis over the V_{k-1} vertices (extra axes allowed);
-    `gamma_k` is a scalar or one gamma per slice of axis 1, and a forbidden
-    gamma in any slice is refused.
-    """
-    refuse_forbidden(gamma_k)
-    return extend_values(np.asarray(values, dtype=float), k, gamma_k)
-
-
 def refuse_forbidden(gammas):
-    """Raises the ValueError of `extend_eigenfunction` if any of the gammas
-    lies within 1e-12 of 2, 5 or 6."""
+    """Raises a ValueError if any of the gammas lies within 1e-12 of 2, 5 or
+    6, where decimation extension (`laplacian.midpoints`) is no eigenfunction
+    extension; an extension checks all its gammas before its first level."""
     for bad in FORBIDDEN_GAMMAS:
         if np.any(np.abs(np.asarray(gammas) - bad) < 1e-12):
             raise ValueError(f"forbidden extension eigenvalue gamma = {bad}")
@@ -218,7 +207,8 @@ JUNCTION_SV_MIN = 1e-8
 def _midpoint_table(values):
     """(3, 3, c): the corner table of the functions on V_1 that vanish on V_0
     and take `values` at m_12, m_13, m_23, opposite q_3, q_2, q_1; read-only."""
-    table = child_corners(np.zeros((1,) + values.shape), values[None, ::-1])
+    table = child_corners(np.zeros((values.shape[1], 1, 3)), values.T[:, None, ::-1])
+    table = np.ascontiguousarray(table.transpose(1, 2, 0))
     table.flags.writeable = False
     return table
 

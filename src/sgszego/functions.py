@@ -2,9 +2,9 @@
 
 A function is evaluated on the vertices of a level topology: `sample(topo)`
 gives its values on every vertex, and an expression also gives
-`midpoints(topo, values)`, its values on the vertices one level finer that
-are new, the midpoints of the cells' edges.  The Riemann-point comparison
-reads its points off one sample.
+`midpoints(topo)`, its values on the vertices one level finer that are new,
+the midpoints of the cells' edges.  The Riemann-point comparison reads its
+points off one sample.
 
 A function that is harmonic inside every cell of some level, its `scale`,
 also gives `cell_corners(level)` for every level from that one on: the
@@ -12,7 +12,7 @@ values at each level-cell's corners of its harmonic restriction to the
 cell's interior, and its sampled values there, which differ only where the
 sample takes a vertex shared by two cells from one of them.  The Szegő
 kernels read such a function at that level instead of on the sampling level
-(`szego.recursive_kernels`).
+(`szego.recursive_kernels`).  A harmonic function samples its corner table.
 
 `ConstantFunction` is the `SimpleCellFunction` of one cell, and only these
 give exact cell integrals (`cell_integral`).
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .laplacian import child_corners, extend_values
+from .laplacian import child_corners, midpoints, vertex_values
 from .topology import SQRT3, level_topology
 
 
@@ -77,18 +77,6 @@ class ConstantFunction(SimpleCellFunction):
         return f"constant:{self.coefficients[0]:g}"
 
 
-def harmonic_midpoints(corners):
-    """(cells, 3): the values at the midpoints of the edges of cells with
-    the corner values `corners`, (cells, 3), of the function harmonic inside
-    each cell, column r opposite corner r: (2 (f_p + f_q) + f_r) / 5, bit for
-    bit the harmonic extension of `laplacian.extend_values`."""
-    mid = corners[:, [1, 0, 0]] + corners[:, [2, 2, 1]]
-    mid *= 2.0
-    mid += corners
-    mid /= 5.0
-    return mid
-
-
 class HarmonicFunction:
     """Harmonic extension of prescribed boundary values, evaluated exactly on
     vertices via the 2/5-2/5-1/5 subdivision rule."""
@@ -104,20 +92,15 @@ class HarmonicFunction:
         return "harmonic:" + ",".join(f"{b:g}" for b in self.boundary_values)
 
     def sample(self, topo):
-        # the boundary values sit on V_0 in corner order; each level is one
-        # harmonic extension
-        values = np.array(self.boundary_values)
-        for k in range(1, topo.m + 1):
-            values = extend_values(values, k, 0.0)
-        return values
+        return vertex_values(self.cell_corners(topo.m)[0], topo)
 
     def cell_corners(self, level):
-        """The values at every level-cell's corners by `harmonic_midpoints`
-        from the boundary values, no table built; not by the child maps
-        A_i(0), whose float64 rows sum to 1 + 5.6e-17 and drift them up."""
+        """The values at every level-cell's corners by `midpoints` at gamma
+        = 0 from the boundary values; not by the child maps A_i(0), whose
+        float64 rows sum to 1 + 5.6e-17 and drift them up."""
         corners = np.array([self.boundary_values])
         for _ in range(level):
-            corners = child_corners(corners, harmonic_midpoints(corners))
+            corners = child_corners(corners, midpoints(corners, 0.0))
         return corners, corners
 
 
@@ -168,12 +151,12 @@ class ExpressionFunction:
     def sample(self, topo):
         return self._values(topo.coords[:, 0], topo.coords[:, 1])
 
-    def midpoints(self, topo, values):
+    def midpoints(self, topo):
         """Values at the midpoints of the edges of every topo-level cell,
-        (cells, 3), column r opposite corner r; the expression is evaluated
-        there, and its sample `values` on topo is not read.  A midpoint's
-        lattice key one level finer is the sum of its edge's keys, so its
-        coordinates are those of `level_topology(topo.m + 1)` bit for bit."""
+        (cells, 3), column r opposite corner r, where the expression is
+        evaluated.  A midpoint's lattice key one level finer is the sum of
+        its edge's keys, so its coordinates are those of
+        `level_topology(topo.m + 1)` bit for bit."""
         keys = topo.keys[topo.cell_vertices]
         keys = (keys[:, [1, 0, 0]] + keys[:, [2, 2, 1]]).reshape(-1, 2)
         top = 1 << (topo.m + 2)

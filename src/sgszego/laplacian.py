@@ -1,6 +1,10 @@
 """The Dirichlet graph Laplacian L = -Delta_m of the gasket graphs, read off
-the cells of the topology, the level-to-level extension rule of spectral
-decimation, and the effective resistance metric.
+the cells of the topology, the extension rule of spectral decimation, and
+the effective resistance metric.
+
+A function is extended as its corner table (..., cells, 3), by `midpoints`
+and `child_corners` a level at a time, and read in vertex order at the end
+(`vertex_values`).
 
 The resistance metric is answered pair by pair, with no n x n matrix.  The
 Green's matrix grounded at q_1 is G_m = sum_k P_k B_k P_k^T: P_k is harmonic
@@ -19,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .topology import cell_embedding, level_topology
+from .topology import level_topology
 
 
 @lru_cache(maxsize=None)
@@ -75,92 +79,55 @@ def eigen_residual(m, values, gamma):
     return float(np.max(r / np.where(scale > 0.0, scale, 1.0)))
 
 
-@lru_cache(maxsize=None)
-def extension_maps(k):
-    """Index arrays for extending a function from V_{k-1} to V_k.
-
-    Returns (parent_corner, child_corner, child_mid): each (3^(k-1), 3); the
-    mid column r holds the new vertex opposite corner r+1 of the parent cell.
-    """
-    # V_1 in topology order is q1, m12, m13, q2, m23, q3 (m_pq the midpoint of
-    # edge pq): columns 0, 3, 5 are the corners, 4, 2, 1 the opposite midpoints
-    embedding = cell_embedding(k, k - 1)
-    return level_topology(k - 1).cell_vertices, embedding[:, [0, 3, 5]], embedding[:, [4, 2, 1]]
-
-
-# entries of V_{k-1} values that `extend_values` gathers per corner at a
-# time: the corner gathers and midpoints of a slab of cells stay near 64 KB
-# each, where gathering every cell at once took two thirds of the output's size
-EXTEND_SLAB = 1 << 13
-
-
-def _vertex_rows(values):
-    """A C-contiguous array (vertices, ...) as one opaque item per vertex, so
-    that a gather or scatter of vertices copies whole rows, however few
-    entries a row holds."""
-    return values.reshape(len(values), -1).view(np.dtype((np.void, values[0].nbytes))).ravel()
-
-
-def extend_values(values, k, gamma_k):
-    """Extend values from V_{k-1} to V_k by the eigenvalue-gamma_k rule.
-
-    `values` has leading axis over the V_{k-1} vertices (extra axes allowed).
-    New vertex on edge (p, q) of a (k-1)-cell with opposite corner r gets
-    ((4 - g)(u(p) + u(q)) + 2 u(r)) / ((2 - g)(5 - g)); gamma_k = 0 is
-    harmonic extension, (2 (u(p) + u(q)) + u(r)) / 5.  The rule divides by
-    zero at gamma_k = 2 and 5; callers that take gamma from outside check it.
-
-    `gamma_k` is a scalar, or one gamma per slice of axis 1 of `values`
-    shaped (vertices, G, ...).  The rule is elementwise, so each slice is
-    bit for bit the scalar call with its own gamma.  The (k-1)-cells are
-    taken EXTEND_SLAB entries of each corner at a time.
-    """
-    parent_corner, child_corner, child_mid = extension_maps(k)
-    values = np.ascontiguousarray(values, dtype=float)
-    out = np.zeros((level_topology(k).n_vertices,) + values.shape[1:])
-    if not out.size:
-        return out
-    source, target = _vertex_rows(values), _vertex_rows(out)
-    gamma_k = np.asarray(gamma_k, dtype=float)
-    if gamma_k.ndim:  # one gamma per slice of axis 1, broadcast over the axes after it
-        gamma_k = gamma_k.reshape(gamma_k.shape + (1,) * (values.ndim - 2))
-    denom = (2.0 - gamma_k) * (5.0 - gamma_k)
-    step = max(1, EXTEND_SLAB // values[0].size)
-    for start in range(0, len(parent_corner), step):
-        cells = slice(start, start + step)
-        u = [source[parent_corner[cells, c]] for c in range(3)]  # contiguous (cells, ...) each
-        for c in range(3):
-            target[child_corner[cells, c]] = u[c]
-        u = [items.view(float).reshape((-1,) + values.shape[1:]) for items in u]
-        for r, (p, q) in zip((0, 1, 2), ((1, 2), (0, 2), (0, 1))):
-            # in place, in the order ((4 - g)(u_p + u_q) + 2 u_r) / denom
-            mid = u[p] + u[q]
-            mid *= 4.0 - gamma_k
-            mid += 2.0 * u[r]
-            mid /= denom
-            target[child_mid[cells, r]] = _vertex_rows(mid)
-    return out
+def midpoints(corners, gamma):
+    """(..., cells, 3): the values at the midpoints of the edges of cells
+    with the corner values `corners`, (..., cells, 3), column r opposite
+    corner r, ((4 - g)(u_p + u_q) + 2 u_r) / ((2 - g)(5 - g)) in that order,
+    with a scalar gamma or one per entry of the leading axes.  At gamma = 0,
+    harmonic extension, it is (2 (u_p + u_q) + u_r) / 5 bit for bit, since
+    scaling by 2 is exact.  It divides by zero at gamma = 2 and 5."""
+    gamma = np.asarray(gamma, dtype=float)
+    gamma = gamma.reshape(gamma.shape + (1, 1))
+    mid = np.empty(corners.shape)
+    for r, (p, q) in enumerate(((1, 2), (0, 2), (0, 1))):
+        np.add(corners[..., p], corners[..., q], out=mid[..., r])
+    mid *= 4.0 - gamma
+    mid += 2.0 * corners
+    mid /= (2.0 - gamma) * (5.0 - gamma)
+    return mid
 
 
 def child_corners(corners, midpoints):
-    """(3 cells, 3, ...): the children's corner values from the values at
-    the cells' corners and at their edges' midpoints, (cells, 3, ...) each,
-    midpoint r opposite corner r.  Corner i of child i is the cell's corner
-    i, and corner t != i the midpoint of the edge (i, t), opposite corner
-    3 - i - t; child i of the cell of rank r has rank 3 r + i."""
-    both = np.concatenate([corners, midpoints], axis=1)
-    return both[:, [[0, 5, 4], [5, 1, 3], [4, 3, 2]]].reshape((-1,) + corners.shape[1:])
+    """(..., 3 cells, 3): the children's corner values from the values at
+    the cells' corners and at their edges' midpoints, (..., cells, 3) each,
+    midpoint r opposite corner r, in the dtype of `corners`.  Corner i of
+    child i is the cell's corner i, and corner t != i the midpoint of the
+    edge (i, t), opposite corner 3 - i - t; child i of the cell of rank r
+    has rank 3 r + i."""
+    # a cell's nine entries, child by child, are c0 m2 m1 | m2 c1 m0 | m1 m0 c2
+    out = np.empty(corners.shape[:-1] + (9,), dtype=corners.dtype)
+    out[..., ::4] = corners
+    out[..., 1:3] = midpoints[..., :0:-1]
+    out[..., 3::4] = midpoints[..., ::-2]
+    out[..., 5:7] = midpoints[..., :2]
+    return out.reshape(corners.shape[:-2] + (-1, 3))
+
+
+def vertex_values(table, topo):
+    """(..., vertices of topo): the values of a corner table of level topo.m
+    in vertex order, each read at the vertex's canonical (cell, corner)
+    name, entry 3 rank + corner - 1 of the flattened cells."""
+    return table.reshape(table.shape[:-2] + (-1,))[..., 3 * topo.rank + topo.corner - 1]
 
 
 def child_maps(gamma):
     """(..., 3, 3, 3) for gamma of shape (...): [..., i, :, :] is A_i(gamma),
     the map from a cell's corner values to those of its child i by the rule
-    of `extend_values`.  Corner i of child i is the cell's corner i, and
+    of `midpoints`.  Corner i of child i is the cell's corner i, and
     corner t != i the midpoint of the edge (i, t), which takes (4 - g) /
     ((2 - g)(5 - g)) of corners i and t and 2 / ((2 - g)(5 - g)) of the
     opposite corner 3 - i - t.  A_i(0) restricts a harmonic function to
-    child i.  The rule divides by zero at gamma = 2 and 5, as that of
-    `extend_values` does."""
+    child i.  The rule divides by zero at gamma = 2 and 5."""
     gamma = np.asarray(gamma, dtype=float)
     denom = (2.0 - gamma) * (5.0 - gamma)
     return corner_maps(np.ones_like(gamma), (4.0 - gamma) / denom, 2.0 / denom)

@@ -14,10 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, enumerate_spectrum,
-                         extend_eigenfunction, make_groups, refuse_forbidden, remainder)
-from .functions import harmonic_midpoints
-from .laplacian import child_maps, corner_maps
+from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, enumerate_spectrum, make_groups,
+                         refuse_forbidden, remainder)
+from .laplacian import child_corners, child_maps, corner_maps, midpoints, vertex_values
 from .topology import cell_embedding, interior_weight, level_topology, rotation, vertex_count
 
 # the default sampling level is min(index + 1, MQ_CAP).  Memory no longer
@@ -155,8 +154,11 @@ def chunk_words(group, m_q):
     one word, 8 bytes for each of 3 entries per vertex of V_{m_q - birth}
     (the extended column t, t rotated and one product of the two) and 24
     per birth-cell (the kernels, their symmetric 3 x 3 form and one
-    ancestor's product with them).  At least one: every word is built by
-    its own matrix products, so the blocks do not depend on the chunks."""
+    ancestor's product with them).  Before them, the corner-table extension
+    that builds t holds about as much: its last table, 2 entries per vertex,
+    and the table and midpoints one level coarser, 2/3 each.  At least one:
+    every word is built by its own matrix products, so the blocks do not
+    depend on the chunks."""
     j = group.birth
     return max(1, CHUNK_BYTES // (8 * (3 * vertex_count(m_q - j) + 24 * (3**j + 1))))
 
@@ -186,20 +188,22 @@ def cell_weights(f_values, birth, m_q):
 
 
 def corner_column(group, m_q):
-    """t, (vertices of V_{m_q - birth}, G): the decimation extension of the
+    """t, (G, vertices of V_{m_q - birth}): the decimation extension of the
     unit vector of the corner q_1 of V_0 with each word's gammas at
-    birth + 1 .. m_q, one word a column.  Extension writes each new vertex
-    of a cell from that cell's three corners alone, so inside a birth-cell
+    birth + 1 .. m_q, one word a row.  Extension writes each new vertex of
+    a cell from that cell's three corners alone, so inside a birth-cell
     every eigenfunction of a word on V_{m_q} is its T, the extensions of
     the three corner unit vectors, times its values at the cell's corners.
     The rule is symmetric in a cell's corners, and IEEE addition commutes,
     so column b of T is t read through the rotation by -b steps,
-    `rotation(m_q - birth)[-b]`, bit for bit: only t is extended."""
-    j = group.birth
-    t = np.broadcast_to(np.eye(3)[:, :1], (3, len(group)))
-    for level in range(1, m_q - j + 1):
-        t = extend_eigenfunction(t, level, group.gamma(j + level))
-    return t
+    `rotation(m_q - birth)[-b]`, bit for bit: only t is extended, as a
+    (G, cells, 3) corner table."""
+    gammas = group.gammas_through(m_q)[:, 1:]  # gamma_{birth+1} .. gamma_{m_q}
+    refuse_forbidden(gammas)
+    table = np.broadcast_to(np.eye(3)[0], (len(group), 1, 3))
+    for gamma in gammas.T:
+        table = child_corners(table, midpoints(table, gamma))
+    return vertex_values(table, level_topology(m_q - group.birth))
 
 
 def cell_kernels(weights, t, n):
@@ -210,12 +214,11 @@ def cell_kernels(weights, t, n):
     is t^2 and K_C[a, a + 1] is t t[rot_2] against w rotated by a.  Each
     word's products are their own matrix products, so its kernels do not
     depend on the other words."""
-    g = t.shape[1]
-    kernels = np.empty((g, len(weights[0]), len(_PAIRS)))
-    product = np.empty((g, len(t)))  # one word a row
+    kernels = np.empty((len(t), len(weights[0]), len(_PAIRS)))
+    product = np.empty(t.shape)  # one word a row
     # the entries of `_PAIRS` at (a, a), and then at (a, a + 1 mod 3), for a = 0, 1, 2
-    for pairs, other in (((0, 3, 5), t), ((1, 4, 2), t[rotation(n)[2]])):
-        np.multiply(t.T, other.T, out=product)
+    for pairs, other in (((0, 3, 5), t), ((1, 4, 2), t[:, rotation(n)[2]])):
+        np.multiply(t, other, out=product)
         for p, slab in zip(pairs, weights):
             kernels[..., p] = np.matmul(slab, product[..., None])[..., 0]
     return kernels
@@ -298,7 +301,7 @@ def recursive_kernels(group, f, level, m_q):
     an f harmonic inside every cell of the given level, L >= birth, by the
     self-similar recursion, with no table of V_{m_q}: (G, 3^birth + 1, 6), the
     last row the kernels of f = 1.  Refuses a forbidden gamma as
-    `extend_eigenfunction` does.
+    `corner_column` does.
 
     Inside an L-cell D, f is the harmonic function of its corner values h
     from `f.cell_corners` but at D's corners, where the sample takes s, so
@@ -453,7 +456,7 @@ def basis_columns(group, m_q):
     j, g, n = group.birth, len(group), m_q - group.birth
     t = corner_column(group, m_q)
     rot = rotation(n)
-    extended = np.stack([t, t[rot[2]], t[rot[1]]], axis=-1)  # (vertices of V_n, G, 3)
+    extended = np.stack([t, t[:, rot[2]], t[:, rot[1]]], axis=-1)  # (G, vertices of V_n, 3)
     # the row of f = 1 of `cell_weights`, the same in every rotation
     share = np.where(level_topology(n).boundary_mask, 0.5, 1.0)[None]
     ones = cell_kernels([share] * 3, t, n)[:, 0]
@@ -467,12 +470,12 @@ def basis_columns(group, m_q):
     start = 0
     for (k, u, _), scale in zip(corners, column_scales(ones, corners, m_q)):
         c = u.shape[-1]
-        # (vertices of V_n, G, birth-cells of a depth-k cell, c)
+        # (G, vertices of V_n, birth-cells of a depth-k cell, c)
         values = (extended.reshape(-1, 3) @ u.transpose(1, 0, 2).reshape(3, -1)).reshape(
-            -1, g, len(u), c) * scale[:, None, :]
+            g, -1, len(u), c) * scale[:, None, None, :]
         columns = start + np.arange(3**k)[:, None] * c + np.arange(c)
         out[:, target.reshape(3**k, len(u), -1)[..., None], columns[:, None, None]] = \
-            values.transpose(1, 2, 0, 3)[:, None]
+            values.transpose(0, 2, 1, 3)[:, None]
         start += 3**k * c
     return out[:, :-1]
 
@@ -587,17 +590,18 @@ def reference_integral(f, func, level):
     cells' edges.  Each level-cell carries mass 3^-level split over its three
     corners, and every vertex but the three corners of V_0 lies in two.  A
     harmonic f builds no table at all: each (level - 1)-cell gives its
-    corners (`cell_corners`) and its midpoints by the harmonic rule."""
+    corners (`cell_corners`) and its midpoints by the harmonic rule of
+    `laplacian.midpoints`."""
     if hasattr(f, "cell_integral"):
         return f.cell_integral(func)
     if hasattr(f, "cell_corners"):
         corners = f.cell_corners(level - 1)[1]
-        total = np.sum(func(corners)) + 2.0 * np.sum(func(harmonic_midpoints(corners)))
+        total = np.sum(func(corners)) + 2.0 * np.sum(func(midpoints(corners, 0.0)))
     else:
         topo = level_topology(level - 1)
         values = f.sample(topo)
         total = np.where(topo.boundary_mask, 1.0, 2.0) @ func(values)
-        total += 2.0 * np.sum(func(f.midpoints(topo, values)))
+        total += 2.0 * np.sum(func(f.midpoints(topo)))
     return float(total * 3.0 ** (-level) / 3.0)
 
 
@@ -720,10 +724,10 @@ def szego_sweep(f, mode, indices, scale, series=SERIES_SIX, m_q=None):
 
 def fit_rate(records):
     """OLS fit of log error against log dimension; returns (exponent, r2)
-    where error ~ dimension^(-exponent), or (None, None) when fewer than two
-    records have a positive error."""
+    where error ~ dimension^(-exponent), or (None, None) when the records
+    with a positive error have fewer than two distinct dimensions."""
     pts = [(r.dimension, r.error) for r in records if r.error > 0.0]
-    if len(pts) < 2:
+    if len({d for d, _ in pts}) < 2:
         return None, None
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])

@@ -1,7 +1,7 @@
 """Subspace comparison, oracle constructions, the dense Laplacian and
-compressed-operator forms, a sum of multipliers, the lattice-key vertex
-tables and lookup, and the matrix form of the resistance walk, shared by the
-tests."""
+compressed-operator forms, a sum of multipliers, the vertex-order extension,
+the lattice-key vertex tables and lookup, and the matrix form of the
+resistance walk, shared by the tests."""
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -10,9 +10,9 @@ from itertools import product
 import numpy as np
 
 from sgszego.decimation import (_BIRTH_GAMMA, JUNCTION_SV_MIN, LAMBDA_TAIL, SERIES_FIVE,
-                                SERIES_SIX, SERIES_TWO, extend_eigenfunction, make_groups,
-                                remainder, series_multiplicity)
-from sgszego.laplacian import _interior_neighbours, extend_values, extension_maps
+                                SERIES_SIX, SERIES_TWO, make_groups, refuse_forbidden, remainder,
+                                series_multiplicity)
+from sgszego.laplacian import _interior_neighbours
 from sgszego.szego import (CompressedOperator, TreeBlocks, column_cells, dense_blocks,
                            localized_columns)
 from sgszego.topology import (_CORNER_KEYS, SQRT3, cell_embedding, interior_count,
@@ -33,12 +33,63 @@ class FunctionSum:
     def sample(self, topo):
         return self.first.sample(topo) + self.second.sample(topo)
 
-    def midpoints(self, topo, values):
+    def midpoints(self, topo):
         """The sum's values at the midpoints of the topo-level cells' edges,
         read off a sample one level finer (`functions.HarmonicFunction`)."""
         fine = level_topology(topo.m + 1)
         # V_1 in topology order is q1, m12, m13, q2, m23, q3
         return self.sample(fine)[cell_embedding(topo.m + 1, topo.m)[:, [4, 2, 1]]]
+
+
+# The vertex-order extension that the corner tables of `laplacian.midpoints`
+# and `laplacian.child_corners` replaced, kept as their oracle: a level's
+# values scattered into V_k through index maps read off `cell_embedding`.
+
+@lru_cache(maxsize=None)
+def extension_maps(k):
+    """Index arrays for extending a function from V_{k-1} to V_k.
+
+    Returns (parent_corner, child_corner, child_mid): each (3^(k-1), 3); the
+    mid column r holds the new vertex opposite corner r+1 of the parent cell.
+    """
+    # V_1 in topology order is q1, m12, m13, q2, m23, q3 (m_pq the midpoint of
+    # edge pq): columns 0, 3, 5 are the corners, 4, 2, 1 the opposite midpoints
+    embedding = cell_embedding(k, k - 1)
+    return level_topology(k - 1).cell_vertices, embedding[:, [0, 3, 5]], embedding[:, [4, 2, 1]]
+
+
+def extend_values(values, k, gamma_k):
+    """Extend values from V_{k-1} to V_k by the eigenvalue-gamma_k rule.
+
+    `values` has leading axis over the V_{k-1} vertices (extra axes allowed).
+    New vertex on edge (p, q) of a (k-1)-cell with opposite corner r gets
+    ((4 - g)(u(p) + u(q)) + 2 u(r)) / ((2 - g)(5 - g)), in place in that
+    order.  `gamma_k` is a scalar, or one gamma per slice of axis 1 of
+    `values` shaped (vertices, G, ...).
+    """
+    parent_corner, child_corner, child_mid = extension_maps(k)
+    values = np.asarray(values, dtype=float)
+    out = np.zeros((level_topology(k).n_vertices,) + values.shape[1:])
+    gamma_k = np.asarray(gamma_k, dtype=float)
+    if gamma_k.ndim:  # one gamma per slice of axis 1, broadcast over the axes after it
+        gamma_k = gamma_k.reshape(gamma_k.shape + (1,) * (values.ndim - 2))
+    u = [values[parent_corner[:, c]] for c in range(3)]
+    for c in range(3):
+        out[child_corner[:, c]] = u[c]
+    for r, (p, q) in zip((0, 1, 2), ((1, 2), (0, 2), (0, 1))):
+        mid = u[p] + u[q]
+        mid *= 4.0 - gamma_k
+        mid += 2.0 * u[r]
+        mid /= (2.0 - gamma_k) * (5.0 - gamma_k)
+        out[child_mid[:, r]] = mid
+    return out
+
+
+def extend_eigenfunction(values, k, gamma_k):
+    """`extend_values`, refusing the forbidden gammas 2, 5 and 6 in any
+    slice as `decimation.refuse_forbidden` does."""
+    refuse_forbidden(gamma_k)
+    return extend_values(values, k, gamma_k)
 
 
 # The vertex identification that `topology.LevelTopology` replaced by its
@@ -634,7 +685,7 @@ def _level_couplings(f, basis, i):
 
 
 def _extend_long(values, k, gammas):
-    """`laplacian.extend_values` in long double for (vertices, G, ...)
+    """`extend_values` in long double for (vertices, G, ...)
     values, one gamma per slice of axis 1."""
     parent, corner, mid = extension_maps(k)
     out = np.empty((level_topology(k).n_vertices,) + values.shape[1:], dtype=np.longdouble)

@@ -391,6 +391,19 @@ def test_single_record_summary_is_strict_json(tmp_path):
     assert summary["results"]["r_squared"] is None
 
 
+def test_one_distinct_dimension_fits_no_rate(tmp_path, capfd):
+    # two records of the same j have one dimension between them: no line to
+    # fit, and no warning of a degenerate fit on stderr
+    out = tmp_path / "same"
+    argv = [{"mode": "single", "j": [3, 3], "N": 1, "f": "simple:1.5,2.5,1.2"}, "szego",
+            "--out", str(out)]
+    assert _run(_with_config(argv, tmp_path)) == 0
+    assert capfd.readouterr().err == ""
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert results["records"] == 2
+    assert results["fitted_exponent"] is None and results["r_squared"] is None
+
+
 def test_numerical_failure_exit_3(tmp_path, capsys):
     out = tmp_path / "bad"
     # f changes sign on the gasket, so the compressed operator cannot be

@@ -14,8 +14,9 @@ from sgszego import szego as sz
 from sgszego import topology as top
 
 from subspaces import (cached_dense_spectrum, cell_tree, corner_normal_derivatives,
-                       dirichlet_laplacian, eigenfunctions_at_level, five_series_remainder,
-                       index_of, lattice_keys, on_level, on_vertices, one_word,
+                       dirichlet_laplacian, eigenfunctions_at_level, extend_eigenfunction,
+                       extend_values, extension_maps, five_series_remainder, index_of,
+                       lattice_keys, on_level, on_vertices, one_word,
                        principal_angle_gap, reference_laplacian, scalar_spectrum,
                        six_series_birth_by_qr, six_series_remainder_by_solve,
                        topology_junction_nullspace)
@@ -171,12 +172,12 @@ def test_extension_zero_and_linearity():
     rng = np.random.default_rng(3)
     n = top.level_topology(2).n_vertices
     gamma = 1.2
-    zero = dec.extend_eigenfunction(np.zeros(n), 3, gamma)
+    zero = extend_eigenfunction(np.zeros(n), 3, gamma)
     assert np.all(zero == 0.0)
     u = rng.normal(size=n)
     v = rng.normal(size=n)
-    left = dec.extend_eigenfunction(2.0 * u - 3.0 * v, 3, gamma)
-    right = 2.0 * dec.extend_eigenfunction(u, 3, gamma) - 3.0 * dec.extend_eigenfunction(v, 3, gamma)
+    left = extend_eigenfunction(2.0 * u - 3.0 * v, 3, gamma)
+    right = 2.0 * extend_eigenfunction(u, 3, gamma) - 3.0 * extend_eigenfunction(v, 3, gamma)
     assert left == pytest.approx(right, abs=1e-12)
 
 
@@ -184,15 +185,15 @@ def test_extension_forbidden_gamma():
     n = top.level_topology(1).n_vertices
     for bad in (2.0, 5.0, 6.0):
         with pytest.raises(ValueError):
-            dec.extend_eigenfunction(np.zeros(n), 2, bad)
+            extend_eigenfunction(np.zeros(n), 2, bad)
 
 
 def test_extension_refuses_a_forbidden_gamma_in_any_slice():
     # one gamma per slice of axis 1: a single forbidden one refuses the stack
     values = np.zeros((top.level_topology(2).n_vertices, 4, 2))
     with pytest.raises(ValueError):
-        dec.extend_eigenfunction(values, 3, [1.2, 0.3, 5.0, 3.1])
-    extended = dec.extend_eigenfunction(values, 3, [1.2, 0.3, 4.9, 3.1])
+        extend_eigenfunction(values, 3, [1.2, 0.3, 5.0, 3.1])
+    extended = extend_eigenfunction(values, 3, [1.2, 0.3, 4.9, 3.1])
     assert extended.shape == (top.level_topology(3).n_vertices, 4, 2)
 
 
@@ -201,7 +202,7 @@ def test_extension_of_birth_eigenvector():
     # (5 - sqrt 5)/2 eigenvector of -Delta_2
     vals = on_level(dec.remainder("five", 1), 1)
     g2 = dec.gamma_step(5.0, -1)
-    ext = dec.extend_eigenfunction(vals, 2, g2)
+    ext = extend_eigenfunction(vals, 2, g2)
     for c in range(ext.shape[1]):
         assert lap.eigen_residual(2, ext[:, c], g2) < 1e-9
 
@@ -262,7 +263,7 @@ def test_six_series_birth_from_known_gram(j):
     # the Gram matrix of the gamma = 6 extensions of the interior unit vectors
     # of V_{j-1} is (6 I + L_{j-1}) / 4, with L_{j-1} = -Delta_{j-1}
     unit = np.eye(parent.n_vertices)[:, parent.interior_indices]
-    ext = lap.extend_values(unit, j, 6.0)[topo.interior_indices]
+    ext = extend_values(unit, j, 6.0)[topo.interior_indices]
     d = top.interior_count(j - 1)
     gram = (6.0 * np.eye(d) + dirichlet_laplacian(j - 1)) / 4.0
     assert np.max(np.abs(ext.T @ ext - gram)) <= 1e-14
@@ -457,7 +458,7 @@ def test_eigenfunctions_at_level_residuals():
 
 def test_extension_touches_linear_work():
     # one extension step allocates exactly the target level's vertex count
-    out = dec.extend_eigenfunction(np.zeros(top.level_topology(3).n_vertices), 4, 1.3)
+    out = extend_eigenfunction(np.zeros(top.level_topology(3).n_vertices), 4, 1.3)
     assert out.shape[0] == top.level_topology(4).n_vertices
 
 
@@ -487,5 +488,5 @@ def _vertex_key_extension_maps(k):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_extension_maps_match_vertex_keys(k):
-    for mine, ref in zip(lap.extension_maps(k), _vertex_key_extension_maps(k)):
+    for mine, ref in zip(extension_maps(k), _vertex_key_extension_maps(k)):
         assert np.array_equal(mine, ref)

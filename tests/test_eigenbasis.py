@@ -13,8 +13,8 @@ from sgszego.functions import HarmonicFunction, SimpleCellFunction
 
 from subspaces import (cached_dense_spectrum, complement_by_qr, corner_normal_derivatives,
                        dense_matrix, dirichlet_laplacian, eigenfunctions_at_level,
-                       eigenspace_vectors, index_of, interior_cell_rows, principal_angle_gap,
-                       scale_cells)
+                       eigenspace_vectors, extend_values, index_of, interior_cell_rows,
+                       principal_angle_gap, scale_cells)
 
 
 def _dense_eigenspace(group, m_q):
@@ -367,7 +367,7 @@ def _canonical_remainder(group, m_q, scale):
     solved = np.linalg.solve(gram, np.eye(len(gram))[:, select])
     coeffs = np.zeros((parent.n_vertices, len(select)))
     coeffs[parent.interior_indices] = solved @ np.linalg.inv(np.linalg.cholesky(solved[select])).T
-    expected = eigenfunctions_at_level(group, m_q, lap.extend_values(coeffs, j, 6.0))[:, 0]
+    expected = eigenfunctions_at_level(group, m_q, extend_values(coeffs, j, 6.0))[:, 0]
     return expected / np.sqrt(top.interior_weight(m_q) * np.sum(expected**2, axis=0))
 
 

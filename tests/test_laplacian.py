@@ -9,8 +9,8 @@ from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.functions import HarmonicFunction
 
-from subspaces import (cached_dense_spectrum, dirichlet_laplacian, matrix_walk_resistance,
-                       reference_laplacian)
+from subspaces import (cached_dense_spectrum, dirichlet_laplacian, extend_values, extension_maps,
+                       matrix_walk_resistance, reference_laplacian)
 
 
 def test_level_one_matrix():
@@ -90,16 +90,16 @@ def test_stacked_extension_is_the_scalar_extension_per_slice(k, G):
     rng = np.random.default_rng(100 * k + G)
     values = rng.normal(size=(top.level_topology(k - 1).n_vertices, G, 3))
     gammas = rng.uniform(0.0, 6.2, size=G)
-    stacked = lap.extend_values(values, k, gammas)
+    stacked = extend_values(values, k, gammas)
     assert np.array_equal(stacked, np.stack(
-        [lap.extend_values(values[:, g], k, gammas[g]) for g in range(G)], axis=1))
+        [extend_values(values[:, g], k, gammas[g]) for g in range(G)], axis=1))
 
 
 def _extend_values_by_expression(values, k, gamma_k):
     """Reference for `extend_values`: every midpoint column as the one
     expression ((4 - g)(u_p + u_q) + 2 u_r) / ((2 - g)(5 - g)) over strided
     corner views, the form the in-place kernel must match bit for bit."""
-    parent_corner, child_corner, child_mid = lap.extension_maps(k)
+    parent_corner, child_corner, child_mid = extension_maps(k)
     out = np.zeros((top.level_topology(k).n_vertices,) + values.shape[1:])
     out[child_corner.ravel()] = values[parent_corner.ravel()]
     gamma_k = np.asarray(gamma_k, dtype=float)
@@ -131,49 +131,51 @@ def test_extend_values_is_the_expression_bit_for_bit(k, G):
     scalars = [0.0, 6.0] + list(rng.uniform(0.0, 6.2, size=3)) + _minus_six_family(5)
     values = rng.normal(size=(n, G, 3))
     for gamma in scalars:
-        assert np.array_equal(lap.extend_values(values[:, 0, 0], k, gamma),
+        assert np.array_equal(extend_values(values[:, 0, 0], k, gamma),
                               _extend_values_by_expression(values[:, 0, 0], k, gamma))
-        assert np.array_equal(lap.extend_values(values, k, gamma),
+        assert np.array_equal(extend_values(values, k, gamma),
                               _extend_values_by_expression(values, k, gamma))
     for gammas in (rng.uniform(0.0, 6.2, size=G), (_minus_six_family(8) * G)[:G]):
-        assert np.array_equal(lap.extend_values(values, k, gammas),
+        assert np.array_equal(extend_values(values, k, gammas),
                               _extend_values_by_expression(values, k, gammas))
 
 
-@pytest.mark.parametrize("slab", [1, 7, 64, 1 << 40])
-def test_extend_values_in_slabs_is_the_expression_bit_for_bit(monkeypatch, slab):
-    # any slab of cells, and inputs that are views: a broadcast over the
-    # stack, as the first extension of a birth group gets, and a transpose
-    monkeypatch.setattr(lap, "EXTEND_SLAB", slab)
-    rng = np.random.default_rng(slab % 1000)
-    n = top.level_topology(4).n_vertices
-    gammas = rng.uniform(0.0, 6.2, size=5)
-    for values in (rng.normal(size=(n, 5, 2)),
-                   np.broadcast_to(rng.normal(size=(n, 1, 2)), (n, 5, 2)),
-                   rng.normal(size=(2, 5, n)).T,
-                   rng.normal(size=n)):
-        gamma = gammas if values.ndim > 1 else gammas[0]
-        expected = _extend_values_by_expression(values, 5, gamma)
-        assert np.array_equal(lap.extend_values(values, 5, gamma), expected)
+@pytest.mark.parametrize("gammas", ["scalar", "per word", "zero"])
+@pytest.mark.parametrize("G", [1, 3, 8])
+def test_corner_table_extension_is_the_vertex_extension_bit_for_bit(G, gammas):
+    # a function on V_0 as its corner table, (words, cells, 3), extended
+    # level by level by `midpoints` and `child_corners`, holds at every
+    # level the vertex-order extension's values at every cell's corners, and
+    # one gather at each vertex's canonical (cell, corner) name reads that
+    # extension off, bit for bit: with one scalar gamma per level, with one
+    # gamma per word, and at gamma = 0 on a table with no words axis, as a
+    # harmonic function's
+    rng = np.random.default_rng(G)
+    values = rng.normal(size=3) if gammas == "zero" else rng.normal(size=(3, G))
+    table = values.T[..., None, :]
+    for k in range(1, 9):
+        gamma = {"scalar": rng.uniform(0.0, 6.2), "per word": rng.uniform(0.0, 6.2, size=G),
+                 "zero": 0.0}[gammas]
+        table = lap.child_corners(table, lap.midpoints(table, gamma))
+        values = extend_values(values, k, gamma)
+        topo = top.level_topology(k)
+        assert table.shape == values.T.shape[:-1] + (3**k, 3)
+        assert np.array_equal(table, values.T[..., topo.cell_vertices])
+        assert np.array_equal(lap.vertex_values(table, topo), values.T)
 
 
-def test_extend_values_peak_is_near_its_output():
-    # slabs of cells: beyond its output, an extension holds a few slabs of
-    # corner values, where gathering every cell's corners at once took two
-    # thirds of the output more
-    k, rng = 9, np.random.default_rng(9)
-    values = rng.normal(size=(top.level_topology(k - 1).n_vertices, 4, 3))
-    gammas = rng.uniform(0.0, 6.2, size=4)
-    lap.extend_values(values, k, gammas)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        out = lap.extend_values(values, k, gammas)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak - out.nbytes < 16 * 8 * lap.EXTEND_SLAB, (peak, out.nbytes)
-    assert peak - out.nbytes < out.nbytes / 4
+def test_midpoints_at_zero_are_the_harmonic_rule():
+    # ((a + b) 4 + 2 c) / 10 rounds as ((a + b) 2 + c) / 5, since scaling by
+    # 2 is exact; and `child_corners` keeps an integer table integer
+    corners = np.random.default_rng(5).normal(size=(4, 50, 3))
+    expected = corners[..., [1, 0, 0]] + corners[..., [2, 2, 1]]
+    expected *= 2.0
+    expected += corners
+    expected /= 5.0
+    assert np.array_equal(lap.midpoints(corners, 0.0), expected)
+    assert np.array_equal(lap.midpoints(corners, np.zeros(4)), expected)
+    rows = lap.child_corners(np.full((1, 3), 3), np.array([[2, 1, 0]]))
+    assert rows.dtype.kind == "i" and rows.tolist() == [[3, 0, 1], [0, 3, 2], [1, 2, 3]]
 
 
 def _dense_resistance(m):
@@ -199,9 +201,9 @@ def _green_matrix(m):
     green = np.zeros((3, 3))
     green[1:, 1:] = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
     for k in range(1, m + 1):
-        half = np.ascontiguousarray(lap.extend_values(green, k, 0.0).T)
-        green = lap.extend_values(half, k, 0.0)
-        mid = lap.extension_maps(k)[2]
+        half = np.ascontiguousarray(extend_values(green, k, 0.0).T)
+        green = extend_values(half, k, 0.0)
+        mid = extension_maps(k)[2]
         green[mid[:, :, None], mid[:, None, :]] += (3.0 / 5.0) ** k * (np.eye(3) + 0.5) / 5.0
     return green
 

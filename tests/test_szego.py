@@ -18,9 +18,9 @@ from sgszego.decimation import enumerate_spectrum
 from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFunction,
                                SimpleCellFunction)
 
-from subspaces import (FunctionSum, assemble_compressed, cell_tree, dense_matrix, index_of,
-                       interior_cell_rows, lattice_keys, long_double_basis, one_level, one_word,
-                       scale_cells)
+from subspaces import (FunctionSum, assemble_compressed, cell_tree, dense_matrix,
+                       extend_eigenfunction, index_of, interior_cell_rows, lattice_keys,
+                       long_double_basis, one_level, one_word, scale_cells)
 
 
 def test_identity_for_constant_one():
@@ -252,6 +252,8 @@ def test_fit_rate_on_synthetic_power_law():
     rate, r2 = sz.fit_rate(recs)
     assert rate == pytest.approx(0.7, abs=1e-10)
     assert r2 == pytest.approx(1.0, abs=1e-10)
+    # positive errors at one distinct dimension leave no line to fit
+    assert sz.fit_rate(recs[:1] * 2 + [dataclasses.replace(recs[2], error=0.0)]) == (None, None)
 
 
 def test_rate_exponents():
@@ -402,26 +404,25 @@ def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
     m_q = sz.sweep_plan("cutoff", [6], 1)[0][2]
     budget = 1 << 16  # splits the early-born groups of m = 6 at m_q = 7
     monkeypatch.setattr(sz, "CHUNK_BYTES", budget)
-    chunks = extensions = 0
+    chunks, steps = 0, []
     for group in groups:
         size = max(1, budget // _word_bytes(group, m_q))
         count = -(-len(group) // size)
-        assert [len(chunk) for chunk in sz.word_chunks(group, m_q)] == \
-            [size] * (count - 1) + [len(group) - size * (count - 1)]
+        sizes = [size] * (count - 1) + [len(group) - size * (count - 1)]
+        assert [len(chunk) for chunk in sz.word_chunks(group, m_q)] == sizes
         chunks += count
-        # T of each chunk is extended from V_0 to V_{m_q - birth}
-        extensions += count * (m_q - group.birth)
+        # T of each chunk is extended from V_0 to V_{m_q - birth}, one step
+        # a level on a (words, cells, 3) corner table
+        steps += [(words, 3**level, 3) for words in sizes for level in range(m_q - group.birth)]
         cell_tree(group.series, group.birth)  # the remainders, cached
     assert chunks > len(groups)
-    calls = {"extend_values": 0}
-    columns = []
-    original = dec.extend_values
+    tables = []
+    original = sz.midpoints
 
-    def counted(*args, **kwargs):
-        calls["extend_values"] += 1
-        columns.append(np.shape(args[0])[1:])
-        return original(*args, **kwargs)
-    monkeypatch.setattr(dec, "extend_values", counted)
+    def counted(corners, gamma):
+        tables.append(corners.shape)
+        return original(corners, gamma)
+    monkeypatch.setattr(sz, "midpoints", counted)
     entered = collections.Counter()
 
     def profile(frame, event, arg):
@@ -436,9 +437,8 @@ def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
     assert entered[sz.basis_columns.__code__] == 0
     assert len(op.blocks) == len(groups)
     assert [block.eigenspaces for block in op.blocks] == [len(group) for group in groups]
-    assert calls["extend_values"] == extensions, (calls, extensions)
-    # one corner column per word: the values extended are (vertices, words)
-    assert all(len(shape) == 1 for shape in columns), set(columns)
+    # one corner column per word, chunks x levels steps in all
+    assert tables == steps
 
 
 CHUNK_GROUPS = [("two", 1), ("five", 1), ("five", 2), ("six", 3), ("five", 4)]
@@ -501,7 +501,7 @@ def _three_corner_columns(group, m_q):
     `cell_kernels` built before it read two columns through the rotation."""
     t = np.broadcast_to(np.eye(3)[:, None], (3, len(group), 3))
     for level in range(1, m_q - group.birth + 1):
-        t = dec.extend_eigenfunction(t, level, group.gamma(group.birth + level))
+        t = extend_eigenfunction(t, level, group.gamma(group.birth + level))
     return t
 
 
@@ -509,7 +509,8 @@ def _three_corner_columns(group, m_q):
 def test_rotated_corner_columns_are_the_extended_ones(m):
     # the extension rule is symmetric in a cell's corners, so the columns of
     # q_2 and q_3 are that of q_1 read through the rotation by -1 and -2
-    # steps, bit for bit; and the kernels from one column and the rotated
+    # steps, bit for bit; the corner table's `corner_column` is the column
+    # of q_1, bit for bit; and the kernels from one column and the rotated
     # weights are those of the three columns within 1e-14 of their largest
     f = SAMPLED
     for m_q in (m, m + 1):
@@ -519,6 +520,7 @@ def test_rotated_corner_columns_are_the_extended_ones(m):
             rot = top.rotation(m_q - group.birth)
             assert np.array_equal(t[:, :, 1], t[rot[2], :, 0])
             assert np.array_equal(t[:, :, 2], t[rot[1], :, 0])
+            assert np.array_equal(sz.corner_column(group, m_q), t[:, :, 0].T)
             weights = sz.cell_weights(fvals, group.birth, m_q)
             old = np.stack([weights[0] @ (t[:, :, a] * t[:, :, b]) for a, b in sz._PAIRS], axis=-1)
             new = sz.cell_kernels(weights, sz.corner_column(group, m_q), m_q - group.birth)
@@ -628,16 +630,21 @@ def test_recursion_below_the_sampling_level_matches_the_sampled_kernels(f):
 def test_recursion_refuses_a_forbidden_gamma(bad):
     # a forbidden gamma below L, where the corner maps of the L-cells take
     # it, and above L, where the tensors do, is refused with the message of
-    # `extend_eigenfunction`
+    # the vertex-order extension, as the sampled kernels' `corner_column`
+    # refuses it
     with pytest.raises(ValueError) as expected:
-        dec.extend_eigenfunction(np.eye(3), 1, bad)
+        extend_eigenfunction(np.eye(3), 1, bad)
     group = sz._canonical_group("six", 3, 6)
     f = SimpleCellFunction(np.arange(1.0, 28.0))  # scale 3, so L = 3 or more
     for k in (4, 6):
         gammas = group.gammas.copy()
         gammas[:, k - group.birth] = bad
+        bad_group = dataclasses.replace(group, gammas=gammas)
         with pytest.raises(ValueError) as refused:
-            sz.recursive_kernels(dataclasses.replace(group, gammas=gammas), f, 5, 6)
+            sz.recursive_kernels(bad_group, f, 5, 6)
+        assert str(refused.value) == str(expected.value)
+        with pytest.raises(ValueError) as refused:
+            sz.corner_column(bad_group, 6)
         assert str(refused.value) == str(expected.value)
 
 
@@ -686,7 +693,6 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
         sys.setprofile(None)
     for name in ("cell_weights", "word_chunks", "corner_column", "cell_kernels"):
         assert entered[getattr(sz, name).__code__] == 0, name
-    assert entered[lap.extend_values.__code__] == 0
     assert entered[sz.recursive_kernels.__code__] == len(groups)
     assert entered[sz.remainder_corners.__wrapped__.__code__] > 0
     assert entered[sz.reference_integral.__code__] == 1
@@ -715,7 +721,7 @@ def test_reference_integral_reads_the_finer_level_off_the_cells(m_q):
     topo, fine = top.level_topology(m_q), top.level_topology(m_q + 1)
     midpoints = top.cell_embedding(m_q + 1, m_q)[:, [4, 2, 1]]
     expression = ExpressionFunction("1.5 + x * y + 0.3 * sin(7 * x)")
-    assert np.array_equal(expression.midpoints(topo, expression.sample(topo)),
+    assert np.array_equal(expression.midpoints(topo),
                           expression.sample(fine)[midpoints])
     assert not hasattr(HarmonicFunction, "midpoints")
     for f in (HarmonicFunction([1.2, 1.5, 1.9]), expression):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from sgszego import cli
-from sgszego import laplacian as lap
 from sgszego import topology as top
 
-from subspaces import cell_indicator, index_of, interior_cell_rows, lattice_keys, unique_key_tables
+from subspaces import (cell_indicator, extension_maps, index_of, interior_cell_rows, lattice_keys,
+                       unique_key_tables)
 
 # Reference for the lattice-key rule and the canonical vertex order: the
 # word-by-word key loop and the dict of representatives that the array build
@@ -130,7 +130,7 @@ def test_nesting(m):
     pmap = index_of(child, 2 * parent.keys)
     assert len(set(pmap.tolist())) == parent.n_vertices
     # the same pairing as the corner maps of the extension rule
-    parent_corner, child_corner, _ = lap.extension_maps(m)
+    parent_corner, child_corner, _ = extension_maps(m)
     assert np.array_equal(pmap[parent_corner], child_corner)
 
 
@@ -172,7 +172,7 @@ def test_cell_tables_match_key_search(m):
     if m:
         emb = _key_search_embedding(m, m - 1)
         expected = (top.level_topology(m - 1).cell_vertices, emb[:, [0, 3, 5]], emb[:, [4, 2, 1]])
-        for mine, ref in zip(lap.extension_maps(m), expected):
+        for mine, ref in zip(extension_maps(m), expected):
             assert np.array_equal(mine, ref)
 
 
