@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .laplacian import child_corners, child_maps
+from .laplacian import child_corners, midpoints
 from .topology import interior_count
 
 FORBIDDEN_GAMMAS = (2.0, 5.0, 6.0)
@@ -194,9 +194,10 @@ def refuse_forbidden(gammas):
     """Raises a ValueError if any of the gammas lies within 1e-12 of 2, 5 or
     6, where decimation extension (`laplacian.midpoints`) is no eigenfunction
     extension; an extension checks all its gammas before its first level."""
-    for bad in FORBIDDEN_GAMMAS:
-        if np.any(np.abs(np.asarray(gammas) - bad) < 1e-12):
-            raise ValueError(f"forbidden extension eigenvalue gamma = {bad}")
+    near = (np.abs(np.subtract.outer(gammas, FORBIDDEN_GAMMAS)) < 1e-12).reshape(-1, 3)
+    if near.any():  # one pass over the gammas; the first of 2, 5 and 6 that occurs is named
+        bad = FORBIDDEN_GAMMAS[near.any(axis=0).argmax()]
+        raise ValueError(f"forbidden extension eigenvalue gamma = {bad}")
 
 
 # smallest singular value of the 5-series junction matrix, relative to its
@@ -298,20 +299,19 @@ def six_series_corners(j):
     -Delta_{j-1} v = -6 v, so it is decimation extension from V_1 with
     gamma g_{j-k} at level k, g_1 = -6 and g_{d+1} = g_d (5 - g_d).
     G^-1 E = X S with X the extension of E, so Y = Ext(X) has Gram matrix
-    X^T G X = (E^T G^-1 E)^-1 = S, and R6(j) is Y chol(S^-1).  Each level
-    is one product with the `child_maps`, child i of the cell of rank r
-    having rank 3 r + i.  Every vertex of V_j but q_1, q_2, q_3 lies in two
-    j-cells, so S is half the corner products summed over the table, each
-    entry pairwise along a contiguous axis (as one matrix product, it left
-    the columns 7.8e-16 off the dense solve).
+    X^T G X = (E^T G^-1 E)^-1 = S, and R6(j) is Y chol(S^-1).  The three
+    columns are extended as one (3, cells, 3) corner table.  Every vertex of
+    V_j but q_1, q_2, q_3 lies in two j-cells, so S is half the corner
+    products summed over the table, each entry pairwise along a contiguous
+    axis (as one matrix product, it left the columns 7.8e-16 off the dense
+    solve).
     """
     gammas = [-6.0]
     while len(gammas) < j - 2:
         gammas.append(max(gammas[-1] * (5.0 - gammas[-1]), -GAMMA_CLAMP))
-    # a row per column and cell: the column's values at the cell's corners
-    table = _midpoint_table(np.eye(3)).transpose(2, 0, 1).reshape(-1, 3)
+    table = _midpoint_table(np.eye(3)).transpose(2, 0, 1)
     for gamma in [*reversed(gammas[:j - 2]), 6.0]:
-        table = (table @ child_maps(gamma).reshape(9, 3).T).reshape(-1, 3)
+        table = child_corners(table, midpoints(table, gamma))
     columns = table.reshape(3, -1)
     gram = np.array([[0.5 * np.sum(a * b) for b in columns] for a in columns])
     values = (columns.T @ np.linalg.cholesky(np.linalg.inv(gram))).reshape(3**j, 3, 3)

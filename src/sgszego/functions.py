@@ -95,9 +95,8 @@ class HarmonicFunction:
         return vertex_values(self.cell_corners(topo.m)[0], topo)
 
     def cell_corners(self, level):
-        """The values at every level-cell's corners by `midpoints` at gamma
-        = 0 from the boundary values; not by the child maps A_i(0), whose
-        float64 rows sum to 1 + 5.6e-17 and drift them up."""
+        """The values at every level-cell's corners, extended from the
+        boundary values by `midpoints` at gamma = 0."""
         corners = np.array([self.boundary_values])
         for _ in range(level):
             corners = child_corners(corners, midpoints(corners, 0.0))

@@ -2,9 +2,9 @@
 the cells of the topology, the extension rule of spectral decimation, and
 the effective resistance metric.
 
-A function is extended as its corner table (..., cells, 3), by `midpoints`
-and `child_corners` a level at a time, and read in vertex order at the end
-(`vertex_values`).
+A function is extended only as its corner table (..., cells, 3),
+`child_corners(table, midpoints(table, gamma))` a level at a time, and read
+in vertex order at the end (`vertex_values`).
 
 The resistance metric is answered pair by pair, with no n x n matrix.  The
 Green's matrix grounded at q_1 is G_m = sum_k P_k B_k P_k^T: P_k is harmonic
@@ -120,24 +120,11 @@ def vertex_values(table, topo):
     return table.reshape(table.shape[:-2] + (-1,))[..., 3 * topo.rank + topo.corner - 1]
 
 
-def child_maps(gamma):
-    """(..., 3, 3, 3) for gamma of shape (...): [..., i, :, :] is A_i(gamma),
-    the map from a cell's corner values to those of its child i by the rule
-    of `midpoints`.  Corner i of child i is the cell's corner i, and
-    corner t != i the midpoint of the edge (i, t), which takes (4 - g) /
-    ((2 - g)(5 - g)) of corners i and t and 2 / ((2 - g)(5 - g)) of the
-    opposite corner 3 - i - t.  A_i(0) restricts a harmonic function to
-    child i.  The rule divides by zero at gamma = 2 and 5."""
-    gamma = np.asarray(gamma, dtype=float)
-    denom = (2.0 - gamma) * (5.0 - gamma)
-    return corner_maps(np.ones_like(gamma), (4.0 - gamma) / denom, 2.0 / denom)
-
-
 def corner_maps(own, near, far):
-    """(..., 3, 3, 3), the entries of `child_maps` from their three values:
-    `own` where a child's corner is its cell's, `near` from the two ends of
-    a midpoint's edge, `far` from the corner opposite it; broadcast
-    against each other."""
+    """(..., 3, 3, 3): [..., i] maps a cell's corner values to its child i's,
+    `own` where a child's corner is its cell's, `near` from the two ends of a
+    midpoint's edge, `far` from the corner opposite it; `midpoints` at gamma
+    = 0, harmonic restriction, is (1, 0.4, 0.2)."""
     own, near, far = np.broadcast_arrays(own, near, far)
     maps = np.zeros(own.shape + (3, 3, 3))
     for i in range(3):

@@ -2,9 +2,9 @@
 multiplication operators compressed onto them, their log-determinants,
 spectral functionals, and the convergence and equidistribution experiments
 built on them.  The dense columns of a basis (`basis_columns`) and its
-compressed blocks (`tree_couplings`) are read off the same pieces: each
-word's extended corner column, the tree's corner values and the column
-norms from the kernel of f = 1."""
+compressed blocks (`tree_couplings`) are read off the same pieces: the
+tree's corner values, each word's gammas and the column norms from each
+word's kernel of f = 1 (`unit_kernels`)."""
 from __future__ import annotations
 
 import math
@@ -16,7 +16,7 @@ import numpy as np
 
 from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, enumerate_spectrum, make_groups,
                          refuse_forbidden, remainder)
-from .laplacian import child_corners, child_maps, corner_maps, midpoints, vertex_values
+from .laplacian import child_corners, corner_maps, midpoints, vertex_values
 from .topology import cell_embedding, interior_weight, level_topology, rotation, vertex_count
 
 # the default sampling level is min(index + 1, MQ_CAP).  Memory no longer
@@ -160,30 +160,19 @@ def chunk_words(group, m_q):
     every word is built by its own matrix products, so the blocks do not
     depend on the chunks."""
     j = group.birth
-    return max(1, CHUNK_BYTES // (8 * (3 * vertex_count(m_q - j) + 24 * (3**j + 1))))
-
-
-def word_chunks(group, m_q):
-    """The group in consecutive chunks of `chunk_words` words."""
-    size = chunk_words(group, m_q)
-    return [group[a:a + size] for a in range(0, len(group), size)]
+    return max(1, CHUNK_BYTES // (8 * (3 * vertex_count(m_q - j) + 24 * 3**j)))
 
 
 def cell_weights(f_values, birth, m_q):
-    """[w, w rotated by 1, w rotated by 2], three (3^birth + 1, vertices of
+    """[w, w rotated by 1, w rotated by 2], three (3^birth, vertices of
     V_{m_q - birth}) arrays: row C of w holds f on the birth-cell of rank C,
     read off the values on V_{m_q} through `cell_embedding`, times the share
-    c_x of the vertex, 1/2 at the cell's corners and 1 elsewhere, and the
-    last row holds the shares alone, f = 1.  A vertex of V_{m_q} off V_birth
-    lies in one birth-cell and an interior vertex of V_birth in two, so the
+    c_x of the vertex, 1/2 at the cell's corners and 1 elsewhere, so the
     rows sum each vertex once.  Rotated by s, w is read through
     `rotation(m_q - birth)[s]`; built once per group, for `cell_kernels`."""
     n = m_q - birth
-    share = np.where(level_topology(n).boundary_mask, 0.5, 1.0)
-    out = np.empty((3**birth + 1, len(share)))
-    np.take(f_values, cell_embedding(m_q, birth), out=out[:-1])
-    out[:-1] *= share
-    out[-1] = share
+    out = np.take(f_values, cell_embedding(m_q, birth))
+    out *= np.where(level_topology(n).boundary_mask, 0.5, 1.0)
     return [out] + [np.take(out, rotation(n)[s], axis=1) for s in (1, 2)]
 
 
@@ -254,7 +243,8 @@ def _recursion_tables():
                       conjugate(corner_maps(0.0, 1.0, 1.0), 1.0),
                       conjugate(corner_maps(0.0, 1.0, -2.0), 1.0)])
     # the terms u (x) v (x) H summed over the children, for each pair (u, v)
-    pairs = np.einsum("uixa,viyb,izc->uvxyzabc", terms, terms, child_maps(0.0)).reshape(3, 3, 27, 27)
+    harmonic = corner_maps(1.0, 0.4, 0.2)
+    pairs = np.einsum("uixa,viyb,izc->uvxyzabc", terms, terms, harmonic).reshape(3, 3, 27, 27)
     step = np.hstack([pairs[a, b] + pairs[b, a] if a != b else pairs[a, a]
                       for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))])
     start = 0.5 * np.einsum("cx,cy->xyc", to_corners, to_corners).ravel()
@@ -265,15 +255,16 @@ def _recursion_tables():
 def corner_tensors(gammas):
     """(W, 6, 3) for the rows gamma_{L+1} .. gamma_{m_q} of `gammas`, (W, n),
     one sign word a row: the tensor M[a, b, c] of an L-cell, over the pairs
-    (a, b) of `_PAIRS`, less its corner terms 1/2 delta_abc.
+    (a, b) of `_PAIRS`, less its corner terms 1/2 delta_abc; refuses a
+    forbidden gamma (`refuse_forbidden`).
 
     T, one per word, extends the cell's three corner unit vectors to its
     vertices of V_{m_q} with the word's gammas, and phi_c is the harmonic
     function of corner c, so M[a, b, c] = sum_x c_x phi_c(x) T[x, a] T[x, b],
     with the shares c_x of `cell_weights`.  A cell at m_q has its corners
     alone, so M = 1/2 delta_abc there.  Child i of a level-(l - 1) cell
-    takes its corner values by `child_maps`, A_i(gamma_l), and phi_c
-    restricts to it by A_i(0), so M at l - 1 is
+    takes its corner values by the map A_i(gamma_l) of `midpoints`
+    (`corner_maps`), and phi_c restricts to it by A_i(0), so M at l - 1 is
     sum_i (A_i(gamma_l) (x) A_i(gamma_l) (x) A_i(0))^T M at l, a vertex
     shared by two children taking half its share from each.
 
@@ -281,8 +272,7 @@ def corner_tensors(gammas):
     sum cancels: in corner values a word whose gamma comes within 1.4e-4 of
     5 after five small ones (a 2-series word of cutoff m=7 at m_q=10) lost
     9e-13 of its kernels' largest entry to rounding, and in these 1.3e-15."""
-    if not gammas.shape[1]:
-        return np.zeros((len(gammas), len(_PAIRS), 3))  # an m_q-cell has its corners alone
+    refuse_forbidden(gammas)
     start, step, back = _recursion_tables()
     s, r = gammas / (3.0 * (2.0 - gammas)), gammas / (15.0 * (5.0 - gammas))
     monomials = np.stack([np.ones_like(s), s, r, s * s, s * r, r * r], axis=-1)  # (W, n, 6)
@@ -296,41 +286,49 @@ def corner_tensors(gammas):
     return tensor.reshape(-1, 3, 3, 3)[:, rows, cols]
 
 
-def recursive_kernels(group, f, level, m_q):
-    """The `cell_kernels` of a birth group's words at sampling level m_q for
-    an f harmonic inside every cell of the given level, L >= birth, by the
-    self-similar recursion, with no table of V_{m_q}: (G, 3^birth + 1, 6), the
-    last row the kernels of f = 1.  Refuses a forbidden gamma as
-    `corner_column` does.
+def unit_kernels(tensors):
+    """(W, 6): the kernels of f = 1 of the cells whose `corner_tensors` are
+    `tensors`, sum_c (M - 1/2 delta)[:, :, c] + 1/2 on the diagonal.  The
+    harmonic functions of a cell's corners sum to 1, so the kernel of f = 1
+    is the word's alone: at the birth level it gives every column's norm."""
+    ones = tensors.sum(axis=-1)
+    ones[:, [0, 3, 5]] += 0.5
+    return ones
+
+
+def recursive_kernels(group, f, level, m_q, tensors):
+    """The `cell_kernels`, (G, 3^birth, 6), of a birth group's words at
+    sampling level m_q for an f harmonic inside every L-cell, L >= birth, by
+    the self-similar recursion, with no table of V_{m_q}; `tensors` are the
+    birth-cells' `corner_tensors`; a forbidden gamma it reads is refused.
 
     Inside an L-cell D, f is the harmonic function of its corner values h
     from `f.cell_corners` but at D's corners, where the sample takes s, so
     K_D = sum_c h_c M[:, :, c] + 1/2 sum_c (s_c - h_c) e_c e_c^T with the
     word's `corner_tensors` M; that is sum_c h_c (M - 1/2 delta)[:, :, c] +
     1/2 diag(s), which is 1/2 diag(s) bit for bit at L = m_q.  A birth-cell C
-    sums T_D^T K_D T_D over its L-cells D, T_D the `child_maps` products of
-    the word's gamma_{birth+1} .. gamma_L along D's address in C, the
-    values at D's corners of C's extended corner columns.  Unlike
-    `cell_weights`, f is not set to 0 at the corners of V_0: that changes
-    only K_C[a, a] of a corner a where every column vanishes."""
+    sums T_D^T K_D T_D over its L-cells D, T_D the values at D's corners of
+    C's corner unit vectors, a corner table extended with the word's
+    gamma_{birth+1} .. gamma_L.  Unlike `cell_weights`, f is not set to 0
+    at the corners of V_0: that changes only K_C[a, a] of a corner a where
+    every column vanishes."""
     birth, g = group.birth, len(group)
     if not birth <= level <= m_q:
         raise ValueError(f"kernel level {level} lies outside {birth}..{m_q}, "
                          "the birth and sampling levels")
     gammas = group.gammas_through(m_q)[:, 1:]  # gamma_{birth+1} .. gamma_{m_q}
-    refuse_forbidden(gammas)
-    tensors = corner_tensors(gammas[:, level - birth:])
+    if level > birth:
+        tensors = corner_tensors(gammas[:, level - birth:])
     harmonic, sampled = f.cell_corners(level)
-    # the L-cells of the f = 1 kernels, one birth-cell's worth after the others
-    ones = np.ones((3 ** (level - birth), 3))
-    kernels = np.matmul(np.vstack([harmonic, ones]), tensors.swapaxes(1, 2))
-    kernels[..., [0, 3, 5]] += 0.5 * np.vstack([sampled, ones])
+    kernels = np.matmul(harmonic, tensors.swapaxes(1, 2))
+    kernels[..., [0, 3, 5]] += 0.5 * sampled
     if level == birth:
         return kernels
-    corners = np.broadcast_to(np.eye(3), (g, 1, 3, 3))
-    for step in range(level - birth):
-        maps = child_maps(gammas[:, step])[:, None]  # (G, 1, 3, 3, 3)
-        corners = np.matmul(maps, corners[:, :, None]).reshape(g, -1, 3, 3)
+    refuse_forbidden(gammas[:, :level - birth])  # corner_tensors refused those past L
+    table = np.broadcast_to(np.eye(3)[:, None], (g, 3, 1, 3))  # (G, columns, cells, corners)
+    for gamma in gammas[:, :level - birth].T:
+        table = child_corners(table, midpoints(table, gamma[:, None]))
+    corners = table.transpose(0, 2, 3, 1)  # T_D, (G, L-cells, corners, columns)
     full = kernels[..., _SYMMETRIC].reshape((g, -1) + corners.shape[1:])
     full = np.matmul(corners.swapaxes(-1, -2)[:, None], full @ corners[:, None]).sum(axis=2)
     rows, cols = np.array(_PAIRS).T
@@ -380,17 +378,17 @@ def tree_corners(series, birth):
     return tuple(levels)
 
 
-def tree_couplings(kernels, corners, m_q):
-    """The `TreeBlocks` of a chunk of a birth group from its `cell_kernels`
-    and its `tree_corners`.  A column u_a is its part on V_birth, copied
-    into its cell, extended to V_{m_q} and divided by its quadrature norm,
-    so <f u_a, u_b> = w(m_q) sum_C u_a(C)^T K_C u_b(C) / (|u_a| |u_b|) over
-    the birth-cells C, u(C) the part's values at C's corners, and the norms
-    are the same sum with the kernel of f = 1.  Every product is one word's
-    own, so the blocks of a word do not depend on the chunk."""
+def tree_couplings(kernels, ones, corners, m_q):
+    """The `TreeBlocks` of a chunk of a birth group from its `cell_kernels`,
+    `unit_kernels` and `tree_corners`.  A column u_a is its part on V_birth,
+    copied into its cell, extended to V_{m_q} and divided by its quadrature
+    norm, so <f u_a, u_b> = w(m_q) sum_C u_a(C)^T K_C u_b(C) / (|u_a| |u_b|)
+    over the birth-cells C, u(C) the part's values at C's corners, and the
+    norms are the same sum with the kernel of f = 1.  Every product is one
+    word's own, so the blocks of a word do not depend on the chunk."""
     g, w = len(kernels), interior_weight(m_q)
-    cells = kernels[:, :-1, _SYMMETRIC]  # (G, birth-cells, 3, 3)
-    scales = column_scales(kernels[:, -1], corners, m_q)
+    cells = kernels[..., _SYMMETRIC]  # (G, birth-cells, 3, 3)
+    scales = column_scales(ones, corners, m_q)
     rows = [[] for _ in corners]
     for up, (k_up, u_up, _) in enumerate(corners):
         # (G, 3^k_up, birth-cells in each, 3, c_up): K_C times the ancestor's corner values
@@ -446,36 +444,29 @@ def localized_columns(group, scale):
 
 def basis_columns(group, m_q):
     """(G, interior of V_{m_q}, d): the dense quadrature-orthonormal columns
-    of a birth group's eigenspaces, in the order of `column_cells`, whose
-    compressions `tree_couplings` forms.  Inside a birth-cell C a column is
-    T u(C) / |u|, with T the word's extended corner columns
-    (`corner_column`), u(C) its values at C's corners (`tree_corners`) and
-    |u| from the kernel of f = 1 (`column_scales`); the columns of a depth-k
-    cell take the same values in each of its birth-cells, and vanish off
-    its cell."""
-    j, g, n = group.birth, len(group), m_q - group.birth
-    t = corner_column(group, m_q)
-    rot = rotation(n)
-    extended = np.stack([t, t[:, rot[2]], t[:, rot[1]]], axis=-1)  # (G, vertices of V_n, 3)
-    # the row of f = 1 of `cell_weights`, the same in every rotation
-    share = np.where(level_topology(n).boundary_mask, 0.5, 1.0)[None]
-    ones = cell_kernels([share] * 3, t, n)[:, 0]
-    corners = tree_corners(group.series, j)
+    of a birth group's eigenspaces in the order of `column_cells`, whose
+    compressions `tree_couplings` forms: the cell tree, extended and placed.
+    Each depth's corner table (`tree_corners`) is extended with each word's
+    gamma_{birth+1} .. gamma_{m_q}, divided by its norms from the kernel of
+    f = 1 and written into every cell of the depth, and nowhere else."""
+    g, gammas = len(group), group.gammas_through(m_q)[:, 1:]
+    corners = tree_corners(group.series, group.birth)
+    scales = column_scales(unit_kernels(corner_tensors(gammas)), corners, m_q)
     topo = level_topology(m_q)
-    inside = len(topo.interior_indices)
-    # each birth-cell's vertices as interior rows of V_{m_q}, the corners of
-    # V_0, where every column vanishes, on a row past them
-    target = np.where(topo.boundary_mask, inside, topo.interior_row)[cell_embedding(m_q, j)]
-    out = np.zeros((g, inside + 1, sum(3**k * u.shape[-1] for k, u, _ in corners)))
+    # the interior rows, and the corners of V_0, where every column vanishes, on a last row
+    target = np.where(topo.boundary_mask, -1, topo.interior_row)
+    out = np.zeros((g, topo.n_vertices - 2, sum(3**k * u.shape[-1] for k, u, _ in corners)))
     start = 0
-    for (k, u, _), scale in zip(corners, column_scales(ones, corners, m_q)):
+    for (k, u, _), scale in zip(corners, scales):
         c = u.shape[-1]
-        # (G, vertices of V_n, birth-cells of a depth-k cell, c)
-        values = (extended.reshape(-1, 3) @ u.transpose(1, 0, 2).reshape(3, -1)).reshape(
-            g, -1, len(u), c) * scale[:, None, None, :]
+        table = np.broadcast_to(u.transpose(2, 0, 1), (g,) + u.shape[2:] + u.shape[:2])
+        for gamma in gammas.T:
+            table = child_corners(table, midpoints(table, gamma[:, None]))
+        values = vertex_values(table, level_topology(m_q - k))  # (G, c, vertices of V_{m_q - k})
+        values *= scale[..., None]
         columns = start + np.arange(3**k)[:, None] * c + np.arange(c)
-        out[:, target.reshape(3**k, len(u), -1)[..., None], columns[:, None, None]] = \
-            values.transpose(0, 2, 1, 3)[:, None]
+        out[:, target[cell_embedding(m_q, k)][..., None], columns[:, None]] = \
+            values.swapaxes(1, 2)[:, None]
         start += 3**k * c
     return out[:, :-1]
 
@@ -505,24 +496,25 @@ def compressed_operator(f, groups, m_q, scale):
     for group in groups:
         localized += len(group) * localized_columns(group, scale)
         corners = tree_corners(group.series, group.birth)
+        tensors = corner_tensors(group.gammas_through(m_q)[:, 1:])  # of the birth-cells
         if recursive:
-            kernels = recursive_kernels(group, f, max(group.birth, f.scale), m_q)
-            blocks.append(tree_couplings(kernels, corners, m_q))
+            kernels = recursive_kernels(group, f, max(group.birth, f.scale), m_q, tensors)
+            blocks.append(tree_couplings(kernels, unit_kernels(tensors), corners, m_q))
         else:
-            blocks.append(sampled_blocks(fvals, group, corners, m_q))
+            blocks.append(sampled_blocks(fvals, group, unit_kernels(tensors), corners, m_q))
     if not all(np.isfinite(rows).all() for group in blocks for rows in group.couplings):
         raise FunctionalValueError(f"f={f.label()} compressed at level {m_q} has non-finite entries")
     return CompressedOperator(blocks=tuple(blocks), localized=localized, level=m_q)
 
 
-def sampled_blocks(f_values, group, corners, m_q):
+def sampled_blocks(f_values, group, ones, corners, m_q):
     """The `TreeBlocks` of a birth group for f given by its values on
-    V_{m_q}: `cell_kernels` and `tree_couplings` of each of its
-    `word_chunks`, stacked into the group's blocks."""
+    V_{m_q}: `tree_couplings` of each chunk of `chunk_words` words, from its
+    `cell_kernels` and its slice of the group's `unit_kernels` `ones`."""
     weights = cell_weights(f_values, group.birth, m_q)
-    n = m_q - group.birth
-    chunks = [tree_couplings(cell_kernels(weights, corner_column(chunk, m_q), n), corners, m_q)
-              for chunk in word_chunks(group, m_q)]
+    n, size = m_q - group.birth, chunk_words(group, m_q)
+    chunks = [tree_couplings(cell_kernels(weights, corner_column(group[a:a + size], m_q), n),
+                             ones[a:a + size], corners, m_q) for a in range(0, len(group), size)]
     del weights  # before the chunks are stacked
     if len(chunks) == 1:
         return chunks[0]
@@ -618,7 +610,7 @@ def riemann_points(d):
 
 def equidistribution_compare(op, f, func):
     """Gap between the spectral average of F and the Riemann average of
-    F(f(s_k)) over the matched point set.
+    F(f(s_k)) over the matched point set, each refused if not finite.
 
     f is sampled once, at L = max(r, op.level).  Corner q_1 of an r-cell w is
     corner q_1 of the L-cell w1...1, and its value in that sample is exact:
@@ -630,7 +622,10 @@ def equidistribution_compare(op, f, func):
     topo = level_topology(level)
     values = f.sample(topo)[topo.cell_vertices[ranks * 3 ** (level - r), 0]]
     riemann = float(np.mean([func(v) for v in values.tolist()]))
-    return spectral, riemann, abs(spectral - riemann)
+    compared = spectral, riemann, abs(spectral - riemann)
+    if not all(map(math.isfinite, compared)):  # a mean of finite values may overflow
+        raise FunctionalValueError(f"F for f={f.label()} averages {compared}: not all finite")
+    return compared
 
 
 @dataclass

@@ -586,6 +586,22 @@ def test_functional_outside_its_domain_exit_3(functional, tmp_path):
     assert not (out / "equidist.csv").exists()
 
 
+@pytest.mark.parametrize("functional", ["expr:1e308", "expr:1e308*x"])
+def test_functional_average_overflow_exit_3(functional, tmp_path, capfd):
+    # every value of F is finite, so each passes its check, but their mean
+    # overflows; the averages are refused before any CSV or summary is written
+    out = tmp_path / "bad"
+    rc = _run(["equidist", "--mode", "single", "--j", "3", "--N", "1",
+               "--f", "harmonic:1,1.5,2", "--F", functional, "--out", str(out)])
+    assert rc == 3
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "numerical failure" and "not all finite" in record["detail"]
+    assert json.loads((out / "error.json").read_text()) == record
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_record_runtimes_in_summary_only(tmp_path):
     argv = ["szego", "--mode", "single", "--series", "six", "--j", "2..3",
             "--N", "1", "--f", "simple:1,2,3"]

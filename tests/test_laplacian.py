@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sgszego import decimation as dec
 from sgszego import laplacian as lap
 from sgszego import szego as sz
 from sgszego import topology as top
@@ -82,80 +83,70 @@ def test_dense_eigenpair_residuals(m):
         assert lap.eigen_residual(m, full, evals[k]) < 1e-9
 
 
+def _minus_six_family(count):
+    """g_1 = -6 and g_(d+1) = g_d (5 - g_d), clamped at -GAMMA_CLAMP: the
+    gammas of the 6-series remainder's extension (`six_series_corners`)."""
+    gammas = [-6.0]
+    while len(gammas) < count:
+        gammas.append(max(gammas[-1] * (5.0 - gammas[-1]), -dec.GAMMA_CLAMP))
+    return gammas
+
+
 @pytest.mark.parametrize("G", [1, 3, 8])
 @pytest.mark.parametrize("k", range(2, 7))
 def test_stacked_extension_is_the_scalar_extension_per_slice(k, G):
-    # one gamma per slice of axis 1 gives, bit for bit, the scalar call on
-    # that slice; the gammas cover both branches of the decimation map
+    # one gamma per word of a corner table gives, bit for bit, the scalar
+    # call on that word's slice; the gammas cover both branches of the
+    # decimation map
     rng = np.random.default_rng(100 * k + G)
-    values = rng.normal(size=(top.level_topology(k - 1).n_vertices, G, 3))
+    table = rng.normal(size=(G, 3 ** (k - 1), 3))
     gammas = rng.uniform(0.0, 6.2, size=G)
-    stacked = extend_values(values, k, gammas)
+    stacked = lap.child_corners(table, lap.midpoints(table, gammas))
     assert np.array_equal(stacked, np.stack(
-        [extend_values(values[:, g], k, gammas[g]) for g in range(G)], axis=1))
-
-
-def _extend_values_by_expression(values, k, gamma_k):
-    """Reference for `extend_values`: every midpoint column as the one
-    expression ((4 - g)(u_p + u_q) + 2 u_r) / ((2 - g)(5 - g)) over strided
-    corner views, the form the in-place kernel must match bit for bit."""
-    parent_corner, child_corner, child_mid = extension_maps(k)
-    out = np.zeros((top.level_topology(k).n_vertices,) + values.shape[1:])
-    out[child_corner.ravel()] = values[parent_corner.ravel()]
-    gamma_k = np.asarray(gamma_k, dtype=float)
-    if gamma_k.ndim:
-        gamma_k = gamma_k.reshape(gamma_k.shape + (1,) * (values.ndim - 2))
-    denom = (2.0 - gamma_k) * (5.0 - gamma_k)
-    u = values[parent_corner]
-    for r, (p, q) in zip((0, 1, 2), ((1, 2), (0, 2), (0, 1))):
-        out[child_mid[:, r]] = ((4.0 - gamma_k) * (u[:, p] + u[:, q]) + 2.0 * u[:, r]) / denom
-    return out
-
-
-def _minus_six_family(count):
-    """g_1 = -6 and g_(d+1) = g_d (5 - g_d): the gammas of the 6-series
-    remainder's extension."""
-    gammas = [-6.0]
-    while len(gammas) < count:
-        gammas.append(gammas[-1] * (5.0 - gammas[-1]))
-    return gammas
+        [lap.child_corners(table[g], lap.midpoints(table[g], gammas[g])) for g in range(G)]))
 
 
 @pytest.mark.parametrize("G", [1, 3, 8])
 @pytest.mark.parametrize("k", range(2, 8))
 def test_extend_values_is_the_expression_bit_for_bit(k, G):
+    # the midpoints that extend a corner table of level k - 1 are the one
+    # expression ((4 - g)(u_p + u_q) + 2 u_r) / ((2 - g)(5 - g)), bit for
+    # bit, at gammas of both branches of the decimation map, the harmonic 0,
+    # the birth 6 and the -6, -66, ... family up to its clamp, each scalar,
+    # and one per word
     rng = np.random.default_rng(10 * k + G)
-    n = top.level_topology(k - 1).n_vertices
-    # gammas of both branches of the decimation map, the harmonic 0, the
-    # birth 6 and the -6, -66, ... family
-    scalars = [0.0, 6.0] + list(rng.uniform(0.0, 6.2, size=3)) + _minus_six_family(5)
-    values = rng.normal(size=(n, G, 3))
-    for gamma in scalars:
-        assert np.array_equal(extend_values(values[:, 0, 0], k, gamma),
-                              _extend_values_by_expression(values[:, 0, 0], k, gamma))
-        assert np.array_equal(extend_values(values, k, gamma),
-                              _extend_values_by_expression(values, k, gamma))
-    for gammas in (rng.uniform(0.0, 6.2, size=G), (_minus_six_family(8) * G)[:G]):
-        assert np.array_equal(extend_values(values, k, gammas),
-                              _extend_values_by_expression(values, k, gammas))
+    table = rng.normal(size=(G, 3 ** (k - 1), 3))
+    family = _minus_six_family(8)
+    scalars = [0.0, 6.0] + list(rng.uniform(0.0, 6.2, size=3)) + family
+    for gamma in scalars + [rng.uniform(0.0, 6.2, size=G), np.roll(family, k)[:G]]:
+        g = np.reshape(gamma, np.shape(gamma) + (1,))  # one per row of each corner column
+        expected = np.stack([((4.0 - g) * (table[..., p] + table[..., q]) + 2.0 * table[..., r])
+                             / ((2.0 - g) * (5.0 - g))
+                             for r, (p, q) in enumerate(((1, 2), (0, 2), (0, 1)))], axis=-1)
+        assert np.array_equal(lap.midpoints(table, gamma), expected)
 
 
-@pytest.mark.parametrize("gammas", ["scalar", "per word", "zero"])
+@pytest.mark.parametrize("gammas", ["scalar", "per word", "zero", "six", "minus six",
+                                    "minus six per word"])
 @pytest.mark.parametrize("G", [1, 3, 8])
 def test_corner_table_extension_is_the_vertex_extension_bit_for_bit(G, gammas):
     # a function on V_0 as its corner table, (words, cells, 3), extended
     # level by level by `midpoints` and `child_corners`, holds at every
     # level the vertex-order extension's values at every cell's corners, and
     # one gather at each vertex's canonical (cell, corner) name reads that
-    # extension off, bit for bit: with one scalar gamma per level, with one
-    # gamma per word, and at gamma = 0 on a table with no words axis, as a
-    # harmonic function's
+    # extension off, bit for bit: with one scalar gamma per level of both
+    # branches of the decimation map, with one gamma per word, at the birth
+    # gamma 6, along the -6, -66, ... family up to its clamp at -1e100, and
+    # at gamma = 0 on a table with no words axis, as a harmonic function's
     rng = np.random.default_rng(G)
     values = rng.normal(size=3) if gammas == "zero" else rng.normal(size=(3, G))
     table = values.T[..., None, :]
+    family = _minus_six_family(8)
+    assert family[-1] == -dec.GAMMA_CLAMP
     for k in range(1, 9):
         gamma = {"scalar": rng.uniform(0.0, 6.2), "per word": rng.uniform(0.0, 6.2, size=G),
-                 "zero": 0.0}[gammas]
+                 "zero": 0.0, "six": 6.0, "minus six": family[k - 1],
+                 "minus six per word": np.roll(family, k)[:G]}[gammas]
         table = lap.child_corners(table, lap.midpoints(table, gamma))
         values = extend_values(values, k, gamma)
         topo = top.level_topology(k)

@@ -291,8 +291,9 @@ def test_constant_is_the_one_cell_simple_function(mode, tmp_path):
         topo = top.level_topology(level)
         assert np.array_equal(constant.sample(topo), simple.sample(topo))
     for group in enumerate_spectrum(3):
-        assert np.array_equal(sz.recursive_kernels(group, constant, group.birth, 4),
-                              sz.recursive_kernels(group, simple, group.birth, 4))
+        tensors = _birth_tensors(group, 4)
+        assert np.array_equal(sz.recursive_kernels(group, constant, group.birth, 4, tensors),
+                              sz.recursive_kernels(group, simple, group.birth, 4, tensors))
     # every field of a record but its wall time
     records = [[dataclasses.astuple(r)[:-1] for r in sz.szego_sweep(f, mode, range(2, 5), 1)]
                for f in (constant, simple)]
@@ -380,12 +381,18 @@ def test_basis_columns_match_the_long_double_extension():
         assert start == vectors.shape[2] and not vectors.any(), (group.series, group.birth)
 
 
+def _birth_tensors(group, m_q):
+    """The `corner_tensors` of a group's birth-cells, as
+    `compressed_operator` builds them for its kernels and norms."""
+    return sz.corner_tensors(group.gammas_through(m_q)[:, 1:])
+
+
 def _word_bytes(group, m_q):
     """Bytes of what compressing one sign word holds: the extended corner
     column t, t rotated and one product of the two, 3 entries per vertex of
     V_{m_q - birth}, and 24 per birth-cell for the kernels, their 3 x 3 form
     and one ancestor product."""
-    return 8 * (3 * top.vertex_count(m_q - group.birth) + 24 * (3**group.birth + 1))
+    return 8 * (3 * top.vertex_count(m_q - group.birth) + 24 * 3**group.birth)
 
 
 # an f that no cell level makes harmonic: its kernels are sampled on
@@ -409,7 +416,7 @@ def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
         size = max(1, budget // _word_bytes(group, m_q))
         count = -(-len(group) // size)
         sizes = [size] * (count - 1) + [len(group) - size * (count - 1)]
-        assert [len(chunk) for chunk in sz.word_chunks(group, m_q)] == sizes
+        assert sz.chunk_words(group, m_q) == size
         chunks += count
         # T of each chunk is extended from V_0 to V_{m_q - birth}, one step
         # a level on a (words, cells, 3) corner table
@@ -441,6 +448,19 @@ def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
     assert tables == steps
 
 
+def _chunk_sizes(monkeypatch):
+    """The word counts of the chunks that `sampled_blocks` extends from
+    here on, one per call of `corner_column`."""
+    sizes = []
+    original = sz.corner_column
+
+    def counted(group, m_q):
+        sizes.append(len(group))
+        return original(group, m_q)
+    monkeypatch.setattr(sz, "corner_column", counted)
+    return sizes
+
+
 CHUNK_GROUPS = [("two", 1), ("five", 1), ("five", 2), ("six", 3), ("five", 4)]
 
 
@@ -458,9 +478,9 @@ def test_chunked_group_is_bit_identical(monkeypatch, series, birth, m_q):
     for size in (len(group), 1, 2, 3):
         monkeypatch.setattr(sz, "CHUNK_BYTES", size * per_word)
         assert sz.chunk_words(group, m_q) == size
-        sizes = [len(chunk) for chunk in sz.word_chunks(group, m_q)]
-        assert sum(sizes) == len(group) and max(sizes) == min(size, len(group))
+        sizes = _chunk_sizes(monkeypatch)
         built[size] = sz.compressed_operator(f, [group], m_q, 1)
+        assert sum(sizes) == len(group) and max(sizes) == min(size, len(group))
     whole = built[len(group)]
     for size in (1, 2, 3):
         op = built[size]
@@ -482,13 +502,14 @@ def test_assembly_holds_one_level_and_one_ancestor_copy():
     topo = top.level_topology(8)
     fvals = SAMPLED.sample(topo)
     kernels = sz.cell_kernels(sz.cell_weights(fvals, 4, 8), sz.corner_column(group, 8), 4)
+    ones = sz.unit_kernels(_birth_tensors(group, 8))
     corners = sz.tree_corners("five", 4)
     assert len(corners) == 3
-    sz.tree_couplings(kernels, corners, 8)
+    sz.tree_couplings(kernels, ones, corners, 8)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sz.tree_couplings(kernels, corners, 8)
+        sz.tree_couplings(kernels, ones, corners, 8)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -619,8 +640,9 @@ def test_recursion_below_the_sampling_level_matches_the_sampled_kernels(f):
     for group, m_q in _recursion_cases():
         weights = sz.cell_weights(f.sample(top.level_topology(m_q)), group.birth, m_q)
         sampled = sz.cell_kernels(weights, sz.corner_column(group, m_q), m_q - group.birth)
+        tensors = _birth_tensors(group, m_q)
         for level in range(max(group.birth, f.scale), m_q + 1):
-            kernels = sz.recursive_kernels(group, f, level, m_q)
+            kernels = sz.recursive_kernels(group, f, level, m_q, tensors)
             assert kernels.shape == sampled.shape
             error = np.max(np.abs(kernels - sampled))
             assert error <= 1e-13 * np.max(np.abs(sampled)), (group.series, group.birth, m_q, level)
@@ -628,10 +650,11 @@ def test_recursion_below_the_sampling_level_matches_the_sampled_kernels(f):
 
 @pytest.mark.parametrize("bad", dec.FORBIDDEN_GAMMAS)
 def test_recursion_refuses_a_forbidden_gamma(bad):
-    # a forbidden gamma below L, where the corner maps of the L-cells take
+    # a forbidden gamma below L, where the corner tables of the L-cells take
     # it, and above L, where the tensors do, is refused with the message of
-    # the vertex-order extension, as the sampled kernels' `corner_column`
-    # refuses it
+    # the vertex-order extension, as the sampled kernels' `corner_column`,
+    # the birth-cells' `corner_tensors`, the compression and the basis
+    # refuse it
     with pytest.raises(ValueError) as expected:
         extend_eigenfunction(np.eye(3), 1, bad)
     group = sz._canonical_group("six", 3, 6)
@@ -641,11 +664,15 @@ def test_recursion_refuses_a_forbidden_gamma(bad):
         gammas[:, k - group.birth] = bad
         bad_group = dataclasses.replace(group, gammas=gammas)
         with pytest.raises(ValueError) as refused:
-            sz.recursive_kernels(bad_group, f, 5, 6)
+            sz.recursive_kernels(bad_group, f, 5, 6, _birth_tensors(group, 6))
         assert str(refused.value) == str(expected.value)
-        with pytest.raises(ValueError) as refused:
-            sz.corner_column(bad_group, 6)
-        assert str(refused.value) == str(expected.value)
+        for refuse in (lambda: sz.corner_column(bad_group, 6),
+                       lambda: _birth_tensors(bad_group, 6),
+                       lambda: sz.compressed_operator(f, [bad_group], 6, 1),
+                       lambda: sz.basis_columns(bad_group, 6)):
+            with pytest.raises(ValueError) as refused:
+                refuse()
+            assert str(refused.value) == str(expected.value)
 
 
 def test_recursion_refuses_a_level_outside_birth_and_sampling():
@@ -655,7 +682,7 @@ def test_recursion_refuses_a_level_outside_birth_and_sampling():
     f = SimpleCellFunction(np.arange(1.0, 244.0))  # scale 5
     for level in (2, 5):
         with pytest.raises(ValueError, match=f"^kernel level {level} lies outside 3..4"):
-            sz.recursive_kernels(group, f, level, 4)
+            sz.recursive_kernels(group, f, level, 4, _birth_tensors(group, 4))
     with pytest.raises(ValueError, match="^kernel level 5 lies outside 3..4"):
         sz.compressed_operator(f, [group], 4, 1)
 
@@ -668,7 +695,8 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
     # extension.  A harmonic f asks for no level table at all; a constant
     # or simple one only for the table of each group's kernel level
     # max(birth, scale), where `SimpleCellFunction.cell_corners` samples the
-    # owner rule at the cells' corners
+    # owner rule at the cells' corners.  The dense basis of every group is
+    # its cell tree extended, with no corner column or sampled kernel either
     groups = enumerate_spectrum(4)
     m_q = 7
     for module in (dec, sz, top):
@@ -681,6 +709,8 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
             original = module.level_topology
             monkeypatch.setattr(module, "level_topology",
                                 lambda m, original=original: asked.append(m) or original(m))
+    rotated = []
+    monkeypatch.setattr(sz, "rotation", lambda n: rotated.append(n) or top.rotation(n))
     entered = collections.Counter()
 
     def profile(frame, event, arg):
@@ -691,7 +721,7 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
         (record,) = sz.szego_sweep(f, "cutoff", [4], 1, m_q=m_q)
     finally:
         sys.setprofile(None)
-    for name in ("cell_weights", "word_chunks", "corner_column", "cell_kernels"):
+    for name in ("cell_weights", "corner_column", "cell_kernels"):
         assert entered[getattr(sz, name).__code__] == 0, name
     assert entered[sz.recursive_kernels.__code__] == len(groups)
     assert entered[sz.remainder_corners.__wrapped__.__code__] > 0
@@ -701,6 +731,59 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
     else:
         assert sorted(asked) == sorted(max(g.birth, f.scale) for g in groups), asked
     assert record.dimension == top.interior_count(4)
+    entered.clear()
+    sys.setprofile(profile)
+    try:
+        dimension = sum(sz.basis_columns(group, m_q).shape[2] for group in groups)
+    finally:
+        sys.setprofile(None)
+    assert entered[sz.basis_columns.__code__] == len(groups)
+    for name in ("cell_weights", "corner_column", "cell_kernels", "recursive_kernels"):
+        assert entered[getattr(sz, name).__code__] == 0, name
+    assert dimension == sum(group.multiplicity for group in groups)
+    assert rotated == []
+
+
+def test_unit_kernels_are_the_words_alone(monkeypatch):
+    # the kernels of f = 1 that normalize every column are read off each
+    # word's tensors, so a constant, harmonic, simple and sampled f, the
+    # last in chunks of two words, pass the same ones to every compression,
+    # bit for bit
+    groups = enumerate_spectrum(5)
+    monkeypatch.setattr(sz, "CHUNK_BYTES", 2 * max(_word_bytes(g, 6) for g in groups))
+    passed = []
+    original = sz.tree_couplings
+
+    def recorded(kernels, ones, corners, m_q):
+        passed[-1].append(ones)
+        return original(kernels, ones, corners, m_q)
+    monkeypatch.setattr(sz, "tree_couplings", recorded)
+    for f in MULTIPLIERS:
+        passed.append([])
+        sz.compressed_operator(f, groups, 6, 1)
+    assert len(passed[-1]) > len(groups)  # the sampled f is built in chunks
+    first = np.concatenate(passed[0])
+    assert first.shape == (sum(map(len, groups)), 6)
+    for ones in passed[1:]:
+        assert np.array_equal(np.concatenate(ones), first)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_unit_kernels_are_the_sampled_kernels_of_one(m):
+    # the kernels of f = 1 from the tensors against the sampled kernel of
+    # the share row, 1/2 at a birth-cell's corners and 1 elsewhere, within
+    # 1.6e-15 of their largest entry (1.5e-15 at m = 8, m_q = 9, and below
+    # 1e-15 up to m = 6, m_q = 7; against a long-double extension the
+    # tensors' are 1.4e-15 off and the sampled 8.4e-16)
+    for m_q in (m, m + 1):
+        for group in enumerate_spectrum(m):
+            n = m_q - group.birth
+            share = np.where(top.level_topology(n).boundary_mask, 0.5, 1.0)[None]
+            sampled = sz.cell_kernels([share] * 3, sz.corner_column(group, m_q), n)[:, 0]
+            ones = sz.unit_kernels(_birth_tensors(group, m_q))
+            assert ones.shape == sampled.shape == (len(group), 6)
+            error = np.max(np.abs(ones - sampled))
+            assert error <= 1.6e-15 * np.max(np.abs(sampled)), (group.series, group.birth, m_q)
 
 
 def test_compression_refuses_a_wrong_multiplicity():
