@@ -54,11 +54,21 @@ class SimpleCellFunction:
         return self.coefficients[topo.rank // 3 ** (topo.m - self.scale)]
 
     def cell_corners(self, level):
-        """Inside a level-cell f is its scale-cell's coefficient; at a corner
-        the cell shares, the sample may take the other cell's."""
-        topo = level_topology(level)
-        inside = self.coefficients[np.arange(3**level) // 3 ** (level - self.scale)]
-        return np.repeat(inside[:, None], 3, axis=1), self.sample(topo)[topo.cell_vertices]
+        """Inside a level-cell f is its scale-cell's coefficient.  The sample
+        differs from it only where two scale-cells meet, at u a b...b and
+        u b a...a with digits a < b: the first owns the shared point, which
+        is corner a of the level-cell u b a...a a...a of the second."""
+        n = level - self.scale
+        harmonic = np.repeat(np.repeat(self.coefficients, 3**n)[:, None], 3, axis=1)
+        sampled = harmonic.copy()
+        a, b = np.array([(0, 1), (0, 2), (1, 2)]).T
+        for k in range(self.scale):  # the digits of u
+            tail = 3 ** (self.scale - k - 1)  # the scale-cells inside u a
+            u = 3 * tail * np.arange(3**k)[:, None]
+            owner = u + a * tail + b * (tail - 1) // 2
+            other = u + b * tail + a * (tail - 1) // 2
+            sampled[other * 3**n + a * (3**n - 1) // 2, a] = self.coefficients[owner]
+        return harmonic, sampled
 
     def cell_integral(self, func=None):
         """Exact integral of func(f) for the self-similar measure: each cell
@@ -87,6 +97,9 @@ class HarmonicFunction:
         if len(boundary_values) != 3:
             raise ValueError("need exactly three boundary values")
         self.boundary_values = tuple(float(b) for b in boundary_values)
+        corners = np.array([self.boundary_values])
+        corners.flags.writeable = False
+        self._tables = [corners]  # the corner tables of levels 0, 1, ... built so far
 
     def label(self):
         return "harmonic:" + ",".join(f"{b:g}" for b in self.boundary_values)
@@ -96,11 +109,15 @@ class HarmonicFunction:
 
     def cell_corners(self, level):
         """The values at every level-cell's corners, extended from the
-        boundary values by `midpoints` at gamma = 0."""
-        corners = np.array([self.boundary_values])
-        for _ in range(level):
-            corners = child_corners(corners, midpoints(corners, 0.0))
-        return corners, corners
+        boundary values by `midpoints` at gamma = 0.  The tables extended so
+        far are kept, read-only, and a finer level is extended from the
+        finest of them."""
+        tables = self._tables
+        while len(tables) <= level:
+            table = child_corners(tables[-1], midpoints(tables[-1], 0.0))
+            table.flags.writeable = False
+            tables.append(table)
+        return tables[level], tables[level]
 
 
 class ExpressionFunction:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -82,14 +82,20 @@ class TreeBlocks:
     (G, 3^depth, c_i, c_i + c_{i+1} + ...): each cell's own columns against
     its own columns and then against those of its ancestor at every
     shallower level, in level order.  Entries between columns whose cells
-    are not nested are zero and not stored."""
+    are not nested are zero and not stored.
+
+    The columns deeper than every level, which come first in column order,
+    see f as a constant (`cell_constants`): `constants`, (G, n), holds the
+    one each sees, and the matrix is that diagonal on them and zero between
+    them and the levels."""
 
     depths: tuple
     couplings: tuple
+    constants: np.ndarray
 
     @property
     def eigenspaces(self):
-        return self.couplings[0].shape[0]
+        return len(self.constants)
 
     @property
     def column_counts(self):
@@ -98,7 +104,7 @@ class TreeBlocks:
 
     @property
     def dimension(self):
-        return sum(self.column_counts)
+        return self.constants.shape[1] + sum(self.column_counts)
 
 
 @dataclass(frozen=True)
@@ -123,11 +129,13 @@ class CompressedOperator:
 
 def dense_blocks(group):
     """The (G, d, d) matrices of a group's eigenspaces in the column order of
-    its basis, filled from its tree blocks: the one dense form, for
-    `operator_eigenvalues`."""
+    its basis, filled from its constants and tree blocks: the one dense
+    form, for `operator_eigenvalues`."""
+    deep = group.constants.shape[1]
     sizes = group.column_counts
-    starts = np.cumsum([0] + sizes)
+    starts = deep + np.cumsum([0] + sizes)
     out = np.zeros((group.eigenspaces, starts[-1], starts[-1]))
+    out[:, np.arange(deep), np.arange(deep)] = group.constants
     for i, (k, rows) in enumerate(zip(group.depths, group.couplings)):
         own = starts[i] + np.arange(sizes[i]).reshape(3**k, -1)
         col = 0
@@ -357,20 +365,34 @@ def remainder_corners(series, i):
     return corners, pairs
 
 
+def tree_layout(series, birth):
+    """(depth, columns per cell) of each level of the cell tree of a birth
+    space, deepest first, read off the series and birth alone: a level per
+    depth 0 .. birth - 2, the root at depth 0 and the 2-series, born at 1,
+    the root alone.  Each level holds 3 columns per cell, but for the
+    5-series below its root, which keeps 1, and the roots R5(1) and R2(1),
+    of 2 and 1."""
+    root = 1 if series == SERIES_TWO else 2 if birth == 1 else 3
+    return tuple((k, 1 if k and series == SERIES_FIVE else 3 if k else root)
+                 for k in range(max(birth - 2, 0), -1, -1))
+
+
 @lru_cache(maxsize=None)
-def tree_corners(series, birth):
+def tree_corners(series, birth, below=None):
     """(depth, corner values, pair sums) of each level of the cell tree of a
-    birth space, deepest first; cached.  Depth 0 holds the scale-1 remainder
-    R(birth), and each depth k = 1 .. birth - 2 the kept columns of
-    R(birth - k): all three of a 6-series remainder and the one column K5 of
-    a 5-series one.  The 2-series, born at 1 alone, is the root alone.  Each
-    depth's columns are copied into every cell of that depth; copies in
+    birth space (`tree_layout`) of depth below `below`, every level if None,
+    deepest first; cached.  Depth 0 holds the scale-1 remainder R(birth),
+    and each depth k = 1 .. birth - 2 the kept columns of R(birth - k): all
+    three of a 6-series remainder and the one column K5 of a 5-series one.
+    Each depth's columns are copied into every cell of that depth; copies in
     different cells have disjoint supports, so the tree is orthonormal in
     plain coordinates.  A column copied into a depth-k cell takes at the
     corners of the birth-cells inside it, in rank order, the
     `remainder_corners` of R(birth - k), of K5 a view of its column 2."""
     levels = []
-    for k in range(max(birth - 2, 0), -1, -1):
+    for k, _ in tree_layout(series, birth):
+        if below is not None and k >= below:
+            continue
         corners, pairs = remainder_corners(series, birth - k)
         if k and series == SERIES_FIVE:
             corners, pairs = corners[..., 2:], pairs[:, 2:]
@@ -402,7 +424,8 @@ def tree_couplings(kernels, ones, corners, m_q):
     for level in rows:
         level[0] = 0.5 * (level[0] + level[0].swapaxes(-1, -2))
     return TreeBlocks(depths=tuple(k for k, *_ in corners),
-                      couplings=tuple(np.concatenate(level, axis=-1) for level in rows))
+                      couplings=tuple(np.concatenate(level, axis=-1) for level in rows),
+                      constants=np.empty((g, 0)))
 
 
 def column_scales(ones, corners, m_q):
@@ -420,26 +443,42 @@ def column_cells(group):
     """(depth, rank) of the cell of every column of a birth group's
     eigenspaces, two arrays in column order: tree level by level, deepest
     first, cell by cell in rank order, then column by column of the level's
-    part.  A column couples to another only if one's cell contains the
-    other's."""
-    corners = tree_corners(group.series, group.birth)
-    depth = np.concatenate([np.full(3**k * u.shape[-1], k) for k, u, _ in corners])
-    rank = np.concatenate([np.repeat(np.arange(3**k), u.shape[-1]) for k, u, _ in corners])
+    part (`tree_layout`).  A column couples to another only if one's cell
+    contains the other's."""
+    layout = tree_layout(group.series, group.birth)
+    depth = np.concatenate([np.full(3**k * c, k) for k, c in layout])
+    rank = np.concatenate([np.repeat(np.arange(3**k), c) for k, c in layout])
     return depth, rank
 
 
 def localized_columns(group, scale):
     """The localized columns of each eigenspace of a birth group: those at
     depths >= scale, which come first, and none for the 2-series or a scale
-    of None.  Refuses a cell tree whose columns do not add up to the group's
-    multiplicity."""
-    depth, _ = column_cells(group)
-    localized = 0 if scale is None or group.series == SERIES_TWO else int(np.sum(depth >= scale))
-    if len(depth) != group.multiplicity:
-        raise AssertionError(f"{localized} localized and {len(depth) - localized} remainder "
+    of None.  Refuses a cell tree (`tree_layout`) whose columns do not add
+    up to the group's multiplicity."""
+    counts = [(k, 3**k * c) for k, c in tree_layout(group.series, group.birth)]
+    total = sum(n for _, n in counts)
+    localized = (0 if scale is None or group.series == SERIES_TWO
+                 else sum(n for k, n in counts if k >= scale))
+    if total != group.multiplicity:
+        raise AssertionError(f"{localized} localized and {total - localized} remainder "
                              f"columns of {group.series} j={group.birth} at scale {scale}, "
                              f"expected {group.multiplicity} in all")
     return localized
+
+
+def cell_constants(f, group):
+    """(G, n): the constant f takes on the cell of each column of a birth
+    group's eigenspaces at a depth k >= f.scale, in column order, for an f
+    constant on the cells of its scale (`coefficients`).  Such a column lies
+    in one depth-k cell and vanishes on its corners, so inside the
+    scale-cell of rank rank // 3^(k - scale): it sees f as that cell's
+    coefficient, its block is that coefficient times I, and it couples to no
+    other column.  A read-only view, every eigenspace the same row."""
+    values = [np.repeat(f.coefficients, 3 ** (k - f.scale) * c)
+              for k, c in tree_layout(group.series, group.birth) if k >= f.scale]
+    values = np.concatenate(values) if values else np.empty(0)
+    return np.broadcast_to(values, (len(group), len(values)))
 
 
 def basis_columns(group, m_q):
@@ -481,28 +520,39 @@ def orthonormality_check(vectors, level):
 def compressed_operator(f, groups, m_q, scale):
     """f compressed to the sum of the eigenspaces of the birth groups, each
     sampled at level m_q and localized at the given scale, built one group
-    at a time; raises FunctionalValueError when a block has a non-finite
-    entry.  A group's basis is never extended past its birth level: each
+    at a time; raises FunctionalValueError when a block or constant is not
+    finite.  A group's basis is never extended past its birth level: each
     word's eigenfunctions enter through its cell kernels.  An f with
     `cell_corners` is read at level max(birth, f.scale) by
     `recursive_kernels`, with no table of V_{m_q}; any other f is sampled on
-    V_{m_q} (`sampled_blocks`)."""
+    V_{m_q} (`sampled_blocks`).  An f constant on the cells of its scale
+    (`coefficients`) is compressed on the tree levels above that scale
+    alone, and the columns below take its `cell_constants`: a constant f
+    builds no level, and only its gammas are checked (`refuse_forbidden`)."""
     recursive = hasattr(f, "cell_corners")
     if not recursive:
         topo = level_topology(m_q)
         # the eigenfunctions vanish at the corners of V_0, where f may be infinite
         fvals = np.where(topo.boundary_mask, 0.0, f.sample(topo))
+    below = f.scale if hasattr(f, "coefficients") else None
     blocks, localized = [], 0
     for group in groups:
         localized += len(group) * localized_columns(group, scale)
-        corners = tree_corners(group.series, group.birth)
-        tensors = corner_tensors(group.gammas_through(m_q)[:, 1:])  # of the birth-cells
+        corners = tree_corners(group.series, group.birth, below)
+        gammas = group.gammas_through(m_q)[:, 1:]
+        if not corners:  # f is constant: every column sees it
+            refuse_forbidden(gammas)
+            blocks.append(TreeBlocks(depths=(), couplings=(), constants=cell_constants(f, group)))
+            continue
+        tensors = corner_tensors(gammas)  # of the birth-cells
         if recursive:
             kernels = recursive_kernels(group, f, max(group.birth, f.scale), m_q, tensors)
-            blocks.append(tree_couplings(kernels, unit_kernels(tensors), corners, m_q))
+            tree = tree_couplings(kernels, unit_kernels(tensors), corners, m_q)
         else:
-            blocks.append(sampled_blocks(fvals, group, unit_kernels(tensors), corners, m_q))
-    if not all(np.isfinite(rows).all() for group in blocks for rows in group.couplings):
+            tree = sampled_blocks(fvals, group, unit_kernels(tensors), corners, m_q)
+        blocks.append(tree if below is None else replace(tree, constants=cell_constants(f, group)))
+    if not all(np.isfinite(rows).all() for group in blocks
+               for rows in (group.constants, *group.couplings)):
         raise FunctionalValueError(f"f={f.label()} compressed at level {m_q} has non-finite entries")
     return CompressedOperator(blocks=tuple(blocks), localized=localized, level=m_q)
 
@@ -519,39 +569,47 @@ def sampled_blocks(f_values, group, ones, corners, m_q):
     if len(chunks) == 1:
         return chunks[0]
     return TreeBlocks(depths=chunks[0].depths,
-                      couplings=tuple(map(np.concatenate, zip(*(c.couplings for c in chunks)))))
+                      couplings=tuple(map(np.concatenate, zip(*(c.couplings for c in chunks)))),
+                      constants=np.empty((len(group), 0)))
 
 
 def _eliminate(group):
-    """Log-determinant of a group's tree blocks, summed over its
-    eigenspaces, by multifrontal Cholesky over the cell tree, deepest level
-    first.  A cell's frontal matrix covers its own columns and then its
-    ancestors'; its pivot block is factored, the Schur complement of the
-    pivot is the update to the ancestors' columns, and the updates of the
-    cells that share an ancestor at the next level up are summed into that
-    ancestor's frontal matrix.  Eliminating a cell fills nothing outside
-    its ancestors, so no matrix of the eigenspace's size is formed."""
-    logdet, update = 0.0, None
-    for i, rows in enumerate(group.couplings):
-        c = rows.shape[2]
-        front = rows if update is None else rows + update[..., :c, :]
-        try:
+    """Log-determinant of a group's tree blocks and constants, summed over
+    its eigenspaces.  The constants, one row for every eigenspace, add G
+    times the sum of their logs.  The tree levels are eliminated by
+    multifrontal Cholesky over the cell tree, deepest level first.  A cell's
+    frontal matrix covers its own columns and then its ancestors'; its pivot
+    block is factored, and the Schur complement of the pivot is the update
+    to the ancestors' columns.  The solved rows of the cells that share a
+    parent are stacked, so one product gives their summed update, and the
+    updates they carry are summed into the parent's frontal matrix too.
+    Eliminating a cell fills nothing outside its ancestors, so no matrix of
+    the eigenspace's size is formed."""
+    constants, update = group.constants, None
+    try:
+        if not np.all(constants > 0.0):  # a diagonal with no Cholesky factor
+            raise np.linalg.LinAlgError("a constant is not positive")
+        logdet = len(constants) * np.sum(np.log(constants[0]))
+        for i, rows in enumerate(group.couplings):
+            c = rows.shape[2]
+            front = rows if update is None else rows + update[..., :c, :]
             chol = np.linalg.cholesky(front[..., :c])
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                "compressed operator is not positive definite "
-                "(f non-positive somewhere, or discretization too coarse)"
-            ) from exc
-        logdet += 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)))
-        if i + 1 == len(group.depths):
-            return float(logdet)
-        solved = np.linalg.solve(chol, front[..., c:])
-        schur = -(solved.swapaxes(-1, -2) @ solved)
-        if update is not None:
-            schur += update[..., c:, c:]
-        up = schur.shape[-1]
-        parents = 3 ** group.depths[i + 1]
-        update = schur.reshape(len(rows), parents, -1, up, up).sum(axis=2)
+            logdet += 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)))
+            if i + 1 == len(group.depths):
+                break
+            solved = np.linalg.solve(chol, front[..., c:])
+            g, parents, up = len(rows), 3 ** group.depths[i + 1], solved.shape[-1]
+            stacked = solved.reshape(g, parents, -1, up)  # (G, parents, siblings * c, up)
+            schur = -(stacked.swapaxes(-1, -2) @ stacked)
+            if update is not None:
+                schur += update[..., c:, c:].reshape(g, parents, -1, up, up).sum(axis=2)
+            update = schur
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            "compressed operator is not positive definite "
+            "(f non-positive somewhere, or discretization too coarse)"
+        ) from exc
+    return float(logdet)
 
 
 def log_det(op):
@@ -561,15 +619,20 @@ def log_det(op):
 
 
 def spectral_functional(op, func):
-    """(1/d) sum F(sigma_k) over the eigenvalues of the compressed operator."""
+    """(1/d) sum F(sigma_k) over the eigenvalues of the compressed operator,
+    F applied to each as a Python float."""
     sigma = operator_eigenvalues(op)
-    return float(np.mean([func(s) for s in sigma]))
+    return float(np.mean([func(s) for s in sigma.tolist()]))
 
 
 def operator_eigenvalues(op):
-    """Eigenvalues of every block, in ascending order."""
-    return np.sort(np.concatenate(
-        [np.linalg.eigvalsh(dense_blocks(group)).ravel() for group in op.blocks]))
+    """Eigenvalues of every block, in ascending order: those of each group's
+    tree levels, and its constants once per eigenspace."""
+    parts = []
+    for group in op.blocks:
+        levels = replace(group, constants=group.constants[:, :0])
+        parts += [np.linalg.eigvalsh(dense_blocks(levels)).ravel(), group.constants.ravel()]
+    return np.sort(np.concatenate(parts))
 
 
 def reference_integral(f, func, level):

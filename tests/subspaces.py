@@ -252,7 +252,8 @@ def one_level(matrix):
     """A symmetric matrix as a compressed operator of one eigenspace whose
     cell tree has one level of one cell, the form `szego.log_det` takes."""
     couplings = np.asarray(matrix, dtype=float)[None, None]
-    return CompressedOperator(blocks=(TreeBlocks(depths=(0,), couplings=(couplings,)),),
+    return CompressedOperator(blocks=(TreeBlocks(depths=(0,), couplings=(couplings,),
+                                                 constants=np.empty((1, 0))),),
                               localized=0, level=0)
 
 
@@ -659,7 +660,8 @@ def assemble_compressed(f_values_interior, basis):
     (`interior_cell_rows(m_q - k', k - k')`), so each pair of levels costs
     about c_k c_k' n flops, stacked over the group and the cells."""
     return TreeBlocks(depths=basis.depths, couplings=tuple(
-        _level_couplings(f_values_interior, basis, i) for i in range(len(basis.depths))))
+        _level_couplings(f_values_interior, basis, i) for i in range(len(basis.depths))),
+        constants=np.empty((len(basis.group), 0)))
 
 
 def _level_couplings(f, basis, i):

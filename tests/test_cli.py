@@ -419,20 +419,53 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     "argv",
     [
         ["equidist", "--mode", "single", "--j", "2", "--f", "constant:nan", "--F", "log"],
-        ["equidist", "--mode", "single", "--j", "2", "--f", "constant:1e308", "--F", "power:2"],
+        ["equidist", "--mode", "single", "--series", "five", "--j", "2",
+         "--f", "simple:1,1e308,2", "--F", "log"],
         ["equidist", "--mode", "single", "--j", "2", "--f", "simple:1,nan,2", "--F", "power:2"],
-        ["szego", "--mode", "single", "--j", "2", "--f", "constant:1e308"],
+        ["szego", "--mode", "single", "--series", "five", "--j", "2", "--f", "simple:1e308,1,1"],
         ["szego", "--mode", "cutoff", "--m", "2", "--f", "simple:1,1e308,2"],
     ],
 )
 def test_non_finite_compressed_operator_exit_3(argv, tmp_path):
     out = tmp_path / "bad"
     # NaN in f, or products of f with the basis that overflow, leave entries
-    # of the compressed operator that no factorization can take
+    # of the compressed operator that no factorization can take; a NaN
+    # constant is refused as the constant the localized columns see
     assert _run(argv + ["--out", str(out)]) == 3
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "numerical failure"
     assert "f=" in record["detail"] and "level 3" in record["detail"]
+
+
+def test_huge_constant_has_the_exact_record(tmp_path):
+    # a constant f sees every column as the constant itself, with no product
+    # of f and the basis to overflow: log det / d is log 1e308 within 1e-14
+    out = tmp_path / "ok"
+    assert _run(["szego", "--mode", "single", "--j", "2", "--f", "constant:1e308",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(_read_csv(out / "szego_single.csv")[1:]))
+    assert len(rows) == 1
+    exact = math.log(1e308)
+    for field in ("logdet_over_d", "integral"):
+        assert abs(float(rows[0][field]) - exact) <= 1e-14 * exact, field
+    assert float(rows[0]["error"]) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("fspec,value", [("constant:1e308", 1e308),
+                                         ("harmonic:1e200,1e200,1e200", None)])
+def test_functional_overflow_detail_is_a_plain_float(fspec, value, tmp_path):
+    # F = power:2 overflows at the eigenvalues; the detail names the value
+    # as a Python float, as the checked functional gives it, and no NumPy
+    # scalar: the eigenvalue of a constant f is the constant itself
+    out = tmp_path / "bad"
+    assert _run(["equidist", "--mode", "single", "--j", "2", "--f", fspec, "--F", "power:2",
+                 "--out", str(out)]) == 3
+    detail = json.loads((out / "error.json").read_text())["detail"]
+    assert detail.startswith("F=power:2 fails at x=") and "np.float64(" not in detail
+    if value is not None:
+        with pytest.raises(szego.FunctionalValueError) as expected:
+            cli.parse_functional_spec("power:2")[1](value)
+        assert detail == str(expected.value)
 
 
 @pytest.mark.parametrize(
@@ -461,7 +494,7 @@ def test_multiplier_infinite_at_riemann_point_exit_3(argv, functional, tmp_path)
         ["equidist", "--mode", "single", "--series", "six", "--j", "2",
          "--f", "expr:1/x+1", "--F", "log"],
         ["equidist", "--mode", "cutoff", "--m", "2", "--f", "expr:1/x+1", "--F", "power:2"],
-        ["szego", "--mode", "single", "--series", "six", "--j", "2", "--f", "constant:1e308"],
+        ["szego", "--mode", "single", "--series", "six", "--j", "2", "--f", "simple:1,1e308,2"],
     ],
 )
 def test_error_record_is_all_of_stderr(argv, tmp_path, capfd):

@@ -93,6 +93,33 @@ def test_harmonic_cell_corners_are_the_sample_bit_for_bit(level):
         assert np.array_equal(harmonic, f.sample(topo)[topo.cell_vertices])
 
 
+def test_harmonic_cell_corners_extend_the_kept_tables():
+    # a level's table is built once and kept, read-only, and extending on
+    # from the kept tables gives what a fresh function extends from V_0,
+    # bit for bit
+    f = HarmonicFunction([1.2, 1.5, 1.9])
+    six = f.cell_corners(6)[0]
+    assert f.cell_corners(6)[0] is six and not six.flags.writeable
+    for level in (3, 8):
+        assert np.array_equal(f.cell_corners(level)[0],
+                              HarmonicFunction([1.2, 1.5, 1.9]).cell_corners(level)[0])
+    assert f.cell_corners(6)[0] is six
+
+
+@pytest.mark.parametrize("scale", range(4))
+def test_simple_cell_corners_are_the_owner_sample_bit_for_bit(scale):
+    # read off the ranks where two scale-cells meet, with no level table:
+    # the values at every level-cell's corners are the sample's, owner rule
+    # included, and the harmonic ones are the cell's coefficient
+    f = SimpleCellFunction(np.random.default_rng(scale).uniform(1.0, 3.0, 3**scale))
+    for level in range(scale, 8):
+        topo = top.level_topology(level)
+        harmonic, sampled = f.cell_corners(level)
+        assert np.array_equal(sampled, f.sample(topo)[topo.cell_vertices]), level
+        inside = f.coefficients[np.arange(3**level) // 3 ** (level - scale)]
+        assert np.array_equal(harmonic, np.repeat(inside[:, None], 3, axis=1))
+
+
 def test_simple_cell_function():
     f = SimpleCellFunction([1.0, 2.0, 3.0])
     assert f.scale == 1

@@ -73,6 +73,18 @@ def test_log_det_small_matrices():
         sz.log_det(one_level(np.diag([1.0, -1.0])))
 
 
+def test_non_positive_constant_is_not_positive_definite():
+    # a coefficient <= 0 among the constants of the closed-form columns is
+    # refused as a Cholesky factorization refuses a pivot: a constant f's,
+    # and a scale-1 f's on the depth-1 cells of six j=3
+    group = one_word("six", 3, (1,))
+    for f in (ConstantFunction(-1.0), ConstantFunction(0.0), SimpleCellFunction([1.0, 2.0, -3.0])):
+        op = sz.compressed_operator(f, [group], 4, None)
+        assert op.blocks[0].constants.shape[1] > 0
+        with pytest.raises(sz.NotPositiveDefiniteError):
+            sz.log_det(op)
+
+
 def test_single_sweep_constant_is_exact():
     records = sz.szego_sweep(ConstantFunction(2.0), "single", range(2, 5), 1)
     assert [r.index for r in records] == [2, 3, 4]
@@ -603,7 +615,11 @@ def test_cell_kernel_blocks_match_the_extended_assembly(series, index, m_q):
     # every group's blocks, built from one cell kernel per sign word at the
     # birth level, against the assembly of its basis extended to V_{m_q}
     # (in long double: the float64 one is 2e-13 off at cutoff m=7, m_q=10),
-    # within 1e-13 of the largest entry; N decides the localized count alone
+    # within 1e-13 of the largest entry; N decides the localized count alone.
+    # A constant or simple f keeps the levels above its scale: below it the
+    # oracle's own blocks are diagonal, their diagonal the group's constants,
+    # and every other entry of theirs, off the diagonal or coupling to an
+    # ancestor, is 0 within 1e-13 of the largest entry
     groups = (enumerate_spectrum(index) if series == "cutoff"
               else (sz._canonical_group(series, index, m_q),))
     topo = top.level_topology(m_q)
@@ -611,15 +627,26 @@ def test_cell_kernel_blocks_match_the_extended_assembly(series, index, m_q):
     for f in MULTIPLIERS:
         fvals = f.sample(topo)[topo.interior_indices]
         oracle = [assemble_compressed(fvals, basis) for basis in exact]
+        below = f.scale if hasattr(f, "coefficients") else math.inf
         for scale in (None, 1, 2):
             op = sz.compressed_operator(f, groups, m_q, scale)
             assert op.localized == sum(len(g) * sz.localized_columns(g, scale) for g in groups)
             for new, old in zip(op.blocks, oracle, strict=True):
-                assert new.depths == old.depths
+                deep = sum(k >= below for k in old.depths)
+                assert new.depths == old.depths[deep:]
                 largest = max(np.max(np.abs(rows)) for rows in old.couplings)
-                for a, b in zip(new.couplings, old.couplings, strict=True):
+                for a, b in zip(new.couplings, old.couplings[deep:], strict=True):
                     assert a.shape == b.shape
                     assert np.max(np.abs(a - b)) <= 1e-13 * largest, (f.label(), scale)
+                diagonal = [np.diagonal(rows, axis1=-2, axis2=-1).reshape(len(rows), -1)
+                            for rows in old.couplings[:deep]]
+                diagonal = np.concatenate([np.empty((len(old.constants), 0))] + diagonal, axis=1)
+                assert new.constants.shape == diagonal.shape
+                assert np.max(np.abs(new.constants - diagonal), initial=0.0) <= 1e-13 * largest
+                for rows in old.couplings[:deep]:
+                    rest = rows.copy()
+                    rest[..., np.arange(rows.shape[2]), np.arange(rows.shape[2])] = 0.0
+                    assert np.max(np.abs(rest)) <= 1e-13 * largest, (f.label(), rows.shape)
 
 
 def _recursion_cases():
@@ -691,12 +718,12 @@ def test_recursion_refuses_a_level_outside_birth_and_sampling():
 def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
     # constant, harmonic and simple f are read on the levels of their
     # kernels.  A cutoff sweep from cold caches, its cell tree and its
-    # integral included, makes no weights or chunks of V_{m_q} and no
-    # extension.  A harmonic f asks for no level table at all; a constant
-    # or simple one only for the table of each group's kernel level
-    # max(birth, scale), where `SimpleCellFunction.cell_corners` samples the
-    # owner rule at the cells' corners.  The dense basis of every group is
-    # its cell tree extended, with no corner column or sampled kernel either
+    # integral included, makes no weights or chunks of V_{m_q}, no
+    # extension and no level table: `SimpleCellFunction.cell_corners` reads
+    # the owner rule off the cells' ranks.  A constant f builds no tree
+    # level, so it needs no kernel and no remainder either.  The dense basis
+    # of every group is its cell tree extended, with no corner column or
+    # sampled kernel either
     groups = enumerate_spectrum(4)
     m_q = 7
     for module in (dec, sz, top):
@@ -723,13 +750,11 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
         sys.setprofile(None)
     for name in ("cell_weights", "corner_column", "cell_kernels"):
         assert entered[getattr(sz, name).__code__] == 0, name
-    assert entered[sz.recursive_kernels.__code__] == len(groups)
-    assert entered[sz.remainder_corners.__wrapped__.__code__] > 0
+    levels = f.scale > 0 or isinstance(f, HarmonicFunction)
+    assert entered[sz.recursive_kernels.__code__] == levels * len(groups)
+    assert (entered[sz.remainder_corners.__wrapped__.__code__] > 0) == levels
     assert entered[sz.reference_integral.__code__] == 1
-    if isinstance(f, HarmonicFunction):
-        assert asked == []
-    else:
-        assert sorted(asked) == sorted(max(g.birth, f.scale) for g in groups), asked
+    assert asked == []
     assert record.dimension == top.interior_count(4)
     entered.clear()
     sys.setprofile(profile)
@@ -761,11 +786,69 @@ def test_unit_kernels_are_the_words_alone(monkeypatch):
     for f in MULTIPLIERS:
         passed.append([])
         sz.compressed_operator(f, groups, 6, 1)
+    assert passed[0] == []  # a constant f reaches no tree level
     assert len(passed[-1]) > len(groups)  # the sampled f is built in chunks
-    first = np.concatenate(passed[0])
+    first = np.concatenate(passed[1])
     assert first.shape == (sum(map(len, groups)), 6)
-    for ones in passed[1:]:
+    for ones in passed[2:]:
         assert np.array_equal(np.concatenate(ones), first)
+
+
+@pytest.mark.parametrize("f", MULTIPLIERS, ids=lambda f: f.label())
+def test_cell_constant_multipliers_build_only_the_levels_above_their_scale(f, monkeypatch):
+    # from cold caches, a cutoff and a single sweep reach `tree_couplings`
+    # with no level of depth >= f.scale for a constant or simple f, and
+    # with every level for any other; a constant f reaches it never, and
+    # enters no corner tensors, recursive kernels or remainder table
+    for value in vars(sz).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    dec.five_series_corners.cache_clear()
+    reached = []
+    original = sz.tree_couplings
+
+    def recorded(kernels, ones, corners, m_q):
+        reached.append([k for k, *_ in corners])
+        return original(kernels, ones, corners, m_q)
+    monkeypatch.setattr(sz, "tree_couplings", recorded)
+    entered = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered[frame.f_code] += 1
+    sys.setprofile(profile)
+    try:
+        sz.szego_sweep(f, "cutoff", [5], 1, m_q=6)
+        sz.szego_sweep(f, "single", [6], 1, m_q=7)
+    finally:
+        sys.setprofile(None)
+    if not hasattr(f, "coefficients"):
+        assert max(map(max, reached)) == 4  # the tree of six j=6 is 5 levels deep
+        return
+    assert (reached == []) == (f.scale == 0)
+    assert all(k < f.scale for depths in reached for k in depths), reached
+    if f.scale == 0:
+        for name in ("corner_tensors", "recursive_kernels"):
+            assert entered[getattr(sz, name).__code__] == 0, name
+        assert entered[sz.remainder_corners.__wrapped__.__code__] == 0
+
+
+# a cell-constant f of scale 2 with nine distinct coefficients
+SCALE_TWO = SimpleCellFunction([1.0 + 0.1 * i for i in range(9)])
+
+
+@pytest.mark.parametrize("mode,index", [("single", j) for j in range(2, 8)]
+                         + [("cutoff", m) for m in range(1, 7)])
+def test_eigenvalues_match_the_dense_oracle(mode, index):
+    # eigvalsh of each group's tree levels and the constants, repeated once
+    # per eigenspace, are the eigenvalues of the dense block-diagonal matrix
+    # within 1e-13 of the largest
+    for f in (MULTIPLIERS[2], SCALE_TWO, MULTIPLIERS[0]):
+        ((_, op),) = sz.operators(f, mode, [index], None)
+        dense = np.linalg.eigvalsh(dense_matrix(op))
+        sigma = sz.operator_eigenvalues(op)
+        assert sigma.shape == dense.shape == (op.dimension,)
+        assert np.max(np.abs(sigma - dense)) <= 1e-13 * np.max(np.abs(dense)), f.label()
 
 
 @pytest.mark.parametrize("m", range(2, 9))
