@@ -16,7 +16,7 @@ three 1-cells of V_1 (`remainder`), with no table of V_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -96,11 +96,6 @@ class BirthGroup:
 
     def __len__(self):
         return len(self.lam)
-
-    def __getitem__(self, words):
-        """The group of the words that a slice or an index array selects."""
-        return replace(self, signs=self.signs[words], gammas=self.gammas[words],
-                       lam=self.lam[words], fixation=self.fixation[words])
 
     def gamma(self, k):
         """gamma_k of every word for any k >= birth (`gammas_through`)."""
@@ -288,10 +283,11 @@ def five_series_corners(i):
 GAMMA_CLAMP = 1e100
 
 
+@lru_cache(maxsize=None)
 def six_series_corners(j):
     """R6(j), the part of E6(j) orthogonal to the copies of E6(j - 1) in
     the three 1-cells, for j >= 2 (R6(2) is all of E6(2)), as its corner
-    table, a column per midpoint of V_1; read-only.
+    table, a column per midpoint of V_1; cached and read-only.
 
     G = (6 I + L_{j-1}) / 4 is the Gram matrix of the gamma = 6 extensions
     of the interior unit vectors of V_{j-1}, so R6(j) is the extension of
@@ -315,7 +311,7 @@ def six_series_corners(j):
     columns = table.reshape(3, -1)
     gram = np.array([[0.5 * np.sum(a * b) for b in columns] for a in columns])
     values = (columns.T @ np.linalg.cholesky(np.linalg.inv(gram))).reshape(3**j, 3, 3)
-    values.flags.writeable = False  # shared by every caller of `szego.remainder_corners`
+    values.flags.writeable = False  # cached and shared by every caller
     return values
 
 
@@ -323,7 +319,9 @@ def remainder(series, i):
     """R(i), the scale-1 remainder of a series at generation i, as its
     corner table (3^i, 3, c): the columns at the three corners of every
     i-cell in rank order, orthonormal in plain coordinates on V_i;
-    read-only.  The 2-series has R(1) alone, the constant on the midpoints."""
+    read-only, and cached for the 5- and 6-series, so every birth whose
+    cell tree holds R(i) shares it.  The 2-series has R(1) alone, the
+    constant on the midpoints."""
     if series == SERIES_TWO:
         return _midpoint_table(np.full((3, 1), 1.0 / math.sqrt(3.0)))
     return (six_series_corners if series == SERIES_SIX else five_series_corners)(i)

@@ -3,8 +3,8 @@ multiplication operators compressed onto them, their log-determinants,
 spectral functionals, and the convergence and equidistribution experiments
 built on them.  The dense columns of a basis (`basis_columns`) and its
 compressed blocks (`tree_couplings`) are read off the same pieces: the
-tree's corner values, each word's gammas and the column norms from each
-word's kernel of f = 1 (`unit_kernels`)."""
+tree's corner values, each word's gammas and the one norm of each word's
+columns, from its kernel of f = 1 (`gram_factors`)."""
 from __future__ import annotations
 
 import math
@@ -184,23 +184,22 @@ def cell_weights(f_values, birth, m_q):
     return [out] + [np.take(out, rotation(n)[s], axis=1) for s in (1, 2)]
 
 
-def corner_column(group, m_q):
+def corner_column(gammas):
     """t, (G, vertices of V_{m_q - birth}): the decimation extension of the
-    unit vector of the corner q_1 of V_0 with each word's gammas at
-    birth + 1 .. m_q, one word a row.  Extension writes each new vertex of
-    a cell from that cell's three corners alone, so inside a birth-cell
+    unit vector of the corner q_1 of V_0 with the gammas gamma_{birth+1} ..
+    gamma_{m_q} of each word, one a row, which the caller has refused if
+    forbidden (`refuse_forbidden`).  Extension writes each new vertex of a
+    cell from that cell's three corners alone, so inside a birth-cell
     every eigenfunction of a word on V_{m_q} is its T, the extensions of
     the three corner unit vectors, times its values at the cell's corners.
     The rule is symmetric in a cell's corners, and IEEE addition commutes,
     so column b of T is t read through the rotation by -b steps,
     `rotation(m_q - birth)[-b]`, bit for bit: only t is extended, as a
     (G, cells, 3) corner table."""
-    gammas = group.gammas_through(m_q)[:, 1:]  # gamma_{birth+1} .. gamma_{m_q}
-    refuse_forbidden(gammas)
-    table = np.broadcast_to(np.eye(3)[0], (len(group), 1, 3))
+    table = np.broadcast_to(np.eye(3)[0], (len(gammas), 1, 3))
     for gamma in gammas.T:
         table = child_corners(table, midpoints(table, gamma))
-    return vertex_values(table, level_topology(m_q - group.birth))
+    return vertex_values(table, level_topology(gammas.shape[1]))
 
 
 def cell_kernels(weights, t, n):
@@ -294,14 +293,22 @@ def corner_tensors(gammas):
     return tensor.reshape(-1, 3, 3, 3)[:, rows, cols]
 
 
-def unit_kernels(tensors):
-    """(W, 6): the kernels of f = 1 of the cells whose `corner_tensors` are
-    `tensors`, sum_c (M - 1/2 delta)[:, :, c] + 1/2 on the diagonal.  The
-    harmonic functions of a cell's corners sum to 1, so the kernel of f = 1
-    is the word's alone: at the birth level it gives every column's norm."""
+def gram_factors(tensors, gamma):
+    """rho, (W,): every column of a word's birth space, extended to V_{m_q},
+    has squared quadrature norm w(m_q) rho, from the `corner_tensors` of its
+    birth-cells and its birth gamma, (W,) each.  The harmonic functions of a
+    cell's corners sum to 1, so the kernel of f = 1 of a birth-cell is the
+    word's alone, K = sum_c (M - 1/2 delta)[:, :, c] + 1/2 I, and symmetric
+    in the corners: one diagonal entry a and one off-diagonal b, each taken
+    here as the mean of its three.  A column u, of plain norm 1 on V_birth,
+    has norm^2 w(m_q) sum_C u(C)^T K u(C) over the birth-cells C, and there
+      the corner sum of u^2 is 2 |u|^2, every interior vertex in two cells;
+      the edge sum of u u' is (4 - gamma) |u|^2 / 2, as -Delta u = gamma u,
+    so rho = 2 a + (4 - gamma) b."""
     ones = tensors.sum(axis=-1)
-    ones[:, [0, 3, 5]] += 0.5
-    return ones
+    diagonal = ones[:, 0] + ones[:, 3] + ones[:, 5] + 1.5
+    off = ones[:, 1] + ones[:, 2] + ones[:, 4]
+    return (2.0 * diagonal + (4.0 - gamma) * off) / 3.0
 
 
 def recursive_kernels(group, f, level, m_q, tensors):
@@ -343,28 +350,6 @@ def recursive_kernels(group, f, level, m_q, tensors):
     return full[..., rows, cols]
 
 
-@lru_cache(maxsize=None)
-def remainder_corners(series, i):
-    """(corner values, pair sums) of the scale-1 remainder R(i) of a series,
-    the root of its cell tree at birth i, on V_i; cached and read-only, so
-    every birth whose tree holds R(i) shares them.  The corner values,
-    (3^i, 3, c), are the table of `remainder`: the columns at the three
-    corners of each i-cell, in rank order.  The pair sums, (6, c), are
-    sum_C u(C)_r u(C)_s over those cells for each pair (r, s) of `_PAIRS`,
-    doubled off the diagonal, so that a column's squared norm is a sum of
-    six terms against the f = 1 kernel."""
-    corners = remainder(series, i)
-    pairs = np.empty((len(_PAIRS), corners.shape[-1]))
-    product = np.empty(pairs.shape[1:] + corners.shape[:1])  # a row per column
-    for p, (r, s) in enumerate(_PAIRS):
-        # each row sums pairwise, as numpy sums a contiguous axis: a sum in
-        # the order of the cells lost 3e-14 relative over the 6561 of R5(8)
-        np.multiply(corners[:, r].T, corners[:, s].T, out=product)
-        pairs[p] = product.sum(axis=-1) * (1.0 if r == s else 2.0)
-    pairs.flags.writeable = False  # cached and shared by every caller
-    return corners, pairs
-
-
 def tree_layout(series, birth):
     """(depth, columns per cell) of each level of the cell tree of a birth
     space, deepest first, read off the series and birth alone: a level per
@@ -379,64 +364,49 @@ def tree_layout(series, birth):
 
 @lru_cache(maxsize=None)
 def tree_corners(series, birth, below=None):
-    """(depth, corner values, pair sums) of each level of the cell tree of a
-    birth space (`tree_layout`) of depth below `below`, every level if None,
+    """(depth, corner values) of each level of the cell tree of a birth
+    space (`tree_layout`) of depth below `below`, every level if None,
     deepest first; cached.  Depth 0 holds the scale-1 remainder R(birth),
     and each depth k = 1 .. birth - 2 the kept columns of R(birth - k): all
     three of a 6-series remainder and the one column K5 of a 5-series one.
     Each depth's columns are copied into every cell of that depth; copies in
     different cells have disjoint supports, so the tree is orthonormal in
     plain coordinates.  A column copied into a depth-k cell takes at the
-    corners of the birth-cells inside it, in rank order, the
-    `remainder_corners` of R(birth - k), of K5 a view of its column 2."""
+    corners of the birth-cells inside it, in rank order, the cached table
+    of R(birth - k) (`remainder`), of K5 a view of its column 2."""
     levels = []
     for k, _ in tree_layout(series, birth):
         if below is not None and k >= below:
             continue
-        corners, pairs = remainder_corners(series, birth - k)
-        if k and series == SERIES_FIVE:
-            corners, pairs = corners[..., 2:], pairs[:, 2:]
-        levels.append((k, corners, pairs))
+        corners = remainder(series, birth - k)
+        levels.append((k, corners[..., 2:] if k and series == SERIES_FIVE else corners))
     return tuple(levels)
 
 
-def tree_couplings(kernels, ones, corners, m_q):
+def tree_couplings(kernels, rho, corners):
     """The `TreeBlocks` of a chunk of a birth group from its `cell_kernels`,
-    `unit_kernels` and `tree_corners`.  A column u_a is its part on V_birth,
-    copied into its cell, extended to V_{m_q} and divided by its quadrature
-    norm, so <f u_a, u_b> = w(m_q) sum_C u_a(C)^T K_C u_b(C) / (|u_a| |u_b|)
-    over the birth-cells C, u(C) the part's values at C's corners, and the
-    norms are the same sum with the kernel of f = 1.  Every product is one
-    word's own, so the blocks of a word do not depend on the chunk."""
-    g, w = len(kernels), interior_weight(m_q)
+    `gram_factors` and `tree_corners`.  A column u_a is its part on
+    V_birth, copied into its cell, extended to V_{m_q} and divided by its
+    quadrature norm sqrt(w(m_q) rho), so <f u_a, u_b> =
+    sum_C u_a(C)^T K_C u_b(C) / rho over the birth-cells C, u(C) the part's
+    values at C's corners.  Every product is one word's own, so the blocks
+    of a word do not depend on the chunk."""
+    g = len(kernels)
     cells = kernels[..., _SYMMETRIC]  # (G, birth-cells, 3, 3)
-    scales = column_scales(ones, corners, m_q)
+    cells /= rho[:, None, None, None]
     rows = [[] for _ in corners]
-    for up, (k_up, u_up, _) in enumerate(corners):
+    for up, (k_up, u_up) in enumerate(corners):
         # (G, 3^k_up, birth-cells in each, 3, c_up): K_C times the ancestor's corner values
         product = np.matmul(cells.reshape((g, 3**k_up, -1, 3, 3)), u_up)
-        for i, (k, u, _) in enumerate(corners[:up + 1]):
+        for i, (k, u) in enumerate(corners[:up + 1]):
             flat = u.reshape(-1, u.shape[-1])
-            block = np.matmul(flat.T, product.reshape(g, 3**k, len(flat), -1))
-            block *= w * scales[i][:, None, :, None] * scales[up][:, None, None, :]
-            rows[i].append(block)
+            rows[i].append(np.matmul(flat.T, product.reshape(g, 3**k, len(flat), -1)))
         del product
     for level in rows:
         level[0] = 0.5 * (level[0] + level[0].swapaxes(-1, -2))
-    return TreeBlocks(depths=tuple(k for k, *_ in corners),
+    return TreeBlocks(depths=tuple(k for k, _ in corners),
                       couplings=tuple(np.concatenate(level, axis=-1) for level in rows),
                       constants=np.empty((g, 0)))
-
-
-def column_scales(ones, corners, m_q):
-    """1 / |u| of every column u of each level of a `tree_corners` tree,
-    (G, c_i) per level, from the kernels `ones`, (G, 6), of f = 1:
-    |u|^2 = w(m_q) sum_C u(C)^T K u(C), the pair sums of the level against
-    the entries of K."""
-    w = interior_weight(m_q)
-    # six terms in a fixed order: fewer than numpy's unrolled sums take in
-    # blocks of eight, so a word's norms do not depend on the chunk's layout
-    return [1.0 / np.sqrt(w * np.sum(ones[:, :, None] * pairs, axis=1)) for _, _, pairs in corners]
 
 
 def column_cells(group):
@@ -486,23 +456,25 @@ def basis_columns(group, m_q):
     of a birth group's eigenspaces in the order of `column_cells`, whose
     compressions `tree_couplings` forms: the cell tree, extended and placed.
     Each depth's corner table (`tree_corners`) is extended with each word's
-    gamma_{birth+1} .. gamma_{m_q}, divided by its norms from the kernel of
-    f = 1 and written into every cell of the depth, and nowhere else."""
+    gamma_{birth+1} .. gamma_{m_q}, divided by the word's norm
+    sqrt(w(m_q) rho) (`gram_factors`) and written into every cell of the
+    depth, and nowhere else."""
     g, gammas = len(group), group.gammas_through(m_q)[:, 1:]
     corners = tree_corners(group.series, group.birth)
-    scales = column_scales(unit_kernels(corner_tensors(gammas)), corners, m_q)
+    rho = gram_factors(corner_tensors(gammas), group.gammas[:, 0])
+    scale = 1.0 / np.sqrt(interior_weight(m_q) * rho)
     topo = level_topology(m_q)
     # the interior rows, and the corners of V_0, where every column vanishes, on a last row
     target = np.where(topo.boundary_mask, -1, topo.interior_row)
-    out = np.zeros((g, topo.n_vertices - 2, sum(3**k * u.shape[-1] for k, u, _ in corners)))
+    out = np.zeros((g, topo.n_vertices - 2, sum(3**k * u.shape[-1] for k, u in corners)))
     start = 0
-    for (k, u, _), scale in zip(corners, scales):
+    for k, u in corners:
         c = u.shape[-1]
         table = np.broadcast_to(u.transpose(2, 0, 1), (g,) + u.shape[2:] + u.shape[:2])
         for gamma in gammas.T:
             table = child_corners(table, midpoints(table, gamma[:, None]))
         values = vertex_values(table, level_topology(m_q - k))  # (G, c, vertices of V_{m_q - k})
-        values *= scale[..., None]
+        values *= scale[:, None, None]
         columns = start + np.arange(3**k)[:, None] * c + np.arange(c)
         out[:, target[cell_embedding(m_q, k)][..., None], columns[:, None]] = \
             values.swapaxes(1, 2)[:, None]
@@ -544,12 +516,13 @@ def compressed_operator(f, groups, m_q, scale):
             refuse_forbidden(gammas)
             blocks.append(TreeBlocks(depths=(), couplings=(), constants=cell_constants(f, group)))
             continue
-        tensors = corner_tensors(gammas)  # of the birth-cells
+        tensors = corner_tensors(gammas)  # of the birth-cells; refuses a forbidden gamma
+        rho = gram_factors(tensors, group.gammas[:, 0])
         if recursive:
             kernels = recursive_kernels(group, f, max(group.birth, f.scale), m_q, tensors)
-            tree = tree_couplings(kernels, unit_kernels(tensors), corners, m_q)
+            tree = tree_couplings(kernels, rho, corners)
         else:
-            tree = sampled_blocks(fvals, group, unit_kernels(tensors), corners, m_q)
+            tree = sampled_blocks(fvals, group, gammas, rho, corners, m_q)
         blocks.append(tree if below is None else replace(tree, constants=cell_constants(f, group)))
     if not all(np.isfinite(rows).all() for group in blocks
                for rows in (group.constants, *group.couplings)):
@@ -557,14 +530,15 @@ def compressed_operator(f, groups, m_q, scale):
     return CompressedOperator(blocks=tuple(blocks), localized=localized, level=m_q)
 
 
-def sampled_blocks(f_values, group, ones, corners, m_q):
+def sampled_blocks(f_values, group, gammas, rho, corners, m_q):
     """The `TreeBlocks` of a birth group for f given by its values on
     V_{m_q}: `tree_couplings` of each chunk of `chunk_words` words, from its
-    `cell_kernels` and its slice of the group's `unit_kernels` `ones`."""
+    `cell_kernels` and its slices of the group's gamma_{birth+1} ..
+    gamma_{m_q}, refused if forbidden before, and `gram_factors` rho."""
     weights = cell_weights(f_values, group.birth, m_q)
     n, size = m_q - group.birth, chunk_words(group, m_q)
-    chunks = [tree_couplings(cell_kernels(weights, corner_column(group[a:a + size], m_q), n),
-                             ones[a:a + size], corners, m_q) for a in range(0, len(group), size)]
+    chunks = [tree_couplings(cell_kernels(weights, corner_column(gammas[a:a + size]), n),
+                             rho[a:a + size], corners) for a in range(0, len(group), size)]
     del weights  # before the chunks are stacked
     if len(chunks) == 1:
         return chunks[0]

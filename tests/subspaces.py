@@ -3,7 +3,7 @@ compressed-operator forms, a sum of multipliers, the vertex-order extension,
 the lattice-key vertex tables and lookup, and the matrix form of the
 resistance walk, shared by the tests."""
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 
@@ -170,6 +170,13 @@ def principal_angle_gap(a, b, m_q):
     ra = qb - qa @ (qa.T @ qb)
     rb = qa - qb @ (qb.T @ qa)
     return float(max(np.linalg.norm(ra, 2), np.linalg.norm(rb, 2)))
+
+
+def words_of(group, words):
+    """The birth group of the words of `group` that a slice or an index
+    array selects."""
+    return replace(group, signs=group.signs[words], gammas=group.gammas[words],
+                   lam=group.lam[words], fixation=group.fixation[words])
 
 
 def scale_cells(group, scale):

@@ -17,7 +17,7 @@ from sgszego import topology as top
 from sgszego.functions import ConstantFunction, HarmonicFunction, SimpleCellFunction
 
 from subspaces import (birth_space, cached_dense_spectrum, dense_matrix, eigenfunctions_at_level,
-                       on_vertices, one_level, scale_cells)
+                       on_vertices, one_level, scale_cells, words_of)
 
 
 def _report(n, text):
@@ -56,7 +56,7 @@ def test_criterion_3_random_extensions():
     worst = 0.0
     checked = 0
     # every eigenvalue of the level as a group of one word, in lambda order
-    tables = {m: sorted((group[g:g + 1] for group in dec.enumerate_spectrum(m)
+    tables = {m: sorted((words_of(group, slice(g, g + 1)) for group in dec.enumerate_spectrum(m)
                          for g in range(len(group))), key=lambda word: word.lam[0])
               for m in (3, 4, 5)}
     while checked < 200:

@@ -19,7 +19,7 @@ from subspaces import (cached_dense_spectrum, cell_tree, corner_normal_derivativ
                        lattice_keys, on_level, on_vertices, one_word,
                        principal_angle_gap, reference_laplacian, scalar_spectrum,
                        six_series_birth_by_qr, six_series_remainder_by_solve,
-                       topology_junction_nullspace)
+                       topology_junction_nullspace, words_of)
 
 
 def test_gamma_step_values():
@@ -322,6 +322,7 @@ def test_six_series_remainder_past_gamma_overflow(j):
 
 
 def test_six_series_remainder_solves_nothing_beyond_three(monkeypatch):
+    dec.six_series_corners.cache_clear()
     shapes = _spy_linalg(monkeypatch)
     dec.six_series_corners(8)
     assert shapes and max(max(shape) for shape in shapes) <= 3, shapes
@@ -331,6 +332,7 @@ def test_six_series_remainder_peak_memory():
     # j = 9 peaks far below one dense Gram matrix on the interior of V_7
     # (3279^2 float64, 82 MB), with no table of V_9 built
     dec.six_series_corners(9)
+    dec.six_series_corners.cache_clear()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -398,16 +400,16 @@ def test_split_bases_factor_nothing_wider_than_six(monkeypatch):
     # the 5- and 6-series bases of birth 8 call np.linalg on the 3 x 6
     # junction matrix and on 3 x 3 and 2 x 2 Gram matrices only
     dec.five_series_corners.cache_clear()
+    dec.six_series_corners.cache_clear()
     sz.tree_corners.cache_clear()
-    sz.remainder_corners.cache_clear()
     shapes = _spy_linalg(monkeypatch)
     try:
         for series in ("five", "six"):
             sz.tree_corners(series, 8)
     finally:
         dec.five_series_corners.cache_clear()
+        dec.six_series_corners.cache_clear()
         sz.tree_corners.cache_clear()
-        sz.remainder_corners.cache_clear()
     assert shapes and max(max(shape) for shape in shapes) <= 6, shapes
 
 
@@ -448,7 +450,7 @@ def test_birth_eigenvectors_dimension_check():
 def test_eigenfunctions_at_level_residuals():
     for series, j in [("two", 1), ("five", 2), ("six", 2), ("six", 3)]:
         group = next(g for g in dec.enumerate_spectrum(4) if (g.series, g.birth) == (series, j))
-        group = group[:1]  # its word of the smallest lambda
+        group = words_of(group, slice(1))  # its word of the smallest lambda
         vals = eigenfunctions_at_level(group, 4, _tree_birth_space(series, j))
         vals = on_vertices(4, vals)[:, 0]
         assert vals.shape[1] == group.multiplicity

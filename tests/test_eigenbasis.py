@@ -14,7 +14,7 @@ from sgszego.functions import HarmonicFunction, SimpleCellFunction
 from subspaces import (cached_dense_spectrum, complement_by_qr, corner_normal_derivatives,
                        dense_matrix, dirichlet_laplacian, eigenfunctions_at_level,
                        eigenspace_vectors, extend_values, index_of, interior_cell_rows,
-                       principal_angle_gap, scale_cells)
+                       principal_angle_gap, scale_cells, words_of)
 
 
 def _dense_eigenspace(group, m_q):
@@ -159,8 +159,9 @@ def test_birth_group_slices_are_the_bases_of_groups_of_one(scale):
         assert (blocks.eigenspaces, blocks.dimension) == (len(group), vectors.shape[2])
         assert op.localized == len(group) * sz.localized_columns(group, scale)
         for g in range(len(group)):
-            alone = sz.basis_columns(group[g:g + 1], m_q)
-            couplings = sz.compressed_operator(f, [group[g:g + 1]], m_q, scale).blocks[0].couplings
+            word = words_of(group, slice(g, g + 1))
+            alone = sz.basis_columns(word, m_q)
+            couplings = sz.compressed_operator(f, [word], m_q, scale).blocks[0].couplings
             pairs = [(vectors[g], alone[0])]
             pairs += [(rows[g], one[0]) for rows, one in zip(blocks.couplings, couplings)]
             for stacked, single in pairs:
@@ -240,7 +241,7 @@ def _oracle_grid():
         if group.series != "two":
             for g in range(len(group)):
                 for scale in range(group.birth):
-                    yield group[g:g + 1], 6, scale
+                    yield words_of(group, slice(g, g + 1)), 6, scale
 
 
 def test_transplants_match_searched_localization():
@@ -281,7 +282,7 @@ def test_cutoff_logdet_matches_dense_eigenspaces(m):
         total = 0.0
         for group in dec.enumerate_spectrum(m):
             for g in range(len(group)):
-                v = _dense_eigenspace(group[g:g + 1], m_q)
+                v = _dense_eigenspace(words_of(group, slice(g, g + 1)), m_q)
                 q = np.linalg.solve(np.linalg.cholesky(v.T @ (w[:, None] * v)), v.T).T
                 sign, logdet = np.linalg.slogdet(q.T @ (wf[:, None] * q))
                 assert sign == 1.0

@@ -399,6 +399,17 @@ def _birth_tensors(group, m_q):
     return sz.corner_tensors(group.gammas_through(m_q)[:, 1:])
 
 
+def _corner_column(group, m_q):
+    """The `corner_column` of a group's words extended to V_{m_q - birth}."""
+    return sz.corner_column(group.gammas_through(m_q)[:, 1:])
+
+
+def _gram_factors(group, m_q):
+    """The `gram_factors` of a group's words, as `compressed_operator`
+    reads them off its birth-cells' tensors."""
+    return sz.gram_factors(_birth_tensors(group, m_q), group.gammas[:, 0])
+
+
 def _word_bytes(group, m_q):
     """Bytes of what compressing one sign word holds: the extended corner
     column t, t rotated and one product of the two, 3 entries per vertex of
@@ -466,9 +477,9 @@ def _chunk_sizes(monkeypatch):
     sizes = []
     original = sz.corner_column
 
-    def counted(group, m_q):
-        sizes.append(len(group))
-        return original(group, m_q)
+    def counted(gammas):
+        sizes.append(len(gammas))
+        return original(gammas)
     monkeypatch.setattr(sz, "corner_column", counted)
     return sizes
 
@@ -513,15 +524,15 @@ def test_assembly_holds_one_level_and_one_ancestor_copy():
     group = next(g for g in enumerate_spectrum(7) if (g.series, g.birth) == ("five", 4))
     topo = top.level_topology(8)
     fvals = SAMPLED.sample(topo)
-    kernels = sz.cell_kernels(sz.cell_weights(fvals, 4, 8), sz.corner_column(group, 8), 4)
-    ones = sz.unit_kernels(_birth_tensors(group, 8))
+    kernels = sz.cell_kernels(sz.cell_weights(fvals, 4, 8), _corner_column(group, 8), 4)
+    rho = _gram_factors(group, 8)
     corners = sz.tree_corners("five", 4)
     assert len(corners) == 3
-    sz.tree_couplings(kernels, ones, corners, 8)
+    sz.tree_couplings(kernels, rho, corners)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sz.tree_couplings(kernels, ones, corners, 8)
+        sz.tree_couplings(kernels, rho, corners)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -553,10 +564,10 @@ def test_rotated_corner_columns_are_the_extended_ones(m):
             rot = top.rotation(m_q - group.birth)
             assert np.array_equal(t[:, :, 1], t[rot[2], :, 0])
             assert np.array_equal(t[:, :, 2], t[rot[1], :, 0])
-            assert np.array_equal(sz.corner_column(group, m_q), t[:, :, 0].T)
+            assert np.array_equal(_corner_column(group, m_q), t[:, :, 0].T)
             weights = sz.cell_weights(fvals, group.birth, m_q)
             old = np.stack([weights[0] @ (t[:, :, a] * t[:, :, b]) for a, b in sz._PAIRS], axis=-1)
-            new = sz.cell_kernels(weights, sz.corner_column(group, m_q), m_q - group.birth)
+            new = sz.cell_kernels(weights, _corner_column(group, m_q), m_q - group.birth)
             assert np.max(np.abs(new - old.swapaxes(0, 1))) <= 1e-14 * np.max(np.abs(old))
 
 
@@ -565,29 +576,23 @@ def test_rotated_corner_columns_are_the_extended_ones(m):
 def test_tree_corners_share_one_table_per_remainder(series, birth):
     # depth k of the tree of a birth at j is the table of R(j - k), the root
     # of the tree born at j - k: all of it for the 6-series and a view of
-    # its column 2, K5, for the 5-series.  The pair sums are those of the
-    # product summed over the cells of all of R(j - k)'s columns, the
-    # formula the trees used before they shared the tables, here in extended
-    # precision: a sum in the order of the cells is 3e-14 off at R5(8)
+    # its column 2, K5, for the 5-series; and the root is the one cached
+    # table of `decimation.remainder` (the trees cached before another test
+    # cleared that cache are dropped first)
+    sz.tree_corners.cache_clear()
     tree = sz.tree_corners(series, birth)
-    assert [k for k, *_ in tree] == list(range(len(cell_tree(series, birth))))[::-1]
-    rows, cols = np.array(sz._PAIRS).T
-    for (k, corners, pairs), (_, vals) in zip(tree[::-1], cell_tree(series, birth)):
+    assert [k for k, _ in tree] == list(range(len(cell_tree(series, birth))))[::-1]
+    for (k, corners), (_, vals) in zip(tree[::-1], cell_tree(series, birth)):
         root = sz.tree_corners(series, birth - k)[-1]
         assert root[0] == 0
         if series == "six" or k == 0:
-            assert corners is root[1] and pairs is root[2]
+            assert corners is root[1]
         else:
-            assert corners.base is root[1] and pairs.base is root[2]
-            assert corners.shape[-1] == pairs.shape[-1] == 1
-        assert not corners.flags.writeable and not pairs.flags.writeable
+            assert corners.base is root[1] and corners.shape[-1] == 1
+        if series != "two":
+            assert root[1] is dec.remainder(series, birth - k)
+        assert not corners.flags.writeable
         assert np.array_equal(corners, vals[top.level_topology(birth - k).cell_vertices])
-        full = cell_tree(series, birth - k)[0][1][top.level_topology(birth - k).cell_vertices]
-        full = full.astype(np.longdouble)
-        old = np.sum(full[:, rows] * full[:, cols], axis=0)
-        old[rows != cols] *= 2.0
-        old = old[:, -pairs.shape[-1]:]
-        assert np.all(np.abs(pairs - old) <= 1e-15 * np.abs(old)), (k, pairs - old)
 
 
 def _kernel_cases():
@@ -666,7 +671,7 @@ def test_recursion_below_the_sampling_level_matches_the_sampled_kernels(f):
     # but at the cell's corners
     for group, m_q in _recursion_cases():
         weights = sz.cell_weights(f.sample(top.level_topology(m_q)), group.birth, m_q)
-        sampled = sz.cell_kernels(weights, sz.corner_column(group, m_q), m_q - group.birth)
+        sampled = sz.cell_kernels(weights, _corner_column(group, m_q), m_q - group.birth)
         tensors = _birth_tensors(group, m_q)
         for level in range(max(group.birth, f.scale), m_q + 1):
             kernels = sz.recursive_kernels(group, f, level, m_q, tensors)
@@ -679,9 +684,10 @@ def test_recursion_below_the_sampling_level_matches_the_sampled_kernels(f):
 def test_recursion_refuses_a_forbidden_gamma(bad):
     # a forbidden gamma below L, where the corner tables of the L-cells take
     # it, and above L, where the tensors do, is refused with the message of
-    # the vertex-order extension, as the sampled kernels' `corner_column`,
-    # the birth-cells' `corner_tensors`, the compression and the basis
-    # refuse it
+    # the vertex-order extension, as the birth-cells' `corner_tensors`, the
+    # compression of a recursive and of a sampled f and the basis refuse it.
+    # The sampled kernels' `corner_column` takes gammas that the compression
+    # has refused
     with pytest.raises(ValueError) as expected:
         extend_eigenfunction(np.eye(3), 1, bad)
     group = sz._canonical_group("six", 3, 6)
@@ -693,9 +699,9 @@ def test_recursion_refuses_a_forbidden_gamma(bad):
         with pytest.raises(ValueError) as refused:
             sz.recursive_kernels(bad_group, f, 5, 6, _birth_tensors(group, 6))
         assert str(refused.value) == str(expected.value)
-        for refuse in (lambda: sz.corner_column(bad_group, 6),
-                       lambda: _birth_tensors(bad_group, 6),
+        for refuse in (lambda: _birth_tensors(bad_group, 6),
                        lambda: sz.compressed_operator(f, [bad_group], 6, 1),
+                       lambda: sz.compressed_operator(SAMPLED, [bad_group], 6, 1),
                        lambda: sz.basis_columns(bad_group, 6)):
             with pytest.raises(ValueError) as refused:
                 refuse()
@@ -752,7 +758,7 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
         assert entered[getattr(sz, name).__code__] == 0, name
     levels = f.scale > 0 or isinstance(f, HarmonicFunction)
     assert entered[sz.recursive_kernels.__code__] == levels * len(groups)
-    assert (entered[sz.remainder_corners.__wrapped__.__code__] > 0) == levels
+    assert (entered[dec.remainder.__code__] > 0) == levels
     assert entered[sz.reference_integral.__code__] == 1
     assert asked == []
     assert record.dimension == top.interior_count(4)
@@ -770,18 +776,17 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
 
 
 def test_unit_kernels_are_the_words_alone(monkeypatch):
-    # the kernels of f = 1 that normalize every column are read off each
-    # word's tensors, so a constant, harmonic, simple and sampled f, the
-    # last in chunks of two words, pass the same ones to every compression,
-    # bit for bit
+    # the factors rho that normalize every column are read off each word's
+    # tensors, so a harmonic, simple and sampled f, the last in chunks of
+    # two words, pass the same ones to every compression, bit for bit
     groups = enumerate_spectrum(5)
     monkeypatch.setattr(sz, "CHUNK_BYTES", 2 * max(_word_bytes(g, 6) for g in groups))
     passed = []
     original = sz.tree_couplings
 
-    def recorded(kernels, ones, corners, m_q):
-        passed[-1].append(ones)
-        return original(kernels, ones, corners, m_q)
+    def recorded(kernels, rho, corners):
+        passed[-1].append(rho)
+        return original(kernels, rho, corners)
     monkeypatch.setattr(sz, "tree_couplings", recorded)
     for f in MULTIPLIERS:
         passed.append([])
@@ -789,9 +794,9 @@ def test_unit_kernels_are_the_words_alone(monkeypatch):
     assert passed[0] == []  # a constant f reaches no tree level
     assert len(passed[-1]) > len(groups)  # the sampled f is built in chunks
     first = np.concatenate(passed[1])
-    assert first.shape == (sum(map(len, groups)), 6)
-    for ones in passed[2:]:
-        assert np.array_equal(np.concatenate(ones), first)
+    assert np.array_equal(first, np.concatenate([_gram_factors(g, 6) for g in groups]))
+    for rho in passed[2:]:
+        assert np.array_equal(np.concatenate(rho), first)
 
 
 @pytest.mark.parametrize("f", MULTIPLIERS, ids=lambda f: f.label())
@@ -807,9 +812,9 @@ def test_cell_constant_multipliers_build_only_the_levels_above_their_scale(f, mo
     reached = []
     original = sz.tree_couplings
 
-    def recorded(kernels, ones, corners, m_q):
-        reached.append([k for k, *_ in corners])
-        return original(kernels, ones, corners, m_q)
+    def recorded(kernels, rho, corners):
+        reached.append([k for k, _ in corners])
+        return original(kernels, rho, corners)
     monkeypatch.setattr(sz, "tree_couplings", recorded)
     entered = collections.Counter()
 
@@ -830,7 +835,7 @@ def test_cell_constant_multipliers_build_only_the_levels_above_their_scale(f, mo
     if f.scale == 0:
         for name in ("corner_tensors", "recursive_kernels"):
             assert entered[getattr(sz, name).__code__] == 0, name
-        assert entered[sz.remainder_corners.__wrapped__.__code__] == 0
+        assert entered[dec.remainder.__code__] == 0
 
 
 # a cell-constant f of scale 2 with nine distinct coefficients
@@ -853,20 +858,28 @@ def test_eigenvalues_match_the_dense_oracle(mode, index):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_unit_kernels_are_the_sampled_kernels_of_one(m):
-    # the kernels of f = 1 from the tensors against the sampled kernel of
-    # the share row, 1/2 at a birth-cell's corners and 1 elsewhere, within
-    # 1.6e-15 of their largest entry (1.5e-15 at m = 8, m_q = 9, and below
-    # 1e-15 up to m = 6, m_q = 7; against a long-double extension the
-    # tensors' are 1.4e-15 off and the sampled 8.4e-16)
+    # every column's quadrature norm, its square summed over the
+    # birth-cells against the sampled kernel of the share row (1/2 at a
+    # birth-cell's corners and 1 elsewhere) in long double, is
+    # sqrt(w(m_q) rho) of its word within 1.6e-15 relative (1.52e-15 at
+    # m = 8; the squares within twice that): the kernel is symmetric in
+    # the corners, and a column of plain norm 1 sums u^2 over the cells to
+    # 2 and u u' to (4 - gamma) / 2.  Against a long-double extension,
+    # sqrt(rho) is 1.2e-15 off at m = 8, m_q = 9
     for m_q in (m, m + 1):
+        w = top.interior_weight(m_q)
         for group in enumerate_spectrum(m):
             n = m_q - group.birth
             share = np.where(top.level_topology(n).boundary_mask, 0.5, 1.0)[None]
-            sampled = sz.cell_kernels([share] * 3, sz.corner_column(group, m_q), n)[:, 0]
-            ones = sz.unit_kernels(_birth_tensors(group, m_q))
-            assert ones.shape == sampled.shape == (len(group), 6)
-            error = np.max(np.abs(ones - sampled))
-            assert error <= 1.6e-15 * np.max(np.abs(sampled)), (group.series, group.birth, m_q)
+            sampled = sz.cell_kernels([share] * 3, _corner_column(group, m_q), n)[:, 0]
+            sampled = sampled[:, sz._SYMMETRIC].astype(np.longdouble)
+            rho = _gram_factors(group, m_q)
+            assert rho.shape == (len(group),)
+            for _, u in sz.tree_corners(group.series, group.birth):
+                u = u.astype(np.longdouble)
+                norms = np.sqrt(w * np.einsum("xac,gab,xbc->gc", u, sampled, u))
+                error = np.max(np.abs(norms / np.sqrt(w * rho[:, None]) - 1.0))
+                assert error <= 1.6e-15, (group.series, group.birth, m_q, error)
 
 
 def test_compression_refuses_a_wrong_multiplicity():
