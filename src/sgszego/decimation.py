@@ -60,10 +60,21 @@ def gamma_step(gamma_prev, sign):
 
 def _continue(gamma, steps):
     """gamma after `steps` decimation steps past the stored sign words."""
+    if not steps:
+        return gamma
     # a gamma of exactly 6 only occurs at a 6-series birth, where the next
-    # sign is forced to +1; every other continuation sign is -1
-    for _ in range(steps):
-        gamma = gamma_step(gamma, np.where(gamma == 6.0, 1, -1))
+    # sign is forced to +1; every other continuation sign is -1, and past
+    # the first step every gamma is below 5/2, so the rest is the -1 branch
+    # of `gamma_step`, its operations in its order, in place
+    gamma = gamma_step(gamma, np.where(gamma == 6.0, 1, -1))
+    total = np.empty_like(gamma)
+    for _ in range(steps - 1):
+        np.multiply(gamma, -4.0, out=total)
+        total += 25.0
+        np.sqrt(total, out=total)
+        total += 5.0
+        gamma *= 2.0
+        gamma /= total
     return gamma
 
 
@@ -258,7 +269,7 @@ def five_series_corners(i):
     rounding.
     """
     if i == 1:
-        span = _midpoint_table(np.linalg.svd(np.ones((1, 3)))[2][1:].T)
+        span = five_series_glue(1)[0]
     else:
         small = five_series_corners(i - 1)[..., :2]
         null = junction_nullspace(normal_derivatives(small)).reshape(3, 2, 3)
@@ -277,10 +288,51 @@ def five_series_corners(i):
     return values
 
 
+@lru_cache(maxsize=None)
+def five_series_glue(i):
+    """(coefficients, normal) of R5(i) from the glue alone, with no table;
+    cached and read-only.  For i >= 2, `coefficients`, (3, 2, 3), holds
+    N5(i) (columns 0 and 1) and K5(i) (column 2) as the coefficients of the
+    copies of N5(i - 1) in the three 1-cells, cell by cell, and `normal`,
+    (3, 2), the normal derivatives of N5(i) at q_1, q_2, q_3, one row each.
+    For i = 1 they are the corner table of E5(1), (3, 3, 2), which is N5(1)
+    in another orthonormal basis, and its normal derivatives.
+
+    This is `five_series_corners` on the coefficients: the normal derivative
+    of the junction nullspace at q_c is that of its copy in cell c, the one
+    cell at q_c, so the nullspace, the adjoint images orthonormalized by a
+    Cholesky factor and their cross product need the normal derivatives of
+    N5(i - 1) alone.  K5(i) is signed as the SVD leaves it."""
+    if i == 1:
+        span = _midpoint_table(np.linalg.svd(np.ones((1, 3)))[2][1:].T)
+        out = span, normal_derivatives(span)
+    else:
+        below = five_series_glue(i - 1)[1]
+        null = junction_nullspace(below).reshape(3, 2, 3)
+        normal = np.einsum("cq,cqr->cr", below, null)  # of the nullspace's columns
+        images = normal[:2].T
+        n5 = images @ np.linalg.inv(np.linalg.cholesky(images.T @ images)).T
+        kept = np.cross(images[:, 0], images[:, 1])
+        out = null @ np.column_stack([n5, kept / np.linalg.norm(kept)]), normal @ n5
+    for values in out:
+        values.flags.writeable = False  # cached and shared by every caller
+    return out
+
+
 # |gamma| beyond which the gamma = -6 family is clamped: (2 - g)(5 - g) would
 # overflow at j = 11, and g itself at j = 12, while the values such a gamma
 # gives its new vertices are below 1e-100 of their cell's corner values
 GAMMA_CLAMP = 1e100
+
+
+def six_series_chain(j):
+    """gamma at the levels 2 .. j of the extension from V_1 that builds
+    R6(j), j >= 2: g_{j-2}, ..., g_1, with g_1 = -6 and g_{d+1} = g_d (5 -
+    g_d) clamped at -GAMMA_CLAMP, and then 6."""
+    gammas = [-6.0]
+    while len(gammas) < j - 2:
+        gammas.append(max(gammas[-1] * (5.0 - gammas[-1]), -GAMMA_CLAMP))
+    return [*reversed(gammas[:j - 2]), 6.0]
 
 
 @lru_cache(maxsize=None)
@@ -302,11 +354,8 @@ def six_series_corners(j):
     axis (as one matrix product, it left the columns 7.8e-16 off the dense
     solve).
     """
-    gammas = [-6.0]
-    while len(gammas) < j - 2:
-        gammas.append(max(gammas[-1] * (5.0 - gammas[-1]), -GAMMA_CLAMP))
     table = _midpoint_table(np.eye(3)).transpose(2, 0, 1)
-    for gamma in [*reversed(gammas[:j - 2]), 6.0]:
+    for gamma in six_series_chain(j):
         table = child_corners(table, midpoints(table, gamma))
     columns = table.reshape(3, -1)
     gram = np.array([[0.5 * np.sum(a * b) for b in columns] for a in columns])

@@ -1,22 +1,26 @@
 """Eigenspace bases of the gasket Laplacian kept as cell trees, the
 multiplication operators compressed onto them, their log-determinants,
 spectral functionals, and the convergence and equidistribution experiments
-built on them.  The dense columns of a basis (`basis_columns`) and its
-compressed blocks (`tree_couplings`) are read off the same pieces: the
-tree's corner values, each word's gammas and the one norm of each word's
-columns, from its kernel of f = 1 (`gram_factors`)."""
+built on them.  An operator keeps each birth group's cell kernels, each
+word's kernels divided by the one norm of its columns, from its kernel of
+f = 1 (`gram_factors`).  Its log-determinant is one Schur recursion up the
+cells from them (`schur`), with no tree block formed; the dense columns of
+a basis (`basis_columns`) and the blocks the eigenvalues read
+(`CompressedOperator.blocks`, `tree_couplings`) are built from the tree's
+corner values and the same kernels."""
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, enumerate_spectrum, make_groups,
                          refuse_forbidden, remainder)
 from .laplacian import child_corners, corner_maps, midpoints, vertex_values
+from .schur import NotPositiveDefiniteError, group_log_det
 from .topology import cell_embedding, interior_weight, level_topology, rotation, vertex_count
 
 # the default sampling level is min(index + 1, MQ_CAP).  Memory no longer
@@ -35,10 +39,6 @@ CHUNK_BYTES = 3 << 19
 
 # the field that holds the index range of each sweep mode
 INDEX_FIELDS = {"single": "j", "cutoff": "m"}
-
-
-class NotPositiveDefiniteError(Exception):
-    """Raised when a compressed operator admits no Cholesky factorization."""
 
 
 class FunctionalValueError(ArithmeticError):
@@ -108,23 +108,46 @@ class TreeBlocks:
 
 
 @dataclass(frozen=True)
+class GroupKernels:
+    """A birth group's G eigenspaces compressed, before any block is formed:
+    the tree levels of depth below `below` (all if None) as `kernels`,
+    (G, 3^birth, 6), each birth-cell's `cell_kernels` divided by its word's
+    rho (`gram_factors`), None if no level is kept, and the columns deeper
+    than those levels as their `constants`, (G, n)."""
+
+    series: str
+    birth: int
+    below: int | None
+    kernels: np.ndarray | None
+    constants: np.ndarray
+
+
+@dataclass(frozen=True)
 class CompressedOperator:
     """Multiplication operator compressed to a sum of eigenspaces.
 
     Eigenspaces are orthogonal, so the operator is block diagonal across
-    them; `blocks` keeps one `TreeBlocks` per birth group, the matrices of
-    its G eigenspaces, with entries the quadrature inner products
-    <f u_a, u_b>.  `localized` counts the localized basis vectors, and
-    `level` is the sampling level the blocks were assembled at.
+    them; `groups` keeps one `GroupKernels` per birth group, from which the
+    matrices of its G eigenspaces, with entries the quadrature inner
+    products <f u_a, u_b>, are built as `blocks` when they are asked for.
+    `localized` counts the localized basis vectors, `dimension` all of
+    them, and `level` is the sampling level the kernels were built at.
     """
 
-    blocks: tuple
+    groups: tuple
     localized: int
+    dimension: int
     level: int
 
-    @property
-    def dimension(self):
-        return sum(group.eigenspaces * group.dimension for group in self.blocks)
+    @cached_property
+    def blocks(self):
+        """One `TreeBlocks` per birth group, its levels by `tree_couplings`."""
+        return tuple(TreeBlocks(depths=(), couplings=(), constants=group.constants)
+                     if group.kernels is None else
+                     replace(tree_couplings(group.kernels, tree_corners(group.series, group.birth,
+                                                                        group.below)),
+                             constants=group.constants)
+                     for group in self.groups)
 
 
 def dense_blocks(group):
@@ -134,7 +157,7 @@ def dense_blocks(group):
     deep = group.constants.shape[1]
     sizes = group.column_counts
     starts = deep + np.cumsum([0] + sizes)
-    out = np.zeros((group.eigenspaces, starts[-1], starts[-1]))
+    out = np.zeros((group.eigenspaces, group.dimension, group.dimension))
     out[:, np.arange(deep), np.arange(deep)] = group.constants
     for i, (k, rows) in enumerate(zip(group.depths, group.couplings)):
         own = starts[i] + np.arange(sizes[i]).reshape(3**k, -1)
@@ -158,15 +181,15 @@ _SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 def chunk_words(group, m_q):
     """Sign words of a birth group to compress at once: as many as
-    CHUNK_BYTES holds of what `cell_kernels` and `tree_couplings` make for
-    one word, 8 bytes for each of 3 entries per vertex of V_{m_q - birth}
-    (the extended column t, t rotated and one product of the two) and 24
-    per birth-cell (the kernels, their symmetric 3 x 3 form and one
-    ancestor's product with them).  Before them, the corner-table extension
-    that builds t holds about as much: its last table, 2 entries per vertex,
-    and the table and midpoints one level coarser, 2/3 each.  At least one:
-    every word is built by its own matrix products, so the blocks do not
-    depend on the chunks."""
+    CHUNK_BYTES holds of what `cell_kernels` makes for one word, 8 bytes for
+    each of 3 entries per vertex of V_{m_q - birth} (the extended column t,
+    t rotated and one product of the two) and 24 per birth-cell, which
+    cover the kernels, 6, and the products that sum them with room to
+    spare.  Before them, the corner-table extension that builds t holds
+    about as much: its last table, 2 entries per vertex, and the table and
+    midpoints one level coarser, 2/3 each.  At least one: every word is
+    built by its own matrix products, so the kernels do not depend on the
+    chunks."""
     j = group.birth
     return max(1, CHUNK_BYTES // (8 * (3 * vertex_count(m_q - j) + 24 * 3**j)))
 
@@ -383,17 +406,16 @@ def tree_corners(series, birth, below=None):
     return tuple(levels)
 
 
-def tree_couplings(kernels, rho, corners):
-    """The `TreeBlocks` of a chunk of a birth group from its `cell_kernels`,
-    `gram_factors` and `tree_corners`.  A column u_a is its part on
-    V_birth, copied into its cell, extended to V_{m_q} and divided by its
-    quadrature norm sqrt(w(m_q) rho), so <f u_a, u_b> =
+def tree_couplings(kernels, corners):
+    """The `TreeBlocks` of a birth group from its `cell_kernels` divided by
+    each word's `gram_factors` rho and its `tree_corners`.  A column u_a is
+    its part on V_birth, copied into its cell, extended to V_{m_q} and
+    divided by its quadrature norm sqrt(w(m_q) rho), so <f u_a, u_b> =
     sum_C u_a(C)^T K_C u_b(C) / rho over the birth-cells C, u(C) the part's
     values at C's corners.  Every product is one word's own, so the blocks
-    of a word do not depend on the chunk."""
+    of a word do not depend on the other words."""
     g = len(kernels)
     cells = kernels[..., _SYMMETRIC]  # (G, birth-cells, 3, 3)
-    cells /= rho[:, None, None, None]
     rows = [[] for _ in corners]
     for up, (k_up, u_up) in enumerate(corners):
         # (G, 3^k_up, birth-cells in each, 3, c_up): K_C times the ancestor's corner values
@@ -492,104 +514,73 @@ def orthonormality_check(vectors, level):
 def compressed_operator(f, groups, m_q, scale):
     """f compressed to the sum of the eigenspaces of the birth groups, each
     sampled at level m_q and localized at the given scale, built one group
-    at a time; raises FunctionalValueError when a block or constant is not
+    at a time; raises FunctionalValueError when a kernel or constant is not
     finite.  A group's basis is never extended past its birth level: each
     word's eigenfunctions enter through its cell kernels.  An f with
     `cell_corners` is read at level max(birth, f.scale) by
     `recursive_kernels`, with no table of V_{m_q}; any other f is sampled on
-    V_{m_q} (`sampled_blocks`).  An f constant on the cells of its scale
+    V_{m_q} (`sampled_kernels`).  An f constant on the cells of its scale
     (`coefficients`) is compressed on the tree levels above that scale
     alone, and the columns below take its `cell_constants`: a constant f
-    builds no level, and only its gammas are checked (`refuse_forbidden`)."""
+    keeps no level, and only its gammas are checked (`refuse_forbidden`)."""
     recursive = hasattr(f, "cell_corners")
     if not recursive:
         topo = level_topology(m_q)
         # the eigenfunctions vanish at the corners of V_0, where f may be infinite
         fvals = np.where(topo.boundary_mask, 0.0, f.sample(topo))
     below = f.scale if hasattr(f, "coefficients") else None
-    blocks, localized = [], 0
+    parts, localized, dimension = [], 0, 0
     for group in groups:
         localized += len(group) * localized_columns(group, scale)
-        corners = tree_corners(group.series, group.birth, below)
+        dimension += len(group) * group.multiplicity
+        constants = (cell_constants(f, group) if below is not None
+                     else np.empty((len(group), 0)))
         gammas = group.gammas_through(m_q)[:, 1:]
-        if not corners:  # f is constant: every column sees it
+        kernels = None
+        if below == 0:  # f is constant: every column sees it
             refuse_forbidden(gammas)
-            blocks.append(TreeBlocks(depths=(), couplings=(), constants=cell_constants(f, group)))
-            continue
-        tensors = corner_tensors(gammas)  # of the birth-cells; refuses a forbidden gamma
-        rho = gram_factors(tensors, group.gammas[:, 0])
-        if recursive:
-            kernels = recursive_kernels(group, f, max(group.birth, f.scale), m_q, tensors)
-            tree = tree_couplings(kernels, rho, corners)
         else:
-            tree = sampled_blocks(fvals, group, gammas, rho, corners, m_q)
-        blocks.append(tree if below is None else replace(tree, constants=cell_constants(f, group)))
-    if not all(np.isfinite(rows).all() for group in blocks
-               for rows in (group.constants, *group.couplings)):
+            tensors = corner_tensors(gammas)  # of the birth-cells; refuses a forbidden gamma
+            rho = gram_factors(tensors, group.gammas[:, 0])
+            if recursive:
+                kernels = recursive_kernels(group, f, max(group.birth, f.scale), m_q, tensors)
+            else:
+                kernels = sampled_kernels(fvals, group, gammas, m_q)
+            kernels /= rho[:, None, None]
+        parts.append(GroupKernels(group.series, group.birth, below, kernels, constants))
+    if not all(np.isfinite(values).all() for part in parts
+               for values in (part.constants, part.kernels) if values is not None):
         raise FunctionalValueError(f"f={f.label()} compressed at level {m_q} has non-finite entries")
-    return CompressedOperator(blocks=tuple(blocks), localized=localized, level=m_q)
+    return CompressedOperator(groups=tuple(parts), localized=localized, dimension=dimension,
+                              level=m_q)
 
 
-def sampled_blocks(f_values, group, gammas, rho, corners, m_q):
-    """The `TreeBlocks` of a birth group for f given by its values on
-    V_{m_q}: `tree_couplings` of each chunk of `chunk_words` words, from its
-    `cell_kernels` and its slices of the group's gamma_{birth+1} ..
-    gamma_{m_q}, refused if forbidden before, and `gram_factors` rho."""
+def sampled_kernels(f_values, group, gammas, m_q):
+    """The `cell_kernels` of a birth group for f given by its values on
+    V_{m_q}, built a chunk of `chunk_words` words at a time from its slices
+    of the group's gamma_{birth+1} .. gamma_{m_q}, refused if forbidden
+    before, and stacked."""
     weights = cell_weights(f_values, group.birth, m_q)
     n, size = m_q - group.birth, chunk_words(group, m_q)
-    chunks = [tree_couplings(cell_kernels(weights, corner_column(gammas[a:a + size]), n),
-                             rho[a:a + size], corners) for a in range(0, len(group), size)]
+    chunks = [cell_kernels(weights, corner_column(gammas[a:a + size]), n)
+              for a in range(0, len(group), size)]
     del weights  # before the chunks are stacked
-    if len(chunks) == 1:
-        return chunks[0]
-    return TreeBlocks(depths=chunks[0].depths,
-                      couplings=tuple(map(np.concatenate, zip(*(c.couplings for c in chunks)))),
-                      constants=np.empty((len(group), 0)))
-
-
-def _eliminate(group):
-    """Log-determinant of a group's tree blocks and constants, summed over
-    its eigenspaces.  The constants, one row for every eigenspace, add G
-    times the sum of their logs.  The tree levels are eliminated by
-    multifrontal Cholesky over the cell tree, deepest level first.  A cell's
-    frontal matrix covers its own columns and then its ancestors'; its pivot
-    block is factored, and the Schur complement of the pivot is the update
-    to the ancestors' columns.  The solved rows of the cells that share a
-    parent are stacked, so one product gives their summed update, and the
-    updates they carry are summed into the parent's frontal matrix too.
-    Eliminating a cell fills nothing outside its ancestors, so no matrix of
-    the eigenspace's size is formed."""
-    constants, update = group.constants, None
-    try:
-        if not np.all(constants > 0.0):  # a diagonal with no Cholesky factor
-            raise np.linalg.LinAlgError("a constant is not positive")
-        logdet = len(constants) * np.sum(np.log(constants[0]))
-        for i, rows in enumerate(group.couplings):
-            c = rows.shape[2]
-            front = rows if update is None else rows + update[..., :c, :]
-            chol = np.linalg.cholesky(front[..., :c])
-            logdet += 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)))
-            if i + 1 == len(group.depths):
-                break
-            solved = np.linalg.solve(chol, front[..., c:])
-            g, parents, up = len(rows), 3 ** group.depths[i + 1], solved.shape[-1]
-            stacked = solved.reshape(g, parents, -1, up)  # (G, parents, siblings * c, up)
-            schur = -(stacked.swapaxes(-1, -2) @ stacked)
-            if update is not None:
-                schur += update[..., c:, c:].reshape(g, parents, -1, up, up).sum(axis=2)
-            update = schur
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            "compressed operator is not positive definite "
-            "(f non-positive somewhere, or discretization too coarse)"
-        ) from exc
-    return float(logdet)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def log_det(op):
-    """Log-determinant of a compressed operator, the sum over its groups'
-    tree eliminations."""
-    return sum(_eliminate(group) for group in op.blocks)
+    """Log-determinant of a compressed operator, summed over its groups:
+    G times the logs of the constants, refused unless positive as a
+    Cholesky factorization refuses a pivot, and the Schur recursion of
+    `schur.group_log_det` over the tree levels."""
+    total = 0.0
+    for group in op.groups:
+        if not np.all(group.constants > 0.0):
+            raise NotPositiveDefiniteError
+        total += len(group.constants) * np.sum(np.log(group.constants[0]))
+        if group.kernels is not None:
+            total += group_log_det(group.series, group.birth, group.below, group.kernels)
+    return float(total)
 
 
 def spectral_functional(op, func):

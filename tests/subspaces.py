@@ -13,7 +13,7 @@ from sgszego.decimation import (_BIRTH_GAMMA, JUNCTION_SV_MIN, LAMBDA_TAIL, SERI
                                 SERIES_SIX, SERIES_TWO, make_groups, refuse_forbidden, remainder,
                                 series_multiplicity)
 from sgszego.laplacian import _interior_neighbours
-from sgszego.szego import (CompressedOperator, TreeBlocks, column_cells, dense_blocks,
+from sgszego.szego import (NotPositiveDefiniteError, TreeBlocks, column_cells, dense_blocks,
                            localized_columns)
 from sgszego.topology import (_CORNER_KEYS, SQRT3, cell_embedding, interior_count,
                               interior_weight, level_topology, vertex_count)
@@ -256,12 +256,49 @@ def dense_matrix(op):
 
 
 def one_level(matrix):
-    """A symmetric matrix as a compressed operator of one eigenspace whose
-    cell tree has one level of one cell, the form `szego.log_det` takes."""
+    """A symmetric matrix as the `TreeBlocks` of one eigenspace whose cell
+    tree has one level of one cell, the form `eliminate` takes."""
     couplings = np.asarray(matrix, dtype=float)[None, None]
-    return CompressedOperator(blocks=(TreeBlocks(depths=(0,), couplings=(couplings,),
-                                                 constants=np.empty((1, 0))),),
-                              localized=0, level=0)
+    return TreeBlocks(depths=(0,), couplings=(couplings,), constants=np.empty((1, 0)))
+
+
+# The elimination over the tree blocks that `szego.log_det` replaced by the
+# Schur recursion up the cells from the kernels (`schur`), kept as its oracle.
+
+def eliminate(group):
+    """Log-determinant of a group's tree blocks and constants, summed over
+    its eigenspaces.  The constants, one row for every eigenspace, add G
+    times the sum of their logs.  The tree levels are eliminated by
+    multifrontal Cholesky over the cell tree, deepest level first.  A cell's
+    frontal matrix covers its own columns and then its ancestors'; its pivot
+    block is factored, and the Schur complement of the pivot is the update
+    to the ancestors' columns.  The solved rows of the cells that share a
+    parent are stacked, so one product gives their summed update, and the
+    updates they carry are summed into the parent's frontal matrix too.
+    Eliminating a cell fills nothing outside its ancestors, so no matrix of
+    the eigenspace's size is formed."""
+    constants, update = group.constants, None
+    try:
+        if not np.all(constants > 0.0):  # a diagonal with no Cholesky factor
+            raise np.linalg.LinAlgError("a constant is not positive")
+        logdet = len(constants) * np.sum(np.log(constants[0]))
+        for i, rows in enumerate(group.couplings):
+            c = rows.shape[2]
+            front = rows if update is None else rows + update[..., :c, :]
+            chol = np.linalg.cholesky(front[..., :c])
+            logdet += 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)))
+            if i + 1 == len(group.depths):
+                break
+            solved = np.linalg.solve(chol, front[..., c:])
+            g, parents, up = len(rows), 3 ** group.depths[i + 1], solved.shape[-1]
+            stacked = solved.reshape(g, parents, -1, up)  # (G, parents, siblings * c, up)
+            schur = -(stacked.swapaxes(-1, -2) @ stacked)
+            if update is not None:
+                schur += update[..., c:, c:].reshape(g, parents, -1, up, up).sum(axis=2)
+            update = schur
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError from exc
+    return float(logdet)
 
 
 def six_series_birth_by_qr(j):

@@ -17,7 +17,7 @@ from sgszego import topology as top
 from sgszego.functions import ConstantFunction, HarmonicFunction, SimpleCellFunction
 
 from subspaces import (birth_space, cached_dense_spectrum, dense_matrix, eigenfunctions_at_level,
-                       on_vertices, one_level, scale_cells, words_of)
+                       eliminate, on_vertices, one_level, scale_cells, words_of)
 
 
 def _report(n, text):
@@ -143,11 +143,12 @@ def test_criterion_8_cutoff_rate_and_block_consistency():
     assert all(b < a for a, b in zip(errs, errs[1:])), errs
     ((_, op),) = sz.operators(f, "cutoff", [4], 1)
     full = dense_matrix(op)
-    total = sz.log_det(one_level(full))
-    blocks = sum(sz.log_det(one_level(mat))
+    total = eliminate(one_level(full))
+    blocks = sum(eliminate(one_level(mat))
                  for stack in map(sz.dense_blocks, op.blocks) for mat in stack)
     rel = abs(total - blocks) / abs(total)
     assert rel < 1e-8
+    assert abs(sz.log_det(op) - total) / abs(total) < 1e-8
     start = 0
     for mat in (mat for stack in map(sz.dense_blocks, op.blocks) for mat in stack):
         stop = start + mat.shape[0]

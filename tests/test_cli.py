@@ -413,6 +413,7 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert rc == 3
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "numerical failure"
+    assert record["detail"] == str(szego.NotPositiveDefiniteError())
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from sgszego import cli, decimation, laplacian, szego, topology
+from sgszego import cli, decimation, laplacian, schur, szego, topology
 
 PACKAGE = os.path.dirname(os.path.abspath(cli.__file__))
 
@@ -75,7 +75,7 @@ def _reached(argvs, out):
             seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     # a cached result would hide its function from a run
-    for module in (decimation, laplacian, szego, topology):
+    for module in (decimation, laplacian, schur, szego, topology):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()

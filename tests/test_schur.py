@@ -1,0 +1,152 @@
+"""The Schur recursion up the cells (`schur`) that gives every log-det of the
+Szegő path, against the elimination over the tree blocks, the remainder
+tables and the exit contract."""
+import collections
+import json
+import sys
+
+import numpy as np
+import pytest
+
+from sgszego import cli, schur
+from sgszego import decimation as dec
+from sgszego import szego as sz
+from sgszego.decimation import enumerate_spectrum
+from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFunction,
+                               SimpleCellFunction)
+from sgszego.laplacian import child_corners, midpoints
+
+from subspaces import eliminate
+
+# `h` and `s` of the measurements, cell-constant f of scales 2 and 3, a
+# constant and an f that is sampled on V_{m_q}
+MULTIPLIERS = (HarmonicFunction([1.2, 1.5, 1.9]), SimpleCellFunction([2.689, 2.516, 1.841]),
+               SimpleCellFunction([1.0 + 0.1 * i for i in range(9)]),
+               SimpleCellFunction(np.linspace(1.0, 2.0, 27)), ConstantFunction(1.7),
+               ExpressionFunction("1.5 + x * y + 0.3 * sin(7 * x)"))
+
+
+@pytest.mark.parametrize("series,index", [("cutoff", m) for m in range(1, 10)]
+                         + [(s, j) for s in ("five", "six") for j in range(2, 11)])
+def test_recursion_matches_the_elimination_oracle(series, index):
+    # every birth group's log-det, the recursion's from its kernels against
+    # the multifrontal elimination of its tree blocks, within 1e-14 relative
+    # (1.4e-15 measured), at m_q = index .. index + 2
+    for m_q in range(index, index + 3):
+        groups = (enumerate_spectrum(index) if series == "cutoff"
+                  else (sz._canonical_group(series, index, m_q),))
+        for f in MULTIPLIERS:
+            if getattr(f, "scale", 0) > m_q:  # no kernel level
+                continue
+            op = sz.compressed_operator(f, groups, m_q, 1)
+            for part, blocks in zip(op.groups, op.blocks, strict=True):
+                one = sz.CompressedOperator(groups=(part,), localized=0, dimension=0, level=m_q)
+                new, old = sz.log_det(one), eliminate(blocks)
+                assert abs(new - old) <= 1e-14 * abs(old), \
+                    (f.label(), m_q, part.series, part.birth, new, old)
+
+
+def test_glue_coefficients_give_the_five_series_tables():
+    # R5(i) built from E5(1) by the glue coefficients alone, copies of N5
+    # placed into the 1-cells a level at a time, is the table of
+    # `five_series_corners` within 1e-12 of its largest entry up to i = 12,
+    # K5 up to its sign, and so are the normal derivatives carried up.  The
+    # gap doubles a level, to 3.1e-13 at i = 12: the Cholesky basis of N5
+    # amplifies rounding, and against a 40-digit run of the glue the normal
+    # derivatives of both are off (glue 1.2e-13, tables 2.1e-13 at i = 12).
+    # No log-det sees it: N5 only carries a cell's form to its parent.  The
+    # columns are orthonormal within 1e-13 (2.4e-14 at i = 9, the tables'
+    # 3.1e-14)
+    table = dec.five_series_glue(1)[0]
+    for i in range(2, 13):
+        coefficients, normal = dec.five_series_glue(i)
+        table = np.einsum("xaq,cqr->cxar", table[..., :2], coefficients).reshape(3**i, 3, 3)
+        expected = dec.five_series_corners(i)
+        size = np.max(np.abs(expected))
+        assert np.max(np.abs(table[..., :2] - expected[..., :2])) <= 1e-12 * size, i
+        sign = np.sign(np.vdot(table[..., 2], expected[..., 2]))
+        assert np.max(np.abs(sign * table[..., 2] - expected[..., 2])) <= 1e-12 * size, i
+        reference = dec.normal_derivatives(expected)[:, :2]
+        assert np.max(np.abs(normal - reference)) <= 1e-12 * np.max(np.abs(reference)), i
+        columns = table.reshape(-1, 3)
+        assert np.max(np.abs(0.5 * columns.T @ columns - np.eye(3))) <= 1e-13, i
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_chain_gram_is_the_remainder_gram(n):
+    # the 1/2 I form folded up the chain gives log det S, S the plain Gram
+    # matrix of the chain's extended midpoint columns on V_n, which
+    # `six_series_corners` orthonormalizes, within 1e-14
+    table = dec._midpoint_table(np.eye(3)).transpose(2, 0, 1)
+    for gamma in dec.six_series_chain(n):
+        table = child_corners(table, midpoints(table, gamma))
+    columns = table.reshape(3, -1)
+    gram = 0.5 * columns @ columns.T
+    expected = np.linalg.slogdet(gram)[1]
+    assert abs(schur._chain_gram(n) - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("mode,series,scale", [("cutoff", "six", 1), ("single", "five", None),
+                                               ("single", "six", None)])
+def test_a_pivot_that_is_not_positive_exits_3(mode, series, scale, tmp_path):
+    # a harmonic f that changes sign has no closed-form columns, so the
+    # refusal is the recursion's: a pivot <= 0, with the message of the
+    # elimination it replaced (at index 3 both find the operator positive
+    # definite, at 4 neither does)
+    f = HarmonicFunction([1.0, -0.5, 2.0])
+    ((_, op),) = sz.operators(f, mode, [4], scale, series)
+    assert all(part.constants.shape[1] == 0 for part in op.groups)
+    with pytest.raises(sz.NotPositiveDefiniteError):
+        sz.log_det(op)
+    argv = ["szego", "--mode", mode, "--series", series, f"--{sz.INDEX_FIELDS[mode]}", "4"]
+    argv += ["--N", str(scale)] if scale is not None else []
+    out = tmp_path / "bad"
+    assert cli.main(argv + ["--f", f.label(), "--out", str(out)]) == 3
+    detail = json.loads((out / "error.json").read_text())["detail"]
+    assert detail == str(sz.NotPositiveDefiniteError())
+
+
+def _entered(argvs, out):
+    """How often each function was entered while the argvs ran in process,
+    from cold caches."""
+    for module in (dec, sz, schur):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    entered = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered[frame.f_code] += 1
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv + ["--out", str(out)]) for argv in argvs]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(argvs)
+    return entered
+
+
+# the tables and blocks of the cell tree, by their code objects
+TREE = {func.__name__: getattr(func, "__wrapped__", func).__code__
+        for func in (sz.tree_corners, dec.remainder, dec.five_series_corners,
+                     dec.six_series_corners, sz.tree_couplings)}
+
+
+def test_szego_sweeps_build_no_tree(tmp_path):
+    # the two benchmark argvs and a sampled cutoff sweep reach no remainder
+    # table, tree level or tree block: the log-det is the recursion's.  The
+    # eigenvalues of `equidist` still read the tree blocks
+    entered = _entered([
+        ["szego", "--mode", "cutoff", "--m", "7", "--N", "1", "--f", "harmonic:1.2,1.5,1.9"],
+        ["szego", "--mode", "single", "--series", "six", "--j", "7", "--N", "4",
+         "--f", "simple:2.689,2.516,1.841"],
+        ["szego", "--mode", "cutoff", "--m", "4", "--N", "1", "--f", "expr:1.5+x*y"],
+    ], tmp_path)
+    for name, code in TREE.items():
+        assert entered[code] == 0, name
+    assert entered[schur.group_log_det.__code__] > 0
+    entered = _entered([["equidist", "--mode", "single", "--j", "3", "--f", "harmonic:1,1.5,2",
+                         "--F", "log"]], tmp_path)
+    for name, code in TREE.items():
+        assert entered[code] > 0 or name == "five_series_corners", name

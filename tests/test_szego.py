@@ -12,13 +12,14 @@ from sgszego import cli
 from sgszego import decimation as dec
 from sgszego import functions
 from sgszego import laplacian as lap
+from sgszego import schur
 from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.decimation import enumerate_spectrum
 from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFunction,
                                SimpleCellFunction)
 
-from subspaces import (FunctionSum, assemble_compressed, cell_tree, dense_matrix,
+from subspaces import (FunctionSum, assemble_compressed, cell_tree, dense_matrix, eliminate,
                        extend_eigenfunction, index_of, interior_cell_rows, lattice_keys,
                        long_double_basis, one_level, one_word, scale_cells)
 
@@ -67,10 +68,11 @@ def test_log_det_matches_eigenvalue_sum():
 
 
 def test_log_det_small_matrices():
-    assert sz.log_det(one_level(np.eye(4))) == 0.0
-    assert sz.log_det(one_level(np.diag([1.0, 2.0, 3.0]))) == pytest.approx(math.log(6.0))
+    # the elimination oracle on one block of one cell
+    assert eliminate(one_level(np.eye(4))) == 0.0
+    assert eliminate(one_level(np.diag([1.0, 2.0, 3.0]))) == pytest.approx(math.log(6.0))
     with pytest.raises(sz.NotPositiveDefiniteError):
-        sz.log_det(one_level(np.diag([1.0, -1.0])))
+        eliminate(one_level(np.diag([1.0, -1.0])))
 
 
 def test_non_positive_constant_is_not_positive_definite():
@@ -169,10 +171,11 @@ def test_cutoff_block_logdet_consistency():
     f = HarmonicFunction([1.0, 1.5, 2.0])
     ((_, op),) = sz.operators(f, "cutoff", [3], 1)
     full = dense_matrix(op)
-    total = sz.log_det(one_level(full))
-    blocks = sum(sz.log_det(one_level(mat))
+    total = eliminate(one_level(full))
+    blocks = sum(eliminate(one_level(mat))
                  for stack in map(sz.dense_blocks, op.blocks) for mat in stack)
     assert abs(total - blocks) / abs(total) < 1e-8
+    assert abs(sz.log_det(op) - total) / abs(total) < 1e-8
     start = 0
     for mat in (mat for stack in map(sz.dense_blocks, op.blocks) for mat in stack):
         stop = start + mat.shape[0]
@@ -358,7 +361,7 @@ def test_full_compression_at_level_m_is_the_riemann_mean(m, m_q, N):
         full = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
         if m_q == m:
             mean = float(np.mean(np.log(fvals)))
-            assert abs(sz.log_det(one_level(full)) / len(full) - mean) <= 1e-13 * abs(mean), \
+            assert abs(eliminate(one_level(full)) / len(full) - mean) <= 1e-13 * abs(mean), \
                 (m, N, f.label())
         start = 0
         for block in (b for group in sz.compressed_operator(f, groups, m_q, N).blocks
@@ -413,8 +416,8 @@ def _gram_factors(group, m_q):
 def _word_bytes(group, m_q):
     """Bytes of what compressing one sign word holds: the extended corner
     column t, t rotated and one product of the two, 3 entries per vertex of
-    V_{m_q - birth}, and 24 per birth-cell for the kernels, their 3 x 3 form
-    and one ancestor product."""
+    V_{m_q - birth}, and 24 per birth-cell for the kernels and the products
+    that sum them."""
     return 8 * (3 * top.vertex_count(m_q - group.birth) + 24 * 3**group.birth)
 
 
@@ -424,8 +427,8 @@ SAMPLED = ExpressionFunction("1.5 + x * y + 0.3 * sin(7 * x)")
 
 
 def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
-    # one kernel build and one compression per chunk of a (series, birth)
-    # group, one stacked block per group, and extensions that grow with
+    # one kernel build per chunk of a (series, birth) group, one stack of
+    # kernels per group and no tree block, and extensions that grow with
     # chunks x levels past the birth, not with words or tree depths; no basis
     # part is extended past its birth level
     f = SAMPLED
@@ -463,7 +466,9 @@ def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
         ((_, op),) = sz.operators(f, "cutoff", [6], 1)
     finally:
         sys.setprofile(None)
-    assert entered[sz.cell_kernels.__code__] == entered[sz.tree_couplings.__code__] == chunks
+    assert entered[sz.cell_kernels.__code__] == chunks
+    assert entered[sz.sampled_kernels.__code__] == len(groups)
+    assert entered[sz.tree_couplings.__code__] == 0
     assert entered[sz.basis_columns.__code__] == 0
     assert len(op.blocks) == len(groups)
     assert [block.eigenspaces for block in op.blocks] == [len(group) for group in groups]
@@ -525,14 +530,14 @@ def test_assembly_holds_one_level_and_one_ancestor_copy():
     topo = top.level_topology(8)
     fvals = SAMPLED.sample(topo)
     kernels = sz.cell_kernels(sz.cell_weights(fvals, 4, 8), _corner_column(group, 8), 4)
-    rho = _gram_factors(group, 8)
+    kernels /= _gram_factors(group, 8)[:, None, None]
     corners = sz.tree_corners("five", 4)
     assert len(corners) == 3
-    sz.tree_couplings(kernels, rho, corners)
+    sz.tree_couplings(kernels, corners)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sz.tree_couplings(kernels, rho, corners)
+        sz.tree_couplings(kernels, corners)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -723,16 +728,16 @@ def test_recursion_refuses_a_level_outside_birth_and_sampling():
 @pytest.mark.parametrize("f", MULTIPLIERS[:4], ids=lambda f: f.label())
 def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
     # constant, harmonic and simple f are read on the levels of their
-    # kernels.  A cutoff sweep from cold caches, its cell tree and its
+    # kernels.  A cutoff sweep from cold caches, its recursion and its
     # integral included, makes no weights or chunks of V_{m_q}, no
     # extension and no level table: `SimpleCellFunction.cell_corners` reads
-    # the owner rule off the cells' ranks.  A constant f builds no tree
-    # level, so it needs no kernel and no remainder either.  The dense basis
-    # of every group is its cell tree extended, with no corner column or
-    # sampled kernel either
+    # the owner rule off the cells' ranks.  A constant f keeps no tree
+    # level, so it needs no kernel and no recursion either, and no f reads a
+    # remainder table.  The dense basis of every group is its cell tree
+    # extended, with no corner column or sampled kernel either
     groups = enumerate_spectrum(4)
     m_q = 7
-    for module in (dec, sz, top):
+    for module in (dec, sz, top, schur):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -758,7 +763,8 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
         assert entered[getattr(sz, name).__code__] == 0, name
     levels = f.scale > 0 or isinstance(f, HarmonicFunction)
     assert entered[sz.recursive_kernels.__code__] == levels * len(groups)
-    assert (entered[dec.remainder.__code__] > 0) == levels
+    assert entered[schur.group_log_det.__code__] == levels * len(groups)
+    assert entered[dec.remainder.__code__] == 0
     assert entered[sz.reference_integral.__code__] == 1
     assert asked == []
     assert record.dimension == top.interior_count(4)
@@ -778,44 +784,60 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
 def test_unit_kernels_are_the_words_alone(monkeypatch):
     # the factors rho that normalize every column are read off each word's
     # tensors, so a harmonic, simple and sampled f, the last in chunks of
-    # two words, pass the same ones to every compression, bit for bit
+    # two words, divide their kernels by the same ones, bit for bit
     groups = enumerate_spectrum(5)
     monkeypatch.setattr(sz, "CHUNK_BYTES", 2 * max(_word_bytes(g, 6) for g in groups))
-    passed = []
-    original = sz.tree_couplings
+    expected = np.concatenate([_gram_factors(g, 6) for g in groups])
+    passed, chunks = [], []
+    original, kernels = sz.gram_factors, sz.cell_kernels
 
-    def recorded(kernels, rho, corners):
-        passed[-1].append(rho)
-        return original(kernels, rho, corners)
-    monkeypatch.setattr(sz, "tree_couplings", recorded)
+    def recorded(tensors, gamma):
+        passed[-1].append(original(tensors, gamma))
+        return passed[-1][-1]
+
+    def counted(weights, t, n):
+        chunks.append(len(t))
+        return kernels(weights, t, n)
+    monkeypatch.setattr(sz, "gram_factors", recorded)
+    monkeypatch.setattr(sz, "cell_kernels", counted)
+    ops = []
     for f in MULTIPLIERS:
         passed.append([])
-        sz.compressed_operator(f, groups, 6, 1)
+        ops.append(sz.compressed_operator(f, groups, 6, 1))
     assert passed[0] == []  # a constant f reaches no tree level
-    assert len(passed[-1]) > len(groups)  # the sampled f is built in chunks
+    assert len(chunks) > len(groups)  # the sampled f is built in chunks
     first = np.concatenate(passed[1])
-    assert np.array_equal(first, np.concatenate([_gram_factors(g, 6) for g in groups]))
+    assert np.array_equal(first, expected)
     for rho in passed[2:]:
         assert np.array_equal(np.concatenate(rho), first)
+    # each operator keeps its kernels divided by them
+    for f, op in zip(MULTIPLIERS[1:-1], ops[1:-1]):
+        for group, part, rho in zip(groups, op.groups, passed[1]):
+            tensors = _birth_tensors(group, 6)
+            raw = sz.recursive_kernels(group, f, max(group.birth, f.scale), 6, tensors)
+            assert np.array_equal(part.kernels, raw / rho[:, None, None]), f.label()
 
 
 @pytest.mark.parametrize("f", MULTIPLIERS, ids=lambda f: f.label())
 def test_cell_constant_multipliers_build_only_the_levels_above_their_scale(f, monkeypatch):
-    # from cold caches, a cutoff and a single sweep reach `tree_couplings`
-    # with no level of depth >= f.scale for a constant or simple f, and
-    # with every level for any other; a constant f reaches it never, and
-    # enters no corner tensors, recursive kernels or remainder table
-    for value in vars(sz).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    # from cold caches, a cutoff and a single sweep eliminate no level of
+    # depth >= f.scale in the recursion for a constant or simple f, which
+    # folds those, and every level for any other; a constant f reaches the
+    # recursion never, and enters no corner tensors, recursive kernels or
+    # remainder table
+    for module in (sz, schur):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
     dec.five_series_corners.cache_clear()
     reached = []
-    original = sz.tree_couplings
+    original = schur._steps
 
-    def recorded(kernels, rho, corners):
-        reached.append([k for k, _ in corners])
-        return original(kernels, rho, corners)
-    monkeypatch.setattr(sz, "tree_couplings", recorded)
+    def recorded(series, birth, below):
+        steps = list(original(series, birth, below))
+        reached.append([depth for depth, (_, own) in steps if own])
+        return steps
+    monkeypatch.setattr(schur, "_steps", recorded)
     entered = collections.Counter()
 
     def profile(frame, event, arg):
