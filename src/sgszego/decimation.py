@@ -11,7 +11,8 @@ Beyond the enumeration level all signs are -1, which makes
 (3/2) * 5^k * gamma_k converge to the renormalized eigenvalue.  A birth
 eigenspace is a cell tree of the scale-1 remainders R(i), laid out by
 `szego.tree_corners`, each built as its corner table from those of the
-three 1-cells of V_1 (`remainder`), with no table of V_i.
+three 1-cells of V_1 (`remainder`), with no table of V_i; `schur` reads
+the same columns as steps, with no table (`five_series_glue`).
 """
 from __future__ import annotations
 
@@ -206,6 +207,12 @@ def refuse_forbidden(gammas):
         raise ValueError(f"forbidden extension eigenvalue gamma = {bad}")
 
 
+def _cholesky_basis(images):
+    """Orthonormal columns of the span of `images` by the Cholesky factor of
+    their Gram matrix: the one basis of N5 of the tables and the glue."""
+    return images @ np.linalg.inv(np.linalg.cholesky(images.T @ images)).T
+
+
 # smallest singular value of the 5-series junction matrix, relative to its
 # largest, below which the three junction conditions count as dependent
 JUNCTION_SV_MIN = 1e-8
@@ -269,21 +276,18 @@ def five_series_corners(i):
     rounding.
     """
     if i == 1:
-        span = five_series_glue(1)[0]
-    else:
-        small = five_series_corners(i - 1)[..., :2]
-        null = junction_nullspace(normal_derivatives(small)).reshape(3, 2, 3)
-        span = (small.reshape(-1, 2) @ null).reshape(3**i, 3, 3)
+        return five_series_glue(1)[0]
+    small = five_series_corners(i - 1)[..., :2]
+    null = junction_nullspace(normal_derivatives(small)).reshape(3, 2, 3)
+    span = (small.reshape(-1, 2) @ null).reshape(3**i, 3, 3)
     images = normal_derivatives(span)[:2].T
-    flat = span.reshape(-1, span.shape[-1])
-    values = flat @ (images @ np.linalg.inv(np.linalg.cholesky(images.T @ images)).T)
-    values = values.reshape(3**i, 3, -1)
-    if i > 1:
-        kept = np.cross(images[:, 0], images[:, 1])
-        kept = flat @ (kept / np.linalg.norm(kept))
-        size = np.abs(kept)
-        kept *= np.sign(kept[np.argmax(size >= 0.5 * size.max())])
-        values = np.concatenate([values, kept.reshape(3**i, 3, 1)], axis=-1)
+    flat = span.reshape(-1, 3)
+    kept = np.cross(images[:, 0], images[:, 1])
+    kept = flat @ (kept / np.linalg.norm(kept))
+    size = np.abs(kept)
+    kept *= np.sign(kept[np.argmax(size >= 0.5 * size.max())])
+    values = (flat @ _cholesky_basis(images)).reshape(3**i, 3, 2)
+    values = np.concatenate([values, kept.reshape(3**i, 3, 1)], axis=-1)
     values.flags.writeable = False  # cached and shared by every caller
     return values
 
@@ -295,25 +299,33 @@ def five_series_glue(i):
     N5(i) (columns 0 and 1) and K5(i) (column 2) as the coefficients of the
     copies of N5(i - 1) in the three 1-cells, cell by cell, and `normal`,
     (3, 2), the normal derivatives of N5(i) at q_1, q_2, q_3, one row each.
-    For i = 1 they are the corner table of E5(1), (3, 3, 2), which is N5(1)
-    in another orthonormal basis, and its normal derivatives.
+    For i = 1 they are the corner table of N5(1) = E5(1), (3, 3, 2), that
+    `five_series_corners(1)` returns, and its normal derivatives.
 
     This is `five_series_corners` on the coefficients: the normal derivative
     of the junction nullspace at q_c is that of its copy in cell c, the one
     cell at q_c, so the nullspace, the adjoint images orthonormalized by a
     Cholesky factor and their cross product need the normal derivatives of
-    N5(i - 1) alone.  K5(i) is signed as the SVD leaves it."""
+    N5(i - 1) alone.  K5(i) is signed to make its first coefficient of at
+    least half their largest magnitude negative, which gives it the sign of
+    the table's K5 (at every i = 2 .. 15)."""
     if i == 1:
         span = _midpoint_table(np.linalg.svd(np.ones((1, 3)))[2][1:].T)
-        out = span, normal_derivatives(span)
+        table = span.reshape(-1, 2) @ _cholesky_basis(normal_derivatives(span)[:2].T)
+        table = table.reshape(3, 3, 2)
+        out = table, normal_derivatives(table)
     else:
         below = five_series_glue(i - 1)[1]
         null = junction_nullspace(below).reshape(3, 2, 3)
         normal = np.einsum("cq,cqr->cr", below, null)  # of the nullspace's columns
         images = normal[:2].T
-        n5 = images @ np.linalg.inv(np.linalg.cholesky(images.T @ images)).T
+        n5 = _cholesky_basis(images)
         kept = np.cross(images[:, 0], images[:, 1])
-        out = null @ np.column_stack([n5, kept / np.linalg.norm(kept)]), normal @ n5
+        coefficients = null @ np.column_stack([n5, kept / np.linalg.norm(kept)])
+        k5 = coefficients[..., 2]  # a view
+        size = np.abs(k5).ravel()
+        k5 *= -np.sign(k5.flat[np.argmax(size >= 0.5 * size.max())])
+        out = coefficients, normal @ n5
     for values in out:
         values.flags.writeable = False  # cached and shared by every caller
     return out

@@ -1,38 +1,36 @@
-"""Log-determinants of compressed operators by one Schur recursion up the
-cells of each birth space, from the kernels of its birth-cells, with no
-tree block formed.
+"""Log-determinants and matrices of compressed operators by one Schur
+recursion up the cells of each birth space, from the kernels of its
+birth-cells, with no tree block formed.
 
 A column of a birth space's cell tree talks to the cells inside its own
 through a small interface, so each cell carries one small form, stacked
 over the group's words and the cells of a level.  A step takes the forms
-of a parent's three children, K_i on their coordinates, and the maps X_i
-from the parent's own columns and A_i from its coordinates to theirs.  One
-product of the stacked forms with a table of the step gives
+of a parent's three children, K_i on their coordinates, and the maps
+Z_i = [X_i, A_i] from the parent's own columns and its coordinates to
+theirs.  One product of the stacked forms with a table of the step gives
 B = sum X_i^T K_i X_i, W = sum X_i^T K_i A_i and F = sum A_i^T K_i A_i; the
 log-det gains log det B, and the parent's form is F - W^T B^-1 W.  A step
 with no own columns folds, K = F, and the root, whose coordinates vanish,
-needs B alone.
+needs B alone.  Kept, not eliminated, the own columns give the matrices
+whose eigenvalues `szego` takes (`group_matrices`).
 
 - The 6-series.  A depth-k column is R6(j - k) copied into a k-cell, and
-  R6(j - k) is the extension of the midpoint unit vectors of V_1 along the
-  chain of `six_series_chain`, times a 3 x 3 map, with the same gamma at
-  every absolute level at every depth.  So a cell's coordinates are its
-  corner values: A_i are the maps of `midpoints` at the level's gamma, and
-  X_i the midpoint table of the identity.  The chain's columns are not
-  orthonormal, so the same recursion started at 1/2 I on every birth-cell,
-  the plain form on V_birth of functions that vanish on V_0, gives the log
-  det of their plain Gram matrix, one number per birth and scale, which
-  is subtracted for every word (`_chain_gram`).
+  R6(n) is the extension of the midpoint unit vectors of V_1 along the
+  chain of `six_series_chain`, the same gamma at every absolute level at
+  every depth, times L(n), L(n) L(n)^T = S(n)^-1.  So a cell's coordinates
+  are its corner values: A_i are the maps of `midpoints` at the level's
+  gamma, and X_i the midpoint table of L(n).  S(n), the chain columns'
+  plain Gram matrix, is the root's B of 1/2 I on the birth-cells, folded.
 - The 5-series.  E5(i) vanishes on V_{i - 1}: in each (i - 1)-cell it is
   E5(1) copied, so the first step folds the birth-cells' kernels into
   2 x 2 forms on those copies' coefficients.  A column K5(n) in a cell is
   the copies of N5(n - 1) in its children times the glue coefficients of
   `five_series_glue`, and so is N5(n), through which every column above
-  reaches the cell.  These are the tree's own orthonormal columns.
+  reaches the cell.
 - The 2-series is its root alone.
 
-A column deeper than the tree levels kept (`below`) is the closed form's,
-so the steps at those depths fold.
+These are the tree's own orthonormal columns.  A column deeper than the
+tree levels kept (`below`) is the closed form's: those steps fold.
 """
 from __future__ import annotations
 
@@ -61,10 +59,10 @@ def _pairs(n):
 
 
 def _table(own, up):
-    """(table, p) of a step: `own`, (3, n, p), and `up`, (3, n, q), map the
-    parent's own columns and its coordinates to each child's coordinates,
-    either None if there are none, so each child's coordinates are Z_i =
-    [own_i, up_i] of the parent's.  `table` maps the three children's forms,
+    """(table, p, maps) of a step: `own`, (3, n, p), and `up`, (3, n, q), map
+    the parent's own columns and its coordinates to each child's
+    coordinates, either None if there are none, and `maps` holds each
+    child's Z_i = [own_i, up_i].  `table` maps the three children's forms,
     each n x n held as `_pairs(n)`, to sum Z_i^T K_i Z_i = [[B, W], [W^T,
     F]], whole, or F alone, held as `_pairs(q)`, if p = 0."""
     maps = np.concatenate([m for m in (own, up) if m is not None], axis=2)
@@ -75,17 +73,18 @@ def _table(own, up):
     if own is None:
         rows_q, cols_q = _pairs(maps.shape[2])
         table = table[..., rows_q, cols_q]
-    return table.reshape(3 * len(rows), -1), 0 if own is None else own.shape[2]
+    return table.reshape(3 * len(rows), -1), 0 if own is None else own.shape[2], maps
 
 
-def _step(forms, table, p):
-    """(log det, parent forms) of one step over stacked children's forms,
-    three siblings in a row of the flattened stack, whatever the words: the
-    sum of log det B over the parents, and their forms (parents,
-    q(q + 1)/2), held as `_pairs(q)`, None at the root.  The first p pivots
-    of [[B, W], [W^T, F]] are eliminated over the stack, which leaves
-    F - W^T B^-1 W; a pivot that is not positive, NaN included, raises
-    NotPositiveDefiniteError."""
+def _step(forms, step):
+    """(log det, parent forms) of one step (`_table`) over stacked
+    children's forms, three siblings in a row of the flattened stack,
+    whatever the words: the sum of log det B over the parents, and their
+    forms (parents, q(q + 1)/2), held as `_pairs(q)`, None at the root.  The
+    first p pivots of [[B, W], [W^T, F]] are eliminated over the stack,
+    which leaves F - W^T B^-1 W; a pivot that is not positive, NaN included,
+    raises NotPositiveDefiniteError."""
+    table, p, _ = step
     out = forms.reshape(-1, table.shape[0]) @ table
     if not p:
         return 0.0, out
@@ -107,31 +106,30 @@ def _step(forms, table, p):
 
 
 @lru_cache(maxsize=None)
-def _chain_step(gamma, eliminate):
-    """The 6-series step up through a level of the given gamma, the
-    parent's own columns eliminated or, if not, folded."""
+def _chain_step(n, eliminate):
+    """The 6-series step into the cells that hold R6(n), from the level of
+    gamma g_{n - 1} (6 at n = 1), their own columns eliminated or folded."""
+    gamma = six_series_chain(n + 1)[0]
     scale = (2.0 - gamma) * (5.0 - gamma)
-    own = _midpoint_table(np.eye(3)) if eliminate else None
+    own = _chain_columns(n) if eliminate else None
     return _table(own, corner_maps(1.0, (4.0 - gamma) / scale, 2.0 / scale))
 
 
 @lru_cache(maxsize=None)
 def _glue_step(i, eliminate):
-    """The 5-series step up through the cells that hold R5(i): for i = 1 the
-    fold of the birth-cells' kernels onto the copies of E5(1), and for
-    i >= 2 K5(i) eliminated or, if not, folded, and N5(i) carried up."""
+    """The 5-series step up through the cells that hold R5(i): K5(i)
+    eliminated or, if not, folded, and N5(i) carried up; at i = 1, where
+    E5(1) has no K5, the fold of the birth-cells' kernels onto its copies."""
     coefficients = five_series_glue(i)[0]
-    if i == 1:  # E5(1) has no K5
-        return _table(None, coefficients)
     return _table(coefficients[..., 2:] if eliminate else None, coefficients[..., :2])
 
 
 @lru_cache(maxsize=None)
 def _root_step(series, birth):
-    """The step into the root of a birth space: R6's chain columns, the glue
-    of R5(birth) (E5(1) at birth 1) or R2(1)."""
+    """The step into the root of a birth space: R6(birth), the glue of
+    R5(birth) (E5(1) at birth 1) or R2(1)."""
     if series == SERIES_SIX:
-        own = _midpoint_table(np.eye(3))
+        own = _chain_columns(birth)
     elif series == SERIES_FIVE:
         own = five_series_glue(birth)[0]
     else:
@@ -145,10 +143,10 @@ def _steps(series, birth, below):
     None), the depth that of the parents."""
     below = math.inf if below is None else below
     if series == SERIES_SIX:
-        # level l holds the children of the (l - 1)-cells, and the last,
-        # gamma = 6, has no own columns above it
-        for level, gamma in zip(range(birth, 1, -1), six_series_chain(birth)[::-1]):
-            yield level - 1, _chain_step(gamma, level - 1 < min(below, birth - 1))
+        # the depth-k cells hold R6(birth - k), and the (birth - 1)-cells,
+        # above the gamma = 6 level, no own columns
+        for depth in range(birth - 1, 0, -1):
+            yield depth, _chain_step(birth - depth, depth < min(below, birth - 1))
     elif series == SERIES_FIVE and birth > 1:
         for i in range(1, birth):  # R5(i) in the cells of depth birth - i
             yield birth - i, _glue_step(i, i > 1 and birth - i < below)
@@ -162,16 +160,24 @@ def _unit_form(folds):
     vanish on V_0, and folded along the chain: the same for every birth, and
     for every cell of a level, so one cell a level is stepped."""
     if not folds:
-        return 0.5 * np.eye(3)[_pairs(3)][None]
-    gamma = six_series_chain(folds + 1)[0]  # 6 first, then g_1, g_2, ...
-    return _step(np.broadcast_to(_unit_form(folds - 1), (3, 6)), *_chain_step(gamma, False))[1]
+        return 0.5 * np.eye(3)
+    maps = _chain_step(folds, False)[2]
+    return np.einsum("ian,ab,ibm->nm", maps, _unit_form(folds - 1), maps)
 
 
 @lru_cache(maxsize=None)
 def _chain_gram(n):
-    """log det S, S the plain Gram matrix of the chain's three columns of
-    R6(n) on V_n: the root's B from the 1/2 I form folded to the 1-cells."""
-    return _step(np.broadcast_to(_unit_form(n - 1), (3, 6)), *_root_step(SERIES_SIX, n))[0]
+    """S(n), the plain Gram matrix of the chain's three columns of R6(n) on
+    V_n: the root's B from the 1/2 I form folded to the 1-cells."""
+    own = _midpoint_table(np.eye(3))
+    return np.einsum("ian,ab,ibm->nm", own, _unit_form(n - 1), own)
+
+
+@lru_cache(maxsize=None)
+def _chain_columns(n):
+    """(3, 3, 3): the values of R6(n) at its 1-cells' corners, the chain's
+    midpoint unit vectors times L(n), L(n) L(n)^T = S(n)^-1."""
+    return _midpoint_table(np.eye(3)) @ np.linalg.cholesky(np.linalg.inv(_chain_gram(n)))
 
 
 def group_log_det(series, birth, below, kernels):
@@ -180,12 +186,33 @@ def group_log_det(series, birth, below, kernels):
     divided by each word's rho, (G, 3^birth, 6) held as `_pairs(3)`."""
     total, forms = 0.0, kernels
     for _, step in _steps(series, birth, below):
-        logdet, forms = _step(forms, *step)
+        logdet, forms = _step(forms, step)
         total += logdet
-    if series == SERIES_SIX:
-        # R6(birth - k) is the chain's three columns of a depth-k cell times
-        # a 3 x 3 map, so their plain Gram matrix is block diagonal over the
-        # kept cells, the block of a depth-k cell the S of R6(birth - k)
-        depths = birth - 1 if below is None else min(below, birth - 1)
-        total -= len(kernels) * sum(3**k * _chain_gram(birth - k) for k in range(depths))
     return total
+
+
+def group_matrices(series, birth, below, kernels):
+    """(G, d, d): the matrices of a birth group's tree levels of depth below
+    `below` (all if None), from the kernels of `group_log_det` by its steps
+    with the columns it eliminates kept.  A cell holds one matrix over its
+    columns and then its coordinates: a step copies each child's column
+    block, multiplies its cross block by Z_i and puts sum Z_i^T K_i Z_i on
+    the parent's own columns and coordinates.  A cell's columns are its
+    children's, in rank order, and then its own: a nested order, not that
+    of `szego.column_cells`."""
+    rows, cols = _pairs(3)
+    mats = np.empty((kernels.size // 6, 3, 3))
+    mats[:, rows, cols] = mats[:, cols, rows] = kernels.reshape(-1, 6)
+    for _, (_, _, maps) in _steps(series, birth, below):
+        mats = mats.reshape((-1, 3) + mats.shape[1:])
+        c = mats.shape[-1] - maps.shape[1]  # each child's columns
+        out = np.zeros((len(mats),) + (3 * c + maps.shape[2],) * 2)
+        for i in range(3):
+            own = slice(i * c, (i + 1) * c)
+            out[:, own, own] = mats[:, i, :c, :c]
+            out[:, own, 3 * c:] = mats[:, i, :c, c:] @ maps[i]
+            out[:, 3 * c:, own] = out[:, own, 3 * c:].swapaxes(1, 2)
+        # sum Z_i^T K_i Z_i, with no product of the stack's size held besides
+        out[:, 3 * c:, 3 * c:] = np.einsum("ian,piab,ibm->pnm", maps, mats[:, :, c:, c:], maps)
+        mats = out
+    return mats

@@ -4,23 +4,23 @@ spectral functionals, and the convergence and equidistribution experiments
 built on them.  An operator keeps each birth group's cell kernels, each
 word's kernels divided by the one norm of its columns, from its kernel of
 f = 1 (`gram_factors`).  Its log-determinant is one Schur recursion up the
-cells from them (`schur`), with no tree block formed; the dense columns of
-a basis (`basis_columns`) and the blocks the eigenvalues read
-(`CompressedOperator.blocks`, `tree_couplings`) are built from the tree's
-corner values and the same kernels."""
+cells from them (`schur`), and its eigenvalues are those of the matrices
+that the same steps build with their columns kept (`group_matrices`), no
+table of the tree read; the dense columns of a basis (`basis_columns`) are
+built from the tree's corner values (`tree_corners`)."""
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, enumerate_spectrum, make_groups,
                          refuse_forbidden, remainder)
 from .laplacian import child_corners, corner_maps, midpoints, vertex_values
-from .schur import NotPositiveDefiniteError, group_log_det
+from .schur import NotPositiveDefiniteError, group_log_det, group_matrices
 from .topology import cell_embedding, interior_weight, level_topology, rotation, vertex_count
 
 # the default sampling level is min(index + 1, MQ_CAP).  Memory no longer
@@ -75,39 +75,6 @@ def checked_log(name):
 
 
 @dataclass(frozen=True)
-class TreeBlocks:
-    """The compressed matrices of a birth group's G eigenspaces over the
-    cell tree of its basis, stacked over the group.  Level i has the depth
-    `depths[i]` of the basis's level i (deepest first) and `couplings[i]`,
-    (G, 3^depth, c_i, c_i + c_{i+1} + ...): each cell's own columns against
-    its own columns and then against those of its ancestor at every
-    shallower level, in level order.  Entries between columns whose cells
-    are not nested are zero and not stored.
-
-    The columns deeper than every level, which come first in column order,
-    see f as a constant (`cell_constants`): `constants`, (G, n), holds the
-    one each sees, and the matrix is that diagonal on them and zero between
-    them and the levels."""
-
-    depths: tuple
-    couplings: tuple
-    constants: np.ndarray
-
-    @property
-    def eigenspaces(self):
-        return len(self.constants)
-
-    @property
-    def column_counts(self):
-        """Columns per tree level: 3^depth cells of c_i columns each."""
-        return [3**k * rows.shape[2] for k, rows in zip(self.depths, self.couplings)]
-
-    @property
-    def dimension(self):
-        return self.constants.shape[1] + sum(self.column_counts)
-
-
-@dataclass(frozen=True)
 class GroupKernels:
     """A birth group's G eigenspaces compressed, before any block is formed:
     the tree levels of depth below `below` (all if None) as `kernels`,
@@ -129,7 +96,8 @@ class CompressedOperator:
     Eigenspaces are orthogonal, so the operator is block diagonal across
     them; `groups` keeps one `GroupKernels` per birth group, from which the
     matrices of its G eigenspaces, with entries the quadrature inner
-    products <f u_a, u_b>, are built as `blocks` when they are asked for.
+    products <f u_a, u_b>, are built only for their eigenvalues
+    (`operator_eigenvalues`).
     `localized` counts the localized basis vectors, `dimension` all of
     them, and `level` is the sampling level the kernels were built at.
     """
@@ -138,39 +106,6 @@ class CompressedOperator:
     localized: int
     dimension: int
     level: int
-
-    @cached_property
-    def blocks(self):
-        """One `TreeBlocks` per birth group, its levels by `tree_couplings`."""
-        return tuple(TreeBlocks(depths=(), couplings=(), constants=group.constants)
-                     if group.kernels is None else
-                     replace(tree_couplings(group.kernels, tree_corners(group.series, group.birth,
-                                                                        group.below)),
-                             constants=group.constants)
-                     for group in self.groups)
-
-
-def dense_blocks(group):
-    """The (G, d, d) matrices of a group's eigenspaces in the column order of
-    its basis, filled from its constants and tree blocks: the one dense
-    form, for `operator_eigenvalues`."""
-    deep = group.constants.shape[1]
-    sizes = group.column_counts
-    starts = deep + np.cumsum([0] + sizes)
-    out = np.zeros((group.eigenspaces, group.dimension, group.dimension))
-    out[:, np.arange(deep), np.arange(deep)] = group.constants
-    for i, (k, rows) in enumerate(zip(group.depths, group.couplings)):
-        own = starts[i] + np.arange(sizes[i]).reshape(3**k, -1)
-        col = 0
-        for up in range(i, len(sizes)):
-            c_up = group.couplings[up].shape[2]
-            ancestor = np.arange(3**k) // 3 ** (k - group.depths[up])
-            cols = starts[up] + ancestor[:, None] * c_up + np.arange(c_up)
-            block = rows[..., col:col + c_up]
-            out[:, own[:, :, None], cols[:, None, :]] = block
-            out[:, cols[:, :, None], own[:, None, :]] = block.swapaxes(-1, -2)
-            col += c_up
-    return out
 
 
 # the six entries of a symmetric 3 x 3 cell kernel, the upper triangle by
@@ -386,49 +321,22 @@ def tree_layout(series, birth):
 
 
 @lru_cache(maxsize=None)
-def tree_corners(series, birth, below=None):
+def tree_corners(series, birth):
     """(depth, corner values) of each level of the cell tree of a birth
-    space (`tree_layout`) of depth below `below`, every level if None,
-    deepest first; cached.  Depth 0 holds the scale-1 remainder R(birth),
-    and each depth k = 1 .. birth - 2 the kept columns of R(birth - k): all
-    three of a 6-series remainder and the one column K5 of a 5-series one.
-    Each depth's columns are copied into every cell of that depth; copies in
-    different cells have disjoint supports, so the tree is orthonormal in
-    plain coordinates.  A column copied into a depth-k cell takes at the
-    corners of the birth-cells inside it, in rank order, the cached table
-    of R(birth - k) (`remainder`), of K5 a view of its column 2."""
+    space (`tree_layout`), deepest first; cached.  Depth 0 holds the
+    scale-1 remainder R(birth), and each depth k = 1 .. birth - 2 the kept
+    columns of R(birth - k): all three of a 6-series remainder and the one
+    column K5 of a 5-series one.  Each depth's columns are copied into every
+    cell of that depth; copies in different cells have disjoint supports, so
+    the tree is orthonormal in plain coordinates.  A column copied into a
+    depth-k cell takes at the corners of the birth-cells inside it, in rank
+    order, the cached table of R(birth - k) (`remainder`), of K5 a view of
+    its column 2."""
     levels = []
     for k, _ in tree_layout(series, birth):
-        if below is not None and k >= below:
-            continue
         corners = remainder(series, birth - k)
         levels.append((k, corners[..., 2:] if k and series == SERIES_FIVE else corners))
     return tuple(levels)
-
-
-def tree_couplings(kernels, corners):
-    """The `TreeBlocks` of a birth group from its `cell_kernels` divided by
-    each word's `gram_factors` rho and its `tree_corners`.  A column u_a is
-    its part on V_birth, copied into its cell, extended to V_{m_q} and
-    divided by its quadrature norm sqrt(w(m_q) rho), so <f u_a, u_b> =
-    sum_C u_a(C)^T K_C u_b(C) / rho over the birth-cells C, u(C) the part's
-    values at C's corners.  Every product is one word's own, so the blocks
-    of a word do not depend on the other words."""
-    g = len(kernels)
-    cells = kernels[..., _SYMMETRIC]  # (G, birth-cells, 3, 3)
-    rows = [[] for _ in corners]
-    for up, (k_up, u_up) in enumerate(corners):
-        # (G, 3^k_up, birth-cells in each, 3, c_up): K_C times the ancestor's corner values
-        product = np.matmul(cells.reshape((g, 3**k_up, -1, 3, 3)), u_up)
-        for i, (k, u) in enumerate(corners[:up + 1]):
-            flat = u.reshape(-1, u.shape[-1])
-            rows[i].append(np.matmul(flat.T, product.reshape(g, 3**k, len(flat), -1)))
-        del product
-    for level in rows:
-        level[0] = 0.5 * (level[0] + level[0].swapaxes(-1, -2))
-    return TreeBlocks(depths=tuple(k for k, _ in corners),
-                      couplings=tuple(np.concatenate(level, axis=-1) for level in rows),
-                      constants=np.empty((g, 0)))
 
 
 def column_cells(group):
@@ -476,7 +384,7 @@ def cell_constants(f, group):
 def basis_columns(group, m_q):
     """(G, interior of V_{m_q}, d): the dense quadrature-orthonormal columns
     of a birth group's eigenspaces in the order of `column_cells`, whose
-    compressions `tree_couplings` forms: the cell tree, extended and placed.
+    compressions `group_matrices` forms: the cell tree, extended and placed.
     Each depth's corner table (`tree_corners`) is extended with each word's
     gamma_{birth+1} .. gamma_{m_q}, divided by the word's norm
     sqrt(w(m_q) rho) (`gram_factors`) and written into every cell of the
@@ -592,11 +500,14 @@ def spectral_functional(op, func):
 
 def operator_eigenvalues(op):
     """Eigenvalues of every block, in ascending order: those of each group's
-    tree levels, and its constants once per eigenspace."""
+    tree levels, one `eigvalsh` of its `group_matrices`, and its constants
+    once per eigenspace."""
     parts = []
-    for group in op.blocks:
-        levels = replace(group, constants=group.constants[:, :0])
-        parts += [np.linalg.eigvalsh(dense_blocks(levels)).ravel(), group.constants.ravel()]
+    for group in op.groups:
+        if group.kernels is not None:
+            matrices = group_matrices(group.series, group.birth, group.below, group.kernels)
+            parts.append(np.linalg.eigvalsh(matrices).ravel())
+        parts.append(group.constants.ravel())
     return np.sort(np.concatenate(parts))
 
 

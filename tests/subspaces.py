@@ -1,7 +1,7 @@
-"""Subspace comparison, oracle constructions, the dense Laplacian and
-compressed-operator forms, a sum of multipliers, the vertex-order extension,
-the lattice-key vertex tables and lookup, and the matrix form of the
-resistance walk, shared by the tests."""
+"""Subspace comparison, oracle constructions, the tree blocks and dense
+forms of the Laplacian and of compressed operators, a sum of multipliers,
+the vertex-order extension, the lattice-key vertex tables and lookup, and
+the matrix form of the resistance walk, shared by the tests."""
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -13,8 +13,9 @@ from sgszego.decimation import (_BIRTH_GAMMA, JUNCTION_SV_MIN, LAMBDA_TAIL, SERI
                                 SERIES_SIX, SERIES_TWO, make_groups, refuse_forbidden, remainder,
                                 series_multiplicity)
 from sgszego.laplacian import _interior_neighbours
-from sgszego.szego import (NotPositiveDefiniteError, TreeBlocks, column_cells, dense_blocks,
-                           localized_columns)
+from sgszego.schur import group_matrices
+from sgszego.szego import (_SYMMETRIC, NotPositiveDefiniteError, column_cells, localized_columns,
+                           tree_corners)
 from sgszego.topology import (_CORNER_KEYS, SQRT3, cell_embedding, interior_count,
                               interior_weight, level_topology, vertex_count)
 
@@ -201,6 +202,104 @@ def reference_laplacian(m):
     return mat
 
 
+# The tree blocks that `szego.operator_eigenvalues` replaced by the matrices
+# of the Schur recursion's steps (`schur.group_matrices`), kept as the
+# oracle of those and of the log-det: each level's couplings to its own
+# cell and its ancestors, from the kernels and the tree's corner values.
+
+@dataclass(frozen=True)
+class TreeBlocks:
+    """The compressed matrices of a birth group's G eigenspaces over the
+    cell tree of its basis, stacked over the group.  Level i has the depth
+    `depths[i]` of the basis's level i (deepest first) and `couplings[i]`,
+    (G, 3^depth, c_i, c_i + c_{i+1} + ...): each cell's own columns against
+    its own columns and then against those of its ancestor at every
+    shallower level, in level order.  Entries between columns whose cells
+    are not nested are zero and not stored.
+
+    The columns deeper than every level, which come first in column order,
+    see f as a constant (`szego.cell_constants`): `constants`, (G, n),
+    holds the one each sees, and the matrix is that diagonal on them and
+    zero between them and the levels."""
+
+    depths: tuple
+    couplings: tuple
+    constants: np.ndarray
+
+    @property
+    def eigenspaces(self):
+        return len(self.constants)
+
+    @property
+    def column_counts(self):
+        """Columns per tree level: 3^depth cells of c_i columns each."""
+        return [3**k * rows.shape[2] for k, rows in zip(self.depths, self.couplings)]
+
+    @property
+    def dimension(self):
+        return self.constants.shape[1] + sum(self.column_counts)
+
+
+def tree_couplings(kernels, corners):
+    """The `TreeBlocks` of a birth group from its `cell_kernels` divided by
+    each word's `gram_factors` rho and its `tree_corners`.  A column u_a is
+    its part on V_birth, copied into its cell, extended to V_{m_q} and
+    divided by its quadrature norm sqrt(w(m_q) rho), so <f u_a, u_b> =
+    sum_C u_a(C)^T K_C u_b(C) / rho over the birth-cells C, u(C) the part's
+    values at C's corners.  Every product is one word's own, so the blocks
+    of a word do not depend on the other words."""
+    g = len(kernels)
+    cells = kernels[..., _SYMMETRIC]  # (G, birth-cells, 3, 3)
+    rows = [[] for _ in corners]
+    for up, (k_up, u_up) in enumerate(corners):
+        # (G, 3^k_up, birth-cells in each, 3, c_up): K_C times the ancestor's corner values
+        product = np.matmul(cells.reshape((g, 3**k_up, -1, 3, 3)), u_up)
+        for i, (k, u) in enumerate(corners[:up + 1]):
+            flat = u.reshape(-1, u.shape[-1])
+            rows[i].append(np.matmul(flat.T, product.reshape(g, 3**k, len(flat), -1)))
+        del product
+    for level in rows:
+        level[0] = 0.5 * (level[0] + level[0].swapaxes(-1, -2))
+    return TreeBlocks(depths=tuple(k for k, _ in corners),
+                      couplings=tuple(np.concatenate(level, axis=-1) for level in rows),
+                      constants=np.empty((g, 0)))
+
+
+def tree_blocks(op):
+    """One `TreeBlocks` per birth group of a compressed operator: its tree
+    levels of depth below `below` by `tree_couplings`, and its constants."""
+    blocks = []
+    for part in op.groups:
+        corners = tuple((k, u) for k, u in tree_corners(part.series, part.birth)
+                        if part.below is None or k < part.below)
+        blocks.append(TreeBlocks(depths=(), couplings=(), constants=part.constants)
+                      if part.kernels is None else
+                      replace(tree_couplings(part.kernels, corners), constants=part.constants))
+    return tuple(blocks)
+
+
+def dense_blocks(group):
+    """The (G, d, d) matrices of a group's eigenspaces in the column order of
+    its basis, filled from its constants and tree blocks."""
+    deep = group.constants.shape[1]
+    sizes = group.column_counts
+    starts = deep + np.cumsum([0] + sizes)
+    out = np.zeros((group.eigenspaces, group.dimension, group.dimension))
+    out[:, np.arange(deep), np.arange(deep)] = group.constants
+    for i, (k, rows) in enumerate(zip(group.depths, group.couplings)):
+        own = starts[i] + np.arange(sizes[i]).reshape(3**k, -1)
+        col = 0
+        for up in range(i, len(sizes)):
+            c_up = group.couplings[up].shape[2]
+            ancestor = np.arange(3**k) // 3 ** (k - group.depths[up])
+            cols = starts[up] + ancestor[:, None] * c_up + np.arange(c_up)
+            block = rows[..., col:col + c_up]
+            out[:, own[:, :, None], cols[:, None, :]] = block
+            out[:, cols[:, :, None], own[:, None, :]] = block.swapaxes(-1, -2)
+            col += c_up
+    return out
+
+
 # The dense forms that no command builds, kept as oracles: the Dirichlet
 # Laplacian and its full eigensolve, the indicator of a cell, the
 # block-diagonal matrix of a compressed operator, and a matrix taken as one.
@@ -246,10 +345,10 @@ def cell_indicator(topo, rank, scale):
 
 def dense_matrix(op):
     """The dense block-diagonal matrix of a compressed operator, one block
-    per eigenspace in group order."""
+    per eigenspace in group order, from its `tree_blocks`."""
     full = np.zeros((op.dimension, op.dimension))
     start = 0
-    for mat in (mat for group in op.blocks for mat in dense_blocks(group)):
+    for mat in (mat for group in tree_blocks(op) for mat in dense_blocks(group)):
         full[start:start + len(mat), start:start + len(mat)] = mat
         start += len(mat)
     return full
@@ -260,6 +359,30 @@ def one_level(matrix):
     tree has one level of one cell, the form `eliminate` takes."""
     couplings = np.asarray(matrix, dtype=float)[None, None]
     return TreeBlocks(depths=(0,), couplings=(couplings,), constants=np.empty((1, 0)))
+
+
+def cell_ordered(part):
+    """(G, d, d): the matrices of a birth group's eigenspaces from its
+    `szego.GroupKernels`, in the column order of `column_cells`, as
+    `dense_blocks` fills them: the constants on the diagonal of the columns
+    deeper than every kept level, which come first, and then
+    `schur.group_matrices` taken from its nested order.  There a column
+    comes after the columns of every cell inside its own, cells in rank
+    order: sorting on a cell's address digits, each followed by 3 to place
+    its own columns after its children's, and stably on the columns,
+    gives the nested order."""
+    deep = part.constants.shape[1]
+    depth, rank = (values[deep:] for values in column_cells(part))
+    out = np.zeros((len(part.constants), deep + len(depth), deep + len(depth)))
+    out[:, np.arange(deep), np.arange(deep)] = part.constants
+    if part.kernels is not None:
+        places = np.arange(depth.max() + 1)
+        shift = np.maximum(depth[:, None] - 1 - places, 0)
+        digits = np.where(places < depth[:, None], rank[:, None] // 3**shift % 3, 3)
+        order = deep + np.lexsort(digits.T[::-1])
+        out[:, order[:, None], order] = group_matrices(part.series, part.birth, part.below,
+                                                       part.kernels)
+    return out
 
 
 # The elimination over the tree blocks that `szego.log_det` replaced by the

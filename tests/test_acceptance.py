@@ -16,8 +16,9 @@ from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.functions import ConstantFunction, HarmonicFunction, SimpleCellFunction
 
-from subspaces import (birth_space, cached_dense_spectrum, dense_matrix, eigenfunctions_at_level,
-                       eliminate, on_vertices, one_level, scale_cells, words_of)
+from subspaces import (birth_space, cached_dense_spectrum, cell_ordered, dense_blocks,
+                       dense_matrix, eigenfunctions_at_level, eliminate, on_vertices, one_level,
+                       scale_cells, tree_blocks, words_of)
 
 
 def _report(n, text):
@@ -145,14 +146,16 @@ def test_criterion_8_cutoff_rate_and_block_consistency():
     full = dense_matrix(op)
     total = eliminate(one_level(full))
     blocks = sum(eliminate(one_level(mat))
-                 for stack in map(sz.dense_blocks, op.blocks) for mat in stack)
+                 for stack in map(cell_ordered, op.groups) for mat in stack)
     rel = abs(total - blocks) / abs(total)
     assert rel < 1e-8
     assert abs(sz.log_det(op) - total) / abs(total) < 1e-8
     start = 0
-    for mat in (mat for stack in map(sz.dense_blocks, op.blocks) for mat in stack):
+    oracle = (mat for stack in map(dense_blocks, tree_blocks(op)) for mat in stack)
+    for mat, new in zip(oracle, (mat for stack in map(cell_ordered, op.groups) for mat in stack)):
         stop = start + mat.shape[0]
         assert np.array_equal(full[start:stop, start:stop], mat)
+        assert np.max(np.abs(new - mat)) <= 1e-13 * np.max(np.abs(mat))
         start = stop
     rate, r2 = sz.fit_rate(records)
     bt = sz.beta_tilde_exponent(1.0)

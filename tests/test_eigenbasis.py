@@ -11,10 +11,10 @@ from sgszego import szego as sz
 from sgszego import topology as top
 from sgszego.functions import HarmonicFunction, SimpleCellFunction
 
-from subspaces import (cached_dense_spectrum, complement_by_qr, corner_normal_derivatives,
-                       dense_matrix, dirichlet_laplacian, eigenfunctions_at_level,
-                       eigenspace_vectors, extend_values, index_of, interior_cell_rows,
-                       principal_angle_gap, scale_cells, words_of)
+from subspaces import (cached_dense_spectrum, cell_ordered, complement_by_qr,
+                       corner_normal_derivatives, dense_matrix, dirichlet_laplacian,
+                       eigenfunctions_at_level, eigenspace_vectors, extend_values, index_of,
+                       interior_cell_rows, principal_angle_gap, scale_cells, words_of)
 
 
 def _dense_eigenspace(group, m_q):
@@ -155,15 +155,17 @@ def test_birth_group_slices_are_the_bases_of_groups_of_one(scale):
     for group in dec.enumerate_spectrum(5):
         vectors = sz.basis_columns(group, m_q)
         op = sz.compressed_operator(f, [group], m_q, scale)
-        (blocks,) = op.blocks
-        assert (blocks.eigenspaces, blocks.dimension) == (len(group), vectors.shape[2])
+        (part,) = op.groups
+        blocks = cell_ordered(part)
+        assert blocks.shape == (len(group),) + 2 * vectors.shape[2:]
         assert op.localized == len(group) * sz.localized_columns(group, scale)
         for g in range(len(group)):
             word = words_of(group, slice(g, g + 1))
             alone = sz.basis_columns(word, m_q)
-            couplings = sz.compressed_operator(f, [word], m_q, scale).blocks[0].couplings
-            pairs = [(vectors[g], alone[0])]
-            pairs += [(rows[g], one[0]) for rows, one in zip(blocks.couplings, couplings)]
+            (one,) = sz.compressed_operator(f, [word], m_q, scale).groups
+            pairs = [(vectors[g], alone[0]), (blocks[g], cell_ordered(one)[0])]
+            if part.kernels is not None:
+                pairs.append((part.kernels[g], one.kernels[0]))
             for stacked, single in pairs:
                 assert np.max(np.abs(stacked - single), initial=0.0) <= 1e-13, \
                     (group.series, group.birth, g)
@@ -326,7 +328,7 @@ def test_split_matches_complete_qr_complement(series, j, scale, m_q):
     for f in (HarmonicFunction([1.0, 1.5, 2.0]), SimpleCellFunction([1.0, 2.0, 3.0])):
         fvals = f.sample(topo)[topo.interior_indices]
         dense = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
-        block = sz.dense_blocks(sz.compressed_operator(f, [group], m_q, scale).blocks[0])
+        block = cell_ordered(sz.compressed_operator(f, [group], m_q, scale).groups[0])
         assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense)), f.label()
 
 
@@ -343,7 +345,7 @@ def test_stacked_five_series_group_matches_dense_oracle():
     topo = top.level_topology(m_q)
     f = SimpleCellFunction([2.689, 2.516, 1.841])
     fvals = f.sample(topo)[topo.interior_indices]
-    blocks = sz.dense_blocks(sz.compressed_operator(f, [group], m_q, scale).blocks[0])
+    blocks = cell_ordered(sz.compressed_operator(f, [group], m_q, scale).groups[0])
     w = top.interior_weight(m_q)
     assert sz.orthonormality_check(basis, m_q) <= 1e-12
     for g, (vectors, oracle, block) in enumerate(zip(basis, eigenspace_vectors(group, m_q),
@@ -389,8 +391,8 @@ def test_six_series_remainder_is_canonical(j, scale, m_q):
 
 def test_compressed_operator_holds_no_dense_basis():
     # the n x d basis of six j=7 at m_q=7 is 28.6 MB; the operator holds its
-    # tree blocks, far less than one d x d block, and building it may
-    # allocate at most a quarter of the basis besides
+    # kernels, far less than one d x d block, and building it may allocate
+    # at most a quarter of the basis besides
     f = SimpleCellFunction([2.689, 2.516, 1.841])
     group = sz._canonical_group("six", 7, 7)
     n, d = top.interior_count(7), group.multiplicity
@@ -401,8 +403,8 @@ def test_compressed_operator_holds_no_dense_basis():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    output = sum(rows.nbytes for group in op.blocks for rows in group.couplings)
-    assert [(group.eigenspaces, group.dimension) for group in op.blocks] == [(1, d)]
+    output = sum(part.kernels.nbytes + part.constants.nbytes for part in op.groups)
+    assert [(len(part.kernels), op.dimension) for part in op.groups] == [(1, d)]
     assert output < d * d * 8 / 16
     assert peak - output < n * d * 8 / 4, (peak, output)
 
@@ -449,7 +451,7 @@ def test_compression_vanishes_outside_nested_cells(series, j, scale, m_q):
     dense = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
     nested = _nested(group)
     assert np.all(dense[~nested] == 0.0)
-    block = sz.dense_blocks(sz.compressed_operator(f, [group], m_q, scale).blocks[0])[0]
+    block = cell_ordered(sz.compressed_operator(f, [group], m_q, scale).groups[0])[0]
     assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 

@@ -1,6 +1,6 @@
 """The Schur recursion up the cells (`schur`) that gives every log-det of the
-Szegő path, against the elimination over the tree blocks, the remainder
-tables and the exit contract."""
+Szegő path and the matrices of every eigenvalue, against the elimination
+over the tree blocks, the remainder tables and the exit contract."""
 import collections
 import json
 import sys
@@ -16,7 +16,7 @@ from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFun
                                SimpleCellFunction)
 from sgszego.laplacian import child_corners, midpoints
 
-from subspaces import eliminate
+from subspaces import cell_ordered, dense_blocks, eliminate, tree_blocks
 
 # `h` and `s` of the measurements, cell-constant f of scales 2 and 3, a
 # constant and an f that is sampled on V_{m_q}
@@ -30,8 +30,9 @@ MULTIPLIERS = (HarmonicFunction([1.2, 1.5, 1.9]), SimpleCellFunction([2.689, 2.5
                          + [(s, j) for s in ("five", "six") for j in range(2, 11)])
 def test_recursion_matches_the_elimination_oracle(series, index):
     # every birth group's log-det, the recursion's from its kernels against
-    # the multifrontal elimination of its tree blocks, within 1e-14 relative
-    # (1.4e-15 measured), at m_q = index .. index + 2
+    # the multifrontal elimination of its tree blocks, built from the same
+    # kernels and the tree's corner values, within 1e-14 relative (1.4e-15
+    # measured), at m_q = index .. index + 2
     for m_q in range(index, index + 3):
         groups = (enumerate_spectrum(index) if series == "cutoff"
                   else (sz._canonical_group(series, index, m_q),))
@@ -39,7 +40,7 @@ def test_recursion_matches_the_elimination_oracle(series, index):
             if getattr(f, "scale", 0) > m_q:  # no kernel level
                 continue
             op = sz.compressed_operator(f, groups, m_q, 1)
-            for part, blocks in zip(op.groups, op.blocks, strict=True):
+            for part, blocks in zip(op.groups, tree_blocks(op), strict=True):
                 one = sz.CompressedOperator(groups=(part,), localized=0, dimension=0, level=m_q)
                 new, old = sz.log_det(one), eliminate(blocks)
                 assert abs(new - old) <= 1e-14 * abs(old), \
@@ -49,41 +50,70 @@ def test_recursion_matches_the_elimination_oracle(series, index):
 def test_glue_coefficients_give_the_five_series_tables():
     # R5(i) built from E5(1) by the glue coefficients alone, copies of N5
     # placed into the 1-cells a level at a time, is the table of
-    # `five_series_corners` within 1e-12 of its largest entry up to i = 12,
-    # K5 up to its sign, and so are the normal derivatives carried up.  The
-    # gap doubles a level, to 3.1e-13 at i = 12: the Cholesky basis of N5
-    # amplifies rounding, and against a 40-digit run of the glue the normal
-    # derivatives of both are off (glue 1.2e-13, tables 2.1e-13 at i = 12).
-    # No log-det sees it: N5 only carries a cell's form to its parent.  The
-    # columns are orthonormal within 1e-13 (2.4e-14 at i = 9, the tables'
-    # 3.1e-14)
+    # `five_series_corners` within 1e-12 of its largest entry up to i = 13,
+    # K5 with its sign, and so are the normal derivatives carried up.  The
+    # gap doubles a level, to 3.7e-13 at i = 13 (7.3e-13 at 14 and 1.5e-12
+    # at 15, K5's sign matching, where the table alone peaks at 1.3 GB and
+    # more): the Cholesky basis of N5 amplifies rounding, and against a
+    # 40-digit run of the glue the normal derivatives of both are off (glue
+    # 1.2e-13, tables 2.1e-13 at i = 12).  No log-det sees it: N5 only
+    # carries a cell's form to its parent.  The columns are orthonormal
+    # within 1e-13 (2.4e-14 at i = 9, the tables' 3.1e-14).  The root of a
+    # birth at 1, E5(1), is the table's N5(1).  The cached tables, 0.17 GB
+    # by i = 13, are dropped after
     table = dec.five_series_glue(1)[0]
-    for i in range(2, 13):
+    assert np.max(np.abs(schur._root_step("five", 1)[2] - dec.five_series_corners(1))) <= 1e-15
+    for i in range(2, 14):
         coefficients, normal = dec.five_series_glue(i)
         table = np.einsum("xaq,cqr->cxar", table[..., :2], coefficients).reshape(3**i, 3, 3)
         expected = dec.five_series_corners(i)
         size = np.max(np.abs(expected))
-        assert np.max(np.abs(table[..., :2] - expected[..., :2])) <= 1e-12 * size, i
-        sign = np.sign(np.vdot(table[..., 2], expected[..., 2]))
-        assert np.max(np.abs(sign * table[..., 2] - expected[..., 2])) <= 1e-12 * size, i
+        assert np.max(np.abs(table - expected)) <= 1e-12 * size, i
         reference = dec.normal_derivatives(expected)[:, :2]
         assert np.max(np.abs(normal - reference)) <= 1e-12 * np.max(np.abs(reference)), i
         columns = table.reshape(-1, 3)
         assert np.max(np.abs(0.5 * columns.T @ columns - np.eye(3))) <= 1e-13, i
+    dec.five_series_corners.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_chain_gram_is_the_remainder_gram(n):
-    # the 1/2 I form folded up the chain gives log det S, S the plain Gram
-    # matrix of the chain's extended midpoint columns on V_n, which
-    # `six_series_corners` orthonormalizes, within 1e-14
+    # the 1/2 I form folded up the chain gives S, the plain Gram matrix of
+    # the chain's extended midpoint columns on V_n, which
+    # `six_series_corners` orthonormalizes, within 1e-14 of its largest entry
     table = dec._midpoint_table(np.eye(3)).transpose(2, 0, 1)
     for gamma in dec.six_series_chain(n):
         table = child_corners(table, midpoints(table, gamma))
     columns = table.reshape(3, -1)
     gram = 0.5 * columns @ columns.T
-    expected = np.linalg.slogdet(gram)[1]
-    assert abs(schur._chain_gram(n) - expected) <= 1e-14 * max(1.0, abs(expected))
+    assert np.max(np.abs(schur._chain_gram(n) - gram)) <= 1e-14 * np.max(np.abs(gram))
+
+
+@pytest.mark.parametrize("series,index", [("cutoff", m) for m in range(1, 7)]
+                         + [(s, j) for s in ("five", "six") for j in range(2, 8)])
+def test_matrices_and_log_det_are_one_traversal(series, index):
+    # the matrices that the steps build with their columns kept have the
+    # log-det that they eliminate, within 1e-14 relative per group, and are
+    # the tree blocks built from the same kernels, within 1e-13 of their
+    # largest entry, at m_q = index + 1
+    m_q = index + 1
+    groups = (enumerate_spectrum(index) if series == "cutoff"
+              else (sz._canonical_group(series, index, m_q),))
+    for f in MULTIPLIERS:
+        if getattr(f, "scale", 0) > m_q:  # no kernel level
+            continue
+        op = sz.compressed_operator(f, groups, m_q, 1)
+        for part, blocks in zip(op.groups, tree_blocks(op), strict=True):
+            if part.kernels is None:
+                continue
+            matrices = schur.group_matrices(part.series, part.birth, part.below, part.kernels)
+            sign, logdet = np.linalg.slogdet(matrices)
+            expected = schur.group_log_det(part.series, part.birth, part.below, part.kernels)
+            assert np.all(sign == 1.0)
+            assert abs(np.sum(logdet) - expected) <= 1e-14 * abs(expected), \
+                (f.label(), part.series, part.birth)
+            oracle = dense_blocks(blocks)
+            assert np.max(np.abs(cell_ordered(part) - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("mode,series,scale", [("cutoff", "six", 1), ("single", "five", None),
@@ -127,16 +157,17 @@ def _entered(argvs, out):
     return entered
 
 
-# the tables and blocks of the cell tree, by their code objects
+# the tables of the cell tree, by their code objects
 TREE = {func.__name__: getattr(func, "__wrapped__", func).__code__
         for func in (sz.tree_corners, dec.remainder, dec.five_series_corners,
-                     dec.six_series_corners, sz.tree_couplings)}
+                     dec.six_series_corners)}
 
 
 def test_szego_sweeps_build_no_tree(tmp_path):
     # the two benchmark argvs and a sampled cutoff sweep reach no remainder
-    # table, tree level or tree block: the log-det is the recursion's.  The
-    # eigenvalues of `equidist` still read the tree blocks
+    # table or tree level: the log-det is the recursion's.  Nor do the
+    # eigenvalues of `equidist`, the recursion's matrices, while `basis`
+    # builds its columns from the tables
     entered = _entered([
         ["szego", "--mode", "cutoff", "--m", "7", "--N", "1", "--f", "harmonic:1.2,1.5,1.9"],
         ["szego", "--mode", "single", "--series", "six", "--j", "7", "--N", "4",
@@ -146,7 +177,15 @@ def test_szego_sweeps_build_no_tree(tmp_path):
     for name, code in TREE.items():
         assert entered[code] == 0, name
     assert entered[schur.group_log_det.__code__] > 0
-    entered = _entered([["equidist", "--mode", "single", "--j", "3", "--f", "harmonic:1,1.5,2",
-                         "--F", "log"]], tmp_path)
+    for argv in (["equidist", "--mode", "single", "--j", "3", "--f", "harmonic:1,1.5,2",
+                  "--F", "log"],
+                 ["equidist", "--mode", "cutoff", "--m", "4", "--N", "1", "--f",
+                  "simple:2.689,2.516,1.841", "--F", "log"]):
+        entered = _entered([argv], tmp_path)
+        for name, code in TREE.items():
+            assert entered[code] == 0, (argv[2:4], name)
+        assert entered[schur.group_matrices.__code__] > 0
+    entered = _entered([["basis", "--series", "five", "--j", "4", "--N", "1", "--m-q", "5"]],
+                      tmp_path)
     for name, code in TREE.items():
-        assert entered[code] > 0 or name == "five_series_corners", name
+        assert entered[code] > 0 or name == "six_series_corners", name

@@ -19,9 +19,10 @@ from sgszego.decimation import enumerate_spectrum
 from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFunction,
                                SimpleCellFunction)
 
-from subspaces import (FunctionSum, assemble_compressed, cell_tree, dense_matrix, eliminate,
-                       extend_eigenfunction, index_of, interior_cell_rows, lattice_keys,
-                       long_double_basis, one_level, one_word, scale_cells)
+from subspaces import (FunctionSum, assemble_compressed, cell_ordered, cell_tree,
+                       dense_blocks, dense_matrix, eliminate, extend_eigenfunction, index_of,
+                       interior_cell_rows, lattice_keys, long_double_basis, one_level, one_word,
+                       scale_cells, tree_blocks)
 
 
 def test_identity_for_constant_one():
@@ -82,7 +83,7 @@ def test_non_positive_constant_is_not_positive_definite():
     group = one_word("six", 3, (1,))
     for f in (ConstantFunction(-1.0), ConstantFunction(0.0), SimpleCellFunction([1.0, 2.0, -3.0])):
         op = sz.compressed_operator(f, [group], 4, None)
-        assert op.blocks[0].constants.shape[1] > 0
+        assert op.groups[0].constants.shape[1] > 0
         with pytest.raises(sz.NotPositiveDefiniteError):
             sz.log_det(op)
 
@@ -173,13 +174,15 @@ def test_cutoff_block_logdet_consistency():
     full = dense_matrix(op)
     total = eliminate(one_level(full))
     blocks = sum(eliminate(one_level(mat))
-                 for stack in map(sz.dense_blocks, op.blocks) for mat in stack)
+                 for stack in map(cell_ordered, op.groups) for mat in stack)
     assert abs(total - blocks) / abs(total) < 1e-8
     assert abs(sz.log_det(op) - total) / abs(total) < 1e-8
     start = 0
-    for mat in (mat for stack in map(sz.dense_blocks, op.blocks) for mat in stack):
+    oracle = (mat for stack in map(dense_blocks, tree_blocks(op)) for mat in stack)
+    for mat, new in zip(oracle, (mat for stack in map(cell_ordered, op.groups) for mat in stack)):
         stop = start + mat.shape[0]
         assert np.array_equal(full[start:stop, start:stop], mat)
+        assert np.max(np.abs(new - mat)) <= 1e-13 * np.max(np.abs(mat))
         start = stop
     assert start == op.dimension
     dense = np.linalg.eigvalsh(dense_matrix(op))
@@ -364,8 +367,8 @@ def test_full_compression_at_level_m_is_the_riemann_mean(m, m_q, N):
             assert abs(eliminate(one_level(full)) / len(full) - mean) <= 1e-13 * abs(mean), \
                 (m, N, f.label())
         start = 0
-        for block in (b for group in sz.compressed_operator(f, groups, m_q, N).blocks
-                      for b in sz.dense_blocks(group)):
+        for block in (b for part in sz.compressed_operator(f, groups, m_q, N).groups
+                      for b in cell_ordered(part)):
             stop = start + len(block)
             assert np.max(np.abs(full[start:stop, start:stop] - block)) <= \
                 1e-13 * np.max(np.abs(block)), (m, m_q, N, f.label())
@@ -468,10 +471,10 @@ def test_cutoff_builds_birth_groups_in_chunks(monkeypatch):
         sys.setprofile(None)
     assert entered[sz.cell_kernels.__code__] == chunks
     assert entered[sz.sampled_kernels.__code__] == len(groups)
-    assert entered[sz.tree_couplings.__code__] == 0
+    assert entered[schur.group_matrices.__code__] == 0
     assert entered[sz.basis_columns.__code__] == 0
-    assert len(op.blocks) == len(groups)
-    assert [block.eigenspaces for block in op.blocks] == [len(group) for group in groups]
+    assert len(op.groups) == len(groups)
+    assert [len(part.kernels) for part in op.groups] == [len(group) for group in groups]
     # one corner column per word, chunks x levels steps in all
     assert tables == steps
 
@@ -512,32 +515,30 @@ def test_chunked_group_is_bit_identical(monkeypatch, series, birth, m_q):
     whole = built[len(group)]
     for size in (1, 2, 3):
         op = built[size]
-        assert len(op.blocks) == 1 and op.blocks[0].depths == whole.blocks[0].depths
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(op.blocks[0].couplings, whole.blocks[0].couplings))
+        assert len(op.groups) == 1 and op.groups[0].below == whole.groups[0].below
+        assert np.array_equal(op.groups[0].kernels, whole.groups[0].kernels)
+        assert np.array_equal(cell_ordered(op.groups[0]), cell_ordered(whole.groups[0]))
         assert sz.log_det(op) == sz.log_det(whole)
         assert np.array_equal(sz.operator_eigenvalues(op), sz.operator_eigenvalues(whole))
         assert (op.localized, op.dimension) == (whole.localized, whole.dimension)
 
 
-def test_assembly_holds_one_level_and_one_ancestor_copy():
-    # the 5-series born at 4, eight words at m_q=8: compressing from the
-    # kernels holds their 3 x 3 form and one ancestor's product with them at
-    # a time, each at most 1.5 times the kernels, and the blocks (3.3 times
-    # in all here); with every ancestor's product alive at once it would
-    # hold 4.4 times, growing with the tree's depth
+def test_matrices_hold_one_level_of_cells():
+    # the 5-series born at 4, eight words at m_q=8: building the matrices
+    # from the kernels holds the whole 3 x 3 forms of the birth-cells (1.5
+    # times the kernels) and one level's matrices at a time, with no product
+    # of the stack's size besides: 2.1 times the kernels in all here
     group = next(g for g in enumerate_spectrum(7) if (g.series, g.birth) == ("five", 4))
     topo = top.level_topology(8)
     fvals = SAMPLED.sample(topo)
     kernels = sz.cell_kernels(sz.cell_weights(fvals, 4, 8), _corner_column(group, 8), 4)
     kernels /= _gram_factors(group, 8)[:, None, None]
-    corners = sz.tree_corners("five", 4)
-    assert len(corners) == 3
-    sz.tree_couplings(kernels, corners)
+    assert len(sz.tree_layout("five", 4)) == 3
+    schur.group_matrices("five", 4, None, kernels)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sz.tree_couplings(kernels, corners)
+        schur.group_matrices("five", 4, None, kernels)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -629,7 +630,8 @@ def test_cell_kernel_blocks_match_the_extended_assembly(series, index, m_q):
     # A constant or simple f keeps the levels above its scale: below it the
     # oracle's own blocks are diagonal, their diagonal the group's constants,
     # and every other entry of theirs, off the diagonal or coupling to an
-    # ancestor, is 0 within 1e-13 of the largest entry
+    # ancestor, is 0 within 1e-13 of the largest entry.  So are the matrices
+    # of the Schur recursion's steps, permuted to the basis's column order
     groups = (enumerate_spectrum(index) if series == "cutoff"
               else (sz._canonical_group(series, index, m_q),))
     topo = top.level_topology(m_q)
@@ -641,7 +643,7 @@ def test_cell_kernel_blocks_match_the_extended_assembly(series, index, m_q):
         for scale in (None, 1, 2):
             op = sz.compressed_operator(f, groups, m_q, scale)
             assert op.localized == sum(len(g) * sz.localized_columns(g, scale) for g in groups)
-            for new, old in zip(op.blocks, oracle, strict=True):
+            for part, new, old in zip(op.groups, tree_blocks(op), oracle, strict=True):
                 deep = sum(k >= below for k in old.depths)
                 assert new.depths == old.depths[deep:]
                 largest = max(np.max(np.abs(rows)) for rows in old.couplings)
@@ -657,6 +659,7 @@ def test_cell_kernel_blocks_match_the_extended_assembly(series, index, m_q):
                     rest = rows.copy()
                     rest[..., np.arange(rows.shape[2]), np.arange(rows.shape[2])] = 0.0
                     assert np.max(np.abs(rest)) <= 1e-13 * largest, (f.label(), rows.shape)
+                assert np.max(np.abs(cell_ordered(part) - dense_blocks(old))) <= 1e-13 * largest
 
 
 def _recursion_cases():
@@ -835,7 +838,7 @@ def test_cell_constant_multipliers_build_only_the_levels_above_their_scale(f, mo
 
     def recorded(series, birth, below):
         steps = list(original(series, birth, below))
-        reached.append([depth for depth, (_, own) in steps if own])
+        reached.append([depth for depth, (_, own, _) in steps if own])
         return steps
     monkeypatch.setattr(schur, "_steps", recorded)
     entered = collections.Counter()
