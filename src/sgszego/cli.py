@@ -36,14 +36,14 @@ DEFAULT_TOLERANCES = {
 # desk-scale caps on --m of the commands that build one level: the
 # `topology` tables of `topology` and `resistance` and the `spectrum` birth
 # groups grow about 3x and 2x per level (in a fresh process `resistance
-# --m 12` runs in about 0.14 s and 131 MB, `topology --m 12` in 3 s and
-# 131 MB, `spectrum --m 20` in 6 s and 600 MB)
+# --m 12` runs in about 0.1 s and 125 MB, `topology --m 12` in 4 s and
+# 125 MB, `spectrum --m 20` in 8.5 s and 600 MB)
 LEVEL_CAPS = {"resistance": 12, "topology": 12, "spectrum": 20}
 
 # desk-scale cap on resistance --triples: the pairs are answered a chunk at
-# a time, and 10^6 triples at --m 12 take about 3.5 s and 206 MB in a fresh
+# a time, and 10^6 triples at --m 12 take about 4.4 s and 200 MB in a fresh
 # process, where building the topology tables of level 12 alone peaks at
-# 131 MB
+# 125 MB
 TRIPLES_CAP = 10**6
 
 # vertex and cell rows formatted at a time by the topology tables, which
@@ -356,10 +356,10 @@ def _spectrum_rows(groups):
                      groups[i].multiplicity) for i, word, *values in zip(*part))
 
 
-def _basis_rows(full, level, group, localized):
-    """The interior rows of one column of `full` (the basis of a group of
-    one word on every vertex of V_level) at a time, tagged with the word of
-    its own cell if it is one of the `localized` first columns and
+def _basis_rows(vectors, level, group, localized):
+    """The interior rows of one column of `vectors` (the basis of a group of
+    one word on the vertex rows of V_level) at a time, tagged with the word
+    of its own cell if it is one of the `localized` first columns and
     NONLOCALIZED otherwise."""
     interior = topology.level_topology(level).interior_indices
     ids = interior.tolist()
@@ -369,7 +369,7 @@ def _basis_rows(full, level, group, localized):
             for w in topology.word_strs(rank[depth == k], k)]
     tags += [NONLOCALIZED] * (len(depth) - localized)
     for c, tag in enumerate(tags):
-        yield from zip(ids, repeat(c), full[interior, c].tolist(), repeat(tag))
+        yield from zip(ids, repeat(c), vectors[interior, c].tolist(), repeat(tag))
 
 
 def _draw_below(rng, bound, count):
@@ -452,23 +452,20 @@ def run(config):
         ((_, (group,), m_q),) = szego.sweep_plan("single", [config["j"]], config["N"],
                                                  config["series"], config["m_q"])
         localized = szego.localized_columns(group, config["N"])
-        # the columns are built once, for the Gram check, the residual and
-        # the export
+        # the columns are built once, on the vertex rows of V_{m_q}, for the
+        # Gram check, the residual and the export
         vectors = szego.basis_columns(group, m_q)[0]
         deviation = szego.orthonormality_check(vectors, m_q)
-        topo = topology.level_topology(m_q)
-        full = np.zeros((topo.n_vertices, vectors.shape[1]))
-        full[topo.interior_indices] = vectors
-        residual = laplacian.eigen_residual(m_q, full, group.gamma(m_q)[0])
+        residual = laplacian.eigen_residual(m_q, vectors, group.gamma(m_q)[0])
         for check, value in (("gram", deviation), ("eigen_residual", residual)):
             if value > config["tolerances"][check]:
                 raise ToleranceError(check, value, config["tolerances"][check])
         export_csv(os.path.join(out, "basis.csv"), header, ["vertex_id", "column", "value", "tag"],
-                   _basis_rows(full, m_q, group, localized))
+                   _basis_rows(vectors, m_q, group, localized))
         results = {
-            "dimension": full.shape[1],
+            "dimension": vectors.shape[1],
             "localized": localized,
-            "nonlocalized": full.shape[1] - localized,
+            "nonlocalized": vectors.shape[1] - localized,
             "max_gram_deviation": deviation,
             "max_eigen_residual": residual,
         }

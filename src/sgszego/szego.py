@@ -7,7 +7,8 @@ f = 1 (`gram_factors`).  Its log-determinant is one Schur recursion up the
 cells from them (`schur`), and its eigenvalues are those of the matrices
 that the same steps build with their columns kept (`group_matrices`), no
 table of the tree read; the dense columns of a basis (`basis_columns`) are
-built from the tree's corner values (`tree_corners`)."""
+built from the tree's corner values (`tree_corners`) on the vertex rows of
+V_{m_q}, the one layout of every full vector of the package."""
 from __future__ import annotations
 
 import math
@@ -382,21 +383,19 @@ def cell_constants(f, group):
 
 
 def basis_columns(group, m_q):
-    """(G, interior of V_{m_q}, d): the dense quadrature-orthonormal columns
+    """(G, vertices of V_{m_q}, d): the dense quadrature-orthonormal columns
     of a birth group's eigenspaces in the order of `column_cells`, whose
     compressions `group_matrices` forms: the cell tree, extended and placed.
     Each depth's corner table (`tree_corners`) is extended with each word's
     gamma_{birth+1} .. gamma_{m_q}, divided by the word's norm
     sqrt(w(m_q) rho) (`gram_factors`) and written into every cell of the
-    depth, and nowhere else."""
+    depth through `cell_embedding`, and nowhere else; every column vanishes
+    on the corners of V_0, whose rows stay 0."""
     g, gammas = len(group), group.gammas_through(m_q)[:, 1:]
     corners = tree_corners(group.series, group.birth)
     rho = gram_factors(corner_tensors(gammas), group.gammas[:, 0])
     scale = 1.0 / np.sqrt(interior_weight(m_q) * rho)
-    topo = level_topology(m_q)
-    # the interior rows, and the corners of V_0, where every column vanishes, on a last row
-    target = np.where(topo.boundary_mask, -1, topo.interior_row)
-    out = np.zeros((g, topo.n_vertices - 2, sum(3**k * u.shape[-1] for k, u in corners)))
+    out = np.zeros((g, vertex_count(m_q), sum(3**k * u.shape[-1] for k, u in corners)))
     start = 0
     for k, u in corners:
         c = u.shape[-1]
@@ -406,15 +405,17 @@ def basis_columns(group, m_q):
         values = vertex_values(table, level_topology(m_q - k))  # (G, c, vertices of V_{m_q - k})
         values *= scale[:, None, None]
         columns = start + np.arange(3**k)[:, None] * c + np.arange(c)
-        out[:, target[cell_embedding(m_q, k)][..., None], columns[:, None]] = \
+        out[:, cell_embedding(m_q, k)[..., None], columns[:, None]] = \
             values.swapaxes(1, 2)[:, None]
         start += 3**k * c
-    return out[:, :-1]
+    return out
 
 
 def orthonormality_check(vectors, level):
     """Max deviation from the identity of the quadrature Gram matrices of the
-    dense columns (..., interior of V_level, d), such as `basis_columns`."""
+    dense columns (..., vertices of V_level, d), such as `basis_columns`.
+    The columns vanish on the corners of V_0, so those rows add nothing and
+    every row is weighted as an interior vertex."""
     gram = interior_weight(level) * np.swapaxes(vectors, -1, -2) @ vectors
     return float(np.max(np.abs(gram - np.eye(gram.shape[-1]))))
 

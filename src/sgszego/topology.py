@@ -53,8 +53,9 @@ class LevelTopology:
 
     The vertex of index i has lattice key `keys[i]` and canonical name
     (cell of rank `rank[i]`, corner `corner[i]`); `cell_vertices[r]` holds the
-    vertex indices of the corners 1, 2, 3 of the cell of rank r, and an
-    interior vertex i is row `interior_row[i]` of `interior_indices`.  Built
+    vertex indices of the corners 1, 2, 3 of the cell of rank r, and
+    `interior_indices` lists the vertices off the corners of V_0.  No table
+    keeps an interior index: a full vector has one row per vertex.  Built
     from level m - 1, as the module docstring describes: the table some
     caller still holds, or one built for this level alone and dropped after.
     """
@@ -98,7 +99,6 @@ class LevelTopology:
         self.boundary_mask = np.zeros(len(self.keys), dtype=bool)
         self.boundary_mask[boundary] = True
         self.interior_indices = np.nonzero(~self.boundary_mask)[0]
-        self.interior_row = np.cumsum(~self.boundary_mask) - 1
         _ALIVE[m] = self
 
     @property

@@ -14,8 +14,8 @@ from sgszego.decimation import (_BIRTH_GAMMA, JUNCTION_SV_MIN, LAMBDA_TAIL, SERI
                                 series_multiplicity)
 from sgszego.laplacian import _interior_neighbours
 from sgszego.schur import group_matrices
-from sgszego.szego import (_SYMMETRIC, NotPositiveDefiniteError, column_cells, localized_columns,
-                           tree_corners)
+from sgszego.szego import (_SYMMETRIC, NotPositiveDefiniteError, basis_columns, column_cells,
+                           localized_columns, tree_corners)
 from sgszego.topology import (_CORNER_KEYS, SQRT3, cell_embedding, interior_count,
                               interior_weight, level_topology, vertex_count)
 
@@ -131,8 +131,15 @@ def unique_key_tables(m):
             "coords": np.column_stack([keys[:, 0] / top, keys[:, 1] * SQRT3 / top]),
             "boundary_mask": boundary_mask,
             "interior_indices": np.nonzero(~boundary_mask)[0],
-            "interior_row": np.cumsum(~boundary_mask) - 1,
             "cell_vertices": index[inverse].reshape(-1, 3)}
+
+
+def interior_rows(topo):
+    """(vertices of topo): each interior vertex's row in a vector on the
+    interior of V_m, in topology order, for the dense oracles; the library
+    keeps no such index, as its full vectors have a row per vertex.  The
+    entries at the corners of V_0 name no row."""
+    return np.cumsum(~topo.boundary_mask) - 1
 
 
 def index_of(topo, keys):
@@ -314,7 +321,7 @@ def dirichlet_laplacian(m):
     n = len(neighbours)
     mat = 4.0 * np.eye(n)
     row, slot = np.nonzero(~topo.boundary_mask[neighbours])
-    mat[row, topo.interior_row[neighbours[row, slot]]] = -1.0
+    mat[row, interior_rows(topo)[neighbours[row, slot]]] = -1.0
     return mat
 
 
@@ -464,7 +471,7 @@ def corner_normal_derivatives(values, level):
     topo = level_topology(level)
     cells = topo.cell_vertices[[0, (3**level - 1) // 2, 3**level - 1]]
     neighbours = cells[np.arange(3)[:, None], [[1, 2], [0, 2], [0, 1]]]
-    pos = topo.interior_row[neighbours]
+    pos = interior_rows(topo)[neighbours]
     return -(values[..., pos[:, 0], :] + values[..., pos[:, 1], :])
 
 
@@ -475,7 +482,7 @@ def topology_junction_nullspace(normal):
     topo = level_topology(1)
     junction = np.zeros((3, 3, normal.shape[-1]))
     cell, corner = np.nonzero(~topo.boundary_mask[topo.cell_vertices])
-    junction[topo.interior_row[topo.cell_vertices[cell, corner]], cell] = normal[corner]
+    junction[interior_rows(topo)[topo.cell_vertices[cell, corner]], cell] = normal[corner]
     _, sv, vh = np.linalg.svd(junction.reshape(3, -1))
     if sv[-1] < JUNCTION_SV_MIN * sv[0]:
         raise AssertionError("5-series junction conditions are dependent")
@@ -571,6 +578,12 @@ def six_series_gram(j):
     gram[np.diag_indices_from(gram)] += 6.0
     gram /= 4.0
     return gram
+
+
+def interior_basis(group, m_q):
+    """`szego.basis_columns` on the interior rows of V_{m_q}, the layout of
+    the dense oracles here; its rows at the corners of V_0 are 0."""
+    return basis_columns(group, m_q)[:, level_topology(m_q).interior_indices]
 
 
 def complement_by_qr(basis, copies, m_q):
@@ -738,7 +751,7 @@ def interior_cell_rows(m, scale):
     """Interior rows of V_m of the interior vertices of V_{m - scale} mapped
     into each scale-cell, one row per cell in rank order."""
     small_interior = level_topology(m - scale).interior_indices
-    table = level_topology(m).interior_row[cell_embedding(m, scale)[:, small_interior]]
+    table = interior_rows(level_topology(m))[cell_embedding(m, scale)[:, small_interior]]
     table.flags.writeable = False  # cached and shared by every caller
     return table
 

@@ -764,6 +764,10 @@ def test_basis_cells_match_library_values(series, j, N, m_q, tmp_path):
     assert _run(argv + ["--out", str(tmp_path)]) == 0
     group = szego._canonical_group(series, j, m_q)
     (vectors,) = szego.basis_columns(group, m_q)
+    # the vertex rows at the corners of V_0, which basis.csv leaves out, are 0
+    boundary = top.level_topology(m_q).boundary_mask
+    assert np.all(vectors[boundary] == 0.0)
+    vectors = vectors[~boundary]
     rows = _float_rows(tmp_path / "basis.csv")
     n, d = vectors.shape
     assert len(rows) == n * d
@@ -777,6 +781,23 @@ def test_basis_cells_match_library_values(series, j, N, m_q, tmp_path):
     tags = [words[k][c] for k, c in zip(depth.tolist(), rank.tolist())]
     localized = szego.localized_columns(group, N)
     assert [r["tag"] for r in rows[::n]] == tags[:localized] + ["nonlocalized"] * (d - localized)
+
+
+def test_basis_holds_its_columns_once(tmp_path):
+    # the six j=7 basis at m_q=7 on the vertex rows of V_7 is 28.7 MB: a
+    # warm run holds it once, with the two temporaries of eigen_residual
+    # (3.0 of it); a second copy of the columns would make 4.0
+    argv = ["basis", "--series", "six", "--j", "7", "--N", "3", "--m-q", "7"]
+    assert _run(argv + ["--out", str(tmp_path / "cold")]) == 0
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert _run(argv + ["--out", str(tmp_path / "warm")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    dense = top.vertex_count(7) * szego._canonical_group("six", 7, 7).multiplicity * 8
+    assert peak < 3.5 * dense, peak / dense
 
 
 def test_triple_draw_uniform_over_ordered_distinct_triples():

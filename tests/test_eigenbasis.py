@@ -14,7 +14,8 @@ from sgszego.functions import HarmonicFunction, SimpleCellFunction
 from subspaces import (cached_dense_spectrum, cell_ordered, complement_by_qr,
                        corner_normal_derivatives, dense_matrix, dirichlet_laplacian,
                        eigenfunctions_at_level, eigenspace_vectors, extend_values, index_of,
-                       interior_cell_rows, principal_angle_gap, scale_cells, words_of)
+                       interior_basis, interior_cell_rows, principal_angle_gap, scale_cells,
+                       words_of)
 
 
 def _dense_eigenspace(group, m_q):
@@ -28,19 +29,17 @@ def _dense_eigenspace(group, m_q):
 
 def _outside_values(vectors, group, m_q):
     """Largest |value| of each column of `basis_columns`, over the group's
-    eigenspaces, at the interior vertices of V_{m_q} outside its own cell."""
+    eigenspaces, at the vertices of V_{m_q} outside its own cell."""
     inside = np.zeros(vectors.shape[1:], dtype=bool)
-    topo = top.level_topology(m_q)
     for column, (k, rank) in enumerate(zip(*sz.column_cells(group))):
-        cell = top.cell_embedding(m_q, k)[rank]
-        inside[topo.interior_row[cell[~topo.boundary_mask[cell]]], column] = True
+        inside[top.cell_embedding(m_q, k)[rank], column] = True
     return np.max(np.abs(np.where(inside, 0.0, vectors)), axis=(0, 1))
 
 
 def test_eigenspace_column_counts():
     for series, j, m_q, d in (("five", 1, 3, 2), ("six", 2, 3, 3), ("two", 1, 4, 1)):
         vectors = sz.basis_columns(sz._canonical_group(series, j, m_q), m_q)
-        assert vectors.shape == (1, top.interior_count(m_q), d)
+        assert vectors.shape == (1, top.vertex_count(m_q), d)
 
 
 @pytest.mark.parametrize(
@@ -48,7 +47,7 @@ def test_eigenspace_column_counts():
 )
 def test_extension_matches_dense(series, j, m_q):
     group = sz._canonical_group(series, j, m_q)
-    a = sz.basis_columns(group, m_q)[0]
+    a = interior_basis(group, m_q)[0]
     b = _dense_eigenspace(group, m_q)
     assert a.shape == b.shape
     assert principal_angle_gap(a, b, m_q) < 1e-8
@@ -124,7 +123,7 @@ def test_localized_basis_orthonormal_and_span_preserving():
     vectors = sz.basis_columns(group, 4)
     assert vectors.shape[2] == group.multiplicity
     assert sz.orthonormality_check(vectors, 4) < 1e-10
-    assert principal_angle_gap(raw, vectors[0], 4) < 1e-8
+    assert principal_angle_gap(raw, vectors[0, top.level_topology(4).interior_indices], 4) < 1e-8
 
 
 def test_distinct_cell_columns_orthogonal():
@@ -250,7 +249,9 @@ def test_transplants_match_searched_localization():
     for group, m_q, scale in _oracle_grid():
         case = (group.series, group.birth, group.signs.tolist(), m_q, scale)
         raw = eigenspace_vectors(group, m_q)[0]
-        vectors = sz.basis_columns(group, m_q)[0]
+        topo = top.level_topology(m_q)
+        full = sz.basis_columns(group, m_q)[0]
+        vectors = full[topo.interior_indices]
         localized = sz.localized_columns(group, scale)
         found = _searched_localization(raw, m_q, scale)
         built = {}
@@ -262,9 +263,7 @@ def test_transplants_match_searched_localization():
         for cell, cols in built.items():
             gap = principal_angle_gap(vectors[:, cols], found[cell], m_q)
             assert gap < 1e-10, (case, cell, gap)
-        topo = top.level_topology(m_q)
-        full = np.zeros((topo.n_vertices, localized))
-        full[topo.interior_indices] = vectors[:, :localized]
+        full = full[:, :localized]
         # eigen_residual column by column, vectorized over the columns
         r = lap.apply_neg_laplacian(m_q, full) - group.gamma(m_q)[0] * full[topo.interior_indices]
         residual = np.max(np.abs(r), axis=0) / np.max(np.abs(full), axis=0)
@@ -309,7 +308,7 @@ SPLIT_GRID = [
 @pytest.mark.parametrize("series,j,scale,m_q", SPLIT_GRID)
 def test_split_matches_complete_qr_complement(series, j, scale, m_q):
     group = sz._canonical_group(series, j, m_q)
-    vectors = sz.basis_columns(group, m_q)[0]
+    vectors = interior_basis(group, m_q)[0]
     n_loc = sz.localized_columns(group, scale)
     assert vectors.shape[1] == group.multiplicity
     if scale:
@@ -341,7 +340,7 @@ def test_stacked_five_series_group_matches_dense_oracle():
     m_q, scale = 6, 2
     group = next(g for g in dec.enumerate_spectrum(6) if (g.series, g.birth) == ("five", 4))
     assert len(group) == 4
-    basis = sz.basis_columns(group, m_q)
+    basis = interior_basis(group, m_q)
     topo = top.level_topology(m_q)
     f = SimpleCellFunction([2.689, 2.516, 1.841])
     fvals = f.sample(topo)[topo.interior_indices]
@@ -380,7 +379,7 @@ def test_six_series_remainder_is_canonical(j, scale, m_q):
     # scale-1 remainder; the columns at depths below the scale span the
     # canonical scale-N remainder
     group = sz._canonical_group("six", j, m_q)
-    vectors = sz.basis_columns(group, m_q)[0]
+    vectors = interior_basis(group, m_q)[0]
     depth, _ = sz.column_cells(group)
     assert np.array_equal(np.nonzero(depth == 0)[0], len(depth) - 3 + np.arange(3))
     root, expected = vectors[:, -3:], _canonical_remainder(group, m_q, 1)
@@ -445,9 +444,8 @@ def test_compression_vanishes_outside_nested_cells(series, j, scale, m_q):
     # V^T diag(w f) V is exactly zero there, and the tree blocks are all of it
     group = sz._canonical_group(series, j, m_q)
     vectors = sz.basis_columns(group, m_q)[0]
-    topo = top.level_topology(m_q)
     f = HarmonicFunction([1.2, 1.5, 1.9])
-    fvals = f.sample(topo)[topo.interior_indices]
+    fvals = f.sample(top.level_topology(m_q))
     dense = top.interior_weight(m_q) * (vectors.T * fvals) @ vectors
     nested = _nested(group)
     assert np.all(dense[~nested] == 0.0)
@@ -497,7 +495,7 @@ def test_multilevel_span_is_the_copies_in_the_scale_cells():
         copies = np.zeros((top.interior_count(m_q), len(rows), small.shape[1]))
         copies[rows, np.arange(len(rows))[:, None]] = small
         copies = copies.reshape(len(copies), -1)
-        localized = sz.basis_columns(group, m_q)[0][:, :sz.localized_columns(group, scale)]
+        localized = interior_basis(group, m_q)[0][:, :sz.localized_columns(group, scale)]
         assert localized.shape == copies.shape
         assert principal_angle_gap(localized, copies, m_q) < 1e-12, (series, j, scale)
 

@@ -371,9 +371,7 @@ def test_eigen_residual_memory():
     # hold two arrays of the input's size at a time; a gather of all four
     # neighbours at once would hold a temporary four times the input
     group = sz._canonical_group("six", 7, 7)
-    topo = top.level_topology(7)
-    full = np.zeros((topo.n_vertices, group.multiplicity))
-    full[topo.interior_indices] = sz.basis_columns(group, 7)[0]
+    full = sz.basis_columns(group, 7)[0]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -21,7 +21,7 @@ from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFun
 
 from subspaces import (FunctionSum, assemble_compressed, cell_ordered, cell_tree,
                        dense_blocks, dense_matrix, eliminate, extend_eigenfunction, index_of,
-                       interior_cell_rows, lattice_keys, long_double_basis, one_level, one_word,
+                       interior_basis, lattice_keys, long_double_basis, one_level, one_word,
                        scale_cells, tree_blocks)
 
 
@@ -356,7 +356,7 @@ def test_full_compression_at_level_m_is_the_riemann_mean(m, m_q, N):
     # longer span the interior
     topo = top.level_topology(m_q)
     groups = enumerate_spectrum(m)
-    vectors = np.concatenate([col for group in groups for col in sz.basis_columns(group, m_q)],
+    vectors = np.concatenate([col for group in groups for col in interior_basis(group, m_q)],
                              axis=1)
     assert vectors.shape == (top.interior_count(m_q), top.interior_count(m))
     for f in (HarmonicFunction([1.2, 1.5, 1.9]), SimpleCellFunction([2.689, 2.516, 1.841])):
@@ -380,7 +380,8 @@ def test_basis_columns_match_the_long_double_extension():
     # every birth group of cutoff m=6 at m_q=9 against its cell tree extended
     # vertex by vertex and normalized in long double, within 1e-14 of each
     # column's largest entry (the float64 extension was 2.9e-14 off here);
-    # each level is compared on its cells' rows, and is zero elsewhere
+    # each level is compared on its cells' interior rows, and is zero
+    # elsewhere, the corners of V_0 included
     m_q = 9
     for group in enumerate_spectrum(6):
         vectors = sz.basis_columns(group, m_q)
@@ -388,7 +389,8 @@ def test_basis_columns_match_the_long_double_extension():
         start = 0
         for k, part in zip(exact.depths, exact.parts, strict=True):
             c = part.shape[2]
-            rows = interior_cell_rows(m_q, k)[:, :, None]
+            small = top.level_topology(m_q - k).interior_indices
+            rows = top.cell_embedding(m_q, k)[:, small, None]
             cols = start + np.arange(3**k)[:, None, None] * c + np.arange(c)
             expected = 3.0 ** (k / 2) * part[:, None]  # (G, cells, rows of a cell, c)
             error = np.max(np.abs(vectors[:, rows, cols] - expected), axis=2)
