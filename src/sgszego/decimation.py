@@ -273,61 +273,58 @@ def five_series_corners(i):
     K5(i) their cross product, signed by its first entry of at least half
     its largest magnitude, which is first in vertex order too.  Only the
     span of the SVD's output enters, so the columns do not depend on
-    rounding.
+    rounding.  N5 and K5 fill one output table: the peak is twice its size.
     """
     if i == 1:
-        return five_series_glue(1)[0]
+        return five_series_glue(1)
     small = five_series_corners(i - 1)[..., :2]
     null = junction_nullspace(normal_derivatives(small)).reshape(3, 2, 3)
-    span = (small.reshape(-1, 2) @ null).reshape(3**i, 3, 3)
-    images = normal_derivatives(span)[:2].T
-    flat = span.reshape(-1, 3)
+    span = (small.reshape(-1, 2) @ null).reshape(-1, 3)
+    images = normal_derivatives(span.reshape(3**i, 3, 3))[:2].T
     kept = np.cross(images[:, 0], images[:, 1])
-    kept = flat @ (kept / np.linalg.norm(kept))
+    values = np.empty((3**i, 3, 3))
+    np.matmul(span, _cholesky_basis(images), out=values.reshape(-1, 3)[:, :2])
+    kept = np.matmul(span, kept / np.linalg.norm(kept), out=values.reshape(-1, 3)[:, 2])  # a view
+    del span  # before K5 is signed
     size = np.abs(kept)
     kept *= np.sign(kept[np.argmax(size >= 0.5 * size.max())])
-    values = (flat @ _cholesky_basis(images)).reshape(3**i, 3, 2)
-    values = np.concatenate([values, kept.reshape(3**i, 3, 1)], axis=-1)
     values.flags.writeable = False  # cached and shared by every caller
     return values
 
 
-@lru_cache(maxsize=None)
 def five_series_glue(i):
-    """(coefficients, normal) of R5(i) from the glue alone, with no table;
-    cached and read-only.  For i >= 2, `coefficients`, (3, 2, 3), holds
-    N5(i) (columns 0 and 1) and K5(i) (column 2) as the coefficients of the
-    copies of N5(i - 1) in the three 1-cells, cell by cell, and `normal`,
-    (3, 2), the normal derivatives of N5(i) at q_1, q_2, q_3, one row each.
-    For i = 1 they are the corner table of N5(1) = E5(1), (3, 3, 2), that
-    `five_series_corners(1)` returns, and its normal derivatives.
+    """R5(i) from the glue alone, read-only: at i = 1 the corner table of
+    N5(1) = E5(1), (3, 3, 2), of `five_series_corners(1)`; at every i >= 2
+    one (3, 2, 3) table, the same object, of N5(i) and K5(i) (column 2) as
+    coefficients of the copies of N5(i - 1) in the 1-cells, cell by cell.
 
     This is `five_series_corners` on the coefficients: the normal derivative
-    of the junction nullspace at q_c is that of its copy in cell c, the one
-    cell at q_c, so the nullspace, the adjoint images orthonormalized by a
-    Cholesky factor and their cross product need the normal derivatives of
-    N5(i - 1) alone.  K5(i) is signed to make its first coefficient of at
-    least half their largest magnitude negative, which gives it the sign of
-    the table's K5 (at every i = 2 .. 15)."""
-    if i == 1:
+    of the junction nullspace at q_c is that of its copy in cell c, so the
+    glue needs those of N5(i - 1) alone.  In the Cholesky basis they are the
+    lower triangular factor at q_1, q_2, and sum to zero; by the gasket's
+    symmetry they are (3/5)^((i - 1)/2) times an isometry, which is then the
+    same at every level, and so is the glue, built once from N5(1).  K5 is
+    signed to make its first coefficient of at least half their largest
+    magnitude negative, the sign of the table's (at every i = 2 .. 15)."""
+    return _five_series_glue(i > 1)
+
+
+@lru_cache(maxsize=None)
+def _five_series_glue(above):
+    """`five_series_glue` at i = 1 (above False) and at every i >= 2."""
+    if not above:
         span = _midpoint_table(np.linalg.svd(np.ones((1, 3)))[2][1:].T)
-        table = span.reshape(-1, 2) @ _cholesky_basis(normal_derivatives(span)[:2].T)
-        table = table.reshape(3, 3, 2)
-        out = table, normal_derivatives(table)
+        out = span @ _cholesky_basis(normal_derivatives(span)[:2].T)
     else:
-        below = five_series_glue(i - 1)[1]
+        below = normal_derivatives(_five_series_glue(False))
         null = junction_nullspace(below).reshape(3, 2, 3)
-        normal = np.einsum("cq,cqr->cr", below, null)  # of the nullspace's columns
-        images = normal[:2].T
-        n5 = _cholesky_basis(images)
+        images = np.einsum("cq,cqr->cr", below, null)[:2].T  # of the nullspace's columns
         kept = np.cross(images[:, 0], images[:, 1])
-        coefficients = null @ np.column_stack([n5, kept / np.linalg.norm(kept)])
-        k5 = coefficients[..., 2]  # a view
+        out = null @ np.column_stack([_cholesky_basis(images), kept / np.linalg.norm(kept)])
+        k5 = out[..., 2]  # a view
         size = np.abs(k5).ravel()
         k5 *= -np.sign(k5.flat[np.argmax(size >= 0.5 * size.max())])
-        out = coefficients, normal @ n5
-    for values in out:
-        values.flags.writeable = False  # cached and shared by every caller
+    out.flags.writeable = False  # cached and shared by every caller
     return out
 
 

@@ -26,7 +26,7 @@ whose eigenvalues `szego` takes (`group_matrices`).
   2 x 2 forms on those copies' coefficients.  A column K5(n) in a cell is
   the copies of N5(n - 1) in its children times the glue coefficients of
   `five_series_glue`, and so is N5(n), through which every column above
-  reaches the cell.
+  reaches the cell: in the tables' basis one glue for every n >= 2.
 - The 2-series is its root alone.
 
 These are the tree's own orthonormal columns.  A column deeper than the
@@ -106,32 +106,39 @@ def _step(forms, step):
 
 
 @lru_cache(maxsize=None)
-def _chain_step(n, eliminate):
-    """The 6-series step into the cells that hold R6(n), from the level of
-    gamma g_{n - 1} (6 at n = 1), their own columns eliminated or folded."""
+def _chain_maps(n):
+    """(3, 3, 3), read-only: the `midpoints` maps into the cells that hold
+    R6(n), at gamma g_{n - 1} (6 at n = 1)."""
     gamma = six_series_chain(n + 1)[0]
     scale = (2.0 - gamma) * (5.0 - gamma)
-    own = _chain_columns(n) if eliminate else None
-    return _table(own, corner_maps(1.0, (4.0 - gamma) / scale, 2.0 / scale))
+    maps = corner_maps(1.0, (4.0 - gamma) / scale, 2.0 / scale)
+    maps.flags.writeable = False  # cached and shared by every caller
+    return maps
 
 
 @lru_cache(maxsize=None)
-def _glue_step(i, eliminate):
-    """The 5-series step up through the cells that hold R5(i): K5(i)
-    eliminated or, if not, folded, and N5(i) carried up; at i = 1, where
-    E5(1) has no K5, the fold of the birth-cells' kernels onto its copies."""
-    coefficients = five_series_glue(i)[0]
+def _chain_step(n, eliminate):
+    """The 6-series step into the cells that hold R6(n), own columns eliminated or folded."""
+    return _table(_chain_columns(n) if eliminate else None, _chain_maps(n))
+
+
+@lru_cache(maxsize=None)
+def _glue_step(first, eliminate):
+    """The 5-series step up through the cells that hold R5(i), one at every
+    i >= 2: K5(i) eliminated or folded, N5(i) carried up; at i = 1 (`first`)
+    the fold of the birth-cells' kernels onto the copies of E5(1)."""
+    coefficients = five_series_glue(1 if first else 2)
     return _table(coefficients[..., 2:] if eliminate else None, coefficients[..., :2])
 
 
 @lru_cache(maxsize=None)
 def _root_step(series, birth):
-    """The step into the root of a birth space: R6(birth), the glue of
-    R5(birth) (E5(1) at birth 1) or R2(1)."""
+    """The step into the root of a birth space: R6(birth), R5(birth) (one
+    glue from 2 on, asked for as 2; E5(1) at 1) or R2(1)."""
     if series == SERIES_SIX:
         own = _chain_columns(birth)
     elif series == SERIES_FIVE:
-        own = five_series_glue(birth)[0]
+        own = five_series_glue(birth)
     else:
         own = _midpoint_table(np.full((3, 1), 1.0 / math.sqrt(3.0)))
     return _table(own, None)
@@ -147,30 +154,23 @@ def _steps(series, birth, below):
         # above the gamma = 6 level, no own columns
         for depth in range(birth - 1, 0, -1):
             yield depth, _chain_step(birth - depth, depth < min(below, birth - 1))
-    elif series == SERIES_FIVE and birth > 1:
+    elif series == SERIES_FIVE:
         for i in range(1, birth):  # R5(i) in the cells of depth birth - i
-            yield birth - i, _glue_step(i, i > 1 and birth - i < below)
+            yield birth - i, _glue_step(i == 1, i > 1 and birth - i < below)
+        birth = min(birth, 2)  # one root table from 2 on
     yield 0, _root_step(series, birth)
-
-
-@lru_cache(maxsize=None)
-def _unit_form(folds):
-    """The form of a 6-series cell `folds` levels above the birth-cells,
-    started at 1/2 I on each, the plain form on V_birth of functions that
-    vanish on V_0, and folded along the chain: the same for every birth, and
-    for every cell of a level, so one cell a level is stepped."""
-    if not folds:
-        return 0.5 * np.eye(3)
-    maps = _chain_step(folds, False)[2]
-    return np.einsum("ian,ab,ibm->nm", maps, _unit_form(folds - 1), maps)
 
 
 @lru_cache(maxsize=None)
 def _chain_gram(n):
     """S(n), the plain Gram matrix of the chain's three columns of R6(n) on
-    V_n: the root's B from the 1/2 I form folded to the 1-cells."""
-    own = _midpoint_table(np.eye(3))
-    return np.einsum("ian,ab,ibm->nm", own, _unit_form(n - 1), own)
+    V_n: the root's B of 1/2 I on the birth-cells, the plain form on V_n of
+    functions that vanish on V_0, folded along the chain to the 1-cells one
+    cell a level, since every cell of a level is alike."""
+    form = 0.5 * np.eye(3)
+    for maps in [*map(_chain_maps, range(1, n)), _midpoint_table(np.eye(3))]:
+        form = np.einsum("ian,ab,ibm->nm", maps, form, maps)
+    return form
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,8 @@ from itertools import product
 import numpy as np
 
 from sgszego.decimation import (_BIRTH_GAMMA, JUNCTION_SV_MIN, LAMBDA_TAIL, SERIES_FIVE,
-                                SERIES_SIX, SERIES_TWO, make_groups, refuse_forbidden, remainder,
+                                SERIES_SIX, SERIES_TWO, _cholesky_basis, junction_nullspace,
+                                make_groups, normal_derivatives, refuse_forbidden, remainder,
                                 series_multiplicity)
 from sgszego.laplacian import _interior_neighbours
 from sgszego.schur import group_matrices
@@ -515,6 +516,23 @@ def five_series_remainder(i):
         values = np.column_stack([values, kept])
     values.flags.writeable = False  # cached and shared by every caller
     return values
+
+
+def joined_five_series_step(below):
+    """R5(i) of `decimation.five_series_corners` from R5(i - 1), `below`, by
+    the same operations on separate arrays, the span, N5(i) and K5(i),
+    joined at the end: the table bit for bit, at about 3.3 times its size."""
+    small = below[..., :2]
+    null = junction_nullspace(normal_derivatives(small)).reshape(3, 2, 3)
+    span = (small.reshape(-1, 2) @ null).reshape(-1, 3, 3)
+    images = normal_derivatives(span)[:2].T
+    flat = span.reshape(-1, 3)
+    kept = np.cross(images[:, 0], images[:, 1])
+    kept = flat @ (kept / np.linalg.norm(kept))
+    size = np.abs(kept)
+    kept *= np.sign(kept[np.argmax(size >= 0.5 * size.max())])
+    values = (flat @ _cholesky_basis(images)).reshape(len(span), 3, 2)
+    return np.concatenate([values, kept.reshape(len(span), 3, 1)], axis=-1)
 
 
 def on_level(table, level):

@@ -16,7 +16,7 @@ from sgszego import topology as top
 from subspaces import (cached_dense_spectrum, cell_tree, corner_normal_derivatives,
                        dirichlet_laplacian, eigenfunctions_at_level, extend_eigenfunction,
                        extend_values, extension_maps, five_series_remainder, index_of,
-                       lattice_keys, on_level, on_vertices, one_word,
+                       joined_five_series_step, lattice_keys, on_level, on_vertices, one_word,
                        principal_angle_gap, reference_laplacian, scalar_spectrum,
                        six_series_birth_by_qr, six_series_remainder_by_solve,
                        topology_junction_nullspace, words_of)
@@ -341,6 +341,27 @@ def test_six_series_remainder_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+def test_five_series_corners_peak_twice_their_table():
+    # N5(i) and K5(i) are written into the one output table, the span freed
+    # before K5 is signed: the tables are those of separate arrays joined
+    # bit for bit for i <= 12, each from the level below, and i = 10 peaks
+    # at most 2.1 times its table (2.0 measured; 3.3 when joined)
+    for i in range(2, 13):
+        expected = joined_five_series_step(dec.five_series_corners(i - 1))
+        assert np.array_equal(dec.five_series_corners(i), expected), i
+    dec.five_series_corners.cache_clear()
+    dec.five_series_corners(9)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = dec.five_series_corners(10)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+        dec.five_series_corners.cache_clear()
+    assert peak <= 2.1 * table.nbytes, peak / table.nbytes
 
 
 @pytest.mark.parametrize("i", range(1, 13))

@@ -49,31 +49,66 @@ def test_recursion_matches_the_elimination_oracle(series, index):
 
 def test_glue_coefficients_give_the_five_series_tables():
     # R5(i) built from E5(1) by the glue coefficients alone, copies of N5
-    # placed into the 1-cells a level at a time, is the table of
-    # `five_series_corners` within 1e-12 of its largest entry up to i = 13,
-    # K5 with its sign, and so are the normal derivatives carried up.  The
-    # gap doubles a level, to 3.7e-13 at i = 13 (7.3e-13 at 14 and 1.5e-12
-    # at 15, K5's sign matching, where the table alone peaks at 1.3 GB and
-    # more): the Cholesky basis of N5 amplifies rounding, and against a
-    # 40-digit run of the glue the normal derivatives of both are off (glue
-    # 1.2e-13, tables 2.1e-13 at i = 12).  No log-det sees it: N5 only
-    # carries a cell's form to its parent.  The columns are orthonormal
-    # within 1e-13 (2.4e-14 at i = 9, the tables' 3.1e-14).  The root of a
-    # birth at 1, E5(1), is the table's N5(1).  The cached tables, 0.17 GB
-    # by i = 13, are dropped after
-    table = dec.five_series_glue(1)[0]
+    # placed into the 1-cells a level at a time by the one table of every
+    # i >= 2, is the table of `five_series_corners` within 1e-12 of its
+    # largest entry up to i = 13, K5 with its sign, and so are its normal
+    # derivatives.  The gap is the tables': they lose about a bit a level,
+    # the Cholesky basis of N5 amplifying the rounding of the level below,
+    # while the glue is computed once.  The columns are orthonormal within
+    # 1e-13.  The root of a birth at 1, E5(1), is the table's N5(1).  The
+    # cached tables, 0.17 GB by i = 13, are dropped after
+    table = dec.five_series_glue(1)
     assert np.max(np.abs(schur._root_step("five", 1)[2] - dec.five_series_corners(1))) <= 1e-15
     for i in range(2, 14):
-        coefficients, normal = dec.five_series_glue(i)
+        coefficients = dec.five_series_glue(i)
+        assert coefficients is dec.five_series_glue(2)
         table = np.einsum("xaq,cqr->cxar", table[..., :2], coefficients).reshape(3**i, 3, 3)
         expected = dec.five_series_corners(i)
         size = np.max(np.abs(expected))
         assert np.max(np.abs(table - expected)) <= 1e-12 * size, i
-        reference = dec.normal_derivatives(expected)[:, :2]
+        normal, reference = (dec.normal_derivatives(t)[:, :2] for t in (table, expected))
         assert np.max(np.abs(normal - reference)) <= 1e-12 * np.max(np.abs(reference)), i
         columns = table.reshape(-1, 3)
         assert np.max(np.abs(0.5 * columns.T @ columns - np.eye(3))) <= 1e-13, i
     dec.five_series_corners.cache_clear()
+
+
+def test_one_glue_table_serves_every_level(monkeypatch):
+    # every 5-series step of births 1 .. 12, eliminating and folding, comes
+    # from one junction nullspace: five step tables in all, the fold onto
+    # E5(1), the glue eliminated and folded, and two roots, one shared by
+    # every birth >= 2
+    caches = (dec._five_series_glue, schur._glue_step, schur._root_step)
+    for cache in caches:
+        cache.cache_clear()
+    shapes = []
+    nullspace = dec.junction_nullspace
+    monkeypatch.setattr(dec, "junction_nullspace",
+                        lambda normal: shapes.append(normal.shape) or nullspace(normal))
+    try:
+        steps = {(birth, below): [step for _, step in schur._steps("five", birth, below)]
+                 for birth in range(1, 13) for below in (None, 1, 3)}
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert shapes == [(3, 2)]
+    assert len({id(step) for chain in steps.values() for step in chain}) == 5
+    assert len({id(chain[-1]) for (birth, _), chain in steps.items() if birth > 1}) == 1
+
+
+def test_single_five_strong_szego_constant_is_level_free():
+    # E = the kept root's log-det minus its 3 columns times the integral of
+    # log f, the second-order term of the single five eigenspace of a
+    # scale-1 f at m_q = j + 1, agrees over j = 5 .. 13 within 1e-14 (2.2e-15
+    # measured; 1.2e-13 by j = 12 when the glue was rebuilt at every level)
+    f = SimpleCellFunction([2.689, 2.516, 1.841])
+    values = []
+    for j in range(5, 14):
+        group = sz._canonical_group("five", j, j + 1)
+        (part,) = sz.compressed_operator(f, (group,), j + 1, 1).groups
+        logdet = schur.group_log_det(part.series, part.birth, part.below, part.kernels)
+        values.append(logdet - 3 * f.cell_integral(np.log))
+    assert max(values) - min(values) <= 1e-14, values
 
 
 @pytest.mark.parametrize("n", range(2, 13))
