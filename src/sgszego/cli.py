@@ -12,7 +12,6 @@ JSON record on stderr), 3 numerical failure.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -27,6 +26,16 @@ import numpy as np
 from . import decimation, laplacian, szego, topology
 from .functions import parse_function_spec
 
+# the interpreter's built-in SHA-256, which loads no OpenSSL (hashlib's import
+# does, at about 3.5 MB of peak memory); hashlib only on a build without it
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 DEFAULT_TOLERANCES = {
     "gram": 1e-10,
     "eigen_residual": 1e-9,
@@ -36,14 +45,14 @@ DEFAULT_TOLERANCES = {
 # desk-scale caps on --m of the commands that build one level: the
 # `topology` tables of `topology` and `resistance` and the `spectrum` birth
 # groups grow about 3x and 2x per level (in a fresh process `resistance
-# --m 12` runs in about 0.1 s and 125 MB, `topology --m 12` in 4 s and
-# 125 MB, `spectrum --m 20` in 8.5 s and 600 MB)
+# --m 12` runs in about 0.3 s and 122 MB, `topology --m 12` in 4.4 s and
+# 122 MB, `spectrum --m 20` in 8.6 s and 596 MB)
 LEVEL_CAPS = {"resistance": 12, "topology": 12, "spectrum": 20}
 
 # desk-scale cap on resistance --triples: the pairs are answered a chunk at
-# a time, and 10^6 triples at --m 12 take about 4.4 s and 200 MB in a fresh
+# a time, and 10^6 triples at --m 12 take about 5.3 s and 197 MB in a fresh
 # process, where building the topology tables of level 12 alone peaks at
-# 125 MB
+# 122 MB
 TRIPLES_CAP = 10**6
 
 # vertex and cell rows formatted at a time by the topology tables, which
@@ -117,7 +126,7 @@ def parse_functional_spec(spec):
 def config_hash(config):
     payload = {k: v for k, v in config.items() if k != "out"}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 def _flag(field):
@@ -398,14 +407,14 @@ def _draw_triples(rng, n, count):
     return x, y, z
 
 
-def _write_summary(config, results, timings, path):
-    """`timings` holds measured wall times and the peak resident memory; like
-    the timestamp they vary from run to run, so they stay outside `results`,
-    the config hash and the CSVs."""
+def _write_summary(config, digest, results, timings, path):
+    """`digest` is the config's `config_hash`.  `timings` holds measured wall
+    times and the peak resident memory; like the timestamp they vary from run
+    to run, so they stay outside `results`, the config hash and the CSVs."""
     payload = {
         "config": {k: v for k, v in config.items() if k != "tolerances"},
         "tolerances": config["tolerances"],
-        "config_hash": config_hash(config),
+        "config_hash": digest,
         "seed": config["seed"],
         "timestamp": time.time(),
         "results": results,
@@ -429,7 +438,8 @@ def run(config):
     summary dict."""
     out = config["out"]
     cmd = config["command"]
-    header = [f"# config_hash={config_hash(config)}"]
+    digest = config_hash(config)
+    header = [f"# config_hash={digest}"]
     results, timings = {}, {}
 
     if cmd == "topology":
@@ -519,9 +529,11 @@ def run(config):
         results = {"triangle_violations": violations, "triples": n_triples,
                    "max_boundary_deviation": max(abs(r - 2.0 / 3.0) for r in boundary_r)}
 
-    # the process's peak resident set so far; Linux reports ru_maxrss in KiB
-    timings["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    _write_summary(config, results, timings, os.path.join(out, "summary.json"))
+    # the process's peak resident set so far: macOS reports ru_maxrss in
+    # bytes, Linux and the BSDs in KiB
+    per_mb = 1 << (20 if sys.platform == "darwin" else 10)
+    timings["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mb
+    _write_summary(config, digest, results, timings, os.path.join(out, "summary.json"))
     return results
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,19 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 def _run(argv):
     return cli.main(argv)
+
+
+def _src_env():
+    """The environment of a fresh interpreter that imports this checkout's sgszego."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _fresh_python(code):
+    """The stripped standard output of `code` run in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, env=_src_env())
+    return done.stdout.strip()
 
 
 def _read_csv(path):
@@ -122,6 +136,16 @@ def test_every_command_reports_its_peak_memory(tmp_path, argv):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["timings"]["peak_rss_mb"] > 0.0
     assert "peak_rss_mb" not in summary["results"]
+
+
+@pytest.mark.parametrize("platform,maxrss", [("linux", 50 << 10), ("darwin", 50 << 20)])
+def test_peak_memory_in_mb_on_every_platform(tmp_path, monkeypatch, platform, maxrss):
+    # macOS reports ru_maxrss in bytes, Linux in KiB
+    monkeypatch.setattr(cli.sys, "platform", platform)
+    monkeypatch.setattr(cli.resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=maxrss))
+    out = tmp_path / "run"
+    assert _run(["spectrum", "--m", "2", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["timings"]["peak_rss_mb"] == 50.0
 
 
 def test_resistance_zero_triples(tmp_path):
@@ -671,11 +695,9 @@ def test_basis_csv_byte_identical_across_processes(series, j, N, m_q, tmp_path):
     # config write the same bytes, the non-localized columns included
     argv = [sys.executable, "-m", "sgszego.cli", "basis", "--series", series, "--j", str(j),
             "--N", str(N), "--m-q", str(m_q)]
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     bodies = []
     for name in ("a", "b"):
-        subprocess.run(argv + ["--out", str(tmp_path / name)], check=True, env=env)
+        subprocess.run(argv + ["--out", str(tmp_path / name)], check=True, env=_src_env())
         bodies.append((tmp_path / name / "basis.csv").read_bytes())
     assert bodies[0] == bodies[1]
     assert b"nonlocalized" in bodies[0]
@@ -718,6 +740,33 @@ def test_config_hash_ignores_out(tmp_path):
     c2 = {"command": "spectrum", "m": 2, "out": "y"}
     assert cli.config_hash(c1) == cli.config_hash(c2)
     assert cli.config_hash(c1) != cli.config_hash({"command": "spectrum", "m": 3})
+
+
+# config hashes recorded before the built-in SHA-256 replaced hashlib's
+PINNED_HASHES = [
+    ({"command": "spectrum", "m": 3}, "70788ed5c65b04ea"),
+    ({"command": "szego", "mode": "cutoff", "m": 2, "f": "harmonic:1,2,3", "seed": 7},
+     "e6a74edf9fc56457"),
+    ({"command": "resistance", "m": 3, "triples": 50, "seed": 0,
+      "tolerances": {"gram": 1e-10, "eigen_residual": 1e-9, "logdet_rel": 1e-8}},
+     "30260e070fbacd96"),
+    ({"command": "basis", "series": "six", "j": 3, "N": 1, "m_q": 4, "seed": 5, "out": "x"},
+     "15fde0af4a67b233"),
+]
+
+
+def test_config_hash_pinned():
+    assert [(c, cli.config_hash(c)) for c, _ in PINNED_HASHES] == PINNED_HASHES
+
+
+def test_config_hash_pinned_through_the_hashlib_fallback():
+    # an interpreter built without its own SHA-256 takes hashlib's, and the
+    # digests stay the same
+    configs = [c for c, _ in PINNED_HASHES]
+    code = ('import sys; sys.modules["_sha2"] = sys.modules["_sha256"] = None; '
+            f'from sgszego import cli; print([cli.config_hash(c) for c in {configs!r}]); '
+            'assert "hashlib" in sys.modules')
+    assert _fresh_python(code) == repr([h for _, h in PINNED_HASHES])
 
 
 # the columns of the CSVs that hold floats, each written as its shortest repr
@@ -828,26 +877,20 @@ def test_draw_below_rejects_about_half_the_words():
     assert len(hits) == 8 and 12000 < hits.min() and hits.max() < 13000, hits
 
 
-def test_resistance_does_not_import_numpy_random(tmp_path):
-    # the triples come from the standard library's generator, which NumPy's
-    # own import has already loaded
+def test_cli_runs_load_no_unused_modules(tmp_path):
+    # after a resistance and a szego run: the triples come from the standard
+    # library's generator, which NumPy's own import has already loaded, so
+    # numpy.random stays out; the argv is read off cli.COMMANDS, so neither
+    # argparse nor the gettext it loads for its messages is imported; and the
+    # config hash is the interpreter's built-in SHA-256, so hashlib and
+    # OpenSSL's _hashlib stay out
     code = ("import sys; from sgszego import cli; "
-            f"assert cli.main(['resistance', '--m', '3', '--out', {str(tmp_path)!r}]) == 0; "
-            "print('numpy.random' in sys.modules)")
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
-    assert done.stdout.strip() == "False"
-
-
-def test_cli_import_loads_no_argparse():
-    # the argv is read off cli.COMMANDS, so neither argparse nor the gettext
-    # it loads for its messages is imported
-    code = "import sys; import sgszego.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
-    assert done.stdout.strip() == "[]"
+            f"assert cli.main(['resistance', '--m', '3', '--out', {str(tmp_path / 'r')!r}]) == 0; "
+            "assert cli.main(['szego', '--mode', 'cutoff', '--m', '2', '--f', 'harmonic:1,2,3', "
+            f"'--out', {str(tmp_path / 's')!r}]) == 0; "
+            "print(sorted({'numpy.random', 'argparse', 'gettext', 'hashlib', '_hashlib'} "
+            "& set(sys.modules)))")
+    assert _fresh_python(code) == "[]"
 
 
 def _writes_file(node):
