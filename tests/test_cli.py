@@ -877,20 +877,27 @@ def test_draw_below_rejects_about_half_the_words():
     assert len(hits) == 8 and 12000 < hits.min() and hits.max() < 13000, hits
 
 
-def test_cli_runs_load_no_unused_modules(tmp_path):
-    # after a resistance and a szego run: the triples come from the standard
-    # library's generator, which NumPy's own import has already loaded, so
-    # numpy.random stays out; the argv is read off cli.COMMANDS, so neither
-    # argparse nor the gettext it loads for its messages is imported; and the
-    # config hash is the interpreter's built-in SHA-256, so hashlib and
-    # OpenSSL's _hashlib stay out
+def test_resistance_does_not_import_numpy_random(tmp_path):
+    # the triples come from the standard library's generator, which NumPy's
+    # own import has already loaded; and the config hash is the interpreter's
+    # built-in SHA-256, so hashlib and OpenSSL's _hashlib stay out
     code = ("import sys; from sgszego import cli; "
-            f"assert cli.main(['resistance', '--m', '3', '--out', {str(tmp_path / 'r')!r}]) == 0; "
-            "assert cli.main(['szego', '--mode', 'cutoff', '--m', '2', '--f', 'harmonic:1,2,3', "
-            f"'--out', {str(tmp_path / 's')!r}]) == 0; "
-            "print(sorted({'numpy.random', 'argparse', 'gettext', 'hashlib', '_hashlib'} "
-            "& set(sys.modules)))")
+            f"assert cli.main(['resistance', '--m', '3', '--out', {str(tmp_path)!r}]) == 0; "
+            "print(sorted({'numpy.random', 'hashlib', '_hashlib'} & set(sys.modules)))")
     assert _fresh_python(code) == "[]"
+
+
+def test_cli_import_loads_no_argparse(tmp_path):
+    # the argv is read off cli.COMMANDS, so neither argparse nor the gettext
+    # it loads for its messages is imported, by the import or by a szego run;
+    # nor is hashlib or OpenSSL's _hashlib, for the config hash
+    unused = "{'argparse', 'gettext', 'hashlib', '_hashlib'}"
+    code = ("import sys; from sgszego import cli; "
+            f"print(sorted({unused} & set(sys.modules))); "
+            "assert cli.main(['szego', '--mode', 'cutoff', '--m', '2', '--f', 'harmonic:1,2,3', "
+            f"'--out', {str(tmp_path)!r}]) == 0; "
+            f"print(sorted({unused} & set(sys.modules)))")
+    assert _fresh_python(code).split("\n") == ["[]", "[]"]
 
 
 def _writes_file(node):
