@@ -9,20 +9,20 @@ level-k value is produced by
 
 Beyond the enumeration level all signs are -1, which makes
 (3/2) * 5^k * gamma_k converge to the renormalized eigenvalue.  A birth
-eigenspace is a cell tree of the scale-1 remainders R(i), laid out by
-`szego.tree_corners`, each built as its corner table from those of the
-three 1-cells of V_1 (`remainder`), with no table of V_i; `schur` reads
-the same columns as steps, with no table (`five_series_glue`).
+eigenspace is a cell tree of the scale-1 remainders R(i); this module
+gives what builds them from V_1, the gamma chain of the 6-series
+(`six_series_chain`) and the one glue of the 5-series (`five_series_glue`),
+which `schur` reads as the steps of its recursion and as the corner tables
+of `schur.remainder_table`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .laplacian import child_corners, midpoints
+from .laplacian import child_corners
 from .topology import interior_count
 
 FORBIDDEN_GAMMAS = (2.0, 5.0, 6.0)
@@ -209,7 +209,7 @@ def refuse_forbidden(gammas):
 
 def _cholesky_basis(images):
     """Orthonormal columns of the span of `images` by the Cholesky factor of
-    their Gram matrix: the one basis of N5 of the tables and the glue."""
+    their Gram matrix: the one basis of N5 of the glue."""
     return images @ np.linalg.inv(np.linalg.cholesky(images.T @ images)).T
 
 
@@ -255,57 +255,27 @@ def junction_nullspace(normal):
     return vh[3:].T
 
 
-@lru_cache(maxsize=None)
-def five_series_corners(i):
-    """R5(i), the part of E5(i) orthogonal to the copies of kept(E5(i - 1))
-    in the three 1-cells, as its corner table; read-only.  kept(E) is the
-    subspace of E whose normal derivatives vanish.  Columns 0 and 1 are
-    N5(i), the complement of kept(E5(i)) in E5(i), and column 2, from i = 2
-    on, is K5(i).  R5(1) = N5(1) = E5(1), the zero-sum vectors on the
-    midpoints of V_1.
-
-    E5(i) is a copy of E5(i - 1) in each 1-cell where the normal
-    derivatives of the two cells at each midpoint of V_1 cancel, as those
-    of kept(E5(i - 1)) do, so R5(i) is the junction nullspace of the copies
-    of N5(i - 1), the 1-cells' tables one after the other.  The normal
-    derivatives map R5(i) onto a plane, spanned by the adjoint images of q_1
-    and q_2: N5(i) is their span, orthonormalized by a Cholesky factor, and
-    K5(i) their cross product, signed by its first entry of at least half
-    its largest magnitude, which is first in vertex order too.  Only the
-    span of the SVD's output enters, so the columns do not depend on
-    rounding.  N5 and K5 fill one output table: the peak is twice its size.
-    """
-    if i == 1:
-        return five_series_glue(1)
-    small = five_series_corners(i - 1)[..., :2]
-    null = junction_nullspace(normal_derivatives(small)).reshape(3, 2, 3)
-    span = (small.reshape(-1, 2) @ null).reshape(-1, 3)
-    images = normal_derivatives(span.reshape(3**i, 3, 3))[:2].T
-    kept = np.cross(images[:, 0], images[:, 1])
-    values = np.empty((3**i, 3, 3))
-    np.matmul(span, _cholesky_basis(images), out=values.reshape(-1, 3)[:, :2])
-    kept = np.matmul(span, kept / np.linalg.norm(kept), out=values.reshape(-1, 3)[:, 2])  # a view
-    del span  # before K5 is signed
-    size = np.abs(kept)
-    kept *= np.sign(kept[np.argmax(size >= 0.5 * size.max())])
-    values.flags.writeable = False  # cached and shared by every caller
-    return values
-
-
 def five_series_glue(i):
     """R5(i) from the glue alone, read-only: at i = 1 the corner table of
-    N5(1) = E5(1), (3, 3, 2), of `five_series_corners(1)`; at every i >= 2
-    one (3, 2, 3) table, the same object, of N5(i) and K5(i) (column 2) as
+    N5(1) = E5(1), (3, 3, 2), the zero-sum vectors on the midpoints of V_1
+    in the Cholesky basis of their normal derivatives; at every i >= 2 one
+    (3, 2, 3) table, the same object, of N5(i) and K5(i) (column 2) as
     coefficients of the copies of N5(i - 1) in the 1-cells, cell by cell.
 
-    This is `five_series_corners` on the coefficients: the normal derivative
-    of the junction nullspace at q_c is that of its copy in cell c, so the
-    glue needs those of N5(i - 1) alone.  In the Cholesky basis they are the
+    E5(i) is a copy of E5(i - 1) in each 1-cell where the normal derivatives
+    of the two cells at each midpoint of V_1 cancel, as those of K5(i - 1)
+    do, so R5(i), the part of E5(i) orthogonal to the copies of K5(i - 1),
+    is the junction nullspace of the copies of N5(i - 1).  The normal
+    derivative of such a function at q_c is that of its copy in cell c, so
+    the glue needs those of N5(i - 1) alone.  They map the nullspace onto a
+    plane, spanned by the adjoint images of q_1 and q_2: N5(i) is their
+    span, orthonormalized by a Cholesky factor, and K5(i) their cross
+    product.  In the Cholesky basis the normal derivatives of N5 are the
     lower triangular factor at q_1, q_2, and sum to zero; by the gasket's
     symmetry they are (3/5)^((i - 1)/2) times an isometry, which is then the
     same at every level, and so is the glue, built once from N5(1).  K5 is
     signed to make its first coefficient of at least half their largest
-    magnitude negative, the sign of the table's (at every i = 2 .. 15)."""
+    magnitude negative."""
     return _five_series_glue(i > 1)
 
 
@@ -342,44 +312,3 @@ def six_series_chain(j):
     while len(gammas) < j - 2:
         gammas.append(max(gammas[-1] * (5.0 - gammas[-1]), -GAMMA_CLAMP))
     return [*reversed(gammas[:j - 2]), 6.0]
-
-
-@lru_cache(maxsize=None)
-def six_series_corners(j):
-    """R6(j), the part of E6(j) orthogonal to the copies of E6(j - 1) in
-    the three 1-cells, for j >= 2 (R6(2) is all of E6(2)), as its corner
-    table, a column per midpoint of V_1; cached and read-only.
-
-    G = (6 I + L_{j-1}) / 4 is the Gram matrix of the gamma = 6 extensions
-    of the interior unit vectors of V_{j-1}, so R6(j) is the extension of
-    G^-1 E, E the midpoint unit vectors.  Inside each 1-cell G^-1 E solves
-    -Delta_{j-1} v = -6 v, so it is decimation extension from V_1 with
-    gamma g_{j-k} at level k, g_1 = -6 and g_{d+1} = g_d (5 - g_d).
-    G^-1 E = X S with X the extension of E, so Y = Ext(X) has Gram matrix
-    X^T G X = (E^T G^-1 E)^-1 = S, and R6(j) is Y chol(S^-1).  The three
-    columns are extended as one (3, cells, 3) corner table.  Every vertex of
-    V_j but q_1, q_2, q_3 lies in two j-cells, so S is half the corner
-    products summed over the table, each entry pairwise along a contiguous
-    axis (as one matrix product, it left the columns 7.8e-16 off the dense
-    solve).
-    """
-    table = _midpoint_table(np.eye(3)).transpose(2, 0, 1)
-    for gamma in six_series_chain(j):
-        table = child_corners(table, midpoints(table, gamma))
-    columns = table.reshape(3, -1)
-    gram = np.array([[0.5 * np.sum(a * b) for b in columns] for a in columns])
-    values = (columns.T @ np.linalg.cholesky(np.linalg.inv(gram))).reshape(3**j, 3, 3)
-    values.flags.writeable = False  # cached and shared by every caller
-    return values
-
-
-def remainder(series, i):
-    """R(i), the scale-1 remainder of a series at generation i, as its
-    corner table (3^i, 3, c): the columns at the three corners of every
-    i-cell in rank order, orthonormal in plain coordinates on V_i;
-    read-only, and cached for the 5- and 6-series, so every birth whose
-    cell tree holds R(i) shares it.  The 2-series has R(1) alone, the
-    constant on the midpoints."""
-    if series == SERIES_TWO:
-        return _midpoint_table(np.full((3, 1), 1.0 / math.sqrt(3.0)))
-    return (six_series_corners if series == SERIES_SIX else five_series_corners)(i)

@@ -30,7 +30,9 @@ whose eigenvalues `szego` takes (`group_matrices`).
 - The 2-series is its root alone.
 
 These are the tree's own orthonormal columns.  A column deeper than the
-tree levels kept (`below`) is the closed form's: those steps fold.
+tree levels kept (`below`) is the closed form's: those steps fold.  Read
+top-down, the same columns give the corner tables of the tree
+(`remainder_table`), which `szego.basis_columns` extends and places.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .decimation import SERIES_FIVE, SERIES_SIX, _midpoint_table, five_series_glue, six_series_chain
-from .laplacian import corner_maps
+from .laplacian import child_corners, corner_maps, midpoints
 
 
 class NotPositiveDefiniteError(Exception):
@@ -131,6 +133,10 @@ def _glue_step(first, eliminate):
     return _table(coefficients[..., 2:] if eliminate else None, coefficients[..., :2])
 
 
+# R2(1), the constant on the midpoints of V_1: the root of the 2-series
+_TWO_ROOT = _midpoint_table(np.full((3, 1), 1.0 / math.sqrt(3.0)))
+
+
 @lru_cache(maxsize=None)
 def _root_step(series, birth):
     """The step into the root of a birth space: R6(birth), R5(birth) (one
@@ -140,7 +146,7 @@ def _root_step(series, birth):
     elif series == SERIES_FIVE:
         own = five_series_glue(birth)
     else:
-        own = _midpoint_table(np.full((3, 1), 1.0 / math.sqrt(3.0)))
+        own = _TWO_ROOT
     return _table(own, None)
 
 
@@ -161,16 +167,32 @@ def _steps(series, birth, below):
     yield 0, _root_step(series, birth)
 
 
+def _exact_fold(form, scale, maps):
+    """sum_i maps_i^T form maps_i exactly, as integers (an object array) over
+    `scale`: the float64 maps are dyadic, integers over a power of two."""
+    ratios = [x.as_integer_ratio() for x in maps.ravel().tolist()]
+    unit = max(q for _, q in ratios)
+    maps = np.array([p * (unit // q) for p, q in ratios], dtype=object).reshape(maps.shape)
+    return (maps.transpose(0, 2, 1) @ form @ maps).sum(0), scale * unit**2
+
+
 @lru_cache(maxsize=None)
+def _chain_form(n):
+    """The 1/2 I form of the birth-cells folded n - 1 levels up the chain,
+    one cell a level since every cell of a level is alike, exactly: the
+    form of the 1-cells of R6(n), and of the cells as far above the
+    birth-cells of every R6(n') above, so each level is folded once."""
+    if n == 1:
+        return np.eye(3, dtype=object), 2
+    return _exact_fold(*_chain_form(n - 1), _chain_maps(n - 1))
+
+
 def _chain_gram(n):
-    """S(n), the plain Gram matrix of the chain's three columns of R6(n) on
-    V_n: the root's B of 1/2 I on the birth-cells, the plain form on V_n of
-    functions that vanish on V_0, folded along the chain to the 1-cells one
-    cell a level, since every cell of a level is alike."""
-    form = 0.5 * np.eye(3)
-    for maps in [*map(_chain_maps, range(1, n)), _midpoint_table(np.eye(3))]:
-        form = np.einsum("ian,ab,ibm->nm", maps, form, maps)
-    return form
+    """S(n), the plain Gram matrix of R6(n)'s chain columns on V_n: the
+    root's B of 1/2 I, the plain form on V_n of functions that vanish on
+    V_0: `_chain_form(n)` folded onto V_1's midpoints and rounded once."""
+    form, scale = _exact_fold(*_chain_form(n), _midpoint_table(np.eye(3)))
+    return (form / scale).astype(float)
 
 
 @lru_cache(maxsize=None)
@@ -178,6 +200,31 @@ def _chain_columns(n):
     """(3, 3, 3): the values of R6(n) at its 1-cells' corners, the chain's
     midpoint unit vectors times L(n), L(n) L(n)^T = S(n)^-1."""
     return _midpoint_table(np.eye(3)) @ np.linalg.cholesky(np.linalg.inv(_chain_gram(n)))
+
+
+@lru_cache(maxsize=None)
+def remainder_table(series, i):
+    """R(i), the scale-1 remainder of a series at generation i, as its
+    corner table (3^i, 3, c): the columns at the three corners of every
+    i-cell in rank order, orthonormal in plain coordinates on V_i; cached
+    and read-only, so every birth whose cell tree holds R(i) shares it.
+    Built top-down from the steps' columns: R6(i) is `_chain_columns(i)`
+    extended along `six_series_chain(i)`; R5(i), N5(i) in columns 0, 1 and
+    K5(i) in 2, the copies of N5(i - 1) in the 1-cells times the one glue
+    of `five_series_glue`; R5(1) = N5(1) and R2(1) are the roots' tables."""
+    if series == SERIES_SIX:
+        table = _chain_columns(i).transpose(2, 0, 1)  # (columns, cells, corners)
+        for gamma in six_series_chain(i):
+            table = child_corners(table, midpoints(table, gamma))
+        table = table.transpose(1, 2, 0)
+    elif series == SERIES_FIVE and i > 1:
+        # one product per 1-cell c, the glue's leading axis: ranks c 3^(i - 1) on
+        below = remainder_table(series, i - 1)[..., :2].reshape(-1, 2)
+        table = np.matmul(below, five_series_glue(i)).reshape(3**i, 3, 3)
+    else:
+        return five_series_glue(1) if series == SERIES_FIVE else _TWO_ROOT
+    table.flags.writeable = False  # cached and shared by every caller
+    return table
 
 
 def group_log_det(series, birth, below, kernels):

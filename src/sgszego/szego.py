@@ -7,8 +7,9 @@ f = 1 (`gram_factors`).  Its log-determinant is one Schur recursion up the
 cells from them (`schur`), and its eigenvalues are those of the matrices
 that the same steps build with their columns kept (`group_matrices`), no
 table of the tree read; the dense columns of a basis (`basis_columns`) are
-built from the tree's corner values (`tree_corners`) on the vertex rows of
-V_{m_q}, the one layout of every full vector of the package."""
+built from the corner tables that the same steps give
+(`schur.remainder_table`) on the vertex rows of V_{m_q}, the one layout of
+every full vector of the package."""
 from __future__ import annotations
 
 import math
@@ -19,9 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 from .decimation import (SERIES_FIVE, SERIES_SIX, SERIES_TWO, enumerate_spectrum, make_groups,
-                         refuse_forbidden, remainder)
+                         refuse_forbidden)
 from .laplacian import child_corners, corner_maps, midpoints, vertex_values
-from .schur import NotPositiveDefiniteError, group_log_det, group_matrices
+from .schur import NotPositiveDefiniteError, group_log_det, group_matrices, remainder_table
 from .topology import cell_embedding, interior_weight, level_topology, rotation, vertex_count
 
 # the default sampling level is min(index + 1, MQ_CAP).  Memory no longer
@@ -321,25 +322,6 @@ def tree_layout(series, birth):
                  for k in range(max(birth - 2, 0), -1, -1))
 
 
-@lru_cache(maxsize=None)
-def tree_corners(series, birth):
-    """(depth, corner values) of each level of the cell tree of a birth
-    space (`tree_layout`), deepest first; cached.  Depth 0 holds the
-    scale-1 remainder R(birth), and each depth k = 1 .. birth - 2 the kept
-    columns of R(birth - k): all three of a 6-series remainder and the one
-    column K5 of a 5-series one.  Each depth's columns are copied into every
-    cell of that depth; copies in different cells have disjoint supports, so
-    the tree is orthonormal in plain coordinates.  A column copied into a
-    depth-k cell takes at the corners of the birth-cells inside it, in rank
-    order, the cached table of R(birth - k) (`remainder`), of K5 a view of
-    its column 2."""
-    levels = []
-    for k, _ in tree_layout(series, birth):
-        corners = remainder(series, birth - k)
-        levels.append((k, corners[..., 2:] if k and series == SERIES_FIVE else corners))
-    return tuple(levels)
-
-
 def column_cells(group):
     """(depth, rank) of the cell of every column of a birth group's
     eigenspaces, two arrays in column order: tree level by level, deepest
@@ -386,19 +368,21 @@ def basis_columns(group, m_q):
     """(G, vertices of V_{m_q}, d): the dense quadrature-orthonormal columns
     of a birth group's eigenspaces in the order of `column_cells`, whose
     compressions `group_matrices` forms: the cell tree, extended and placed.
-    Each depth's corner table (`tree_corners`) is extended with each word's
-    gamma_{birth+1} .. gamma_{m_q}, divided by the word's norm
+    Depth k of the tree (`tree_layout`) holds the last c_k columns of the
+    corner table of R(birth - k) (`schur.remainder_table`): all of it but
+    on the 5-series below its root, which keeps K5.  Each is extended with
+    each word's gamma_{birth+1} .. gamma_{m_q}, divided by the word's norm
     sqrt(w(m_q) rho) (`gram_factors`) and written into every cell of the
     depth through `cell_embedding`, and nowhere else; every column vanishes
     on the corners of V_0, whose rows stay 0."""
     g, gammas = len(group), group.gammas_through(m_q)[:, 1:]
-    corners = tree_corners(group.series, group.birth)
+    layout = tree_layout(group.series, group.birth)
     rho = gram_factors(corner_tensors(gammas), group.gammas[:, 0])
     scale = 1.0 / np.sqrt(interior_weight(m_q) * rho)
-    out = np.zeros((g, vertex_count(m_q), sum(3**k * u.shape[-1] for k, u in corners)))
+    out = np.zeros((g, vertex_count(m_q), sum(3**k * c for k, c in layout)))
     start = 0
-    for k, u in corners:
-        c = u.shape[-1]
+    for k, c in layout:
+        u = remainder_table(group.series, group.birth - k)[..., -c:]
         table = np.broadcast_to(u.transpose(2, 0, 1), (g,) + u.shape[2:] + u.shape[:2])
         for gamma in gammas.T:
             table = child_corners(table, midpoints(table, gamma[:, None]))

@@ -10,13 +10,14 @@ from itertools import product
 import numpy as np
 
 from sgszego.decimation import (_BIRTH_GAMMA, JUNCTION_SV_MIN, LAMBDA_TAIL, SERIES_FIVE,
-                                SERIES_SIX, SERIES_TWO, _cholesky_basis, junction_nullspace,
-                                make_groups, normal_derivatives, refuse_forbidden, remainder,
-                                series_multiplicity)
-from sgszego.laplacian import _interior_neighbours
-from sgszego.schur import group_matrices
+                                SERIES_SIX, SERIES_TWO, _cholesky_basis, _midpoint_table,
+                                five_series_glue, junction_nullspace, make_groups,
+                                normal_derivatives, refuse_forbidden, series_multiplicity,
+                                six_series_chain)
+from sgszego.laplacian import _interior_neighbours, child_corners, midpoints
+from sgszego.schur import group_matrices, remainder_table
 from sgszego.szego import (_SYMMETRIC, NotPositiveDefiniteError, basis_columns, column_cells,
-                           localized_columns, tree_corners)
+                           localized_columns, tree_layout)
 from sgszego.topology import (_CORNER_KEYS, SQRT3, cell_embedding, interior_count,
                               interior_weight, level_topology, vertex_count)
 
@@ -248,6 +249,17 @@ class TreeBlocks:
         return self.constants.shape[1] + sum(self.column_counts)
 
 
+def tree_corners(series, birth):
+    """(depth, corner values) of each level of the cell tree of a birth
+    space, deepest first: the last c_k columns of
+    `schur.remainder_table(series, birth - k)` at each depth k of
+    `tree_layout`, a view of the cached table.  A mirror of the slice that
+    `szego.basis_columns` takes inside its loop, which exports no layout;
+    `basis_columns` itself is held to the tree by the tests of its columns."""
+    return tuple((k, remainder_table(series, birth - k)[..., -c:])
+                 for k, c in tree_layout(series, birth))
+
+
 def tree_couplings(kernels, corners):
     """The `TreeBlocks` of a birth group from its `cell_kernels` divided by
     each word's `gram_factors` rho and its `tree_corners`.  A column u_a is
@@ -442,8 +454,8 @@ def six_series_birth_by_qr(j):
 
 
 # The full-vector construction of the 5-series remainders that
-# `decimation.five_series_corners` replaced by one on corner tables, kept as
-# the oracle of its columns, not only of their span: every level's
+# `five_series_corners` runs on corner tables, the oracle of its columns,
+# not only of their span: every level's
 # remainder on all of V_i, copied into the 1-cells through `cell_embedding`,
 # its normal derivatives and junctions read off `level_topology`.
 
@@ -492,12 +504,11 @@ def topology_junction_nullspace(normal):
 
 @lru_cache(maxsize=None)
 def five_series_remainder(i):
-    """R5(i) of `decimation.five_series_corners` as full vectors on V_i, by
-    the same recursion on full vectors: the copies of N5(i - 1) in the
-    three 1-cells, glued by `topology_junction_nullspace`, split into N5(i)
-    and K5(i) by the normal derivatives at the corners of V_0, K5(i) signed
-    by its first entry in vertex order of at least half its largest
-    magnitude; read-only."""
+    """R5(i) of `five_series_corners` as full vectors on V_i, by the same
+    recursion on full vectors: the copies of N5(i - 1) in the three 1-cells,
+    glued by `topology_junction_nullspace`, split into N5(i) and K5(i) by the
+    normal derivatives at the corners of V_0, K5(i) signed by its first entry
+    in vertex order of at least half its largest magnitude; read-only."""
     if i == 1:
         span = _birth_space(SERIES_FIVE)
     else:
@@ -518,11 +529,39 @@ def five_series_remainder(i):
     return values
 
 
-def joined_five_series_step(below):
-    """R5(i) of `decimation.five_series_corners` from R5(i - 1), `below`, by
-    the same operations on separate arrays, the span, N5(i) and K5(i),
-    joined at the end: the table bit for bit, at about 3.3 times its size."""
-    small = below[..., :2]
+@lru_cache(maxsize=None)
+def five_series_glued(i):
+    """R5(i) of `schur.remainder_table` as full vectors on V_i, built as it
+    builds its tables but on full vectors: R5(1) of `five_series_remainder`,
+    and from i = 2 on the copies of N5(i - 1) placed in the three 1-cells
+    through `cell_embedding`, each times its cell's coefficients in the one
+    glue `five_series_glue(2)`; no level is split anew, so none loses a bit
+    to the one below; read-only."""
+    if i == 1:
+        return five_series_remainder(1)
+    small = five_series_glued(i - 1)[:, :2]
+    values = np.zeros((level_topology(i).n_vertices, 3))
+    for rows, glue in zip(cell_embedding(i, 1), five_series_glue(2)):
+        values[rows] += small @ glue  # the copies vanish on the junctions
+    values.flags.writeable = False  # cached and shared by every caller
+    return values
+
+
+@lru_cache(maxsize=None)
+def five_series_corners(i):
+    """R5(i) as its corner table by the recursion on tables, each level from
+    the one below: the oracle of `schur.remainder_table`, which applies one
+    glue to every level.  R5(i) is the junction nullspace of the copies of
+    N5(i - 1), the 1-cells' tables one after the other; the normal
+    derivatives map it onto a plane, spanned by the adjoint images of q_1
+    and q_2: N5(i) is their span, orthonormalized by a Cholesky factor, and
+    K5(i) their cross product, signed by its first entry of at least half
+    its largest magnitude, which is first in vertex order too.  The Cholesky
+    basis amplifies the rounding of the level below: the tables lose about
+    a bit a level.  R5(1) is `five_series_glue(1)`; read-only."""
+    if i == 1:
+        return five_series_glue(1)
+    small = five_series_corners(i - 1)[..., :2]
     null = junction_nullspace(normal_derivatives(small)).reshape(3, 2, 3)
     span = (small.reshape(-1, 2) @ null).reshape(-1, 3, 3)
     images = normal_derivatives(span)[:2].T
@@ -531,8 +570,42 @@ def joined_five_series_step(below):
     kept = flat @ (kept / np.linalg.norm(kept))
     size = np.abs(kept)
     kept *= np.sign(kept[np.argmax(size >= 0.5 * size.max())])
-    values = (flat @ _cholesky_basis(images)).reshape(len(span), 3, 2)
-    return np.concatenate([values, kept.reshape(len(span), 3, 1)], axis=-1)
+    values = np.concatenate([(flat @ _cholesky_basis(images)).reshape(len(span), 3, 2),
+                             kept.reshape(len(span), 3, 1)], axis=-1)
+    values.flags.writeable = False  # cached and shared by every caller
+    return values
+
+
+@lru_cache(maxsize=None)
+def six_series_corners(j):
+    """R6(j) as its corner table by orthonormalizing the extended columns:
+    the oracle of `schur.remainder_table`, which orthonormalizes before it
+    extends.  G = (6 I + L_{j-1}) / 4 is the Gram matrix of the gamma = 6
+    extensions of the interior unit vectors of V_{j-1}, so R6(j) is the
+    extension of G^-1 E, E the midpoint unit vectors.  Inside each 1-cell
+    G^-1 E solves -Delta_{j-1} v = -6 v, so it is decimation extension from
+    V_1 along `six_series_chain(j)`.  G^-1 E = X S with X the extension of
+    E, so Y = Ext(X) has Gram matrix X^T G X = (E^T G^-1 E)^-1 = S, and
+    R6(j) is Y chol(S^-1), S half the corner products summed over the table
+    (every vertex of V_j but q_1, q_2, q_3 lies in two j-cells), each entry
+    pairwise along a contiguous axis; read-only."""
+    table = _midpoint_table(np.eye(3)).transpose(2, 0, 1)
+    for gamma in six_series_chain(j):
+        table = child_corners(table, midpoints(table, gamma))
+    columns = table.reshape(3, -1)
+    gram = np.array([[0.5 * np.sum(a * b) for b in columns] for a in columns])
+    values = (columns.T @ np.linalg.cholesky(np.linalg.inv(gram))).reshape(3**j, 3, 3)
+    values.flags.writeable = False  # cached and shared by every caller
+    return values
+
+
+def table_recursion(series, i):
+    """R(i) as its corner table by the recursions on tables,
+    `six_series_corners` and `five_series_corners`, in place of
+    `schur.remainder_table`; R2(1) is its own table."""
+    if series == SERIES_SIX:
+        return six_series_corners(i)
+    return five_series_corners(i) if series == SERIES_FIVE else remainder_table(series, i)
 
 
 def on_level(table, level):
@@ -782,12 +855,12 @@ def cell_tree(series, birth):
     column K5 of a 5-series one.  Each depth's columns are copied into every
     cell of that depth; copies in different cells have disjoint supports, so
     the tree is orthonormal in plain coordinates.  The 2-series is the root
-    alone.  Each remainder is its `decimation.remainder` table placed on
-    V_i (`on_level`), so the tree in the layout of `szego.tree_corners` is
-    this one read back at the cells' corners only if the two cells at every
-    shared vertex agree."""
+    alone.  Each remainder is its `schur.remainder_table` placed on V_i
+    (`on_level`), so the tree in the layout of `tree_corners` is this one
+    read back at the cells' corners only if the two cells at every shared
+    vertex agree."""
     kept = slice(2, None) if series == SERIES_FIVE else slice(None)
-    levels = [(k, on_level(remainder(series, birth - k), birth - k))
+    levels = [(k, on_level(remainder_table(series, birth - k), birth - k))
               for k in range(max(birth - 1, 1))]
     return tuple((k, vals[:, kept] if k else vals) for k, vals in levels)
 

@@ -10,16 +10,17 @@ import pytest
 from sgszego import cli
 from sgszego import decimation as dec
 from sgszego import laplacian as lap
+from sgszego import schur
 from sgszego import szego as sz
 from sgszego import topology as top
 
 from subspaces import (cached_dense_spectrum, cell_tree, corner_normal_derivatives,
                        dirichlet_laplacian, eigenfunctions_at_level, extend_eigenfunction,
-                       extend_values, extension_maps, five_series_remainder, index_of,
-                       joined_five_series_step, lattice_keys, on_level, on_vertices, one_word,
-                       principal_angle_gap, reference_laplacian, scalar_spectrum,
+                       extend_values, extension_maps, five_series_corners, five_series_glued,
+                       five_series_remainder, index_of, lattice_keys, on_level, on_vertices,
+                       one_word, principal_angle_gap, reference_laplacian, scalar_spectrum,
                        six_series_birth_by_qr, six_series_remainder_by_solve,
-                       topology_junction_nullspace, words_of)
+                       topology_junction_nullspace, tree_corners, words_of)
 
 
 def test_gamma_step_values():
@@ -200,7 +201,7 @@ def test_extension_refuses_a_forbidden_gamma_in_any_slice():
 def test_extension_of_birth_eigenvector():
     # gamma_1 = 5 eigenvector extended with sign -1 becomes a gamma_2 =
     # (5 - sqrt 5)/2 eigenvector of -Delta_2
-    vals = on_level(dec.remainder("five", 1), 1)
+    vals = on_level(schur.remainder_table("five", 1), 1)
     g2 = dec.gamma_step(5.0, -1)
     ext = extend_eigenfunction(vals, 2, g2)
     for c in range(ext.shape[1]):
@@ -254,7 +255,7 @@ def test_birth_eigenvectors_level_seven_without_dense_solve(series):
     assert full.shape[1] == desc.multiplicity
     assert max(_birth_residuals(desc, full)) <= 1e-9
     assert np.max(np.abs(full.T @ full - np.eye(desc.multiplicity))) <= 1e-12
-    assert not any(dec.remainder(series, i).flags.writeable for i in range(2, 8))
+    assert not any(schur.remainder_table(series, i).flags.writeable for i in range(2, 8))
 
 
 @pytest.mark.parametrize("j", range(2, 8))
@@ -299,7 +300,7 @@ def test_six_series_remainder_matches_dense_solve(j):
     # decimation at gamma = -6 gives the dense formula's columns themselves,
     # not only their span, and they are orthonormal in plain coordinates;
     # the two cells at each shared vertex of the table agree
-    rem = dec.six_series_corners(j)
+    rem = schur.remainder_table("six", j)
     topo = top.level_topology(j)
     assert rem.shape == (3**j, 3, 3)
     full = on_level(rem, j)
@@ -315,28 +316,33 @@ def test_six_series_remainder_past_gamma_overflow(j):
     # unclamped, (2 - g)(5 - g) overflows at j = 11 and g itself at j = 12
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rem = dec.six_series_corners(j)
+        rem = schur.remainder_table("six", j)
     assert np.all(np.isfinite(rem))
     full = on_level(rem, j)
     assert np.max(np.abs(full.T @ full - np.eye(3))) <= 1e-14
 
 
+# the caches of the 6-series tables and of the chain columns they extend
+SIX_CACHES = (schur.remainder_table, schur._chain_columns, schur._chain_form)
+
+
 def test_six_series_remainder_solves_nothing_beyond_three(monkeypatch):
-    dec.six_series_corners.cache_clear()
+    for cache in SIX_CACHES:
+        cache.cache_clear()
     shapes = _spy_linalg(monkeypatch)
-    dec.six_series_corners(8)
+    schur.remainder_table("six", 8)
     assert shapes and max(max(shape) for shape in shapes) <= 3, shapes
 
 
 def test_six_series_remainder_peak_memory():
     # j = 9 peaks far below one dense Gram matrix on the interior of V_7
     # (3279^2 float64, 82 MB), with no table of V_9 built
-    dec.six_series_corners(9)
-    dec.six_series_corners.cache_clear()
+    schur.remainder_table("six", 9)
+    schur.remainder_table.cache_clear()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        dec.six_series_corners(9)
+        schur.remainder_table("six", 9)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -344,35 +350,37 @@ def test_six_series_remainder_peak_memory():
 
 
 def test_five_series_corners_peak_twice_their_table():
-    # N5(i) and K5(i) are written into the one output table, the span freed
-    # before K5 is signed: the tables are those of separate arrays joined
-    # bit for bit for i <= 12, each from the level below, and i = 10 peaks
-    # at most 2.1 times its table (2.0 measured; 3.3 when joined)
-    for i in range(2, 13):
-        expected = joined_five_series_step(dec.five_series_corners(i - 1))
-        assert np.array_equal(dec.five_series_corners(i), expected), i
-    dec.five_series_corners.cache_clear()
-    dec.five_series_corners(9)
+    # R5(i) is one product of the copies of N5(i - 1) with the glue, from
+    # the level below: i = 10 peaks at most 2.1 times its table with level 9
+    # cached (1.0 measured)
+    schur.remainder_table.cache_clear()
+    schur.remainder_table("five", 9)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        table = dec.five_series_corners(10)
+        table = schur.remainder_table("five", 10)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-        dec.five_series_corners.cache_clear()
+        schur.remainder_table.cache_clear()
     assert peak <= 2.1 * table.nbytes, peak / table.nbytes
 
 
 @pytest.mark.parametrize("i", range(1, 13))
 def test_five_series_corners_match_the_full_vector_oracle(i):
-    # the columns, not only their span, of the recursion on full vectors of
-    # V_i, read at the cells' corners, within 1e-15 of each column's largest
-    table = dec.five_series_corners(i)
-    oracle = five_series_remainder(i)[top.level_topology(i).cell_vertices]
-    assert table.shape == oracle.shape == (3**i, 3, 2 if i == 1 else 3)
-    moved = np.max(np.abs(table - oracle), axis=(0, 1))
-    assert np.all(moved <= 1e-15 * np.max(np.abs(oracle), axis=(0, 1))), moved
+    # the tables of `schur.remainder_table` are the columns, not only their
+    # span, of the same glue applied to full vectors of V_i, the copies
+    # placed through `cell_embedding`, read at the cells' corners, within
+    # 1e-15 of each column's largest (bit for bit, measured up to i = 12);
+    # and so are the tables of the recursion that splits each level anew
+    # (`five_series_corners`), the oracle of the glue tests, those of the
+    # same recursion on full vectors
+    for table, full in ((schur.remainder_table("five", i), five_series_glued(i)),
+                        (five_series_corners(i), five_series_remainder(i))):
+        oracle = full[top.level_topology(i).cell_vertices]
+        assert table.shape == oracle.shape == (3**i, 3, 2 if i == 1 else 3)
+        moved = np.max(np.abs(table - oracle), axis=(0, 1))
+        assert np.all(moved <= 1e-15 * np.max(np.abs(oracle), axis=(0, 1))), moved
 
 
 @pytest.mark.parametrize("i", range(2, 8))
@@ -380,7 +388,7 @@ def test_five_series_remainder_splits_into_glue_and_kept(i):
     # R5(i) is orthonormal and zero on V_0; its normal derivatives at the
     # corners of V_0 vanish on K5(i), its last column, and have rank 2 on
     # N5(i), its first two; the two cells at each shared vertex agree
-    rem = dec.five_series_corners(i)
+    rem = schur.remainder_table("five", i)
     topo = top.level_topology(i)
     assert rem.shape == (3**i, 3, 3)
     full = on_level(rem, i)
@@ -397,9 +405,9 @@ def test_five_series_remainder_splits_into_glue_and_kept(i):
 
 def test_five_series_remainder_is_canonical(monkeypatch):
     # the columns, not only their span, survive relative noise of 1e-16 in
-    # every normal derivative: R5(i), and so N5(i) and K5(i), move by under
-    # 1e-12 of their largest entry
-    clean = {i: dec.five_series_corners(i).copy() for i in range(2, 10)}
+    # every normal derivative that builds the glue: R5(i), and so N5(i) and
+    # K5(i), move by under 1e-12 of their largest entry
+    clean = {i: schur.remainder_table("five", i).copy() for i in range(2, 10)}
     rng = np.random.default_rng(7)
     exact = dec.normal_derivatives
 
@@ -408,29 +416,31 @@ def test_five_series_remainder_is_canonical(monkeypatch):
         return normal * (1.0 + 1e-16 * rng.standard_normal(normal.shape))
 
     monkeypatch.setattr(dec, "normal_derivatives", noisy)
-    dec.five_series_corners.cache_clear()
+    caches = (schur.remainder_table, dec._five_series_glue)
+    for cache in caches:
+        cache.cache_clear()
     try:
         for i, expected in clean.items():
-            moved = np.max(np.abs(dec.five_series_corners(i) - expected), axis=(0, 1))
+            moved = np.max(np.abs(schur.remainder_table("five", i) - expected), axis=(0, 1))
             assert np.all(moved <= 1e-12 * np.max(np.abs(expected))), (i, moved)
     finally:
-        dec.five_series_corners.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_split_bases_factor_nothing_wider_than_six(monkeypatch):
     # the 5- and 6-series bases of birth 8 call np.linalg on the 3 x 6
     # junction matrix and on 3 x 3 and 2 x 2 Gram matrices only
-    dec.five_series_corners.cache_clear()
-    dec.six_series_corners.cache_clear()
-    sz.tree_corners.cache_clear()
+    caches = SIX_CACHES + (dec._five_series_glue,)
+    for cache in caches:
+        cache.cache_clear()
     shapes = _spy_linalg(monkeypatch)
     try:
         for series in ("five", "six"):
-            sz.tree_corners(series, 8)
+            tree_corners(series, 8)
     finally:
-        dec.five_series_corners.cache_clear()
-        dec.six_series_corners.cache_clear()
-        sz.tree_corners.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert shapes and max(max(shape) for shape in shapes) <= 6, shapes
 
 
@@ -449,7 +459,7 @@ def test_junction_nullspace():
     # the normal derivatives of E5(2) and of N5(2) glued at the three
     # junctions of V_1: a 3 x 9 and the 3 x 6 matrix of the remainder.  The
     # fixed pattern of the midpoints gives the matrix read off V_1's cells
-    normal = dec.normal_derivatives(dec.five_series_corners(2))
+    normal = dec.normal_derivatives(schur.remainder_table("five", 2))
     for q in (3, 2):
         null = dec.junction_nullspace(normal[:, :q])
         assert null.shape == (3 * q, 3 * q - 3)

@@ -85,7 +85,7 @@ def test_dense_eigenpair_residuals(m):
 
 def _minus_six_family(count):
     """g_1 = -6 and g_(d+1) = g_d (5 - g_d), clamped at -GAMMA_CLAMP: the
-    gammas of the 6-series remainder's extension (`six_series_corners`)."""
+    gammas of the 6-series remainder's extension (`schur.remainder_table`)."""
     gammas = [-6.0]
     while len(gammas) < count:
         gammas.append(max(gammas[-1] * (5.0 - gammas[-1]), -dec.GAMMA_CLAMP))

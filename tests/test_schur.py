@@ -1,9 +1,11 @@
 """The Schur recursion up the cells (`schur`) that gives every log-det of the
 Szegő path and the matrices of every eigenvalue, against the elimination
-over the tree blocks, the remainder tables and the exit contract."""
+over the tree blocks and the exit contract, and the remainder tables that
+its steps build, against the recursions on tables."""
 import collections
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFun
                                SimpleCellFunction)
 from sgszego.laplacian import child_corners, midpoints
 
-from subspaces import cell_ordered, dense_blocks, eliminate, tree_blocks
+from subspaces import cell_ordered, dense_blocks, eliminate, five_series_corners, tree_blocks
 
 # `h` and `s` of the measurements, cell-constant f of scales 2 and 3, a
 # constant and an f that is sampled on V_{m_q}
@@ -50,27 +52,40 @@ def test_recursion_matches_the_elimination_oracle(series, index):
 def test_glue_coefficients_give_the_five_series_tables():
     # R5(i) built from E5(1) by the glue coefficients alone, copies of N5
     # placed into the 1-cells a level at a time by the one table of every
-    # i >= 2, is the table of `five_series_corners` within 1e-12 of its
-    # largest entry up to i = 13, K5 with its sign, and so are its normal
-    # derivatives.  The gap is the tables': they lose about a bit a level,
-    # the Cholesky basis of N5 amplifying the rounding of the level below,
-    # while the glue is computed once.  The columns are orthonormal within
-    # 1e-13.  The root of a birth at 1, E5(1), is the table's N5(1).  The
-    # cached tables, 0.17 GB by i = 13, are dropped after
-    table = dec.five_series_glue(1)
-    assert np.max(np.abs(schur._root_step("five", 1)[2] - dec.five_series_corners(1))) <= 1e-15
+    # i >= 2 (`remainder_table`), is the table of the recursion that splits
+    # each level anew within 1e-12 of its largest entry up to i = 13, K5
+    # with its sign, and so are its normal derivatives.  The gap is the
+    # recursion's: it loses about a bit a level, the Cholesky basis of N5
+    # amplifying the rounding of the level below, while the glue is
+    # computed once.  The columns are orthonormal within 1e-13.  The root of
+    # a birth at 1, E5(1), is the table's N5(1).  The cached tables, 0.17 GB
+    # by i = 13, are dropped after
+    assert np.max(np.abs(schur._root_step("five", 1)[2] - schur.remainder_table("five", 1))) \
+        <= 1e-15
     for i in range(2, 14):
-        coefficients = dec.five_series_glue(i)
-        assert coefficients is dec.five_series_glue(2)
-        table = np.einsum("xaq,cqr->cxar", table[..., :2], coefficients).reshape(3**i, 3, 3)
-        expected = dec.five_series_corners(i)
+        assert dec.five_series_glue(i) is dec.five_series_glue(2)
+        table, expected = schur.remainder_table("five", i), five_series_corners(i)
         size = np.max(np.abs(expected))
         assert np.max(np.abs(table - expected)) <= 1e-12 * size, i
         normal, reference = (dec.normal_derivatives(t)[:, :2] for t in (table, expected))
         assert np.max(np.abs(normal - reference)) <= 1e-12 * np.max(np.abs(reference)), i
         columns = table.reshape(-1, 3)
         assert np.max(np.abs(0.5 * columns.T @ columns - np.eye(3))) <= 1e-13, i
-    dec.five_series_corners.cache_clear()
+    schur.remainder_table.cache_clear()
+    five_series_corners.cache_clear()
+
+
+def test_five_series_normal_derivatives_are_one_isometry():
+    # the normal derivatives of N5(i) at q_1, q_2, q_3 are (3/5)^((i - 1)/2)
+    # times an isometry, within 1e-14, for i = 2 .. 13 (1.3e-15 measured):
+    # the glue is built once, so no level amplifies the rounding of the one
+    # below (`five_series_corners`, which splits each level anew, is 2.7e-14
+    # off at i = 10 and 2.1e-13 at i = 13)
+    for i in range(2, 14):
+        normal = dec.normal_derivatives(schur.remainder_table("five", i))[:, :2]
+        normal /= 0.6 ** ((i - 1) / 2)
+        assert np.max(np.abs(normal.T @ normal - np.eye(2))) <= 1e-14, i
+    schur.remainder_table.cache_clear()
 
 
 def test_one_glue_table_serves_every_level(monkeypatch):
@@ -115,13 +130,39 @@ def test_single_five_strong_szego_constant_is_level_free():
 def test_chain_gram_is_the_remainder_gram(n):
     # the 1/2 I form folded up the chain gives S, the plain Gram matrix of
     # the chain's extended midpoint columns on V_n, which
-    # `six_series_corners` orthonormalizes, within 1e-14 of its largest entry
+    # `remainder_table` orthonormalizes, within 1e-14 of its largest entry
     table = dec._midpoint_table(np.eye(3)).transpose(2, 0, 1)
     for gamma in dec.six_series_chain(n):
         table = child_corners(table, midpoints(table, gamma))
     columns = table.reshape(3, -1)
     gram = 0.5 * columns @ columns.T
     assert np.max(np.abs(schur._chain_gram(n) - gram)) <= 1e-14 * np.max(np.abs(gram))
+
+
+def _exact_fold(form, maps):
+    """sum_i maps_i^T form maps_i in rationals, of float64 maps (3, 3, 3)."""
+    maps = [[[Fraction(float(x)) for x in row] for row in cell] for cell in maps]
+    return [[sum(cell[a][p] * form[a][b] * cell[b][q]
+                 for cell in maps for a in range(3) for b in range(3))
+             for q in range(3)] for p in range(3)]
+
+
+def test_chain_gram_is_the_exact_fold():
+    # S(n) is the fold of 1/2 I by the chain's float64 maps, computed in
+    # rationals and rounded once, within 1e-16 of its largest entry for
+    # n = 2 .. 12 (6.8e-17 measured; 1.05e-15 when folded in float64): each
+    # entry is the exact one correctly rounded, on every platform, since
+    # the fold runs in integers
+    form = [[Fraction(1, 2) if a == b else Fraction(0) for b in range(3)] for a in range(3)]
+    for n in range(2, 13):
+        form = _exact_fold(form, schur._chain_maps(n - 1))
+        exact = _exact_fold(form, dec._midpoint_table(np.eye(3)))
+        size = max(abs(x) for row in exact for x in row)
+        gram = schur._chain_gram(n)
+        error = max(abs(Fraction(float(gram[p, q])) - exact[p][q])
+                    for p in range(3) for q in range(3))
+        assert error <= Fraction(1e-16) * size, (n, float(error / size))
+        assert gram.tolist() == [[float(x) for x in row] for row in exact], n
 
 
 @pytest.mark.parametrize("series,index", [("cutoff", m) for m in range(1, 7)]
@@ -192,10 +233,8 @@ def _entered(argvs, out):
     return entered
 
 
-# the tables of the cell tree, by their code objects
-TREE = {func.__name__: getattr(func, "__wrapped__", func).__code__
-        for func in (sz.tree_corners, dec.remainder, dec.five_series_corners,
-                     dec.six_series_corners)}
+# the tables of the cell tree, by their code object
+TREE = {"remainder_table": schur.remainder_table.__wrapped__.__code__}
 
 
 def test_szego_sweeps_build_no_tree(tmp_path):
@@ -223,4 +262,4 @@ def test_szego_sweeps_build_no_tree(tmp_path):
     entered = _entered([["basis", "--series", "five", "--j", "4", "--N", "1", "--m-q", "5"]],
                       tmp_path)
     for name, code in TREE.items():
-        assert entered[code] > 0 or name == "six_series_corners", name
+        assert entered[code] > 0, name

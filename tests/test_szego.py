@@ -22,7 +22,7 @@ from sgszego.functions import (ConstantFunction, ExpressionFunction, HarmonicFun
 from subspaces import (FunctionSum, assemble_compressed, cell_ordered, cell_tree,
                        dense_blocks, dense_matrix, eliminate, extend_eigenfunction, index_of,
                        interior_basis, lattice_keys, long_double_basis, one_level, one_word,
-                       scale_cells, tree_blocks)
+                       scale_cells, table_recursion, tree_blocks, tree_corners)
 
 
 def test_identity_for_constant_one():
@@ -401,6 +401,27 @@ def test_basis_columns_match_the_long_double_extension():
         assert start == vectors.shape[2] and not vectors.any(), (group.series, group.birth)
 
 
+# the sample `basis` commands, (series, j, N, m_q)
+BASIS_SAMPLES = (("six", 3, 1, 4), ("five", 4, 2, 5), ("two", 1, 0, 3), ("six", 7, 4, 7),
+                 ("five", 7, 6, 7))
+
+
+def test_basis_columns_match_the_table_recursions(monkeypatch):
+    # the columns `basis` exports for its sample commands, from the tables
+    # of `schur.remainder_table`, are those built from the recursions on
+    # tables within 1e-14 of each column's largest entry (6.1e-15 measured,
+    # at five j=7; two j=1 is bit for bit the same)
+    for series, j, N, m_q in BASIS_SAMPLES:
+        ((_, (group,), _),) = sz.sweep_plan("single", [j], N, series, m_q)
+        vectors = sz.basis_columns(group, m_q)
+        with monkeypatch.context() as patch:
+            patch.setattr(sz, "remainder_table", table_recursion)
+            expected = sz.basis_columns(group, m_q)
+        error = np.max(np.abs(vectors - expected), axis=1) / np.max(np.abs(expected), axis=1)
+        assert np.max(error) <= 1e-14, (series, j, np.max(error))
+        assert series != "two" or np.array_equal(vectors, expected)
+
+
 def _birth_tensors(group, m_q):
     """The `corner_tensors` of a group's birth-cells, as
     `compressed_operator` builds them for its kernels and norms."""
@@ -582,25 +603,31 @@ def test_rotated_corner_columns_are_the_extended_ones(m):
 @pytest.mark.parametrize("series,birth", [("two", 1), ("five", 1)]
                          + [(s, j) for s in ("five", "six") for j in range(2, 9)])
 def test_tree_corners_share_one_table_per_remainder(series, birth):
-    # depth k of the tree of a birth at j is the table of R(j - k), the root
-    # of the tree born at j - k: all of it for the 6-series and a view of
-    # its column 2, K5, for the 5-series; and the root is the one cached
-    # table of `decimation.remainder` (the trees cached before another test
-    # cleared that cache are dropped first)
-    sz.tree_corners.cache_clear()
-    tree = sz.tree_corners(series, birth)
+    # depth k of the tree of a birth at j, as `basis_columns` slices it
+    # (through `tree_corners`, a mirror of that slice), is the table of
+    # R(j - k), the root of the tree born at j - k: all of it for the
+    # 6-series and a view of its column 2, K5, for the 5-series; and the
+    # root is the one cached table of `schur.remainder_table` (the tables
+    # cached before another test cleared that cache are dropped first)
+    schur.remainder_table.cache_clear()
+    tree = tree_corners(series, birth)
     assert [k for k, _ in tree] == list(range(len(cell_tree(series, birth))))[::-1]
     for (k, corners), (_, vals) in zip(tree[::-1], cell_tree(series, birth)):
-        root = sz.tree_corners(series, birth - k)[-1]
-        assert root[0] == 0
+        root = tree_corners(series, birth - k)[-1]
+        table = schur.remainder_table(series, birth - k)
+        assert root[0] == 0 and root[1].shape == table.shape
+        assert _owner(corners) is _owner(root[1]) is _owner(table)
         if series == "six" or k == 0:
-            assert corners is root[1]
+            assert np.array_equal(corners, table)
         else:
-            assert corners.base is root[1] and corners.shape[-1] == 1
-        if series != "two":
-            assert root[1] is dec.remainder(series, birth - k)
+            assert corners.shape[-1] == 1 and np.array_equal(corners[..., 0], table[..., 2])
         assert not corners.flags.writeable
         assert np.array_equal(corners, vals[top.level_topology(birth - k).cell_vertices])
+
+
+def _owner(array):
+    """The array that owns the memory of a view, or the array itself."""
+    return array if array.base is None else array.base
 
 
 def _kernel_cases():
@@ -769,7 +796,7 @@ def test_structured_multipliers_skip_the_sampling_level(f, monkeypatch):
     levels = f.scale > 0 or isinstance(f, HarmonicFunction)
     assert entered[sz.recursive_kernels.__code__] == levels * len(groups)
     assert entered[schur.group_log_det.__code__] == levels * len(groups)
-    assert entered[dec.remainder.__code__] == 0
+    assert entered[schur.remainder_table.__wrapped__.__code__] == 0
     assert entered[sz.reference_integral.__code__] == 1
     assert asked == []
     assert record.dimension == top.interior_count(4)
@@ -834,7 +861,6 @@ def test_cell_constant_multipliers_build_only_the_levels_above_their_scale(f, mo
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    dec.five_series_corners.cache_clear()
     reached = []
     original = schur._steps
 
@@ -862,7 +888,7 @@ def test_cell_constant_multipliers_build_only_the_levels_above_their_scale(f, mo
     if f.scale == 0:
         for name in ("corner_tensors", "recursive_kernels"):
             assert entered[getattr(sz, name).__code__] == 0, name
-        assert entered[dec.remainder.__code__] == 0
+        assert entered[schur.remainder_table.__wrapped__.__code__] == 0
 
 
 # a cell-constant f of scale 2 with nine distinct coefficients
@@ -888,11 +914,12 @@ def test_unit_kernels_are_the_sampled_kernels_of_one(m):
     # every column's quadrature norm, its square summed over the
     # birth-cells against the sampled kernel of the share row (1/2 at a
     # birth-cell's corners and 1 elsewhere) in long double, is
-    # sqrt(w(m_q) rho) of its word within 1.6e-15 relative (1.52e-15 at
+    # sqrt(w(m_q) rho) of its word within 1.6e-15 relative (1.48e-15 at
     # m = 8; the squares within twice that): the kernel is symmetric in
     # the corners, and a column of plain norm 1 sums u^2 over the cells to
     # 2 and u u' to (4 - gamma) / 2.  Against a long-double extension,
-    # sqrt(rho) is 1.2e-15 off at m = 8, m_q = 9
+    # sqrt(rho) is 1.2e-15 off at m = 8, m_q = 9.  The columns are the
+    # tree's corner tables as `tree_corners` mirrors `basis_columns`' slice
     for m_q in (m, m + 1):
         w = top.interior_weight(m_q)
         for group in enumerate_spectrum(m):
@@ -902,7 +929,7 @@ def test_unit_kernels_are_the_sampled_kernels_of_one(m):
             sampled = sampled[:, sz._SYMMETRIC].astype(np.longdouble)
             rho = _gram_factors(group, m_q)
             assert rho.shape == (len(group),)
-            for _, u in sz.tree_corners(group.series, group.birth):
+            for _, u in tree_corners(group.series, group.birth):
                 u = u.astype(np.longdouble)
                 norms = np.sqrt(w * np.einsum("xac,gab,xbc->gc", u, sampled, u))
                 error = np.max(np.abs(norms / np.sqrt(w * rho[:, None]) - 1.0))
